@@ -8,8 +8,7 @@ package hybridstore
 //
 // The experiments run at a reduced scale (HSBENCH_SCALE, default 0.25) so
 // `go test -bench=.` finishes in minutes; run `cmd/hsbench -scale 1` for
-// the full-size tables recorded in EXPERIMENTS.md. The first benchmark
-// calibrates a cost model against this machine; it is cached for the rest
+// the full-size tables. The first benchmark calibrates a cost model against this machine; it is cached for the rest
 // of the run.
 
 import (
@@ -167,7 +166,7 @@ func BenchmarkFig10TPCH(b *testing.B) {
 	})
 }
 
-// BenchmarkAblations runs the design-choice ablations DESIGN.md calls out:
+// BenchmarkAblations runs the design-choice ablations:
 // per-code aggregation, the write-optimized delta, the placement-search
 // strategy and the compression adjustment.
 func BenchmarkAblations(b *testing.B) {

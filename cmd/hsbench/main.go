@@ -1,7 +1,6 @@
 // Command hsbench regenerates the paper's evaluation figures against the
 // live hybrid-store engine. Each experiment prints the series the paper
-// plots; see DESIGN.md for the experiment index and EXPERIMENTS.md for
-// recorded paper-vs-measured results.
+// plots; -list prints the experiment index.
 //
 // Usage:
 //

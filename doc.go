@@ -7,8 +7,7 @@
 // per partition, whether data should live in the row store or the column
 // store.
 //
-// The implementation lives under internal/ (see DESIGN.md for the system
-// inventory); the runnable entry points are:
+// The implementation lives under internal/; the runnable entry points are:
 //
 //   - cmd/advisor — offline storage advisor over SQL schema+workload files
 //   - cmd/hsbench — regenerates every figure of the paper's evaluation
@@ -19,7 +18,7 @@
 //     network-service demos
 //
 // The benchmarks in bench_test.go wrap the same experiment harness that
-// cmd/hsbench runs; EXPERIMENTS.md records paper-vs-measured results.
+// cmd/hsbench runs.
 //
 // # Execution model
 //
@@ -63,6 +62,23 @@
 //     hot and cold partitions concurrently on the shared worker pool and
 //     merge them (the paper's "union of both partitions"), falling back
 //     inline when the pool is saturated.
+//   - Vertically partitioned tables push an aggregate into the one
+//     partition that holds all its columns. An aggregate that spans both
+//     is a column-driven PK join (the paper's "both partitions plus a PK
+//     join"): the conjuncts the column partition covers — key ranges
+//     included — run on its bitmap and zone-map kernels; the surviving
+//     rows stream out in 1024-row batches with only the key and the
+//     needed column-partition columns decoded; each key is probed in
+//     the row partition's PK index (guessing the slot after the last
+//     hit first — both partitions take rows in the same order) and the
+//     needed row-partition columns are read straight from the arena;
+//     conjuncts that need row-partition columns are tested on the
+//     joined row, which is then accumulated. Nothing links the
+//     partitions but the key: the column store renumbers rows when it
+//     migrates and merges them, so a stored rid-to-rid link would be a
+//     second source of truth. A horizontal+vertical layout (hot rows
+//     whole in the row store, cold rows split) runs this for its cold
+//     side beside the hot side's aggregate.
 //
 // # Parallel execution
 //
@@ -77,15 +93,28 @@
 //
 //   - Column-store match bitmaps are built block-parallel (each worker
 //     applies every conjunct to its blocks; word alignment keeps
-//     workers on disjoint bitset words), aggregation runs per-worker —
-//     dense per-code accumulators, counting global paths, generic
-//     group maps — and merges once at the end, and SELECT collection
+//     workers on disjoint bitset words), and SELECT collection
 //     reassembles batches by block index so parallel row order equals
 //     serial row order.
+//   - Every aggregate is an ordered reduction (exec.Reduce): the scan is
+//     cut into fixed ranges of consecutive morsels, each range
+//     accumulates into a partial of its own — dense per-code
+//     accumulators, scalar accumulators of the ungrouped path, hash
+//     group maps of the generic, row-store, join-probe and
+//     vertical-spanning paths — on whichever worker claims it, and the
+//     partials merge strictly in range order. The range size derives
+//     from the block count and the group cardinality (a range covers at
+//     least 32 rows per accumulator cell, so merging stays a few
+//     percent of scanning; small partials get one block per range),
+//     never from the pool: how a float SUM's additions associate is a
+//     function of the data alone, and a 1-slot pool returns the same
+//     bits as an N-slot one. Per-code counts of the ungrouped path are
+//     integers and add up exactly in any order.
 //   - Hash joins build per-block and insert serially in block order
 //     (deterministic bucket chains), then probe in parallel: the
-//     columnar dictionary probe keeps per-worker match/group caches,
-//     the generic aggregate probe per-worker partial results.
+//     columnar dictionary probe numbers the build side's groups once
+//     and keeps per-worker match caches, the generic aggregate probe
+//     one partial result per block.
 //   - The network server admits statements through the same pool
 //     (session slot = worker slot), so intra-query parallelism scales
 //     down automatically as concurrent statements scale up instead of
@@ -93,10 +122,12 @@
 //   - Cancellation is polled at morsel claims and batch boundaries;
 //     tombstones, zone maps, the delta fragment and monitor attribution
 //     behave identically in serial and parallel runs. The differential
-//     suite (internal/engine parallel tests) forces an 8-slot pool and
-//     asserts bit-identical serial/parallel results across layouts,
-//     NULLs, tombstones and migration churn; `hsbench -exp parallel`
-//     records serial-vs-parallel speedups into BENCH_parallel.json.
+//     suite (internal/engine parallel tests) runs pools of 1, 2, 3 and 8
+//     slots over fractional keyfigures and asserts bit-identical
+//     results across layouts (row, column, horizontal, vertical,
+//     horizontal+vertical), NULLs, tombstones and migration churn;
+//     `hsbench -exp parallel` records serial-vs-parallel speedups into
+//     BENCH_parallel.json.
 //
 // # Query planning
 //
@@ -388,7 +419,13 @@
 // counters; the trace additionally accumulates statement-wide storage
 // counters (blocks_decoded, blocks_zone_skipped, blocks_zone_wholesale,
 // main_rows, delta_rows) and parallel-loop activity (morsels, runs,
-// per-worker busy time).
+// per-worker busy time). An aggregate spanning both partitions of a
+// vertical split reports its PK join in the aggregate span's detail:
+// probe_rows, probe_misses and the blocks_zone_skipped of its
+// column-partition scan. A probe miss is a row whose key is absent from
+// the other partition — a partition inconsistency, skipped and counted in
+// hs_vertical_join_miss_total (0 on a healthy system; the differential
+// tests assert it stays 0).
 //
 // EXPLAIN ANALYZE <statement> executes the statement under a fresh
 // trace and returns the trace as an ordinary result set — columns

@@ -137,6 +137,14 @@ func (a *Acc) AddSummary(sum float64, count int64, min, max value.Value) {
 	}
 }
 
+// AddSum folds a precomputed Float-sum over count non-NULL rows without
+// their extrema, for accumulators whose function never reads MIN/MAX
+// (like AddCount, it leaves min/max unseen).
+func (a *Acc) AddSum(sum float64, count int64) {
+	a.sum += sum
+	a.count += count
+}
+
 // AddCount increments only the row counter; used for COUNT(*) where no
 // column value is inspected. It deliberately does not mark min/max as
 // seen: a count-only accumulator holds zero-valued min/max, and marking
@@ -247,7 +255,9 @@ type Result struct {
 	// to the untyped Final.
 	Types []value.Type
 
-	index map[string]int
+	index map[uint64]int // key hash -> newest group with that hash
+	chain []int          // per group: the next older group with the same key hash, -1 at the end
+	key   []value.Value  // AddRow's group-key scratch
 }
 
 // SetOutputTypes records each spec's result type given the source
@@ -271,7 +281,7 @@ func NewResult(specs []Spec, groupCols []int) *Result {
 		r.Groups = []*Group{{Accs: make([]Acc, len(specs))}}
 		return r
 	}
-	r.index = make(map[string]int)
+	r.index = make(map[uint64]int)
 	return r
 }
 
@@ -281,30 +291,61 @@ func (r *Result) Global() *Group { return r.Groups[0] }
 // GroupFor returns (creating if needed) the bucket for the given key. The
 // key slice is copied on first use so callers may reuse their buffer.
 func (r *Result) GroupFor(key []value.Value) *Group {
-	k := groupKey(key)
-	if i, ok := r.index[k]; ok {
-		return r.Groups[i]
+	h := value.HashRow(key)
+	newest, seen := r.index[h]
+	if !seen {
+		newest = -1
+	}
+	for i := newest; i >= 0; i = r.chain[i] {
+		if equalKeys(r.Groups[i].Key, key) {
+			return r.Groups[i]
+		}
 	}
 	kc := make([]value.Value, len(key))
 	copy(kc, key)
 	g := &Group{Key: kc, Accs: make([]Acc, len(r.Specs))}
-	r.index[k] = len(r.Groups)
+	r.index[h] = len(r.Groups)
+	r.chain = append(r.chain, newest)
 	r.Groups = append(r.Groups, g)
 	return g
 }
 
-func groupKey(key []value.Value) string {
-	if len(key) == 1 {
-		return key[0].Key()
+func equalKeys(a, b []value.Value) bool {
+	for i := range a {
+		if !value.Equal(a[i], b[i]) {
+			return false
+		}
 	}
-	s := ""
-	for _, v := range key {
-		s += v.Key() + "\x1f"
-	}
-	return s
+	return true
 }
 
-// Merge folds a compatible partial result (same specs and grouping) into r.
+// AddRow folds one row — indexed the way the specs' and grouping columns
+// are — into its group: the tuple-at-a-time accumulation step.
+func (r *Result) AddRow(row []value.Value) {
+	var g *Group
+	if len(r.GroupCols) == 0 {
+		g = r.Global()
+	} else {
+		if r.key == nil {
+			r.key = make([]value.Value, len(r.GroupCols))
+		}
+		for i, c := range r.GroupCols {
+			r.key[i] = row[c]
+		}
+		g = r.GroupFor(r.key)
+	}
+	for i, s := range r.Specs {
+		if s.Col < 0 {
+			g.Accs[i].AddCount(1)
+		} else {
+			g.Accs[i].Add(row[s.Col])
+		}
+	}
+}
+
+// Merge folds a compatible partial result (same specs and grouping) into
+// r. other must not be used afterwards: an r without groups takes over
+// other's.
 func (r *Result) Merge(other *Result) {
 	if other == nil {
 		return
@@ -316,6 +357,10 @@ func (r *Result) Merge(other *Result) {
 		for i := range r.Global().Accs {
 			r.Global().Accs[i].Merge(&other.Global().Accs[i])
 		}
+		return
+	}
+	if len(r.Groups) == 0 {
+		r.Groups, r.index, r.chain = other.Groups, other.index, other.chain
 		return
 	}
 	for _, g := range other.Groups {

@@ -16,9 +16,9 @@ import (
 	"hybridstore/internal/workload"
 )
 
-// Ablations benchmarks the design choices DESIGN.md calls out: the column
-// store's per-code aggregation fast path, the write-optimized delta, the
-// advisor's search strategy, and the cost model's compression adjustment.
+// Ablations benchmarks the engine's design choices: the column store's
+// per-code aggregation fast path, the write-optimized delta, the advisor's
+// search strategy, and the cost model's compression adjustment.
 func Ablations(cfg Config) (*Result, error) {
 	res := &Result{Columns: []string{"ablation", "baseline", "ablated", "effect"}}
 	if err := ablateCodeAggregation(cfg, res); err != nil {

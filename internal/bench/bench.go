@@ -1,6 +1,6 @@
 // Package bench implements the experiment harness that regenerates every
 // figure of the paper's evaluation (§5). Each experiment builds the
-// paper's data setting (scaled to laptop sizes; see DESIGN.md), runs the
+// paper's data setting (scaled to laptop sizes), runs the
 // paper's workloads against the live hybrid engine, and prints the same
 // series the figure plots. Absolute runtimes differ from the paper's
 // HANA testbed by design — the calibrated cost model and the shapes
@@ -102,8 +102,7 @@ func (c Config) model() (*costmodel.Model, error) {
 }
 
 // Result is a finished experiment: a printable table plus machine-
-// readable series keyed by column name (used by tests and EXPERIMENTS.md
-// generation).
+// readable series keyed by column name (used by tests).
 type Result struct {
 	Name    string
 	Title   string
@@ -178,7 +177,7 @@ func Experiments() []Experiment {
 		{"fig9a", "Vertical partitioning, OLAP setting (Figure 9a)", Fig9a},
 		{"fig9b", "Vertical partitioning, OLTP setting (Figure 9b)", Fig9b},
 		{"fig10", "TPC-H combination and comparison (Figure 10)", Fig10},
-		{"ablation", "Design-choice ablations (DESIGN.md)", Ablations},
+		{"ablation", "Design-choice ablations", Ablations},
 		{"durability", "Durable-mode insert throughput (WAL group commit)", Durability},
 		{"concurrent-clients", "Concurrent network clients: mixed DML + analytics over TCP", ConcurrentClients},
 		{"parallel", "Morsel-driven parallel execution: serial vs shared worker pool", Parallel},

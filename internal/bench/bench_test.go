@@ -220,8 +220,9 @@ func TestParallelExperimentSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if procs := runtime.GOMAXPROCS(0); procs < 4 {
-		t.Logf("GOMAXPROCS=%d: correctness verified, speedup floor skipped", procs)
+	// CI pins GOMAXPROCS=4 on any runner; only real cores give a speedup.
+	if procs := min(runtime.GOMAXPROCS(0), runtime.NumCPU()); procs < 4 {
+		t.Logf("%d usable cores: correctness verified, speedup floor skipped", procs)
 		return
 	}
 	for _, q := range []string{"scan", "group-by", "filter-agg", "join"} {

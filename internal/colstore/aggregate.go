@@ -16,21 +16,16 @@ import (
 // of one per row — which is how compression speeds up aggregation in the
 // paper's column store (f_compression).
 func (t *Table) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate) *agg.Result {
-	return t.AggregateStop(specs, groupBy, pred, nil)
-}
-
-// AggregateStop is Aggregate with a cooperative cancellation hook: stop
-// (when non-nil) is polled once per blockRows-sized block, and a true
-// return abandons the aggregation, yielding a partial result the caller
-// must discard. This is the "batch boundary" the engine's context
-// cancellation rides on.
-func (t *Table) AggregateStop(specs []agg.Spec, groupBy []int, pred expr.Predicate, stop func() bool) *agg.Result {
-	return t.AggregateExec(specs, groupBy, pred, exec.Serial(stop))
+	return t.AggregateExec(specs, groupBy, pred, nil)
 }
 
 // AggregateExec is Aggregate with an execution context: ex carries the
-// cancellation hook and the worker pool the morsel loops draw helpers
-// from. A nil ex (or nil ex.Pool) runs serially.
+// cancellation hook — polled once per blockRows-sized block; when it
+// fires the aggregation is abandoned and the partial result must be
+// discarded — and the worker pool the morsel loops draw helpers from. A
+// nil ex (or nil ex.Pool) runs serially. Either way partial sums are
+// combined per fixed block range in block order (exec.Reduce), so the
+// result does not depend on the pool size.
 func (t *Table) AggregateExec(specs []agg.Spec, groupBy []int, pred expr.Predicate, ex *exec.Ctx) *agg.Result {
 	res := agg.NewResult(specs, groupBy)
 	res.SetOutputTypes(t.sch.ColTypes())
@@ -39,13 +34,13 @@ func (t *Table) AggregateExec(specs []agg.Spec, groupBy []int, pred expr.Predica
 	match := t.matchBitmapExec(pred, s, ex) // nil means all live rows
 	switch {
 	case len(groupBy) == 0:
-		t.aggregateGlobalExec(res, specs, match, s, ex)
+		t.aggregateGlobal(res, specs, match, ex)
 	case len(groupBy) == 1:
 		t.aggregateSingleGroup(res, specs, groupBy[0], match, ex)
 	case len(groupBy) == 2 && t.pairGroupFeasible(groupBy):
 		t.aggregatePairGroup(res, specs, groupBy, match, ex)
 	default:
-		t.aggregateGeneric(res, specs, groupBy, match, s, ex)
+		t.aggregateGeneric(res, specs, groupBy, match, ex)
 	}
 	return res
 }
@@ -91,11 +86,68 @@ func (t *Table) countMatches(match bitset.Bits) int64 {
 
 // codeAcc accumulates one (group, spec) cell over main-fragment rows:
 // Float-sum plus count, with MIN/MAX tracked as dictionary codes (the
-// sorted main dictionary makes code order value order).
+// sorted main dictionary makes code order value order). The empty cell
+// has minC all-ones.
 type codeAcc struct {
 	sum        float64
 	cnt        int64
 	minC, maxC uint32
+}
+
+var emptyCodeAcc = codeAcc{minC: ^uint32(0)}
+
+func newCodeAccs(n int) []codeAcc {
+	accs := make([]codeAcc, n)
+	for i := range accs {
+		accs[i] = emptyCodeAcc
+	}
+	return accs
+}
+
+// add folds one row whose value has main code code and float value f.
+// The extrema update is branchless: a range's partial starts empty, so
+// the branches would mispredict on a good share of its rows.
+func (a *codeAcc) add(f float64, code uint32) {
+	a.sum += f
+	a.cnt++
+	a.minC = min(a.minC, code)
+	a.maxC = max(a.maxC, code)
+}
+
+// addSum is add for a SUM, AVG or COUNT cell, whose extrema nobody reads.
+func (a *codeAcc) addSum(f float64) {
+	a.sum += f
+	a.cnt++
+}
+
+// drain folds b into a and empties b.
+func (a *codeAcc) drain(b *codeAcc) {
+	if b.cnt == 0 {
+		return
+	}
+	a.sum += b.sum
+	a.cnt += b.cnt
+	if b.minC < a.minC {
+		a.minC = b.minC
+	}
+	if b.maxC > a.maxC {
+		a.maxC = b.maxC
+	}
+	*b = emptyCodeAcc
+}
+
+// reduceRowsPerCell sizes the block ranges of the ordered reduction: a
+// range covers at least this many rows per accumulator cell of its
+// partial, so folding the partial costs a fraction of scanning the range.
+const reduceRowsPerCell = 32
+
+// RangeBlocks returns how many consecutive scan blocks share one partial
+// of the given number of accumulator cells in an ordered reduction (see
+// exec.Reduce). It depends on the cell count alone, so the ranges of a
+// table — and with them the association of every float SUM — are a
+// function of the data, not of the worker pool.
+func RangeBlocks(cells int) int {
+	return max(1, (reduceRowsPerCell*cells+blockRows-1)/blockRows)
 }
 
 // denseGroupAgg is the shared engine of the dense grouped fast paths:
@@ -103,36 +155,59 @@ type codeAcc struct {
 // group code. Per-row work over the main fragment is integer and float
 // scalar ops only — no value comparisons, no per-row decode. Delta rows
 // (unsorted dictionaries, few rows) fall back to value-based accumulators
-// merged at fold time.
+// merged at fold time. The accumulators themselves live in densePartials,
+// one per block range, drained into total in range order.
 type denseGroupAgg struct {
-	t         *Table
-	specs     []agg.Spec
-	accs      []codeAcc        // gTotal x len(specs)
-	counts    []int64          // participating rows per group (COUNT(*))
-	fvals     [][]float64      // per spec: main dictionary pre-decoded to floats
-	deltaAccs [][]agg.Acc      // per group: value-based delta accumulators
-	colBuf    map[int][]uint32 // per distinct value column: block decode buffer
+	t       *Table
+	specs   []agg.Spec
+	gTotal  int
+	fvals   [][]float64 // per spec: main dictionary pre-decoded to floats
+	extrema []bool      // per spec: MIN or MAX, the cell tracks code extrema
+	valCols []int       // distinct value columns
+	valBuf  []int       // per spec: index of its column in valCols (-1: COUNT(*))
+	total   densePartial
+}
+
+// densePartial is one block range's accumulators. The arrays are
+// allocated on first use and given away when drained into an empty total,
+// so a reduction with a single range pays for one set.
+type densePartial struct {
+	accs      []codeAcc   // gTotal x len(specs)
+	counts    []int64     // participating rows per group (COUNT(*))
+	deltaAccs [][]agg.Acc // per group: value-based delta accumulators
+}
+
+// denseScratch is one worker's staging buffers for the dense grouped
+// paths: block decode buffers per value column and per group column, and
+// the dense group index per batch row.
+type denseScratch struct {
+	valCodes [][]uint32
+	gcodes   []uint32
+	gcode2   []uint32 // second group column (pair path), allocated there
+	gidx     []uint32
 }
 
 func (t *Table) newDenseGroupAgg(specs []agg.Spec, gTotal int) *denseGroupAgg {
 	da := &denseGroupAgg{
-		t:      t,
-		specs:  specs,
-		accs:   make([]codeAcc, gTotal*len(specs)),
-		counts: make([]int64, gTotal),
-		fvals:  make([][]float64, len(specs)),
-		colBuf: make(map[int][]uint32),
+		t:       t,
+		specs:   specs,
+		gTotal:  gTotal,
+		fvals:   make([][]float64, len(specs)),
+		extrema: make([]bool, len(specs)),
+		valBuf:  make([]int, len(specs)),
 	}
-	for i := range da.accs {
-		da.accs[i].minC = ^uint32(0)
-	}
+	bufOf := make(map[int]int)
 	for si, s := range specs {
+		da.valBuf[si] = -1
 		if s.Col < 0 {
 			continue
 		}
-		if _, ok := da.colBuf[s.Col]; !ok {
-			da.colBuf[s.Col] = make([]uint32, blockRows)
+		if _, ok := bufOf[s.Col]; !ok {
+			bufOf[s.Col] = len(da.valCols)
+			da.valCols = append(da.valCols, s.Col)
 		}
+		da.valBuf[si] = bufOf[s.Col]
+		da.extrema[si] = s.Func == agg.Min || s.Func == agg.Max
 		mv := t.cols[s.Col].mainDict.Values()
 		f := make([]float64, len(mv))
 		for i, v := range mv {
@@ -140,26 +215,54 @@ func (t *Table) newDenseGroupAgg(specs []agg.Spec, gTotal int) *denseGroupAgg {
 		}
 		da.fvals[si] = f
 	}
-	if t.deltaRows > 0 {
-		da.deltaAccs = make([][]agg.Acc, gTotal)
-	}
 	return da
 }
 
-// addBatch folds one scan batch: rids[k] participates in group gidx[k].
-// nm is the count of main-resident rows, mainN the block's main span.
-func (da *denseGroupAgg) addBatch(rids []int32, gidx []uint32, b0, nm, mainN int) {
+// rangeBlocks is the block-range size of this aggregation's reduction.
+func (da *denseGroupAgg) rangeBlocks() int {
+	return RangeBlocks(da.gTotal * max(1, len(da.specs)))
+}
+
+func (da *denseGroupAgg) newPartial() *densePartial { return &densePartial{} }
+
+// scratch returns worker w's staging buffers, allocating them on first use.
+func (da *denseGroupAgg) scratch(states []*denseScratch, w int) *denseScratch {
+	sc := states[w]
+	if sc == nil {
+		sc = &denseScratch{
+			valCodes: make([][]uint32, len(da.valCols)),
+			gcodes:   make([]uint32, blockRows),
+			gidx:     make([]uint32, blockRows),
+		}
+		for i := range sc.valCodes {
+			sc.valCodes[i] = make([]uint32, blockRows)
+		}
+		states[w] = sc
+	}
+	return sc
+}
+
+// addBatch folds one scan batch into p: rids[k] participates in group
+// sc.gidx[k]. nm is the count of main-resident rows, mainN the block's
+// main span.
+func (da *denseGroupAgg) addBatch(p *densePartial, sc *denseScratch, rids []int32, b0, nm, mainN int) {
 	t := da.t
 	nspec := len(da.specs)
+	gidx := sc.gidx
+	if p.counts == nil {
+		p.accs = newCodeAccs(da.gTotal * nspec)
+		p.counts = make([]int64, da.gTotal)
+	}
+	accs, counts := p.accs, p.counts
 	for k := range rids {
-		da.counts[gidx[k]]++
+		counts[gidx[k]]++
 	}
 	// Bulk-decode each distinct value column once per block, then
 	// accumulate per spec (repeated columns — SUM(x) + AVG(x) — share
 	// the decode).
 	if nm > 0 {
-		for col, buf := range da.colBuf {
-			t.cols[col].mainCodes.UnpackBlock(b0, buf[:mainN])
+		for i, col := range da.valCols {
+			t.cols[col].mainCodes.UnpackBlock(b0, sc.valCodes[i][:mainN])
 		}
 	}
 	for si := range da.specs {
@@ -168,47 +271,43 @@ func (da *denseGroupAgg) addBatch(rids []int32, gidx []uint32, b0, nm, mainN int
 			continue
 		}
 		c := &t.cols[s.Col]
-		vcodes := da.colBuf[s.Col]
+		vcodes := sc.valCodes[da.valBuf[si]]
 		f := da.fvals[si]
-		if c.mainNulls == nil {
+		switch nulls, extrema := c.mainNulls, da.extrema[si]; {
+		case nulls == nil && !extrema:
+			for k := 0; k < nm; k++ {
+				accs[int(gidx[k])*nspec+si].addSum(f[vcodes[int(rids[k])-b0]])
+			}
+		case nulls == nil:
 			for k := 0; k < nm; k++ {
 				code := vcodes[int(rids[k])-b0]
-				a := &da.accs[int(gidx[k])*nspec+si]
-				a.sum += f[code]
-				a.cnt++
-				if code < a.minC {
-					a.minC = code
-				}
-				if code > a.maxC {
-					a.maxC = code
-				}
+				accs[int(gidx[k])*nspec+si].add(f[code], code)
 			}
-		} else {
+		default:
 			for k := 0; k < nm; k++ {
 				rid := int(rids[k])
-				if c.mainNulls[rid] {
+				if nulls[rid] {
 					continue
 				}
 				code := vcodes[rid-b0]
-				a := &da.accs[int(gidx[k])*nspec+si]
-				a.sum += f[code]
-				a.cnt++
-				if code < a.minC {
-					a.minC = code
-				}
-				if code > a.maxC {
-					a.maxC = code
+				if extrema {
+					accs[int(gidx[k])*nspec+si].add(f[code], code)
+				} else {
+					accs[int(gidx[k])*nspec+si].addSum(f[code])
 				}
 			}
 		}
 	}
 	// Delta rows: value-based accumulation (unsorted dictionary).
+	if nm < len(rids) && p.deltaAccs == nil {
+		p.deltaAccs = make([][]agg.Acc, da.gTotal)
+	}
 	for k := nm; k < len(rids); k++ {
 		d := int(rids[k]) - t.mainRows
-		b := da.deltaAccs[gidx[k]]
+		b := p.deltaAccs[gidx[k]]
 		if b == nil {
 			b = make([]agg.Acc, nspec)
-			da.deltaAccs[gidx[k]] = b
+			p.deltaAccs[gidx[k]] = b
 		}
 		for si := range da.specs {
 			s := &da.specs[si]
@@ -224,64 +323,72 @@ func (da *denseGroupAgg) addBatch(rids []int32, gidx []uint32, b0, nm, mainN int
 	}
 }
 
-// merge folds another worker's accumulators (built from the same specs
-// and group space) into da. Counts and sums add; code-space min/max
-// transfer only from cells that saw rows (minC is all-ones when empty).
-func (da *denseGroupAgg) merge(o *denseGroupAgg) {
-	for g, c := range o.counts {
-		da.counts[g] += c
+// merge drains a finished range's partial into the running total.
+// Counts and sums add; code-space min/max transfer only from cells that
+// saw rows.
+func (da *denseGroupAgg) merge(p *densePartial) {
+	tot := &da.total
+	if p.counts == nil {
+		return // the range had no participating rows
 	}
-	for i := range da.accs {
-		b := &o.accs[i]
-		if b.cnt == 0 {
-			continue
-		}
-		a := &da.accs[i]
-		a.sum += b.sum
-		a.cnt += b.cnt
-		if b.minC < a.minC {
-			a.minC = b.minC
-		}
-		if b.maxC > a.maxC {
-			a.maxC = b.maxC
-		}
+	if tot.counts == nil {
+		*tot, *p = *p, densePartial{}
+		return
 	}
-	for g, b := range o.deltaAccs {
+	for g, c := range p.counts {
+		tot.counts[g] += c
+		p.counts[g] = 0
+	}
+	for i := range p.accs {
+		tot.accs[i].drain(&p.accs[i])
+	}
+	if p.deltaAccs == nil {
+		return
+	}
+	if tot.deltaAccs == nil {
+		tot.deltaAccs, p.deltaAccs = p.deltaAccs, nil
+		return
+	}
+	for g, b := range p.deltaAccs {
 		if b == nil {
 			continue
 		}
-		if da.deltaAccs[g] == nil {
-			da.deltaAccs[g] = b
-			continue
+		if tot.deltaAccs[g] == nil {
+			tot.deltaAccs[g] = b
+		} else {
+			for si := range b {
+				tot.deltaAccs[g][si].Merge(&b[si])
+			}
 		}
-		for si := range b {
-			da.deltaAccs[g][si].Merge(&b[si])
-		}
+		p.deltaAccs[g] = nil
 	}
 }
 
-// fold materializes every non-empty group into res. groupKey may reuse its
-// returned slice (GroupFor copies).
+// fold materializes every non-empty group of the total into res. groupKey
+// may reuse its returned slice (GroupFor copies).
 func (da *denseGroupAgg) fold(res *agg.Result, groupKey func(g uint32) []value.Value) {
 	t := da.t
+	tot := &da.total
 	nspec := len(da.specs)
-	for g := range da.counts {
-		if da.counts[g] == 0 {
+	for g := range tot.counts {
+		if tot.counts[g] == 0 {
 			continue
 		}
 		grp := res.GroupFor(groupKey(uint32(g)))
 		for si := range da.specs {
 			s := &da.specs[si]
 			if s.Col < 0 {
-				grp.Accs[si].AddCount(da.counts[g])
+				grp.Accs[si].AddCount(tot.counts[g])
 				continue
 			}
-			if a := &da.accs[g*nspec+si]; a.cnt > 0 {
+			if a := &tot.accs[g*nspec+si]; a.cnt > 0 && da.extrema[si] {
 				dict := t.cols[s.Col].mainDict
 				grp.Accs[si].AddSummary(a.sum, a.cnt, dict.Value(a.minC), dict.Value(a.maxC))
+			} else {
+				grp.Accs[si].AddSum(a.sum, a.cnt)
 			}
-			if da.deltaAccs != nil && da.deltaAccs[g] != nil {
-				grp.Accs[si].Merge(&da.deltaAccs[g][si])
+			if tot.deltaAccs != nil && tot.deltaAccs[g] != nil {
+				grp.Accs[si].Merge(&tot.deltaAccs[g][si])
 			}
 		}
 	}
@@ -307,73 +414,6 @@ func (t *Table) forBatches(match bitset.Bits, fn func(rids []int32, b0, nm, main
 		if !fn(rids, b0, nm, mainN) {
 			return
 		}
-	}
-}
-
-func (t *Table) aggregateGlobal(res *agg.Result, specs []agg.Spec, match bitset.Bits, s *scanScratch, stop func() bool) {
-	g := res.Global()
-	codes := s.codeBuf()
-	var rids []int32
-	dense := match == nil && t.live == t.totalRows()
-	for si, s := range specs {
-		if s.Col < 0 {
-			g.Accs[si].AddCount(t.countMatches(match))
-			continue
-		}
-		c := &t.cols[s.Col]
-		// Per-code counting over the main fragment, block-at-a-time.
-		if t.mainRows > 0 {
-			counts := make([]int64, c.mainDict.Len())
-			if dense && c.mainNulls == nil {
-				// Fully dense main fragment: bulk-decode and count with no
-				// per-row branches at all.
-				for b0 := 0; b0 < t.mainRows; b0 += blockRows {
-					if stop != nil && stop() {
-						return
-					}
-					n := min(blockRows, t.mainRows-b0)
-					c.mainCodes.UnpackBlock(b0, codes[:n])
-					for _, code := range codes[:n] {
-						counts[code]++
-					}
-				}
-			} else {
-				src := t.rowSource(match)
-				if rids == nil {
-					rids = make([]int32, 0, blockRows)
-				}
-				nulls := c.mainNulls
-				for b0 := 0; b0 < t.mainRows; b0 += blockRows {
-					if stop != nil && stop() {
-						return
-					}
-					n := min(blockRows, t.mainRows-b0)
-					rids = src.AppendSet(rids[:0], b0, b0+n)
-					if len(rids) == 0 {
-						continue
-					}
-					c.mainCodes.UnpackBlock(b0, codes[:n])
-					if nulls == nil {
-						for _, rid := range rids {
-							counts[codes[int(rid)-b0]]++
-						}
-					} else {
-						for _, rid := range rids {
-							if !nulls[rid] {
-								counts[codes[int(rid)-b0]]++
-							}
-						}
-					}
-				}
-			}
-			for code, cnt := range counts {
-				if cnt > 0 {
-					g.Accs[si].AddWeighted(c.mainDict.Value(uint32(code)), cnt)
-				}
-			}
-		}
-		// Per-code counting over the delta fragment.
-		t.aggregateGlobalDelta(&g.Accs[si], c, match, dense)
 	}
 }
 
@@ -409,55 +449,6 @@ func (t *Table) aggregateGlobalDelta(acc *agg.Acc, c *column, match bitset.Bits,
 	}
 }
 
-// denseWorkerState is the per-worker state of the dense grouped paths: a
-// private accumulator array plus the group-code staging buffers. Workers
-// never share one, so addBatch needs no synchronization; the states merge
-// pairwise after the morsel loop drains.
-type denseWorkerState struct {
-	da     *denseGroupAgg
-	gcodes []uint32 // first group column's block codes
-	gcode2 []uint32 // second group column's block codes (pair path)
-	gidx   []uint32 // dense group index per batch row
-}
-
-// denseStates lazily allocates per-worker dense aggregation state.
-func (t *Table) denseStates(ex *exec.Ctx, specs []agg.Spec, gTotal int, pair bool) ([]*denseWorkerState, func(w int) *denseWorkerState) {
-	states := make([]*denseWorkerState, ex.Workers(t.NumBlocks()))
-	get := func(w int) *denseWorkerState {
-		st := states[w]
-		if st == nil {
-			st = &denseWorkerState{
-				da:     t.newDenseGroupAgg(specs, gTotal),
-				gcodes: make([]uint32, blockRows),
-				gidx:   make([]uint32, blockRows),
-			}
-			if pair {
-				st.gcode2 = make([]uint32, blockRows)
-			}
-			states[w] = st
-		}
-		return st
-	}
-	return states, get
-}
-
-// mergeDenseStates folds the per-worker accumulators into one (nil when
-// no worker saw a row, i.e. the result has no groups).
-func mergeDenseStates(states []*denseWorkerState) *denseGroupAgg {
-	var out *denseGroupAgg
-	for _, st := range states {
-		if st == nil {
-			continue
-		}
-		if out == nil {
-			out = st.da
-		} else {
-			out.merge(st.da)
-		}
-	}
-	return out
-}
-
 // aggregateSingleGroup groups by one column. The group column's combined
 // codes (main, then delta offset by the main dictionary's size, then a
 // NULL slot) index the dense accumulator engine directly.
@@ -467,11 +458,11 @@ func (t *Table) aggregateSingleGroup(res *agg.Result, specs []agg.Spec, gcol int
 	gTotal := gMain + gc.deltaDict.Len() + 1 // +1: NULL group slot
 	gNull := uint32(gTotal - 1)
 
-	ex = denseGroupCtx(ex, gTotal, len(specs))
-	states, state := t.denseStates(ex, specs, gTotal, false)
-	t.forBatchesExec(match, ex, func(w int, rids []int32, b0, nm, mainN int) bool {
-		st := state(w)
-		gcodes, gidx := st.gcodes, st.gidx
+	da := t.newDenseGroupAgg(specs, gTotal)
+	states := make([]*denseScratch, ex.Workers(t.NumBlocks()))
+	reduceBatches(t, match, ex, da.rangeBlocks(), da.newPartial, func(w int, p *densePartial, rids []int32, b0, nm, mainN int) bool {
+		sc := da.scratch(states, w)
+		gcodes, gidx := sc.gcodes, sc.gidx
 		if mainN > 0 {
 			gc.mainCodes.UnpackBlock(b0, gcodes[:mainN])
 		}
@@ -497,11 +488,10 @@ func (t *Table) aggregateSingleGroup(res *agg.Result, specs []agg.Spec, gcol int
 				gidx[k] = uint32(gMain) + gc.deltaCodes[d]
 			}
 		}
-		st.da.addBatch(rids, gidx, b0, nm, mainN)
+		da.addBatch(p, sc, rids, b0, nm, mainN)
 		return true
-	})
-	da := mergeDenseStates(states)
-	if da == nil || ex.Stopped() {
+	}, da.merge)
+	if ex.Stopped() {
 		return
 	}
 
@@ -532,11 +522,14 @@ func (t *Table) aggregatePairGroup(res *agg.Result, specs []agg.Spec, groupBy []
 	null0, null1 := uint32(d0-1), uint32(d1-1)
 	mainLen0, mainLen1 := uint32(g0.mainDict.Len()), uint32(g1.mainDict.Len())
 
-	ex = denseGroupCtx(ex, d0*d1, len(specs))
-	states, state := t.denseStates(ex, specs, d0*d1, true)
-	t.forBatchesExec(match, ex, func(w int, rids []int32, b0, nm, mainN int) bool {
-		st := state(w)
-		codes0, codes1, gidx := st.gcodes, st.gcode2, st.gidx
+	da := t.newDenseGroupAgg(specs, d0*d1)
+	states := make([]*denseScratch, ex.Workers(t.NumBlocks()))
+	reduceBatches(t, match, ex, da.rangeBlocks(), da.newPartial, func(w int, p *densePartial, rids []int32, b0, nm, mainN int) bool {
+		sc := da.scratch(states, w)
+		if sc.gcode2 == nil {
+			sc.gcode2 = make([]uint32, blockRows)
+		}
+		codes0, codes1, gidx := sc.gcodes, sc.gcode2, sc.gidx
 		if mainN > 0 {
 			g0.mainCodes.UnpackBlock(b0, codes0[:mainN])
 			g1.mainCodes.UnpackBlock(b0, codes1[:mainN])
@@ -563,11 +556,10 @@ func (t *Table) aggregatePairGroup(res *agg.Result, specs []agg.Spec, groupBy []
 			}
 			gidx[k] = k0*uint32(d1) + k1
 		}
-		st.da.addBatch(rids, gidx, b0, nm, mainN)
+		da.addBatch(p, sc, rids, b0, nm, mainN)
 		return true
-	})
-	da := mergeDenseStates(states)
-	if da == nil || ex.Stopped() {
+	}, da.merge)
+	if ex.Stopped() {
 		return
 	}
 
@@ -589,103 +581,64 @@ func (t *Table) aggregatePairGroup(res *agg.Result, specs []agg.Spec, groupBy []
 }
 
 // aggregateGeneric handles multi-column group-bys by materializing the key
-// per row through the batched scan.
-func (t *Table) aggregateGeneric(res *agg.Result, specs []agg.Spec, groupBy []int, match bitset.Bits, sc *scanScratch, ex *exec.Ctx) {
+// per row through the batched scan, hash-grouping each block range into a
+// partial result that is merged into res in range order. Group order
+// follows first appearance in block order.
+func (t *Table) aggregateGeneric(res *agg.Result, specs []agg.Spec, groupBy []int, match bitset.Bits, ex *exec.Ctx) {
 	colIdx := make(map[int]int)
 	var cols []int
-	need := func(c int) {
+	need := func(c int) int {
 		if _, ok := colIdx[c]; !ok {
 			colIdx[c] = len(cols)
 			cols = append(cols, c)
 		}
+		return colIdx[c]
 	}
-	for _, c := range groupBy {
-		need(c)
-	}
-	for _, s := range specs {
-		if s.Col >= 0 {
-			need(s.Col)
-		}
-	}
-	// Positional indices keep the per-row loop free of map lookups.
+	// Positional indices keep the per-row loop free of map lookups. The
+	// group count is bounded by the product of the group dictionaries and
+	// by the row count.
 	groupPos := make([]int, len(groupBy))
+	groups := 1
 	for i, c := range groupBy {
-		groupPos[i] = colIdx[c]
+		groupPos[i] = need(c)
+		d := t.cols[c].mainDict.Len() + t.cols[c].deltaDict.Len() + 1
+		groups = min(groups*d, t.totalRows())
 	}
 	specPos := make([]int, len(specs))
 	for si, s := range specs {
 		specPos[si] = -1
 		if s.Col >= 0 {
-			specPos[si] = colIdx[s.Col]
+			specPos[si] = need(s.Col)
 		}
 	}
-	accumulate := func(into *agg.Result, key []value.Value, rids []int32, colVals [][]value.Value) {
-		for k := range rids {
-			for i, p := range groupPos {
-				key[i] = colVals[p][k]
+	type partial struct{ res *agg.Result }
+	key := make([][]value.Value, ex.Workers(t.NumBlocks()))
+	per := RangeBlocks(groups * max(1, len(specs)))
+	reduceColumns(t, match, cols, ex, per, func() *partial { return &partial{} },
+		func(w int, p *partial, rids []int32, colVals [][]value.Value) bool {
+			if p.res == nil {
+				p.res = agg.NewResult(specs, groupBy)
 			}
-			g := into.GroupFor(key)
-			for si, p := range specPos {
-				if p < 0 {
-					g.Accs[si].AddCount(1)
-				} else {
-					g.Accs[si].Add(colVals[p][k])
+			if key[w] == nil {
+				key[w] = make([]value.Value, len(groupBy))
+			}
+			for k := range rids {
+				for i, pos := range groupPos {
+					key[w][i] = colVals[pos][k]
+				}
+				g := p.res.GroupFor(key[w])
+				for si, pos := range specPos {
+					if pos < 0 {
+						g.Accs[si].AddCount(1)
+					} else {
+						g.Accs[si].Add(colVals[pos][k])
+					}
 				}
 			}
-		}
-	}
-	if !ex.Parallel(t.NumBlocks()) || t.totalRows() < parallelMinRows {
-		key := make([]value.Value, len(groupBy))
-		stop := ex.StopHook()
-		t.scanBatches(match, cols, sc, func(rids []int32, colVals [][]value.Value) bool {
-			if stop != nil && stop() {
-				return false
-			}
-			accumulate(res, key, rids, colVals)
 			return true
+		},
+		func(p *partial) {
+			res.Merge(p.res)
+			p.res = nil
 		})
-		return
-	}
-	// Parallel: per-worker partial results (hash-grouped) gathered over
-	// per-worker scratch buffers, merged into res after the loop. Group
-	// order across runs is not deterministic — it follows the morsel
-	// partition — which SQL does not promise for unordered results.
-	type genState struct {
-		res   *agg.Result
-		s     *scanScratch
-		views [][]value.Value
-		key   []value.Value
-	}
-	states := make([]*genState, ex.Workers(t.NumBlocks()))
-	t.forBatchesExec(match, ex, func(w int, rids []int32, b0, nm, mainN int) bool {
-		st := states[w]
-		if st == nil {
-			pr := agg.NewResult(specs, groupBy)
-			pr.SetOutputTypes(t.sch.ColTypes())
-			st = &genState{
-				res:   pr,
-				s:     t.acquireScratch(),
-				views: make([][]value.Value, len(cols)),
-				key:   make([]value.Value, len(groupBy)),
-			}
-			states[w] = st
-		}
-		bufs := st.s.colBufs(len(cols))
-		codes := st.s.codeBuf()
-		for j, cidx := range cols {
-			st.views[j] = bufs[j][:len(rids)]
-			t.gatherColumn(&t.cols[cidx], rids, b0, nm, mainN, codes, st.views[j])
-		}
-		accumulate(st.res, st.key, rids, st.views)
-		return true
-	})
-	for _, st := range states {
-		if st == nil {
-			continue
-		}
-		if !ex.Stopped() {
-			res.Merge(st.res)
-		}
-		t.releaseScratch(st.s)
-	}
 }

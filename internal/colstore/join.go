@@ -20,30 +20,19 @@ func (t *Table) KeyDictValues(col int) []value.Value {
 }
 
 // JoinProbe streams every live row matching pred as (key code, extra
-// column values). Key codes live in the combined space of KeyDictValues;
-// NULL keys yield code -1. extraVals is reused between calls — the
-// callback must not retain it. Returning false stops the scan.
+// column values) under an ordered reduction (see exec.Reduce): ranges of
+// per blocks each accumulate into a partial of their own and the partials
+// reach merge in block order, so an aggregating consumer's sums do not
+// depend on the pool size. Key codes live in the combined space of
+// KeyDictValues; NULL keys yield code -1. extraVals is reused between
+// calls — fn must not retain it — and fn must be safe for concurrent
+// calls with distinct worker ids. Returning false stops the scan.
 //
 // The probe is vectorized: the match bitmap is computed once, key codes
 // are bulk-decoded per block and the extra columns are gathered
 // column-at-a-time, so the per-row work is an array read plus the
 // callback.
-func (t *Table) JoinProbe(keyCol int, extra []int, pred expr.Predicate, fn func(keyCode int64, extraVals []value.Value) bool) {
-	t.JoinProbeExec(keyCol, extra, pred, nil, func(_ int, keyCode int64, extraVals []value.Value) bool {
-		return fn(keyCode, extraVals)
-	})
-}
-
-// JoinProbeExec is JoinProbe driven by the execution context: blocks are
-// claimed as morsels and decoded into per-worker buffers, so an
-// aggregating consumer keeps per-worker accumulators and merges them
-// after the probe. fn additionally receives the worker id and must be
-// safe for concurrent calls with distinct ids; row order across workers
-// is not defined.
-func (t *Table) JoinProbeExec(keyCol int, extra []int, pred expr.Predicate, ex *exec.Ctx, fn func(w int, keyCode int64, extraVals []value.Value) bool) {
-	if t.totalRows() == 0 {
-		return
-	}
+func JoinProbe[P any](t *Table, keyCol int, extra []int, pred expr.Predicate, ex *exec.Ctx, per int, newPartial func() P, fn func(w int, p P, keyCode int64, extraVals []value.Value) bool, merge func(P)) {
 	s := t.acquireScratch()
 	defer t.releaseScratch(s)
 	match := t.matchBitmapExec(pred, s, ex)
@@ -51,39 +40,22 @@ func (t *Table) JoinProbeExec(keyCol int, extra []int, pred expr.Predicate, ex *
 	mainRows := t.mainRows
 	mainLen := int64(kc.mainDict.Len())
 	type jpState struct {
-		s           *scanScratch
-		gatherCodes []uint32
-		extraVals   []value.Value
+		keyCodes  []uint32
+		extraVals []value.Value
 	}
 	states := make([]*jpState, ex.Workers(t.NumBlocks()))
-	defer func() {
-		for _, st := range states {
-			if st != nil && st.s != s {
-				t.releaseScratch(st.s)
-			}
-		}
-	}()
-	t.forBatchesExec(match, ex, func(w int, rids []int32, b0, nm, mainN int) bool {
+	reduceColumns(t, match, extra, ex, per, newPartial, func(w int, p P, rids []int32, extraCols [][]value.Value) bool {
 		st := states[w]
 		if st == nil {
-			sc := s // worker 0 reuses the matcher's scratch buffers
-			if w != 0 {
-				sc = t.acquireScratch()
-			}
 			st = &jpState{
-				s:           sc,
-				gatherCodes: make([]uint32, blockRows),
-				extraVals:   make([]value.Value, len(extra)),
+				keyCodes:  make([]uint32, blockRows),
+				extraVals: make([]value.Value, len(extra)),
 			}
 			states[w] = st
 		}
-		keyCodes := st.s.codeBuf()
-		extraBufs := st.s.colBufs(len(extra))
-		if nm > 0 {
-			kc.mainCodes.UnpackBlock(b0, keyCodes[:mainN])
-		}
-		for j, c := range extra {
-			t.gatherColumn(&t.cols[c], rids, b0, nm, mainN, st.gatherCodes, extraBufs[j][:len(rids)])
+		b0 := int(rids[0]) / blockRows * blockRows
+		if b0 < mainRows {
+			kc.mainCodes.UnpackBlock(b0, st.keyCodes[:min(blockRows, mainRows-b0)])
 		}
 		for k, rid32 := range rids {
 			rid := int(rid32)
@@ -92,7 +64,7 @@ func (t *Table) JoinProbeExec(keyCol int, extra []int, pred expr.Predicate, ex *
 				if kc.mainNulls != nil && kc.mainNulls[rid] {
 					code = -1
 				} else {
-					code = int64(keyCodes[rid-b0])
+					code = int64(st.keyCodes[rid-b0])
 				}
 			} else {
 				d := rid - mainRows
@@ -103,12 +75,12 @@ func (t *Table) JoinProbeExec(keyCol int, extra []int, pred expr.Predicate, ex *
 				}
 			}
 			for j := range extra {
-				st.extraVals[j] = extraBufs[j][k]
+				st.extraVals[j] = extraCols[j][k]
 			}
-			if !fn(w, code, st.extraVals) {
+			if !fn(w, p, code, st.extraVals) {
 				return false
 			}
 		}
 		return true
-	})
+	}, merge)
 }

@@ -15,24 +15,16 @@ import (
 // stay serial: the per-worker state setup outweighs the work.
 const parallelMinRows = 8 * blockRows
 
-// denseParallelCells caps the per-worker dense accumulator arrays
-// (groups x specs cells). Beyond it grouped aggregation stays serial
-// rather than multiplying a huge array by the worker count.
-const denseParallelCells = 1 << 18
-
 // globalCountsLimit is the largest main dictionary for which the
 // parallel ungrouped path keeps per-worker per-code count arrays (the
 // compression-aware fast path); larger dictionaries switch to scalar
 // code accumulators so memory stays bounded.
 const globalCountsLimit = 1 << 16
 
-// denseGroupCtx demotes ex to serial when the dense group space is too
-// large to replicate per worker.
-func denseGroupCtx(ex *exec.Ctx, gTotal, nspec int) *exec.Ctx {
-	if nspec < 1 {
-		nspec = 1
-	}
-	if gTotal > denseParallelCells/nspec {
+// callerOnly returns ex stripped of its pool — same cancellation hook and
+// trace, no helper goroutines — when rows is too few to be worth them.
+func callerOnly(ex *exec.Ctx, rows int) *exec.Ctx {
+	if rows < parallelMinRows {
 		return &exec.Ctx{Stop: ex.StopHook(), Trace: ex.Tracer()}
 	}
 	return ex
@@ -171,57 +163,152 @@ func (t *Table) fallbackBitmapExec(pred expr.Predicate, s *scanScratch, ex *exec
 	return match
 }
 
-// forBatchesExec is forBatches driven by the execution context: one scan
-// block per morsel, each worker building the batch rid list in a private
-// buffer. fn must be safe for concurrent calls with distinct worker ids;
-// batch order across workers is not defined. The serial path (small
-// table, no pool, single slot) preserves forBatches' ascending order and
-// polls the cancellation hook between blocks.
-func (t *Table) forBatchesExec(match bitset.Bits, ex *exec.Ctx, fn func(w int, rids []int32, b0, nm, mainN int) bool) {
-	total := t.totalRows()
-	nb := t.NumBlocks()
-	if total < parallelMinRows || !ex.Parallel(nb) {
-		stop := ex.StopHook()
-		var mainRows, deltaRows int64
-		t.forBatches(match, func(rids []int32, b0, nm, mainN int) bool {
-			if stop != nil && stop() {
-				return false
-			}
-			mainRows += int64(nm)
-			deltaRows += int64(len(rids) - nm)
-			return fn(0, rids, b0, nm, mainN)
-		})
-		reportFragmentRows(ex.Tracer(), mainRows, deltaRows)
-		return
+// batchWalker is the block-iteration skeleton of every context-driven
+// scan: it hands out the participating rows of match (nil = all live) one
+// blockRows batch at a time, each worker building its rid list in a
+// private buffer, and keeps the delta-vs-main row counts of the walk.
+type batchWalker struct {
+	t      *Table
+	src    bitset.Bits
+	states []batchWorker
+}
+
+type batchWorker struct {
+	rids        []int32
+	main, delta int64
+}
+
+// walkBatches prepares a walk over match. Small tables are not worth
+// helper goroutines: the returned context runs them on the caller alone.
+func (t *Table) walkBatches(match bitset.Bits, ex *exec.Ctx) (*batchWalker, *exec.Ctx) {
+	ex = callerOnly(ex, t.totalRows())
+	return &batchWalker{t: t, src: t.rowSource(match), states: make([]batchWorker, ex.Workers(t.NumBlocks()))}, ex
+}
+
+// block returns block b's batch for worker w: the ascending rids (empty
+// when no row of the block participates) plus the main/delta split — nm
+// rids are main-resident, and the block's main span holds mainN rows
+// starting at b0.
+func (bw *batchWalker) block(w, b int) (rids []int32, b0, nm, mainN int) {
+	st := &bw.states[w]
+	if st.rids == nil {
+		st.rids = make([]int32, 0, blockRows)
 	}
-	src := t.rowSource(match)
-	workers := ex.Workers(nb)
-	ridBufs := make([][]int32, workers)
-	type fragRows struct{ main, delta int64 }
-	frags := make([]fragRows, workers)
-	ex.Morsels(nb, func(w, b int) bool {
-		b0 := b * blockRows
-		n := min(blockRows, total-b0)
-		rids := ridBufs[w]
-		if rids == nil {
-			rids = make([]int32, 0, blockRows)
-		}
-		rids = src.AppendSet(rids[:0], b0, b0+n)
-		ridBufs[w] = rids
-		if len(rids) == 0 {
-			return true
-		}
-		nm, mainN := t.splitBatch(rids, b0, n)
-		frags[w].main += int64(nm)
-		frags[w].delta += int64(len(rids) - nm)
-		return fn(w, rids, b0, nm, mainN)
-	})
+	b0 = b * blockRows
+	n := min(blockRows, bw.t.totalRows()-b0)
+	st.rids = bw.src.AppendSet(st.rids[:0], b0, b0+n)
+	if len(st.rids) == 0 {
+		return nil, b0, 0, 0
+	}
+	nm, mainN = bw.t.splitBatch(st.rids, b0, n)
+	st.main += int64(nm)
+	st.delta += int64(len(st.rids) - nm)
+	return st.rids, b0, nm, mainN
+}
+
+// report folds the walk's delta-vs-main split into the cumulative metrics
+// and the statement trace.
+func (bw *batchWalker) report(tr *trace.Trace) {
 	var mainRows, deltaRows int64
-	for w := range frags {
-		mainRows += frags[w].main
-		deltaRows += frags[w].delta
+	for w := range bw.states {
+		mainRows += bw.states[w].main
+		deltaRows += bw.states[w].delta
 	}
-	reportFragmentRows(ex.Tracer(), mainRows, deltaRows)
+	reportFragmentRows(tr, mainRows, deltaRows)
+}
+
+// forBatchesExec is forBatches driven by the execution context: one scan
+// block per morsel. fn must be safe for concurrent calls with distinct
+// worker ids; batch order across workers is not defined (on one worker it
+// is ascending), and the cancellation hook is polled between blocks.
+func (t *Table) forBatchesExec(match bitset.Bits, ex *exec.Ctx, fn func(w int, rids []int32, b0, nm, mainN int) bool) {
+	bw, ex := t.walkBatches(match, ex)
+	ex.Morsels(t.NumBlocks(), func(w, b int) bool {
+		rids, b0, nm, mainN := bw.block(w, b)
+		return len(rids) == 0 || fn(w, rids, b0, nm, mainN)
+	})
+	bw.report(ex.Tracer())
+}
+
+// reduceBatches is forBatchesExec under exec.Reduce's ordered reduction:
+// ranges of per blocks each accumulate, block by block in ascending
+// order, into a partial of their own, and the partials reach merge in
+// block order — so what add sums up does not depend on the pool size.
+func reduceBatches[P any](t *Table, match bitset.Bits, ex *exec.Ctx, per int, newPartial func() P, add func(w int, p P, rids []int32, b0, nm, mainN int) bool, merge func(P)) {
+	bw, ex := t.walkBatches(match, ex)
+	exec.Reduce(ex, t.NumBlocks(), per, newPartial, func(w int, p P, b int) bool {
+		rids, b0, nm, mainN := bw.block(w, b)
+		return len(rids) == 0 || add(w, p, rids, b0, nm, mainN)
+	}, merge)
+	bw.report(ex.Tracer())
+}
+
+// columnGatherer decodes the requested columns of a batch column-at-a-time
+// into per-worker buffers.
+type columnGatherer struct {
+	t      *Table
+	cols   []int
+	states []*gatherWorker
+}
+
+type gatherWorker struct {
+	s     *scanScratch
+	views [][]value.Value
+}
+
+func (t *Table) gatherColumns(cols []int, ex *exec.Ctx) *columnGatherer {
+	return &columnGatherer{t: t, cols: cols, states: make([]*gatherWorker, ex.Workers(t.NumBlocks()))}
+}
+
+// gather returns colVals with colVals[j][k] the value of column cols[j] at
+// row rids[k]. The slices are reused by worker w's next batch.
+func (cg *columnGatherer) gather(w int, rids []int32, b0, nm, mainN int) [][]value.Value {
+	st := cg.states[w]
+	if st == nil {
+		st = &gatherWorker{s: cg.t.acquireScratch(), views: make([][]value.Value, len(cg.cols))}
+		cg.states[w] = st
+	}
+	bufs := st.s.colBufs(len(cg.cols))
+	codes := st.s.codeBuf()
+	for j, cidx := range cg.cols {
+		st.views[j] = bufs[j][:len(rids)]
+		cg.t.gatherColumn(&cg.t.cols[cidx], rids, b0, nm, mainN, codes, st.views[j])
+	}
+	return st.views
+}
+
+// release returns the workers' scratch buffers to the table's pool.
+func (cg *columnGatherer) release() {
+	for _, st := range cg.states {
+		if st != nil {
+			cg.t.releaseScratch(st.s)
+		}
+	}
+}
+
+// reduceColumns is reduceBatches with the requested columns of every
+// batch decoded (see columnGatherer.gather) — add must not retain them.
+func reduceColumns[P any](t *Table, match bitset.Bits, cols []int, ex *exec.Ctx, per int, newPartial func() P, add func(w int, p P, rids []int32, colVals [][]value.Value) bool, merge func(P)) {
+	cg := t.gatherColumns(cols, ex)
+	defer cg.release()
+	reduceBatches(t, match, ex, per, newPartial, func(w int, p P, rids []int32, b0, nm, mainN int) bool {
+		return add(w, p, rids, cg.gather(w, rids, b0, nm, mainN))
+	}, merge)
+}
+
+// ReduceBatches is the vectorized scan under an ordered reduction: live
+// rows matching pred stream to add in blockRows batches with the
+// requested columns decoded, each block accumulates into a partial of its
+// own, and the partials reach merge in block order (see exec.Reduce) — so
+// what a caller sums up over the scan does not depend on the pool size.
+// nil cols requests every column.
+func ReduceBatches[P any](t *Table, pred expr.Predicate, cols []int, ex *exec.Ctx, newPartial func() P, add func(w int, p P, rids []int32, colVals [][]value.Value) bool, merge func(P)) {
+	if cols == nil {
+		cols = t.allColumns()
+	}
+	s := t.acquireScratch()
+	defer t.releaseScratch(s)
+	reduceColumns(t, t.matchBitmapExec(pred, s, ex), cols, ex, 1, newPartial, add, merge)
 }
 
 // reportFragmentRows folds one batch stream's delta-vs-main split into
@@ -238,18 +325,16 @@ func reportFragmentRows(tr *trace.Trace, mainRows, deltaRows int64) {
 	}
 }
 
-// aggregateGlobalExec computes ungrouped aggregates. Small tables and
-// serial contexts use aggregateGlobal's per-code counting verbatim; the
-// parallel path claims main-fragment blocks as morsels with per-worker
-// count arrays (small dictionaries) or scalar code accumulators (large
-// ones), then folds per code exactly like the serial path. The delta
-// fragment stays serial — it is bounded by the merge threshold.
-func (t *Table) aggregateGlobalExec(res *agg.Result, specs []agg.Spec, match bitset.Bits, s *scanScratch, ex *exec.Ctx) {
+// aggregateGlobal computes ungrouped aggregates over the main fragment
+// block-at-a-time, then folds the (small, serial) delta. A column with a
+// small dictionary is counted per code — one decode per distinct value
+// instead of one per row, and the integer counts of all workers add up
+// exactly whatever the pool size; a column with a large dictionary keeps
+// a scalar accumulator per block instead, merged in block order, so
+// memory stays bounded and the float sum is pool-size independent too.
+func (t *Table) aggregateGlobal(res *agg.Result, specs []agg.Spec, match bitset.Bits, ex *exec.Ctx) {
 	nb := t.numMainBlocks()
-	if t.mainRows < parallelMinRows || !ex.Parallel(nb) {
-		t.aggregateGlobal(res, specs, match, s, ex.StopHook())
-		return
-	}
+	ex = callerOnly(ex, t.mainRows)
 	g := res.Global()
 	dense := match == nil && t.live == t.totalRows()
 	src := t.rowSource(match)
@@ -277,22 +362,20 @@ func (t *Table) aggregateGlobalExec(res *agg.Result, specs []agg.Spec, match bit
 
 	type gState struct {
 		counts [][]int64 // per counting-mode spec: rows per main code
-		accs   []codeAcc // per large-dictionary spec
 		codes  []uint32
 		rids   []int32
 	}
 	states := make([]*gState, ex.Workers(nb))
-	ex.Morsels(nb, func(w, b int) bool {
+	total := newCodeAccs(len(specs)) // per large-dictionary spec
+	exec.Reduce(ex, nb, 1, func() []codeAcc { return newCodeAccs(len(specs)) }, func(w int, accs []codeAcc, b int) bool {
 		st := states[w]
 		if st == nil {
 			st = &gState{
 				counts: make([][]int64, len(specs)),
-				accs:   make([]codeAcc, len(specs)),
 				codes:  make([]uint32, blockRows),
 				rids:   make([]int32, 0, blockRows),
 			}
 			for si, sp := range specs {
-				st.accs[si].minC = ^uint32(0)
 				if sp.Col >= 0 && counting[si] {
 					st.counts[si] = make([]int64, t.cols[sp.Col].mainDict.Len())
 				}
@@ -338,36 +421,32 @@ func (t *Table) aggregateGlobalExec(res *agg.Result, specs []agg.Spec, match bit
 				}
 				continue
 			}
-			a := &st.accs[si]
+			a := &accs[si]
 			f := fvals[si]
-			add := func(code uint32) {
-				a.sum += f[code]
-				a.cnt++
-				if code < a.minC {
-					a.minC = code
-				}
-				if code > a.maxC {
-					a.maxC = code
-				}
-			}
 			switch {
 			case fast:
 				for _, code := range codes {
-					add(code)
+					a.add(f[code], code)
 				}
 			case c.mainNulls == nil:
 				for _, rid := range st.rids {
-					add(codes[int(rid)-b0])
+					code := codes[int(rid)-b0]
+					a.add(f[code], code)
 				}
 			default:
 				for _, rid := range st.rids {
 					if !c.mainNulls[rid] {
-						add(codes[int(rid)-b0])
+						code := codes[int(rid)-b0]
+						a.add(f[code], code)
 					}
 				}
 			}
 		}
 		return true
+	}, func(accs []codeAcc) {
+		for si := range accs {
+			total[si].drain(&accs[si])
+		}
 	})
 	if ex.Stopped() {
 		return
@@ -378,44 +457,26 @@ func (t *Table) aggregateGlobalExec(res *agg.Result, specs []agg.Spec, match bit
 		}
 		c := &t.cols[sp.Col]
 		if counting[si] {
-			var total []int64
+			var sum []int64
 			for _, st := range states {
-				if st == nil || st.counts[si] == nil {
+				if st == nil {
 					continue
 				}
-				if total == nil {
-					total = st.counts[si]
+				if sum == nil {
+					sum = st.counts[si]
 					continue
 				}
 				for code, cnt := range st.counts[si] {
-					total[code] += cnt
+					sum[code] += cnt
 				}
 			}
-			for code, cnt := range total {
+			for code, cnt := range sum {
 				if cnt > 0 {
 					g.Accs[si].AddWeighted(c.mainDict.Value(uint32(code)), cnt)
 				}
 			}
-		} else {
-			var m codeAcc
-			m.minC = ^uint32(0)
-			for _, st := range states {
-				if st == nil || st.accs[si].cnt == 0 {
-					continue
-				}
-				b := &st.accs[si]
-				m.sum += b.sum
-				m.cnt += b.cnt
-				if b.minC < m.minC {
-					m.minC = b.minC
-				}
-				if b.maxC > m.maxC {
-					m.maxC = b.maxC
-				}
-			}
-			if m.cnt > 0 {
-				g.Accs[si].AddSummary(m.sum, m.cnt, c.mainDict.Value(m.minC), c.mainDict.Value(m.maxC))
-			}
+		} else if m := &total[si]; m.cnt > 0 {
+			g.Accs[si].AddSummary(m.sum, m.cnt, c.mainDict.Value(m.minC), c.mainDict.Value(m.maxC))
 		}
 		t.aggregateGlobalDelta(&g.Accs[si], c, match, dense)
 	}
@@ -434,37 +495,9 @@ func (t *Table) ScanBatchesExec(pred expr.Predicate, cols []int, ex *exec.Ctx, f
 	s := t.acquireScratch()
 	defer t.releaseScratch(s)
 	match := t.matchBitmapExec(pred, s, ex)
-	if t.totalRows() == 0 {
-		return
-	}
-	type sbState struct {
-		s     *scanScratch
-		views [][]value.Value
-	}
-	states := make([]*sbState, ex.Workers(t.NumBlocks()))
-	defer func() {
-		for _, st := range states {
-			if st != nil && st.s != s {
-				t.releaseScratch(st.s)
-			}
-		}
-	}()
+	cg := t.gatherColumns(cols, ex)
+	defer cg.release()
 	t.forBatchesExec(match, ex, func(w int, rids []int32, b0, nm, mainN int) bool {
-		st := states[w]
-		if st == nil {
-			sc := s // worker 0 reuses the matcher's scratch buffers
-			if w != 0 {
-				sc = t.acquireScratch()
-			}
-			st = &sbState{s: sc, views: make([][]value.Value, len(cols))}
-			states[w] = st
-		}
-		bufs := st.s.colBufs(len(cols))
-		codes := st.s.codeBuf()
-		for j, cidx := range cols {
-			st.views[j] = bufs[j][:len(rids)]
-			t.gatherColumn(&t.cols[cidx], rids, b0, nm, mainN, codes, st.views[j])
-		}
-		return fn(w, b0/blockRows, rids, st.views)
+		return fn(w, b0/blockRows, rids, cg.gather(w, rids, b0, nm, mainN))
 	})
 }

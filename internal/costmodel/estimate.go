@@ -191,8 +191,8 @@ func (m *Model) estimateInsert(q *query.Query, ti TableInfo, store catalog.Store
 // store-specific selectivity functions as point/range queries so that the
 // location share scales with table size and index availability — without
 // it, update estimates calibrated on the reference table do not transfer
-// to much smaller or larger tables. This is a documented extension of the
-// paper's formula (see DESIGN.md).
+// to much smaller or larger tables. This is an extension of the paper's
+// formula.
 func (m *Model) locationCost(pred expr.Predicate, ti TableInfo, store catalog.StoreKind) float64 {
 	if pred == nil {
 		return 0

@@ -81,7 +81,7 @@ func NormalizePiecewise(f PiecewiseFn, x0 float64) PiecewiseFn {
 }
 
 // MeanAbsError computes the mean |pred-actual|/actual over paired samples,
-// the estimation-accuracy metric reported in EXPERIMENTS.md for Figure 6.
+// the estimation-accuracy metric of Figure 6.
 func MeanAbsError(pred, actual []float64) float64 {
 	if len(pred) == 0 {
 		return 0

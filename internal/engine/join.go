@@ -173,7 +173,6 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 	} else {
 		res = &Result{}
 	}
-	groupKey := make([]value.Value, len(q.GroupBy))
 	outCols := q.Cols
 	if q.Kind == query.Select && outCols == nil {
 		outCols = allCols(nL + nR)
@@ -193,13 +192,12 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 	if sh.topk != nil {
 		acc = newTopK(q.Limit, q.OrderBy)
 	}
-	if cs, ok := probe.rt.store.(*colStorage); ok && probe.view == nil &&
-		q.Kind == query.Aggregate && postPred == nil &&
-		groupsOnSide(q.GroupBy, build.offset, build.width) {
-		probeJoinColumnar(cs.t, q, &probe, &build, hash, aggRes, ex)
-	} else if bs, ok := probe.rt.store.(execBatchScanner); ok && probe.view == nil &&
-		q.Kind == query.Aggregate && ex.Parallel(bs.NumBlocks()) {
-		probeJoinParallel(bs, q, &probe, &build, buildNeed, hash, aggRes, postPred, nL+nR, ex)
+	if cs, ok := probe.rt.store.(*colStorage); ok && probe.view == nil && q.Kind == query.Aggregate {
+		if postPred == nil && groupsOnSide(q.GroupBy, build.offset, build.width) {
+			probeJoinColumnar(cs.t, q, &probe, &build, hash, aggRes, ex)
+		} else {
+			probeJoinBatched(cs.t, q, &probe, &build, buildNeed, hash, aggRes, postPred, nL+nR, ex)
+		}
 	} else {
 		limitHit := false
 		probeVisited := 0
@@ -234,22 +232,7 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 					continue
 				}
 				if q.Kind == query.Aggregate {
-					var g *agg.Group
-					if len(q.GroupBy) > 0 {
-						for i, c := range q.GroupBy {
-							groupKey[i] = combined[c]
-						}
-						g = aggRes.GroupFor(groupKey)
-					} else {
-						g = aggRes.Global()
-					}
-					for i, s := range q.Aggs {
-						if s.Col < 0 {
-							g.Accs[i].AddCount(1)
-						} else {
-							g.Accs[i].Add(combined[s.Col])
-						}
-					}
+					aggRes.AddRow(combined)
 				} else {
 					out := make([]value.Value, len(outCols))
 					for i, c := range outCols {
@@ -351,8 +334,9 @@ type joinSide struct {
 
 // buildRow is one materialized row of the hash join's build side.
 type buildRow struct {
-	key  value.Value
-	vals []value.Value // full side width (needed cols filled)
+	key   value.Value
+	vals  []value.Value // full side width (needed cols filled)
+	group int           // dense id of the row's group (probeJoinColumnar)
 }
 
 // groupsOnSide reports whether every group-by column (combined indexing)
@@ -367,12 +351,14 @@ func groupsOnSide(groupBy []int, offset, width int) bool {
 }
 
 // probeJoinColumnar probes the hash join by dictionary code: the build
-// side is resolved once per distinct probe-key code and group buckets once
-// per build row, so the per-probe-row work reduces to a code extraction,
-// an array lookup and accumulator updates. Under a parallel execution
-// context each probe worker keeps a private code→matches cache, group
-// cache and partial result (re-resolving a code on two workers is cheap
-// and race-free); the partials merge into aggRes in worker order.
+// side is resolved once per distinct probe-key code and every build row
+// carries the dense id of its group, so the per-probe-row work reduces to
+// a code extraction, an array lookup and accumulator updates. Each block
+// range of the probe side accumulates into a dense partial of its own and
+// the partials merge in block order, so the sums do not depend on the
+// pool size; each worker keeps a private code→matches cache (re-resolving
+// a code on two workers is cheap and race-free). Groups come out in the
+// order the probe scan first reaches them.
 func probeJoinColumnar(t *colstore.Table, q *query.Query, probe, build *joinSide, hash map[uint64][]*buildRow, aggRes *agg.Result, ex *exec.Ctx) {
 	keyVals := t.KeyDictValues(probe.joinCol)
 
@@ -404,31 +390,58 @@ func probeJoinColumnar(t *colstore.Table, q *query.Query, probe, build *joinSide
 		}
 	}
 
+	// Number the build side's groups (an ungrouped aggregate has the one
+	// group 0, which every build row's zero value already names).
+	groupKeys := [][]value.Value{nil}
+	if len(q.GroupBy) > 0 {
+		groupKeys = groupKeys[:0]
+		ids := make(map[string]int)
+		key := make([]value.Value, len(q.GroupBy))
+		for _, rows := range hash {
+			for _, m := range rows {
+				for i, c := range q.GroupBy {
+					key[i] = m.vals[c-build.offset]
+				}
+				ks := value.TupleKey(key)
+				id, ok := ids[ks]
+				if !ok {
+					id = len(groupKeys)
+					ids[ks] = id
+					groupKeys = append(groupKeys, append([]value.Value(nil), key...))
+				}
+				m.group = id
+			}
+		}
+	}
+
+	// A partial holds one accumulator per (group, aggregate), the joined
+	// rows per group and the groups in the order its rows first reached
+	// them.
+	nspec := len(q.Aggs)
+	type partial struct {
+		accs  []agg.Acc
+		rows  []int64
+		order []int
+	}
+	newPartial := func() *partial {
+		return &partial{accs: make([]agg.Acc, len(groupKeys)*nspec), rows: make([]int64, len(groupKeys))}
+	}
+	total := newPartial()
+
 	type pjState struct {
-		res      *agg.Result
 		matches  [][]*buildRow
 		resolved []bool
-		groups   map[*buildRow]*agg.Group
-		groupKey []value.Value
 	}
 	states := make([]*pjState, ex.Workers(t.NumBlocks()))
-
-	t.JoinProbeExec(probe.joinCol, extra, probe.pred, ex, func(w int, code int64, extraVals []value.Value) bool {
-		st := states[w]
-		if st == nil {
-			st = &pjState{
-				res:      agg.NewResult(q.Aggs, q.GroupBy),
-				matches:  make([][]*buildRow, len(keyVals)),
-				resolved: make([]bool, len(keyVals)),
-				groupKey: make([]value.Value, len(q.GroupBy)),
-			}
-			if len(q.GroupBy) > 0 {
-				st.groups = make(map[*buildRow]*agg.Group)
-			}
-			states[w] = st
-		}
+	per := colstore.RangeBlocks(len(groupKeys) * max(1, nspec))
+	colstore.JoinProbe(t, probe.joinCol, extra, probe.pred, ex, per, newPartial, func(w int, p *partial, code int64, extraVals []value.Value) bool {
 		if code < 0 {
 			return true // NULL join keys never match
+		}
+		st := states[w]
+		if st == nil {
+			st = &pjState{matches: make([][]*buildRow, len(keyVals)), resolved: make([]bool, len(keyVals))}
+			states[w] = st
 		}
 		if !st.resolved[code] {
 			st.resolved[code] = true
@@ -439,119 +452,103 @@ func probeJoinColumnar(t *colstore.Table, q *query.Query, probe, build *joinSide
 				}
 			}
 		}
-		ms := st.matches[code]
-		if len(ms) == 0 {
-			return true
-		}
-		for _, m := range ms {
-			var g *agg.Group
-			if len(q.GroupBy) == 0 {
-				g = st.res.Global()
-			} else if cached, ok := st.groups[m]; ok {
-				g = cached
-			} else {
-				for i, c := range q.GroupBy {
-					st.groupKey[i] = m.vals[c-build.offset]
-				}
-				g = st.res.GroupFor(st.groupKey)
-				st.groups[m] = g
+		for _, m := range st.matches[code] {
+			if p.rows[m.group] == 0 {
+				p.order = append(p.order, m.group)
 			}
+			p.rows[m.group]++
+			accs := p.accs[m.group*nspec:]
 			for i := range q.Aggs {
 				switch {
 				case srcs[i].countStar:
-					g.Accs[i].AddCount(1)
+					accs[i].AddCount(1)
 				case srcs[i].probeExtra >= 0:
-					g.Accs[i].Add(extraVals[srcs[i].probeExtra])
+					accs[i].Add(extraVals[srcs[i].probeExtra])
 				default:
-					g.Accs[i].Add(m.vals[srcs[i].buildCol])
+					accs[i].Add(m.vals[srcs[i].buildCol])
 				}
 			}
 		}
 		return true
+	}, func(p *partial) {
+		for _, g := range p.order {
+			if total.rows[g] == 0 {
+				total.order = append(total.order, g)
+			}
+			total.rows[g] += p.rows[g]
+			p.rows[g] = 0
+			for i := g * nspec; i < (g+1)*nspec; i++ {
+				total.accs[i].Merge(&p.accs[i])
+				p.accs[i] = agg.Acc{}
+			}
+		}
+		p.order = p.order[:0]
 	})
 	if ex.Stopped() {
 		return // caller surfaces ctx.Err(); partials are discarded
 	}
-	for _, st := range states {
-		if st != nil {
-			aggRes.Merge(st.res)
+	for _, g := range total.order {
+		var grp *agg.Group
+		if len(q.GroupBy) > 0 {
+			grp = aggRes.GroupFor(groupKeys[g])
+		} else {
+			grp = aggRes.Global()
+		}
+		for i := range grp.Accs {
+			grp.Accs[i].Merge(&total.accs[g*nspec+i])
 		}
 	}
 }
 
-// probeJoinParallel is the generic aggregate probe fanned out across
-// morsel workers: each worker materializes probe batches, walks the
-// shared (read-only) hash table and accumulates into a private partial
-// result; the partials merge in worker order after the scan. Select
-// joins stay serial — their limit/order semantics want the serial row
-// order — and stopped contexts leave aggRes untouched.
-func probeJoinParallel(bs execBatchScanner, q *query.Query, probe, build *joinSide, buildNeed []int, hash map[uint64][]*buildRow, aggRes *agg.Result, postPred expr.Predicate, combinedWidth int, ex *exec.Ctx) {
+// probeJoinBatched is the generic aggregate probe of a column-store probe
+// side: every block's batch walks the shared (read-only) hash table and
+// accumulates into a partial result of its own, on whichever worker
+// claimed the block; the partials merge in block order, so the result
+// does not depend on the pool size. Select joins stay on the serial
+// probe — their limit/order semantics want the serial row order — and
+// stopped contexts leave a partial aggRes the caller discards.
+func probeJoinBatched(t *colstore.Table, q *query.Query, probe, build *joinSide, buildNeed []int, hash map[uint64][]*buildRow, aggRes *agg.Result, postPred expr.Predicate, combinedWidth int, ex *exec.Ctx) {
 	probeNeed := append(append([]int{}, probe.need...), probe.joinCol)
 	keyIdx := len(probeNeed) - 1
-	type gpState struct {
-		res      *agg.Result
-		combined []value.Value
-		groupKey []value.Value
-	}
-	states := make([]*gpState, ex.Workers(bs.NumBlocks()))
-	bs.ScanBatchesExec(probe.pred, probeNeed, ex, func(w, block int, rids []int32, colVals [][]value.Value) bool {
-		st := states[w]
-		if st == nil {
-			st = &gpState{
-				res:      agg.NewResult(q.Aggs, q.GroupBy),
-				combined: make([]value.Value, combinedWidth),
-				groupKey: make([]value.Value, len(q.GroupBy)),
+	type partial struct{ res *agg.Result }
+	combined := make([][]value.Value, ex.Workers(t.NumBlocks()))
+	colstore.ReduceBatches(t, probe.pred, probeNeed, ex, func() *partial { return &partial{} },
+		func(w int, p *partial, rids []int32, colVals [][]value.Value) bool {
+			if p.res == nil {
+				p.res = agg.NewResult(q.Aggs, q.GroupBy)
 			}
-			states[w] = st
-		}
-		for k := range rids {
-			kv := colVals[keyIdx][k]
-			if kv.IsNull() {
-				continue
+			if combined[w] == nil {
+				combined[w] = make([]value.Value, combinedWidth)
 			}
-			matches := hash[kv.Hash()]
-			if len(matches) == 0 {
-				continue
-			}
-			for j, c := range probeNeed {
-				st.combined[probe.offset+c] = colVals[j][k]
-			}
-			for _, m := range matches {
-				if !value.Equal(m.key, kv) {
-					continue // hash collision
-				}
-				for _, c := range buildNeed {
-					st.combined[build.offset+c] = m.vals[c]
-				}
-				if postPred != nil && !postPred.Matches(st.combined) {
+			row := combined[w]
+			for k := range rids {
+				kv := colVals[keyIdx][k]
+				if kv.IsNull() {
 					continue
 				}
-				var g *agg.Group
-				if len(q.GroupBy) > 0 {
-					for i, c := range q.GroupBy {
-						st.groupKey[i] = st.combined[c]
-					}
-					g = st.res.GroupFor(st.groupKey)
-				} else {
-					g = st.res.Global()
+				matches := hash[kv.Hash()]
+				if len(matches) == 0 {
+					continue
 				}
-				for i, s := range q.Aggs {
-					if s.Col < 0 {
-						g.Accs[i].AddCount(1)
-					} else {
-						g.Accs[i].Add(st.combined[s.Col])
+				for j, c := range probeNeed {
+					row[probe.offset+c] = colVals[j][k]
+				}
+				for _, m := range matches {
+					if !value.Equal(m.key, kv) {
+						continue // hash collision
+					}
+					for _, c := range buildNeed {
+						row[build.offset+c] = m.vals[c]
+					}
+					if postPred == nil || postPred.Matches(row) {
+						p.res.AddRow(row)
 					}
 				}
 			}
-		}
-		return true
-	})
-	if ex.Stopped() {
-		return
-	}
-	for _, st := range states {
-		if st != nil {
-			aggRes.Merge(st.res)
-		}
-	}
+			return true
+		},
+		func(p *partial) {
+			aggRes.Merge(p.res)
+			p.res = nil
+		})
 }

@@ -54,6 +54,9 @@ var (
 		"commit folds re-queued after a base-storage error")
 	mTxnActive = metrics.Default().Gauge("hs_txn_active",
 		"explicit transactions currently open")
+
+	mVerticalJoinMiss = metrics.Default().Counter("hs_vertical_join_miss_total",
+		"rows of a vertically split table whose key was missing from the other partition during a PK join (partition inconsistency; 0 when healthy)")
 )
 
 func kindCounter(k query.Kind) *metrics.Counter {

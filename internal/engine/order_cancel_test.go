@@ -258,7 +258,7 @@ func TestExecContextCancelAbortsScan(t *testing.T) {
 			// holds it there until the context dies, so by the time rows
 			// flow the cancel is guaranteed to be observable at the first
 			// batch boundary.
-			started := make(chan struct{})
+			started := make(chan struct{}, 1) // buffered: the hook may fire before this goroutine waits
 			SetScanStartedHook(func(hctx context.Context, table string) {
 				select {
 				case started <- struct{}{}:

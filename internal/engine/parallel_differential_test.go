@@ -19,13 +19,13 @@ import (
 // The parallel differential suite runs randomized analytics on tables
 // large enough to trip every morsel-parallel path (the column store
 // parallelizes past 8×1024 main rows, the row store past 2×4096 slots)
-// and asserts the parallel results are bit-identical to serial ones —
-// across every layout, with NULLs, tombstones, a live delta and
-// migration churn in the data. Parallelism is forced with an 8-slot
-// pool, so the suite exercises the concurrent paths even on single-core
-// hosts. All numeric data is integer-valued, so float aggregation is
-// exact and "identical" really means bit-identical, not approximately
-// equal.
+// and asserts the results are bit-identical on worker pools of 1, 2, 3
+// and 8 slots — across every layout, with NULLs, tombstones, a live delta
+// and migration churn in the data. The larger pools force the concurrent
+// paths even on single-core hosts. The keyfigure is genuinely fractional,
+// so a float SUM whose additions associated differently between two pool
+// sizes would differ in its last bits: "identical" means the reduction
+// order is a function of the data alone.
 
 const parRows = 24_000
 
@@ -34,14 +34,14 @@ func parSchema() *schema.Table {
 		{Name: "id", Type: value.Bigint},                    // 0: PK
 		{Name: "grp", Type: value.Integer},                  // 1: card 8, horizontal split col
 		{Name: "cat", Type: value.Integer},                  // 2: card 50, join key
-		{Name: "amt", Type: value.Double, Nullable: true},   // 3: integer-valued
+		{Name: "amt", Type: value.Double, Nullable: true},   // 3: fractional
 		{Name: "qty", Type: value.Integer, Nullable: true},  // 4
 		{Name: "note", Type: value.Varchar, Nullable: true}, // 5
 	}, "id")
 }
 
 func parRow(rng *rand.Rand, id int64) []value.Value {
-	amt := value.NewDouble(float64(rng.Intn(100_000)))
+	amt := value.NewDouble(rng.Float64() * 100_000)
 	if rng.Intn(20) == 0 {
 		amt = value.Null(value.Double)
 	}
@@ -61,26 +61,27 @@ func parRow(rng *rand.Rand, id int64) []value.Value {
 	}
 }
 
-// parLayouts is every layout whose scans have a parallel path to check.
-func parLayouts() []struct {
+type parLayout struct {
 	name  string
 	store catalog.StoreKind
 	spec  *catalog.PartitionSpec
-} {
+}
+
+// parLayouts is every layout whose scans have a parallel path to check.
+// The vertical split keeps grp in the row partition and the keyfigures in
+// the column partition, so the grouped aggregates span both.
+func parLayouts() []parLayout {
 	horiz := &catalog.HorizontalSpec{
 		SplitCol: 1, SplitVal: value.NewInt(4),
 		HotStore: catalog.RowStore, ColdStore: catalog.ColumnStore,
 	}
 	vert := &catalog.VerticalSpec{RowCols: []int{0, 1, 5}, ColCols: []int{0, 2, 3, 4}}
-	return []struct {
-		name  string
-		store catalog.StoreKind
-		spec  *catalog.PartitionSpec
-	}{
+	return []parLayout{
 		{"row", catalog.RowStore, nil},
 		{"column", catalog.ColumnStore, nil},
 		{"horizontal", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: horiz}},
 		{"vertical", catalog.Partitioned, &catalog.PartitionSpec{Vertical: vert}},
+		{"horizontal+vertical", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: horiz, Vertical: vert}},
 	}
 }
 
@@ -228,38 +229,48 @@ func sortedRows(rows [][]value.Value) [][]value.Value {
 	return out
 }
 
-// assertSerialParallelEqual runs q under a 1-slot pool and an 8-slot
-// pool and requires bit-identical (order-insensitive) results.
-func assertSerialParallelEqual(t *testing.T, db *Database, q *query.Query, label string) {
+// assertPoolSizeIndependent runs q under worker pools of 1, 2, 3 and 8
+// slots and requires bit-identical (order-insensitive) results.
+func assertPoolSizeIndependent(t *testing.T, db *Database, q *query.Query, label string) {
 	t.Helper()
-	db.SetPool(exec.NewPool(1))
-	serial, err := db.Exec(q)
-	if err != nil {
-		t.Fatalf("%s: serial: %v", label, err)
+	var serial [][]value.Value
+	for _, size := range []int{1, 2, 3, 8} {
+		db.SetPool(exec.NewPool(size))
+		res, err := db.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %d-slot pool: %v", label, size, err)
+		}
+		rows := sortedRows(res.Rows)
+		if size == 1 {
+			serial = rows
+		} else if !reflect.DeepEqual(serial, rows) {
+			t.Fatalf("%s: %d-slot pool diverged from the 1-slot pool\n1 slot  (%d rows): %.300v\n%d slots (%d rows): %.300v",
+				label, size, len(serial), serial, size, len(rows), rows)
+		}
 	}
-	db.SetPool(exec.NewPool(8))
-	parallel, err := db.Exec(q)
-	if err != nil {
-		t.Fatalf("%s: parallel: %v", label, err)
-	}
-	s, p := sortedRows(serial.Rows), sortedRows(parallel.Rows)
-	if !reflect.DeepEqual(s, p) {
-		t.Fatalf("%s: parallel diverged from serial\nserial   (%d rows): %.300v\nparallel (%d rows): %.300v",
-			label, len(s), s, len(p), p)
+}
+
+// assertNoJoinMiss requires that no PK join between the partitions of a
+// vertical split lost a row since the counter read before.
+func assertNoJoinMiss(t *testing.T, before int64) {
+	t.Helper()
+	if n := mVerticalJoinMiss.Value() - before; n != 0 {
+		t.Errorf("hs_vertical_join_miss_total moved by %d", n)
 	}
 }
 
 func TestParallelSerialDifferential(t *testing.T) {
 	queries := parQueries(42)
+	misses := mVerticalJoinMiss.Value()
 	for _, l := range parLayouts() {
-		l := l
 		t.Run(l.name, func(t *testing.T) {
 			db := buildParDB(t, l.store, l.spec)
 			for i, q := range queries {
-				assertSerialParallelEqual(t, db, q, fmt.Sprintf("%s q%d", l.name, i))
+				assertPoolSizeIndependent(t, db, q, fmt.Sprintf("%s q%d", l.name, i))
 			}
 		})
 	}
+	assertNoJoinMiss(t, misses)
 }
 
 // TestParallelDifferentialMigrationChurn re-checks serial/parallel
@@ -270,12 +281,14 @@ func TestParallelDifferentialMigrationChurn(t *testing.T) {
 	layouts := parLayouts()
 	db := buildParDB(t, layouts[0].store, layouts[0].spec)
 	queries := parQueries(99)[:12]
+	misses := mVerticalJoinMiss.Value()
 	for _, l := range layouts[1:] {
 		if err := db.SetLayout("par", l.store, l.spec); err != nil {
 			t.Fatalf("migrate to %s: %v", l.name, err)
 		}
 		for i, q := range queries {
-			assertSerialParallelEqual(t, db, q, fmt.Sprintf("after-migrate-%s q%d", l.name, i))
+			assertPoolSizeIndependent(t, db, q, fmt.Sprintf("after-migrate-%s q%d", l.name, i))
 		}
 	}
+	assertNoJoinMiss(t, misses)
 }

@@ -438,7 +438,6 @@ func (db *Database) execAggPlan(ctx context.Context, q *query.Query, sh *readSha
 		ar.SetOutputTypes(sch.ColTypes())
 		stop := stopFunc(ctx)
 		visited := 0
-		groupKey := make([]value.Value, len(q.GroupBy))
 		mergedScan(rt, view, q.Pred, nil, func(row []value.Value) bool {
 			if stop != nil {
 				visited++
@@ -446,22 +445,7 @@ func (db *Database) execAggPlan(ctx context.Context, q *query.Query, sh *readSha
 					return false
 				}
 			}
-			var g *agg.Group
-			if len(q.GroupBy) > 0 {
-				for i, c := range q.GroupBy {
-					groupKey[i] = row[c]
-				}
-				g = ar.GroupFor(groupKey)
-			} else {
-				g = ar.Global()
-			}
-			for i, s := range q.Aggs {
-				if s.Col < 0 {
-					g.Accs[i].AddCount(1)
-				} else {
-					g.Accs[i].Add(row[s.Col])
-				}
-			}
+			ar.AddRow(row)
 			return true
 		})
 	} else {

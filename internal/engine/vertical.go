@@ -78,26 +78,35 @@ func (v *verticalStorage) Insert(rows [][]value.Value) error {
 	if err := checkInsertPKs(v.sch, rows, v.HasPK); err != nil {
 		return err
 	}
-	for _, row := range rows {
-		rrow := make([]value.Value, len(v.spec.RowCols))
-		for i, c := range v.spec.RowCols {
-			rrow[i] = row[c]
+	// Project the batch once per partition and insert each projection
+	// as one batch.
+	rrows := projectRows(rows, v.spec.RowCols)
+	if err := v.rowPart.Insert(rrows); err != nil {
+		return err
+	}
+	if err := v.colPart.Insert(projectRows(rows, v.spec.ColCols)); err != nil {
+		// Keep partitions consistent: roll the row partition back by key.
+		rsch := v.rowPart.Schema()
+		for _, rrow := range rrows {
+			v.rowPart.Delete(pkPredicate(rsch.PrimaryKey, rsch.PKValues(rrow)))
 		}
-		crow := make([]value.Value, len(v.spec.ColCols))
-		for i, c := range v.spec.ColCols {
-			crow[i] = row[c]
-		}
-		if err := v.rowPart.Insert([][]value.Value{rrow}); err != nil {
-			return err
-		}
-		if err := v.colPart.Insert([][]value.Value{crow}); err != nil {
-			// Keep partitions consistent: roll the row partition back.
-			pk := v.rowPart.Schema().PKValues(rrow)
-			v.rowPart.Delete(pkPredicate(v.rowPart.Schema().PrimaryKey, pk))
-			return err
-		}
+		return err
 	}
 	return nil
+}
+
+// projectRows returns the given columns of every row, the projections
+// carved out of one backing array.
+func projectRows(rows [][]value.Value, cols []int) [][]value.Value {
+	flat := make([]value.Value, len(rows)*len(cols))
+	out := make([][]value.Value, len(rows))
+	for r, row := range rows {
+		out[r] = flat[r*len(cols) : (r+1)*len(cols) : (r+1)*len(cols)]
+		for i, c := range cols {
+			out[r][i] = row[c]
+		}
+	}
+	return out
 }
 
 // pkPredicate builds col=val conjunctions over the given columns.
@@ -106,7 +115,15 @@ func pkPredicate(cols []int, key []value.Value) expr.Predicate {
 	for i, c := range cols {
 		preds[i] = &expr.Comparison{Col: c, Op: expr.Eq, Val: key[i]}
 	}
-	if len(preds) == 1 {
+	return andOf(preds)
+}
+
+// andOf is the conjunction of preds (nil when there are none).
+func andOf(preds []expr.Predicate) expr.Predicate {
+	switch len(preds) {
+	case 0:
+		return nil
+	case 1:
 		return preds[0]
 	}
 	return &expr.And{Preds: preds}
@@ -215,7 +232,8 @@ func (v *verticalStorage) scanJoined(pred expr.Predicate, fn func(row []value.Va
 		}
 		crid, ok := v.colPart.LookupPK(key)
 		if !ok {
-			return true // partition inconsistency; skip defensively
+			mVerticalJoinMiss.Inc() // partition inconsistency; skip defensively
+			return true
 		}
 		crow := v.colPart.Get(crid)
 		for i, c := range v.spec.ColCols {
@@ -231,15 +249,9 @@ func (v *verticalStorage) scanJoined(pred expr.Predicate, fn func(row []value.Va
 // Aggregate pushes the aggregation into a single partition when all
 // referenced columns live there (the common case after the advisor's
 // vertical split: keyfigures and group-bys in the column partition);
-// otherwise it accumulates over PK-joined tuples.
+// otherwise it joins the partitions on the primary key, column partition
+// driving (aggregateSpanning).
 func (v *verticalStorage) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate, ex *exec.Ctx) *agg.Result {
-	need := expr.ColumnSet(pred)
-	for _, s := range specs {
-		if s.Col >= 0 {
-			need = append(need, s.Col)
-		}
-	}
-	need = append(need, groupBy...)
 	remapInto := func(fwd map[int]int) ([]agg.Spec, []int, expr.Predicate, bool) {
 		rs := make([]agg.Spec, len(specs))
 		for i, s := range specs {
@@ -267,49 +279,127 @@ func (v *verticalStorage) Aggregate(specs []agg.Spec, groupBy []int, pred expr.P
 		}
 		return rs, gb, p, true
 	}
-	switch v.coverage(need) {
-	case partCol:
-		if rs, gb, p, ok := remapInto(v.colFwd); ok {
-			return v.colPart.AggregateExec(rs, gb, p, ex)
-		}
-	case partRow:
-		if rs, gb, p, ok := remapInto(v.rowFwd); ok {
-			return v.rowPart.AggregateExec(rs, gb, p, ex)
+	if rs, gb, p, ok := remapInto(v.rowFwd); ok {
+		return v.rowPart.AggregateExec(rs, gb, p, ex)
+	}
+	if rs, gb, p, ok := remapInto(v.colFwd); ok {
+		return v.colPart.AggregateExec(rs, gb, p, ex)
+	}
+	return v.aggregateSpanning(specs, groupBy, pred, ex)
+}
+
+// aggregateSpanning answers an aggregate that needs columns of both
+// partitions with one column-driven, batch-at-a-time PK join. The
+// conjuncts the column partition covers run on its bitmap and zone-map
+// kernels; its surviving rows arrive in blocks with only the key and the
+// needed column-partition columns decoded; each row's key is probed in
+// the row partition's PK index and the needed row-partition columns are
+// read straight from the arena; the remaining conjuncts are tested on the
+// joined row, which is then accumulated. Every block accumulates into a
+// partial result of its own, on whichever worker claims it, and the
+// partials merge in block order (colstore.ReduceBatches), so the result is
+// a function of the data alone — bit-identical on any pool size. Nothing
+// links the partitions but the key: the column store migrates updated
+// main rows to its delta and renumbers on merge, so a rid-to-rid link
+// would be a second source of truth.
+func (v *verticalStorage) aggregateSpanning(specs []agg.Spec, groupBy []int, pred expr.Predicate, ex *exec.Ctx) *agg.Result {
+	var colConj, postConj []expr.Predicate
+	for _, c := range expr.Conjuncts(pred) {
+		if cp, ok := expr.Remap(c, v.colFwd); ok {
+			colConj = append(colConj, cp)
+		} else {
+			postConj = append(postConj, c)
 		}
 	}
-	// Spanning aggregate: PK-join scan with generic accumulation,
-	// polling stop every 1024 joined rows.
+	post := andOf(postConj)
+
+	// The scan decodes the key first, then the column-partition columns
+	// the joined row needs; joinedCol maps a table column to where the
+	// joined row takes it from.
+	type joinedCol struct{ table, local int }
+	scanCols := append([]int{}, v.colPart.Schema().PrimaryKey...)
+	npk := len(scanCols)
+	var fromCol, fromRow []joinedCol // local: index into the batch's columns / the row partition's tuple
+	need := append(expr.ColumnSet(post), groupBy...)
+	for _, s := range specs {
+		if s.Col >= 0 {
+			need = append(need, s.Col)
+		}
+	}
+	seen := make(map[int]bool, len(need))
+	for _, c := range need {
+		if seen[c] {
+			continue
+		}
+		seen[c] = true
+		if local, ok := v.colFwd[c]; ok {
+			fromCol = append(fromCol, joinedCol{c, len(scanCols)})
+			scanCols = append(scanCols, local)
+		} else {
+			fromRow = append(fromRow, joinedCol{c, v.rowFwd[c]})
+		}
+	}
+
 	res := agg.NewResult(specs, groupBy)
 	res.SetOutputTypes(v.sch.ColTypes())
-	key := make([]value.Value, len(groupBy))
-	cols := append([]int{}, need...)
-	stop := ex.StopHook()
-	visited := 0
-	v.Scan(pred, cols, func(row []value.Value) bool {
-		if stop != nil {
-			visited++
-			if visited%scanCancelBatch == 0 && stop() {
-				return false
+	type partial struct {
+		res            *agg.Result
+		probed, misses int64
+	}
+	type worker struct {
+		key, row []value.Value
+		next     int // row-partition slot after the last hit: both partitions take rows in the same order
+	}
+	workers := make([]*worker, ex.Workers(v.colPart.NumBlocks()))
+	var probed, misses int64
+	tr := ex.Tracer()
+	zoneSkipped := tr.Counter("blocks_zone_skipped")
+	colstore.ReduceBatches(v.colPart, andOf(colConj), scanCols, ex, func() *partial { return &partial{} },
+		func(w int, p *partial, rids []int32, colVals [][]value.Value) bool {
+			st := workers[w]
+			if st == nil {
+				st = &worker{key: make([]value.Value, npk), row: make([]value.Value, v.sch.NumColumns())}
+				workers[w] = st
 			}
-		}
-		var g *agg.Group
-		if len(groupBy) > 0 {
-			for i, c := range groupBy {
-				key[i] = row[c]
+			if p.res == nil {
+				p.res = agg.NewResult(specs, groupBy)
 			}
-			g = res.GroupFor(key)
-		} else {
-			g = res.Global()
-		}
-		for i, s := range specs {
-			if s.Col < 0 {
-				g.Accs[i].AddCount(1)
-			} else {
-				g.Accs[i].Add(row[s.Col])
+			p.probed += int64(len(rids))
+			for k := range rids {
+				for i := range st.key {
+					st.key[i] = colVals[i][k]
+				}
+				rrid, ok := v.rowPart.LookupPKNear(st.key, st.next)
+				if !ok {
+					p.misses++ // partition inconsistency; skip defensively
+					continue
+				}
+				st.next = rrid + 1
+				rrow := v.rowPart.Row(rrid)
+				for _, c := range fromCol {
+					st.row[c.table] = colVals[c.local][k]
+				}
+				for _, c := range fromRow {
+					st.row[c.table] = rrow[c.local]
+				}
+				if post == nil || post.Matches(st.row) {
+					p.res.AddRow(st.row)
+				}
 			}
-		}
-		return true
-	})
+			return true
+		},
+		func(p *partial) {
+			res.Merge(p.res)
+			probed += p.probed
+			misses += p.misses
+			*p = partial{}
+		})
+	mVerticalJoinMiss.Add(misses)
+	if sp := tr.Span("aggregate"); sp != nil {
+		sp.Add("probe_rows", probed)
+		sp.Add("probe_misses", misses)
+		sp.Add("blocks_zone_skipped", tr.Counter("blocks_zone_skipped")-zoneSkipped)
+	}
 	return res
 }
 

@@ -230,46 +230,39 @@ func (c *Ctx) Morsels(n int, fn func(worker, morsel int) bool) {
 		stop = c.Stop
 		tr = c.Trace
 	}
-	if tr != nil {
-		// Tracing wraps fn to count processed morsels and times each
-		// worker. The wrapper exists only on traced statements, so the
-		// untraced hot path below runs the raw fn with zero additions.
-		var processed atomic.Int64
-		inner := fn
-		fn = func(worker, morsel int) bool {
-			processed.Add(1)
-			return inner(worker, morsel)
-		}
-		defer func() { tr.AddMorselRun(processed.Load(), workers) }()
-	}
 	if workers <= 1 {
 		start := time.Time{}
 		if tr != nil {
 			start = time.Now()
 		}
-		for m := 0; m < n; m++ {
+		m := 0
+		for ; m < n; m++ {
 			if stop != nil && stop() {
 				break
 			}
 			if !fn(0, m) {
+				m++
 				break
 			}
 		}
 		if tr != nil {
 			tr.AddWorkerBusy(0, time.Since(start))
+			tr.AddMorselRun(int64(m), workers)
 		}
 		return
 	}
 	var (
-		next    atomic.Int64
-		stopped atomic.Bool
-		wg      sync.WaitGroup
+		next      atomic.Int64
+		stopped   atomic.Bool
+		processed atomic.Int64 // traced runs only: each worker adds its count once
+		wg        sync.WaitGroup
 	)
 	run := func(worker int) {
 		start := time.Time{}
 		if tr != nil {
 			start = time.Now()
 		}
+		done := int64(0)
 		for {
 			if stopped.Load() || (stop != nil && stop()) {
 				break
@@ -278,6 +271,7 @@ func (c *Ctx) Morsels(n int, fn func(worker, morsel int) bool) {
 			if m >= n {
 				break
 			}
+			done++
 			if !fn(worker, m) {
 				stopped.Store(true)
 				break
@@ -285,6 +279,7 @@ func (c *Ctx) Morsels(n int, fn func(worker, morsel int) bool) {
 		}
 		if tr != nil {
 			tr.AddWorkerBusy(worker, time.Since(start))
+			processed.Add(done)
 		}
 	}
 	for w := 1; w < workers; w++ {
@@ -302,6 +297,9 @@ func (c *Ctx) Morsels(n int, fn func(worker, morsel int) bool) {
 	}
 	run(0)
 	wg.Wait()
+	if tr != nil {
+		tr.AddMorselRun(processed.Load(), workers)
+	}
 }
 
 // Do runs the given independent functions, on helper workers where the

@@ -4,7 +4,6 @@ import (
 	"hybridstore/internal/agg"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/expr"
-	"hybridstore/internal/value"
 )
 
 // rowMorsel is the row-slot range one parallel aggregation morsel covers.
@@ -14,16 +13,16 @@ const rowMorsel = 4 * aggregateBatchRows
 const parallelMinRows = 2 * rowMorsel
 
 // AggregateExec is Aggregate driven by an execution context: when no
-// index restricts the candidate set, workers claim rowMorsel-sized slot
-// ranges of the arena, accumulate into private results and merge them
-// after the scan — the row store's full-tuple visit is embarrassingly
-// parallel because the arena is immutable during reads. Index-assisted
-// predicates (PK point/range, secondary equality) visit few rows and
-// stay serial, as do small arenas and serial contexts.
+// index restricts the candidate set, rowMorsel-sized slot ranges of the
+// arena each accumulate into a partial result of their own — on whichever
+// worker claims them; the arena is immutable during reads — and the
+// partials are merged in slot order (exec.Reduce), so the result does not
+// depend on the pool size. Index-assisted predicates (PK point/range,
+// secondary equality) visit few rows and accumulate directly, as do small
+// arenas.
 func (t *Table) AggregateExec(specs []agg.Spec, groupBy []int, pred expr.Predicate, ex *exec.Ctx) *agg.Result {
 	capRows := t.capacityRows()
-	nm := (capRows + rowMorsel - 1) / rowMorsel
-	if capRows < parallelMinRows || !ex.Parallel(nm) {
+	if capRows < parallelMinRows {
 		return t.AggregateStop(specs, groupBy, pred, ex.StopHook())
 	}
 	if _, ok := t.candidateRows(pred); ok {
@@ -31,55 +30,25 @@ func (t *Table) AggregateExec(specs []agg.Spec, groupBy []int, pred expr.Predica
 	}
 	res := agg.NewResult(specs, groupBy)
 	res.SetOutputTypes(t.sch.ColTypes())
-	type aggState struct {
-		res *agg.Result
-		key []value.Value
-	}
-	states := make([]*aggState, ex.Workers(nm))
-	ex.Morsels(nm, func(w, m int) bool {
-		st := states[w]
-		if st == nil {
-			pr := agg.NewResult(specs, groupBy)
-			pr.SetOutputTypes(t.sch.ColTypes())
-			st = &aggState{res: pr, key: make([]value.Value, len(groupBy))}
-			states[w] = st
+	type partial struct{ res *agg.Result }
+	nm := (capRows + rowMorsel - 1) / rowMorsel
+	exec.Reduce(ex, nm, 1, func() *partial { return &partial{} }, func(_ int, p *partial, m int) bool {
+		if p.res == nil {
+			p.res = agg.NewResult(specs, groupBy)
 		}
 		lo := m * rowMorsel
-		hi := min(capRows, lo+rowMorsel)
-		for rid := lo; rid < hi; rid++ {
+		for rid, hi := lo, min(capRows, lo+rowMorsel); rid < hi; rid++ {
 			if !t.valid[rid] {
 				continue
 			}
-			row := t.Row(rid)
-			if pred != nil && !pred.Matches(row) {
-				continue
-			}
-			var g *agg.Group
-			if len(groupBy) > 0 {
-				for i, c := range groupBy {
-					st.key[i] = row[c]
-				}
-				g = st.res.GroupFor(st.key)
-			} else {
-				g = st.res.Global()
-			}
-			for i, s := range specs {
-				if s.Col < 0 {
-					g.Accs[i].AddCount(1)
-				} else {
-					g.Accs[i].Add(row[s.Col])
-				}
+			if row := t.Row(rid); pred == nil || pred.Matches(row) {
+				p.res.AddRow(row)
 			}
 		}
 		return true
+	}, func(p *partial) {
+		res.Merge(p.res)
+		p.res = nil
 	})
-	if ex.Stopped() {
-		return res
-	}
-	for _, st := range states {
-		if st != nil {
-			res.Merge(st.res)
-		}
-	}
 	return res
 }

@@ -109,6 +109,17 @@ func (t *Table) LookupPK(key []value.Value) (int, bool) {
 	return 0, false
 }
 
+// LookupPKNear is LookupPK with a guess: when slot hint holds the key the
+// hash probe is skipped. Rows that arrive together land in consecutive
+// slots, so a caller resolving keys in arrival order guesses the slot
+// after its last hit.
+func (t *Table) LookupPKNear(key []value.Value, hint int) (int, bool) {
+	if hint >= 0 && hint < len(t.valid) && t.valid[hint] && len(key) == len(t.sch.PrimaryKey) && t.pkEqual(hint, key) {
+		return hint, true
+	}
+	return t.LookupPK(key)
+}
+
 // Insert appends rows to the table. Each row is validated against the
 // schema and, if the table has a primary key, checked for uniqueness — the
 // growing-table verification cost the paper models with f_#rows for insert
@@ -265,7 +276,6 @@ const aggregateBatchRows = 1024
 func (t *Table) AggregateStop(specs []agg.Spec, groupBy []int, pred expr.Predicate, stop func() bool) *agg.Result {
 	res := agg.NewResult(specs, groupBy)
 	res.SetOutputTypes(t.sch.ColTypes())
-	key := make([]value.Value, len(groupBy))
 	visited := 0
 	t.Scan(pred, func(rid int, row []value.Value) bool {
 		if stop != nil {
@@ -274,22 +284,7 @@ func (t *Table) AggregateStop(specs []agg.Spec, groupBy []int, pred expr.Predica
 				return false
 			}
 		}
-		var g *agg.Group
-		if len(groupBy) > 0 {
-			for i, c := range groupBy {
-				key[i] = row[c]
-			}
-			g = res.GroupFor(key)
-		} else {
-			g = res.Global()
-		}
-		for i, s := range specs {
-			if s.Col < 0 {
-				g.Accs[i].AddCount(1)
-			} else {
-				g.Accs[i].Add(row[s.Col])
-			}
-		}
+		res.AddRow(row)
 		return true
 	})
 	return res

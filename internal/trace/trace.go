@@ -200,6 +200,23 @@ func (t *Trace) Spans() []*Span {
 	return append([]*Span(nil), t.spans...)
 }
 
+// Span returns the first span opened for the given stage, or nil (a safe
+// no-op span) when there is none. Storage layers that only hold the trace
+// use it to attach their counters to the stage they run under.
+func (t *Trace) Span(stage string) *Span {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, s := range t.spans {
+		if s.stage == stage {
+			return s
+		}
+	}
+	return nil
+}
+
 // Duration returns wall time since the trace began.
 func (t *Trace) Duration() time.Duration {
 	if t == nil {
@@ -225,6 +242,16 @@ func (t *Trace) Add(key string, n int64) {
 	}
 	t.kv = append(t.kv, KV{key, n})
 	t.mu.Unlock()
+}
+
+// Counter returns the current value of one trace-level counter.
+func (t *Trace) Counter(key string) int64 {
+	for _, e := range t.Counters() {
+		if e.Key == key {
+			return e.Val
+		}
+	}
+	return 0
 }
 
 // Counters returns the trace-level counters in first-add order.
