@@ -50,14 +50,29 @@
 //     batches with the requested columns bulk-decoded column-at-a-time
 //     (compress.Packed.UnpackBlock) into reused buffers. The row-at-a-time
 //     Scan is a thin adapter over it; the engine's vertical-partition
-//     scans and hash-join build sides consume batches directly.
-//   - Grouped aggregation runs on dense per-(group, spec) scalar
-//     accumulators indexed by dictionary codes: SUM accumulates
-//     pre-decoded per-code floats and MIN/MAX track code extrema (sorted
-//     dictionaries make code order value order), so the per-row work is
-//     integer/float scalar ops with no value comparisons. Ungrouped
-//     aggregates count per code and fold one weighted add per distinct
-//     value — the paper's f_compression advantage.
+//     scans consume batches directly.
+//   - Grouped aggregation has one kernel (colstore.DenseAgg): dense
+//     per-(group, spec) scalar accumulators indexed by a dense group id
+//     and fed block-at-a-time from unpacked code vectors. SUM
+//     accumulates pre-decoded per-code floats and MIN/MAX track code
+//     extrema (sorted dictionaries make code order value order), so the
+//     per-row work is integer/float scalar ops with no value
+//     comparisons and no boxed values. Three callers feed it. A
+//     single-table GROUP BY on one column, or on two with a small
+//     combined code space, numbers its groups by dictionary code. A
+//     star-join probe numbers them through an array indexed by the join
+//     key's code (see Query planning). The spanning aggregate of a
+//     vertical split (below) groups by the column partition's codes. The
+//     latter two use the kernel's two extension points: the caller may
+//     assign each batch row its group from the codes of columns it
+//     names — or drop the row — and an aggregate whose column is not in
+//     the scanned table is fed as a caller-filled float vector per
+//     batch (SUM, AVG and COUNT only: extrema are tracked as codes).
+//     Group-bys the kernel cannot number densely — three or more
+//     columns, or two with more than 2^18 code combinations — hash
+//     their keys per row into one partial result per block range.
+//     Ungrouped aggregates count per code and fold one weighted add per
+//     distinct value — the paper's f_compression advantage.
 //   - Horizontally partitioned tables compute partial aggregates for the
 //     hot and cold partitions concurrently on the shared worker pool and
 //     merge them (the paper's "union of both partitions"), falling back
@@ -66,19 +81,29 @@
 //     partition that holds all its columns. An aggregate that spans both
 //     is a column-driven PK join (the paper's "both partitions plus a PK
 //     join"): the conjuncts the column partition covers — key ranges
-//     included — run on its bitmap and zone-map kernels; the surviving
-//     rows stream out in 1024-row batches with only the key and the
-//     needed column-partition columns decoded; each key is probed in
-//     the row partition's PK index (guessing the slot after the last
-//     hit first — both partitions take rows in the same order) and the
-//     needed row-partition columns are read straight from the arena;
-//     conjuncts that need row-partition columns are tested on the
-//     joined row, which is then accumulated. Nothing links the
-//     partitions but the key: the column store renumbers rows when it
-//     migrates and merges them, so a stored rid-to-rid link would be a
-//     second source of truth. A horizontal+vertical layout (hot rows
-//     whole in the row store, cold rows split) runs this for its cold
-//     side beside the hot side's aggregate.
+//     included — run on its bitmap and zone-map kernels; each surviving
+//     row's key is probed in the row partition's PK index (guessing the
+//     slot after the last hit first — both partitions take rows in the
+//     same order) and the needed row-partition columns are read
+//     straight from the arena. When the column partition holds the
+//     group columns, every remaining conjunct fits the row partition
+//     and MIN/MAX read column-partition columns, this is the dense
+//     kernel over the column partition: groups and column-side
+//     keyfigures come from its code vectors, row-side keyfigures are
+//     fed as float vectors, a row failing a row-side conjunct is
+//     dropped — no joined row is built. Every other shape (a group
+//     column or a MIN/MAX column in the row partition, a disjunction
+//     across both) decodes the needed column-partition columns,
+//     assembles the joined row, tests the remaining conjuncts on it and
+//     accumulates it into a hash-grouped partial per block. Nothing
+//     links the partitions but the key: the column store renumbers rows
+//     when it migrates and merges them, so a stored rid-to-rid link
+//     would be a second source of truth. A horizontal+vertical layout
+//     (hot rows whole in the row store, cold rows split) runs this for
+//     its cold side beside the hot side's aggregate.
+//   - Row-at-a-time accumulation (agg.Result.AddRow: the row store, the
+//     generic fallbacks above, MVCC-merged scans) tracks extrema only
+//     for MIN and MAX; SUM, AVG and COUNT cost an add and an increment.
 //
 // # Parallel execution
 //
@@ -99,9 +124,10 @@
 //   - Every aggregate is an ordered reduction (exec.Reduce): the scan is
 //     cut into fixed ranges of consecutive morsels, each range
 //     accumulates into a partial of its own — dense per-code
-//     accumulators, scalar accumulators of the ungrouped path, hash
-//     group maps of the generic, row-store, join-probe and
-//     vertical-spanning paths — on whichever worker claims it, and the
+//     accumulators (single-table group-bys, star-join probes, spanning
+//     aggregates), scalar accumulators of the ungrouped path, hash group
+//     maps of the generic and row-store paths — on whichever worker
+//     claims it, and the
 //     partials merge strictly in range order. The range size derives
 //     from the block count and the group cardinality (a range covers at
 //     least 32 rows per accumulator cell, so merging stays a few
@@ -110,11 +136,11 @@
 //     function of the data alone, and a 1-slot pool returns the same
 //     bits as an N-slot one. Per-code counts of the ungrouped path are
 //     integers and add up exactly in any order.
-//   - Hash joins build per-block and insert serially in block order
-//     (deterministic bucket chains), then probe in parallel: the
-//     columnar dictionary probe numbers the build side's groups once
-//     and keeps per-worker match caches, the generic aggregate probe
-//     one partial result per block.
+//   - A star join's probe is the dense kernel over the fact table and
+//     parallel like any grouped aggregate; its build side and every
+//     hash join's are scanned serially (a dimension is small). The
+//     generic aggregate probe of a column-store table walks the shared
+//     hash table block-parallel, one partial result per block.
 //   - The network server admits statements through the same pool
 //     (session slot = worker slot), so intra-query parallelism scales
 //     down automatically as concurrent statements scale up instead of
@@ -146,13 +172,41 @@
 //     conjuncts push below the join into the storage scans (where zone
 //     maps and dictionary kernels evaluate them), shrinking the build
 //     side before a hash table is ever allocated.
-//   - Join ordering: the smaller estimated post-pushdown input builds
-//     the hash table, so a selective dimension filter flips the build
-//     side away from the fact table.
+//   - Join ordering: the smaller estimated post-pushdown input builds,
+//     so a selective dimension filter flips the build side away from
+//     the fact table.
+//   - Star joins run without a hash table. When the probe side is a
+//     plain column-store table, the build side joins on its primary key
+//     (a probe key meets at most one build row), every group column
+//     lives on the build side, no conjunct is left for after the join
+//     and MIN/MAX read probe-side columns, the build side is scanned
+//     once and each row's key is resolved once into the probe column's
+//     dictionary (the sorted main dictionary by binary search, starting
+//     from a guess at the code after the last hit; the delta dictionary
+//     by hash). That fills two kinds of arrays indexed by key code: the
+//     dense id of the build row's group, and the build row's value for
+//     each aggregated build-side column. The probe is then the dense
+//     grouped-aggregation kernel over the probe table (see Execution
+//     model) with the pushed-down conjuncts on its bitmap kernels; a
+//     probe key without a build row, or NULL, drops the row. Every other
+//     shape builds a hash table of the build side's needed columns and
+//     probes it value by value — a probe-side group column, MIN/MAX of a
+//     build-side column, a build side joined on a non-key column (keys
+//     may repeat), a conjunct spanning both sides, pushdown disabled,
+//     a SELECT, or a probe side that is not a plain column-store table
+//     at its current version. The planner's build side and pushdown
+//     decisions are honoured either way: a plan forced to build the fact
+//     side runs the hash join.
+//   - Join keys: an INTEGER, BIGINT or DATE column joins any of the
+//     three by numeric value (the build key takes the probe column's
+//     type where it is read); any other pair of different types is
+//     rejected when the statement is bound, and by the engine.
 //   - ORDER BY + LIMIT fuses into a single-pass bounded-heap TopK that
 //     retains exactly the stable-sort-then-limit prefix (ties broken by
 //     arrival sequence), accumulating per-worker under the morsel
-//     scheduler and merging order-independently.
+//     scheduler and merging order-independently. A row's sort key is
+//     compared with the heap's worst entry straight from the scan
+//     batch; the output row is built only when the key is admitted.
 //   - Plans are parameter-independent: the executor consumes only the
 //     plan's structural decisions and re-derives predicates and columns
 //     from the bound statement, so one plan serves every binding of a
@@ -419,8 +473,14 @@
 // counters; the trace additionally accumulates statement-wide storage
 // counters (blocks_decoded, blocks_zone_skipped, blocks_zone_wholesale,
 // main_rows, delta_rows) and parallel-loop activity (morsels, runs,
-// per-worker busy time). An aggregate spanning both partitions of a
-// vertical split reports its PK join in the aggregate span's detail:
+// per-worker busy time). A join reports in the join span's detail which
+// probe ran — probe=dense for a star join on the dense kernel,
+// probe=generic for the hash table — with build_rows (build rows with a
+// key), probe_rows, and for the dense probe build_keys_resolved (build
+// keys found in the probe column's dictionary); hs_join_dense_total and
+// hs_join_generic_total count the statements either way. An aggregate
+// spanning both partitions of a vertical split reports its PK join in
+// the aggregate span's detail: kernel=dense or kernel=generic,
 // probe_rows, probe_misses and the blocks_zone_skipped of its
 // column-partition scan. A probe miss is a row whose key is absent from
 // the other partition — a partition inconsistency, skipped and counted in

@@ -114,6 +114,20 @@ func (a *Acc) AddWeighted(v value.Value, weight int64) {
 	}
 }
 
+// AddFor folds a single value the way function f needs it: only MIN and
+// MAX pay for tracking extrema, which no other function reads (Merge and
+// Final tolerate an accumulator that never saw them).
+func (a *Acc) AddFor(f Func, v value.Value) {
+	switch {
+	case v.IsNull():
+	case f == Min || f == Max:
+		a.AddWeighted(v, 1)
+	default:
+		a.sum += v.Float()
+		a.count++
+	}
+}
+
 // AddSummary folds a precomputed partial aggregate — the Float-sum, the
 // non-NULL row count and the min/max value of a batch of rows — into the
 // accumulator. Vectorized aggregators accumulate these per dictionary code
@@ -291,6 +305,12 @@ func (r *Result) Global() *Group { return r.Groups[0] }
 // GroupFor returns (creating if needed) the bucket for the given key. The
 // key slice is copied on first use so callers may reuse their buffer.
 func (r *Result) GroupFor(key []value.Value) *Group {
+	return r.Groups[r.GroupIndex(key)]
+}
+
+// GroupIndex is GroupFor returning the bucket's position in Groups, a
+// dense id in order of first use.
+func (r *Result) GroupIndex(key []value.Value) int {
 	h := value.HashRow(key)
 	newest, seen := r.index[h]
 	if !seen {
@@ -298,7 +318,7 @@ func (r *Result) GroupFor(key []value.Value) *Group {
 	}
 	for i := newest; i >= 0; i = r.chain[i] {
 		if equalKeys(r.Groups[i].Key, key) {
-			return r.Groups[i]
+			return i
 		}
 	}
 	kc := make([]value.Value, len(key))
@@ -307,7 +327,7 @@ func (r *Result) GroupFor(key []value.Value) *Group {
 	r.index[h] = len(r.Groups)
 	r.chain = append(r.chain, newest)
 	r.Groups = append(r.Groups, g)
-	return g
+	return len(r.Groups) - 1
 }
 
 func equalKeys(a, b []value.Value) bool {
@@ -338,7 +358,7 @@ func (r *Result) AddRow(row []value.Value) {
 		if s.Col < 0 {
 			g.Accs[i].AddCount(1)
 		} else {
-			g.Accs[i].Add(row[s.Col])
+			g.Accs[i].AddFor(s.Func, row[s.Col])
 		}
 	}
 }

@@ -29,42 +29,44 @@ func (t *Table) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate) 
 func (t *Table) AggregateExec(specs []agg.Spec, groupBy []int, pred expr.Predicate, ex *exec.Ctx) *agg.Result {
 	res := agg.NewResult(specs, groupBy)
 	res.SetOutputTypes(t.sch.ColTypes())
+	if len(groupBy) > 0 && t.AggregateDense(res, &DenseAgg{Specs: specs, GroupBy: groupBy}, pred, ex) {
+		return res
+	}
 	s := t.acquireScratch()
 	defer t.releaseScratch(s)
 	match := t.matchBitmapExec(pred, s, ex) // nil means all live rows
-	switch {
-	case len(groupBy) == 0:
+	if len(groupBy) == 0 {
 		t.aggregateGlobal(res, specs, match, ex)
-	case len(groupBy) == 1:
-		t.aggregateSingleGroup(res, specs, groupBy[0], match, ex)
-	case len(groupBy) == 2 && t.pairGroupFeasible(groupBy):
-		t.aggregatePairGroup(res, specs, groupBy, match, ex)
-	default:
+	} else {
 		t.aggregateGeneric(res, specs, groupBy, match, ex)
 	}
 	return res
 }
 
+// AggregateDense folds the aggregation q over live rows matching pred into
+// res through the dense kernel (see DenseAgg). It reports false, leaving
+// res alone, when the kernel cannot number the groups of q.GroupBy densely
+// — more than two columns, or two with too large a combined code space. A
+// stopped ex leaves res without the aggregation, to be discarded.
+func (t *Table) AggregateDense(res *agg.Result, q *DenseAgg, pred expr.Predicate, ex *exec.Ctx) bool {
+	da, ok := t.newDenseGroupAgg(q)
+	if !ok {
+		return false
+	}
+	s := t.acquireScratch()
+	defer t.releaseScratch(s)
+	da.run(res, t.matchBitmapExec(pred, s, ex), ex)
+	return true
+}
+
 // pairGroupDenseLimit bounds the dense bucket array used for two-column
-// group-bys (product of the two dictionaries' sizes).
+// group-bys (product of the two columns' code spaces).
 const pairGroupDenseLimit = 1 << 18
 
 // pairGroupFeasible reports whether the two group columns' combined code
-// space is small enough for the dense fast path.
+// space is small enough for the dense kernel.
 func (t *Table) pairGroupFeasible(groupBy []int) bool {
-	prod := 1
-	for _, g := range groupBy {
-		c := &t.cols[g]
-		d := c.mainDict.Len() + c.deltaDict.Len() + 1 // +1 for NULL
-		if d == 0 {
-			d = 1
-		}
-		if prod > pairGroupDenseLimit/d {
-			return false
-		}
-		prod *= d
-	}
-	return prod <= pairGroupDenseLimit
+	return t.CodeSpace(groupBy[0])*t.CodeSpace(groupBy[1]) <= pairGroupDenseLimit
 }
 
 // rowSource returns the bitset the aggregation iterates: the match bitmap,
@@ -150,55 +152,219 @@ func RangeBlocks(cells int) int {
 	return max(1, (reduceRowsPerCell*cells+blockRows-1)/blockRows)
 }
 
-// denseGroupAgg is the shared engine of the dense grouped fast paths:
-// per-(group, spec) scalar accumulators indexed by a caller-computed dense
-// group code. Per-row work over the main fragment is integer and float
-// scalar ops only — no value comparisons, no per-row decode. Delta rows
-// (unsorted dictionaries, few rows) fall back to value-based accumulators
-// merged at fold time. The accumulators themselves live in densePartials,
-// one per block range, drained into total in range order.
+// DenseAgg describes one grouped aggregation for the dense kernel:
+// per-(group, spec) scalar accumulators indexed by a dense group id and
+// fed block-at-a-time from unpacked code vectors, partials per block range
+// merged in block order. Per-row work over the main fragment is integer
+// and float scalar ops only — no value comparisons, no per-row decode.
+// The kernel has two extension points, which is how a star-join probe and
+// the spanning aggregate of a vertical split run on it: the caller may
+// number the groups itself from the codes of columns it names, and a spec
+// whose column does not live in the scanned table is fed as a
+// caller-filled float vector per batch.
+type DenseAgg struct {
+	// Specs are the aggregates over columns of the scanned table (Col -1:
+	// COUNT(*)). Ext, when non-nil, names per spec the external vector
+	// that feeds it instead (-1: the table column); extrema have no
+	// external form, so only SUM, AVG and COUNT can be fed that way.
+	Specs []agg.Spec
+	Ext   []int
+	// GroupBy are grouping columns of the scanned table, numbered by
+	// dictionary code (at most two, with a small combined code space). A
+	// caller that sets Key numbers the groups itself: Fill assigns every
+	// batch row a group below Groups (or drops it), and Key returns a
+	// group's key (it may reuse the slice).
+	GroupBy []int
+	Groups  int
+	Key     func(g uint32) []value.Value
+	// Fill, when set, sees every batch before it is accumulated, with the
+	// codes of the columns Cols decoded.
+	Cols []int
+	Fill func(b *DenseBatch)
+}
+
+// DenseBatch is one scan batch on its way into the dense kernel.
+type DenseBatch struct {
+	Rids  []int32    // row ids, ascending
+	Codes [][]uint32 // Codes[j][k]: code of column Cols[j] at row Rids[k] (see CodeSpace)
+	Group []uint32   // dense group of row k
+	Drop  uint32     // the group that takes a row out of the aggregation (DenseAgg.Groups when the caller numbers them)
+	Ext   []ExtVec   // the external vectors, one value per batch row
+}
+
+// ExtVec is one external vector. The kernel hands it to Fill without
+// NULLs; Fill marks a NULL at row k by setting Null[k].
+type ExtVec struct {
+	Vals []float64
+	Null []bool
+}
+
+// CodeSpace returns the size of column col's code space: main-dictionary
+// codes first (in value order), then delta-dictionary codes offset by the
+// main dictionary's size, then one code — the last — for NULL.
+func (t *Table) CodeSpace(col int) int {
+	c := &t.cols[col]
+	return c.mainDict.Len() + c.deltaDict.Len() + 1
+}
+
+// CodeValue returns the value behind a code of column col's code space.
+func (t *Table) CodeValue(col int, code uint32) value.Value {
+	c := &t.cols[col]
+	switch mainLen := uint32(c.mainDict.Len()); {
+	case code < mainLen:
+		return c.mainDict.Value(code)
+	case int(code-mainLen) < c.deltaDict.Len():
+		return c.deltaDict.Value(code - mainLen)
+	}
+	return value.Null(c.typ)
+}
+
+// LookupCodes returns the codes under which v, a non-NULL value of the
+// column's type, occurs in column col's code space: one from the main and
+// one from the delta dictionary, each -1 when v is not in it. hint is a
+// guess at the main code — callers resolving ascending values pass the
+// code after their last hit and skip the binary search when it is right.
+func (t *Table) LookupCodes(col int, v value.Value, hint int) (main, delta int) {
+	c := &t.cols[col]
+	main, delta = -1, -1
+	if hint >= 0 && hint < c.mainDict.Len() && value.Equal(c.mainDict.Value(uint32(hint)), v) {
+		main = hint
+	} else if code, ok := c.mainDict.Code(v); ok {
+		main = int(code)
+	}
+	if c.deltaDict.Len() > 0 { // the lookup builds a string key
+		if code, ok := c.deltaDict.Code(v); ok {
+			delta = c.mainDict.Len() + int(code)
+		}
+	}
+	return main, delta
+}
+
+// mainFloats decodes the main dictionary to floats, indexed by code.
+func (c *column) mainFloats() []float64 {
+	f := make([]float64, c.mainDict.Len())
+	for i, v := range c.mainDict.Values() {
+		f[i] = v.Float()
+	}
+	return f
+}
+
+// gatherCodes fills dst[k] with column c's code (see CodeSpace) at rids[k];
+// b0, nm and mainN describe the batch as in forBatches, block is a
+// blockRows decode buffer.
+func (t *Table) gatherCodes(c *column, rids []int32, b0, nm, mainN int, block, dst []uint32) {
+	mainLen := uint32(c.mainDict.Len())
+	null := mainLen + uint32(c.deltaDict.Len())
+	switch {
+	case nm == 0:
+	case nm == mainN && c.mainNulls == nil:
+		c.mainCodes.UnpackBlock(b0, dst[:mainN]) // every main row of the block participates
+	case c.mainNulls == nil:
+		c.mainCodes.UnpackBlock(b0, block[:mainN])
+		for k := 0; k < nm; k++ {
+			dst[k] = block[int(rids[k])-b0]
+		}
+	default:
+		c.mainCodes.UnpackBlock(b0, block[:mainN])
+		for k := 0; k < nm; k++ {
+			if rid := int(rids[k]); c.mainNulls[rid] {
+				dst[k] = null
+			} else {
+				dst[k] = block[rid-b0]
+			}
+		}
+	}
+	for k := nm; k < len(rids); k++ {
+		if d := int(rids[k]) - t.mainRows; c.deltaNulls != nil && c.deltaNulls[d] {
+			dst[k] = null
+		} else {
+			dst[k] = mainLen + c.deltaCodes[d]
+		}
+	}
+}
+
+// denseGroupAgg is one run of the dense kernel. Delta rows (unsorted
+// dictionaries, few rows) fall back to value-based accumulators merged at
+// fold time. The accumulators themselves live in densePartials, one per
+// block range, drained into total in range order.
 type denseGroupAgg struct {
-	t       *Table
-	specs   []agg.Spec
-	gTotal  int
-	fvals   [][]float64 // per spec: main dictionary pre-decoded to floats
-	extrema []bool      // per spec: MIN or MAX, the cell tracks code extrema
-	valCols []int       // distinct value columns
-	valBuf  []int       // per spec: index of its column in valCols (-1: COUNT(*))
-	total   densePartial
+	t        *Table
+	q        *DenseAgg
+	gTotal   int   // groups; the accumulators have one more slot, DenseBatch.Drop
+	codeCols []int // columns decoded per batch: the kernel's own grouping columns, then q.Cols
+	key      func(g uint32) []value.Value
+	fvals    [][]float64 // per spec: main dictionary pre-decoded to floats
+	extrema  []bool      // per spec: MIN or MAX, the cell tracks code extrema
+	ext      []int       // per spec: its external vector, -1 for none
+	valCols  []int       // distinct value columns
+	valBuf   []int       // per spec: index of its column in valCols (-1: COUNT(*) or external)
+	total    densePartial
 }
 
 // densePartial is one block range's accumulators. The arrays are
 // allocated on first use and given away when drained into an empty total,
 // so a reduction with a single range pays for one set.
 type densePartial struct {
-	accs      []codeAcc   // gTotal x len(specs)
+	accs      []codeAcc   // (gTotal+1) x len(specs)
 	counts    []int64     // participating rows per group (COUNT(*))
 	deltaAccs [][]agg.Acc // per group: value-based delta accumulators
 }
 
-// denseScratch is one worker's staging buffers for the dense grouped
-// paths: block decode buffers per value column and per group column, and
-// the dense group index per batch row.
+// denseScratch is one worker's staging buffers for the dense kernel: block
+// decode buffers per value column, the batch's codes per code column and
+// the batch itself.
 type denseScratch struct {
 	valCodes [][]uint32
-	gcodes   []uint32
-	gcode2   []uint32 // second group column (pair path), allocated there
+	codes    [][]uint32
+	block    []uint32
 	gidx     []uint32
+	batch    DenseBatch
 }
 
-func (t *Table) newDenseGroupAgg(specs []agg.Spec, gTotal int) *denseGroupAgg {
-	da := &denseGroupAgg{
-		t:       t,
-		specs:   specs,
-		gTotal:  gTotal,
+// newDenseGroupAgg prepares a run of q; ok is false when the kernel cannot
+// number the groups of q.GroupBy densely.
+func (t *Table) newDenseGroupAgg(q *DenseAgg) (da *denseGroupAgg, ok bool) {
+	specs := q.Specs
+	da = &denseGroupAgg{
+		t: t, q: q, gTotal: q.Groups, codeCols: q.Cols, key: q.Key,
 		fvals:   make([][]float64, len(specs)),
 		extrema: make([]bool, len(specs)),
+		ext:     make([]int, len(specs)),
 		valBuf:  make([]int, len(specs)),
+	}
+	if q.Key == nil {
+		da.codeCols = append(append([]int{}, q.GroupBy...), q.Cols...)
+		key := make([]value.Value, len(q.GroupBy))
+		switch len(q.GroupBy) {
+		case 0:
+			da.gTotal = 1
+		case 1:
+			da.gTotal = t.CodeSpace(q.GroupBy[0])
+		case 2:
+			if !t.pairGroupFeasible(q.GroupBy) {
+				return nil, false
+			}
+			da.gTotal = t.CodeSpace(q.GroupBy[0]) * t.CodeSpace(q.GroupBy[1])
+		default:
+			return nil, false
+		}
+		da.key = func(g uint32) []value.Value {
+			// The last column's code varies fastest (see index).
+			for i := len(key) - 1; i >= 0; i-- {
+				d := uint32(t.CodeSpace(q.GroupBy[i]))
+				key[i] = t.CodeValue(q.GroupBy[i], g%d)
+				g /= d
+			}
+			return key
+		}
 	}
 	bufOf := make(map[int]int)
 	for si, s := range specs {
-		da.valBuf[si] = -1
+		da.valBuf[si], da.ext[si] = -1, -1
+		if q.Ext != nil && q.Ext[si] >= 0 {
+			da.ext[si] = q.Ext[si]
+			continue
+		}
 		if s.Col < 0 {
 			continue
 		}
@@ -208,54 +374,105 @@ func (t *Table) newDenseGroupAgg(specs []agg.Spec, gTotal int) *denseGroupAgg {
 		}
 		da.valBuf[si] = bufOf[s.Col]
 		da.extrema[si] = s.Func == agg.Min || s.Func == agg.Max
-		mv := t.cols[s.Col].mainDict.Values()
-		f := make([]float64, len(mv))
-		for i, v := range mv {
-			f[i] = v.Float()
-		}
-		da.fvals[si] = f
+		da.fvals[si] = t.cols[s.Col].mainFloats()
 	}
-	return da
+	return da, true
 }
-
-// rangeBlocks is the block-range size of this aggregation's reduction.
-func (da *denseGroupAgg) rangeBlocks() int {
-	return RangeBlocks(da.gTotal * max(1, len(da.specs)))
-}
-
-func (da *denseGroupAgg) newPartial() *densePartial { return &densePartial{} }
 
 // scratch returns worker w's staging buffers, allocating them on first use.
 func (da *denseGroupAgg) scratch(states []*denseScratch, w int) *denseScratch {
 	sc := states[w]
 	if sc == nil {
+		nExt := 0
+		for _, e := range da.ext {
+			nExt = max(nExt, e+1)
+		}
 		sc = &denseScratch{
 			valCodes: make([][]uint32, len(da.valCols)),
-			gcodes:   make([]uint32, blockRows),
+			codes:    make([][]uint32, len(da.codeCols)),
+			block:    make([]uint32, blockRows),
 			gidx:     make([]uint32, blockRows),
+			batch: DenseBatch{Drop: uint32(da.gTotal),
+				Codes: make([][]uint32, len(da.q.Cols)), Ext: make([]ExtVec, nExt)},
 		}
 		for i := range sc.valCodes {
 			sc.valCodes[i] = make([]uint32, blockRows)
+		}
+		for i := range sc.codes {
+			sc.codes[i] = make([]uint32, blockRows)
+		}
+		for e := range sc.batch.Ext {
+			sc.batch.Ext[e] = ExtVec{Vals: make([]float64, blockRows), Null: make([]bool, blockRows)}
 		}
 		states[w] = sc
 	}
 	return sc
 }
 
-// addBatch folds one scan batch into p: rids[k] participates in group
-// sc.gidx[k]. nm is the count of main-resident rows, mainN the block's
-// main span.
+// run accumulates the rows of match (nil = all live) and folds the groups
+// into res; a stopped run leaves res untouched.
+func (da *denseGroupAgg) run(res *agg.Result, match bitset.Bits, ex *exec.Ctx) {
+	t := da.t
+	states := make([]*denseScratch, ex.Workers(t.NumBlocks()))
+	per := RangeBlocks(da.gTotal * max(1, len(da.q.Specs)))
+	reduceBatches(t, match, ex, per, func() *densePartial { return &densePartial{} }, func(w int, p *densePartial, rids []int32, b0, nm, mainN int) bool {
+		sc := da.scratch(states, w)
+		da.index(sc, rids, b0, nm, mainN)
+		da.addBatch(p, sc, rids, b0, nm, mainN)
+		return true
+	}, da.merge)
+	if !ex.Stopped() {
+		da.fold(res)
+	}
+}
+
+// index stages one batch in sc.batch: the code columns decoded, every row
+// numbered with its dense group and the external vectors filled.
+func (da *denseGroupAgg) index(sc *denseScratch, rids []int32, b0, nm, mainN int) {
+	t, n := da.t, len(rids)
+	for j, col := range da.codeCols {
+		t.gatherCodes(&t.cols[col], rids, b0, nm, mainN, sc.block, sc.codes[j])
+	}
+	b := &sc.batch
+	b.Rids, b.Group = rids, sc.gidx[:n]
+	own := len(da.codeCols) - len(b.Codes) // the kernel's own grouping columns
+	for j := range b.Codes {
+		b.Codes[j] = sc.codes[own+j][:n]
+	}
+	switch {
+	case own == 1:
+		b.Group = sc.codes[0][:n]
+	case own == 2:
+		d1 := uint32(t.CodeSpace(da.codeCols[1]))
+		for k := range b.Group {
+			b.Group[k] = sc.codes[0][k]*d1 + sc.codes[1][k]
+		}
+	case da.q.Key == nil:
+		clear(b.Group) // the one global group; Fill may have dropped rows of the last batch
+	}
+	if da.q.Fill == nil {
+		return
+	}
+	for e := range b.Ext {
+		clear(b.Ext[e].Null[:n])
+	}
+	da.q.Fill(b)
+}
+
+// addBatch folds the batch staged in sc into p. nm is the count of
+// main-resident rows, mainN the block's main span.
 func (da *denseGroupAgg) addBatch(p *densePartial, sc *denseScratch, rids []int32, b0, nm, mainN int) {
 	t := da.t
-	nspec := len(da.specs)
-	gidx := sc.gidx
+	specs := da.q.Specs
+	nspec := len(specs)
+	gidx := sc.batch.Group
 	if p.counts == nil {
-		p.accs = newCodeAccs(da.gTotal * nspec)
-		p.counts = make([]int64, da.gTotal)
+		p.accs = newCodeAccs((da.gTotal + 1) * nspec)
+		p.counts = make([]int64, da.gTotal+1)
 	}
 	accs, counts := p.accs, p.counts
-	for k := range rids {
-		counts[gidx[k]]++
+	for _, g := range gidx {
+		counts[g]++
 	}
 	// Bulk-decode each distinct value column once per block, then
 	// accumulate per spec (repeated columns — SUM(x) + AVG(x) — share
@@ -265,8 +482,17 @@ func (da *denseGroupAgg) addBatch(p *densePartial, sc *denseScratch, rids []int3
 			t.cols[col].mainCodes.UnpackBlock(b0, sc.valCodes[i][:mainN])
 		}
 	}
-	for si := range da.specs {
-		s := &da.specs[si]
+	for si := range specs {
+		if e := da.ext[si]; e >= 0 {
+			v := &sc.batch.Ext[e]
+			for k, g := range gidx {
+				if !v.Null[k] {
+					accs[int(g)*nspec+si].addSum(v.Vals[k])
+				}
+			}
+			continue
+		}
+		s := &specs[si]
 		if s.Col < 0 || nm == 0 {
 			continue
 		}
@@ -300,7 +526,7 @@ func (da *denseGroupAgg) addBatch(p *densePartial, sc *denseScratch, rids []int3
 	}
 	// Delta rows: value-based accumulation (unsorted dictionary).
 	if nm < len(rids) && p.deltaAccs == nil {
-		p.deltaAccs = make([][]agg.Acc, da.gTotal)
+		p.deltaAccs = make([][]agg.Acc, da.gTotal+1)
 	}
 	for k := nm; k < len(rids); k++ {
 		d := int(rids[k]) - t.mainRows
@@ -309,16 +535,16 @@ func (da *denseGroupAgg) addBatch(p *densePartial, sc *denseScratch, rids []int3
 			b = make([]agg.Acc, nspec)
 			p.deltaAccs[gidx[k]] = b
 		}
-		for si := range da.specs {
-			s := &da.specs[si]
-			if s.Col < 0 {
+		for si := range specs {
+			s := &specs[si]
+			if s.Col < 0 || da.ext[si] >= 0 {
 				continue
 			}
 			c := &t.cols[s.Col]
 			if c.deltaNulls != nil && c.deltaNulls[d] {
 				continue
 			}
-			b[si].Add(c.deltaDict.Value(c.deltaCodes[d]))
+			b[si].AddFor(s.Func, c.deltaDict.Value(c.deltaCodes[d]))
 		}
 	}
 }
@@ -364,20 +590,28 @@ func (da *denseGroupAgg) merge(p *densePartial) {
 	}
 }
 
-// fold materializes every non-empty group of the total into res. groupKey
-// may reuse its returned slice (GroupFor copies).
-func (da *denseGroupAgg) fold(res *agg.Result, groupKey func(g uint32) []value.Value) {
+// fold materializes every non-empty group of the total into res; what was
+// dropped stays behind in the slot past the last group.
+func (da *denseGroupAgg) fold(res *agg.Result) {
 	t := da.t
 	tot := &da.total
-	nspec := len(da.specs)
-	for g := range tot.counts {
+	nspec := len(da.q.Specs)
+	if tot.counts == nil {
+		return
+	}
+	for g := 0; g < da.gTotal; g++ {
 		if tot.counts[g] == 0 {
 			continue
 		}
-		grp := res.GroupFor(groupKey(uint32(g)))
-		for si := range da.specs {
-			s := &da.specs[si]
-			if s.Col < 0 {
+		var grp *agg.Group
+		if len(res.GroupCols) == 0 {
+			grp = res.Global()
+		} else {
+			grp = res.GroupFor(da.key(uint32(g)))
+		}
+		for si := range da.q.Specs {
+			s := &da.q.Specs[si]
+			if s.Col < 0 && da.ext[si] < 0 {
 				grp.Accs[si].AddCount(tot.counts[g])
 				continue
 			}
@@ -398,8 +632,7 @@ func (da *denseGroupAgg) fold(res *agg.Result, groupKey func(g uint32) []value.V
 // blockRows batches, handing each batch's ascending rids plus its
 // main/delta split to fn: nm rids are main-resident, and the block's main
 // span holds mainN rows starting at b0. fn returning false stops the
-// iteration. It is the single block-iteration skeleton under scanBatches,
-// JoinProbe and the grouped aggregates.
+// iteration. It is the block-iteration skeleton of the serial scanBatches.
 func (t *Table) forBatches(match bitset.Bits, fn func(rids []int32, b0, nm, mainN int) bool) {
 	src := t.rowSource(match)
 	total := t.totalRows()
@@ -447,137 +680,6 @@ func (t *Table) aggregateGlobalDelta(acc *agg.Acc, c *column, match bitset.Bits,
 			acc.AddWeighted(c.deltaDict.Value(uint32(code)), cnt)
 		}
 	}
-}
-
-// aggregateSingleGroup groups by one column. The group column's combined
-// codes (main, then delta offset by the main dictionary's size, then a
-// NULL slot) index the dense accumulator engine directly.
-func (t *Table) aggregateSingleGroup(res *agg.Result, specs []agg.Spec, gcol int, match bitset.Bits, ex *exec.Ctx) {
-	gc := &t.cols[gcol]
-	gMain := gc.mainDict.Len()
-	gTotal := gMain + gc.deltaDict.Len() + 1 // +1: NULL group slot
-	gNull := uint32(gTotal - 1)
-
-	da := t.newDenseGroupAgg(specs, gTotal)
-	states := make([]*denseScratch, ex.Workers(t.NumBlocks()))
-	reduceBatches(t, match, ex, da.rangeBlocks(), da.newPartial, func(w int, p *densePartial, rids []int32, b0, nm, mainN int) bool {
-		sc := da.scratch(states, w)
-		gcodes, gidx := sc.gcodes, sc.gidx
-		if mainN > 0 {
-			gc.mainCodes.UnpackBlock(b0, gcodes[:mainN])
-		}
-		if gc.mainNulls == nil {
-			for k := 0; k < nm; k++ {
-				gidx[k] = gcodes[int(rids[k])-b0]
-			}
-		} else {
-			for k := 0; k < nm; k++ {
-				rid := int(rids[k])
-				if gc.mainNulls[rid] {
-					gidx[k] = gNull
-				} else {
-					gidx[k] = gcodes[rid-b0]
-				}
-			}
-		}
-		for k := nm; k < len(rids); k++ {
-			d := int(rids[k]) - t.mainRows
-			if gc.deltaNulls != nil && gc.deltaNulls[d] {
-				gidx[k] = gNull
-			} else {
-				gidx[k] = uint32(gMain) + gc.deltaCodes[d]
-			}
-		}
-		da.addBatch(p, sc, rids, b0, nm, mainN)
-		return true
-	}, da.merge)
-	if ex.Stopped() {
-		return
-	}
-
-	key := make([]value.Value, 1)
-	da.fold(res, func(g uint32) []value.Value {
-		switch {
-		case g == gNull:
-			key[0] = value.Null(gc.typ)
-		case int(g) < gMain:
-			key[0] = gc.mainDict.Value(g)
-		default:
-			key[0] = gc.deltaDict.Value(g - uint32(gMain))
-		}
-		return key
-	})
-}
-
-// aggregatePairGroup groups by two low-cardinality columns using the dense
-// accumulator engine indexed by the combined codes — the typical shape of
-// analytical queries like TPC-H Q1 (GROUP BY l_returnflag, l_linestatus).
-// Both group columns' codes are bulk-decoded per block.
-func (t *Table) aggregatePairGroup(res *agg.Result, specs []agg.Spec, groupBy []int, match bitset.Bits, ex *exec.Ctx) {
-	g0, g1 := &t.cols[groupBy[0]], &t.cols[groupBy[1]]
-	// Combined code: local code offset by fragment (delta codes follow
-	// main codes; the extra slot at the end is the NULL key).
-	d0 := g0.mainDict.Len() + g0.deltaDict.Len() + 1
-	d1 := g1.mainDict.Len() + g1.deltaDict.Len() + 1
-	null0, null1 := uint32(d0-1), uint32(d1-1)
-	mainLen0, mainLen1 := uint32(g0.mainDict.Len()), uint32(g1.mainDict.Len())
-
-	da := t.newDenseGroupAgg(specs, d0*d1)
-	states := make([]*denseScratch, ex.Workers(t.NumBlocks()))
-	reduceBatches(t, match, ex, da.rangeBlocks(), da.newPartial, func(w int, p *densePartial, rids []int32, b0, nm, mainN int) bool {
-		sc := da.scratch(states, w)
-		if sc.gcode2 == nil {
-			sc.gcode2 = make([]uint32, blockRows)
-		}
-		codes0, codes1, gidx := sc.gcodes, sc.gcode2, sc.gidx
-		if mainN > 0 {
-			g0.mainCodes.UnpackBlock(b0, codes0[:mainN])
-			g1.mainCodes.UnpackBlock(b0, codes1[:mainN])
-		}
-		for k := 0; k < nm; k++ {
-			rid := int(rids[k])
-			k0, k1 := codes0[rid-b0], codes1[rid-b0]
-			if g0.mainNulls != nil && g0.mainNulls[rid] {
-				k0 = null0
-			}
-			if g1.mainNulls != nil && g1.mainNulls[rid] {
-				k1 = null1
-			}
-			gidx[k] = k0*uint32(d1) + k1
-		}
-		for k := nm; k < len(rids); k++ {
-			d := int(rids[k]) - t.mainRows
-			k0, k1 := null0, null1
-			if g0.deltaNulls == nil || !g0.deltaNulls[d] {
-				k0 = mainLen0 + g0.deltaCodes[d]
-			}
-			if g1.deltaNulls == nil || !g1.deltaNulls[d] {
-				k1 = mainLen1 + g1.deltaCodes[d]
-			}
-			gidx[k] = k0*uint32(d1) + k1
-		}
-		da.addBatch(p, sc, rids, b0, nm, mainN)
-		return true
-	}, da.merge)
-	if ex.Stopped() {
-		return
-	}
-
-	valueOf := func(c *column, code, null uint32) value.Value {
-		if code == null {
-			return value.Null(c.typ)
-		}
-		if int(code) < c.mainDict.Len() {
-			return c.mainDict.Value(code)
-		}
-		return c.deltaDict.Value(code - uint32(c.mainDict.Len()))
-	}
-	key := make([]value.Value, 2)
-	da.fold(res, func(g uint32) []value.Value {
-		key[0] = valueOf(g0, g/uint32(d1), null0)
-		key[1] = valueOf(g1, g%uint32(d1), null1)
-		return key
-	})
 }
 
 // aggregateGeneric handles multi-column group-bys by materializing the key
@@ -631,7 +733,7 @@ func (t *Table) aggregateGeneric(res *agg.Result, specs []agg.Spec, groupBy []in
 					if pos < 0 {
 						g.Accs[si].AddCount(1)
 					} else {
-						g.Accs[si].Add(colVals[pos][k])
+						g.Accs[si].AddFor(specs[si].Func, colVals[pos][k])
 					}
 				}
 			}

@@ -89,9 +89,11 @@ func (t *Table) matchBitmapExec(pred expr.Predicate, s *scanScratch, ex *exec.Ct
 	return match
 }
 
-// fallbackBitmapExec is fallbackBitmap with one block per morsel: each
-// worker materializes rows into private scratch and sets bits in its
-// block's (word-disjoint) region of the shared bitmap.
+// fallbackBitmapExec evaluates an arbitrary predicate by materializing the
+// referenced columns, one block per morsel: each worker bulk-decodes the
+// needed columns' main-fragment codes once per block into private scratch,
+// runs the predicate per live row over the assembled scratch row and sets
+// bits in its block's (word-disjoint) region of the shared bitmap.
 func (t *Table) fallbackBitmapExec(pred expr.Predicate, s *scanScratch, ex *exec.Ctx) bitset.Bits {
 	cols := expr.ColumnSet(pred)
 	match := s.bits(t.totalRows())
@@ -352,12 +354,7 @@ func (t *Table) aggregateGlobal(res *agg.Result, specs []agg.Spec, match bitset.
 			counting[si] = true
 			continue
 		}
-		mv := c.mainDict.Values()
-		f := make([]float64, len(mv))
-		for i, v := range mv {
-			f[i] = v.Float()
-		}
-		fvals[si] = f
+		fvals[si] = c.mainFloats()
 	}
 
 	type gState struct {

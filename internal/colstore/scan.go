@@ -139,7 +139,7 @@ func (t *Table) matchBitmapTraced(pred expr.Predicate, s *scanScratch, tr *trace
 		}
 		return match
 	}
-	return t.fallbackBitmap(pred, s)
+	return t.fallbackBitmapExec(pred, s, nil)
 }
 
 // matcherSelectivity estimates the fraction of main-fragment rows a
@@ -399,66 +399,6 @@ func (t *Table) fillMatcherDelta(m *colMatcher, match bitset.Bits, first bool) {
 			match.Clear(rid)
 		}
 	}
-}
-
-// fallbackBitmap evaluates an arbitrary predicate by materializing the
-// referenced columns. Each needed column's main-fragment codes are
-// bulk-decoded once per block, then the predicate runs per live row over
-// the assembled scratch row.
-func (t *Table) fallbackBitmap(pred expr.Predicate, s *scanScratch) bitset.Bits {
-	cols := expr.ColumnSet(pred)
-	match := s.bits(t.totalRows())
-	match.Zero()
-	scratch := make([]value.Value, len(t.cols))
-	blockCodes := make([][]uint32, len(cols))
-	for j := range blockCodes {
-		blockCodes[j] = make([]uint32, blockRows)
-	}
-	total := t.totalRows()
-	mainRows := t.mainRows
-	live := t.liveSet
-	for b0 := 0; b0 < total; b0 += blockRows {
-		n := min(blockRows, total-b0)
-		if !live.AnyRange(b0, b0+n) {
-			continue
-		}
-		mainN := 0
-		if b0 < mainRows {
-			mainN = min(n, mainRows-b0)
-		}
-		for j, cidx := range cols {
-			if mainN > 0 {
-				t.cols[cidx].mainCodes.UnpackBlock(b0, blockCodes[j][:mainN])
-			}
-		}
-		for i := 0; i < n; i++ {
-			rid := b0 + i
-			if !live.Get(rid) {
-				continue
-			}
-			for j, cidx := range cols {
-				c := &t.cols[cidx]
-				if i < mainN {
-					if c.mainNulls != nil && c.mainNulls[rid] {
-						scratch[cidx] = value.Null(c.typ)
-					} else {
-						scratch[cidx] = c.mainDict.Value(blockCodes[j][i])
-					}
-				} else {
-					d := rid - mainRows
-					if c.deltaNulls != nil && c.deltaNulls[d] {
-						scratch[cidx] = value.Null(c.typ)
-					} else {
-						scratch[cidx] = c.deltaDict.Value(c.deltaCodes[d])
-					}
-				}
-			}
-			if pred.Matches(scratch) {
-				match.Set(rid)
-			}
-		}
-	}
-	return match
 }
 
 // allColumns returns [0, len(t.cols)).

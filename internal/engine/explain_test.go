@@ -185,9 +185,55 @@ func TestExplainAnalyzeSpanningAggregate(t *testing.T) {
 	if rowsOut != 7 {
 		t.Errorf("aggregate rows_out = %d, want 7 groups", rowsOut)
 	}
-	for _, want := range []string{"probe_rows=1000", "probe_misses=0", "blocks_zone_skipped=4"} {
+	for _, want := range []string{"kernel=dense", "probe_rows=1000", "probe_misses=0", "blocks_zone_skipped=4"} {
 		if !strings.Contains(detail, want) {
 			t.Errorf("aggregate detail %q missing %q", detail, want)
+		}
+	}
+}
+
+// TestExplainAnalyzeJoinProbe asserts that the join stage says which probe
+// ran and what went through it, and that the hs_join_*_total counters
+// follow: a star join (column-store fact side, dimension joined on its
+// key, grouped on the dimension) runs on the dense kernel; grouped on the
+// fact side it goes through the hash table.
+func TestExplainAnalyzeJoinProbe(t *testing.T) {
+	db := newJoinDB(t, catalog.ColumnStore, catalog.RowStore, 500)
+	// A fifth dimension row, whose key no fact row carries.
+	if _, err := db.Exec(&query.Query{Kind: query.Insert, Table: "dim",
+		Rows: [][]value.Value{{value.NewInt(9), value.NewVarchar("region-9")}}}); err != nil {
+		t.Fatal(err)
+	}
+	pred := &expr.Comparison{Col: 3, Op: expr.Lt, Val: value.NewInt(5)} // half the fact rows
+	for _, c := range []struct {
+		groupBy int
+		want    []string
+		counter interface{ Value() int64 }
+	}{
+		{6, []string{"probe=dense", "build_keys_resolved=4", "build_rows=5", "probe_rows=250"}, mJoinDense},
+		{4, []string{"probe=generic", "build_rows=5", "probe_rows=250"}, mJoinGeneric},
+	} {
+		before := c.counter.Value()
+		ex, err := db.ExplainAnalyzeContext(context.Background(), &query.Query{
+			Kind: query.Aggregate, Table: "sales", Pred: pred,
+			Join:    &query.Join{Table: "dim", LeftCol: 1, RightCol: 0},
+			Aggs:    []agg.Spec{{Func: agg.Sum, Col: 2}},
+			GroupBy: []int{c.groupBy},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, detail, ok := explainStage(t, ex, "join")
+		if !ok {
+			t.Fatalf("no join stage in %v", ex.Rows)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(detail, want) {
+				t.Errorf("join detail %q missing %q", detail, want)
+			}
+		}
+		if n := c.counter.Value() - before; n != 1 {
+			t.Errorf("join counter moved by %d, want 1 (detail %q)", n, detail)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"hybridstore/internal/agg"
 	"hybridstore/internal/colstore"
@@ -50,10 +51,6 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 	// Columns each side must materialize.
 	needL, needR := plan.JoinNeededCols(q, nL, nR)
 
-	// Planner decision: the smaller estimated (post-pushdown) input
-	// builds the hash table.
-	buildLeft := p.BuildLeft
-
 	// Snapshot views: a side whose version overlay contributes rows at
 	// the statement's snapshot scans through the merged serial path; a
 	// nil view keeps that side's vectorized fast paths.
@@ -61,9 +58,17 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 		pred: leftPred, need: needL, joinCol: q.Join.LeftCol, width: nL, offset: 0}
 	rs := joinSide{rt: right, view: db.tableView(right, snap.ts, snap.tx),
 		pred: rightPred, need: needR, joinCol: q.Join.RightCol, width: nR, offset: nL}
+	// Planner decision: the smaller estimated (post-pushdown) input builds.
 	build, probe := rs, ls
-	if buildLeft {
+	if p.BuildLeft {
 		build, probe = ls, rs
+	}
+
+	// Join keys of two whole-number types compare by numeric value: the
+	// build key is brought to the probe column's type where it is read.
+	build.keyType = probe.rt.entry.Schema.Columns[probe.joinCol].Type
+	if bt := build.rt.entry.Schema.Columns[build.joinCol].Type; !value.JoinComparable(bt, build.keyType) {
+		return nil, fmt.Errorf("engine: cannot join columns of types %s and %s", bt, build.keyType)
 	}
 
 	tr := trace.FromContext(ctx)
@@ -72,142 +77,52 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 		bsp = tr.Start(nodeSpanName(sh.join.Build))
 	}
 
-	// Build phase: materialize the needed columns of matching build rows.
-	// A column-store build side feeds the hash table through the
-	// vectorized batch scan — columns arrive column-at-a-time without the
-	// full-width scratch copy per row.
-	hash := make(map[uint64][]*buildRow)
-	buildNeed := append(append([]int{}, build.need...), build.joinCol)
-	if bs, ok := build.rt.store.(execBatchScanner); ok && build.view == nil && ex.Parallel(bs.NumBlocks()) {
-		// Parallel build: blocks materialize their rows concurrently;
-		// the hash inserts run serially afterwards in block order, so
-		// bucket chains match the serial build exactly.
-		keyIdx := len(buildNeed) - 1 // joinCol is last in buildNeed
-		perBlock := make([][]*buildRow, bs.NumBlocks())
-		bs.ScanBatchesExec(build.pred, buildNeed, ex, func(w, block int, rids []int32, colVals [][]value.Value) bool {
-			rows := make([]*buildRow, 0, len(rids))
-			for k := range rids {
-				key := colVals[keyIdx][k]
-				if key.IsNull() {
-					continue
-				}
-				vals := make([]value.Value, build.width)
-				for j, c := range buildNeed {
-					vals[c] = colVals[j][k]
-				}
-				rows = append(rows, &buildRow{key: key, vals: vals})
-			}
-			perBlock[block] = rows
-			return true
-		})
-		for _, rows := range perBlock {
-			for _, br := range rows {
-				h := br.key.Hash()
-				hash[h] = append(hash[h], br)
-			}
-		}
-	} else if bs, ok := build.rt.store.(batchScanner); ok && build.view == nil {
-		keyIdx := len(buildNeed) - 1 // joinCol is last in buildNeed
-		bs.ScanBatches(build.pred, buildNeed, func(rids []int32, colVals [][]value.Value) bool {
-			if stop != nil && stop() {
-				return false
-			}
-			for k := range rids {
-				key := colVals[keyIdx][k]
-				if key.IsNull() {
-					continue
-				}
-				vals := make([]value.Value, build.width)
-				for j, c := range buildNeed {
-					vals[c] = colVals[j][k]
-				}
-				h := key.Hash()
-				hash[h] = append(hash[h], &buildRow{key: key, vals: vals})
-			}
-			return true
-		})
-	} else {
-		buildVisited := 0
-		mergedScan(build.rt, build.view, build.pred, buildNeed, func(row []value.Value) bool {
-			if stop != nil {
-				buildVisited++
-				if buildVisited%scanCancelBatch == 0 && stop() {
-					return false
-				}
-			}
-			k := row[build.joinCol]
-			if k.IsNull() {
-				return true
-			}
-			vals := make([]value.Value, build.width)
-			for _, c := range buildNeed {
-				vals[c] = row[c]
-			}
-			h := k.Hash()
-			hash[h] = append(hash[h], &buildRow{key: k, vals: vals})
-			return true
-		})
+	var aggRes *agg.Result
+	res := &Result{}
+	if q.Kind == query.Aggregate {
+		aggRes = agg.NewResult(q.Aggs, q.GroupBy)
+		// Combined-row indexing: left column types first, then right.
+		aggRes.SetOutputTypes(append(left.entry.Schema.ColTypes(), right.entry.Schema.ColTypes()...))
 	}
 
-	if bsp != nil {
-		var nb int64
-		for _, rows := range hash {
-			nb += int64(len(rows))
-		}
-		bsp.AddRowsOut(nb)
-		bsp.End()
+	// Build phase. The star-join shape resolves the build side into the
+	// probe column's dictionary and needs no hash table; everything else
+	// materializes the needed columns of matching build rows.
+	buildNeed := append(append([]int{}, build.need...), build.joinCol)
+	var star *starJoin
+	var hash map[uint64][]*buildRow
+	var buildRows int64
+	if cs, ok := probe.rt.store.(*colStorage); ok && q.Kind == query.Aggregate && postPred == nil && starJoinShape(q, &probe, &build) {
+		star = newStarJoin(cs.t, q, &probe, &build, buildNeed, stop)
+		buildRows = star.buildRows
+	} else {
+		hash, buildRows = buildJoinHash(&build, buildNeed, stop)
 	}
+	bsp.AddRowsOut(buildRows)
+	bsp.End()
 	var psp *trace.Span
 	if tr != nil {
 		psp = tr.Start(nodeSpanName(sh.join.Probe))
 	}
 
 	// Probe phase.
-	combined := make([]value.Value, nL+nR)
-	var res *Result
-	var aggRes *agg.Result
-	if q.Kind == query.Aggregate {
-		aggRes = agg.NewResult(q.Aggs, q.GroupBy)
-		// Combined-row indexing: left column types first, then right.
-		aggRes.SetOutputTypes(append(left.entry.Schema.ColTypes(), right.entry.Schema.ColTypes()...))
-	} else {
-		res = &Result{}
-	}
 	outCols := q.Cols
 	if q.Kind == query.Select && outCols == nil {
 		outCols = allCols(nL + nR)
 	}
-
-	// Columnar probe fast path: when the probe side is an unpartitioned
-	// column-store table and the aggregate's grouping lives entirely on
-	// the build side (the star-query shape), the join is probed by
-	// dictionary code — the build side is resolved once per distinct key
-	// and group buckets once per build row, so the per-row work is a code
-	// extraction plus accumulator updates. This is the dictionary-join
-	// advantage real columnar engines have over value-at-a-time probing.
-	ordered := len(q.OrderBy) > 0
-	var keys [][]value.Value
-	var acc *topKAcc
-	var seq int64
-	if sh.topk != nil {
-		acc = newTopK(q.Limit, q.OrderBy)
-	}
-	if cs, ok := probe.rt.store.(*colStorage); ok && probe.view == nil && q.Kind == query.Aggregate {
-		if postPred == nil && groupsOnSide(q.GroupBy, build.offset, build.width) {
-			probeJoinColumnar(cs.t, q, &probe, &build, hash, aggRes, ex)
-		} else {
-			probeJoinBatched(cs.t, q, &probe, &build, buildNeed, hash, aggRes, postPred, nL+nR, ex)
-		}
+	var probeRows int64
+	sink := newRowSink(q, outCols, sh.topk != nil)
+	if star != nil {
+		probeRows = star.probe(aggRes, probe.pred, ex)
+	} else if cs, ok := probe.rt.store.(*colStorage); ok && probe.view == nil && q.Kind == query.Aggregate {
+		probeRows = probeJoinBatched(cs.t, q, &probe, &build, buildNeed, hash, aggRes, postPred, nL+nR, ex)
 	} else {
-		limitHit := false
-		probeVisited := 0
+		combined := make([]value.Value, nL+nR)
 		probeNeed := append(append([]int{}, probe.need...), probe.joinCol)
 		mergedScan(probe.rt, probe.view, probe.pred, probeNeed, func(row []value.Value) bool {
-			if stop != nil {
-				probeVisited++
-				if probeVisited%scanCancelBatch == 0 && stop() {
-					return false
-				}
+			probeRows++
+			if stop != nil && probeRows%scanCancelBatch == 0 && stop() {
+				return false
 			}
 			k := row[probe.joinCol]
 			if k.IsNull() {
@@ -233,55 +148,34 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 				}
 				if q.Kind == query.Aggregate {
 					aggRes.AddRow(combined)
-				} else {
-					out := make([]value.Value, len(outCols))
-					for i, c := range outCols {
-						out[i] = combined[c]
-					}
-					if acc != nil {
-						// Planned single-pass top-K over the probe
-						// output: arrival order is the serial probe
-						// emission order, matching stable sort+limit.
-						key := make([]value.Value, len(q.OrderBy))
-						for i, o := range q.OrderBy {
-							key[i] = combined[o.Col]
-						}
-						acc.Add(out, key, seq)
-						seq++
-						continue
-					}
-					res.Rows = append(res.Rows, out)
-					if ordered {
-						key := make([]value.Value, len(q.OrderBy))
-						for i, o := range q.OrderBy {
-							key[i] = combined[o.Col]
-						}
-						keys = append(keys, key)
-						continue
-					}
-					if q.Limit > 0 && len(res.Rows) >= q.Limit {
-						limitHit = true
-						return false
-					}
+				} else if !sink.add(combined) {
+					return false
 				}
 			}
-			return !limitHit
+			return true
 		})
 	}
+	sp := tr.Span("join")
+	if star != nil {
+		mJoinDense.Inc()
+		sp.Tag("probe", "dense")
+		sp.Add("build_keys_resolved", star.resolved)
+	} else {
+		mJoinGeneric.Inc()
+		sp.Tag("probe", "generic")
+	}
+	sp.Add("build_rows", buildRows)
+	sp.Add("probe_rows", probeRows)
 
 	if err := ctx.Err(); err != nil {
 		psp.End()
 		return nil, err
 	}
-	if acc != nil {
-		res.Rows = acc.Finish()
+	if q.Kind == query.Select { // grouped rows are assembled below
+		res.Rows = sink.finish()
+		psp.AddRowsOut(int64(len(res.Rows)))
 	}
-	if psp != nil {
-		if q.Kind != query.Aggregate { // grouped rows are assembled below
-			psp.AddRowsOut(int64(len(res.Rows)))
-		}
-		psp.End()
-	}
+	psp.End()
 
 	// Assemble the result.
 	names := func(c int) string {
@@ -302,19 +196,12 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 				res.Cols = append(res.Cols, fmt.Sprintf("%s(%s)", s.Func, names(s.Col)))
 			}
 		}
-	} else {
-		for _, c := range outCols {
-			res.Cols = append(res.Cols, names(c))
-		}
-	}
-	if q.Kind == query.Aggregate {
 		if err := sortAggRows(res.Rows, q); err != nil {
 			return nil, err
 		}
-	} else if ordered && acc == nil {
-		sortRowsByKeys(res.Rows, keys, q.OrderBy)
-		if q.Limit > 0 && len(res.Rows) > q.Limit {
-			res.Rows = res.Rows[:q.Limit]
+	} else {
+		for _, c := range outCols {
+			res.Cols = append(res.Cols, names(c))
 		}
 	}
 	res.Affected = len(res.Rows)
@@ -329,175 +216,212 @@ type joinSide struct {
 	need    []int
 	joinCol int
 	width   int
-	offset  int // offset of this side's columns in the combined row
+	offset  int        // offset of this side's columns in the combined row
+	keyType value.Type // build side: the probe column's type, which join keys are compared in
+}
+
+// joinKey returns the build side's join key k as the probe side compares
+// it: a whole number of another type (the only mixed pairs
+// value.JoinComparable admits) takes the probe column's type.
+func (s *joinSide) joinKey(k value.Value) value.Value {
+	switch {
+	case k.Type() == s.keyType:
+		return k
+	case s.keyType == value.Integer:
+		return value.NewInt(k.Int())
+	case s.keyType == value.Bigint:
+		return value.NewBigint(k.Int())
+	}
+	return value.NewDate(k.Int())
 }
 
 // buildRow is one materialized row of the hash join's build side.
 type buildRow struct {
-	key   value.Value
-	vals  []value.Value // full side width (needed cols filled)
-	group int           // dense id of the row's group (probeJoinColumnar)
+	key  value.Value   // in the probe column's type
+	vals []value.Value // full side width (needed cols filled)
 }
 
-// groupsOnSide reports whether every group-by column (combined indexing)
-// falls within [offset, offset+width).
-func groupsOnSide(groupBy []int, offset, width int) bool {
-	for _, c := range groupBy {
-		if c < offset || c >= offset+width {
+// buildJoinHash materializes the needed columns of the build side's
+// matching rows, keyed by join key; NULL keys never join and are left out.
+func buildJoinHash(build *joinSide, buildNeed []int, stop func() bool) (hash map[uint64][]*buildRow, rows int64) {
+	hash = make(map[uint64][]*buildRow)
+	visited := 0
+	mergedScan(build.rt, build.view, build.pred, buildNeed, func(r []value.Value) bool {
+		if visited++; stop != nil && visited%scanCancelBatch == 0 && stop() {
+			return false
+		}
+		key := r[build.joinCol]
+		if key.IsNull() {
+			return true
+		}
+		br := &buildRow{key: build.joinKey(key), vals: make([]value.Value, build.width)}
+		for _, c := range buildNeed {
+			br.vals[c] = r[c]
+		}
+		h := br.key.Hash()
+		hash[h] = append(hash[h], br)
+		rows++
+		return true
+	})
+	return hash, rows
+}
+
+// starJoinShape reports whether the aggregate join q, free of post-join
+// conjuncts, is one the dense kernel covers: the probe side is a plain
+// column-store table at its current version, the build side joins on its
+// primary key — so a probe key meets at most one build row, the star-schema
+// shape — every group column lives on the build side, and MIN/MAX read
+// probe-side columns only (the kernel tracks extrema by dictionary code).
+func starJoinShape(q *query.Query, probe, build *joinSide) bool {
+	pk := build.rt.entry.Schema.PrimaryKey
+	if probe.view != nil || len(pk) != 1 || pk[0] != build.joinCol {
+		return false
+	}
+	for _, g := range q.GroupBy {
+		if !build.has(g) {
+			return false
+		}
+	}
+	for _, sp := range q.Aggs {
+		if (sp.Func == agg.Min || sp.Func == agg.Max) && !probe.has(sp.Col) {
 			return false
 		}
 	}
 	return true
 }
 
-// probeJoinColumnar probes the hash join by dictionary code: the build
-// side is resolved once per distinct probe-key code and every build row
-// carries the dense id of its group, so the per-probe-row work reduces to
-// a code extraction, an array lookup and accumulator updates. Each block
-// range of the probe side accumulates into a dense partial of its own and
-// the partials merge in block order, so the sums do not depend on the
-// pool size; each worker keeps a private code→matches cache (re-resolving
-// a code on two workers is cheap and race-free). Groups come out in the
-// order the probe scan first reaches them.
-func probeJoinColumnar(t *colstore.Table, q *query.Query, probe, build *joinSide, hash map[uint64][]*buildRow, aggRes *agg.Result, ex *exec.Ctx) {
-	keyVals := t.KeyDictValues(probe.joinCol)
+// has reports whether column c (combined indexing) belongs to this side.
+func (s *joinSide) has(c int) bool { return c >= s.offset && c < s.offset+s.width }
 
-	// Map each aggregate to its source: COUNT(*), a probe-side column
-	// (decoded into extraVals), or a build-side column.
-	type aggSrc struct {
-		countStar  bool
-		probeExtra int // index into extraVals, -1 if build-side
-		buildCol   int // side-local build column, -1 if probe-side
+// starJoin is a star join run as a dense grouped aggregation over the
+// probe table: the build side is scanned once, each build row's key is
+// resolved once into the probe column's dictionary, and what the probe
+// needs of the row — the dense id of its group, its values of the
+// aggregated build-side columns — is stored by key code. The probe is then
+// the column store's dense kernel with the group of a row looked up by its
+// key code; no hash table is built or probed.
+type starJoin struct {
+	t       *colstore.Table
+	dense   colstore.DenseAgg
+	groupOf []uint32     // by probe key code: dense group, or the kernel's drop slot
+	vals    [][]float64  // per external vector, by probe key code: the build row's value
+	nulls   [][]bool     // ... and whether it is NULL (nil: never)
+	ids     *agg.Result  // numbers the build side's groups in order of appearance
+	probed  atomic.Int64 // probe rows seen
+
+	buildRows, resolved int64 // build rows with a key; those whose key the probe dictionary holds
+}
+
+func newStarJoin(t *colstore.Table, q *query.Query, probe, build *joinSide, buildNeed []int, stop func() bool) *starJoin {
+	space := t.CodeSpace(probe.joinCol)
+	sj := &starJoin{t: t, groupOf: make([]uint32, space), ids: agg.NewResult(nil, q.GroupBy)}
+	const unset = ^uint32(0)
+	for i := range sj.groupOf {
+		sj.groupOf[i] = unset
 	}
-	srcs := make([]aggSrc, len(q.Aggs))
-	var extra []int
-	extraIdx := map[int]int{}
+	specs := make([]agg.Spec, len(q.Aggs))
+	ext := make([]int, len(q.Aggs))
+	var extCols []int // the build-side column behind each external vector
 	for i, sp := range q.Aggs {
+		specs[i], ext[i] = sp, -1
 		switch {
 		case sp.Col < 0:
-			srcs[i] = aggSrc{countStar: true, probeExtra: -1, buildCol: -1}
-		case sp.Col >= probe.offset && sp.Col < probe.offset+probe.width:
-			local := sp.Col - probe.offset
-			idx, ok := extraIdx[local]
-			if !ok {
-				idx = len(extra)
-				extraIdx[local] = idx
-				extra = append(extra, local)
-			}
-			srcs[i] = aggSrc{probeExtra: idx, buildCol: -1}
+		case probe.has(sp.Col):
+			specs[i].Col = sp.Col - probe.offset
 		default:
-			srcs[i] = aggSrc{probeExtra: -1, buildCol: sp.Col - build.offset}
+			ext[i] = len(extCols)
+			extCols = append(extCols, sp.Col-build.offset)
+			sj.vals = append(sj.vals, make([]float64, space))
 		}
 	}
+	sj.nulls = make([][]bool, len(extCols))
 
-	// Number the build side's groups (an ungrouped aggregate has the one
-	// group 0, which every build row's zero value already names).
-	groupKeys := [][]value.Value{nil}
-	if len(q.GroupBy) > 0 {
-		groupKeys = groupKeys[:0]
-		ids := make(map[string]int)
-		key := make([]value.Value, len(q.GroupBy))
-		for _, rows := range hash {
-			for _, m := range rows {
-				for i, c := range q.GroupBy {
-					key[i] = m.vals[c-build.offset]
-				}
-				ks := value.TupleKey(key)
-				id, ok := ids[ks]
-				if !ok {
-					id = len(groupKeys)
-					ids[ks] = id
-					groupKeys = append(groupKeys, append([]value.Value(nil), key...))
-				}
-				m.group = id
+	key := make([]value.Value, len(q.GroupBy))
+	hint, visited := 0, 0
+	mergedScan(build.rt, build.view, build.pred, buildNeed, func(row []value.Value) bool {
+		if visited++; stop != nil && visited%scanCancelBatch == 0 && stop() {
+			return false
+		}
+		k := row[build.joinCol]
+		if k.IsNull() {
+			return true
+		}
+		sj.buildRows++
+		// A value can sit in the main and in the delta dictionary.
+		main, delta := t.LookupCodes(probe.joinCol, build.joinKey(k), hint)
+		if main < 0 && delta < 0 {
+			return true // no probe row carries the key
+		}
+		sj.resolved++
+		hint = main + 1 // build rows tend to arrive in key order
+		g := uint32(0)  // an ungrouped aggregate has the one group
+		if len(key) > 0 {
+			for i, c := range q.GroupBy {
+				key[i] = row[c-build.offset]
 			}
+			g = uint32(sj.ids.GroupIndex(key))
 		}
-	}
-
-	// A partial holds one accumulator per (group, aggregate), the joined
-	// rows per group and the groups in the order its rows first reached
-	// them.
-	nspec := len(q.Aggs)
-	type partial struct {
-		accs  []agg.Acc
-		rows  []int64
-		order []int
-	}
-	newPartial := func() *partial {
-		return &partial{accs: make([]agg.Acc, len(groupKeys)*nspec), rows: make([]int64, len(groupKeys))}
-	}
-	total := newPartial()
-
-	type pjState struct {
-		matches  [][]*buildRow
-		resolved []bool
-	}
-	states := make([]*pjState, ex.Workers(t.NumBlocks()))
-	per := colstore.RangeBlocks(len(groupKeys) * max(1, nspec))
-	colstore.JoinProbe(t, probe.joinCol, extra, probe.pred, ex, per, newPartial, func(w int, p *partial, code int64, extraVals []value.Value) bool {
-		if code < 0 {
-			return true // NULL join keys never match
-		}
-		st := states[w]
-		if st == nil {
-			st = &pjState{matches: make([][]*buildRow, len(keyVals)), resolved: make([]bool, len(keyVals))}
-			states[w] = st
-		}
-		if !st.resolved[code] {
-			st.resolved[code] = true
-			k := keyVals[code]
-			for _, m := range hash[k.Hash()] {
-				if value.Equal(m.key, k) {
-					st.matches[code] = append(st.matches[code], m)
-				}
+		for _, code := range [2]int{main, delta} {
+			if code < 0 {
+				continue
 			}
-		}
-		for _, m := range st.matches[code] {
-			if p.rows[m.group] == 0 {
-				p.order = append(p.order, m.group)
-			}
-			p.rows[m.group]++
-			accs := p.accs[m.group*nspec:]
-			for i := range q.Aggs {
-				switch {
-				case srcs[i].countStar:
-					accs[i].AddCount(1)
-				case srcs[i].probeExtra >= 0:
-					accs[i].Add(extraVals[srcs[i].probeExtra])
-				default:
-					accs[i].Add(m.vals[srcs[i].buildCol])
+			sj.groupOf[code] = g
+			for e, c := range extCols {
+				if v := row[c]; !v.IsNull() {
+					sj.vals[e][code] = v.Float()
+				} else {
+					if sj.nulls[e] == nil {
+						sj.nulls[e] = make([]bool, space)
+					}
+					sj.nulls[e][code] = true
 				}
 			}
 		}
 		return true
-	}, func(p *partial) {
-		for _, g := range p.order {
-			if total.rows[g] == 0 {
-				total.order = append(total.order, g)
-			}
-			total.rows[g] += p.rows[g]
-			p.rows[g] = 0
-			for i := g * nspec; i < (g+1)*nspec; i++ {
-				total.accs[i].Merge(&p.accs[i])
-				p.accs[i] = agg.Acc{}
-			}
-		}
-		p.order = p.order[:0]
 	})
-	if ex.Stopped() {
-		return // caller surfaces ctx.Err(); partials are discarded
-	}
-	for _, g := range total.order {
-		var grp *agg.Group
-		if len(q.GroupBy) > 0 {
-			grp = aggRes.GroupFor(groupKeys[g])
-		} else {
-			grp = aggRes.Global()
-		}
-		for i := range grp.Accs {
-			grp.Accs[i].Merge(&total.accs[g*nspec+i])
+	groups := len(sj.ids.Groups)
+	for code, g := range sj.groupOf {
+		if g == unset {
+			sj.groupOf[code] = uint32(groups) // DenseBatch.Drop
 		}
 	}
+	sj.dense = colstore.DenseAgg{
+		Specs: specs, Ext: ext, Groups: groups,
+		Key:  func(g uint32) []value.Value { return sj.ids.Groups[g].Key },
+		Cols: []int{probe.joinCol}, Fill: sj.fill,
+	}
+	return sj
+}
+
+// fill numbers a probe batch's rows with their build row's group and
+// copies the build row's values into the external vectors.
+func (sj *starJoin) fill(b *colstore.DenseBatch) {
+	codes := b.Codes[0]
+	sj.probed.Add(int64(len(codes)))
+	for k, c := range codes {
+		b.Group[k] = sj.groupOf[c]
+	}
+	for e, vals := range sj.vals {
+		x := &b.Ext[e]
+		for k, c := range codes {
+			x.Vals[k] = vals[c]
+		}
+		if nulls := sj.nulls[e]; nulls != nil {
+			for k, c := range codes {
+				x.Null[k] = nulls[c]
+			}
+		}
+	}
+}
+
+// probe runs the probe side through the dense kernel into aggRes and
+// returns the probe rows seen. A build side without a key the probe
+// dictionary holds joins nothing.
+func (sj *starJoin) probe(aggRes *agg.Result, pred expr.Predicate, ex *exec.Ctx) int64 {
+	if sj.resolved > 0 {
+		sj.t.AggregateDense(aggRes, &sj.dense, pred, ex)
+	}
+	return sj.probed.Load()
 }
 
 // probeJoinBatched is the generic aggregate probe of a column-store probe
@@ -506,11 +430,15 @@ func probeJoinColumnar(t *colstore.Table, q *query.Query, probe, build *joinSide
 // claimed the block; the partials merge in block order, so the result
 // does not depend on the pool size. Select joins stay on the serial
 // probe — their limit/order semantics want the serial row order — and
-// stopped contexts leave a partial aggRes the caller discards.
-func probeJoinBatched(t *colstore.Table, q *query.Query, probe, build *joinSide, buildNeed []int, hash map[uint64][]*buildRow, aggRes *agg.Result, postPred expr.Predicate, combinedWidth int, ex *exec.Ctx) {
+// stopped contexts leave a partial aggRes the caller discards. It returns
+// the probe rows seen.
+func probeJoinBatched(t *colstore.Table, q *query.Query, probe, build *joinSide, buildNeed []int, hash map[uint64][]*buildRow, aggRes *agg.Result, postPred expr.Predicate, combinedWidth int, ex *exec.Ctx) (rows int64) {
 	probeNeed := append(append([]int{}, probe.need...), probe.joinCol)
 	keyIdx := len(probeNeed) - 1
-	type partial struct{ res *agg.Result }
+	type partial struct {
+		res  *agg.Result
+		rows int64
+	}
 	combined := make([][]value.Value, ex.Workers(t.NumBlocks()))
 	colstore.ReduceBatches(t, probe.pred, probeNeed, ex, func() *partial { return &partial{} },
 		func(w int, p *partial, rids []int32, colVals [][]value.Value) bool {
@@ -520,6 +448,7 @@ func probeJoinBatched(t *colstore.Table, q *query.Query, probe, build *joinSide,
 			if combined[w] == nil {
 				combined[w] = make([]value.Value, combinedWidth)
 			}
+			p.rows += int64(len(rids))
 			row := combined[w]
 			for k := range rids {
 				kv := colVals[keyIdx][k]
@@ -549,6 +478,8 @@ func probeJoinBatched(t *colstore.Table, q *query.Query, probe, build *joinSide,
 		},
 		func(p *partial) {
 			aggRes.Merge(p.res)
-			p.res = nil
+			rows += p.rows
+			*p = partial{}
 		})
+	return rows
 }

@@ -55,6 +55,11 @@ var (
 	mTxnActive = metrics.Default().Gauge("hs_txn_active",
 		"explicit transactions currently open")
 
+	mJoinDense = metrics.Default().Counter("hs_join_dense_total",
+		"aggregate joins probed through the column store's dense grouped-aggregation kernel (star-join shape)")
+	mJoinGeneric = metrics.Default().Counter("hs_join_generic_total",
+		"joins probed through the hash table (every other shape)")
+
 	mVerticalJoinMiss = metrics.Default().Counter("hs_vertical_join_miss_total",
 		"rows of a vertically split table whose key was missing from the other partition during a PK join (partition inconsistency; 0 when healthy)")
 )

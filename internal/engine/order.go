@@ -74,6 +74,73 @@ func sortRowsByKeys(rows, keys [][]value.Value, order []query.Order) {
 	copy(rows, permuted)
 }
 
+// rowSink gathers a SELECT's output from a row-at-a-time scan under the
+// statement's ORDER BY and LIMIT: a planned top-K keeps the k best rows in
+// a bounded heap — building an output row only once its sort key is
+// admitted — a plain ORDER BY keeps every row with its sort key, and a
+// bare LIMIT says when the output is full. Rows arrive indexed by the
+// statement's columns, in the serial scan order ties are broken by.
+type rowSink struct {
+	q          *query.Query
+	cols       []int
+	acc        *topKAcc // nil unless the plan has a top-K
+	key        []value.Value
+	rows, keys [][]value.Value
+	seq        int64
+}
+
+func newRowSink(q *query.Query, cols []int, topK bool) *rowSink {
+	s := &rowSink{q: q, cols: cols, key: make([]value.Value, len(q.OrderBy))}
+	if topK {
+		s.acc = newTopK(q.Limit, q.OrderBy)
+	}
+	return s
+}
+
+// add offers one row; false means the output is complete.
+func (s *rowSink) add(row []value.Value) bool {
+	for i, o := range s.q.OrderBy {
+		s.key[i] = row[o.Col]
+	}
+	switch {
+	case s.acc != nil:
+		if s.acc.Admits(s.key, s.seq) {
+			s.acc.Add(projectRow(row, s.cols), s.key, s.seq)
+		}
+		s.seq++
+	case len(s.key) > 0:
+		s.rows = append(s.rows, projectRow(row, s.cols))
+		s.keys = append(s.keys, append([]value.Value(nil), s.key...))
+	default:
+		s.rows = append(s.rows, projectRow(row, s.cols))
+		return s.q.Limit <= 0 || len(s.rows) < s.q.Limit
+	}
+	return true
+}
+
+// finish returns the gathered rows in output order.
+func (s *rowSink) finish() [][]value.Value {
+	switch {
+	case s.acc != nil:
+		return s.acc.Finish()
+	case len(s.key) > 0:
+		sortRowsByKeys(s.rows, s.keys, s.q.OrderBy)
+		if s.q.Limit > 0 && len(s.rows) > s.q.Limit {
+			s.rows = s.rows[:s.q.Limit]
+		}
+	}
+	return s.rows
+}
+
+// projectRow returns a fresh row holding the given columns of row.
+func projectRow(row []value.Value, cols []int) []value.Value {
+	out := make([]value.Value, len(cols))
+	for i, c := range cols {
+		out[i] = row[c]
+	}
+	return out
+}
+
 // sortAggRows sorts an aggregate result's rows by its ORDER BY keys,
 // which must be group-by columns (result rows lead with the group key in
 // q.GroupBy order).

@@ -69,7 +69,10 @@ type parLayout struct {
 
 // parLayouts is every layout whose scans have a parallel path to check.
 // The vertical split keeps grp in the row partition and the keyfigures in
-// the column partition, so the grouped aggregates span both.
+// the column partition, so the grouped aggregates span both and join full
+// rows; the last layout turns it around — grp in the column partition, the
+// fractional amt in the row partition — so they run on the column
+// partition's dense kernel with amt fed from the row partition.
 func parLayouts() []parLayout {
 	horiz := &catalog.HorizontalSpec{
 		SplitCol: 1, SplitVal: value.NewInt(4),
@@ -82,6 +85,8 @@ func parLayouts() []parLayout {
 		{"horizontal", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: horiz}},
 		{"vertical", catalog.Partitioned, &catalog.PartitionSpec{Vertical: vert}},
 		{"horizontal+vertical", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: horiz, Vertical: vert}},
+		{"vertical, amt in rows", catalog.Partitioned, &catalog.PartitionSpec{
+			Vertical: &catalog.VerticalSpec{RowCols: []int{0, 3, 5}, ColCols: []int{0, 1, 2, 4}}}},
 	}
 }
 

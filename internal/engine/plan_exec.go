@@ -226,9 +226,6 @@ func (db *Database) execScanPlan(ctx context.Context, q *query.Query, sh *readSh
 		ssp = tr.Start(nodeSpanName(sh.scan))
 	}
 
-	// With an ORDER BY the limit cannot short-circuit the scan, and
-	// sort keys (which may not be projected) ride along per row.
-	var keys [][]value.Value
 	// Morsel-parallel collection: when the store exposes a parallel
 	// batch scan and the limit cannot short-circuit (no limit, or an
 	// ORDER BY that must see every row anyway), blocks are projected
@@ -259,15 +256,18 @@ func (db *Database) execScanPlan(ctx context.Context, q *query.Query, sh *readSh
 					states[w] = st
 				}
 				for k := range rids {
+					for i, o := range q.OrderBy {
+						st.cand[i] = colVals[pos[o.Col]][k]
+					}
+					seq := int64(block)<<32 | int64(k)
+					if !st.Admits(st.cand, seq) {
+						continue
+					}
 					out := make([]value.Value, len(cols))
 					for i, c := range cols {
 						out[i] = colVals[pos[c]][k]
 					}
-					key := make([]value.Value, len(q.OrderBy))
-					for i, o := range q.OrderBy {
-						key[i] = colVals[pos[o.Col]][k]
-					}
-					st.Add(out, key, int64(block)<<32|int64(k))
+					st.Add(out, st.cand, seq)
 				}
 				return true
 			})
@@ -286,7 +286,10 @@ func (db *Database) execScanPlan(ctx context.Context, q *query.Query, sh *readSh
 			res.Affected = len(res.Rows)
 			return res, nil
 		}
+		// With an ORDER BY the sort keys (which may not be projected) ride
+		// along per row.
 		perBlock := make([][][]value.Value, bs.NumBlocks())
+		var keys [][]value.Value
 		var perKeys [][][]value.Value
 		if ordered {
 			perKeys = make([][][]value.Value, bs.NumBlocks())
@@ -346,60 +349,20 @@ func (db *Database) execScanPlan(ctx context.Context, q *query.Query, sh *readSh
 	}
 	stop := stopFunc(ctx)
 	visited := 0
-	var acc *topKAcc
-	if useTopK {
-		acc = newTopK(q.Limit, q.OrderBy)
-	}
-	var seq int64
+	sink := newRowSink(q, cols, useTopK)
 	mergedScan(rt, view, q.Pred, scanCols, func(row []value.Value) bool {
-		if stop != nil {
-			visited++
-			if visited%scanCancelBatch == 0 && stop() {
-				return false
-			}
+		if visited++; stop != nil && visited%scanCancelBatch == 0 && stop() {
+			return false
 		}
-		out := make([]value.Value, len(cols))
-		for i, c := range cols {
-			out[i] = row[c]
-		}
-		if useTopK {
-			key := make([]value.Value, len(q.OrderBy))
-			for i, o := range q.OrderBy {
-				key[i] = row[o.Col]
-			}
-			acc.Add(out, key, seq)
-			seq++
-			return true
-		}
-		res.Rows = append(res.Rows, out)
-		if ordered {
-			key := make([]value.Value, len(q.OrderBy))
-			for i, o := range q.OrderBy {
-				key[i] = row[o.Col]
-			}
-			keys = append(keys, key)
-			return true
-		}
-		return q.Limit <= 0 || len(res.Rows) < q.Limit
+		return sink.add(row)
 	})
 	if err := ctx.Err(); err != nil {
 		ssp.End()
 		return nil, err
 	}
-	if useTopK {
-		res.Rows = acc.Finish()
-		finishScanSpan(tr, ssp, sh, len(res.Rows))
-		res.Affected = len(res.Rows)
-		return res, nil
-	}
-	ssp.AddRowsOut(int64(len(res.Rows)))
-	ssp.End()
-	if ordered {
-		sortRowsByKeys(res.Rows, keys, q.OrderBy)
-		if q.Limit > 0 && len(res.Rows) > q.Limit {
-			res.Rows = res.Rows[:q.Limit]
-		}
-	}
+	ssp.AddRowsOut(int64(len(sink.rows))) // a top-K reports its rows in a span of its own
+	res.Rows = sink.finish()
+	finishScanSpan(tr, ssp, sh, len(res.Rows))
 	res.Affected = len(res.Rows)
 	return res, nil
 }

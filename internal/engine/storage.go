@@ -233,21 +233,6 @@ func (s *colStorage) Scan(pred expr.Predicate, cols []int, fn func(row []value.V
 	s.t.Scan(pred, cols, func(rid int, row []value.Value) bool { return fn(row) })
 }
 
-// ScanBatches exposes the column store's vectorized batch scan (for an
-// unpartitioned table, storage columns are table columns). Callers that
-// consume columns directly avoid the per-row full-width scratch copy the
-// row-at-a-time Scan adapter pays.
-func (s *colStorage) ScanBatches(pred expr.Predicate, cols []int, fn func(rids []int32, colVals [][]value.Value) bool) {
-	s.t.ScanBatches(pred, cols, fn)
-}
-
-// batchScanner is implemented by storages that expose the column store's
-// vectorized batch scan; the engine's hot paths (join build sides,
-// vertical-partition scans) type-assert against it.
-type batchScanner interface {
-	ScanBatches(pred expr.Predicate, cols []int, fn func(rids []int32, colVals [][]value.Value) bool)
-}
-
 // NumBlocks exposes the column store's scan-block (morsel) count.
 func (s *colStorage) NumBlocks() int { return s.t.NumBlocks() }
 
@@ -257,8 +242,8 @@ func (s *colStorage) ScanBatchesExec(pred expr.Predicate, cols []int, ex *exec.C
 }
 
 // execBatchScanner is implemented by storages whose batch scan can fan
-// out across morsel workers; the engine's parallel SELECT collection and
-// join build/probe paths type-assert against it. Batches arrive on
+// out across morsel workers; the engine's parallel SELECT collection
+// type-asserts against it. Batches arrive on
 // concurrent workers in arbitrary order — fn must be safe for distinct
 // worker ids, and callers reassemble deterministic output via the block
 // index (block order is the serial scan order).

@@ -22,8 +22,9 @@ type topKAcc struct {
 	k     int
 	order []query.Order
 	rows  [][]value.Value
-	keys  [][]value.Value
+	keys  []value.Value // entry i's order keys at [i*len(order), (i+1)*len(order))
 	seqs  []int64
+	cand  []value.Value // scratch for the caller's next candidate key
 }
 
 func newTopK(k int, order []query.Order) *topKAcc {
@@ -31,49 +32,63 @@ func newTopK(k int, order []query.Order) *topKAcc {
 		k:     k,
 		order: order,
 		rows:  make([][]value.Value, 0, k),
-		keys:  make([][]value.Value, 0, k),
+		keys:  make([]value.Value, 0, k*len(order)),
 		seqs:  make([]int64, 0, k),
+		cand:  make([]value.Value, len(order)),
 	}
+}
+
+func (t *topKAcc) key(i int) []value.Value {
+	n := len(t.order)
+	return t.keys[i*n : (i+1)*n]
 }
 
 // worse reports whether entry i sorts strictly after entry j (and is
 // therefore dropped first).
 func (t *topKAcc) worse(i, j int) bool {
-	if c := compareKeys(t.keys[i], t.keys[j], t.order); c != 0 {
+	if c := compareKeys(t.key(i), t.key(j), t.order); c != 0 {
 		return c > 0
 	}
 	return t.seqs[i] > t.seqs[j]
 }
 
-// worseThan reports whether entry i sorts strictly after (key, seq).
-func (t *topKAcc) worseThan(i int, key []value.Value, seq int64) bool {
-	if c := compareKeys(t.keys[i], key, t.order); c != 0 {
+// Admits reports whether a row with the given order keys and arrival
+// sequence would be retained: there is room, or it is strictly better
+// than the current worst. Scans ask before they build the row, so the
+// rows that never make it — almost all of them — cost no allocation.
+func (t *topKAcc) Admits(key []value.Value, seq int64) bool {
+	if len(t.rows) < t.k {
+		return true
+	}
+	if c := compareKeys(t.key(0), key, t.order); c != 0 {
 		return c > 0
 	}
-	return t.seqs[i] > seq
+	return t.seqs[0] > seq
 }
 
-// Add offers one row. row and key must not be reused by the caller.
+// Add offers one row; key is copied, row must not be reused by the caller.
 func (t *topKAcc) Add(row, key []value.Value, seq int64) {
+	if !t.Admits(key, seq) {
+		return
+	}
 	if len(t.rows) < t.k {
 		t.rows = append(t.rows, row)
-		t.keys = append(t.keys, key)
+		t.keys = append(t.keys, key[:len(t.order)]...)
 		t.seqs = append(t.seqs, seq)
 		t.up(len(t.rows) - 1)
 		return
 	}
-	// Full: keep only if strictly better than the current worst.
-	if !t.worseThan(0, key, seq) {
-		return
-	}
-	t.rows[0], t.keys[0], t.seqs[0] = row, key, seq
+	t.rows[0], t.seqs[0] = row, seq
+	copy(t.key(0), key)
 	t.down(0)
 }
 
 func (t *topKAcc) swap(i, j int) {
 	t.rows[i], t.rows[j] = t.rows[j], t.rows[i]
-	t.keys[i], t.keys[j] = t.keys[j], t.keys[i]
 	t.seqs[i], t.seqs[j] = t.seqs[j], t.seqs[i]
+	for x, ki, kj := 0, t.key(i), t.key(j); x < len(ki); x++ {
+		ki[x], kj[x] = kj[x], ki[x]
+	}
 }
 
 func (t *topKAcc) up(i int) {
@@ -109,7 +124,7 @@ func (t *topKAcc) down(i int) {
 // Merge folds another accumulator's retained rows into this one.
 func (t *topKAcc) Merge(o *topKAcc) {
 	for i := range o.rows {
-		t.Add(o.rows[i], o.keys[i], o.seqs[i])
+		t.Add(o.rows[i], o.key(i), o.seqs[i])
 	}
 }
 

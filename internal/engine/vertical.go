@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"hybridstore/internal/agg"
 	"hybridstore/internal/catalog"
@@ -291,17 +292,21 @@ func (v *verticalStorage) Aggregate(specs []agg.Spec, groupBy []int, pred expr.P
 // aggregateSpanning answers an aggregate that needs columns of both
 // partitions with one column-driven, batch-at-a-time PK join. The
 // conjuncts the column partition covers run on its bitmap and zone-map
-// kernels; its surviving rows arrive in blocks with only the key and the
-// needed column-partition columns decoded; each row's key is probed in
-// the row partition's PK index and the needed row-partition columns are
-// read straight from the arena; the remaining conjuncts are tested on the
-// joined row, which is then accumulated. Every block accumulates into a
-// partial result of its own, on whichever worker claims it, and the
-// partials merge in block order (colstore.ReduceBatches), so the result is
-// a function of the data alone — bit-identical on any pool size. Nothing
-// links the partitions but the key: the column store migrates updated
-// main rows to its delta and renumbers on merge, so a rid-to-rid link
-// would be a second source of truth.
+// kernels; each surviving row's key is probed in the row partition's PK
+// index and the needed row-partition columns are read straight from the
+// arena. Block ranges accumulate into partials of their own, on whichever
+// worker claims them, and the partials merge in block order, so the result
+// is a function of the data alone — bit-identical on any pool size.
+// Nothing links the partitions but the key: the column store migrates
+// updated main rows to its delta and renumbers on merge, so a rid-to-rid
+// link would be a second source of truth.
+//
+// When the column partition holds the group columns, the row partition
+// covers the remaining conjuncts and MIN/MAX read column-partition columns
+// only, the aggregation is the column partition's dense kernel: groups and
+// column-side keyfigures come from code vectors, row-side keyfigures are
+// fed as float vectors (spanningDense). Every other shape joins full rows
+// and accumulates them one by one (spanningGeneric).
 func (v *verticalStorage) aggregateSpanning(specs []agg.Spec, groupBy []int, pred expr.Predicate, ex *exec.Ctx) *agg.Result {
 	var colConj, postConj []expr.Predicate
 	for _, c := range expr.Conjuncts(pred) {
@@ -311,8 +316,104 @@ func (v *verticalStorage) aggregateSpanning(specs []agg.Spec, groupBy []int, pre
 			postConj = append(postConj, c)
 		}
 	}
-	post := andOf(postConj)
+	res := agg.NewResult(specs, groupBy)
+	res.SetOutputTypes(v.sch.ColTypes())
+	tr := ex.Tracer()
+	zoneSkipped := tr.Counter("blocks_zone_skipped")
+	var join spanJoin
+	kernel := "dense"
+	if !v.spanningDense(res, specs, groupBy, andOf(colConj), andOf(postConj), ex, &join) {
+		kernel = "generic"
+		v.spanningGeneric(res, andOf(colConj), andOf(postConj), ex, &join)
+	}
+	mVerticalJoinMiss.Add(join.misses.Load())
+	if sp := tr.Span("aggregate"); sp != nil {
+		sp.Tag("kernel", kernel)
+		sp.Add("probe_rows", join.probed.Load())
+		sp.Add("probe_misses", join.misses.Load())
+		sp.Add("blocks_zone_skipped", tr.Counter("blocks_zone_skipped")-zoneSkipped)
+	}
+	return res
+}
 
+// spanJoin counts a spanning aggregate's PK join: keys probed in the row
+// partition, and those it did not hold (a partition inconsistency; such
+// rows are skipped defensively).
+type spanJoin struct{ probed, misses atomic.Int64 }
+
+// rowOf returns the row partition's tuple for key. next guesses its slot:
+// both partitions take rows in the same order, so within a batch the tuple
+// usually sits right after the last one found.
+func (v *verticalStorage) rowOf(key []value.Value, next *int, misses *int64) ([]value.Value, bool) {
+	rrid, ok := v.rowPart.LookupPKNear(key, *next)
+	if !ok {
+		*misses++
+		return nil, false
+	}
+	*next = rrid + 1
+	return v.rowPart.Row(rrid), true
+}
+
+// spanningDense runs the spanning aggregate on the column partition's
+// dense kernel; false means the shape is not one the kernel covers.
+func (v *verticalStorage) spanningDense(res *agg.Result, specs []agg.Spec, groupBy []int, colPred, post expr.Predicate, ex *exec.Ctx, join *spanJoin) bool {
+	rowPost, ok := expr.Remap(post, v.rowFwd)
+	if !ok {
+		return false
+	}
+	dense := colstore.DenseAgg{Specs: make([]agg.Spec, len(specs)), Ext: make([]int, len(specs)), Cols: v.colPart.Schema().PrimaryKey}
+	for _, g := range groupBy {
+		local, ok := v.colFwd[g]
+		if !ok {
+			return false
+		}
+		dense.GroupBy = append(dense.GroupBy, local)
+	}
+	var extCols []int // the row-partition column behind each external vector
+	for i, s := range specs {
+		dense.Specs[i], dense.Ext[i] = s, -1
+		if local, ok := v.colFwd[s.Col]; ok {
+			dense.Specs[i].Col = local
+		} else if s.Col >= 0 {
+			if s.Func == agg.Min || s.Func == agg.Max {
+				return false
+			}
+			dense.Specs[i].Col, dense.Ext[i] = -1, len(extCols)
+			extCols = append(extCols, v.rowFwd[s.Col])
+		}
+	}
+	dense.Fill = func(b *colstore.DenseBatch) {
+		key := make([]value.Value, len(dense.Cols))
+		var next int
+		var misses int64
+		for k := range b.Rids {
+			for i, col := range dense.Cols {
+				key[i] = v.colPart.CodeValue(col, b.Codes[i][k])
+			}
+			rrow, ok := v.rowOf(key, &next, &misses)
+			if !ok || rowPost != nil && !rowPost.Matches(rrow) {
+				b.Group[k] = b.Drop
+				continue
+			}
+			for e, c := range extCols {
+				if x := rrow[c]; x.IsNull() {
+					b.Ext[e].Null[k] = true
+				} else {
+					b.Ext[e].Vals[k] = x.Float()
+				}
+			}
+		}
+		join.probed.Add(int64(len(b.Rids)))
+		join.misses.Add(misses)
+	}
+	return v.colPart.AggregateDense(res, &dense, colPred, ex)
+}
+
+// spanningGeneric joins full rows: the column partition's surviving rows
+// arrive in blocks with the key and the needed column-partition columns
+// decoded, the remaining conjuncts are tested on the joined row, which is
+// then accumulated into the block's partial result.
+func (v *verticalStorage) spanningGeneric(res *agg.Result, colPred, post expr.Predicate, ex *exec.Ctx, join *spanJoin) {
 	// The scan decodes the key first, then the column-partition columns
 	// the joined row needs; joinedCol maps a table column to where the
 	// joined row takes it from.
@@ -320,8 +421,8 @@ func (v *verticalStorage) aggregateSpanning(specs []agg.Spec, groupBy []int, pre
 	scanCols := append([]int{}, v.colPart.Schema().PrimaryKey...)
 	npk := len(scanCols)
 	var fromCol, fromRow []joinedCol // local: index into the batch's columns / the row partition's tuple
-	need := append(expr.ColumnSet(post), groupBy...)
-	for _, s := range specs {
+	need := append(expr.ColumnSet(post), res.GroupCols...)
+	for _, s := range res.Specs {
 		if s.Col >= 0 {
 			need = append(need, s.Col)
 		}
@@ -340,67 +441,41 @@ func (v *verticalStorage) aggregateSpanning(specs []agg.Spec, groupBy []int, pre
 		}
 	}
 
-	res := agg.NewResult(specs, groupBy)
-	res.SetOutputTypes(v.sch.ColTypes())
-	type partial struct {
-		res            *agg.Result
-		probed, misses int64
-	}
-	type worker struct {
-		key, row []value.Value
-		next     int // row-partition slot after the last hit: both partitions take rows in the same order
-	}
-	workers := make([]*worker, ex.Workers(v.colPart.NumBlocks()))
-	var probed, misses int64
-	tr := ex.Tracer()
-	zoneSkipped := tr.Counter("blocks_zone_skipped")
-	colstore.ReduceBatches(v.colPart, andOf(colConj), scanCols, ex, func() *partial { return &partial{} },
+	type partial struct{ res *agg.Result }
+	colstore.ReduceBatches(v.colPart, colPred, scanCols, ex, func() *partial { return &partial{} },
 		func(w int, p *partial, rids []int32, colVals [][]value.Value) bool {
-			st := workers[w]
-			if st == nil {
-				st = &worker{key: make([]value.Value, npk), row: make([]value.Value, v.sch.NumColumns())}
-				workers[w] = st
-			}
 			if p.res == nil {
-				p.res = agg.NewResult(specs, groupBy)
+				p.res = agg.NewResult(res.Specs, res.GroupCols)
 			}
-			p.probed += int64(len(rids))
+			key, row := make([]value.Value, npk), make([]value.Value, v.sch.NumColumns())
+			var next int
+			var misses int64
 			for k := range rids {
-				for i := range st.key {
-					st.key[i] = colVals[i][k]
+				for i := range key {
+					key[i] = colVals[i][k]
 				}
-				rrid, ok := v.rowPart.LookupPKNear(st.key, st.next)
+				rrow, ok := v.rowOf(key, &next, &misses)
 				if !ok {
-					p.misses++ // partition inconsistency; skip defensively
 					continue
 				}
-				st.next = rrid + 1
-				rrow := v.rowPart.Row(rrid)
 				for _, c := range fromCol {
-					st.row[c.table] = colVals[c.local][k]
+					row[c.table] = colVals[c.local][k]
 				}
 				for _, c := range fromRow {
-					st.row[c.table] = rrow[c.local]
+					row[c.table] = rrow[c.local]
 				}
-				if post == nil || post.Matches(st.row) {
-					p.res.AddRow(st.row)
+				if post == nil || post.Matches(row) {
+					p.res.AddRow(row)
 				}
 			}
+			join.probed.Add(int64(len(rids)))
+			join.misses.Add(misses)
 			return true
 		},
 		func(p *partial) {
 			res.Merge(p.res)
-			probed += p.probed
-			misses += p.misses
-			*p = partial{}
+			p.res = nil
 		})
-	mVerticalJoinMiss.Add(misses)
-	if sp := tr.Span("aggregate"); sp != nil {
-		sp.Add("probe_rows", probed)
-		sp.Add("probe_misses", misses)
-		sp.Add("blocks_zone_skipped", tr.Counter("blocks_zone_skipped")-zoneSkipped)
-	}
-	return res
 }
 
 // Update routes assignments to the partitions holding the assigned

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -72,29 +73,48 @@ func spanLayouts() []parLayout {
 	}
 }
 
+// spanQuery is one aggregate of the matrix; dense says whether the column
+// partition's dense kernel covers its shape (else full rows are joined and
+// accumulated one by one).
+type spanQuery struct {
+	q     *query.Query
+	dense bool
+}
+
 // spanQueries is the aggregate matrix: global, one- and two-column
-// GROUP BY (group columns on either side) over every aggregate function,
-// with predicates on the column side only, the row side only, both, a
-// disjunction no partition covers, and one that matches nothing.
-func spanQueries() []*query.Query {
-	specs := []agg.Spec{
-		{Func: agg.Sum, Col: 3}, {Func: agg.Avg, Col: 4}, {Func: agg.Min, Col: 3},
-		{Func: agg.Max, Col: 4}, {Func: agg.Count, Col: -1}, {Func: agg.Count, Col: 3},
+// GROUP BY (group columns on either side, and on both) over every
+// aggregate function, with predicates on the column side only, the row
+// side only, both, a disjunction no partition covers, and one that matches
+// nothing. The kernel takes the shapes whose group columns all live in the
+// column partition, whose MIN/MAX read column-partition columns and whose
+// conjuncts each fit one partition; amt, the row-side keyfigure, has NULLs.
+func spanQueries() []spanQuery {
+	specSets := [][]agg.Spec{
+		{{Func: agg.Sum, Col: 3}, {Func: agg.Avg, Col: 4}, {Func: agg.Min, Col: 3},
+			{Func: agg.Max, Col: 4}, {Func: agg.Count, Col: -1}, {Func: agg.Count, Col: 3}},
+		{{Func: agg.Sum, Col: 3}, {Func: agg.Avg, Col: 3}, {Func: agg.Count, Col: 3}, {Func: agg.Sum, Col: 4},
+			{Func: agg.Min, Col: 4}, {Func: agg.Max, Col: 4}, {Func: agg.Count, Col: -1}},
 	}
 	colSide := &expr.Comparison{Col: 6, Op: expr.Lt, Val: value.NewInt(8)}
 	rowSide := &expr.Comparison{Col: 5, Op: expr.Ge, Val: value.NewInt(4)}
+	either := &expr.Or{Preds: []expr.Predicate{colSide, rowSide}}
 	preds := []expr.Predicate{
 		nil,
 		colSide,
 		rowSide,
 		&expr.And{Preds: []expr.Predicate{colSide, rowSide, &expr.Between{Col: 0, Lo: value.NewBigint(500), Hi: value.NewBigint(5600)}}},
-		&expr.Or{Preds: []expr.Predicate{colSide, rowSide}},
+		either,
 		&expr.And{Preds: []expr.Predicate{rowSide, &expr.Comparison{Col: 6, Op: expr.Gt, Val: value.NewInt(99)}}},
 	}
-	var qs []*query.Query
-	for _, groupBy := range [][]int{nil, {1}, {2}, {1, 2}} {
-		for _, pred := range preds {
-			qs = append(qs, &query.Query{Kind: query.Aggregate, Table: "span", Aggs: specs, GroupBy: groupBy, Pred: pred})
+	var qs []spanQuery
+	for si, specs := range specSets {
+		for gi, groupBy := range [][]int{nil, {1}, {1, 6}, {2}, {1, 2}} {
+			for _, pred := range preds {
+				qs = append(qs, spanQuery{
+					q:     &query.Query{Kind: query.Aggregate, Table: "span", Aggs: specs, GroupBy: groupBy, Pred: pred},
+					dense: si == 1 && gi < 3 && pred != expr.Predicate(either),
+				})
+			}
 		}
 	}
 	return qs
@@ -110,15 +130,29 @@ func spanExec(t *testing.T, db *Database, q *query.Query) *Result {
 }
 
 // assertSpanAgree runs the matrix on db and the oracle and requires equal
-// results and no PK-join miss.
-func assertSpanAgree(t *testing.T, stage string, db, oracle *Database) {
+// results, the expected kernel (checkKernel: db is a plain vertical split,
+// whose one spanning aggregate owns the trace's aggregate stage) and no
+// PK-join miss.
+func assertSpanAgree(t *testing.T, stage string, db, oracle *Database, checkKernel bool) {
 	t.Helper()
 	misses := mVerticalJoinMiss.Value()
-	for i, q := range spanQueries() {
+	for i, sq := range spanQueries() {
+		q := sq.q
 		got, want := sortedRows(spanExec(t, db, q).Rows), sortedRows(spanExec(t, oracle, q).Rows)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s q%d (group %v, pred %v): diverged from the row-store oracle\ngot  (%d rows): %.400v\nwant (%d rows): %.400v",
 				stage, i, q.GroupBy, q.Pred, len(got), got, len(want), want)
+		}
+		if !checkKernel {
+			continue
+		}
+		ex, err := db.ExplainAnalyzeContext(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want1 := map[bool]string{true: "kernel=dense", false: "kernel=generic"}[sq.dense]
+		if _, detail, _ := explainStage(t, ex, "aggregate"); !strings.Contains(detail, want1) {
+			t.Fatalf("%s q%d (group %v, pred %v): aggregate detail %q, want %s", stage, i, q.GroupBy, q.Pred, detail, want1)
 		}
 	}
 	if n := mVerticalJoinMiss.Value() - misses; n != 0 {
@@ -156,16 +190,16 @@ func TestVerticalSpanningAggregate(t *testing.T) {
 			if err := db.Compact("span"); err != nil {
 				t.Fatal(err)
 			}
-			assertSpanAgree(t, "main only", db, oracle)
+			assertSpanAgree(t, "main only", db, oracle, l.name == "vertical")
 
 			insert(rng, spanRows-1000, spanRows)
-			assertSpanAgree(t, "rows in the delta", db, oracle)
+			assertSpanAgree(t, "rows in the delta", db, oracle, l.name == "vertical")
 
 			both(&query.Query{Kind: query.Delete, Table: "span",
 				Pred: &expr.Between{Col: 0, Lo: value.NewBigint(1000), Hi: value.NewBigint(1400)}})
 			both(&query.Query{Kind: query.Delete, Table: "span",
 				Pred: &expr.Comparison{Col: 5, Op: expr.Eq, Val: value.NewInt(9)}})
-			assertSpanAgree(t, "tombstones", db, oracle)
+			assertSpanAgree(t, "tombstones", db, oracle, l.name == "vertical")
 
 			// qty lives in the column partition: the update migrates main
 			// rows to its delta. amt lives in the row partition.
@@ -175,12 +209,12 @@ func TestVerticalSpanningAggregate(t *testing.T) {
 			both(&query.Query{Kind: query.Update, Table: "span",
 				Pred: &expr.Between{Col: 0, Lo: value.NewBigint(3000), Hi: value.NewBigint(3300)},
 				Set:  map[int]value.Value{3: value.Null(value.Double), 4: value.NewDouble(0.5)}})
-			assertSpanAgree(t, "updated rows migrated to the delta", db, oracle)
+			assertSpanAgree(t, "updated rows migrated to the delta", db, oracle, l.name == "vertical")
 
 			if err := db.Compact("span"); err != nil {
 				t.Fatal(err)
 			}
-			assertSpanAgree(t, "after compact", db, oracle)
+			assertSpanAgree(t, "after compact", db, oracle, l.name == "vertical")
 
 			empty := spanExec(t, db, &query.Query{Kind: query.Aggregate, Table: "span",
 				Aggs: []agg.Spec{{Func: agg.Sum, Col: 3}, {Func: agg.Avg, Col: 4}}, GroupBy: []int{1},

@@ -125,3 +125,34 @@ func itoa(n int) string {
 	}
 	return string(b[i:])
 }
+
+// TestSQLJoinKeyTypes: an INTEGER column joins a BIGINT or DATE column by
+// numeric value (it used to match nothing, silently), while a VARCHAR
+// against a number is rejected when the statement is bound.
+func TestSQLJoinKeyTypes(t *testing.T) {
+	db := engine.New()
+	execSQL(t, db, `CREATE TABLE f (id BIGINT NOT NULL, dk INTEGER, v DOUBLE, PRIMARY KEY (id))`)
+	execSQL(t, db, `CREATE TABLE d (dkey BIGINT NOT NULL, label VARCHAR, PRIMARY KEY (dkey))`)
+	execSQL(t, db, `INSERT INTO d VALUES (1, 'one'), (2, 'two'), (3, 'three')`)
+	execSQL(t, db, `INSERT INTO f VALUES (10, 1, 1.5), (11, 1, 2.5), (12, 2, 4), (13, 9, 8)`)
+
+	res := execSQL(t, db, `SELECT f.id, d.label FROM f JOIN d ON f.dk = d.dkey`)
+	if len(res.Rows) != 3 {
+		t.Fatalf("INTEGER = BIGINT join returned %d rows, want 3: %v", len(res.Rows), res.Rows)
+	}
+	res = execSQL(t, db, `SELECT d.label, SUM(f.v) FROM d JOIN f ON d.dkey = f.dk GROUP BY d.label`)
+	if len(res.Rows) != 2 {
+		t.Fatalf("BIGINT = INTEGER grouped join returned %d groups, want 2: %v", len(res.Rows), res.Rows)
+	}
+	for _, row := range res.Rows {
+		if want := map[string]float64{"one": 4, "two": 4}[row[0].Varchar()]; row[1].Double() != want {
+			t.Errorf("SUM(f.v) for %v = %v, want %v", row[0], row[1], want)
+		}
+	}
+
+	resolver := func(name string) *schema.Table { return db.Catalog().Table(name).Schema }
+	_, err := Parse(`SELECT f.id FROM f JOIN d ON f.dk = d.label`, resolver)
+	if err == nil || !strings.Contains(err.Error(), "cannot join") {
+		t.Errorf("INTEGER = VARCHAR join: bind error %v, want a type error", err)
+	}
+}

@@ -722,6 +722,9 @@ func (p *parser) selectStmt() (*query.Query, error) {
 		if err != nil {
 			return nil, err
 		}
+		if lt, rt := p.columnType(c1), p.columnType(c2); !value.JoinComparable(lt, rt) {
+			return nil, fmt.Errorf("sql: cannot join columns of types %s and %s", lt, rt)
+		}
 		nL := left.NumColumns()
 		// Normalize to (leftCol, rightCol-local).
 		switch {

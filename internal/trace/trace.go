@@ -23,10 +23,12 @@ import (
 	"time"
 )
 
-// KV is one named counter attached to a span ("blocks_scanned", 12).
+// KV is one named counter attached to a span ("blocks_scanned", 12), or —
+// with Tag set — a named choice the stage made ("kernel", "dense").
 type KV struct {
 	Key string
 	Val int64
+	Tag string
 }
 
 // Span is one traced execution stage. Counters are accumulated with Add
@@ -91,7 +93,18 @@ func (s *Span) Add(key string, n int64) {
 			return
 		}
 	}
-	s.kv = append(s.kv, KV{key, n})
+	s.kv = append(s.kv, KV{Key: key, Val: n})
+	s.mu.Unlock()
+}
+
+// Tag records a named choice the stage made, rendered "key=val" among the
+// counters.
+func (s *Span) Tag(key, val string) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.kv = append(s.kv, KV{Key: key, Tag: val})
 	s.mu.Unlock()
 }
 
@@ -154,7 +167,11 @@ func (s *Span) DetailString() string {
 	}
 	parts := make([]string, len(kv))
 	for i, e := range kv {
-		parts[i] = fmt.Sprintf("%s=%d", e.Key, e.Val)
+		if e.Tag != "" {
+			parts[i] = e.Key + "=" + e.Tag
+		} else {
+			parts[i] = fmt.Sprintf("%s=%d", e.Key, e.Val)
+		}
 	}
 	return strings.Join(parts, " ")
 }
@@ -240,7 +257,7 @@ func (t *Trace) Add(key string, n int64) {
 			return
 		}
 	}
-	t.kv = append(t.kv, KV{key, n})
+	t.kv = append(t.kv, KV{Key: key, Val: n})
 	t.mu.Unlock()
 }
 

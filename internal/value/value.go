@@ -81,6 +81,14 @@ func (t Type) Numeric() bool {
 	}
 }
 
+// JoinComparable reports whether an equi-join can compare keys of types a
+// and b: the same type, or two whole-number types (INTEGER, BIGINT, DATE —
+// a day count), which compare by numeric value.
+func JoinComparable(a, b Type) bool {
+	whole := func(t Type) bool { return t == Integer || t == Bigint || t == Date }
+	return a == b || whole(a) && whole(b)
+}
+
 // Value is a typed scalar. The zero Value is a NULL Integer.
 type Value struct {
 	str  string
