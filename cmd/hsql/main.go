@@ -240,6 +240,8 @@ func remoteShell(addr string) {
 				fmt.Printf("txns: %.0f active, %.0f begun, %.0f committed, %.0f aborted, %.0f conflicts\n",
 					vals["hs_txn_active"], vals["hs_txn_begin_total"], vals["hs_txn_commit_total"],
 					vals["hs_txn_abort_total"], vals["hs_txn_conflict_total"])
+				fmt.Printf("row store arena: %.0f bytes; %.0f keys folded\n",
+					vals["hs_rowstore_arena_bytes"], vals["hs_txn_fold_keys_total"])
 			default:
 				fmt.Println("unknown remote command (only \\quit, \\ping, \\metrics and \\stats work over -connect):", trimmed)
 			}
@@ -397,6 +399,7 @@ func (s *session) command(line string) bool {
 			ts := db.TxnStats()
 			fmt.Printf("txns: %d active, %d begun, %d committed, %d aborted, %d conflicts\n",
 				ts.Active, ts.Begins, ts.Commits, ts.Aborts, ts.Conflicts)
+			fmt.Printf("row store arena: %d bytes; %d keys folded\n", db.RowArenaBytes(), ts.FoldKeys)
 			snap := s.mon.Snapshot()
 			fmt.Printf("observed %d queries (%d in window)\n", snap.Seen, snap.WindowSeen)
 			ph := metrics.Default().Histogram("hs_planning_seconds",

@@ -105,6 +105,38 @@
 //     generic fallbacks above, MVCC-merged scans) tracks extrema only
 //     for MIN and MAX; SUM, AVG and COUNT cost an add and an increment.
 //
+// # Row store
+//
+// internal/rowstore keeps a table's tuples in one pointer-free arena of
+// fixed-width 8-byte slots ([]uint64). Row i occupies the window starting
+// at i*width: one value slot per attribute, then the row's NULL bitmap
+// (one word per 64 attributes). An INTEGER, BIGINT or DATE slot is the
+// int64, a DOUBLE slot its IEEE-754 bits, a VARCHAR slot an index into
+// the table's string heap ([]string); an entry released by an overwritten
+// or deleted VARCHAR is handed out again before the heap grows. A stored
+// row therefore costs 8 bytes per attribute plus its strings, and the
+// garbage collector never scans the arena. MemoryBytes stays the logical
+// size (the values at their declared widths — what mem_bytes_per_row
+// reports); ArenaBytes, exported as hs_rowstore_arena_bytes, is the
+// physical one.
+//
+// value.Value is boxed only at the edge. Scan decodes into one scratch row
+// per scan, indexed by column: the predicate's columns first, the
+// requested columns (ScanCols; nil = all) only once the row matches; any
+// other position is stale, and the callback must not retain the row —
+// the storage.Scan contract every layout already had. LookupPK compares
+// slots without boxing, Aggregate boxes only the grouping and aggregate
+// columns, and the vertical split's PK join reads single attributes
+// through Value and Read.
+//
+// Writes by key cost the row they touch. Update and Upsert overwrite
+// slots in place; Delete and DeletePK tombstone the window and take the
+// row out of every index. Once tombstones exceed a quarter of the live
+// rows (and 1024 windows) the arena and the string heap are rewritten and
+// the row ids in every index renumbered — no rehashing, no sorting — so
+// the arena holds at most ~1.25 windows per live row under any churn, at
+// an amortised constant per deleted row. Compact does the same on demand.
+//
 // # Parallel execution
 //
 // Query execution is morsel-driven: one process-wide worker pool
@@ -348,6 +380,23 @@
 //     scheduler's maintenance tick via engine.Vacuum), then pruned once
 //     no live snapshot can still need them, so the overlay stays small
 //     and reads keep the vectorized base-scan fast paths.
+//   - The fold is by primary key, in the background and in WAL recovery
+//     alike: every layout resolves a written key through its PK index
+//     (storage.DeletePK / Upsert). A key that keeps a final row image is
+//     replaced — the row store overwrites its slots in place, the column
+//     store clears the live bit LookupPK found and appends the image to
+//     the delta, a horizontal split routes by key to the hot then the
+//     cold partition — and a key left without one is deleted; no step
+//     scans the table, so the write lock is held for microseconds per
+//     commit, and re-applying a fold is harmless. An in-flight migration
+//     replays folds onto its target in the same keyed form. Until a
+//     commit is folded, a scan shows the committed image of an updated
+//     row in its base row's place, so a key-range read keeps its order. What stays
+//     predicate-based: a vertically split table implements the keyed
+//     calls through its Delete(pk = key) and Insert (matchingPKs, one
+//     code-vector scan of the column partition per key), and statements
+//     on the legacy serial path (tables without a primary key,
+//     SetSerialWrites) apply their predicates to base storage directly.
 //
 // Failure handling in the driver: losing the connection inside a
 // transaction surfaces an error instead of transparently redialing —
@@ -358,7 +407,13 @@
 // Observability: hs_txn_{begin,commit,abort,conflict}_total and the
 // hs_txn_active gauge are exported via SHOW METRICS, /metrics and
 // /status; \stats in hsql prints the same counters, and the workload
-// monitor attributes commits/aborts per session. The transactional
+// monitor attributes commits/aborts per session.
+// hs_txn_fold_seconds is the time one fold holds the write lock,
+// hs_txn_fold_keys_total the primary keys folded (deleted or upserted),
+// hs_txn_fold_errors_total the folds re-queued after a storage error (0
+// on a healthy system).
+// hs_rowstore_arena_bytes is the physical size of the row-store arenas
+// (slots, NULL bitmaps, string heaps; also in /status and \stats). The transactional
 // variant of `hsbench -exp concurrent-clients` measures mixed
 // transactional throughput and abort rate against the single-RW-lock
 // baseline (engine.SetSerialWrites: each transaction holds a global

@@ -90,7 +90,12 @@ func TestFig6aQuick(t *testing.T) {
 }
 
 func TestFig6bQuick(t *testing.T) {
-	res, err := Run("fig6b", quickCfg())
+	// One to five aggregates over 12.5k rows differ by a few hundred
+	// microseconds; the median of three runs does not resolve that on a
+	// loaded host.
+	cfg := quickCfg()
+	cfg.Reps = 15
+	res, err := Run("fig6b", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

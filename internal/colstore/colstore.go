@@ -181,6 +181,16 @@ func (t *Table) pkHash(row []value.Value) uint64 {
 	return value.HashRow(t.sch.PKValues(row))
 }
 
+// pkHashAt hashes the primary key stored at row rid.
+func (t *Table) pkHashAt(rid int) uint64 {
+	var buf [4]value.Value
+	key := buf[:0]
+	for _, k := range t.sch.PrimaryKey {
+		key = append(key, t.cols[k].valueAt(rid, t.mainRows))
+	}
+	return value.HashRow(key)
+}
+
 func (t *Table) pkEqualAt(rid int, key []value.Value) bool {
 	for i, k := range t.sch.PrimaryKey {
 		if !value.Equal(t.cols[k].valueAt(rid, t.mainRows), key[i]) {
@@ -231,10 +241,52 @@ func (t *Table) Insert(rows [][]value.Value) error {
 	for _, row := range rows {
 		t.appendRow(row)
 	}
+	t.autoMerge()
+	return nil
+}
+
+// autoMerge merges once the delta has outgrown the threshold.
+func (t *Table) autoMerge() {
 	if t.AutoMerge && t.totalRows() > minMergeRows &&
 		float64(t.deltaRows) > t.MergeThreshold*float64(t.totalRows()) {
 		t.Merge()
 	}
+}
+
+// DeletePK tombstones the row with the given primary key, if the table
+// holds one. The row is found through the PK index, not by a scan of the
+// key column's code vector.
+func (t *Table) DeletePK(key []value.Value) bool {
+	rid, ok := t.LookupPK(key)
+	if ok {
+		t.tombstone(rid, value.HashRow(key))
+	}
+	return ok
+}
+
+// tombstone clears row rid's live bit and takes it out of the PK index,
+// which chains it under hash h. Space is reclaimed at the next merge.
+func (t *Table) tombstone(rid int, h uint64) {
+	removeRid(t.pkIndex, h, int32(rid))
+	t.liveSet.Clear(rid)
+	t.live--
+}
+
+// Upsert stores each row under its primary key: the row the table holds
+// for the key, if any, is tombstoned and the new image appended to the
+// delta — a committed transaction's final row images, applied at the cost
+// of the rows written. The batch is validated before anything changes.
+func (t *Table) Upsert(rows [][]value.Value) error {
+	for _, row := range rows {
+		if err := t.sch.ValidateRow(row); err != nil {
+			return err
+		}
+	}
+	for _, row := range rows {
+		t.DeletePK(t.sch.PKValues(row))
+		t.appendRow(row)
+	}
+	t.autoMerge()
 	return nil
 }
 
@@ -274,12 +326,8 @@ func (t *Table) Merge() {
 	t.live = t.mainRows
 	if t.pkIndex != nil {
 		t.pkIndex = make(map[uint64][]int32)
-		key := make([]value.Value, len(t.sch.PrimaryKey))
 		for rid := 0; rid < t.mainRows; rid++ {
-			for i, k := range t.sch.PrimaryKey {
-				key[i] = t.cols[k].valueAt(rid, t.mainRows)
-			}
-			h := value.HashRow(key)
+			h := t.pkHashAt(rid)
 			t.pkIndex[h] = append(t.pkIndex[h], int32(rid))
 		}
 	}
@@ -533,94 +581,52 @@ func (t *Table) updateRow(rid int, set map[int]value.Value, pkChanged bool) {
 		}
 	}
 	var oldKeyHash uint64
-	if pkChanged && t.pkIndex != nil {
-		key := make([]value.Value, len(t.sch.PrimaryKey))
-		for i, k := range t.sch.PrimaryKey {
-			key[i] = t.cols[k].valueAt(rid, t.mainRows)
-		}
-		oldKeyHash = value.HashRow(key)
+	if t.pkIndex != nil && (pkChanged || !inPlace) {
+		oldKeyHash = t.pkHashAt(rid)
 	}
-	if inPlace {
-		for col, v := range set {
-			c := &t.cols[col]
-			if rid < t.mainRows {
-				code, _ := c.mainDict.Code(v)
-				c.mainCodes.(compress.Mutable).Set(rid, code)
-				patchZone(c.mainZones, rid, code)
-			} else {
-				d := rid - t.mainRows
-				if v.IsNull() {
-					if c.deltaNulls == nil {
-						c.deltaNulls = make([]bool, len(c.deltaCodes))
-					}
-					c.deltaNulls[d] = true
-				} else {
-					c.deltaCodes[d] = c.deltaDict.GetOrAdd(v)
-					if c.deltaNulls != nil {
-						c.deltaNulls[d] = false
-					}
-				}
-			}
-		}
-	} else {
+	if !inPlace {
 		// Migrate: reconstruct, tombstone, re-append with new values.
 		row := t.Get(rid)
 		for col, v := range set {
 			row[col] = v
 		}
-		t.liveSet.Clear(rid)
-		t.live--
-		newRid := int32(t.totalRows())
-		for i := range t.cols {
-			t.cols[i].appendDelta(row[i])
-		}
-		t.deltaRows++
-		t.liveSet = bitset.Grow(t.liveSet, int(newRid)+1)
-		t.liveSet.Set(int(newRid))
-		t.live++
-		if t.pkIndex != nil {
-			h := t.pkHash(row)
-			// Remove the tombstoned rid lazily: LookupPK skips invalid rows,
-			// but we remove eagerly to keep chains short.
-			removeRid(t.pkIndex, oldHashOr(t, row, pkChanged, oldKeyHash), int32(rid))
-			t.pkIndex[h] = append(t.pkIndex[h], newRid)
-		}
+		t.tombstone(rid, oldKeyHash)
+		t.appendRow(row)
 		return
 	}
-	if pkChanged && t.pkIndex != nil {
-		key := make([]value.Value, len(t.sch.PrimaryKey))
-		for i, k := range t.sch.PrimaryKey {
-			key[i] = t.cols[k].valueAt(rid, t.mainRows)
+	for col, v := range set {
+		c := &t.cols[col]
+		if rid < t.mainRows {
+			code, _ := c.mainDict.Code(v)
+			c.mainCodes.(compress.Mutable).Set(rid, code)
+			patchZone(c.mainZones, rid, code)
+		} else {
+			d := rid - t.mainRows
+			if v.IsNull() {
+				if c.deltaNulls == nil {
+					c.deltaNulls = make([]bool, len(c.deltaCodes))
+				}
+				c.deltaNulls[d] = true
+			} else {
+				c.deltaCodes[d] = c.deltaDict.GetOrAdd(v)
+				if c.deltaNulls != nil {
+					c.deltaNulls[d] = false
+				}
+			}
 		}
+	}
+	if pkChanged && t.pkIndex != nil {
 		removeRid(t.pkIndex, oldKeyHash, int32(rid))
-		h := value.HashRow(key)
+		h := t.pkHashAt(rid)
 		t.pkIndex[h] = append(t.pkIndex[h], int32(rid))
 	}
 }
 
-// oldHashOr returns the PK hash of the pre-update row: when the PK did not
-// change it equals the post-update hash.
-func oldHashOr(t *Table, newRow []value.Value, pkChanged bool, oldHash uint64) uint64 {
-	if pkChanged {
-		return oldHash
-	}
-	return t.pkHash(newRow)
-}
-
-// Delete tombstones all live rows matching pred. Space is reclaimed at the
-// next merge.
+// Delete tombstones all live rows matching pred.
 func (t *Table) Delete(pred expr.Predicate) int {
 	rids := t.matchingRows(pred)
-	key := make([]value.Value, len(t.sch.PrimaryKey))
 	for _, rid := range rids {
-		if t.pkIndex != nil {
-			for i, k := range t.sch.PrimaryKey {
-				key[i] = t.cols[k].valueAt(int(rid), t.mainRows)
-			}
-			removeRid(t.pkIndex, value.HashRow(key), rid)
-		}
-		t.liveSet.Clear(int(rid))
-		t.live--
+		t.tombstone(int(rid), t.pkHashAt(int(rid)))
 	}
 	return len(rids)
 }

@@ -45,7 +45,7 @@ func (t *Table) numMainBlocks() int { return (t.mainRows + blockRows - 1) / bloc
 func (t *Table) matchBitmapExec(pred expr.Predicate, s *scanScratch, ex *exec.Ctx) bitset.Bits {
 	nb := t.numMainBlocks()
 	if t.totalRows() < parallelMinRows || !ex.Parallel(nb) {
-		return t.matchBitmapTraced(pred, s, ex.Tracer())
+		return t.matchBitmap(pred, s, ex.Tracer())
 	}
 	matchers, ok := t.compileMatchers(pred)
 	if !ok {

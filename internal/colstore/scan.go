@@ -110,14 +110,9 @@ func (t *Table) compileBetween(q *expr.Between) (colMatcher, bool) {
 // "all live rows match". Compiled matchers are evaluated block-at-a-time
 // over bulk-decoded code buffers with zone-map skipping; conjuncts and the
 // tombstone mask combine with word-wide ANDs. The returned bitset is
-// backed by s and stays valid until s is released.
-func (t *Table) matchBitmap(pred expr.Predicate, s *scanScratch) bitset.Bits {
-	return t.matchBitmapTraced(pred, s, nil)
-}
-
-// matchBitmapTraced is matchBitmap reporting zone-map outcomes to tr
-// (and always to the cumulative package metrics).
-func (t *Table) matchBitmapTraced(pred expr.Predicate, s *scanScratch, tr *trace.Trace) bitset.Bits {
+// backed by s and stays valid until s is released. Zone-map outcomes are
+// reported to tr (nil: none) and always to the cumulative package metrics.
+func (t *Table) matchBitmap(pred expr.Predicate, s *scanScratch, tr *trace.Trace) bitset.Bits {
 	if matchers, ok := t.compileMatchers(pred); ok {
 		if len(matchers) == 0 {
 			return nil
@@ -423,7 +418,7 @@ func (t *Table) ScanBatches(pred expr.Predicate, cols []int, fn func(rids []int3
 	}
 	s := t.acquireScratch()
 	defer t.releaseScratch(s)
-	t.scanBatches(t.matchBitmap(pred, s), cols, s, fn)
+	t.scanBatches(t.matchBitmap(pred, s, nil), cols, s, fn)
 }
 
 // scanBatches streams batches for an already-computed match bitset
@@ -549,7 +544,7 @@ func (t *Table) Scan(pred expr.Predicate, cols []int, fn func(rid int, row []val
 func (t *Table) matchingRows(pred expr.Predicate) []int32 {
 	s := t.acquireScratch()
 	defer t.releaseScratch(s)
-	match := t.matchBitmap(pred, s)
+	match := t.matchBitmap(pred, s, nil)
 	src := match
 	want := t.live
 	if src == nil {

@@ -21,6 +21,7 @@ import (
 	"hybridstore/internal/colstore"
 	"hybridstore/internal/costmodel"
 	"hybridstore/internal/exec"
+	"hybridstore/internal/metrics"
 	"hybridstore/internal/plan"
 	"hybridstore/internal/query"
 	"hybridstore/internal/rowstore"
@@ -99,7 +100,9 @@ type Database struct {
 	mu     sync.RWMutex
 	cat    *catalog.Catalog
 	tables map[string]*tableRuntime
-	obs    QueryObserver
+	// obs is read once per statement, outside db.mu: behind a pending fold
+	// writer every extra read-lock acquisition queues again.
+	obs atomic.Pointer[QueryObserver]
 
 	// pool is the worker pool analytical reads draw morsel helpers
 	// from. It defaults to the shared process-wide pool; the network
@@ -155,12 +158,29 @@ var defaultPlanModel = sync.OnceValue(costmodel.DefaultModel)
 
 // New creates an empty database.
 func New() *Database {
-	return &Database{
+	db := &Database{
 		cat:    catalog.New(),
 		tables: make(map[string]*tableRuntime),
 		pool:   exec.Default(),
 		txns:   txn.NewManager(),
 	}
+	// Like the server's gauges, the freshest database of the process owns it.
+	metrics.Default().GaugeFunc("hs_rowstore_arena_bytes",
+		"physical size of the row-store arenas: value slots, NULL bitmaps and string heaps, tombstoned windows included",
+		db.RowArenaBytes)
+	return db
+}
+
+// RowArenaBytes is the physical size of every table's row-store arenas;
+// MemoryBytes is the logical payload they hold.
+func (db *Database) RowArenaBytes() int64 {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	var n int64
+	for _, rt := range db.tables {
+		n += int64(rt.store.ArenaBytes())
+	}
+	return n
 }
 
 // SetPool replaces the worker pool reads fan out on (nil forces serial
@@ -184,9 +204,18 @@ func (db *Database) Catalog() *catalog.Catalog { return db.cat }
 
 // SetObserver attaches a query observer (nil detaches).
 func (db *Database) SetObserver(obs QueryObserver) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.obs = obs
+	if obs == nil {
+		db.obs.Store(nil)
+		return
+	}
+	db.obs.Store(&obs)
+}
+
+func (db *Database) observer() QueryObserver {
+	if p := db.obs.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 func tableKey(name string) string { return strings.ToLower(name) }
@@ -589,18 +618,18 @@ func (db *Database) execWithPlan(ctx context.Context, q *query.Query, planned *p
 	case query.Insert, query.Update, query.Delete:
 		isDML = true
 		// Routing: statements of an explicit transaction claim versions
-		// on the MVCC overlay; auto-commit statements on MVCC-capable
-		// tables run as single-statement transactions (read lock only,
-		// disjoint writers in parallel); primary-key-less tables — and
-		// the SetSerialWrites bench baseline — keep the legacy
-		// single-write-lock path.
+		// on the MVCC overlay; auto-commit statements run as
+		// single-statement transactions (read lock only, disjoint writers
+		// in parallel), which hand primary-key-less tables — seen under
+		// the read lock they take anyway — to the legacy
+		// single-write-lock path the SetSerialWrites bench baseline uses.
 		switch {
 		case etx != nil:
 			res, err = db.execTxnDML(tr, etx, q)
-		case db.useMVCCDML(q.Table):
-			res, err = db.execAutoTxnDML(ctx, tr, q)
-		default:
+		case db.serialWrites.Load():
 			res, err = db.execSerialDML(ctx, tr, q)
+		default:
+			res, err = db.execAutoTxnDML(ctx, tr, q)
 		}
 	default:
 		notifyScanStarted(ctx, q.Table)
@@ -699,12 +728,6 @@ func stopFunc(ctx context.Context) func() bool {
 	return func() bool { return ctx.Err() != nil }
 }
 
-func (db *Database) observer() QueryObserver {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.obs
-}
-
 // execDML applies one DML statement under the write lock. When the
 // database is durable the statement is enqueued to the WAL in apply
 // order and the returned sequence number must be waited on (outside the
@@ -716,13 +739,9 @@ func (db *Database) execDML(q *query.Query) (*Result, uint64, error) {
 	}
 	switch q.Kind {
 	case query.Insert:
-		coerced := make([][]value.Value, len(q.Rows))
-		for i, row := range q.Rows {
-			cr, err := rt.entry.Schema.CoerceRow(row)
-			if err != nil {
-				return nil, 0, err
-			}
-			coerced[i] = cr
+		coerced, err := coerceRows(rt.entry.Schema, q.Rows)
+		if err != nil {
+			return nil, 0, err
 		}
 		if err := rt.store.Insert(coerced); err != nil {
 			return nil, 0, err
@@ -776,6 +795,21 @@ func (db *Database) logRecord(rec *wal.Record) error {
 		return nil
 	}
 	return db.log.Append(rec)
+}
+
+// coerceRows converts a statement's rows to the column types (the lenient
+// conversion of the SQL front end); the stores validate what they are
+// handed.
+func coerceRows(sch *schema.Table, rows [][]value.Value) ([][]value.Value, error) {
+	out := make([][]value.Value, len(rows))
+	for i, row := range rows {
+		cr, err := sch.CoerceRow(row)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = cr
+	}
+	return out, nil
 }
 
 func specName(sch *schema.Table, s agg.Spec) string {

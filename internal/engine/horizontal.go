@@ -57,7 +57,20 @@ func (h *horizontalStorage) Insert(rows [][]value.Value) error {
 	if err := checkInsertPKs(h.sch, rows, h.HasPK); err != nil {
 		return err
 	}
-	var hotRows, coldRows [][]value.Value
+	hotRows, coldRows := h.split(rows)
+	if len(hotRows) > 0 {
+		if err := h.hot.Insert(hotRows); err != nil {
+			return err
+		}
+	}
+	if len(coldRows) > 0 {
+		return h.cold.Insert(coldRows)
+	}
+	return nil
+}
+
+// split routes rows by the split column.
+func (h *horizontalStorage) split(rows [][]value.Value) (hotRows, coldRows [][]value.Value) {
 	for _, row := range rows {
 		if h.isHot(row) {
 			hotRows = append(hotRows, row)
@@ -65,29 +78,39 @@ func (h *horizontalStorage) Insert(rows [][]value.Value) error {
 			coldRows = append(coldRows, row)
 		}
 	}
-	if len(hotRows) > 0 {
-		if err := h.hot.Insert(hotRows); err != nil {
-			return err
-		}
-	}
-	if len(coldRows) > 0 {
-		if err := h.cold.Insert(coldRows); err != nil {
-			return err
-		}
-	}
-	return nil
+	return hotRows, coldRows
 }
 
 // HasPK reports whether either partition holds a live row with the
 // given primary-key values.
 func (h *horizontalStorage) HasPK(key []value.Value) bool {
-	if lp, ok := h.hot.(pkLookuper); ok && lp.HasPK(key) {
-		return true
+	return h.hot.HasPK(key) || h.cold.HasPK(key)
+}
+
+// DeletePK removes the key's row from whichever partition holds it.
+func (h *horizontalStorage) DeletePK(key []value.Value) bool {
+	return h.hot.DeletePK(key) || h.cold.DeletePK(key)
+}
+
+// Upsert stores each row in the partition its split value selects; the key
+// leaves the other partition, where its previous image may live.
+func (h *horizontalStorage) Upsert(rows [][]value.Value) error {
+	hotRows, coldRows := h.split(rows)
+	for _, row := range hotRows {
+		h.cold.DeletePK(h.sch.PKValues(row))
 	}
-	if lp, ok := h.cold.(pkLookuper); ok && lp.HasPK(key) {
-		return true
+	for _, row := range coldRows {
+		h.hot.DeletePK(h.sch.PKValues(row))
 	}
-	return false
+	if len(hotRows) > 0 {
+		if err := h.hot.Upsert(hotRows); err != nil {
+			return err
+		}
+	}
+	if len(coldRows) > 0 {
+		return h.cold.Upsert(coldRows)
+	}
+	return nil
 }
 
 // sides returns the partitions a predicate can touch, pruning by the
@@ -177,58 +200,19 @@ func (h *horizontalStorage) Update(pred expr.Predicate, set map[int]value.Value)
 }
 
 // validatePKUpdate pre-validates a PK-changing update across both
-// partitions: the per-partition stores each re-check their own rows, but
-// only a whole-table pass catches a collision sitting in the cold side
-// after the hot side has already been updated, or two matched rows on
-// different sides converging on one new key. Updates here never change
-// the split column (those route to migratingUpdate), so each row's new
-// key stays on the row's own side.
+// partitions (checkPKUpdate). Updates here never change the split column
+// (those route to migratingUpdate), so each row's new key stays on the
+// row's own side.
 func (h *horizontalStorage) validatePKUpdate(pred expr.Predicate, set map[int]value.Value) error {
-	if len(h.sch.PrimaryKey) == 0 {
+	if !assignsPK(h.sch, set) {
 		return nil
 	}
-	changed := false
-	for _, k := range h.sch.PrimaryKey {
-		if _, ok := set[k]; ok {
-			changed = true
-		}
-	}
-	if !changed {
-		return nil
-	}
-	seen := make(map[string]struct{})
-	var conflict error
-	h.Scan(pred, nil, func(row []value.Value) bool {
-		newKey := make([]value.Value, len(h.sch.PrimaryKey))
-		same := true
-		for i, k := range h.sch.PrimaryKey {
-			if v, ok := set[k]; ok {
-				newKey[i] = v
-				if !value.Equal(v, row[k]) {
-					same = false
-				}
-			} else {
-				newKey[i] = row[k]
-			}
-		}
-		ks := value.TupleKey(newKey)
-		if _, dup := seen[ks]; dup {
-			conflict = fmt.Errorf("engine: update would assign duplicate primary key %v to multiple rows in %q", newKey, h.sch.Name)
-			return false
-		}
-		seen[ks] = struct{}{}
-		if same {
-			return true // the row keeps its own key
-		}
-		// Check BOTH partitions: the colliding row may live on the
-		// other side, which the per-partition store check cannot see.
-		if h.HasPK(newKey) {
-			conflict = fmt.Errorf("engine: update would duplicate primary key %v in table %q", newKey, h.sch.Name)
-			return false
-		}
+	var keys [][]value.Value
+	h.Scan(pred, h.sch.PrimaryKey, func(row []value.Value) bool {
+		keys = append(keys, h.sch.PKValues(row))
 		return true
 	})
-	return conflict
+	return checkPKUpdate(h.sch, set, keys, h.HasPK)
 }
 
 // migratingUpdate handles updates that change the split column: affected
@@ -310,6 +294,8 @@ func (h *horizontalStorage) Compact() {
 func (h *horizontalStorage) MemoryBytes() int {
 	return h.hot.MemoryBytes() + h.cold.MemoryBytes()
 }
+
+func (h *horizontalStorage) ArenaBytes() int { return h.hot.ArenaBytes() + h.cold.ArenaBytes() }
 
 func (h *horizontalStorage) persist(enc *wal.Encoder) {
 	h.hot.persist(enc)

@@ -98,14 +98,10 @@ func (db *Database) CopyRows(ctx context.Context, table string, rows [][]value.V
 	// overlay only holds uncommitted claims (checked below).
 	db.foldLocked()
 	sch := rt.entry.Schema
-	coerced := make([][]value.Value, len(rows))
-	for i, row := range rows {
-		cr, cerr := sch.CoerceRow(row)
-		if cerr != nil {
-			db.mu.Unlock()
-			return nil, cerr
-		}
-		coerced[i] = cr
+	coerced, err := coerceRows(sch, rows)
+	if err != nil {
+		db.mu.Unlock()
+		return nil, err
 	}
 	if rt.ov != nil {
 		if claimed := rt.ov.UncommittedKeys(); len(claimed) > 0 {
@@ -128,19 +124,13 @@ func (db *Database) CopyRows(ctx context.Context, table string, rows [][]value.V
 		Width: sch.NumColumns(), Rows: coerced,
 	})
 	db.mu.Unlock()
+	// Group commit: the record was enqueued in apply order under the
+	// write lock, so concurrent batches share one fsync.
+	if err == nil {
+		err = db.waitDurable(nil, seq)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: copy applied but not durable: %w", err)
-	}
-	// Group commit: the record was enqueued in apply order under the
-	// write lock; the durability wait happens outside it, so concurrent
-	// batches share one fsync.
-	if seq != 0 {
-		wstart := time.Now()
-		werr := db.log.WaitDurable(seq)
-		mWALWaitSeconds.Observe(time.Since(wstart).Nanoseconds())
-		if werr != nil {
-			return nil, fmt.Errorf("engine: copy applied but not durable: %w", werr)
-		}
 	}
 	d := time.Since(start)
 	mIngestBatches.Inc()

@@ -52,6 +52,10 @@ var (
 		"snapshot-isolation write-write conflicts detected (including internal auto-commit retries)")
 	mTxnFoldErrors = metrics.Default().Counter("hs_txn_fold_errors_total",
 		"commit folds re-queued after a base-storage error")
+	mTxnFoldSeconds = metrics.Default().Histogram("hs_txn_fold_seconds",
+		"time one fold of pending commits into base storage holds the write lock", "seconds")
+	mTxnFoldKeys = metrics.Default().Counter("hs_txn_fold_keys_total",
+		"primary keys folded into base storage (deleted or upserted through the PK index)")
 	mTxnActive = metrics.Default().Gauge("hs_txn_active",
 		"explicit transactions currently open")
 

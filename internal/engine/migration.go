@@ -19,6 +19,11 @@ type dmlOp struct {
 	rows [][]value.Value
 	pred expr.Predicate
 	set  map[int]value.Value
+
+	// fold marks a committed transaction's effect on the table: keys to
+	// delete, then rows to upsert, both by primary key (applyFold).
+	fold bool
+	keys [][]value.Value
 }
 
 // migrationTail buffers the DML applied to a table's live storage while a
@@ -36,7 +41,7 @@ func (rt *tableRuntime) recordTail(op dmlOp) {
 	if rt.tail == nil {
 		return
 	}
-	if op.kind == query.Insert {
+	if op.rows != nil {
 		rows := make([][]value.Value, len(op.rows))
 		for i, r := range op.rows {
 			cp := make([]value.Value, len(r))
@@ -61,17 +66,19 @@ func (rt *tableRuntime) recordTail(op dmlOp) {
 // it originally saw — no idempotency tricks are needed.
 func replayOps(st storage, ops []dmlOp) error {
 	for _, op := range ops {
-		switch op.kind {
-		case query.Insert:
-			if err := st.Insert(op.rows); err != nil {
-				return err
-			}
-		case query.Update:
-			if _, err := st.Update(op.pred, op.set); err != nil {
-				return err
-			}
-		case query.Delete:
+		var err error
+		switch {
+		case op.fold:
+			err = applyFold(st, op)
+		case op.kind == query.Insert:
+			err = st.Insert(op.rows)
+		case op.kind == query.Update:
+			_, err = st.Update(op.pred, op.set)
+		case op.kind == query.Delete:
 			st.Delete(op.pred)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

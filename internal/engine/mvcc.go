@@ -226,81 +226,58 @@ func (db *Database) finishTxn(session string, committed bool) {
 // lock, then opportunistically fold.
 //
 // Transactions holding buffered PK-less inserts commit under the write
-// lock instead and fold immediately: a PK-less table has no version
-// overlay readers could resolve the commit through, so its rows must be
-// in base storage before any later snapshot can observe the commit
+// lock instead and fold before releasing it: a PK-less table has no
+// version overlay readers could resolve the commit through, so its rows
+// must be in base storage before any later snapshot can observe the commit
 // timestamp — the serialized path PK-less auto-commit DML already uses.
 func (db *Database) commitTxn(ctx context.Context, t *Txn) error {
-	buffered := false
-	t.tx.Buffered(func(*txn.BufferedInsert) { buffered = true })
-	if buffered {
-		return db.commitTxnSerial(ctx, t)
+	serial := false
+	t.tx.Buffered(func(*txn.BufferedInsert) { serial = true })
+	lock, unlock := db.mu.RLock, db.mu.RUnlock
+	if serial {
+		lock, unlock = db.mu.Lock, db.mu.Unlock
 	}
-	db.mu.RLock()
+	lock()
 	if db.closed.Load() {
-		db.mu.RUnlock()
+		unlock()
 		db.txns.Abort(t.tx)
 		db.finishTxn(t.session, false)
 		return ErrClosed
 	}
 	tr := trace.FromContext(ctx)
 	sp := tr.Start("commit")
-	seq, enqErr := db.publishCommit(t.tx)
-	db.mu.RUnlock()
+	seq, err := db.publishCommit(t.tx)
+	if serial && err == nil {
+		db.foldLocked()
+	}
+	unlock()
 	sp.End()
 	db.finishTxn(t.session, true)
-	if enqErr != nil {
-		return fmt.Errorf("engine: transaction applied but not durable: %w", enqErr)
+	if err == nil {
+		err = db.waitDurable(tr, seq)
 	}
-	if seq != 0 {
-		wsp := tr.Start("wal_wait")
-		wstart := time.Now()
-		werr := db.log.WaitDurable(seq)
-		mWALWaitSeconds.Observe(time.Since(wstart).Nanoseconds())
-		wsp.End()
-		if werr != nil {
-			return fmt.Errorf("engine: transaction applied but not durable: %w", werr)
-		}
+	if err != nil {
+		return fmt.Errorf("engine: transaction applied but not durable: %w", err)
 	}
-	db.foldBehind()
+	if !serial {
+		db.foldBehind()
+	}
 	return nil
 }
 
-// commitTxnSerial commits a transaction that buffered PK-less inserts:
-// publish under the write lock and fold before releasing it, so base
-// storage already carries the rows when readers at newer snapshots are
-// admitted. The durability wait still happens outside every lock.
-func (db *Database) commitTxnSerial(ctx context.Context, t *Txn) error {
-	db.mu.Lock()
-	if db.closed.Load() {
-		db.mu.Unlock()
-		db.txns.Abort(t.tx)
-		db.finishTxn(t.session, false)
-		return ErrClosed
+// waitDurable waits, outside every lock, until the WAL record enqueued as
+// seq is on disk (0: nothing was logged), so concurrent writers share one
+// fsync and readers are never blocked on disk.
+func (db *Database) waitDurable(tr *trace.Trace, seq uint64) error {
+	if seq == 0 {
+		return nil
 	}
-	tr := trace.FromContext(ctx)
-	sp := tr.Start("commit")
-	seq, enqErr := db.publishCommit(t.tx)
-	if enqErr == nil {
-		db.foldLocked()
-	}
-	db.mu.Unlock()
+	sp := tr.Start("wal_wait")
+	start := time.Now()
+	err := db.log.WaitDurable(seq)
+	mWALWaitSeconds.Observe(time.Since(start).Nanoseconds())
 	sp.End()
-	db.finishTxn(t.session, true)
-	if enqErr != nil {
-		return fmt.Errorf("engine: transaction applied but not durable: %w", enqErr)
-	}
-	if seq != 0 {
-		wsp := tr.Start("wal_wait")
-		wstart := time.Now()
-		werr := db.log.WaitDurable(seq)
-		mWALWaitSeconds.Observe(time.Since(wstart).Nanoseconds())
-		wsp.End()
-		if werr != nil {
-			return fmt.Errorf("engine: transaction applied but not durable: %w", werr)
-		}
-	}
-	return nil
+	return err
 }
 
 // publishCommit makes a transaction's writes visible: under the commit
@@ -429,12 +406,16 @@ func (db *Database) foldLocked() {
 	pend := db.pending
 	db.pending = nil
 	db.pendingMu.Unlock()
+	if len(pend) > 0 {
+		defer func(start time.Time) { mTxnFoldSeconds.Observe(time.Since(start).Nanoseconds()) }(time.Now())
+	}
 	for i, pc := range pend {
 		if err := db.applyCommitLocked(&pc); err != nil {
 			// The overlay validated these rows at claim time, so this is
 			// a base-storage invariant break (e.g. serial writes toggled
 			// under live chains). Re-queue the unapplied suffix — the
-			// chains keep serving correct reads — and surface via metric.
+			// chains keep serving correct reads, and the keyed apply can be
+			// repeated — and surface via metric.
 			mTxnFoldErrors.Inc()
 			db.pendingMu.Lock()
 			db.pending = append(pend[i:], db.pending...)
@@ -469,46 +450,44 @@ func (db *Database) applyCommitLocked(pc *pendingCommit) error {
 }
 
 // applyTxnTable applies one table's slice of a committed transaction to
-// its base storage: delete every written key, then insert the final row
-// images. Shared by the background fold (under db.mu.Lock) and WAL
-// recovery; both record into a migration tail if one is installed, so an
-// in-flight layout migration replays folded commits too.
+// its base storage by primary key: a written key that has a final row
+// image is replaced through Upsert (the row store overwrites its slots in
+// place), a key left without one is deleted, and no step scans the table.
+// Shared by the background fold (under db.mu.Lock) and WAL recovery; both
+// record into a migration tail if one is installed, so an in-flight layout
+// migration replays folded commits too.
 func applyTxnTable(rt *tableRuntime, tt *wal.TxnTable) error {
-	if len(tt.DelPKs) > 0 {
-		pred := pkSetPred(rt.entry.Schema, tt.DelPKs)
-		rt.store.Delete(pred)
-		rt.recordTail(dmlOp{kind: query.Delete, pred: pred})
-	}
-	if len(tt.Rows) > 0 {
-		if err := rt.store.Insert(tt.Rows); err != nil {
-			return err
+	op := dmlOp{fold: true, keys: tt.DelPKs, rows: tt.Rows}
+	if len(tt.DelPKs) > 0 && len(tt.Rows) > 0 {
+		sch := rt.entry.Schema
+		kept := make(map[string]struct{}, len(tt.Rows))
+		for _, row := range tt.Rows {
+			kept[value.TupleKey(sch.PKValues(row))] = struct{}{}
 		}
-		rt.recordTail(dmlOp{kind: query.Insert, rows: tt.Rows})
+		op.keys = nil
+		for _, pk := range tt.DelPKs {
+			if _, ok := kept[value.TupleKey(pk)]; !ok {
+				op.keys = append(op.keys, pk)
+			}
+		}
 	}
+	mTxnFoldKeys.Add(int64(len(op.keys) + len(op.rows)))
+	if err := applyFold(rt.store, op); err != nil {
+		return err
+	}
+	rt.recordTail(op)
 	return nil
 }
 
-// pkSetPred builds the predicate matching exactly the given primary
-// keys: IN for single-column keys, OR-of-AND equality for composite
-// ones.
-func pkSetPred(sch *schema.Table, pks [][]value.Value) expr.Predicate {
-	pk := sch.PrimaryKey
-	if len(pk) == 1 {
-		vals := make([]value.Value, len(pks))
-		for i, k := range pks {
-			vals[i] = k[0]
-		}
-		return &expr.In{Col: pk[0], Vals: vals}
+// applyFold deletes op's keys and upserts its row images.
+func applyFold(st storage, op dmlOp) error {
+	for _, pk := range op.keys {
+		st.DeletePK(pk)
 	}
-	ors := make([]expr.Predicate, len(pks))
-	for i, k := range pks {
-		ands := make([]expr.Predicate, len(pk))
-		for j, c := range pk {
-			ands[j] = &expr.Comparison{Col: c, Op: expr.Eq, Val: k[j]}
-		}
-		ors[i] = &expr.And{Preds: ands}
+	if len(op.rows) == 0 {
+		return nil
 	}
-	return &expr.Or{Preds: ors}
+	return st.Upsert(op.rows)
 }
 
 // Vacuum folds every pending committed transaction into base storage and
@@ -545,6 +524,7 @@ type TxnStats struct {
 	Commits   int64
 	Aborts    int64
 	Conflicts int64
+	FoldKeys  int64 // primary keys folded into base storage
 }
 
 // TxnStats reports the transaction counters surfaced in /status and
@@ -556,30 +536,8 @@ func (db *Database) TxnStats() TxnStats {
 		Commits:   mTxnCommits.Value(),
 		Aborts:    mTxnAborts.Value(),
 		Conflicts: mTxnConflicts.Value(),
+		FoldKeys:  mTxnFoldKeys.Value(),
 	}
-}
-
-// mvccCapable reports whether a table's DML runs through the MVCC
-// overlay: it needs a primary key (versions are keyed by it) and a
-// storage that answers point PK lookups — which every built-in layout
-// with a primary key provides, across migrations.
-func (rt *tableRuntime) mvccCapable() bool {
-	if rt.ov == nil {
-		return false
-	}
-	_, ok := rt.store.(pkLookuper)
-	return ok
-}
-
-// useMVCCDML decides the write path of one auto-commit DML statement.
-func (db *Database) useMVCCDML(table string) bool {
-	if db.serialWrites.Load() {
-		return false
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rt, err := db.runtime(table)
-	return err == nil && rt.mvccCapable()
 }
 
 // autoCommitRetries bounds the internal first-updater-wins retry loop of
@@ -620,9 +578,8 @@ func (db *Database) execAutoTxnDML(ctx context.Context, tr *trace.Trace, q *quer
 			db.mu.RUnlock()
 			return nil, err
 		}
-		if !rt.mvccCapable() {
-			// The table was re-created without a primary key between the
-			// route decision and here; fall back to the serial path.
+		if rt.ov == nil {
+			// No primary key to hang version chains off: the serial path.
 			db.mu.RUnlock()
 			return db.execSerialDML(ctx, tr, q)
 		}
@@ -648,18 +605,11 @@ func (db *Database) execAutoTxnDML(ctx context.Context, tr *trace.Trace, q *quer
 			}
 			return nil, err
 		}
+		if enqErr == nil {
+			enqErr = db.waitDurable(tr, seq)
+		}
 		if enqErr != nil {
 			return nil, fmt.Errorf("engine: %s applied but not durable: %w", q.Kind, enqErr)
-		}
-		if seq != 0 {
-			wsp := tr.Start("wal_wait")
-			wstart := time.Now()
-			werr := db.log.WaitDurable(seq)
-			mWALWaitSeconds.Observe(time.Since(wstart).Nanoseconds())
-			wsp.End()
-			if werr != nil {
-				return nil, fmt.Errorf("engine: %s applied but not durable: %w", q.Kind, werr)
-			}
 		}
 		sp.AddRowsOut(int64(res.Affected))
 		db.foldBehind()
@@ -685,11 +635,11 @@ func (db *Database) execTxnDML(tr *trace.Trace, etx *Txn, q *query.Query) (*Resu
 	var res *Result
 	switch {
 	case err != nil:
-	case rt.mvccCapable():
+	case rt.ov != nil:
 		sp := tr.Start("apply")
 		res, err = db.applyTxnDML(rt, etx.tx, q)
 		sp.End()
-	case rt.ov == nil && q.Kind == query.Insert:
+	case q.Kind == query.Insert:
 		// PK-less table: no primary key means no chain to claim and no
 		// row another transaction could conflict on, so inserts simply
 		// buffer in the transaction and commit through the serialized
@@ -698,8 +648,7 @@ func (db *Database) execTxnDML(tr *trace.Trace, etx *Txn, q *query.Query) (*Resu
 		res, err = txnBufferInsert(rt, etx.tx, q)
 		sp.End()
 	default:
-		// Genuinely unsupported overlay path: UPDATE/DELETE need a key to
-		// version (PK-less), or the storage lost point-PK lookups.
+		// UPDATE/DELETE need a key to version, and the table has none.
 		err = fmt.Errorf("%w: %s on table %q inside a transaction (no primary key to version rows by)", ErrUnsupported, q.Kind, q.Table)
 	}
 	db.mu.RUnlock()
@@ -736,16 +685,11 @@ func (db *Database) execSerialDML(ctx context.Context, tr *trace.Trace, q *query
 	db.mu.Unlock()
 	sp.End()
 	// Group commit: the record was enqueued in apply order under the
-	// write lock; the durability wait happens outside it, so concurrent
-	// writers share one fsync and readers are never blocked on disk.
-	if err == nil && seq != 0 {
-		wsp := tr.Start("wal_wait")
-		wstart := time.Now()
-		if werr := db.log.WaitDurable(seq); werr != nil {
-			err = fmt.Errorf("engine: %s applied but not durable: %w", q.Kind, werr)
+	// write lock.
+	if err == nil {
+		if err = db.waitDurable(tr, seq); err != nil {
+			err = fmt.Errorf("engine: %s applied but not durable: %w", q.Kind, err)
 		}
-		mWALWaitSeconds.Observe(time.Since(wstart).Nanoseconds())
-		wsp.End()
 	}
 	if err == nil {
 		sp.AddRowsOut(int64(res.Affected))
@@ -762,12 +706,11 @@ func (db *Database) execSerialDML(ctx context.Context, tr *trace.Trace, q *query
 // (folds and legacy writes hold the write lock).
 func (db *Database) applyTxnDML(rt *tableRuntime, t *txn.Txn, q *query.Query) (*Result, error) {
 	sch := rt.entry.Schema
-	hp := rt.store.(pkLookuper)
 	switch q.Kind {
 	case query.Insert:
-		return txnInsert(rt, sch, hp, t, q)
+		return txnInsert(rt, sch, t, q)
 	case query.Update:
-		return db.txnUpdate(rt, sch, hp, t, q)
+		return db.txnUpdate(rt, sch, t, q)
 	case query.Delete:
 		return db.txnDelete(rt, sch, t, q)
 	}
@@ -780,29 +723,26 @@ func (db *Database) applyTxnDML(rt *tableRuntime, t *txn.Txn, q *query.Query) (*
 // until commit applies them to base storage atomically.
 func txnBufferInsert(rt *tableRuntime, t *txn.Txn, q *query.Query) (*Result, error) {
 	sch := rt.entry.Schema
-	coerced := make([][]value.Value, len(q.Rows))
-	for i, row := range q.Rows {
-		cr, err := sch.CoerceRow(row)
-		if err != nil {
-			return nil, err
-		}
+	coerced, err := coerceRows(sch, q.Rows)
+	if err != nil {
+		return nil, err
+	}
+	for _, cr := range coerced {
 		if err := sch.ValidateRow(cr); err != nil {
 			return nil, err
 		}
-		coerced[i] = cr
 	}
 	t.BufferInsert(sch.Name, sch.NumColumns(), coerced)
 	return &Result{Affected: len(coerced)}, nil
 }
 
-func txnInsert(rt *tableRuntime, sch *schema.Table, hp pkLookuper, t *txn.Txn, q *query.Query) (*Result, error) {
-	coerced := make([][]value.Value, len(q.Rows))
+func txnInsert(rt *tableRuntime, sch *schema.Table, t *txn.Txn, q *query.Query) (*Result, error) {
+	coerced, err := coerceRows(sch, q.Rows)
+	if err != nil {
+		return nil, err
+	}
 	batch := make(map[string]struct{}, len(q.Rows))
-	for i, row := range q.Rows {
-		cr, err := sch.CoerceRow(row)
-		if err != nil {
-			return nil, err
-		}
+	for _, cr := range coerced {
 		if err := sch.ValidateRow(cr); err != nil {
 			return nil, err
 		}
@@ -812,12 +752,11 @@ func txnInsert(rt *tableRuntime, sch *schema.Table, hp pkLookuper, t *txn.Txn, q
 			return nil, fmt.Errorf("engine: duplicate primary key %v within insert batch in table %q", pk, sch.Name)
 		}
 		batch[key] = struct{}{}
-		coerced[i] = cr
 	}
 	for _, cr := range coerced {
 		pk := sch.PKValues(cr)
 		cur, chained := rt.ov.VisibleForWrite(t, pk)
-		if (chained && cur != nil) || (!chained && hp.HasPK(pk)) {
+		if (chained && cur != nil) || (!chained && rt.store.HasPK(pk)) {
 			return nil, fmt.Errorf("engine: duplicate primary key %v in table %q", pk, sch.Name)
 		}
 		// When no chain exists the key has no live base row either (the
@@ -829,7 +768,7 @@ func txnInsert(rt *tableRuntime, sch *schema.Table, hp pkLookuper, t *txn.Txn, q
 	return &Result{Affected: len(coerced)}, nil
 }
 
-func (db *Database) txnUpdate(rt *tableRuntime, sch *schema.Table, hp pkLookuper, t *txn.Txn, q *query.Query) (*Result, error) {
+func (db *Database) txnUpdate(rt *tableRuntime, sch *schema.Table, t *txn.Txn, q *query.Query) (*Result, error) {
 	// Validate assignments up front, mirroring the stores' strict checks.
 	for col, v := range q.Set {
 		if col < 0 || col >= sch.NumColumns() {
@@ -850,13 +789,7 @@ func (db *Database) txnUpdate(rt *tableRuntime, sch *schema.Table, hp pkLookuper
 	if len(olds) == 0 {
 		return &Result{}, nil
 	}
-	pkChanged := false
-	for _, k := range sch.PrimaryKey {
-		if _, ok := q.Set[k]; ok {
-			pkChanged = true
-			break
-		}
-	}
+	pkChanged := assignsPK(sch, q.Set)
 	news := make([][]value.Value, len(olds))
 	for i, old := range olds {
 		nr := make([]value.Value, len(old))
@@ -882,7 +815,7 @@ func (db *Database) txnUpdate(rt *tableRuntime, sch *schema.Table, hp pkLookuper
 				continue
 			}
 			cur, chained := rt.ov.VisibleForWrite(t, npk)
-			if (chained && cur != nil) || (!chained && hp.HasPK(npk)) {
+			if (chained && cur != nil) || (!chained && rt.store.HasPK(npk)) {
 				return nil, fmt.Errorf("engine: update would duplicate primary key %v in table %q", npk, sch.Name)
 			}
 		}
@@ -947,12 +880,14 @@ type stmtSnap struct {
 // overlayView is one statement's materialized view of a table's version
 // overlay: base rows whose primary key appears in masked are superseded
 // (the overlay owns those keys), and rows lists every full-width row the
-// overlay contributes at the statement's snapshot. The view is built
-// once per statement under the read lock and is immune to concurrent
-// claims and commits: they only ever add versions newer than the
-// snapshot.
+// overlay contributes at the statement's snapshot. masked maps a key to
+// the index in rows of the image the overlay shows in the base row's
+// place, -1 when it shows none (the key is deleted at the snapshot). The
+// view is built once per statement under the read lock and is immune to
+// concurrent claims and commits: they only ever add versions newer than
+// the snapshot.
 type overlayView struct {
-	masked map[string]struct{}
+	masked map[string]int
 	rows   [][]value.Value
 }
 
@@ -977,20 +912,18 @@ func (db *Database) tableView(rt *tableRuntime, ts uint64, tx *txn.Txn) *overlay
 	if rt.ov.Len() == 0 {
 		return nil
 	}
-	hp, ok := rt.store.(pkLookuper)
-	if !ok {
-		return nil
-	}
-	v := &overlayView{masked: make(map[string]struct{})}
+	v := &overlayView{masked: make(map[string]int)}
 	// Delta (not Snapshot): only chains whose visible version diverges
 	// from the folded base state reach the view, so an overlay holding
 	// nothing but live claims yields nil and reads keep the fast path.
 	rt.ov.Delta(ts, db.foldedTS, tx, func(pk, row []value.Value, visible bool) {
-		if hp.HasPK(pk) {
-			v.masked[value.TupleKey(pk)] = struct{}{}
-		}
+		at := -1
 		if visible {
+			at = len(v.rows)
 			v.rows = append(v.rows, row)
+		}
+		if rt.store.HasPK(pk) {
+			v.masked[value.TupleKey(pk)] = at
 		}
 	})
 	if len(v.masked) == 0 && len(v.rows) == 0 {
@@ -1000,9 +933,11 @@ func (db *Database) tableView(rt *tableRuntime, ts uint64, tx *txn.Txn) *overlay
 }
 
 // mergedScan is the serial base scan merged with a statement's overlay
-// view: superseded base rows are skipped, then the overlay's visible
-// rows are emitted through the same predicate. With a nil view it is
-// exactly the base scan. When a view is present the projection is
+// view: a superseded base row gives its place to the image the overlay
+// shows for its key — an updated row stays where the scan order (physical
+// or index) puts it, whether or not its commit has been folded yet — and
+// the overlay's remaining visible rows follow, all through the same
+// predicate. With a nil view it is exactly the base scan. When a view is present the projection is
 // widened to include the primary key (rows are indexed by absolute
 // column position either way, and overlay rows always carry full width),
 // so callers' column indexing is unaffected.
@@ -1017,13 +952,20 @@ func mergedScan(rt *tableRuntime, view *overlayView, pred expr.Predicate, cols [
 		scanCols = unionCols(scanCols, sch.PrimaryKey)
 	}
 	pkbuf := make([]value.Value, len(sch.PrimaryKey))
+	placed := make([]bool, len(view.rows)) // images already shown in their base row's place
 	stopped := false
 	rt.store.Scan(pred, scanCols, func(row []value.Value) bool {
 		for i, c := range sch.PrimaryKey {
 			pkbuf[i] = row[c]
 		}
-		if _, ok := view.masked[value.TupleKey(pkbuf)]; ok {
-			return true
+		if at, ok := view.masked[value.TupleKey(pkbuf)]; ok {
+			if at < 0 || placed[at] {
+				return true
+			}
+			placed[at] = true
+			if row = view.rows[at]; pred != nil && !pred.Matches(row) {
+				return true
+			}
 		}
 		if !fn(row) {
 			stopped = true
@@ -1034,8 +976,8 @@ func mergedScan(rt *tableRuntime, view *overlayView, pred expr.Predicate, cols [
 	if stopped {
 		return
 	}
-	for _, row := range view.rows {
-		if pred != nil && !pred.Matches(row) {
+	for i, row := range view.rows {
+		if placed[i] || pred != nil && !pred.Matches(row) {
 			continue
 		}
 		if !fn(row) {

@@ -50,7 +50,7 @@ func (db *Database) planEnvLocked() plan.Env {
 		Model:          db.planModel(),
 		CatalogVersion: db.cat.Version(),
 	}
-	if h, ok := db.obs.(SelectivityHinter); ok {
+	if h, ok := db.observer().(SelectivityHinter); ok {
 		env.LiveSelectivity = h.AvgSelectivity
 	}
 	return env
@@ -226,18 +226,19 @@ func (db *Database) execScanPlan(ctx context.Context, q *query.Query, sh *readSh
 		ssp = tr.Start(nodeSpanName(sh.scan))
 	}
 
-	// Morsel-parallel collection: when the store exposes a parallel
-	// batch scan and the limit cannot short-circuit (no limit, or an
-	// ORDER BY that must see every row anyway), blocks are projected
-	// concurrently and reassembled in block order — the exact row
-	// order of the serial scan. A traced statement takes this path
-	// even serially, because only the batch kernels report the
-	// storage counters (blocks decoded vs zone-map-skipped,
-	// main/delta rows) the trace wants.
+	// Morsel-parallel collection: when the store is the column store,
+	// whose batch scan fans out across morsel workers, and the limit
+	// cannot short-circuit (no limit, or an ORDER BY that must see every
+	// row anyway), blocks are projected concurrently and reassembled in
+	// block order — the exact row order of the serial scan. A traced
+	// statement takes this path even serially, because only the batch
+	// kernels report the storage counters (blocks decoded vs
+	// zone-map-skipped, main/delta rows) the trace wants.
 	ex := db.execCtx(ctx)
-	if bs, ok := rt.store.(execBatchScanner); ok && view == nil &&
-		(ex.Parallel(bs.NumBlocks()) || ex.Tracer() != nil) &&
+	if cs, ok := rt.store.(*colStorage); ok && view == nil &&
+		(ex.Parallel(cs.t.NumBlocks()) || ex.Tracer() != nil) &&
 		(q.Limit <= 0 || ordered) {
+		bs := cs.t
 		pos := make([]int, sch.NumColumns())
 		for j, c := range scanCols {
 			pos[c] = j

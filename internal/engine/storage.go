@@ -54,6 +54,23 @@ type storage interface {
 	// Compact when it crosses a threshold.
 	DeltaRows() int
 	MemoryBytes() int
+	// ArenaBytes is the physical size of the row-store arenas under this
+	// storage (value slots, NULL bitmaps, string heaps); MemoryBytes is
+	// the logical payload.
+	ArenaBytes() int
+	// HasPK reports whether a live row with the given primary-key values
+	// (in table PK order) exists. Partitioned layouts use it to
+	// pre-validate inserts and PK-changing updates across their
+	// partitions, so a multi-partition statement fails atomically instead
+	// of mutating one partition before the other rejects.
+	HasPK(key []value.Value) bool
+	// DeletePK removes the live row with the given primary key, reporting
+	// whether there was one, and Upsert stores full-width rows under their
+	// primary keys, replacing the row a key already has. Both resolve the
+	// key through the store's PK index: a committed transaction folds into
+	// base storage at the cost of the rows it wrote, not of the table.
+	DeletePK(key []value.Value) bool
+	Upsert(rows [][]value.Value) error
 	// persist serializes the storage payload into a snapshot encoder,
 	// fragment-preserving where the layout has fragments (the column
 	// store's main/delta split survives a round trip). restore loads a
@@ -61,17 +78,6 @@ type storage interface {
 	// of the same layout.
 	persist(enc *wal.Encoder)
 	restore(dec *wal.Decoder) error
-}
-
-// pkLookuper is implemented by storages that can answer primary-key
-// point lookups. Partitioned layouts use it to pre-validate inserts and
-// PK-changing updates across their partitions, so a multi-partition
-// statement fails atomically instead of mutating one partition before
-// the other rejects.
-type pkLookuper interface {
-	// HasPK reports whether a live row with the given primary-key
-	// values (in table PK order) exists.
-	HasPK(key []value.Value) bool
 }
 
 // checkInsertPKs validates an insert batch against the table-wide
@@ -94,6 +100,46 @@ func checkInsertPKs(sch *schema.Table, rows [][]value.Value, hasPK func([]value.
 		batchKeys[ks] = struct{}{}
 		if hasPK(key) {
 			return fmt.Errorf("engine: duplicate primary key %v in table %q", key, sch.Name)
+		}
+	}
+	return nil
+}
+
+// assignsPK reports whether an UPDATE's assignments touch the primary key.
+func assignsPK(sch *schema.Table, set map[int]value.Value) bool {
+	for _, k := range sch.PrimaryKey {
+		if _, ok := set[k]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// checkPKUpdate validates a PK-changing update against the table-wide
+// primary-key invariant before any partition is mutated. keys are the
+// current keys of the matched rows: no two may converge on one new key,
+// and a row that changes its key may not take one a live row holds —
+// hasPK must answer for the whole table, because the per-partition
+// stores cannot see a collision sitting in the other partition.
+func checkPKUpdate(sch *schema.Table, set map[int]value.Value, keys [][]value.Value, hasPK func([]value.Value) bool) error {
+	seen := make(map[string]struct{}, len(keys))
+	for _, key := range keys {
+		newKey := make([]value.Value, len(key))
+		unchanged := true
+		for i, k := range sch.PrimaryKey {
+			newKey[i] = key[i]
+			if v, ok := set[k]; ok {
+				newKey[i] = v
+				unchanged = unchanged && value.Equal(v, key[i])
+			}
+		}
+		ks := value.TupleKey(newKey)
+		if _, dup := seen[ks]; dup {
+			return fmt.Errorf("engine: update would assign duplicate primary key %v to multiple rows in %q", newKey, sch.Name)
+		}
+		seen[ks] = struct{}{}
+		if !unchanged && hasPK(newKey) {
+			return fmt.Errorf("engine: update would duplicate primary key %v in table %q", newKey, sch.Name)
 		}
 	}
 	return nil
@@ -181,7 +227,7 @@ func (s *rowStorage) Update(pred expr.Predicate, set map[int]value.Value) (int, 
 func (s *rowStorage) Delete(pred expr.Predicate) int { return s.t.Delete(pred) }
 
 func (s *rowStorage) Scan(pred expr.Predicate, cols []int, fn func(row []value.Value) bool) {
-	s.t.Scan(pred, func(rid int, row []value.Value) bool { return fn(row) })
+	s.t.ScanCols(pred, cols, func(rid int, row []value.Value) bool { return fn(row) })
 }
 
 func (s *rowStorage) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate, ex *exec.Ctx) *agg.Result {
@@ -198,10 +244,16 @@ func (s *rowStorage) Compact() { s.t.Compact() }
 
 func (s *rowStorage) MemoryBytes() int { return s.t.MemoryBytes() }
 
+func (s *rowStorage) ArenaBytes() int { return s.t.ArenaBytes() }
+
 func (s *rowStorage) HasPK(key []value.Value) bool {
 	_, ok := s.t.LookupPK(key)
 	return ok
 }
+
+func (s *rowStorage) DeletePK(key []value.Value) bool { return s.t.DeletePK(key) }
+
+func (s *rowStorage) Upsert(rows [][]value.Value) error { return s.t.Upsert(rows) }
 
 func (s *rowStorage) persist(enc *wal.Encoder) { persistRowTable(enc, s.t) }
 
@@ -233,25 +285,6 @@ func (s *colStorage) Scan(pred expr.Predicate, cols []int, fn func(row []value.V
 	s.t.Scan(pred, cols, func(rid int, row []value.Value) bool { return fn(row) })
 }
 
-// NumBlocks exposes the column store's scan-block (morsel) count.
-func (s *colStorage) NumBlocks() int { return s.t.NumBlocks() }
-
-// ScanBatchesExec exposes the column store's morsel-parallel batch scan.
-func (s *colStorage) ScanBatchesExec(pred expr.Predicate, cols []int, ex *exec.Ctx, fn func(w, block int, rids []int32, colVals [][]value.Value) bool) {
-	s.t.ScanBatchesExec(pred, cols, ex, fn)
-}
-
-// execBatchScanner is implemented by storages whose batch scan can fan
-// out across morsel workers; the engine's parallel SELECT collection
-// type-asserts against it. Batches arrive on
-// concurrent workers in arbitrary order — fn must be safe for distinct
-// worker ids, and callers reassemble deterministic output via the block
-// index (block order is the serial scan order).
-type execBatchScanner interface {
-	NumBlocks() int
-	ScanBatchesExec(pred expr.Predicate, cols []int, ex *exec.Ctx, fn func(w, block int, rids []int32, colVals [][]value.Value) bool)
-}
-
 func (s *colStorage) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate, ex *exec.Ctx) *agg.Result {
 	return s.t.AggregateExec(specs, groupBy, pred, ex)
 }
@@ -269,10 +302,16 @@ func (s *colStorage) Compact() { s.t.Merge() }
 
 func (s *colStorage) MemoryBytes() int { return s.t.MemoryBytes() }
 
+func (s *colStorage) ArenaBytes() int { return 0 }
+
 func (s *colStorage) HasPK(key []value.Value) bool {
 	_, ok := s.t.LookupPK(key)
 	return ok
 }
+
+func (s *colStorage) DeletePK(key []value.Value) bool { return s.t.DeletePK(key) }
+
+func (s *colStorage) Upsert(rows [][]value.Value) error { return s.t.Upsert(rows) }
 
 func (s *colStorage) persist(enc *wal.Encoder) { persistColTable(enc, s.t) }
 

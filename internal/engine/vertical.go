@@ -341,17 +341,17 @@ func (v *verticalStorage) aggregateSpanning(specs []agg.Spec, groupBy []int, pre
 // rows are skipped defensively).
 type spanJoin struct{ probed, misses atomic.Int64 }
 
-// rowOf returns the row partition's tuple for key. next guesses its slot:
-// both partitions take rows in the same order, so within a batch the tuple
+// rowOf returns the row partition's slot for key. next guesses it: both
+// partitions take rows in the same order, so within a batch the tuple
 // usually sits right after the last one found.
-func (v *verticalStorage) rowOf(key []value.Value, next *int, misses *int64) ([]value.Value, bool) {
+func (v *verticalStorage) rowOf(key []value.Value, next *int, misses *int64) (int, bool) {
 	rrid, ok := v.rowPart.LookupPKNear(key, *next)
 	if !ok {
 		*misses++
-		return nil, false
+		return 0, false
 	}
 	*next = rrid + 1
-	return v.rowPart.Row(rrid), true
+	return rrid, true
 }
 
 // spanningDense runs the spanning aggregate on the column partition's
@@ -382,21 +382,30 @@ func (v *verticalStorage) spanningDense(res *agg.Result, specs []agg.Spec, group
 			extCols = append(extCols, v.rowFwd[s.Col])
 		}
 	}
+	postCols := expr.ColumnSet(rowPost)
 	dense.Fill = func(b *colstore.DenseBatch) {
 		key := make([]value.Value, len(dense.Cols))
+		var rrow []value.Value // the conjuncts' columns of the row partition's tuple
+		if rowPost != nil {
+			rrow = make([]value.Value, len(v.spec.RowCols))
+		}
 		var next int
 		var misses int64
 		for k := range b.Rids {
 			for i, col := range dense.Cols {
 				key[i] = v.colPart.CodeValue(col, b.Codes[i][k])
 			}
-			rrow, ok := v.rowOf(key, &next, &misses)
-			if !ok || rowPost != nil && !rowPost.Matches(rrow) {
+			rrid, ok := v.rowOf(key, &next, &misses)
+			if ok && rowPost != nil {
+				v.rowPart.Read(rrid, postCols, rrow)
+				ok = rowPost.Matches(rrow)
+			}
+			if !ok {
 				b.Group[k] = b.Drop
 				continue
 			}
 			for e, c := range extCols {
-				if x := rrow[c]; x.IsNull() {
+				if x := v.rowPart.Value(rrid, c); x.IsNull() {
 					b.Ext[e].Null[k] = true
 				} else {
 					b.Ext[e].Vals[k] = x.Float()
@@ -454,7 +463,7 @@ func (v *verticalStorage) spanningGeneric(res *agg.Result, colPred, post expr.Pr
 				for i := range key {
 					key[i] = colVals[i][k]
 				}
-				rrow, ok := v.rowOf(key, &next, &misses)
+				rrid, ok := v.rowOf(key, &next, &misses)
 				if !ok {
 					continue
 				}
@@ -462,7 +471,7 @@ func (v *verticalStorage) spanningGeneric(res *agg.Result, colPred, post expr.Pr
 					row[c.table] = colVals[c.local][k]
 				}
 				for _, c := range fromRow {
-					row[c.table] = rrow[c.local]
+					row[c.table] = v.rowPart.Value(rrid, c.local)
 				}
 				if post == nil || post.Matches(row) {
 					p.res.AddRow(row)
@@ -515,38 +524,9 @@ func (v *verticalStorage) Update(pred expr.Predicate, set map[int]value.Value) (
 	// must be rejected up front — both against rows outside the matched
 	// set and between the new keys of this statement — or a mid-loop
 	// failure would leave the partitions partially updated.
-	pkAssigned := false
-	for _, k := range v.sch.PrimaryKey {
-		if _, ok := set[k]; ok {
-			pkAssigned = true
-		}
-	}
-	if pkAssigned {
-		seen := make(map[string]struct{}, len(keys))
-		for _, key := range keys {
-			newKey := make([]value.Value, len(key))
-			unchanged := true
-			for i, k := range v.sch.PrimaryKey {
-				if nv, ok := set[k]; ok {
-					newKey[i] = nv
-					if !value.Equal(nv, key[i]) {
-						unchanged = false
-					}
-				} else {
-					newKey[i] = key[i]
-				}
-			}
-			ks := value.TupleKey(newKey)
-			if _, dup := seen[ks]; dup {
-				return 0, fmt.Errorf("engine: update would assign duplicate primary key %v to multiple rows in %q", newKey, v.sch.Name)
-			}
-			seen[ks] = struct{}{}
-			if unchanged {
-				continue // the row keeps its own key
-			}
-			if _, exists := v.rowPart.LookupPK(newKey); exists {
-				return 0, fmt.Errorf("engine: update would duplicate primary key %v in table %q", newKey, v.sch.Name)
-			}
+	if assignsPK(v.sch, set) {
+		if err := checkPKUpdate(v.sch, set, keys, v.HasPK); err != nil {
+			return 0, err
 		}
 	}
 	rowPK := v.rowPart.Schema().PrimaryKey
@@ -604,6 +584,19 @@ func (v *verticalStorage) HasPK(key []value.Value) bool {
 	return ok
 }
 
+// DeletePK and Upsert go through the predicate paths: a keyed write on a
+// vertical split still costs what Delete and Insert cost.
+func (v *verticalStorage) DeletePK(key []value.Value) bool {
+	return v.Delete(pkPredicate(v.sch.PrimaryKey, key)) > 0
+}
+
+func (v *verticalStorage) Upsert(rows [][]value.Value) error {
+	for _, row := range rows {
+		v.DeletePK(v.sch.PKValues(row))
+	}
+	return v.Insert(rows)
+}
+
 // CreateIndex indexes the column in the row partition when it lives there.
 func (v *verticalStorage) CreateIndex(col int) {
 	if n, ok := v.rowFwd[col]; ok {
@@ -630,6 +623,8 @@ func (v *verticalStorage) Compact() {
 func (v *verticalStorage) MemoryBytes() int {
 	return v.rowPart.MemoryBytes() + v.colPart.MemoryBytes()
 }
+
+func (v *verticalStorage) ArenaBytes() int { return v.rowPart.ArenaBytes() }
 
 func (v *verticalStorage) persist(enc *wal.Encoder) {
 	persistRowTable(enc, v.rowPart)

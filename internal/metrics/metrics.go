@@ -71,8 +71,10 @@ func (g *Gauge) Name() string { return g.name }
 type gaugeFunc struct {
 	name string
 	help string
-	fn   func() int64
+	fn   atomic.Pointer[func() int64] // replaced on re-registration, while collectors may be reading
 }
+
+func (g *gaugeFunc) value() int64 { return (*g.fn.Load())() }
 
 // Histogram is a bounded exponential-bucket latency/size histogram.
 // Buckets grow by a fixed ratio from a minimum bound, so a fixed, small
@@ -243,12 +245,14 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 	defer r.mu.Unlock()
 	if m, ok := r.lookup(name); ok {
 		if g, ok := m.(*gaugeFunc); ok {
-			g.fn = fn
+			g.fn.Store(&fn)
 			return
 		}
 		panic(fmt.Sprintf("metrics: %s already registered with a different type", name))
 	}
-	r.register(name, &gaugeFunc{name: name, help: help, fn: fn})
+	g := &gaugeFunc{name: name, help: help}
+	g.fn.Store(&fn)
+	r.register(name, g)
 }
 
 // NewHistogram creates a standalone, unregistered histogram — for
@@ -315,7 +319,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case *Gauge:
 			err = writeSample(w, m.name, m.help, "gauge", float64(m.Value()))
 		case *gaugeFunc:
-			err = writeSample(w, m.name, m.help, "gauge", float64(m.fn()))
+			err = writeSample(w, m.name, m.help, "gauge", float64(m.value()))
 		case *Histogram:
 			err = writeHistogram(w, m)
 		}
@@ -380,7 +384,7 @@ func (r *Registry) Rows() []Row {
 		case *Gauge:
 			rows = append(rows, Row{m.name, float64(m.Value())})
 		case *gaugeFunc:
-			rows = append(rows, Row{m.name, float64(m.fn())})
+			rows = append(rows, Row{m.name, float64(m.value())})
 		case *Histogram:
 			rows = append(rows,
 				Row{m.name + "_count", float64(m.Count())},

@@ -19,7 +19,7 @@ type orderedPK struct {
 
 // keyAt returns the PK value of a row id.
 func (t *Table) keyAt(rid int32) value.Value {
-	return t.Row(int(rid))[t.sch.PrimaryKey[0]]
+	return t.Value(int(rid), t.sch.PrimaryKey[0])
 }
 
 // orderedPKUsable reports whether the table maintains an ordered PK index.

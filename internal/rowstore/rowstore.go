@@ -1,11 +1,19 @@
 // Package rowstore implements the row-oriented store of the hybrid engine.
-// Tuples are stored contiguously in a flat value arena (row i occupies the
-// stride-sized window starting at i*stride), so retrieving or updating a
-// complete tuple touches one contiguous memory region — the access pattern
-// that makes row stores efficient for OLTP point queries, inserts and
-// updates (paper §2). Full-column scans, by contrast, stride across the
-// arena and touch every attribute of every tuple, which is what makes the
-// row store comparatively slow for analytical aggregation.
+// Tuples are stored contiguously in a flat arena of fixed-width 8-byte
+// slots (row i occupies the width-sized window starting at i*width), so
+// retrieving or updating a complete tuple touches one contiguous memory
+// region — the access pattern that makes row stores efficient for OLTP
+// point queries, inserts and updates (paper §2). Full-column scans, by
+// contrast, stride across the arena and touch every attribute of every
+// tuple, which is what makes the row store comparatively slow for
+// analytical aggregation.
+//
+// The arena holds no pointers: a row's window starts with its NULL bitmap
+// (next to the leading attributes, which most accesses read with it);
+// INTEGER, BIGINT and DATE slots carry the int64, DOUBLE slots the
+// IEEE-754 bits, VARCHAR slots an index into the table's string heap. A stored row costs 8 bytes per attribute and the garbage
+// collector never looks at it; value.Value is boxed only at the edge, into
+// a scratch row per scan.
 package rowstore
 
 import (
@@ -20,12 +28,24 @@ import (
 // Table is a row-store table. It is not safe for concurrent mutation; the
 // engine serializes DML per table.
 type Table struct {
-	sch    *schema.Table
-	stride int
+	sch      *schema.Table
+	types    []value.Type
+	all      []int // every column: the nil projection
+	varchars []int // the VARCHAR columns
+	stride   int   // attributes per row
+	nw       int   // NULL bitmap words per row
+	width    int   // slots per row: nw bitmap words, then stride values
 
-	data  []value.Value // flat arena; row i at data[i*stride : (i+1)*stride]
-	valid []bool        // deletion markers
+	slots []uint64 // row i at slots[i*width : (i+1)*width]; base(i) is its first value
+	blank []uint64 // a row of NULLs, the state a slot window is appended in
+	valid []bool   // deletion markers
 	live  int
+
+	// The string heap. Entries released by an overwritten or deleted
+	// VARCHAR are handed out again before the heap grows.
+	strs     []string
+	strFree  []uint32
+	strBytes int
 
 	pkIndex   map[uint64][]int32 // hash(PK) -> candidate row ids
 	pkOrdered *orderedPK         // ordered index for single-column PKs
@@ -36,10 +56,23 @@ type Table struct {
 // primary key is always maintained (it backs uniqueness checks and point
 // queries).
 func New(sch *schema.Table) *Table {
+	n := sch.NumColumns()
 	t := &Table{
 		sch:       sch,
-		stride:    sch.NumColumns(),
+		types:     sch.ColTypes(),
+		all:       make([]int, n),
+		stride:    n,
+		nw:        (n + 63) / 64,
+		width:     n + (n+63)/64,
 		secondary: make(map[int]map[uint64][]int32),
+	}
+	t.blank = make([]uint64, t.width)
+	for c := range t.all {
+		t.all[c] = c
+		t.blank[c>>6] |= 1 << (uint(c) & 63)
+		if t.types[c] == value.Varchar {
+			t.varchars = append(t.varchars, c)
+		}
 	}
 	if len(sch.PrimaryKey) > 0 {
 		t.pkIndex = make(map[uint64][]int32)
@@ -70,25 +103,107 @@ func (t *Table) Rows() int { return t.live }
 // capacityRows returns the number of row slots including deleted ones.
 func (t *Table) capacityRows() int { return len(t.valid) }
 
-// Row returns the live row at physical id rid as a view into the arena.
-// Callers must not mutate it.
-func (t *Table) Row(rid int) []value.Value {
-	return t.data[rid*t.stride : (rid+1)*t.stride]
-}
-
 // Valid reports whether the row slot rid holds a live row.
 func (t *Table) Valid(rid int) bool { return t.valid[rid] }
 
-// pkHash computes the hash of the PK values of a row.
-func (t *Table) pkHash(row []value.Value) uint64 {
-	return value.HashRow(t.sch.PKValues(row))
+// base returns the arena index of row rid's first value slot.
+func (t *Table) base(rid int) int { return rid*t.width + t.nw }
+
+// isNull reports whether attribute col of the row at base is NULL.
+func (t *Table) isNull(base, col int) bool {
+	return t.slots[base-t.nw+col>>6]>>(uint(col)&63)&1 != 0
 }
 
-// pkEqual reports whether the row at rid has the given PK values.
+// box boxes the slot of an attribute of column col.
+func (t *Table) box(col int, null bool, slot uint64) value.Value {
+	typ := t.types[col]
+	switch {
+	case null:
+		return value.Null(typ)
+	case typ == value.Varchar:
+		return value.NewVarchar(t.strs[slot])
+	}
+	return value.FromBits(typ, slot)
+}
+
+// cell boxes attribute col of the row at base.
+func (t *Table) cell(base, col int) value.Value {
+	return t.box(col, t.isNull(base, col), t.slots[base+col])
+}
+
+// Value returns attribute col of the row at physical id rid.
+func (t *Table) Value(rid, col int) value.Value { return t.cell(t.base(rid), col) }
+
+// Read boxes the given attributes of row rid into dst, which is indexed by
+// column; the other positions are left alone.
+func (t *Table) Read(rid int, cols []int, dst []value.Value) {
+	win := t.slots[rid*t.width : (rid+1)*t.width]
+	vals := win[t.nw:]
+	for _, c := range cols {
+		dst[c] = t.box(c, win[c>>6]>>(uint(c)&63)&1 != 0, vals[c])
+	}
+}
+
+// set stores v as attribute col of the row at base. The VARCHAR it
+// replaces goes back to the string heap.
+func (t *Table) set(base, col int, v value.Value) {
+	w, bit := base-t.nw+col>>6, uint64(1)<<(uint(col)&63)
+	varchar := t.types[col] == value.Varchar
+	if varchar && t.slots[w]&bit == 0 {
+		i := t.slots[base+col]
+		t.strBytes -= len(t.strs[i])
+		t.strs[i] = ""
+		t.strFree = append(t.strFree, uint32(i))
+	}
+	if v.IsNull() {
+		t.slots[w] |= bit
+		t.slots[base+col] = 0
+		return
+	}
+	t.slots[w] &^= bit
+	if !varchar {
+		t.slots[base+col] = v.Bits()
+		return
+	}
+	s := v.Varchar()
+	t.strBytes += len(s)
+	if n := len(t.strFree); n > 0 {
+		i := t.strFree[n-1]
+		t.strFree = t.strFree[:n-1]
+		t.strs[i] = s
+		t.slots[base+col] = uint64(i)
+		return
+	}
+	t.strs = append(t.strs, s)
+	t.slots[base+col] = uint64(len(t.strs) - 1)
+}
+
+// pkHash computes the hash of the stored PK values of row rid.
+func (t *Table) pkHash(rid int32) uint64 {
+	var buf [4]value.Value
+	key := buf[:0]
+	for _, k := range t.sch.PrimaryKey {
+		key = append(key, t.Value(int(rid), k))
+	}
+	return value.HashRow(key)
+}
+
+// pkEqual reports whether the row at rid has the given PK values,
+// comparing the slots without boxing them.
 func (t *Table) pkEqual(rid int, key []value.Value) bool {
-	row := t.Row(rid)
+	base := t.base(rid)
 	for i, k := range t.sch.PrimaryKey {
-		if !value.Equal(row[k], key[i]) {
+		v := key[i]
+		if v.Type() != t.types[k] || v.IsNull() != t.isNull(base, k) {
+			return false
+		}
+		switch s := t.slots[base+k]; {
+		case v.IsNull():
+		case t.types[k] == value.Varchar:
+			if t.strs[s] != v.Varchar() {
+				return false
+			}
+		case s != v.Bits():
 			return false
 		}
 	}
@@ -149,20 +264,65 @@ func (t *Table) Insert(rows [][]value.Value) error {
 		}
 	}
 	for _, row := range rows {
-		rid := int32(t.capacityRows())
-		t.data = append(t.data, row...)
-		t.valid = append(t.valid, true)
-		t.live++
-		if t.pkIndex != nil {
-			h := t.pkHash(row)
-			t.pkIndex[h] = append(t.pkIndex[h], rid)
+		t.appendRow(row)
+	}
+	return nil
+}
+
+// appendRow stores a validated, uniqueness-checked row in a fresh slot
+// window and enters it into every index.
+func (t *Table) appendRow(row []value.Value) {
+	rid := int32(len(t.valid))
+	t.slots = append(t.slots, t.blank...)
+	base := t.base(int(rid))
+	for c, v := range row {
+		t.set(base, c, v)
+	}
+	t.valid = append(t.valid, true)
+	t.live++
+	if t.pkIndex != nil {
+		h := t.pkHash(rid)
+		t.pkIndex[h] = append(t.pkIndex[h], rid)
+	}
+	if t.pkOrdered != nil {
+		t.pkOrdered.insert(t, rid)
+	}
+	for col, idx := range t.secondary {
+		h := t.cell(base, col).Hash()
+		idx[h] = append(idx[h], rid)
+	}
+}
+
+// Upsert stores each row under its primary key: a key the table holds
+// keeps its slot window and is overwritten in place, any other row is
+// appended. It is how a committed transaction's final row images reach the
+// table, at the cost of the rows written. The batch is validated before
+// anything changes.
+func (t *Table) Upsert(rows [][]value.Value) error {
+	for _, row := range rows {
+		if err := t.sch.ValidateRow(row); err != nil {
+			return err
 		}
-		if t.pkOrdered != nil {
-			t.pkOrdered.insert(t, rid)
+	}
+	key := make([]value.Value, len(t.sch.PrimaryKey))
+	for _, row := range rows {
+		for i, k := range t.sch.PrimaryKey {
+			key[i] = row[k]
 		}
-		for col, idx := range t.secondary {
-			h := row[col].Hash()
-			idx[h] = append(idx[h], rid)
+		rid, ok := t.LookupPK(key)
+		if !ok {
+			t.appendRow(row)
+			continue
+		}
+		base := t.base(rid)
+		for c, v := range row {
+			if idx, ok := t.secondary[c]; ok {
+				if old := t.cell(base, c); !value.Equal(old, v) {
+					removeRid(idx, old.Hash(), int32(rid))
+					idx[v.Hash()] = append(idx[v.Hash()], int32(rid))
+				}
+			}
+			t.set(base, c, v)
 		}
 	}
 	return nil
@@ -176,12 +336,11 @@ func (t *Table) CreateIndex(col int) {
 		return
 	}
 	idx := make(map[uint64][]int32)
-	for rid := 0; rid < t.capacityRows(); rid++ {
-		if !t.valid[rid] {
-			continue
+	for rid, ok := range t.valid {
+		if ok {
+			h := t.Value(rid, col).Hash()
+			idx[h] = append(idx[h], int32(rid))
 		}
-		h := t.Row(rid)[col].Hash()
-		idx[h] = append(idx[h], int32(rid))
 	}
 	t.secondary[col] = idx
 }
@@ -224,70 +383,68 @@ func (t *Table) candidateRows(pred expr.Predicate) ([]int32, bool) {
 }
 
 // Scan calls fn for each live row matching pred, in physical order, until
-// fn returns false. The row slice is a view into the arena; fn must not
-// retain or mutate it. Index-assisted candidate restriction is applied for
-// PK and secondary-index equality predicates.
+// fn returns false. Index-assisted candidate restriction is applied for
+// PK and secondary-index equality predicates and PK ranges.
 func (t *Table) Scan(pred expr.Predicate, fn func(rid int, row []value.Value) bool) {
+	t.ScanCols(pred, nil, fn)
+}
+
+// ScanCols is Scan reading the given columns only (nil = all). The row
+// handed to fn is one scratch row per scan, indexed by column: the
+// predicate's columns are boxed first, the requested ones only once the
+// row matches, any other position is stale. fn must not retain or mutate
+// it.
+func (t *Table) ScanCols(pred expr.Predicate, cols []int, fn func(rid int, row []value.Value) bool) {
+	if cols == nil {
+		cols = t.all
+	}
+	predCols := expr.ColumnSet(pred)
+	row := make([]value.Value, t.stride)
+	visit := func(rid int) bool {
+		if !t.valid[rid] || pred != nil && !t.matches(rid, pred, predCols, row) {
+			return true
+		}
+		t.Read(rid, cols, row)
+		return fn(rid, row)
+	}
 	if cand, ok := t.candidateRows(pred); ok {
 		for _, rid := range cand {
-			if !t.valid[rid] {
-				continue
-			}
-			row := t.Row(int(rid))
-			if pred != nil && !pred.Matches(row) {
-				continue
-			}
-			if !fn(int(rid), row) {
+			if !visit(int(rid)) {
 				return
 			}
 		}
 		return
 	}
-	for rid := 0; rid < t.capacityRows(); rid++ {
-		if !t.valid[rid] {
-			continue
-		}
-		row := t.Row(rid)
-		if pred != nil && !pred.Matches(row) {
-			continue
-		}
-		if !fn(rid, row) {
+	for rid := range t.valid {
+		if !visit(rid) {
 			return
 		}
 	}
 }
 
-// Aggregate computes the given aggregates over rows matching pred, grouped
-// by the groupBy columns. The row store has no columnar fast path: every
-// matching tuple is visited in full, which is exactly the access pattern
-// the paper's Figure 1 illustrates for aggregation on a row store.
-func (t *Table) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate) *agg.Result {
-	return t.AggregateStop(specs, groupBy, pred, nil)
+// matches evaluates a non-nil pred on row rid, boxing the predicate's
+// columns into the scratch row.
+func (t *Table) matches(rid int, pred expr.Predicate, predCols []int, row []value.Value) bool {
+	t.Read(rid, predCols, row)
+	return pred.Matches(row)
 }
 
-// aggregateBatchRows is how many rows AggregateStop accumulates between
-// stop checks — the row store's "batch boundary" for cancellation.
-const aggregateBatchRows = 1024
+// Aggregate computes the given aggregates over rows matching pred, grouped
+// by the groupBy columns. The row store has no columnar fast path: every
+// matching tuple is visited, which is exactly the access pattern the
+// paper's Figure 1 illustrates for aggregation on a row store.
+func (t *Table) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate) *agg.Result {
+	return t.AggregateExec(specs, groupBy, pred, nil)
+}
 
-// AggregateStop is Aggregate with a cooperative cancellation hook: stop
-// (when non-nil) is polled every aggregateBatchRows visited rows, and a
-// true return abandons the aggregation, yielding a partial result the
-// caller must discard.
-func (t *Table) AggregateStop(specs []agg.Spec, groupBy []int, pred expr.Predicate, stop func() bool) *agg.Result {
-	res := agg.NewResult(specs, groupBy)
-	res.SetOutputTypes(t.sch.ColTypes())
-	visited := 0
-	t.Scan(pred, func(rid int, row []value.Value) bool {
-		if stop != nil {
-			visited++
-			if visited%aggregateBatchRows == 0 && stop() {
-				return false
-			}
-		}
-		res.AddRow(row)
+// matching returns the ids of the live rows matching pred.
+func (t *Table) matching(pred expr.Predicate) []int32 {
+	var rids []int32
+	t.ScanCols(pred, []int{}, func(rid int, _ []value.Value) bool {
+		rids = append(rids, int32(rid))
 		return true
 	})
-	return res
+	return rids
 }
 
 // Update assigns set values to all live rows matching pred and returns the
@@ -308,30 +465,25 @@ func (t *Table) Update(pred expr.Predicate, set map[int]value.Value) (int, error
 	}
 	pkChanged := false
 	for _, k := range t.sch.PrimaryKey {
-		if _, ok := set[k]; ok {
+		if _, ok := set[k]; ok && t.pkIndex != nil {
 			pkChanged = true
 		}
 	}
-	var touched []int32
-	t.Scan(pred, func(rid int, row []value.Value) bool {
-		touched = append(touched, int32(rid))
-		return true
-	})
+	touched := t.matching(pred)
 	// An update that changes the primary key must not create duplicates:
 	// validate every new key — against the pre-statement table state and
 	// against the other new keys of the same statement — before mutating
 	// anything, so a violating UPDATE fails atomically instead of
 	// corrupting pkIndex.
-	if pkChanged && t.pkIndex != nil {
+	if pkChanged {
 		newKeys := make(map[string]struct{}, len(touched))
 		for _, rid := range touched {
-			row := t.Row(int(rid))
 			key := make([]value.Value, len(t.sch.PrimaryKey))
 			for i, k := range t.sch.PrimaryKey {
 				if v, ok := set[k]; ok {
 					key[i] = v
 				} else {
-					key[i] = row[k]
+					key[i] = t.Value(int(rid), k)
 				}
 			}
 			ks := value.TupleKey(key)
@@ -345,24 +497,20 @@ func (t *Table) Update(pred expr.Predicate, set map[int]value.Value) (int, error
 		}
 	}
 	for _, rid := range touched {
-		row := t.Row(int(rid))
-		if pkChanged && t.pkIndex != nil {
-			oldH := t.pkHash(row)
-			removeRid(t.pkIndex, oldH, rid)
-			if t.pkOrdered != nil {
-				t.pkOrdered.remove(t, rid)
-			}
+		base := t.base(int(rid))
+		if pkChanged {
+			t.unindexPK(rid)
 		}
 		for col, v := range set {
 			if idx, ok := t.secondary[col]; ok {
-				removeRid(idx, row[col].Hash(), rid)
+				removeRid(idx, t.cell(base, col).Hash(), rid)
 				idx[v.Hash()] = append(idx[v.Hash()], rid)
 			}
-			row[col] = v
+			t.set(base, col, v)
 		}
-		if pkChanged && t.pkIndex != nil {
-			newH := t.pkHash(row)
-			t.pkIndex[newH] = append(t.pkIndex[newH], rid)
+		if pkChanged {
+			h := t.pkHash(rid)
+			t.pkIndex[h] = append(t.pkIndex[h], rid)
 			if t.pkOrdered != nil {
 				t.pkOrdered.insert(t, rid)
 			}
@@ -371,88 +519,147 @@ func (t *Table) Update(pred expr.Predicate, set map[int]value.Value) (int, error
 	return len(touched), nil
 }
 
-// Delete removes all live rows matching pred and returns the count. Slots
-// are tombstoned; physical space is reclaimed only by Compact.
-func (t *Table) Delete(pred expr.Predicate) int {
-	var touched []int32
-	t.Scan(pred, func(rid int, row []value.Value) bool {
-		touched = append(touched, int32(rid))
-		return true
-	})
-	for _, rid := range touched {
-		row := t.Row(int(rid))
-		if t.pkIndex != nil {
-			removeRid(t.pkIndex, t.pkHash(row), rid)
-			if t.pkOrdered != nil {
-				t.pkOrdered.remove(t, rid)
-			}
-		}
-		for col, idx := range t.secondary {
-			removeRid(idx, row[col].Hash(), rid)
-		}
-		t.valid[rid] = false
-		t.live--
+// unindexPK takes row rid out of the primary-key indexes, under the key it
+// currently stores.
+func (t *Table) unindexPK(rid int32) {
+	if t.pkIndex == nil {
+		return
 	}
+	removeRid(t.pkIndex, t.pkHash(rid), rid)
+	if t.pkOrdered != nil {
+		t.pkOrdered.remove(t, rid)
+	}
+}
+
+// Delete removes all live rows matching pred and returns the count.
+func (t *Table) Delete(pred expr.Predicate) int {
+	touched := t.matching(pred)
+	for _, rid := range touched {
+		t.drop(rid)
+	}
+	t.reclaim()
 	return len(touched)
 }
 
-// Compact rewrites the arena dropping tombstoned rows and rebuilds all
-// indexes. Returns the number of slots reclaimed.
+// DeletePK removes the row with the given primary key, if the table holds
+// one, at the cost of that row.
+func (t *Table) DeletePK(key []value.Value) bool {
+	rid, ok := t.LookupPK(key)
+	if ok {
+		t.drop(int32(rid))
+		t.reclaim()
+	}
+	return ok
+}
+
+// drop tombstones row rid: it leaves every index and its strings go back
+// to the heap; the slot window stays until the arena is compacted.
+func (t *Table) drop(rid int32) {
+	base := t.base(int(rid))
+	t.unindexPK(rid)
+	for col, idx := range t.secondary {
+		removeRid(idx, t.cell(base, col).Hash(), rid)
+	}
+	for _, c := range t.varchars {
+		t.set(base, c, value.Null(value.Varchar))
+	}
+	t.valid[rid] = false
+	t.live--
+}
+
+// reclaimMinDead is the number of tombstoned slots below which the arena
+// is never rewritten on its own: so few windows are not worth renumbering
+// every index for.
+const reclaimMinDead = 1024
+
+// reclaim compacts the arena once more than a fifth of its windows are
+// tombstones, so it never holds more than ~1.25 windows per live row and
+// the rewrite costs a constant per deleted row.
+func (t *Table) reclaim() {
+	if dead := len(t.valid) - t.live; dead > reclaimMinDead && 4*dead > t.live {
+		t.Compact()
+	}
+}
+
+// Compact rewrites the arena and the string heap without the tombstoned
+// windows and released strings and renumbers the rows in every index.
+// Returns the number of slot windows reclaimed.
 func (t *Table) Compact() int {
-	reclaimed := t.capacityRows() - t.live
+	reclaimed := len(t.valid) - t.live
 	if reclaimed == 0 {
 		return 0
 	}
-	data := make([]value.Value, 0, t.live*t.stride)
-	for rid := 0; rid < t.capacityRows(); rid++ {
-		if t.valid[rid] {
-			data = append(data, t.Row(rid)...)
+	remap := make([]int32, len(t.valid))
+	slots := make([]uint64, 0, t.live*t.width)
+	strs := make([]string, 0, len(t.strs)-len(t.strFree))
+	for rid, ok := range t.valid {
+		if !ok {
+			continue
+		}
+		remap[rid] = int32(len(slots) / t.width)
+		base, nbase := t.base(rid), len(slots)+t.nw
+		slots = append(slots, t.slots[rid*t.width:(rid+1)*t.width]...)
+		for _, c := range t.varchars {
+			if !t.isNull(base, c) {
+				slots[nbase+c] = uint64(len(strs))
+				strs = append(strs, t.strs[t.slots[base+c]])
+			}
 		}
 	}
-	t.data = data
+	t.slots, t.strs, t.strFree = slots, strs, nil
 	t.valid = make([]bool, t.live)
 	for i := range t.valid {
 		t.valid[i] = true
 	}
-	if t.pkIndex != nil {
-		t.pkIndex = make(map[uint64][]int32)
-		for rid := 0; rid < t.live; rid++ {
-			h := t.pkHash(t.Row(rid))
-			t.pkIndex[h] = append(t.pkIndex[h], int32(rid))
-		}
-		if t.pkOrdered != nil {
-			t.pkOrdered = &orderedPK{}
-			for rid := 0; rid < t.live; rid++ {
-				t.pkOrdered.insert(t, int32(rid))
+	// Tombstoned rows left the indexes when they were dropped, so every
+	// indexed id has a new number and no key needs rehashing or sorting.
+	renumber := func(idx map[uint64][]int32) {
+		for _, rids := range idx {
+			for i, rid := range rids {
+				rids[i] = remap[rid]
 			}
 		}
 	}
-	for col := range t.secondary {
-		t.secondary[col] = nil
-		delete(t.secondary, col)
-		t.CreateIndex(col)
+	renumber(t.pkIndex)
+	for _, idx := range t.secondary {
+		renumber(idx)
+	}
+	if t.pkOrdered != nil {
+		for i, rid := range t.pkOrdered.rids {
+			t.pkOrdered.rids[i] = remap[rid]
+		}
 	}
 	return reclaimed
 }
 
-// MemoryBytes estimates the arena payload size (values only, uncompressed).
+// MemoryBytes estimates the logical payload size (values only,
+// uncompressed): what the tuples would occupy at their declared widths.
 func (t *Table) MemoryBytes() int {
-	total := 0
-	for rid := 0; rid < t.capacityRows(); rid++ {
-		if !t.valid[rid] {
-			continue
-		}
-		for _, v := range t.Row(rid) {
-			total += v.Bytes()
+	perRow := 0
+	for _, typ := range t.types {
+		if typ != value.Varchar {
+			perRow += value.Null(typ).Bytes()
 		}
 	}
-	return total
+	// The heap holds exactly the strings of the live rows.
+	return t.live*perRow + t.strBytes
 }
 
+// ArenaBytes is the physical size of the tuples: value slots and NULL
+// bitmaps of every slot window, live or tombstoned, plus the string heap.
+func (t *Table) ArenaBytes() int {
+	return 8*len(t.slots) + 16*len(t.strs) + t.strBytes
+}
+
+// removeRid takes rid out of the chain of hash h.
 func removeRid(idx map[uint64][]int32, h uint64, rid int32) {
 	lst := idx[h]
 	for i, r := range lst {
 		if r == rid {
+			if len(lst) == 1 {
+				delete(idx, h)
+				return
+			}
 			lst[i] = lst[len(lst)-1]
 			idx[h] = lst[:len(lst)-1]
 			return

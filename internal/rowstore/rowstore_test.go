@@ -11,7 +11,7 @@ import (
 	"hybridstore/internal/value"
 )
 
-func testSchema(t *testing.T) *schema.Table {
+func testSchema(t testing.TB) *schema.Table {
 	t.Helper()
 	return schema.MustNew("items",
 		[]schema.Column{
@@ -44,9 +44,8 @@ func TestInsertAndRows(t *testing.T) {
 	if tb.Rows() != 10 {
 		t.Errorf("Rows = %d", tb.Rows())
 	}
-	row := tb.Row(3)
-	if row[0].Int() != 3 || row[2].Double() != 3 {
-		t.Errorf("Row(3) = %v", row)
+	if tb.Value(3, 0).Int() != 3 || tb.Value(3, 2).Double() != 3 {
+		t.Errorf("row 3 = %v %v", tb.Value(3, 0), tb.Value(3, 2))
 	}
 	if !tb.Valid(3) {
 		t.Error("row 3 should be valid")
@@ -78,7 +77,7 @@ func TestPKUniqueness(t *testing.T) {
 func TestLookupPK(t *testing.T) {
 	tb := loaded(t, 100)
 	rid, ok := tb.LookupPK([]value.Value{value.NewBigint(42)})
-	if !ok || tb.Row(rid)[0].Int() != 42 {
+	if !ok || tb.Value(rid, 0).Int() != 42 {
 		t.Errorf("LookupPK(42) = %d, %v", rid, ok)
 	}
 	if _, ok := tb.LookupPK([]value.Value{value.NewBigint(1000)}); ok {
@@ -251,7 +250,7 @@ func TestUpdatePKMaintainsIndex(t *testing.T) {
 		t.Error("old PK still indexed")
 	}
 	rid, ok := tb.LookupPK([]value.Value{value.NewBigint(300)})
-	if !ok || tb.Row(rid)[0].Int() != 300 {
+	if !ok || tb.Value(rid, 0).Int() != 300 {
 		t.Error("new PK not indexed")
 	}
 }
@@ -312,7 +311,7 @@ func TestCompact(t *testing.T) {
 		t.Errorf("after compact: rows=%d cap=%d", tb.Rows(), tb.capacityRows())
 	}
 	rid, ok := tb.LookupPK([]value.Value{value.NewBigint(7)})
-	if !ok || tb.Row(rid)[0].Int() != 7 {
+	if !ok || tb.Value(rid, 0).Int() != 7 {
 		t.Error("PK index broken after compact")
 	}
 	got := 0
@@ -360,7 +359,7 @@ func TestInsertLookupProperty(t *testing.T) {
 		}
 		for k := range seen {
 			rid, ok := tb.LookupPK([]value.Value{value.NewBigint(k)})
-			if !ok || tb.Row(rid)[0].Int() != k {
+			if !ok || tb.Value(rid, 0).Int() != k {
 				return false
 			}
 		}
@@ -387,7 +386,7 @@ func TestUpdatePKDuplicateRejected(t *testing.T) {
 	if !ok {
 		t.Fatal("row 3 lost after failed update")
 	}
-	if got := tb.Row(rid)[2].Double(); got != 3 {
+	if got := tb.Value(rid, 2).Double(); got != 3 {
 		t.Fatalf("failed update mutated amount: %v (atomicity broken)", got)
 	}
 	if _, ok := tb.LookupPK([]value.Value{value.NewBigint(5)}); !ok {

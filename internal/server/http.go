@@ -103,6 +103,7 @@ type statusBody struct {
 	PlanCacheMiss int64         `json:"plan_cache_misses"`
 	PlanCacheSize int           `json:"plan_cache_size"`
 	Txns          statusTxns    `json:"txns"`
+	RowArenaBytes int64         `json:"rowstore_arena_bytes"`
 	SlowThreshold string        `json:"slow_query_threshold"`
 	Tables        []statusTable `json:"tables"`
 }
@@ -129,6 +130,7 @@ func (ds *DebugServer) writeStatus(w http.ResponseWriter, s *Server) {
 			Active: ts.Active, Begins: ts.Begins, Commits: ts.Commits,
 			Aborts: ts.Aborts, Conflicts: ts.Conflicts,
 		},
+		RowArenaBytes: s.db.RowArenaBytes(),
 		SlowThreshold: s.db.SlowQueryLogHandle().Threshold().String(),
 		Tables:        []statusTable{},
 	}

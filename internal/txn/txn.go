@@ -538,5 +538,11 @@ func (tb *Table) Prune(folded, minActive uint64) int {
 			n++
 		}
 	}
+	if n > 0 && len(tb.chains) == 0 {
+		// A map keeps the buckets of its largest size, and ranging over it
+		// costs all of them: after a bulk load every later prune — one per
+		// fold, under the engine's write lock — would pay for the load.
+		tb.chains = make(map[string]*chain)
+	}
 	return n
 }

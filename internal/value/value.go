@@ -133,6 +133,14 @@ func ParseDate(s string) (Value, error) {
 // Null returns a NULL value of the given type.
 func Null(t Type) Value { return Value{typ: t, null: true} }
 
+// FromBits rebuilds a non-NULL value of a fixed-width type from the eight
+// bytes Bits returned for it: the storage form of the row store's slots.
+func FromBits(t Type, bits uint64) Value { return Value{typ: t, num: int64(bits)} }
+
+// Bits returns the fixed-width payload of a non-VARCHAR value: the integer
+// or day count as is, a DOUBLE as its IEEE-754 bit pattern.
+func (v Value) Bits() uint64 { return uint64(v.num) }
+
 // Type returns the value's data type.
 func (v Value) Type() Type { return v.typ }
 
