@@ -242,6 +242,8 @@ func remoteShell(addr string) {
 					vals["hs_txn_abort_total"], vals["hs_txn_conflict_total"])
 				fmt.Printf("row store arena: %.0f bytes; %.0f keys folded\n",
 					vals["hs_rowstore_arena_bytes"], vals["hs_txn_fold_keys_total"])
+				fmt.Printf("column store: %.0f bytes resident for %.0f bytes of payload\n",
+					vals["hs_colstore_resident_bytes"], vals["hs_colstore_payload_bytes"])
 			default:
 				fmt.Println("unknown remote command (only \\quit, \\ping, \\metrics and \\stats work over -connect):", trimmed)
 			}
@@ -399,7 +401,9 @@ func (s *session) command(line string) bool {
 			ts := db.TxnStats()
 			fmt.Printf("txns: %d active, %d begun, %d committed, %d aborted, %d conflicts\n",
 				ts.Active, ts.Begins, ts.Commits, ts.Aborts, ts.Conflicts)
-			fmt.Printf("row store arena: %d bytes; %d keys folded\n", db.RowArenaBytes(), ts.FoldKeys)
+			fp := db.Footprint()
+			fmt.Printf("row store arena: %d bytes; %d keys folded\n", fp.RowArena, ts.FoldKeys)
+			fmt.Printf("column store: %d bytes resident for %d bytes of payload\n", fp.ColResident, fp.ColPayload)
 			snap := s.mon.Snapshot()
 			fmt.Printf("observed %d queries (%d in window)\n", snap.Seen, snap.WindowSeen)
 			ph := metrics.Default().Histogram("hs_planning_seconds",

@@ -105,6 +105,69 @@
 //     generic fallbacks above, MVCC-merged scans) tracks extrema only
 //     for MIN and MAX; SUM, AVG and COUNT cost an add and an increment.
 //
+// # Column store
+//
+// internal/colstore keeps every attribute dictionary-encoded in two
+// fragments, and the dictionary is all of the column that is not a code. A
+// main dictionary (compress.Dict) holds the column's distinct values
+// sorted, in the column's own representation and exactly as many slots as
+// values: one []int64 for INTEGER, BIGINT and DATE, one []float64 for
+// DOUBLE, one []string for VARCHAR. A value.Value is boxed only when a
+// code leaves the store (Dict.Value); Code and CodeRange binary-search the
+// typed slice; Floats — what SUM and AVG read by code — is the storage
+// itself for DOUBLE and a view built once per dictionary otherwise.
+// DOUBLEs that compare equal but differ in their bits (-0.0 and 0.0) are
+// separate entries ordered by bit pattern, and NaN sorts before every
+// number (value.Compare), so the order is total. The delta dictionary
+// (compress.UDict) keeps arrival order in the same typed slices and finds
+// a value again through a map on its bit pattern or its string. Per row a
+// column holds a code (bit-packed, run-length or frame-of-reference coded
+// in the main fragment, 4 bytes in the delta) and, if the column has
+// NULLs, a flag.
+//
+// Table.Merge folds the delta into the main fragment as a merge of
+// dictionaries. Per column, one pass over the code vectors gathers the
+// live rows' codes and counts the references to every dictionary entry;
+// compress.Merge sorts the referenced delta values, merges them with the
+// sorted main dictionary into the new one — an entry no live row
+// references any more is left out — and returns the translation table
+// from old codes to new; the gathered codes are translated through it,
+// re-encoded (compress.Encode) and their zone maps rebuilt. The PK index
+// is rebuilt from one hash per entry of the key columns' dictionaries,
+// combined per row by code. The cost is O(rows + distinct·log
+// distinct_delta) per column, with no value boxed, hashed or searched per
+// row. The trigger is unchanged: a delta above MergeThreshold (10 %) of a
+// table of more than 4096 rows merges at the end of the insert, and
+// Database.Compact merges on request. hs_colstore_merge_seconds is the
+// duration of one merge of one table, hs_colstore_merge_rows_total the
+// rows the merges left in main fragments.
+//
+// Statistics come from the same place. Database.CollectStats reads a
+// column-store table — and, on a vertical split, the columns only the
+// column partition holds, plus the key — through Table.ValueRuns: one
+// counting pass over the code vectors, then every distinct live value
+// with its row count straight from the dictionaries (a value both
+// dictionaries hold counted once, values only tombstoned rows hold not at
+// all). Row count, NDV, min/max and average VARCHAR length follow without
+// materializing a row, and NDV is exact at any cardinality. Every other
+// column — row-store tables, the row partition of a vertical split, both
+// sides of a horizontal split, whose NDV is not the sum of its sides' — is
+// scanned into the same catalog.StatsCollector, which remembers up to
+// 65 536 distinct values per column (exact up to there, identical to the
+// dictionary read-out) and extrapolates linearly beyond. Compact publishes
+// statistics after the merge, so load, Compact, CollectStats costs the
+// load and two counting passes on a column table, not three scans; Open
+// publishes them after recovery.
+//
+// Table.MemoryBytes is the logical payload (dictionary values at their
+// declared widths plus code vectors — what mem_bytes_per_row reports);
+// Table.ResidentBytes is what the fragments occupy, by capacity:
+// dictionaries, code vectors, NULL and zone arrays, the delta with its
+// lookup maps, the live bitmap and the PK index (the maps estimated).
+// hs_colstore_resident_bytes exports it, and hs_colstore_payload_bytes the
+// logical size beside it (also in /status and \stats); after a merge the
+// first stays within twice the second plus the PK index.
+//
 // # Row store
 //
 // internal/rowstore keeps a table's tuples in one pointer-free arena of
@@ -328,7 +391,8 @@
 // the table recovers in its pre-migration layout with all acknowledged
 // DML applied — the in-flight migration aborts cleanly. After replay,
 // Open folds the tail into a fresh checkpoint so the next start needs
-// no replay. Checkpoint cadence is explicit (Checkpoint/Close, or the
+// no replay, and collects every table's statistics, so the planner
+// prices a recovered table from its data rather than from defaults. Checkpoint cadence is explicit (Checkpoint/Close, or the
 // hsql \checkpoint command); the WAL grows unbounded between
 // checkpoints by design.
 //

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -222,6 +223,70 @@ func TestStatsCollectorCapExtrapolation(t *testing.T) {
 	// All values distinct: extrapolation should land near 1000.
 	if st.Distinct(0) < 500 || st.Distinct(0) > 1000 {
 		t.Errorf("extrapolated distinct = %d", st.Distinct(0))
+	}
+}
+
+// Regression: the cap is a bound on what Add remembers, not a value it
+// estimates from — a column with exactly distinctCap values, all seen
+// early, was reported at several times its cardinality.
+func TestStatsCollectorExactAtCap(t *testing.T) {
+	sc := NewStatsCollector([]value.Type{value.Bigint})
+	sc.distinctCap = 100
+	for i := 0; i < 1000; i++ {
+		sc.Add([]value.Value{value.NewBigint(int64(i % 100))})
+	}
+	if d := sc.Finish().Distinct(0); d != 100 {
+		t.Errorf("distinct = %d for 100 values at a cap of 100, want exact", d)
+	}
+}
+
+// TestStatsCollectorRuns feeds the same column as rows and as runs (a
+// dictionary's read-out): below the cap the statistics agree field for
+// field, above it the runs stay exact while rows extrapolate.
+func TestStatsCollectorRuns(t *testing.T) {
+	types := []value.Type{value.Varchar, value.Integer}
+	val := func(i int) value.Value {
+		if i%7 == 0 {
+			return value.Null(value.Varchar)
+		}
+		return value.NewVarchar(strings.Repeat("x", i%5))
+	}
+	byRows, byRuns := NewStatsCollector(types), NewStatsCollector(types)
+	for i := 0; i < 700; i++ {
+		byRows.Add([]value.Value{val(i), value.NewInt(int64(i % 300))})
+	}
+	byRuns.AddRun(0, value.Null(value.Varchar), 100)
+	for n := 0; n < 5; n++ {
+		byRuns.AddRun(0, value.NewVarchar(strings.Repeat("x", n)), 120)
+	}
+	for v := 0; v < 300; v++ {
+		rows := 2
+		if v < 100 {
+			rows = 3
+		}
+		byRuns.AddRun(1, value.NewInt(int64(v)), rows)
+	}
+	if got, want := byRuns.Finish(), byRows.Finish(); !reflect.DeepEqual(got, want) {
+		t.Errorf("statistics from runs %+v, from rows %+v", got, want)
+	}
+
+	rows, runs := NewStatsCollector(types[1:]), NewStatsCollector(types[1:])
+	rows.distinctCap, runs.distinctCap = 50, 50
+	for i := 0; i < 1000; i++ {
+		v := int64(i)
+		if i >= 200 {
+			v = int64(i % 200) // 200 values, all seen by row 200
+		}
+		rows.Add([]value.Value{value.NewInt(v)})
+	}
+	for v := 0; v < 200; v++ {
+		runs.AddRun(0, value.NewInt(int64(v)), 5)
+	}
+	if d := runs.Finish().Distinct(0); d != 200 {
+		t.Errorf("distinct from runs = %d above the cap, want the exact 200", d)
+	}
+	if d := rows.Finish().Distinct(0); d != 1000 {
+		t.Errorf("distinct from rows = %d above the cap, want the linear extrapolation 1000", d)
 	}
 }
 

@@ -87,16 +87,22 @@ func (s *TableStats) String() string {
 	return b.String()
 }
 
-// StatsCollector incrementally builds TableStats from a stream of rows.
-// Distinct counting is exact up to distinctCap values per column and
-// linearly extrapolated beyond it, so collection stays O(rows) with
-// bounded memory on large tables.
+// StatsCollector builds TableStats from a table's data. It has two feeds,
+// per column one or the other: Add takes whole rows — distinct counting is
+// exact up to distinctCap values per column and linearly extrapolated
+// beyond it, so collection stays O(rows) with bounded memory on large
+// tables — and AddRun takes a dictionary-encoded column's distinct values
+// with their row counts, exact at any cardinality. Below the cap the two
+// produce identical statistics.
 type StatsCollector struct {
 	types       []value.Type
-	rows        int
-	seen        []map[string]struct{}
+	rows        int               // rows Add saw
+	runs        []bool            // column is fed by AddRun; Add leaves it alone
+	runRows     []int             // rows AddRun saw
+	runDistinct []int             // non-NULL runs AddRun saw
+	seen        []*compress.UDict // distinct values Add saw, until capped
 	capped      []bool
-	seenAtCap   []int // rows scanned when the cap was hit
+	seenAtCap   []int // rows scanned when the cap was passed
 	minV, maxV  []value.Value
 	hasRange    []bool
 	varcharLen  []int
@@ -112,7 +118,10 @@ func NewStatsCollector(types []value.Type) *StatsCollector {
 	n := len(types)
 	sc := &StatsCollector{
 		types:       types,
-		seen:        make([]map[string]struct{}, n),
+		runs:        make([]bool, n),
+		runRows:     make([]int, n),
+		runDistinct: make([]int, n),
+		seen:        make([]*compress.UDict, n),
 		capped:      make([]bool, n),
 		seenAtCap:   make([]int, n),
 		minV:        make([]value.Value, n),
@@ -122,49 +131,73 @@ func NewStatsCollector(types []value.Type) *StatsCollector {
 		varcharCnt:  make([]int, n),
 		distinctCap: DefaultDistinctCap,
 	}
-	for i := range sc.seen {
-		sc.seen[i] = make(map[string]struct{})
+	for i, t := range types {
+		sc.seen[i] = compress.NewUDict(t)
 	}
 	return sc
 }
 
-// Add folds one row into the statistics.
+// Add folds one row into the statistics. Positions of columns fed by
+// AddRun are not read.
 func (sc *StatsCollector) Add(row []value.Value) {
 	sc.rows++
 	for i, v := range row {
-		if v.IsNull() {
+		if v.IsNull() || sc.runs[i] {
 			continue
 		}
 		if !sc.capped[i] {
-			sc.seen[i][v.Key()] = struct{}{}
-			if len(sc.seen[i]) >= sc.distinctCap {
+			sc.seen[i].GetOrAdd(v)
+			if sc.seen[i].Len() > sc.distinctCap {
 				sc.capped[i] = true
 				sc.seenAtCap[i] = sc.rows
 			}
 		}
-		if !sc.hasRange[i] {
-			sc.minV[i], sc.maxV[i] = v, v
-			sc.hasRange[i] = true
-		} else {
-			if value.Less(v, sc.minV[i]) {
-				sc.minV[i] = v
-			}
-			if value.Less(sc.maxV[i], v) {
-				sc.maxV[i] = v
-			}
+		sc.observe(i, v, 1)
+	}
+}
+
+// AddRun folds in the rows of column col that hold v, NULL included, all
+// at once. The caller passes every distinct value of the column in exactly
+// one run — a column store reads them off its dictionaries — so the
+// distinct count is the number of runs.
+func (sc *StatsCollector) AddRun(col int, v value.Value, rows int) {
+	sc.runs[col] = true
+	sc.runRows[col] += rows
+	if !v.IsNull() {
+		sc.runDistinct[col]++
+		sc.observe(col, v, rows)
+	}
+}
+
+// observe folds rows occurrences of the non-NULL v into column i's value
+// range and VARCHAR length.
+func (sc *StatsCollector) observe(i int, v value.Value, rows int) {
+	if !sc.hasRange[i] {
+		sc.minV[i], sc.maxV[i] = v, v
+		sc.hasRange[i] = true
+	} else {
+		if value.Less(v, sc.minV[i]) {
+			sc.minV[i] = v
 		}
-		if sc.types[i] == value.Varchar {
-			sc.varcharLen[i] += len(v.Varchar())
-			sc.varcharCnt[i]++
+		if value.Less(sc.maxV[i], v) {
+			sc.maxV[i] = v
 		}
+	}
+	if sc.types[i] == value.Varchar {
+		sc.varcharLen[i] += rows * len(v.Varchar())
+		sc.varcharCnt[i] += rows
 	}
 }
 
 // Finish produces the TableStats.
 func (sc *StatsCollector) Finish() *TableStats {
 	n := len(sc.types)
+	rows := sc.rows
+	for _, r := range sc.runRows {
+		rows = max(rows, r) // no row came through Add: every column counted them
+	}
 	st := &TableStats{
-		NumRows:     sc.rows,
+		NumRows:     rows,
 		DistinctN:   make([]int, n),
 		MinV:        sc.minV,
 		MaxV:        sc.maxV,
@@ -173,20 +206,17 @@ func (sc *StatsCollector) Finish() *TableStats {
 		AvgVarchar:  make([]int, n),
 	}
 	for i := 0; i < n; i++ {
-		d := len(sc.seen[i])
-		if sc.capped[i] && sc.seenAtCap[i] > 0 {
+		d := sc.seen[i].Len() + sc.runDistinct[i]
+		if sc.capped[i] {
 			// Linear extrapolation: distinct values kept appearing at the
 			// cap rate for the remaining rows (upper-bounded by row count).
-			d = int(float64(d) * float64(sc.rows) / float64(sc.seenAtCap[i]))
-			if d > sc.rows {
-				d = sc.rows
-			}
+			d = min(int(float64(d)*float64(rows)/float64(sc.seenAtCap[i])), rows)
 		}
 		st.DistinctN[i] = d
 		if sc.varcharCnt[i] > 0 {
 			st.AvgVarchar[i] = sc.varcharLen[i] / sc.varcharCnt[i]
 		}
-		st.Compression[i] = compress.ColumnRate(sc.rows, d, sc.types[i], st.AvgVarchar[i])
+		st.Compression[i] = compress.ColumnRate(rows, d, sc.types[i], st.AvgVarchar[i])
 	}
 	return st
 }

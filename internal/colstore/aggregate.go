@@ -232,21 +232,12 @@ func (t *Table) LookupCodes(col int, v value.Value, hint int) (main, delta int) 
 	} else if code, ok := c.mainDict.Code(v); ok {
 		main = int(code)
 	}
-	if c.deltaDict.Len() > 0 { // the lookup builds a string key
+	if c.deltaDict.Len() > 0 {
 		if code, ok := c.deltaDict.Code(v); ok {
 			delta = c.mainDict.Len() + int(code)
 		}
 	}
 	return main, delta
-}
-
-// mainFloats decodes the main dictionary to floats, indexed by code.
-func (c *column) mainFloats() []float64 {
-	f := make([]float64, c.mainDict.Len())
-	for i, v := range c.mainDict.Values() {
-		f[i] = v.Float()
-	}
-	return f
 }
 
 // gatherCodes fills dst[k] with column c's code (see CodeSpace) at rids[k];
@@ -293,7 +284,7 @@ type denseGroupAgg struct {
 	gTotal   int   // groups; the accumulators have one more slot, DenseBatch.Drop
 	codeCols []int // columns decoded per batch: the kernel's own grouping columns, then q.Cols
 	key      func(g uint32) []value.Value
-	fvals    [][]float64 // per spec: main dictionary pre-decoded to floats
+	fvals    [][]float64 // per spec: the main dictionary as floats, by code
 	extrema  []bool      // per spec: MIN or MAX, the cell tracks code extrema
 	ext      []int       // per spec: its external vector, -1 for none
 	valCols  []int       // distinct value columns
@@ -374,7 +365,7 @@ func (t *Table) newDenseGroupAgg(q *DenseAgg) (da *denseGroupAgg, ok bool) {
 		}
 		da.valBuf[si] = bufOf[s.Col]
 		da.extrema[si] = s.Func == agg.Min || s.Func == agg.Max
-		da.fvals[si] = t.cols[s.Col].mainFloats()
+		da.fvals[si] = t.cols[s.Col].mainDict.Floats()
 	}
 	return da, true
 }

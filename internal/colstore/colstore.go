@@ -11,18 +11,23 @@
 //   - the delta fragment has an unsorted, append-friendly dictionary and a
 //     plain code slice, absorbing inserts in O(1) per value.
 //
-// When the delta grows past a threshold it is merged into the main
-// fragment, an O(n) re-encode whose amortized cost grows with table size —
-// reproducing the insert-cost asymmetry between the stores that the
-// paper's BaseInsertCosts·f_#rows captures. Updates reconstruct the
-// affected tuple (the paper's f_#affectedColumns tuple-reconstruction
-// effort) unless the new values can be patched into the row's fragment
-// dictionaries in place.
+// Both dictionaries keep their values typed and exactly sized
+// (compress.Dict, compress.UDict): nothing in a column is per row except
+// its codes and NULL flags. When the delta grows past a threshold it is
+// merged into the main fragment — the two dictionaries merge into a new
+// sorted one with a translation table, and the code vectors are re-encoded
+// through it, O(rows + distinct·log distinct_delta) — an amortized cost
+// that grows with table size, reproducing the insert-cost asymmetry between
+// the stores that the paper's BaseInsertCosts·f_#rows captures. Updates
+// reconstruct the affected tuple (the paper's f_#affectedColumns
+// tuple-reconstruction effort) unless the new values can be patched into
+// the row's fragment dictionaries in place.
 package colstore
 
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"hybridstore/internal/bitset"
 	"hybridstore/internal/compress"
@@ -83,14 +88,6 @@ func (c *column) appendDelta(v value.Value) {
 	}
 }
 
-func (c *column) isNullAt(rid, mainRows int) bool {
-	if rid < mainRows {
-		return c.mainNulls != nil && c.mainNulls[rid]
-	}
-	d := rid - mainRows
-	return c.deltaNulls != nil && c.deltaNulls[d]
-}
-
 // Table is a column-store table. Like the row store it is not safe for
 // concurrent mutation.
 type Table struct {
@@ -129,9 +126,9 @@ func New(sch *schema.Table) *Table {
 	for i := range t.cols {
 		t.cols[i] = column{
 			typ:       sch.Columns[i].Type,
-			mainDict:  compress.NewDict(nil),
+			mainDict:  compress.NewDict(sch.Columns[i].Type, nil),
 			mainCodes: compress.Pack(nil, 0),
-			deltaDict: compress.NewUDict(),
+			deltaDict: compress.NewUDict(sch.Columns[i].Type),
 		}
 	}
 	if len(sch.PrimaryKey) > 0 {
@@ -306,59 +303,79 @@ func (t *Table) appendRow(row []value.Value) {
 	}
 }
 
-// Merge folds the delta fragment into the main fragment, rebuilding each
-// column's sorted dictionary and bit-packed code vector over all live rows
-// and compacting away tombstones. It is the expensive, amortized part of
-// column-store inserts.
+// Merge folds the delta fragment into the main fragment and compacts away
+// tombstones: per column, the main and delta dictionaries merge into a new
+// sorted dictionary of the values live rows hold (compress.Merge) and the
+// live rows' codes are translated into it and re-encoded — no value is
+// boxed, probed or searched per row. It is the expensive, amortized part
+// of column-store inserts.
 func (t *Table) Merge() {
-	total := t.totalRows()
-	if t.deltaRows == 0 && t.live == total {
+	if t.deltaRows == 0 && t.live == t.totalRows() {
 		return // nothing to merge or compact
 	}
-	liveRids := t.liveSet.AppendSet(make([]int32, 0, t.live), 0, total)
+	start := time.Now()
 	for i := range t.cols {
-		t.mergeColumn(&t.cols[i], liveRids)
+		t.mergeColumn(&t.cols[i]) // reads the row layout, which changes below
 	}
-	t.mainRows = len(liveRids)
+	t.mainRows = t.live
 	t.deltaRows = 0
 	t.liveSet = bitset.New(t.mainRows)
 	t.liveSet.FillOnes(t.mainRows)
-	t.live = t.mainRows
 	if t.pkIndex != nil {
-		t.pkIndex = make(map[uint64][]int32)
-		for rid := 0; rid < t.mainRows; rid++ {
-			h := t.pkHashAt(rid)
-			t.pkIndex[h] = append(t.pkIndex[h], int32(rid))
-		}
+		t.rebuildPKIndex()
 	}
 	t.merges++
+	mMergeRows.Add(int64(t.mainRows))
+	mMergeSeconds.Observe(time.Since(start).Nanoseconds())
 }
 
-func (t *Table) mergeColumn(c *column, liveRids []int32) {
-	// Collect live values (NULLs tracked separately).
-	vals := make([]value.Value, len(liveRids))
-	var nulls []bool
-	for i, rid := range liveRids {
-		v := c.valueAt(int(rid), t.mainRows)
-		vals[i] = v
-		if v.IsNull() {
-			if nulls == nil {
-				nulls = make([]bool, len(liveRids))
+// rebuildPKIndex indexes a freshly merged table: key values are hashed once
+// per dictionary entry, the rows' value.HashRow folded from them by code.
+func (t *Table) rebuildPKIndex() {
+	hashes := make([]uint64, t.mainRows)
+	for rid := range hashes {
+		hashes[rid] = value.HashSeed
+	}
+	codes := make([]uint32, t.mainRows)
+	for _, k := range t.sch.PrimaryKey {
+		c := &t.cols[k]
+		null := c.mainDict.Len()
+		byCode := make([]uint64, null+1)
+		for code := 0; code < null; code++ {
+			byCode[code] = c.mainDict.Value(uint32(code)).Hash()
+		}
+		byCode[null] = value.Null(c.typ).Hash()
+		c.mainCodes.UnpackBlock(0, codes)
+		for rid, code := range codes {
+			if c.mainNulls != nil && c.mainNulls[rid] {
+				code = uint32(null)
 			}
-			nulls[i] = true
+			hashes[rid] = value.HashStep(hashes[rid], byCode[code])
 		}
 	}
-	dict := compress.NewDict(vals)
-	codes := make([]uint32, len(vals))
-	for i, v := range vals {
-		if nulls != nil && nulls[i] {
-			continue
+	t.pkIndex = make(map[uint64][]int32, t.mainRows)
+	for rid, h := range hashes {
+		t.pkIndex[h] = append(t.pkIndex[h], int32(rid))
+	}
+}
+
+// mergeColumn rebuilds column c's main fragment over the live rows and
+// empties its delta.
+func (t *Table) mergeColumn(c *column) {
+	codes := make([]uint32, 0, t.live)
+	refs := t.liveCodes(c, func(batch []uint32) { codes = append(codes, batch...) })
+	null := len(refs) - 1
+	dict, to := compress.Merge(c.mainDict, c.deltaDict, refs[:null])
+	var nulls []bool
+	if refs[null] > 0 {
+		nulls = make([]bool, len(codes))
+		for i, code := range codes {
+			nulls[i] = int(code) == null
 		}
-		code, ok := dict.Code(v)
-		if !ok {
-			panic("colstore: merged dictionary missing value")
-		}
-		codes[i] = code
+	}
+	to = append(to, 0) // a NULL's code
+	for i, code := range codes {
+		codes[i] = to[code]
 	}
 	c.mainDict = dict
 	// Encode picks the smallest coding per column — bit-packed, run-length
@@ -368,9 +385,29 @@ func (t *Table) mergeColumn(c *column, liveRids []int32) {
 	c.mainCodes = compress.Encode(codes, dict.Len())
 	c.mainNulls = nulls
 	c.mainZones = buildZones(codes, nulls)
-	c.deltaDict = compress.NewUDict()
+	c.deltaDict = compress.NewUDict(c.typ)
 	c.deltaCodes = nil
 	c.deltaNulls = nil
+}
+
+// liveCodes counts the live rows under each of column c's codes (see
+// CodeSpace). fn, if not nil, sees the rows' codes in row order, a batch at
+// a time, and must not retain the batch.
+func (t *Table) liveCodes(c *column, fn func(codes []uint32)) (refs []int) {
+	refs = make([]int, c.mainDict.Len()+c.deltaDict.Len()+1)
+	block, dst := make([]uint32, blockRows), make([]uint32, blockRows)
+	t.forBatches(nil, func(rids []int32, b0, nm, mainN int) bool {
+		codes := dst[:len(rids)]
+		t.gatherCodes(c, rids, b0, nm, mainN, block, codes)
+		for _, code := range codes {
+			refs[code]++
+		}
+		if fn != nil {
+			fn(codes)
+		}
+		return true
+	})
+	return refs
 }
 
 // FragmentRows streams every live row in row-id order, reporting for
@@ -430,73 +467,69 @@ func (t *Table) DistinctCount(col int) int {
 	return d
 }
 
+// payloadBytes is the compressed payload of the column: dictionary values
+// plus code vectors, the delta's codes at 4 bytes each.
+func (c *column) payloadBytes() int {
+	return c.mainDict.Bytes() + c.mainCodes.SizeBytes() + c.deltaDict.Bytes() + 4*len(c.deltaCodes)
+}
+
 // CompressionRate returns the achieved dictionary-compression rate of
 // column col (1 - compressed/uncompressed; see compress.Rate).
 func (t *Table) CompressionRate(col int) float64 {
-	c := &t.cols[col]
-	uncompressed, compressed := 0, 0
-	elem := func(v value.Value) int { return v.Bytes() }
-	// Main fragment.
-	for _, v := range c.mainDict.Values() {
-		compressed += elem(v)
-	}
-	compressed += c.mainCodes.SizeBytes()
-	// Delta fragment: 4-byte codes.
-	for _, v := range c.deltaDict.Values() {
-		compressed += elem(v)
-	}
-	compressed += 4 * len(c.deltaCodes)
-	n := 0
-	for rid := 0; rid < t.totalRows(); rid++ {
-		if !t.liveSet.Get(rid) {
-			continue
-		}
-		uncompressed += elem(c.valueAt(rid, t.mainRows))
-		n++
-	}
-	if n == 0 {
+	if t.live == 0 {
 		return 0
 	}
-	return compress.Rate(uncompressed, compressed)
+	uncompressed := 0
+	t.ValueRuns(col, func(v value.Value, rows int) { uncompressed += rows * v.Bytes() })
+	return compress.Rate(uncompressed, t.cols[col].payloadBytes())
 }
 
 // MemoryBytes estimates the compressed payload size of the table.
 func (t *Table) MemoryBytes() int {
 	total := 0
 	for i := range t.cols {
-		c := &t.cols[i]
-		for _, v := range c.mainDict.Values() {
-			total += v.Bytes()
-		}
-		total += c.mainCodes.SizeBytes()
-		for _, v := range c.deltaDict.Values() {
-			total += v.Bytes()
-		}
-		total += 4 * len(c.deltaCodes)
+		total += t.cols[i].payloadBytes()
 	}
 	return total
 }
 
-// MinMax returns the smallest and largest non-NULL value of column col.
-func (t *Table) MinMax(col int) (lo, hi value.Value, ok bool) {
+// ResidentBytes is what the table occupies in memory, by capacity:
+// dictionaries, code vectors, NULL and zone arrays, the delta fragment, the
+// live bitmap and the PK index (estimated at 48 bytes an entry: map slot,
+// chain header, row id) — the physical size of what MemoryBytes reports.
+func (t *Table) ResidentBytes() int {
+	total := 8*cap(t.liveSet) + 48*len(t.pkIndex)
+	for i := range t.cols {
+		c := &t.cols[i]
+		total += c.mainDict.ResidentBytes() + c.mainCodes.SizeBytes() + cap(c.mainNulls) + 12*cap(c.mainZones) +
+			c.deltaDict.ResidentBytes() + 4*cap(c.deltaCodes) + cap(c.deltaNulls)
+	}
+	return total
+}
+
+// ValueRuns calls fn once for every distinct value the live rows of column
+// col hold, NULL included, with the number of rows holding it: the column's
+// dictionaries read against one counting pass over its code vectors, no row
+// materialized. The main dictionary's values come first, ascending, then
+// those only the delta holds, then NULL.
+func (t *Table) ValueRuns(col int, fn func(v value.Value, rows int)) {
 	c := &t.cols[col]
-	if c.mainDict.Len() > 0 {
-		lo, hi = c.mainDict.Value(0), c.mainDict.Value(uint32(c.mainDict.Len()-1))
-		ok = true
-	}
-	for _, v := range c.deltaDict.Values() {
-		if !ok {
-			lo, hi, ok = v, v, true
-			continue
-		}
-		if value.Less(v, lo) {
-			lo = v
-		}
-		if value.Less(hi, v) {
-			hi = v
+	refs := t.liveCodes(c, nil)
+	mainLen := c.mainDict.Len()
+	for d := 0; d < c.deltaDict.Len(); d++ {
+		if n := refs[mainLen+d]; n > 0 {
+			// A value both dictionaries hold is one run, the main code's.
+			if code, ok := c.mainDict.Code(c.deltaDict.Value(uint32(d))); ok {
+				refs[code] += n
+				refs[mainLen+d] = 0
+			}
 		}
 	}
-	return lo, hi, ok
+	for code, n := range refs {
+		if n > 0 {
+			fn(t.CodeValue(col, uint32(code)), n)
+		}
+	}
 }
 
 // Update applies set to all live rows matching pred, returning the number
@@ -574,7 +607,7 @@ func (t *Table) updateRow(rid int, set map[int]value.Value, pkChanged bool) {
 				inPlace = false
 				break
 			}
-			if t.cols[col].isNullAt(rid, t.mainRows) {
+			if nulls := t.cols[col].mainNulls; nulls != nil && nulls[rid] {
 				inPlace = false // clearing a NULL flag requires a rewrite
 				break
 			}

@@ -82,7 +82,7 @@ func BenchmarkMatchBitmap(b *testing.B) {
 	defer tb.releaseScratch(s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = tb.matchBitmap(pred, s, nil)
+		benchSink = tb.matchBitmapExec(pred, s, nil)
 	}
 }
 

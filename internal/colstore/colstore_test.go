@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -485,20 +486,32 @@ func TestDistinctCountClampedOnSkewedColumn(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
+// TestValueRuns checks the dictionary read-out behind statistics: every
+// distinct live value once, main and delta together, with its row count.
+func TestValueRuns(t *testing.T) {
 	tb := loaded(t, 100)
 	tb.Merge()
-	if err := tb.Insert([][]value.Value{mkRow(500, 9, -50, "x")}); err != nil {
+	if err := tb.Insert([][]value.Value{mkRow(500, 9, -50, "x"), mkRow(501, 9, 99, "x")}); err != nil {
 		t.Fatal(err)
 	}
-	lo, hi, ok := tb.MinMax(2)
-	if !ok || lo.Double() != -50 || hi.Double() != 99 {
-		t.Errorf("MinMax = %v, %v, %v", lo, hi, ok)
+	tb.Delete(&expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(0)})
+	rows := map[float64]int{}
+	tb.Scan(nil, []int{2}, func(_ int, row []value.Value) bool {
+		rows[row[2].Double()]++
+		return true
+	})
+	lo, hi, runs := math.Inf(1), math.Inf(-1), 0
+	tb.ValueRuns(2, func(v value.Value, n int) {
+		runs++
+		if rows[v.Double()] != n {
+			t.Errorf("ValueRuns(%v) = %d rows, scan saw %d", v, n, rows[v.Double()])
+		}
+		lo, hi = min(lo, v.Double()), max(hi, v.Double())
+	})
+	if runs != len(rows) || lo != -50 || hi != 99 {
+		t.Errorf("ValueRuns: %d runs over [%v, %v], scan saw %d values", runs, lo, hi, len(rows))
 	}
-	empty := New(testSchema())
-	if _, _, ok := empty.MinMax(0); ok {
-		t.Error("empty table should have no MinMax")
-	}
+	New(testSchema()).ValueRuns(0, func(value.Value, int) { t.Error("empty table has no runs") })
 }
 
 // Cross-validation: the column store and row store must produce identical

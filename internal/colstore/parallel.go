@@ -36,20 +36,26 @@ func (t *Table) NumBlocks() int { return (t.totalRows() + blockRows - 1) / block
 
 func (t *Table) numMainBlocks() int { return (t.mainRows + blockRows - 1) / blockRows }
 
-// matchBitmapExec is matchBitmap with morsel parallelism: main-fragment
-// blocks are claimed from a shared counter and every conjunct is applied
-// to a block before the next is claimed. Blocks are bitset-word aligned,
-// so concurrent workers write disjoint words; the delta passes and the
-// tombstone AND run serially afterwards (the delta fragment is small and
-// shares its first word with the last main block).
+// matchBitmapExec evaluates pred over all row slots, returning a per-slot
+// match bitset that already excludes tombstoned rows; nil means "all live
+// rows match". Compiled matchers run block-at-a-time over bulk-decoded code
+// buffers with zone-map skipping, every conjunct on a block — most
+// selective first, so later ones skip words that are already zero — before
+// the next; on a table worth it the blocks are morsels. Blocks are
+// bitset-word aligned, so concurrent workers write disjoint words; the
+// delta passes and the tombstone AND run serially afterwards (the delta
+// shares its first word with the last main block). The bitset is backed by
+// s and valid until s is released. Zone-map outcomes go to ex's trace and
+// always to the cumulative package metrics.
 func (t *Table) matchBitmapExec(pred expr.Predicate, s *scanScratch, ex *exec.Ctx) bitset.Bits {
 	nb := t.numMainBlocks()
+	run := ex // what the blocks run on: nothing (a plain loop) unless the table is worth helpers
 	if t.totalRows() < parallelMinRows || !ex.Parallel(nb) {
-		return t.matchBitmap(pred, s, ex.Tracer())
+		run = nil
 	}
 	matchers, ok := t.compileMatchers(pred)
 	if !ok {
-		return t.fallbackBitmapExec(pred, s, ex)
+		return t.fallbackBitmapExec(pred, s, run)
 	}
 	if len(matchers) == 0 {
 		return nil
@@ -58,10 +64,9 @@ func (t *Table) matchBitmapExec(pred expr.Predicate, s *scanScratch, ex *exec.Ct
 		return t.matcherSelectivity(&matchers[i]) < t.matcherSelectivity(&matchers[j])
 	})
 	match := s.bits(t.totalRows())
-	workers := ex.Workers(nb)
-	blockWords := make([][]uint64, workers)
-	counts := make([]scanCounts, workers)
-	ex.Morsels(nb, func(w, b int) bool {
+	blockWords := make([][]uint64, run.Workers(nb))
+	counts := make([]scanCounts, len(blockWords))
+	run.Morsels(nb, func(w, b int) bool {
 		bw := blockWords[w]
 		if bw == nil {
 			bw = make([]uint64, blockRows/64)
@@ -90,74 +95,32 @@ func (t *Table) matchBitmapExec(pred expr.Predicate, s *scanScratch, ex *exec.Ct
 }
 
 // fallbackBitmapExec evaluates an arbitrary predicate by materializing the
-// referenced columns, one block per morsel: each worker bulk-decodes the
-// needed columns' main-fragment codes once per block into private scratch,
-// runs the predicate per live row over the assembled scratch row and sets
+// referenced columns, one block per morsel: each worker gathers them for the
+// block's live rows, runs the predicate per row over a scratch row and sets
 // bits in its block's (word-disjoint) region of the shared bitmap.
 func (t *Table) fallbackBitmapExec(pred expr.Predicate, s *scanScratch, ex *exec.Ctx) bitset.Bits {
 	cols := expr.ColumnSet(pred)
 	match := s.bits(t.totalRows())
 	match.Zero()
-	total := t.totalRows()
-	mainRows := t.mainRows
-	live := t.liveSet
-	type fbState struct {
-		scratch    []value.Value
-		blockCodes [][]uint32
-	}
-	nb := t.NumBlocks()
-	states := make([]*fbState, ex.Workers(nb))
-	ex.Morsels(nb, func(w, b int) bool {
-		st := states[w]
-		if st == nil {
-			st = &fbState{
-				scratch:    make([]value.Value, len(t.cols)),
-				blockCodes: make([][]uint32, len(cols)),
-			}
-			for j := range st.blockCodes {
-				st.blockCodes[j] = make([]uint32, blockRows)
-			}
-			states[w] = st
-		}
-		b0 := b * blockRows
-		n := min(blockRows, total-b0)
-		if !live.AnyRange(b0, b0+n) {
+	cg := t.gatherColumns(cols, ex)
+	defer cg.release()
+	bw, ex := t.walkBatches(nil, ex)
+	rows := make([][]value.Value, len(bw.states))
+	ex.Morsels(t.NumBlocks(), func(w, b int) bool {
+		rids, b0, nm, mainN := bw.block(w, b)
+		if len(rids) == 0 {
 			return true
 		}
-		mainN := 0
-		if b0 < mainRows {
-			mainN = min(n, mainRows-b0)
+		if rows[w] == nil {
+			rows[w] = make([]value.Value, len(t.cols))
 		}
-		for j, cidx := range cols {
-			if mainN > 0 {
-				t.cols[cidx].mainCodes.UnpackBlock(b0, st.blockCodes[j][:mainN])
+		colVals := cg.gather(w, rids, b0, nm, mainN)
+		for k, rid := range rids {
+			for j, c := range cols {
+				rows[w][c] = colVals[j][k]
 			}
-		}
-		scratch := st.scratch
-		for i := 0; i < n; i++ {
-			rid := b0 + i
-			if !live.Get(rid) {
-				continue
-			}
-			for j, cidx := range cols {
-				c := &t.cols[cidx]
-				if i < mainN {
-					if c.mainNulls != nil && c.mainNulls[rid] {
-						scratch[cidx] = value.Null(c.typ)
-					} else {
-						scratch[cidx] = c.mainDict.Value(st.blockCodes[j][i])
-					}
-				} else {
-					d := rid - mainRows
-					if c.deltaNulls != nil && c.deltaNulls[d] {
-						scratch[cidx] = value.Null(c.typ)
-					} else {
-						scratch[cidx] = c.deltaDict.Value(c.deltaCodes[d])
-					}
-				}
-			}
-			if pred.Matches(scratch) {
-				match.Set(rid)
+			if pred.Matches(rows[w]) {
+				match.Set(int(rid))
 			}
 		}
 		return true
@@ -354,7 +317,7 @@ func (t *Table) aggregateGlobal(res *agg.Result, specs []agg.Spec, match bitset.
 			counting[si] = true
 			continue
 		}
-		fvals[si] = c.mainFloats()
+		fvals[si] = c.mainDict.Floats()
 	}
 
 	type gState struct {

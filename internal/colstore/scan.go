@@ -1,8 +1,6 @@
 package colstore
 
 import (
-	"sort"
-
 	"hybridstore/internal/bitset"
 	"hybridstore/internal/compress"
 	"hybridstore/internal/expr"
@@ -84,8 +82,8 @@ func (t *Table) compileComparison(q *expr.Comparison) (colMatcher, bool) {
 	lo, hi := c.mainDict.CodeRange(op, q.Val)
 	m := colMatcher{col: q.Col, mainLo: lo, mainHi: hi}
 	m.deltaMatch = make([]bool, c.deltaDict.Len())
-	for code, v := range c.deltaDict.Values() {
-		m.deltaMatch[code] = q.Op.Apply(value.Compare(v, q.Val))
+	for code := range m.deltaMatch {
+		m.deltaMatch[code] = q.Op.Apply(value.Compare(c.deltaDict.Value(uint32(code)), q.Val))
 	}
 	return m, true
 }
@@ -99,42 +97,11 @@ func (t *Table) compileBetween(q *expr.Between) (colMatcher, bool) {
 	_, hi := c.mainDict.CodeRange(compress.RangeLe, q.Hi)
 	m := colMatcher{col: q.Col, mainLo: lo, mainHi: hi}
 	m.deltaMatch = make([]bool, c.deltaDict.Len())
-	for code, v := range c.deltaDict.Values() {
+	for code := range m.deltaMatch {
+		v := c.deltaDict.Value(uint32(code))
 		m.deltaMatch[code] = value.Compare(v, q.Lo) >= 0 && value.Compare(v, q.Hi) <= 0
 	}
 	return m, true
-}
-
-// matchBitmap evaluates pred over all row slots, returning a per-slot
-// match bitset that already excludes tombstoned rows. A nil return means
-// "all live rows match". Compiled matchers are evaluated block-at-a-time
-// over bulk-decoded code buffers with zone-map skipping; conjuncts and the
-// tombstone mask combine with word-wide ANDs. The returned bitset is
-// backed by s and stays valid until s is released. Zone-map outcomes are
-// reported to tr (nil: none) and always to the cumulative package metrics.
-func (t *Table) matchBitmap(pred expr.Predicate, s *scanScratch, tr *trace.Trace) bitset.Bits {
-	if matchers, ok := t.compileMatchers(pred); ok {
-		if len(matchers) == 0 {
-			return nil
-		}
-		// Evaluate the most selective conjunct first: later conjuncts skip
-		// decode for words that are already zero.
-		sort.Slice(matchers, func(i, j int) bool {
-			return t.matcherSelectivity(&matchers[i]) < t.matcherSelectivity(&matchers[j])
-		})
-		match := s.bits(t.totalRows())
-		var sc scanCounts
-		t.fillMatcher(&matchers[0], match, true, &sc)
-		for i := 1; i < len(matchers); i++ {
-			t.fillMatcher(&matchers[i], match, false, &sc)
-		}
-		sc.report(tr)
-		if t.live != t.totalRows() {
-			match.And(t.liveSet[:len(match)])
-		}
-		return match
-	}
-	return t.fallbackBitmapExec(pred, s, nil)
 }
 
 // matcherSelectivity estimates the fraction of main-fragment rows a
@@ -206,22 +173,6 @@ func (s *scanScratch) colBufs(ncols int) [][]value.Value {
 		s.bufs = append(s.bufs, make([]value.Value, blockRows))
 	}
 	return s.bufs[:ncols]
-}
-
-// fillMatcher evaluates one compiled matcher into the match bitset. The
-// main fragment is processed in blockRows-sized blocks: the block's zone
-// map first decides whether it can match at all (skip: zero words) or must
-// match entirely (accept: all-ones words, no decode); only ambiguous
-// blocks are bulk-decoded and tested, accumulating 64 rows per bitset
-// word. With first=true the bitset is initialized, otherwise each block's
-// words are ANDed in — and blocks whose words are already zero are skipped
-// before any decode.
-func (t *Table) fillMatcher(m *colMatcher, match bitset.Bits, first bool, sc *scanCounts) {
-	var blockWords [blockRows / 64]uint64
-	for b0 := 0; b0 < t.mainRows; b0 += blockRows {
-		sc.count(t.fillMatcherBlock(m, match, b0, first, blockWords[:]))
-	}
-	t.fillMatcherDelta(m, match, first)
 }
 
 // scanCounts accumulates per-scan zone-map outcomes locally — one plain
@@ -418,7 +369,7 @@ func (t *Table) ScanBatches(pred expr.Predicate, cols []int, fn func(rids []int3
 	}
 	s := t.acquireScratch()
 	defer t.releaseScratch(s)
-	t.scanBatches(t.matchBitmap(pred, s, nil), cols, s, fn)
+	t.scanBatches(t.matchBitmapExec(pred, s, nil), cols, s, fn)
 }
 
 // scanBatches streams batches for an already-computed match bitset
@@ -544,7 +495,7 @@ func (t *Table) Scan(pred expr.Predicate, cols []int, fn func(rid int, row []val
 func (t *Table) matchingRows(pred expr.Predicate) []int32 {
 	s := t.acquireScratch()
 	defer t.releaseScratch(s)
-	match := t.matchBitmap(pred, s, nil)
+	match := t.matchBitmapExec(pred, s, nil)
 	src := match
 	want := t.live
 	if src == nil {

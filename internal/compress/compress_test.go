@@ -17,7 +17,7 @@ func intVals(xs ...int64) []value.Value {
 }
 
 func TestNewDictSortedDistinct(t *testing.T) {
-	d := NewDict(intVals(5, 3, 5, 1, 3, 9))
+	d := NewDict(value.Integer, intVals(5, 3, 5, 1, 3, 9))
 	if d.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", d.Len())
 	}
@@ -30,14 +30,14 @@ func TestNewDictSortedDistinct(t *testing.T) {
 }
 
 func TestDictExcludesNull(t *testing.T) {
-	d := NewDict([]value.Value{value.NewInt(1), value.Null(value.Integer), value.NewInt(2)})
+	d := NewDict(value.Integer, []value.Value{value.NewInt(1), value.Null(value.Integer), value.NewInt(2)})
 	if d.Len() != 2 {
 		t.Errorf("NULL should be excluded: len=%d", d.Len())
 	}
 }
 
 func TestDictCode(t *testing.T) {
-	d := NewDict(intVals(10, 20, 30))
+	d := NewDict(value.Integer, intVals(10, 20, 30))
 	if c, ok := d.Code(value.NewInt(20)); !ok || c != 1 {
 		t.Errorf("Code(20) = %d, %v", c, ok)
 	}
@@ -47,7 +47,7 @@ func TestDictCode(t *testing.T) {
 }
 
 func TestDictCodeRange(t *testing.T) {
-	d := NewDict(intVals(10, 20, 30, 40))
+	d := NewDict(value.Integer, intVals(10, 20, 30, 40))
 	cases := []struct {
 		op     CodeRangeOp
 		v      int64
@@ -71,14 +71,14 @@ func TestDictCodeRange(t *testing.T) {
 }
 
 func TestDictVarchar(t *testing.T) {
-	d := NewDict([]value.Value{value.NewVarchar("b"), value.NewVarchar("a"), value.NewVarchar("b")})
+	d := NewDict(value.Varchar, []value.Value{value.NewVarchar("b"), value.NewVarchar("a"), value.NewVarchar("b")})
 	if d.Len() != 2 || d.Value(0).Varchar() != "a" {
-		t.Errorf("varchar dict broken: %v", d.Values())
+		t.Errorf("varchar dict broken: %v %v", d.Value(0), d.Value(1))
 	}
 }
 
 func TestUDict(t *testing.T) {
-	d := NewUDict()
+	d := NewUDict(value.Integer)
 	c1 := d.GetOrAdd(value.NewInt(100))
 	c2 := d.GetOrAdd(value.NewInt(50))
 	c3 := d.GetOrAdd(value.NewInt(100))
@@ -97,7 +97,7 @@ func TestUDict(t *testing.T) {
 	if _, ok := d.Code(value.NewInt(1)); ok {
 		t.Error("Code(1) should miss")
 	}
-	if len(d.Values()) != 2 {
+	if d.Len() != 2 {
 		t.Error("Values broken")
 	}
 }

@@ -164,23 +164,28 @@ func New() *Database {
 		pool:   exec.Default(),
 		txns:   txn.NewManager(),
 	}
-	// Like the server's gauges, the freshest database of the process owns it.
+	// Like the server's gauges, the freshest database of the process owns them.
 	metrics.Default().GaugeFunc("hs_rowstore_arena_bytes",
 		"physical size of the row-store arenas: value slots, NULL bitmaps and string heaps, tombstoned windows included",
-		db.RowArenaBytes)
+		func() int64 { return int64(db.Footprint().RowArena) })
+	metrics.Default().GaugeFunc("hs_colstore_resident_bytes",
+		"physical size of the column-store fragments by capacity: dictionaries, code vectors, NULL and zone arrays, deltas, PK indexes",
+		func() int64 { return int64(db.Footprint().ColResident) })
+	metrics.Default().GaugeFunc("hs_colstore_payload_bytes",
+		"logical size of the column-store fragments: dictionary values and code vectors, what MemoryBytes reports",
+		func() int64 { return int64(db.Footprint().ColPayload) })
 	return db
 }
 
-// RowArenaBytes is the physical size of every table's row-store arenas;
-// MemoryBytes is the logical payload they hold.
-func (db *Database) RowArenaBytes() int64 {
+// Footprint is the memory of every table's storage, logical and physical.
+func (db *Database) Footprint() Footprint {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	var n int64
+	var f Footprint
 	for _, rt := range db.tables {
-		n += int64(rt.store.ArenaBytes())
+		rt.store.footprint(&f)
 	}
-	return n
+	return f
 }
 
 // SetPool replaces the worker pool reads fan out on (nil forces serial
@@ -509,12 +514,11 @@ func (db *Database) Compact(name string) error {
 	db.foldLocked()
 	rt.store.Compact()
 	db.mu.Unlock()
-	// Refresh catalog statistics to match the compacted state (fresh
-	// compression rates, reclaimed rows) so planner estimates don't
-	// drift; the refresh bumps the catalog version, invalidating cached
-	// plans. Runs under its own read lock so readers were never blocked
-	// behind the full-table statistics scan. A failure (the table was
-	// concurrently dropped) doesn't undo the compaction.
+	// Refresh catalog statistics to match the compacted state — read off
+	// the dictionaries the merge just built where a column store holds
+	// the column — so planner estimates don't drift; this bumps the
+	// catalog version, invalidating cached plans. Under its own read lock;
+	// a failure (the table was concurrently dropped) doesn't undo the merge.
 	db.CollectStats(name)
 	return nil
 }
@@ -540,18 +544,45 @@ func (db *Database) CollectStats(name string) (*catalog.TableStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	types := make([]value.Type, rt.entry.Schema.NumColumns())
-	for i, c := range rt.entry.Schema.Columns {
-		types[i] = c.Type
-	}
-	sc := catalog.NewStatsCollector(types)
-	rt.store.Scan(nil, nil, func(row []value.Value) bool {
-		sc.Add(row)
-		return true
-	})
-	st := sc.Finish()
+	st := collectStats(rt.store, rt.entry.Schema)
 	db.cat.SetStats(name, st)
 	return st, nil
+}
+
+// collectStats computes a table's statistics. The columns a column-store
+// table holds — or the column partition of a vertical split, alone — are
+// read off its dictionaries with one counting pass over the code vectors
+// (colstore.ValueRuns: no row materialized, distinct counts exact at any
+// cardinality); every other column comes from one scan.
+func collectStats(st storage, sch *schema.Table) *catalog.TableStats {
+	sc := catalog.NewStatsCollector(sch.ColTypes())
+	scan := allCols(sch.NumColumns())
+	runs := func(t *colstore.Table, partCol, col int) {
+		t.ValueRuns(partCol, func(v value.Value, rows int) { sc.AddRun(col, v, rows) })
+	}
+	switch s := st.(type) {
+	case *colStorage:
+		for _, c := range scan {
+			runs(s.t, c, c)
+		}
+		scan = nil
+	case *verticalStorage:
+		scan = scan[:0]
+		for c := range sch.Columns {
+			if pc, ok := s.colFwd[c]; ok {
+				runs(s.colPart, pc, c)
+			} else {
+				scan = append(scan, c)
+			}
+		}
+	}
+	if len(scan) > 0 {
+		st.Scan(nil, scan, func(row []value.Value) bool {
+			sc.Add(row)
+			return true
+		})
+	}
+	return sc.Finish()
 }
 
 // MemoryBytes returns the estimated payload size of a table.
@@ -562,7 +593,9 @@ func (db *Database) MemoryBytes(name string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return rt.store.MemoryBytes(), nil
+	var f Footprint
+	rt.store.footprint(&f)
+	return f.RowPayload + f.ColPayload, nil
 }
 
 // Exec executes one query, measuring its runtime and notifying the

@@ -272,10 +272,14 @@ func TestRowStoragePersistRoundTrip(t *testing.T) {
 		n++
 		return true
 	})
-	if n != len(rows) || dst.MemoryBytes() != src.MemoryBytes() || dst.ArenaBytes() != src.ArenaBytes() {
-		t.Errorf("restored %d rows, %d/%d bytes; stored %d rows, %d/%d bytes",
-			n, dst.MemoryBytes(), dst.ArenaBytes(), len(rows), src.MemoryBytes(), src.ArenaBytes())
+	if n != len(rows) || footprintOf(dst) != footprintOf(src) {
+		t.Errorf("restored %d rows, %+v; stored %d rows, %+v", n, footprintOf(dst), len(rows), footprintOf(src))
 	}
+}
+
+func footprintOf(st storage) (f Footprint) {
+	st.footprint(&f)
+	return f
 }
 
 // TestUnfoldedUpdateKeepsItsPlace reads a key range while a committed

@@ -291,11 +291,10 @@ func (h *horizontalStorage) Compact() {
 	h.cold.Compact()
 }
 
-func (h *horizontalStorage) MemoryBytes() int {
-	return h.hot.MemoryBytes() + h.cold.MemoryBytes()
+func (h *horizontalStorage) footprint(f *Footprint) {
+	h.hot.footprint(f)
+	h.cold.footprint(f)
 }
-
-func (h *horizontalStorage) ArenaBytes() int { return h.hot.ArenaBytes() + h.cold.ArenaBytes() }
 
 func (h *horizontalStorage) persist(enc *wal.Encoder) {
 	h.hot.persist(enc)

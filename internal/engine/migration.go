@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"hybridstore/internal/catalog"
 	"hybridstore/internal/expr"
@@ -222,7 +223,7 @@ func (db *Database) MigrateLayout(name string, store catalog.StoreKind, spec *ca
 	}
 	// Indexes declared after the off-lock materialization pass.
 	for _, c := range cur.entry.Indexes {
-		if !containsCol(indexes, c) {
+		if !slices.Contains(indexes, c) {
 			target.CreateIndex(c)
 		}
 	}
@@ -246,13 +247,4 @@ func (db *Database) MigrateLayout(name string, store catalog.StoreKind, spec *ca
 	// undo the completed migration.
 	db.CollectStats(name)
 	return werr
-}
-
-func containsCol(cols []int, c int) bool {
-	for _, x := range cols {
-		if x == c {
-			return true
-		}
-	}
-	return false
 }

@@ -52,9 +52,10 @@ type Options struct {
 // snapshot is restored, the WAL tail is replayed on top of it, any
 // migration that was in flight at the crash is absent (its swap was
 // never logged, so the tables come back in their pre-migration layout
-// with all replayed DML applied), and the replayed tail is folded into
-// a fresh checkpoint. Every subsequent DDL/DML statement is logged and
-// group-committed before it is acknowledged.
+// with all replayed DML applied), the replayed tail is folded into a
+// fresh checkpoint, and statistics are collected for the planner. Every
+// subsequent DDL/DML statement is logged and group-committed before it is
+// acknowledged.
 func Open(dir string) (*Database, error) { return OpenOptions(dir, Options{}) }
 
 // OpenOptions is Open with explicit tuning.
@@ -112,6 +113,15 @@ func OpenOptions(dir string, opts Options) (*Database, error) {
 	// starts from the snapshot alone.
 	if info.Records > 0 {
 		if err := db.Checkpoint(); err != nil {
+			log.Close()
+			return nil, err
+		}
+	}
+
+	// 5. Publish statistics: the planner prices a recovered table from
+	// its data, not from default selectivities.
+	for _, name := range db.cat.Names() {
+		if _, err := db.CollectStats(name); err != nil {
 			log.Close()
 			return nil, err
 		}

@@ -530,3 +530,37 @@ func TestDurableConcurrentWriters(t *testing.T) {
 		t.Fatalf("recovered %d rows, want %d", n, writers*per)
 	}
 }
+
+// TestRecoveryPublishesStatistics reopens a crashed database on every
+// layout and asks the planner how many rows a key lookup returns: Open must
+// have published statistics, or the estimate falls back to a default
+// selectivity of the row count.
+func TestRecoveryPublishesStatistics(t *testing.T) {
+	for _, lay := range dmlLayouts() {
+		t.Run(lay.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db := openTestDB(t, dir)
+			if err := db.CreateTableWithLayout(dmlSchema(), lay.store, lay.spec); err != nil {
+				t.Fatal(err)
+			}
+			rows := make([][]value.Value, 0, 2000)
+			for i := 0; i < 2000; i++ {
+				rows = append(rows, dmlRow(int64(i)))
+			}
+			mustExec(t, db, &query.Query{Kind: query.Insert, Table: "dml", Rows: rows})
+			if err := db.Crash(); err != nil {
+				t.Fatal(err)
+			}
+			re := openTestDB(t, dir)
+			defer re.Close()
+			p, err := re.PlanQuery(&query.Query{Kind: query.Select, Table: "dml",
+				Pred: &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(77)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est := p.Root.Estimate().Rows; est < 0.5 || est > 2 {
+				t.Errorf("after reopen the planner expects %.1f rows from a key lookup, want 1", est)
+			}
+		})
+	}
+}

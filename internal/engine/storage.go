@@ -53,11 +53,8 @@ type storage interface {
 	// fragments (column stores); the migration scheduler triggers
 	// Compact when it crosses a threshold.
 	DeltaRows() int
-	MemoryBytes() int
-	// ArenaBytes is the physical size of the row-store arenas under this
-	// storage (value slots, NULL bitmaps, string heaps); MemoryBytes is
-	// the logical payload.
-	ArenaBytes() int
+	// footprint adds what is under this storage to f.
+	footprint(f *Footprint)
 	// HasPK reports whether a live row with the given primary-key values
 	// (in table PK order) exists. Partitioned layouts use it to
 	// pre-validate inserts and PK-changing updates across their
@@ -78,6 +75,25 @@ type storage interface {
 	// of the same layout.
 	persist(enc *wal.Encoder)
 	restore(dec *wal.Decoder) error
+}
+
+// Footprint is the memory under a storage: the logical payload of its row
+// and column stores (their MemoryBytes) beside its physical size.
+type Footprint struct {
+	RowPayload  int
+	RowArena    int // row-store arenas: value slots, NULL bitmaps, string heaps
+	ColPayload  int
+	ColResident int // column-store fragments, by capacity (colstore.ResidentBytes)
+}
+
+func (f *Footprint) addRow(t *rowstore.Table) {
+	f.RowPayload += t.MemoryBytes()
+	f.RowArena += t.ArenaBytes()
+}
+
+func (f *Footprint) addCol(t *colstore.Table) {
+	f.ColPayload += t.MemoryBytes()
+	f.ColResident += t.ResidentBytes()
 }
 
 // checkInsertPKs validates an insert batch against the table-wide
@@ -242,9 +258,7 @@ func (s *rowStorage) DeltaRows() int { return 0 }
 
 func (s *rowStorage) Compact() { s.t.Compact() }
 
-func (s *rowStorage) MemoryBytes() int { return s.t.MemoryBytes() }
-
-func (s *rowStorage) ArenaBytes() int { return s.t.ArenaBytes() }
+func (s *rowStorage) footprint(f *Footprint) { f.addRow(s.t) }
 
 func (s *rowStorage) HasPK(key []value.Value) bool {
 	_, ok := s.t.LookupPK(key)
@@ -300,9 +314,7 @@ func (s *colStorage) DeltaRows() int { return s.t.DeltaRows() }
 
 func (s *colStorage) Compact() { s.t.Merge() }
 
-func (s *colStorage) MemoryBytes() int { return s.t.MemoryBytes() }
-
-func (s *colStorage) ArenaBytes() int { return 0 }
+func (s *colStorage) footprint(f *Footprint) { f.addCol(s.t) }
 
 func (s *colStorage) HasPK(key []value.Value) bool {
 	_, ok := s.t.LookupPK(key)

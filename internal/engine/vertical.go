@@ -620,11 +620,10 @@ func (v *verticalStorage) Compact() {
 	v.colPart.Merge()
 }
 
-func (v *verticalStorage) MemoryBytes() int {
-	return v.rowPart.MemoryBytes() + v.colPart.MemoryBytes()
+func (v *verticalStorage) footprint(f *Footprint) {
+	f.addRow(v.rowPart)
+	f.addCol(v.colPart)
 }
-
-func (v *verticalStorage) ArenaBytes() int { return v.rowPart.ArenaBytes() }
 
 func (v *verticalStorage) persist(enc *wal.Encoder) {
 	persistRowTable(enc, v.rowPart)

@@ -104,6 +104,8 @@ type statusBody struct {
 	PlanCacheSize int           `json:"plan_cache_size"`
 	Txns          statusTxns    `json:"txns"`
 	RowArenaBytes int64         `json:"rowstore_arena_bytes"`
+	ColResident   int64         `json:"colstore_resident_bytes"`
+	ColPayload    int64         `json:"colstore_payload_bytes"`
 	SlowThreshold string        `json:"slow_query_threshold"`
 	Tables        []statusTable `json:"tables"`
 }
@@ -113,6 +115,7 @@ func (ds *DebugServer) writeStatus(w http.ResponseWriter, s *Server) {
 	hits, misses := s.cache.Stats()
 	pHits, pMiss, pSize := s.PlanCacheStats()
 	ts := s.db.TxnStats()
+	fp := s.db.Footprint()
 	body := statusBody{
 		Addr:          s.Addr().String(),
 		UptimeSeconds: time.Since(ds.start).Seconds(),
@@ -130,7 +133,9 @@ func (ds *DebugServer) writeStatus(w http.ResponseWriter, s *Server) {
 			Active: ts.Active, Begins: ts.Begins, Commits: ts.Commits,
 			Aborts: ts.Aborts, Conflicts: ts.Conflicts,
 		},
-		RowArenaBytes: s.db.RowArenaBytes(),
+		RowArenaBytes: int64(fp.RowArena),
+		ColResident:   int64(fp.ColResident),
+		ColPayload:    int64(fp.ColPayload),
 		SlowThreshold: s.db.SlowQueryLogHandle().Threshold().String(),
 		Tables:        []statusTable{},
 	}

@@ -5,6 +5,7 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -192,7 +193,7 @@ func (v Value) String() string {
 }
 
 // Compare orders two values of the same type. NULL sorts before any
-// non-NULL value. It panics if the types differ, as that indicates a
+// non-NULL value, a DOUBLE NaN before any number. It panics if the types differ, as that indicates a
 // planner bug rather than a data error.
 func Compare(a, b Value) int {
 	if a.typ != b.typ {
@@ -216,14 +217,9 @@ func Compare(a, b Value) int {
 		}
 		return 0
 	case Double:
-		af, bf := a.Double(), b.Double()
-		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
-		}
-		return 0
+		// NaN sorts before every number and equal to itself, so the order
+		// is total and the column store's sorted dictionaries can hold one.
+		return cmp.Compare(a.Double(), b.Double())
 	case Varchar:
 		switch {
 		case a.str < b.str:
@@ -286,15 +282,21 @@ func (v Value) Hash() uint64 {
 	return h
 }
 
-// HashRow combines the hashes of a slice of values (e.g. a composite key).
+// HashRow combines the hashes of a slice of values (e.g. a composite key):
+// HashStep folded over the values' hashes, starting from HashSeed.
 func HashRow(vals []Value) uint64 {
-	h := uint64(fnvOffset)
+	h := uint64(HashSeed)
 	for _, v := range vals {
-		h ^= v.Hash()
-		h *= fnvPrime
+		h = HashStep(h, v.Hash())
 	}
 	return h
 }
+
+// HashSeed is the HashRow of no values.
+const HashSeed = fnvOffset
+
+// HashStep extends the row hash h by the hash vh of the row's next value.
+func HashStep(h, vh uint64) uint64 { return (h ^ vh) * fnvPrime }
 
 // Key returns a comparable string key uniquely identifying the value within
 // its type. It is used for map-based dictionaries and group-by keys.
