@@ -17,8 +17,10 @@
 //   - examples/ — quickstart, mixed-workload, partitioning, TPC-H and
 //     network-service demos
 //
-// The benchmarks in bench_test.go wrap the same experiment harness that
-// cmd/hsbench runs.
+// Performance is measured by benchmark/ (a module of its own; run
+// `bash benchmark/run.sh --workload <name>`): four end-to-end workloads —
+// oltp_point, olap_scan, htap_durable and advisor_offline — declared in
+// BENCHMARK.json, each reporting end-to-end and per-layer metrics.
 //
 // # Execution model
 //
@@ -247,8 +249,8 @@
 //     slots over fractional keyfigures and asserts bit-identical
 //     results across layouts (row, column, horizontal, vertical,
 //     horizontal+vertical), NULLs, tombstones and migration churn;
-//     `hsbench -exp parallel` records serial-vs-parallel speedups into
-//     BENCH_parallel.json.
+//     the olap_scan workload of benchmark/ reports the serial-vs-parallel
+//     ratio as exec.parallel_speedup.
 //
 // # Query planning
 //
@@ -315,11 +317,12 @@
 //     cost estimates as an ordinary result set; EXPLAIN ANALYZE tags its
 //     spans with plan-node ids ("scan#3", "hashjoin#5") so observed
 //     rows can be read against estimates. hs_plan_cache_{hits,misses}_total
-//     and hs_planning_seconds quantify cache effectiveness; `hsbench
-//     -exp planner` measures the pushdown/join-order/top-K wins against
-//     forcibly degraded plans (BENCH_planner.json), and the planner
+//     and hs_planning_seconds quantify cache effectiveness (the benchmark
+//     workloads report server.plan_cache_hit_ratio). The planner
 //     differential wall (internal/engine) checks planned execution
-//     against a naive oracle across all four layouts.
+//     against a naive oracle across all four layouts, and the engine
+//     tests run plans forced to a degraded shape (pushdown off, build
+//     side flipped, full sort instead of top-K) against the same answers.
 //
 // # Live advisory & migration
 //
@@ -396,9 +399,9 @@
 // hsql \checkpoint command); the WAL grows unbounded between
 // checkpoints by design.
 //
-// cmd/hsql -data <dir> runs a durable shell; cmd/hsbench -exp
-// durability measures the insert-throughput cost of durability across
-// group-commit batch sizes against the in-memory engine.
+// cmd/hsql -data <dir> runs a durable shell. The htap_durable workload of
+// benchmark/ measures durable writes beside analytic reads
+// (wal.append_durable_us, wal.records_per_flush, engine.recovery_s).
 //
 // # Transactions
 //
@@ -459,8 +462,8 @@
 //     predicate-based: a vertically split table implements the keyed
 //     calls through its Delete(pk = key) and Insert (matchingPKs, one
 //     code-vector scan of the column partition per key), and statements
-//     on the legacy serial path (tables without a primary key,
-//     SetSerialWrites) apply their predicates to base storage directly.
+//     on tables without a primary key take the serial write path and
+//     apply their predicates to base storage directly.
 //
 // Failure handling in the driver: losing the connection inside a
 // transaction surfaces an error instead of transparently redialing —
@@ -477,12 +480,9 @@
 // hs_txn_fold_errors_total the folds re-queued after a storage error (0
 // on a healthy system).
 // hs_rowstore_arena_bytes is the physical size of the row-store arenas
-// (slots, NULL bitmaps, string heaps; also in /status and \stats). The transactional
-// variant of `hsbench -exp concurrent-clients` measures mixed
-// transactional throughput and abort rate against the single-RW-lock
-// baseline (engine.SetSerialWrites: each transaction holds a global
-// gate from BEGIN to COMMIT and auto-commit reads wait it out — the
-// blocking a lock-based engine needs for the same atomicity).
+// (slots, NULL bitmaps, string heaps; also in /status and \stats). The
+// htap_durable workload of benchmark/ runs transactions beside analytic
+// reads and reports txn.client_p50_ms and txn.commit_ratio.
 // examples/txn is a runnable tour: visibility, a conflict with retry,
 // and recovery.
 //
@@ -519,12 +519,13 @@
 // between Config.CompactMinInterval (the floor a firehose pins it to,
 // default 1s) and the AutoAdvise interval (the idle ceiling).
 // hs_ingest_* counters and the hs_delta_merge_* family (merges run,
-// rows merged, live cadence and observed ingest rate) expose the loop;
-// `hsbench -exp ingest` measures COPY vs single-statement INSERT at
-// equal durability (acceptance: >= 5x), differential-checks that
-// acknowledged rows are exactly the durable ones, and soaks a column
-// store to assert the delta stays bounded mid-stream
-// (BENCH_ingest.json).
+// rows merged, live cadence and observed ingest rate) expose the loop.
+// The htap_durable workload of benchmark/ measures COPY throughput
+// (ingest.rows_per_s) and the peak delta (colstore.delta_rows_peak);
+// TestCopyEndToEnd and TestCopyRecoveryTruncatedWALPerByte check that
+// acknowledged rows are exactly the durable ones, and
+// TestAdaptiveCompactCadence that the merge cadence follows the ingest
+// rate.
 //
 // # Network service
 //
@@ -572,11 +573,11 @@
 // drained shutdown, or even instead of one, never loses an acknowledged
 // write. Statements racing the close fail with engine.ErrClosed.
 //
-// cmd/hsbench -exp concurrent-clients sweeps concurrent writer and
-// analytical reader sessions over TCP, reports p50/p99 latency and
-// aggregate throughput per client count, and differential-checks the
-// final table against a single-session oracle replay (zero lost, zero
-// duplicated writes).
+// TestServerSoakConcurrentSessions runs concurrent writer and analytical
+// reader sessions over TCP beside layout migrations and
+// differential-checks the final table against a single-session oracle
+// replay (zero lost, zero duplicated writes); the oltp_point workload of
+// benchmark/ measures point latency and throughput over TCP.
 //
 // # Observability
 //
@@ -620,8 +621,8 @@
 // prefix, _total suffix on counters, *_seconds histograms (observed in
 // nanoseconds, scaled to seconds on export). The engine, WAL,
 // checkpointer, migrator, compression paths, worker pool and server
-// all register into metrics.Default; cmd/hsbench reads the same
-// histograms for its p50/p99 columns. Exposure: "SHOW METRICS" (or
+// all register into metrics.Default; benchmark/ reads the same registry
+// for its per-layer metrics. Exposure: "SHOW METRICS" (or
 // \metrics in hsql) renders the registry as a result set, and hsqld
 // -http serves GET /metrics in Prometheus text exposition format
 // alongside /status (JSON snapshot: uptime, sessions, pool, tables),

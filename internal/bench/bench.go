@@ -10,7 +10,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"runtime"
 	"sort"
@@ -21,7 +20,6 @@ import (
 	"hybridstore/internal/costmodel"
 	"hybridstore/internal/costmodel/calibrate"
 	"hybridstore/internal/engine"
-	"hybridstore/internal/metrics"
 	"hybridstore/internal/query"
 )
 
@@ -42,10 +40,6 @@ type Config struct {
 	CalibRows int
 	// Out receives the printed experiment table (default os.Stdout).
 	Out io.Writer
-	// DataDir is where the durability experiment places its temporary
-	// data directories (default: the system temp dir). Point it at the
-	// filesystem whose fsync behavior you want to measure.
-	DataDir string
 }
 
 func (c Config) withDefaults() Config {
@@ -165,8 +159,7 @@ type Experiment struct {
 	Run   func(Config) (*Result, error)
 }
 
-// Experiments lists every reproducible figure plus the ablations, in
-// presentation order.
+// Experiments lists every reproducible figure in presentation order.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"fig6a", "Estimation accuracy vs. data scale (Figure 6a)", Fig6a},
@@ -177,12 +170,6 @@ func Experiments() []Experiment {
 		{"fig9a", "Vertical partitioning, OLAP setting (Figure 9a)", Fig9a},
 		{"fig9b", "Vertical partitioning, OLTP setting (Figure 9b)", Fig9b},
 		{"fig10", "TPC-H combination and comparison (Figure 10)", Fig10},
-		{"ablation", "Design-choice ablations", Ablations},
-		{"durability", "Durable-mode insert throughput (WAL group commit)", Durability},
-		{"concurrent-clients", "Concurrent network clients: mixed DML + analytics over TCP", ConcurrentClients},
-		{"parallel", "Morsel-driven parallel execution: serial vs shared worker pool", Parallel},
-		{"planner", "Cost-based planner: pushdown/join-order/top-K wins and plan-cache hit rate", Planner},
-		{"ingest", "Streaming bulk ingest: COPY vs INSERT at equal durability + adaptive delta-merge soak", Ingest},
 	}
 }
 
@@ -208,51 +195,31 @@ func Run(name string, cfg Config) (*Result, error) {
 		sort.Strings(names)
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %s)", name, strings.Join(names, ", "))
 	}
-	// Scope the engine's statement-latency histograms to this experiment
-	// so the snapshot's p50/p99 reflect it alone, then record them as
-	// single-point series in the BENCH_*.json output.
-	readHist := metrics.Default().Histogram("hs_engine_read_seconds", "", "seconds")
-	dmlHist := metrics.Default().Histogram("hs_engine_dml_seconds", "", "seconds")
-	readHist.Reset()
-	dmlHist.Reset()
 	res, err := e.Run(cfg)
 	if err != nil {
 		return nil, err
 	}
 	res.Name = e.Name
 	res.Title = e.Title
-	if res.Series == nil {
-		res.Series = map[string][]float64{}
-	}
-	if readHist.Count() > 0 {
-		res.Series["engine_read_p50_ms"] = []float64{readHist.Quantile(0.50) / 1e6}
-		res.Series["engine_read_p99_ms"] = []float64{readHist.Quantile(0.99) / 1e6}
-	}
-	if dmlHist.Count() > 0 {
-		res.Series["engine_dml_p50_ms"] = []float64{dmlHist.Quantile(0.50) / 1e6}
-		res.Series["engine_dml_p99_ms"] = []float64{dmlHist.Quantile(0.99) / 1e6}
-	}
 	res.Fprint(cfg.Out)
 	return res, nil
 }
 
-// RunAll executes every experiment, sharing one calibrated model.
-func RunAll(cfg Config) ([]*Result, error) {
+// RunAll executes and prints every experiment, sharing one calibrated
+// model.
+func RunAll(cfg Config) error {
 	cfg = cfg.withDefaults()
 	m, err := cfg.model()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	cfg.Model = m
-	var out []*Result
 	for _, e := range Experiments() {
-		res, err := Run(e.Name, cfg)
-		if err != nil {
-			return out, fmt.Errorf("bench: %s: %w", e.Name, err)
+		if _, err := Run(e.Name, cfg); err != nil {
+			return fmt.Errorf("bench: %s: %w", e.Name, err)
 		}
-		out = append(out, res)
 	}
-	return out, nil
+	return nil
 }
 
 // runWorkload executes every query and returns the summed engine-measured
@@ -292,6 +259,3 @@ func ms(ns float64) string { return fmt.Sprintf("%.2f", ns/1e6) }
 
 // secs formats a duration in seconds.
 func secs(d time.Duration) string { return fmt.Sprintf("%.3f", d.Seconds()) }
-
-// newRng returns a deterministic random source for ablation data.
-func newRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -102,7 +102,7 @@ type Table struct {
 	pkIndex map[uint64][]int32
 
 	// MergeThreshold is the delta fraction that triggers a merge; set
-	// AutoMerge to false to manage merges manually (used by ablations).
+	// AutoMerge to false to manage merges manually (benchmarks and tests).
 	MergeThreshold float64
 	AutoMerge      bool
 	merges         int
@@ -149,8 +149,7 @@ func (t *Table) totalRows() int { return t.mainRows + t.deltaRows }
 // DeltaRows returns the current size of the write-optimized delta fragment.
 func (t *Table) DeltaRows() int { return t.deltaRows }
 
-// Merges returns how many delta merges have run (exposed for tests and the
-// delta ablation bench).
+// Merges returns how many delta merges have run (exposed for tests).
 func (t *Table) Merges() int { return t.merges }
 
 // Get reconstructs the full tuple at global row id rid. This is the tuple

@@ -2,8 +2,6 @@ package colstore
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"testing"
 
 	"hybridstore/internal/agg"
@@ -11,22 +9,8 @@ import (
 	"hybridstore/internal/value"
 )
 
-// benchRows sizes the benchmark table, honoring the same HSBENCH_SCALE
-// knob as the paper-figure benchmarks in bench_test.go (default 1.0;
-// CI runs at 0.25).
-func benchRows() int {
-	scale := 1.0
-	if s := os.Getenv("HSBENCH_SCALE"); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil && v > 0 {
-			scale = v
-		}
-	}
-	n := int(400_000 * scale)
-	if n < 4096 {
-		n = 4096
-	}
-	return n
-}
+// benchRows sizes the benchmark table.
+const benchRows = 400_000
 
 // benchTable builds a merged table with a small delta tail, the steady
 // state of the column store: id (unique), grp (64 distinct, unclustered),
@@ -71,7 +55,7 @@ var benchSink interface{}
 // vectors (no materialization): a two-conjunct range predicate at ~10%
 // selectivity.
 func BenchmarkMatchBitmap(b *testing.B) {
-	n := benchRows()
+	n := benchRows
 	tb := benchTable(b, n)
 	pred := &expr.And{Preds: []expr.Predicate{
 		&expr.Comparison{Col: 2, Op: expr.Lt, Val: value.NewDouble(float64(n / 5 / 50))},
@@ -89,7 +73,7 @@ func BenchmarkMatchBitmap(b *testing.B) {
 // BenchmarkColScanSelective measures a selective scan (~2% of rows)
 // materializing two columns.
 func BenchmarkColScanSelective(b *testing.B) {
-	n := benchRows()
+	n := benchRows
 	tb := benchTable(b, n)
 	pred := &expr.Comparison{Col: 2, Op: expr.Ge, Val: value.NewDouble(float64((n - n/50) / 50))}
 	b.SetBytes(int64(tb.totalRows()))
@@ -110,7 +94,7 @@ func BenchmarkColScanSelective(b *testing.B) {
 // (SUM + COUNT(*) over ~80% of rows, 64 groups) — the TPC-H Q1 shape the
 // paper's column store is built for.
 func BenchmarkColAggregateGroupBy(b *testing.B) {
-	n := benchRows()
+	n := benchRows
 	tb := benchTable(b, n)
 	pred := &expr.Comparison{Col: 2, Op: expr.Ge, Val: value.NewDouble(float64(n / 5 / 50))}
 	specs := []agg.Spec{{Func: agg.Sum, Col: 2}, {Func: agg.Count, Col: -1}}
@@ -124,7 +108,7 @@ func BenchmarkColAggregateGroupBy(b *testing.B) {
 // BenchmarkColAggregatePairGroup measures the dense two-column group-by
 // fast path (grp x note).
 func BenchmarkColAggregatePairGroup(b *testing.B) {
-	n := benchRows()
+	n := benchRows
 	tb := benchTable(b, n)
 	specs := []agg.Spec{{Func: agg.Sum, Col: 2}, {Func: agg.Count, Col: -1}}
 	b.SetBytes(int64(tb.totalRows()))

@@ -135,21 +135,11 @@ type Database struct {
 	// lists the committed transactions not yet folded into base storage
 	// (applied in commit order under the write lock; see mvcc.go).
 	// foldedTS is the newest folded commit timestamp (write-lock
-	// guarded); serialWrites forces the legacy single-write-lock DML
-	// path for benchmarking baselines.
-	txns         *txn.Manager
-	pendingMu    sync.Mutex
-	pending      []pendingCommit
-	foldedTS     uint64
-	serialWrites atomic.Bool
-
-	// txnGate is the single-RW-lock baseline (serialWrites on): explicit
-	// transactions hold it exclusively from Begin to Commit/Rollback and
-	// auto-commit statements take the shared side, so readers are
-	// excluded from in-flight write transactions — the classic lock-based
-	// way to make a multi-statement transaction atomic to observers,
-	// and exactly the blocking MVCC snapshot reads avoid.
-	txnGate sync.RWMutex
+	// guarded).
+	txns      *txn.Manager
+	pendingMu sync.Mutex
+	pending   []pendingCommit
+	foldedTS  uint64
 }
 
 // defaultPlanModel caches the analytic default cost model shared by
@@ -654,14 +644,11 @@ func (db *Database) execWithPlan(ctx context.Context, q *query.Query, planned *p
 		// on the MVCC overlay; auto-commit statements run as
 		// single-statement transactions (read lock only, disjoint writers
 		// in parallel), which hand primary-key-less tables — seen under
-		// the read lock they take anyway — to the legacy
-		// single-write-lock path the SetSerialWrites bench baseline uses.
-		switch {
-		case etx != nil:
+		// the read lock they take anyway — to the single-write-lock path
+		// (execSerialDML).
+		if etx != nil {
 			res, err = db.execTxnDML(tr, etx, q)
-		case db.serialWrites.Load():
-			res, err = db.execSerialDML(ctx, tr, q)
-		default:
+		} else {
 			res, err = db.execAutoTxnDML(ctx, tr, q)
 		}
 	default:
@@ -670,14 +657,6 @@ func (db *Database) execWithPlan(ctx context.Context, q *query.Query, planned *p
 			if err := etx.usable(); err != nil {
 				return nil, err
 			}
-		} else if db.serialWrites.Load() {
-			// Single-RW-lock baseline: an auto-commit read waits out any
-			// open write transaction (which holds txnGate exclusively),
-			// the way a lock-based engine keeps in-flight transactions
-			// invisible. MVCC mode never takes this lock — snapshot
-			// reads proceed against committed versions.
-			db.txnGate.RLock()
-			defer db.txnGate.RUnlock()
 		}
 		db.mu.RLock()
 		if db.closed.Load() {

@@ -76,12 +76,6 @@ func (db *Database) CopyRows(ctx context.Context, table string, rows [][]value.V
 	if len(rows) == 0 {
 		return &Result{}, nil
 	}
-	if db.serialWrites.Load() {
-		// Baseline mode: bulk loads may not land in the middle of an open
-		// (gate-holding) transaction's window, same as auto-commit DML.
-		db.txnGate.RLock()
-		defer db.txnGate.RUnlock()
-	}
 	start := time.Now()
 	db.mu.Lock()
 	if db.closed.Load() {

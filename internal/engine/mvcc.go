@@ -34,7 +34,7 @@ import (
 // txn manager's commit lock), so disjoint-row writers proceed in
 // parallel and readers are never excluded by a writer. Only the fold —
 // which mutates base storage — takes db.mu.Lock, the same exclusion the
-// legacy serial DML path uses.
+// serial DML path of primary-key-less tables uses.
 
 // errTxnDone reports use of a transaction after Commit or Rollback.
 var errTxnDone = errors.New("engine: transaction has already finished")
@@ -81,24 +81,10 @@ type Txn struct {
 	db      *Database
 	session string
 
-	mu    sync.Mutex
-	tx    *txn.Txn
-	done  bool  // Commit or Rollback called
-	err   error // sticky abort reason (statement failure or conflict)
-	gated bool  // holds db.txnGate (serial-writes baseline mode)
-}
-
-// ungate releases the serial-writes transaction gate if this
-// transaction holds it. Idempotent; called on every path that ends the
-// transaction (commit, rollback, statement-failure abort).
-func (t *Txn) ungate() {
-	t.mu.Lock()
-	g := t.gated
-	t.gated = false
-	t.mu.Unlock()
-	if g {
-		t.db.txnGate.Unlock()
-	}
+	mu   sync.Mutex
+	tx   *txn.Txn
+	done bool  // Commit or Rollback called
+	err  error // sticky abort reason (statement failure or conflict)
 }
 
 // Begin opens a transaction with a snapshot of the currently committed
@@ -108,16 +94,7 @@ func (db *Database) Begin(ctx context.Context) (*Txn, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	t := &Txn{db: db, session: SessionFromContext(ctx)}
-	if db.serialWrites.Load() {
-		// Single-write-lock baseline: hold the global transaction gate
-		// for the whole BEGIN..COMMIT window (including client round
-		// trips), the way a lock-based engine provides multi-statement
-		// atomicity without version chains.
-		db.txnGate.Lock()
-		t.gated = true
-	}
-	t.tx = db.txns.Begin()
+	t := &Txn{db: db, session: SessionFromContext(ctx), tx: db.txns.Begin()}
 	mTxnBegins.Inc()
 	mTxnActive.Add(1)
 	return t, nil
@@ -160,7 +137,6 @@ func (t *Txn) fail(cause error) {
 	t.mu.Unlock()
 	t.db.txns.Abort(t.tx)
 	t.db.finishTxn(t.session, false)
-	t.ungate()
 }
 
 // CommitTS returns the commit timestamp (0 before a successful Commit).
@@ -182,9 +158,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 	}
 	t.done = true
 	t.mu.Unlock()
-	err := t.db.commitTxn(ctx, t)
-	t.ungate()
-	return err
+	return t.db.commitTxn(ctx, t)
 }
 
 // Rollback discards the transaction. It is a no-op (and success) on a
@@ -201,7 +175,6 @@ func (t *Txn) Rollback() error {
 	t.mu.Unlock()
 	t.db.txns.Abort(t.tx)
 	t.db.finishTxn(t.session, false)
-	t.ungate()
 	return nil
 }
 
@@ -500,21 +473,6 @@ func (db *Database) Vacuum() {
 	db.mu.Unlock()
 }
 
-// SetSerialWrites forces auto-commit DML through the legacy single-
-// write-lock path instead of the MVCC overlay, and makes explicit
-// transactions hold a global gate from Begin to Commit/Rollback — one
-// write transaction at a time, across its client round trips, which is
-// how a lock-based engine provides multi-statement atomicity without
-// version chains. This is the baseline the transactional
-// concurrent-clients bench compares against. Toggle only on a quiesced
-// database (no open transactions, overlay folded): serial writes mutate
-// base storage in place underneath any surviving version chains. In
-// this mode auto-commit reads block behind open write transactions, so
-// a server embedding the engine must size its worker pool above the
-// concurrent reader count or a blocked reader can hold the slot the
-// gate holder needs to finish.
-func (db *Database) SetSerialWrites(on bool) { db.serialWrites.Store(on) }
-
 // TxnStats is a point-in-time summary of transaction activity. Counters
 // are process-wide instruments (shared across databases in one process,
 // like every hs_ metric).
@@ -662,17 +620,10 @@ func (db *Database) execTxnDML(tr *trace.Trace, etx *Txn, q *query.Query) (*Resu
 	return res, nil
 }
 
-// execSerialDML is the legacy single-write-lock DML path, kept for
-// tables without a primary key (nothing to hang version chains off) and
-// as the SetSerialWrites bench baseline. It folds first so base storage
-// is current before being mutated in place.
+// execSerialDML is the single-write-lock DML path for tables without a
+// primary key (nothing to hang version chains off). It folds first so
+// base storage is current before being mutated in place.
 func (db *Database) execSerialDML(ctx context.Context, tr *trace.Trace, q *query.Query) (*Result, error) {
-	if db.serialWrites.Load() {
-		// Baseline mode: auto-commit writes may not land in the middle
-		// of an open (gate-holding) transaction's window.
-		db.txnGate.RLock()
-		defer db.txnGate.RUnlock()
-	}
 	var seq uint64
 	sp := tr.Start("apply")
 	db.mu.Lock()

@@ -437,67 +437,3 @@ func TestVacuumPrunesFoldedChains(t *testing.T) {
 		t.Fatalf("%d chains survived vacuum with no live snapshots", left)
 	}
 }
-
-// TestSerialWritesTxnGate covers the single-RW-lock baseline mode
-// (SetSerialWrites): an open transaction holds the global gate, so
-// auto-commit reads block until it finishes — and the gate is released
-// on every exit path (commit, rollback, statement-failure abort), so
-// the engine never wedges.
-func TestSerialWritesTxnGate(t *testing.T) {
-	db := newDB(t, catalog.RowStore, 10)
-	db.SetSerialWrites(true)
-	defer db.SetSerialWrites(false)
-
-	read := func() chan error {
-		done := make(chan error, 1)
-		go func() {
-			_, err := db.Exec(&query.Query{Kind: query.Select, Table: "sales", Pred: idEq(1)})
-			done <- err
-		}()
-		return done
-	}
-	exits := []struct {
-		name string
-		end  func(tx *Txn)
-	}{
-		{"commit", func(tx *Txn) {
-			if _, err := tx.Exec(&query.Query{Kind: query.Update, Table: "sales",
-				Pred: idEq(2), Set: map[int]value.Value{2: value.NewDouble(42)}}); err != nil {
-				t.Fatal(err)
-			}
-			if err := tx.Commit(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"rollback", func(tx *Txn) {
-			if err := tx.Rollback(); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"statement failure", func(tx *Txn) {
-			if _, err := tx.Exec(&query.Query{Kind: query.Update, Table: "nope",
-				Pred: idEq(2), Set: map[int]value.Value{2: value.NewDouble(42)}}); err == nil {
-				t.Fatal("update on missing table succeeded")
-			}
-			tx.Rollback()
-		}},
-	}
-	for _, exit := range exits {
-		tx := begin(t, db)
-		done := read()
-		select {
-		case err := <-done:
-			t.Fatalf("%s: read finished with open write transaction (err=%v)", exit.name, err)
-		case <-time.After(50 * time.Millisecond):
-		}
-		exit.end(tx)
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("%s: gated read failed: %v", exit.name, err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s: read still blocked after transaction ended — gate leaked", exit.name)
-		}
-	}
-}

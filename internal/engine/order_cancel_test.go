@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"hybridstore/internal/agg"
 	"hybridstore/internal/catalog"
 	"hybridstore/internal/expr"
+	"hybridstore/internal/plan"
 	"hybridstore/internal/query"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
@@ -110,6 +112,18 @@ func TestOrderByAllLayouts(t *testing.T) {
 				if av < bv || (av == bv && a > b) {
 					t.Fatalf("row %d out of order: (%d,%v) before (%d,%v)", i, a, av, b, bv)
 				}
+			}
+			// On a key with ties the bounded top-K heap must return
+			// exactly the rows, in the order, of a full stable sort.
+			ties := &query.Query{
+				Kind: query.Select, Table: "ord",
+				Cols:    []int{0, 1},
+				OrderBy: []query.Order{{Col: 1, Desc: true}},
+				Limit:   12,
+			}
+			topK := runPlanned(t, db, ties, plan.Options{})
+			if sorted := runPlanned(t, db, ties, plan.Options{DisableTopK: true}); !reflect.DeepEqual(topK, sorted) {
+				t.Fatalf("top-K %v, full sort %v", topK, sorted)
 			}
 			// ORDER BY a nullable column: NULLs first ascending.
 			res, err = db.Exec(&query.Query{

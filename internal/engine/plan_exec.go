@@ -94,7 +94,7 @@ func (db *Database) PlanQuery(q *query.Query) (*plan.Plan, error) {
 }
 
 // PlanQueryOptions is PlanQuery with forced planner decisions (used by
-// EXPLAIN variants and the planner bench's degraded baselines).
+// EXPLAIN variants and tests that compare a forced plan shape).
 func (db *Database) PlanQueryOptions(q *query.Query, opts plan.Options) (*plan.Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err

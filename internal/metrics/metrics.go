@@ -164,18 +164,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 // Name returns the registered metric name.
 func (h *Histogram) Name() string { return h.name }
 
-// Reset zeroes the histogram. Benchmark harnesses use it to scope
-// quantiles to one experiment; it is not atomic against concurrent
-// Observe calls (a racing observation may straddle the wipe), which is
-// acceptable for that use and for nothing stricter.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sum.Store(0)
-}
-
 // Registry holds named instruments and renders them. Registration is
 // idempotent by name: asking for an existing name returns the existing
 // instrument, so packages can declare their metrics independently
@@ -253,16 +241,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
 	g := &gaugeFunc{name: name, help: help}
 	g.fn.Store(&fn)
 	r.register(name, g)
-}
-
-// NewHistogram creates a standalone, unregistered histogram — for
-// short-lived measurement (the benchmark harness computes per-sweep
-// p50/p99 from one) where registering into a process-wide registry
-// would accumulate across runs.
-func NewHistogram() *Histogram {
-	h := &Histogram{min: histMin, ratio: histRatio}
-	h.counts = make([]atomic.Int64, histBuckets+1)
-	return h
 }
 
 // Histogram returns the histogram registered under name, creating it on

@@ -114,9 +114,9 @@ func TestPushdownMovesPredIntoScans(t *testing.T) {
 	// One conjunct per side plus a cross-side disjunction that must stay
 	// above the join.
 	pred := &expr.And{Preds: []expr.Predicate{
-		&expr.Comparison{Col: 1, Op: expr.Lt, Val: value.NewInt(5)},      // left
-		&expr.Comparison{Col: 3 + 1, Op: expr.Ge, Val: value.NewInt(2)},  // right (grp)
-		&expr.Or{Preds: []expr.Predicate{                                 // mixed
+		&expr.Comparison{Col: 1, Op: expr.Lt, Val: value.NewInt(5)},     // left
+		&expr.Comparison{Col: 3 + 1, Op: expr.Ge, Val: value.NewInt(2)}, // right (grp)
+		&expr.Or{Preds: []expr.Predicate{ // mixed
 			&expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(1)},
 			&expr.Comparison{Col: 3, Op: expr.Eq, Val: value.NewInt(1)},
 		}},

@@ -8,7 +8,7 @@ import (
 	"hybridstore/internal/value"
 )
 
-func pk(id int64) []value.Value  { return []value.Value{value.NewBigint(id)} }
+func pk(id int64) []value.Value { return []value.Value{value.NewBigint(id)} }
 func row(id, v int64) []value.Value {
 	return []value.Value{value.NewBigint(id), value.NewBigint(v)}
 }
