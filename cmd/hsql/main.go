@@ -359,7 +359,7 @@ func (s *session) command(line string) bool {
 		if strings.EqualFold(fields[2], "column") {
 			store = catalog.ColumnStore
 		}
-		if err := db.SetLayout(fields[1], store, nil); err != nil {
+		if err := db.MigrateLayout(fields[1], store, nil); err != nil {
 			fmt.Println("error:", err)
 			break
 		}

@@ -329,15 +329,20 @@
 // The paper's online mode (§4) runs as a full subsystem on top of the
 // offline advisor:
 //
-//   - internal/monitor attaches to the engine as its query observer and
-//     maintains rolling per-table — and per-partition, for horizontal
-//     layouts — workload statistics over a ring of epoch buckets:
-//     operation mix, touched columns, estimated predicate selectivities,
-//     live row and delta-fragment counts, plus a bounded sample of the
-//     observed queries. Rotating epochs age an old workload phase out of
-//     the window, so a mix shift changes the recommendation instead of
-//     being outvoted by history. Measured monitoring overhead on the hot
-//     scan path is well under 2% (see internal/monitor benchmarks).
+//   - internal/monitor is the engine's one Observer: it receives every
+//     statement (with its session label), every explicit transaction's
+//     completion and every COPY batch, feeds observed selectivities back
+//     to the planner, and maintains rolling per-table — and
+//     per-partition, for horizontal layouts — workload statistics over a
+//     ring of epoch buckets: operation mix, touched columns, estimated
+//     predicate selectivities, live row and delta-fragment counts, plus a
+//     bounded sample of the observed queries. Each epoch keeps one
+//     internal/stats recorder of exactly the counters the advisor reads;
+//     the monitor's lock serialises it. Rotating epochs age an old
+//     workload phase out of the window, so a mix shift changes the
+//     recommendation instead of being outvoted by history. Measured
+//     monitoring overhead on the hot scan path is well under 2% (see
+//     internal/monitor benchmarks).
 //   - advisor.RecommendSnapshot consumes monitor snapshots in place of
 //     parsed workload files.
 //   - internal/migrate executes recommendations as background store
@@ -347,12 +352,14 @@
 //     write-optimized delta crosses a size threshold.
 //     Manager.AutoAdvise(interval, hysteresis) runs the whole loop
 //     unattended.
-//   - engine.MigrateLayout performs the actual move without blocking
-//     queries: the target store is built off to the side from a
-//     consistent snapshot, DML executed meanwhile is buffered in a tail
-//     and replayed in order, and the storage handle is swapped atomically
-//     under the write lock once the tail drains. Concurrent queries see
-//     either the old or the new storage, never a partial state.
+//   - engine.MigrateLayout is the one way a table changes layout — the
+//     hsql \store command, the migration manager and WAL replay all use
+//     it — and moves without blocking queries: the target store is built
+//     off to the side from a consistent snapshot, DML executed meanwhile
+//     is buffered in a tail and replayed in order, and the storage handle
+//     is swapped atomically under the write lock once the tail drains.
+//     Concurrent queries see either the old or the new storage, never a
+//     partial state.
 //
 // The hsql shell surfaces the subsystem: \stats prints the live rolling
 // window, \advise recommends from it, \migrate applies the
@@ -390,9 +397,10 @@
 // truncates the file back to the last valid frame before appending.
 // Acknowledged statements are exactly the recovered ones. A background
 // MigrateLayout logs a single SET LAYOUT record only after its atomic
-// cutover; a crash mid-migration therefore leaves no trace of it, and
-// the table recovers in its pre-migration layout with all acknowledged
-// DML applied — the in-flight migration aborts cleanly. After replay,
+// cutover, and replay applies that record through MigrateLayout too; a
+// crash mid-migration therefore leaves no trace of it, and the table
+// recovers in its pre-migration layout with all acknowledged DML
+// applied — the in-flight migration aborts cleanly. After replay,
 // Open folds the tail into a fresh checkpoint so the next start needs
 // no replay, and collects every table's statistics, so the planner
 // prices a recovered table from its data rather than from defaults. Checkpoint cadence is explicit (Checkpoint/Close, or the
@@ -517,7 +525,8 @@
 // into a live rows/sec rate and schedules the next delta-merge check
 // for when that rate would fill Config.CompactDeltaRows, clamped
 // between Config.CompactMinInterval (the floor a firehose pins it to,
-// default 1s) and the AutoAdvise interval (the idle ceiling).
+// default 1s) and the AutoAdvise interval (the idle ceiling); the first
+// check, before any rate is known, comes after the floor.
 // hs_ingest_* counters and the hs_delta_merge_* family (merges run,
 // rows merged, live cadence and observed ingest rate) expose the loop.
 // The htap_durable workload of benchmark/ measures COPY throughput

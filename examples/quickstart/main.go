@@ -96,7 +96,7 @@ func main() {
 	// 5. Apply the recommendation and verify the table still answers
 	//    queries (the move is transparent).
 	store := rec.Layout.Stores.StoreOf("sales")
-	if err := db.SetLayout("sales", store, rec.Layout.SpecFor("sales")); err != nil {
+	if err := db.MigrateLayout("sales", store, rec.Layout.SpecFor("sales")); err != nil {
 		log.Fatal(err)
 	}
 	res, err := db.Exec(&query.Query{

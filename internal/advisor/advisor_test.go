@@ -8,6 +8,7 @@ import (
 	"hybridstore/internal/catalog"
 	"hybridstore/internal/costmodel"
 	"hybridstore/internal/engine"
+	"hybridstore/internal/monitor"
 	"hybridstore/internal/query"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
@@ -311,75 +312,40 @@ func TestRecommendOffline(t *testing.T) {
 	}
 }
 
-func TestMonitorOnlineMode(t *testing.T) {
-	db := engine.New()
-	spec := workload.StandardTable("exp")
-	if err := spec.Load(db, catalog.RowStore, 5000, 1); err != nil {
-		t.Fatal(err)
-	}
-	a := New(costmodel.DefaultModel())
-	m := NewMonitor(db, a)
-	m.AutoApply = true
-	// Run an OLAP-heavy workload through the engine.
-	w := workload.GenMixed(spec, workload.MixConfig{
-		Queries: 200, OLAPFraction: 0.3, TableRows: 5000, Seed: 23,
-	})
-	for _, q := range w.Queries {
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.Seen() != 200 {
-		t.Errorf("monitor saw %d queries", m.Seen())
-	}
-	rec, err := m.Reevaluate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Layout.Stores.StoreOf("exp") != catalog.ColumnStore {
-		t.Errorf("online recommendation should be columnar: %v", rec.Layout.Stores)
-	}
-	// AutoApply moved the table.
-	if got := db.Catalog().Table("exp").Store; got != catalog.ColumnStore && got != catalog.Partitioned {
-		t.Errorf("layout not applied: %v", got)
-	}
-	// The data survived the move.
-	n, _ := db.Rows("exp")
-	if n < 5000 {
-		t.Errorf("rows after move = %d", n)
-	}
-}
-
-func TestMonitorAutoReevaluate(t *testing.T) {
+// TestMonitorReevaluateWithoutWorkload: the online re-evaluation refuses
+// a workload monitor's snapshot before any statement has been observed,
+// and succeeds once the monitor has seen traffic.
+func TestMonitorReevaluateWithoutWorkload(t *testing.T) {
 	db := engine.New()
 	spec := workload.StandardTable("exp")
 	if err := spec.Load(db, catalog.RowStore, 2000, 1); err != nil {
 		t.Fatal(err)
 	}
+	mon := monitor.New(db, monitor.DefaultConfig())
 	a := New(costmodel.DefaultModel())
-	m := NewMonitor(db, a)
-	m.EveryN = 50
-	var got []*Recommendation
-	m.OnRecommendation = func(r *Recommendation) { got = append(got, r) }
+	if _, err := a.RecommendSnapshot(mon.Snapshot(), db.Catalog(), nil); err == nil {
+		t.Error("re-evaluation without workload should fail")
+	}
+	if _, err := a.RecommendSnapshot(nil, db.Catalog(), nil); err == nil {
+		t.Error("re-evaluation without a snapshot should fail")
+	}
 	w := workload.GenMixed(spec, workload.MixConfig{
-		Queries: 120, OLAPFraction: 0.2, TableRows: 2000, Seed: 29,
+		Queries: 200, OLAPFraction: 0.3, TableRows: 2000, Seed: 23,
 	})
 	for _, q := range w.Queries {
 		if _, err := db.Exec(q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if len(got) < 2 {
-		t.Errorf("automatic re-evaluations = %d, want >= 2", len(got))
+	if _, err := db.CollectStats("exp"); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestMonitorReevaluateWithoutWorkload(t *testing.T) {
-	db := engine.New()
-	a := New(costmodel.DefaultModel())
-	m := NewMonitor(db, a)
-	if _, err := m.Reevaluate(); err == nil {
-		t.Error("re-evaluation without workload should fail")
+	rec, err := a.RecommendSnapshot(mon.Snapshot(), db.Catalog(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Layout.Stores.StoreOf("exp") != catalog.ColumnStore {
+		t.Errorf("30%% OLAP should go columnar: %+v", rec.Layout.Stores)
 	}
 }
 

@@ -1,16 +1,9 @@
 package advisor
 
 import (
-	"fmt"
-	"sync"
-	"time"
-
 	"hybridstore/internal/catalog"
 	"hybridstore/internal/costmodel"
-	"hybridstore/internal/costmodel/calibrate"
-	"hybridstore/internal/engine"
 	"hybridstore/internal/query"
-	"hybridstore/internal/stats"
 )
 
 // OfflineInput is the offline mode's input (paper Figure 4): the database
@@ -29,156 +22,4 @@ type OfflineInput struct {
 func (a *Advisor) RecommendOffline(in OfflineInput) *Recommendation {
 	info := InfoFromCatalog(in.Catalog)
 	return a.Recommend(in.Workload, info, deriveStats(in.Workload), in.Pinned)
-}
-
-// Monitor implements the online mode (§4): it observes the live query
-// stream, records extended workload statistics, keeps a bounded sample of
-// queries as the representative workload, and re-evaluates the storage
-// layout in certain intervals, optionally applying beneficial adaptations
-// automatically.
-//
-// Monitor applies layouts through the blocking SetLayout path. The newer
-// online subsystem — internal/monitor's rolling-window recorder, the
-// RecommendSnapshot entry point and internal/migrate's background
-// non-blocking migrations with hysteresis — supersedes it for live
-// deployments; Monitor remains for simple embedded use.
-type Monitor struct {
-	db      *engine.Database
-	advisor *Advisor
-
-	mu       sync.Mutex
-	recorder *stats.Recorder
-	sample   []*query.Query
-	seen     int
-
-	// EveryN triggers an automatic re-evaluation after every N observed
-	// queries (0 disables automatic re-evaluation).
-	EveryN int
-	// SampleCap bounds the retained workload sample.
-	SampleCap int
-	// AutoApply applies recommended layout changes to the engine without
-	// administrator interaction ("this option should be applied with
-	// care", §4).
-	AutoApply bool
-	// OnRecommendation, when set, receives every recommendation produced
-	// by automatic re-evaluation.
-	OnRecommendation func(*Recommendation)
-}
-
-// NewMonitor attaches a monitor to a database as its query observer.
-func NewMonitor(db *engine.Database, adv *Advisor) *Monitor {
-	m := &Monitor{
-		db:        db,
-		advisor:   adv,
-		recorder:  stats.NewRecorder(),
-		EveryN:    0,
-		SampleCap: 5000,
-	}
-	db.SetObserver(m)
-	return m
-}
-
-// Recorder exposes the extended workload statistics.
-func (m *Monitor) Recorder() *stats.Recorder { return m.recorder }
-
-// Seen returns the number of observed queries.
-func (m *Monitor) Seen() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.seen
-}
-
-// Observe implements engine.QueryObserver.
-func (m *Monitor) Observe(q *query.Query, d time.Duration) {
-	m.recorder.Observe(q, d)
-	reevaluate := false
-	m.mu.Lock()
-	m.seen++
-	if len(m.sample) < m.SampleCap {
-		m.sample = append(m.sample, q)
-	} else {
-		// Reservoir-style replacement keeps the sample representative
-		// without unbounded memory (deterministic stride replacement).
-		m.sample[m.seen%m.SampleCap] = q
-	}
-	if m.EveryN > 0 && m.seen%m.EveryN == 0 {
-		reevaluate = true
-	}
-	m.mu.Unlock()
-	if reevaluate {
-		rec, err := m.Reevaluate()
-		if err != nil {
-			return
-		}
-		if m.OnRecommendation != nil {
-			m.OnRecommendation(rec)
-		}
-	}
-}
-
-// workloadSnapshot copies the current sample.
-func (m *Monitor) workloadSnapshot() *query.Workload {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	w := &query.Workload{Queries: make([]*query.Query, len(m.sample))}
-	copy(w.Queries, m.sample)
-	return w
-}
-
-// Reevaluate refreshes the table statistics of every observed table,
-// recomputes the recommendation from the recorded workload sample and —
-// when AutoApply is set — applies layout changes to the engine.
-func (m *Monitor) Reevaluate() (*Recommendation, error) {
-	w := m.workloadSnapshot()
-	if w.Len() == 0 {
-		return nil, fmt.Errorf("advisor: no observed workload yet")
-	}
-	for _, t := range w.Tables() {
-		if _, err := m.db.CollectStats(t); err != nil {
-			return nil, err
-		}
-	}
-	info := InfoFromCatalog(m.db.Catalog())
-	rec := m.advisor.Recommend(w, info, m.recorder, nil)
-	if m.AutoApply {
-		if err := m.Apply(rec); err != nil {
-			return rec, err
-		}
-	}
-	return rec, nil
-}
-
-// Apply moves tables whose recommended placement differs from the current
-// catalog state.
-func (m *Monitor) Apply(rec *Recommendation) error {
-	for t, store := range rec.Layout.Stores {
-		entry := m.db.Catalog().Table(t)
-		if entry == nil {
-			continue
-		}
-		spec := rec.Layout.SpecFor(t)
-		target := store
-		if spec != nil {
-			target = catalog.Partitioned
-		}
-		if entry.Store == target && entry.Partitioning.Equal(spec) {
-			continue
-		}
-		if err := m.db.SetLayout(t, store, spec); err != nil {
-			return fmt.Errorf("advisor: applying layout for %s: %w", t, err)
-		}
-	}
-	return nil
-}
-
-// Recalibrate re-initializes the cost model against the current system
-// ("to also keep track of changes in hardware or system settings", §4)
-// and swaps it into the advisor.
-func (m *Monitor) Recalibrate(cfg calibrate.Config) error {
-	model, err := calibrate.Calibrate(cfg)
-	if err != nil {
-		return err
-	}
-	m.advisor.Model = model
-	return nil
 }

@@ -26,7 +26,7 @@ type PartitionCandidate struct {
 func deriveStats(w *query.Workload) *stats.Recorder {
 	rec := stats.NewRecorder()
 	for _, q := range w.Queries {
-		rec.Observe(q, 0)
+		rec.Observe(q)
 	}
 	return rec
 }

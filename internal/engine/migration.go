@@ -92,6 +92,8 @@ func replayOps(st storage, ops []dmlOp) error {
 const (
 	migrateFinalDrainMax = 1024
 	migrateMaxCatchup    = 8
+	// layoutBatch is the row count of one insert into the target.
+	layoutBatch = 4096
 )
 
 // Migrating reports whether a background migration is in flight for the
@@ -103,12 +105,14 @@ func (db *Database) Migrating(name string) bool {
 	return err == nil && rt.tail != nil
 }
 
-// MigrateLayout moves a table to a new placement like SetLayout, but
-// without blocking queries for the duration of the move: the target
-// storage is built off to the side from a consistent snapshot while reads
-// and writes keep hitting the old storage, DML executed meanwhile is
-// buffered in a tail and replayed onto the target, and the storage handle
-// is swapped atomically under the write lock once the tail has drained.
+// MigrateLayout moves a table to a new placement (a plain store, or a
+// partitioned layout when spec is set); it is the only way a table
+// changes layout. It does not block queries for the duration of the
+// move: the target storage is built off to the side from a consistent
+// snapshot while reads and writes keep hitting the old storage, DML
+// executed meanwhile is buffered in a tail and replayed onto the target,
+// and the storage handle is swapped atomically under the write lock
+// once the tail has drained.
 // The call itself blocks until the migration completes (run it on a
 // background goroutine — internal/migrate does); concurrent queries
 // observe either the old or the new storage, never a partial state.
@@ -120,8 +124,7 @@ func (db *Database) Migrating(name string) bool {
 //  2. snapshot the source (read lock: concurrent reads proceed, writers
 //     queue only for the duration of the raw row copy);
 //  3. build the target from the snapshot and materialize declared
-//     indexes (no lock — this dictionary-encoding-heavy phase is why the
-//     blocking SetLayout is unsuitable online);
+//     indexes (no lock — this is the dictionary-encoding-heavy phase);
 //  4. catch up: repeatedly replay newly buffered ops (tail reads under
 //     the read lock, replay unlocked);
 //  5. cut over (brief write lock): replay the remaining tail, swap the
@@ -176,12 +179,8 @@ func (db *Database) MigrateLayout(name string, store catalog.StoreKind, spec *ca
 	db.mu.RUnlock()
 
 	// Phase 3: build the target off to the side.
-	for off := 0; off < len(snapshot); off += layoutBatch {
-		end := off + layoutBatch
-		if end > len(snapshot) {
-			end = len(snapshot)
-		}
-		if err := target.Insert(snapshot[off:end]); err != nil {
+	for batch := range slices.Chunk(snapshot, layoutBatch) {
+		if err := target.Insert(batch); err != nil {
 			return abort(fmt.Errorf("engine: migrating %q: %w", name, err))
 		}
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,53 +14,65 @@ import (
 	"hybridstore/internal/value"
 )
 
-// checkContents verifies a table holds exactly the expected id->amount
-// mapping (column 0 -> column 2).
-func checkContents(t *testing.T, db *Database, want map[int64]float64) {
-	t.Helper()
-	res, err := db.Exec(&query.Query{Kind: query.Select, Table: "sales", Cols: []int{0, 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[int64]float64{}
-	for _, row := range res.Rows {
-		got[row[0].Int()] = row[1].Float()
-	}
-	if len(got) != len(want) {
-		t.Fatalf("row count: got %d want %d", len(got), len(want))
-	}
-	for id, amt := range want {
-		if g, ok := got[id]; !ok || g != amt {
-			t.Fatalf("id %d: got (%v, %v) want %v", id, g, ok, amt)
-		}
-	}
-}
-
+// TestMigrateLayoutBasic moves a table across every transition among the
+// five layouts and checks the catalog, the row count, every row and an
+// aggregate on the new storage.
 func TestMigrateLayoutBasic(t *testing.T) {
-	for _, dir := range []struct {
-		name     string
-		from, to catalog.StoreKind
+	layouts := []struct {
+		name  string
+		store catalog.StoreKind
+		spec  *catalog.PartitionSpec
 	}{
-		{"RowToColumn", catalog.RowStore, catalog.ColumnStore},
-		{"ColumnToRow", catalog.ColumnStore, catalog.RowStore},
-	} {
-		t.Run(dir.name, func(t *testing.T) {
-			db := newDB(t, dir.from, 500)
-			want := map[int64]float64{}
-			for i := int64(0); i < 500; i++ {
-				want[i] = float64(i)
+		{"Row", catalog.RowStore, nil},
+		{"Column", catalog.ColumnStore, nil},
+		{"Horizontal", catalog.Partitioned, horizontalSpec()},
+		{"Vertical", catalog.Partitioned, verticalSpec()},
+		{"HorizontalVertical", catalog.Partitioned, &catalog.PartitionSpec{
+			Horizontal: horizontalSpec().Horizontal,
+			Vertical:   verticalSpec().Vertical,
+		}},
+	}
+	const n = 200
+	rows := make([][]value.Value, 0, n)
+	for i := int64(0); i < n; i++ {
+		rows = append(rows, salesRow(i))
+	}
+	for _, from := range layouts {
+		for _, to := range layouts {
+			if from.name == to.name {
+				continue
 			}
-			if err := db.MigrateLayout("sales", dir.to, nil); err != nil {
-				t.Fatal(err)
-			}
-			if e := db.Catalog().Table("sales"); e.Store != dir.to {
-				t.Errorf("catalog store = %v, want %v", e.Store, dir.to)
-			}
-			if db.Migrating("sales") {
-				t.Error("migration flag still set after completion")
-			}
-			checkContents(t, db, want)
-		})
+			t.Run(from.name+"To"+to.name, func(t *testing.T) {
+				db := New()
+				if err := db.CreateTableWithLayout(salesSchema(), from.store, from.spec); err != nil {
+					t.Fatal(err)
+				}
+				mustExec(t, db, &query.Query{Kind: query.Insert, Table: "sales", Rows: rows})
+				want := visibleState(t, db, "sales")
+				if err := db.MigrateLayout("sales", to.store, to.spec); err != nil {
+					t.Fatal(err)
+				}
+				if e := db.Catalog().Table("sales"); e.Store != to.store || !e.Partitioning.Equal(to.spec) {
+					t.Errorf("catalog = %v %v, want %v %v", e.Store, e.Partitioning, to.store, to.spec)
+				}
+				if db.Migrating("sales") {
+					t.Error("migration flag still set after completion")
+				}
+				if got, _ := db.Rows("sales"); got != n {
+					t.Errorf("rows = %d, want %d", got, n)
+				}
+				if got := visibleState(t, db, "sales"); !reflect.DeepEqual(got, want) {
+					t.Errorf("contents changed: %d rows, want %d", len(got), len(want))
+				}
+				res := mustExec(t, db, &query.Query{
+					Kind: query.Aggregate, Table: "sales",
+					Aggs: []agg.Spec{{Func: agg.Sum, Col: 2}, {Func: agg.Count, Col: -1}},
+				})
+				if res.Rows[0][0].Double() != float64((n-1)*n)/2 || res.Rows[0][1].Int() != n {
+					t.Errorf("sum=%v count=%v", res.Rows[0][0], res.Rows[0][1])
+				}
+			})
+		}
 	}
 }
 
@@ -87,17 +100,14 @@ func TestMigrateLayoutErrors(t *testing.T) {
 	if err := db.MigrateLayout("ghost", catalog.ColumnStore, nil); err == nil {
 		t.Error("unknown table accepted")
 	}
-	// A second migration (or a blocking SetLayout) must be rejected while
-	// one is in flight: install a tail by hand to simulate mid-flight.
+	// A second migration must be rejected while one is in flight: install
+	// a tail by hand to simulate mid-flight.
 	db.mu.Lock()
 	rt, _ := db.runtime("sales")
 	rt.tail = &migrationTail{}
 	db.mu.Unlock()
 	if err := db.MigrateLayout("sales", catalog.ColumnStore, nil); err == nil {
 		t.Error("concurrent migration accepted")
-	}
-	if err := db.SetLayout("sales", catalog.ColumnStore, nil); err == nil {
-		t.Error("SetLayout accepted during migration")
 	}
 	if !db.Migrating("sales") {
 		t.Error("Migrating should report the in-flight tail")

@@ -44,14 +44,6 @@ var errTxnDone = errors.New("engine: transaction has already finished")
 // the whole transaction against the newer state.
 func IsConflict(err error) bool { return errors.Is(err, txn.ErrConflict) }
 
-// TxnObserver is an optional extension of QueryObserver: observers that
-// implement it receive every explicit transaction completion with its
-// session label, so the workload monitor can attribute per-session
-// commit/abort counts.
-type TxnObserver interface {
-	ObserveTxn(session string, committed bool)
-}
-
 // txnCtxKey is the context key WithTxn stores the session transaction
 // under.
 type txnCtxKey struct{}
@@ -188,9 +180,7 @@ func (db *Database) finishTxn(session string, committed bool) {
 	}
 	mTxnActive.Add(-1)
 	if obs := db.observer(); obs != nil {
-		if to, ok := obs.(TxnObserver); ok {
-			to.ObserveTxn(session, committed)
-		}
+		obs.ObserveTxn(session, committed)
 	}
 }
 

@@ -288,7 +288,7 @@ func TestParallelDifferentialMigrationChurn(t *testing.T) {
 	queries := parQueries(99)[:12]
 	misses := mVerticalJoinMiss.Value()
 	for _, l := range layouts[1:] {
-		if err := db.SetLayout("par", l.store, l.spec); err != nil {
+		if err := db.MigrateLayout("par", l.store, l.spec); err != nil {
 			t.Fatalf("migrate to %s: %v", l.name, err)
 		}
 		for i, q := range queries {

@@ -96,7 +96,7 @@ func TestParallelMixedDMLSoak(t *testing.T) {
 			default:
 			}
 			l := layouts[i%len(layouts)]
-			if err := db.SetLayout("par", l.store, l.spec); err != nil {
+			if err := db.MigrateLayout("par", l.store, l.spec); err != nil {
 				fail(fmt.Errorf("migrate to %s: %w", l.name, err))
 				return
 			}

@@ -134,8 +134,9 @@ func (db *Database) Durable() bool { return db.log != nil }
 
 // applyRecord replays one WAL record during recovery. DML goes through
 // the same replayOps machinery that migration tail replay uses; DDL
-// goes through the un-logged cores of the public methods. The caller is
-// the only goroutine touching the database.
+// goes through the un-logged cores of the public methods, a layout
+// change through MigrateLayout (db.log is still nil: nothing is
+// re-logged). The caller is the only goroutine touching the database.
 func (db *Database) applyRecord(rec *wal.Record) error {
 	switch rec.Kind {
 	case wal.RecCreateTable:
@@ -151,7 +152,7 @@ func (db *Database) applyRecord(rec *wal.Record) error {
 		}
 		return err
 	case wal.RecSetLayout:
-		return db.setLayoutLocked(rec.Table, rec.Store, rec.Spec)
+		return db.MigrateLayout(rec.Table, rec.Store, rec.Spec)
 	case wal.RecInsert, wal.RecCopy, wal.RecUpdate, wal.RecDelete:
 		rt, err := db.runtime(rec.Table)
 		if err != nil {

@@ -13,14 +13,6 @@ import (
 	"hybridstore/internal/value"
 )
 
-// SelectivityHinter is an optional extension of QueryObserver: observers
-// that implement it (the workload monitor) feed their observed average
-// predicate selectivity per table back to the planner, the cardinality
-// fallback for tables whose statistics were never collected.
-type SelectivityHinter interface {
-	AvgSelectivity(table string) (float64, bool)
-}
-
 // planEnvLocked snapshots the planner's inputs. The returned Env's
 // closures read runtime state directly, so they are only valid while the
 // caller holds db.mu (read or write).
@@ -50,8 +42,8 @@ func (db *Database) planEnvLocked() plan.Env {
 		Model:          db.planModel(),
 		CatalogVersion: db.cat.Version(),
 	}
-	if h, ok := db.observer().(SelectivityHinter); ok {
-		env.LiveSelectivity = h.AvgSelectivity
+	if obs := db.observer(); obs != nil {
+		env.LiveSelectivity = obs.AvgSelectivity
 	}
 	return env
 }

@@ -266,7 +266,7 @@ func TestRecoveryDDL(t *testing.T) {
 	if err := db.CreateIndex("sales", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SetLayout("sales", catalog.ColumnStore, nil); err != nil {
+	if err := db.MigrateLayout("sales", catalog.ColumnStore, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.DropTable("doomed"); err != nil {
@@ -274,6 +274,16 @@ func TestRecoveryDDL(t *testing.T) {
 	}
 	if err := db.Crash(); err != nil {
 		t.Fatal(err)
+	}
+	logged := false
+	if _, err := wal.Recover(filepath.Join(dir, "wal.log"), func(_ uint64, rec *wal.Record) error {
+		logged = logged || rec.Kind == wal.RecSetLayout && rec.Table == "sales" && rec.Store == catalog.ColumnStore
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if !logged {
+		t.Fatal("no SET-LAYOUT record logged for the layout change")
 	}
 
 	re := openTestDB(t, dir)
@@ -294,6 +304,70 @@ func TestRecoveryDDL(t *testing.T) {
 	if n, _ := re.Rows("sales"); n != 2 {
 		t.Errorf("rows = %d, want 2", n)
 	}
+}
+
+// TestSetLayoutTransitions walks a durable table through every layout,
+// writing between moves and crashing after each one: every move must log
+// a SET-LAYOUT record carrying the new placement, and reopening must
+// replay the whole chain of moves into that placement with every row
+// intact.
+func TestSetLayoutTransitions(t *testing.T) {
+	chain := []struct {
+		name  string
+		store catalog.StoreKind
+		spec  *catalog.PartitionSpec
+	}{
+		{"column", catalog.ColumnStore, nil},
+		{"horizontal", catalog.Partitioned, horizontalSpec()},
+		{"vertical", catalog.Partitioned, verticalSpec()},
+		{"both", catalog.Partitioned, &catalog.PartitionSpec{
+			Horizontal: horizontalSpec().Horizontal,
+			Vertical:   verticalSpec().Vertical,
+		}},
+		{"row", catalog.RowStore, nil},
+	}
+	dir := t.TempDir()
+	db := openTestDB(t, dir)
+	if err := db.CreateTable(salesSchema(), catalog.RowStore); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]value.Value, 0, 100)
+	for i := int64(0); i < 100; i++ {
+		rows = append(rows, salesRow(i))
+	}
+	mustExec(t, db, &query.Query{Kind: query.Insert, Table: "sales", Rows: rows})
+	for i, l := range chain {
+		mustExec(t, db, &query.Query{Kind: query.Insert, Table: "sales",
+			Rows: [][]value.Value{salesRow(int64(200 + i))}})
+		if err := db.MigrateLayout("sales", l.store, l.spec); err != nil {
+			t.Fatalf("%s: %v", l.name, err)
+		}
+		want := visibleState(t, db, "sales")
+		if err := db.Crash(); err != nil {
+			t.Fatal(err)
+		}
+		var last *wal.Record
+		if _, err := wal.Recover(filepath.Join(dir, "wal.log"), func(_ uint64, rec *wal.Record) error {
+			if rec.Kind == wal.RecSetLayout && rec.Table == "sales" {
+				last = rec
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if last == nil || last.Store != l.store || !last.Spec.Equal(l.spec) {
+			t.Fatalf("%s: last SET-LAYOUT record = %+v", l.name, last)
+		}
+		db = openTestDB(t, dir)
+		e := db.Catalog().Table("sales")
+		if e == nil || e.Store != l.store || !e.Partitioning.Equal(l.spec) {
+			t.Fatalf("%s: reopened layout = %+v", l.name, e)
+		}
+		if got := visibleState(t, db, "sales"); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reopened %d rows, want %d", l.name, len(got), len(want))
+		}
+	}
+	db.Close()
 }
 
 // TestRecoveryAbortsInFlightMigration simulates a crash while a

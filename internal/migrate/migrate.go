@@ -306,7 +306,9 @@ func (m *Manager) CompactCheck() []string {
 // delta to grow from empty to the merge threshold at the current rate,
 // clamped between the configured floor and the AutoAdvise interval
 // ceiling. Idle ingest relaxes to the ceiling; a firehose pins the
-// cadence at the floor.
+// cadence at the floor. The first call has no rate yet and returns the
+// floor, so a firehose at start-up is checked after one floor interval,
+// not a whole ceiling.
 func (m *Manager) compactDelay(ceiling time.Duration) time.Duration {
 	floor := m.cfg.CompactMinInterval
 	delay := ceiling
@@ -326,6 +328,9 @@ func (m *Manager) compactDelay(ceiling time.Duration) time.Duration {
 	m.lastIngest = totals
 	m.lastIngestAt = now
 	m.mu.Unlock()
+	if first {
+		delay = floor
+	}
 	if first || grew <= 0 || elapsed <= 0 {
 		mIngestRate.Set(0)
 		return delay

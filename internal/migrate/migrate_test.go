@@ -88,6 +88,11 @@ func TestShiftTriggersBackgroundMigration(t *testing.T) {
 	cfg.MinWindowQueries = 0
 	db, _, mgr, _ := newStack(t, catalog.ColumnStore, cfg)
 
+	// Nothing observed yet: there is no workload to advise on.
+	if _, err := mgr.Advise(); err == nil {
+		t.Fatal("advising on an empty window should fail")
+	}
+
 	// Phase 1: OLAP-heavy — the advisor keeps the column store.
 	exec(t, db, olapMix(400, 11))
 	moved, err := mgr.Evaluate(0)
@@ -322,9 +327,10 @@ func TestAdaptiveCompactCadence(t *testing.T) {
 	m.now = func() time.Time { return base }
 
 	const ceiling = time.Minute
-	// First reading establishes the baseline: no rate yet, ceiling.
-	if d := m.compactDelay(ceiling); d != ceiling {
-		t.Fatalf("first delay = %v, want ceiling %v", d, ceiling)
+	// First reading establishes the baseline: no rate yet, so the first
+	// check comes after the floor, not a whole ceiling.
+	if d := m.compactDelay(ceiling); d != time.Second {
+		t.Fatalf("first delay = %v, want floor 1s", d)
 	}
 	// 10k rows/s against a 1000-row threshold wants 0.1s — clamped to
 	// the floor.

@@ -89,7 +89,10 @@ func BenchmarkScanOverheadMonitored(b *testing.B) {
 // monitor's recording cost.
 type noopObs struct{}
 
-func (noopObs) Observe(q *query.Query, d time.Duration) {}
+func (noopObs) ObserveSession(string, *query.Query, time.Duration) {}
+func (noopObs) ObserveTxn(string, bool)                            {}
+func (noopObs) ObserveIngest(string, int)                          {}
+func (noopObs) AvgSelectivity(string) (float64, bool)              { return 0, false }
 
 func BenchmarkScanOverheadNoopObserver(b *testing.B) {
 	db := benchEngine(b, 100000)
@@ -104,6 +107,6 @@ func BenchmarkObserve(b *testing.B) {
 	q := scanQuery()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Observe(q, 0)
+		m.ObserveSession("", q, 0)
 	}
 }

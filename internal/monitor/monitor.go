@@ -1,6 +1,6 @@
 // Package monitor implements the live workload monitoring half of the
 // online advisor (§4 of the paper): a Monitor attaches to the engine as
-// its query observer, maintains rolling per-table — and, for
+// its one Observer, maintains rolling per-table — and, for
 // horizontally partitioned tables, per-partition — workload statistics
 // over a ring of epoch buckets, and produces point-in-time Snapshots
 // carrying exactly the features the cost model consumes (operation mix,
@@ -90,7 +90,8 @@ func newEpoch() *epoch {
 }
 
 // Monitor observes a live engine and maintains the rolling window. It is
-// safe for concurrent use: Observe is called from every query goroutine.
+// safe for concurrent use: ObserveSession is called from every query
+// goroutine, and m.mu serialises every access to the epochs' recorders.
 type Monitor struct {
 	db  *engine.Database
 	cfg Config
@@ -108,10 +109,9 @@ type Monitor struct {
 	ingestRows map[string]int64
 }
 
-// The planner consults the monitor for live selectivity feedback.
-var _ engine.SelectivityHinter = (*Monitor)(nil)
+var _ engine.Observer = (*Monitor)(nil)
 
-// New attaches a monitor to a database as its query observer.
+// New attaches a monitor to a database as its observer.
 func New(db *engine.Database, cfg Config) *Monitor {
 	if cfg.Epochs <= 0 {
 		cfg.Epochs = DefaultConfig().Epochs
@@ -142,12 +142,7 @@ func sampleQuery(q *query.Query) *query.Query {
 	return &cp
 }
 
-// Observe implements engine.QueryObserver.
-func (m *Monitor) Observe(q *query.Query, d time.Duration) {
-	m.ObserveSession("", q, d)
-}
-
-// ObserveTxn implements engine.TxnObserver: explicit transaction
+// ObserveTxn implements engine.Observer: explicit transaction
 // completions are attributed to their session, so the window shows
 // which tenants commit and which churn through aborts.
 func (m *Monitor) ObserveTxn(session string, committed bool) {
@@ -169,13 +164,13 @@ func (m *Monitor) ObserveTxn(session string, committed bool) {
 	m.mu.Unlock()
 }
 
-// ObserveSession implements engine.SessionObserver: the statement is
-// folded into the window as usual and additionally attributed to the
-// given session label (empty = unattributed).
+// ObserveSession implements engine.Observer: the statement is folded
+// into the window and attributed to the given session label (empty =
+// unattributed).
 func (m *Monitor) ObserveSession(session string, q *query.Query, d time.Duration) {
 	m.mu.Lock()
 	ep := m.ring[m.head]
-	ep.rec.Observe(q, d)
+	ep.rec.Observe(q)
 	ep.seen++
 	m.seen++
 	if len(ep.sample) < m.cfg.SampleCap {
@@ -284,7 +279,7 @@ func (m *Monitor) rotateLocked() {
 
 // AvgSelectivity returns the mean estimated predicate selectivity of the
 // observed window's reads against table, and whether any were observed.
-// It implements engine.SelectivityHinter: the planner consults it for
+// It implements engine.Observer: the planner consults it for
 // tables without collected statistics, closing the loop between the
 // live workload window and plan costing. Lock order is safe — nothing
 // holding m.mu acquires the engine lock.
@@ -307,7 +302,7 @@ func (m *Monitor) AvgSelectivity(table string) (float64, bool) {
 	return sum / float64(cnt), true
 }
 
-// ObserveIngest implements engine.IngestObserver: every bulk-ingest
+// ObserveIngest implements engine.Observer: every bulk-ingest
 // (COPY) batch reports its row count here. Ingest rows land directly in
 // a table's write-optimized delta, so their rate is the signal the
 // adaptive delta-merge cadence runs on.

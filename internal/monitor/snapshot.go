@@ -25,7 +25,7 @@ type TableWindow struct {
 
 	// Ops is the merged extended-statistics record over the window
 	// (operation mix, per-attribute update/aggregation/predicate
-	// counters, wide-update and hot-range tracking).
+	// counters, hot-range tracking).
 	Ops *stats.TableStats
 
 	// Rows and DeltaRows are the live storage counts at snapshot time.

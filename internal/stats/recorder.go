@@ -1,38 +1,28 @@
 // Package stats implements the extended workload statistics of the paper's
 // online mode: per-table query-type counters, per-attribute update and
-// aggregation counters, join counters between table pairs, and the
-// update-locality tracking ("tuples that are frequently updated as a
-// whole") that feeds the horizontal-partitioning heuristic in §3.2/§4.
+// aggregation counters, and the update-locality tracking ("tuples that are
+// frequently updated as a whole") that feeds the horizontal-partitioning
+// heuristic in §3.2/§4.
 package stats
 
 import (
 	"sort"
 	"strings"
-	"sync"
-	"time"
 
 	"hybridstore/internal/expr"
 	"hybridstore/internal/query"
 	"hybridstore/internal/value"
 )
 
-// wideUpdateCols is the threshold above which an update counts as touching
-// a tuple "as a whole" (many attributes assigned or referenced by the
-// predicate).
-const wideUpdateCols = 3
-
 // TableStats accumulates workload statistics for one table.
 type TableStats struct {
 	// Query-type counters.
 	Inserts      int
-	InsertedRows int
 	Updates      int
-	UpdatedCols  int // total assigned columns over all updates
 	Deletes      int
 	PointSelects int
 	RangeSelects int
 	Aggregations int
-	JoinQueries  int
 
 	// Per-attribute counters, sized to the table's column count on first
 	// use.
@@ -41,10 +31,6 @@ type TableStats struct {
 	AttrGroupBys  []int // column grouped by
 	AttrPreds     []int // column referenced by any WHERE predicate
 	AttrOLAPPreds []int // column referenced by an aggregation query's predicate
-
-	// Wide updates: updates addressing many attributes — the signal for a
-	// row-store partition of "tuples frequently updated as a whole".
-	WideUpdates int
 
 	// Update key-range tracking on the table's first PK (or predicate)
 	// column, used to locate the hot tuple region for horizontal
@@ -56,8 +42,7 @@ type TableStats struct {
 	UpdateRangeCount int
 }
 
-// Clone deep-copies the statistics so callers can read them without
-// synchronizing against a live recorder.
+// Clone deep-copies the statistics.
 func (ts *TableStats) Clone() *TableStats {
 	if ts == nil {
 		return nil
@@ -86,15 +71,11 @@ func (ts *TableStats) Merge(o *TableStats) {
 		return
 	}
 	ts.Inserts += o.Inserts
-	ts.InsertedRows += o.InsertedRows
 	ts.Updates += o.Updates
-	ts.UpdatedCols += o.UpdatedCols
 	ts.Deletes += o.Deletes
 	ts.PointSelects += o.PointSelects
 	ts.RangeSelects += o.RangeSelects
 	ts.Aggregations += o.Aggregations
-	ts.JoinQueries += o.JoinQueries
-	ts.WideUpdates += o.WideUpdates
 	ts.ensureCols(len(o.AttrUpdates))
 	addInto := func(dst, src []int) {
 		for i, v := range src {
@@ -158,41 +139,19 @@ func (ts *TableStats) InsertFraction() float64 {
 	return float64(ts.Inserts) / float64(tot)
 }
 
-// OLTPAttrScore returns, per column, how strongly it is used by OLTP
-// operations (updates, selective predicates) versus OLAP operations
-// (aggregates, group-bys). Positive scores mark OLTP attributes — the
-// vertical-partitioning signal.
-func (ts *TableStats) OLTPAttrScore() []float64 {
-	n := len(ts.AttrUpdates)
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		oltp := float64(ts.AttrUpdates[i])
-		olap := float64(ts.AttrAggs[i] + ts.AttrGroupBys[i])
-		out[i] = oltp - olap
-	}
-	return out
-}
-
-// Recorder collects extended workload statistics; it is safe for
-// concurrent use and is attached to the engine as a query observer in
-// online mode.
+// Recorder collects extended workload statistics per table. It is not
+// safe for concurrent use: the workload monitor serialises its recorders
+// under its own lock, and offline replay runs on one goroutine.
 type Recorder struct {
-	mu      sync.Mutex
-	tables  map[string]*TableStats
-	joins   map[[2]string]int
-	total   int
-	elapsed time.Duration
+	tables map[string]*TableStats
 }
 
 // NewRecorder creates an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		tables: make(map[string]*TableStats),
-		joins:  make(map[[2]string]int),
-	}
+	return &Recorder{tables: make(map[string]*TableStats)}
 }
 
-func (r *Recorder) tableLocked(name string) *TableStats {
+func (r *Recorder) table(name string) *TableStats {
 	k := strings.ToLower(name)
 	ts, ok := r.tables[k]
 	if !ok {
@@ -202,21 +161,14 @@ func (r *Recorder) tableLocked(name string) *TableStats {
 	return ts
 }
 
-// Observe records one executed query and its runtime. It implements the
-// engine's QueryObserver interface.
-func (r *Recorder) Observe(q *query.Query, d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.total++
-	r.elapsed += d
-	ts := r.tableLocked(q.Table)
+// Observe records one executed query.
+func (r *Recorder) Observe(q *query.Query) {
+	ts := r.table(q.Table)
 	switch q.Kind {
 	case query.Insert:
 		ts.Inserts++
-		ts.InsertedRows += len(q.Rows)
 	case query.Update:
 		ts.Updates++
-		ts.UpdatedCols += len(q.Set)
 		maxCol := -1
 		for c := range q.Set {
 			if c > maxCol {
@@ -236,23 +188,17 @@ func (r *Recorder) Observe(q *query.Query, d time.Duration) {
 		for _, c := range predCols {
 			ts.AttrPreds[c]++
 		}
-		if len(q.Set)+len(predCols) >= wideUpdateCols {
-			ts.WideUpdates++
-		}
-		r.trackUpdateRange(ts, q)
+		trackUpdateRange(ts, q)
 	case query.Delete:
 		ts.Deletes++
-		r.bumpPreds(ts, q.Pred)
+		bumpPreds(ts, q.Pred)
 	case query.Select:
 		if len(expr.ColumnSet(q.Pred)) > 0 && isPoint(q.Pred) {
 			ts.PointSelects++
 		} else {
 			ts.RangeSelects++
 		}
-		r.bumpPreds(ts, q.Pred)
-		if q.Join != nil {
-			r.recordJoin(q)
-		}
+		bumpPreds(ts, q.Pred)
 	case query.Aggregate:
 		ts.Aggregations++
 		maxCol := -1
@@ -285,10 +231,6 @@ func (r *Recorder) Observe(q *query.Query, d time.Duration) {
 			ts.AttrPreds[c]++
 			ts.AttrOLAPPreds[c]++
 		}
-		if q.Join != nil {
-			ts.JoinQueries++
-			r.recordJoin(q)
-		}
 	}
 }
 
@@ -303,7 +245,7 @@ func isPoint(p expr.Predicate) bool {
 	return false
 }
 
-func (r *Recorder) bumpPreds(ts *TableStats, p expr.Predicate) {
+func bumpPreds(ts *TableStats, p expr.Predicate) {
 	cols := expr.ColumnSet(p)
 	maxCol := -1
 	for _, c := range cols {
@@ -320,7 +262,7 @@ func (r *Recorder) bumpPreds(ts *TableStats, p expr.Predicate) {
 // trackUpdateRange widens the observed update key range. The range column
 // is the first predicate column seen carrying a range; once chosen it
 // stays fixed so ranges accumulate consistently.
-func (r *Recorder) trackUpdateRange(ts *TableStats, q *query.Query) {
+func trackUpdateRange(ts *TableStats, q *query.Query) {
 	col := ts.UpdateRangeCol
 	if col < 0 {
 		for _, c := range expr.ColumnSet(q.Pred) {
@@ -352,102 +294,33 @@ func (r *Recorder) trackUpdateRange(ts *TableStats, q *query.Query) {
 	}
 }
 
-func (r *Recorder) recordJoin(q *query.Query) {
-	a, b := strings.ToLower(q.Table), strings.ToLower(q.Join.Table)
-	if a > b {
-		a, b = b, a
-	}
-	r.joins[[2]string{a, b}]++
-}
-
-// Table returns a snapshot of the recorded statistics for a table (nil
-// if never seen). The snapshot is a deep copy, so callers may read it
-// freely while concurrent Observe calls keep mutating the live counters
-// — returning the live pointer would race under the online monitor.
+// Table returns a copy of the recorded statistics for a table (nil if
+// never seen), so callers may keep or modify it without touching the
+// recorder.
 func (r *Recorder) Table(name string) *TableStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	return r.tables[strings.ToLower(name)].Clone()
 }
 
-// Merge folds another recorder's statistics into r. The other recorder
-// is locked while it is read, so both sides may be live.
+// Merge folds another recorder's statistics into r.
 func (r *Recorder) Merge(o *Recorder) {
 	if o == nil || o == r {
 		return
 	}
-	o.mu.Lock()
-	tables := make(map[string]*TableStats, len(o.tables))
 	for k, ts := range o.tables {
-		tables[k] = ts.Clone()
-	}
-	joins := make(map[[2]string]int, len(o.joins))
-	for k, n := range o.joins {
-		joins[k] = n
-	}
-	total, elapsed := o.total, o.elapsed
-	o.mu.Unlock()
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for k, ts := range tables {
 		if mine, ok := r.tables[k]; ok {
 			mine.Merge(ts)
 		} else {
-			r.tables[k] = ts
+			r.tables[k] = ts.Clone()
 		}
 	}
-	for k, n := range joins {
-		r.joins[k] += n
-	}
-	r.total += total
-	r.elapsed += elapsed
 }
 
 // Tables returns the sorted names of observed tables.
 func (r *Recorder) Tables() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	out := make([]string, 0, len(r.tables))
 	for k := range r.tables {
 		out = append(out, k)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// JoinCount returns how often the two tables were joined.
-func (r *Recorder) JoinCount(a, b string) int {
-	a, b = strings.ToLower(a), strings.ToLower(b)
-	if a > b {
-		a, b = b, a
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.joins[[2]string{a, b}]
-}
-
-// TotalQueries returns the number of observed queries.
-func (r *Recorder) TotalQueries() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// TotalElapsed returns the accumulated execution time of observed queries.
-func (r *Recorder) TotalElapsed() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.elapsed
-}
-
-// Reset clears all statistics (used when re-evaluation intervals roll
-// over).
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tables = make(map[string]*TableStats)
-	r.joins = make(map[[2]string]int)
-	r.total = 0
-	r.elapsed = 0
 }

@@ -3,7 +3,6 @@ package stats
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"hybridstore/internal/agg"
 	"hybridstore/internal/expr"
@@ -16,13 +15,10 @@ func TestObserveInsert(t *testing.T) {
 	r.Observe(&query.Query{
 		Kind: query.Insert, Table: "T1",
 		Rows: [][]value.Value{{value.NewInt(1)}, {value.NewInt(2)}},
-	}, time.Millisecond)
+	})
 	ts := r.Table("t1")
-	if ts == nil || ts.Inserts != 1 || ts.InsertedRows != 2 {
+	if ts == nil || ts.Inserts != 1 || ts.TotalQueries() != 1 {
 		t.Fatalf("insert stats = %+v", ts)
-	}
-	if r.TotalQueries() != 1 || r.TotalElapsed() != time.Millisecond {
-		t.Error("totals wrong")
 	}
 	if ts.InsertFraction() != 1 {
 		t.Errorf("insert fraction = %v", ts.InsertFraction())
@@ -36,9 +32,9 @@ func TestObserveUpdate(t *testing.T) {
 		Set:  map[int]value.Value{2: value.NewInt(1), 3: value.NewInt(2)},
 		Pred: &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewInt(7)},
 	}
-	r.Observe(q, 0)
+	r.Observe(q)
 	ts := r.Table("t")
-	if ts.Updates != 1 || ts.UpdatedCols != 2 {
+	if ts.Updates != 1 {
 		t.Errorf("update counters: %+v", ts)
 	}
 	if ts.AttrUpdates[2] != 1 || ts.AttrUpdates[3] != 1 {
@@ -46,10 +42,6 @@ func TestObserveUpdate(t *testing.T) {
 	}
 	if ts.AttrPreds[0] != 1 {
 		t.Errorf("attr preds: %v", ts.AttrPreds)
-	}
-	// 2 set cols + 1 pred col = 3 >= threshold: wide update.
-	if ts.WideUpdates != 1 {
-		t.Errorf("wide updates = %d", ts.WideUpdates)
 	}
 }
 
@@ -65,9 +57,9 @@ func TestObserveUpdateRangeTracking(t *testing.T) {
 			}},
 		}
 	}
-	r.Observe(mk(900, 950), 0)
-	r.Observe(mk(920, 990), 0)
-	r.Observe(mk(880, 910), 0)
+	r.Observe(mk(900, 950))
+	r.Observe(mk(920, 990))
+	r.Observe(mk(880, 910))
 	ts := r.Table("t")
 	if !ts.UpdateRangeSeen || ts.UpdateRangeCol != 0 {
 		t.Fatalf("range not tracked: %+v", ts)
@@ -85,12 +77,12 @@ func TestObserveSelectPointVsRange(t *testing.T) {
 	r.Observe(&query.Query{
 		Kind: query.Select, Table: "t",
 		Pred: &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewInt(1)},
-	}, 0)
+	})
 	r.Observe(&query.Query{
 		Kind: query.Select, Table: "t",
 		Pred: &expr.Comparison{Col: 0, Op: expr.Gt, Val: value.NewInt(1)},
-	}, 0)
-	r.Observe(&query.Query{Kind: query.Select, Table: "t"}, 0)
+	})
+	r.Observe(&query.Query{Kind: query.Select, Table: "t"})
 	ts := r.Table("t")
 	if ts.PointSelects != 1 || ts.RangeSelects != 2 {
 		t.Errorf("point=%d range=%d", ts.PointSelects, ts.RangeSelects)
@@ -104,7 +96,7 @@ func TestObserveAggregate(t *testing.T) {
 		Aggs:    []agg.Spec{{Func: agg.Sum, Col: 4}, {Func: agg.Count, Col: -1}},
 		GroupBy: []int{1},
 		Pred:    &expr.Comparison{Col: 2, Op: expr.Lt, Val: value.NewInt(9)},
-	}, 0)
+	})
 	ts := r.Table("t")
 	if ts.Aggregations != 1 {
 		t.Errorf("aggs = %d", ts.Aggregations)
@@ -114,25 +106,123 @@ func TestObserveAggregate(t *testing.T) {
 	}
 }
 
+// TestObserveJoins: a join statement counts toward the table it runs
+// against, and only that table is recorded.
 func TestObserveJoins(t *testing.T) {
 	r := NewRecorder()
 	r.Observe(&query.Query{
-		Kind: query.Aggregate, Table: "fact",
+		Kind: query.Aggregate, Table: "Fact",
 		Aggs: []agg.Spec{{Func: agg.Sum, Col: 0}},
 		Join: &query.Join{Table: "dim"},
-	}, 0)
+	})
 	r.Observe(&query.Query{
 		Kind: query.Select, Table: "dim",
 		Join: &query.Join{Table: "fact"},
-	}, 0)
-	if got := r.JoinCount("fact", "dim"); got != 2 {
-		t.Errorf("JoinCount = %d", got)
+	})
+	if ts := r.Table("fact"); ts.Aggregations != 1 || ts.TotalQueries() != 1 {
+		t.Errorf("fact stats: %+v", ts)
 	}
-	if got := r.JoinCount("dim", "fact"); got != 2 {
-		t.Errorf("JoinCount symmetric = %d", got)
+	if ts := r.Table("dim"); ts.RangeSelects != 1 || ts.TotalQueries() != 1 {
+		t.Errorf("dim stats: %+v", ts)
 	}
-	if r.Table("fact").JoinQueries != 1 {
-		t.Errorf("fact join queries = %d", r.Table("fact").JoinQueries)
+	if names := r.Tables(); len(names) != 2 || names[0] != "dim" || names[1] != "fact" {
+		t.Errorf("Tables = %v", names)
+	}
+}
+
+// TestTablesAndReset: Tables lists observed tables sorted and lower-cased,
+// and a window resets an epoch by replacing its recorder with a fresh
+// one, so a merge over the remaining epochs forgets the rotated-out
+// tables.
+func TestTablesAndReset(t *testing.T) {
+	old, cur := NewRecorder(), NewRecorder()
+	old.Observe(&query.Query{Kind: query.Select, Table: "b"})
+	old.Observe(&query.Query{Kind: query.Select, Table: "A"})
+	cur.Observe(&query.Query{Kind: query.Select, Table: "C"})
+	if names := old.Tables(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
+		t.Errorf("Tables = %v", names)
+	}
+	window := func(epochs ...*Recorder) *Recorder {
+		merged := NewRecorder()
+		for _, ep := range epochs {
+			merged.Merge(ep)
+		}
+		return merged
+	}
+	if names := window(old, cur).Tables(); len(names) != 3 || names[0] != "a" || names[2] != "c" {
+		t.Errorf("window Tables = %v", names)
+	}
+	old = NewRecorder()
+	if len(old.Tables()) != 0 || old.Table("a") != nil {
+		t.Error("a fresh recorder should hold no tables")
+	}
+	merged := window(old, cur)
+	if names := merged.Tables(); len(names) != 1 || names[0] != "c" {
+		t.Errorf("window Tables after reset = %v", names)
+	}
+	if merged.Table("A") != nil || merged.Table("c").RangeSelects != 1 {
+		t.Errorf("window after reset: a=%+v c=%+v", merged.Table("a"), merged.Table("c"))
+	}
+}
+
+// TestConcurrentObserveAndRead exercises recorders the way the live
+// monitor's epochs use them (run with -race): each recorder has one
+// writer, snapshots taken from it are read on other goroutines while the
+// writer keeps observing, and the recorders are merged once the writers
+// stop. Table returns deep copies, so readers never share the live
+// counters.
+func TestConcurrentObserveAndRead(t *testing.T) {
+	const writers, perWriter = 4, 500
+	recs := make([]*Recorder, writers)
+	snaps := make(chan *TableStats, writers)
+	var readers, wg sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for ts := range snaps {
+			sum := 0
+			for _, v := range ts.AttrUpdates {
+				sum += v
+			}
+			if sum != ts.Updates {
+				t.Errorf("snapshot attr updates %d != updates %d", sum, ts.Updates)
+			}
+		}
+	}()
+	for g := 0; g < writers; g++ {
+		recs[g] = NewRecorder()
+		wg.Add(1)
+		go func(r *Recorder, g int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				r.Observe(&query.Query{
+					Kind: query.Update, Table: "t",
+					Pred: &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewInt(int64(i))},
+					Set:  map[int]value.Value{1: value.NewInt(int64(g))},
+				})
+				r.Observe(&query.Query{
+					Kind: query.Aggregate, Table: "t",
+					Aggs: []agg.Spec{{Func: agg.Sum, Col: 2}},
+				})
+				if i%50 == 0 {
+					snaps <- r.Table("t")
+				}
+			}
+		}(recs[g], g)
+	}
+	wg.Wait()
+	close(snaps)
+	readers.Wait()
+	merged := NewRecorder()
+	for _, r := range recs {
+		merged.Merge(r)
+	}
+	ts := merged.Table("t")
+	if ts == nil || ts.Updates != writers*perWriter || ts.Aggregations != writers*perWriter {
+		t.Fatalf("final counts: %+v", ts)
+	}
+	if ts.TotalQueries() != 2*writers*perWriter || ts.AttrUpdates[1] != writers*perWriter {
+		t.Errorf("total = %d, attr updates = %v", ts.TotalQueries(), ts.AttrUpdates)
 	}
 }
 
@@ -141,93 +231,10 @@ func TestObserveDelete(t *testing.T) {
 	r.Observe(&query.Query{
 		Kind: query.Delete, Table: "t",
 		Pred: &expr.Comparison{Col: 1, Op: expr.Lt, Val: value.NewInt(0)},
-	}, 0)
+	})
 	ts := r.Table("t")
 	if ts.Deletes != 1 || ts.AttrPreds[1] != 1 {
 		t.Errorf("delete stats: %+v", ts)
-	}
-}
-
-func TestOLTPAttrScore(t *testing.T) {
-	r := NewRecorder()
-	// Column 1 is updated often; column 2 is aggregated often.
-	for i := 0; i < 10; i++ {
-		r.Observe(&query.Query{
-			Kind: query.Update, Table: "t",
-			Set:  map[int]value.Value{1: value.NewInt(0)},
-			Pred: &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewInt(int64(i))},
-		}, 0)
-	}
-	for i := 0; i < 5; i++ {
-		r.Observe(&query.Query{
-			Kind: query.Aggregate, Table: "t",
-			Aggs: []agg.Spec{{Func: agg.Sum, Col: 2}},
-		}, 0)
-	}
-	scores := r.Table("t").OLTPAttrScore()
-	if scores[1] <= 0 {
-		t.Errorf("updated column score = %v", scores[1])
-	}
-	if scores[2] >= 0 {
-		t.Errorf("aggregated column score = %v", scores[2])
-	}
-}
-
-func TestTablesAndReset(t *testing.T) {
-	r := NewRecorder()
-	r.Observe(&query.Query{Kind: query.Select, Table: "b"}, 0)
-	r.Observe(&query.Query{Kind: query.Select, Table: "A"}, 0)
-	names := r.Tables()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("Tables = %v", names)
-	}
-	r.Reset()
-	if r.TotalQueries() != 0 || len(r.Tables()) != 0 || r.TotalElapsed() != 0 {
-		t.Error("Reset incomplete")
-	}
-}
-
-// TestConcurrentObserveAndRead exercises the recorder the way the live
-// monitor does — parallel Observe calls racing snapshot reads and merges
-// (run with -race): Table returns deep copies, so readers never see the
-// live counters mid-update.
-func TestConcurrentObserveAndRead(t *testing.T) {
-	r := NewRecorder()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				r.Observe(&query.Query{
-					Kind: query.Update, Table: "t",
-					Pred: &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewInt(int64(i))},
-					Set:  map[int]value.Value{1: value.NewInt(int64(g))},
-				}, time.Microsecond)
-				r.Observe(&query.Query{
-					Kind: query.Aggregate, Table: "t",
-					Aggs: []agg.Spec{{Func: agg.Sum, Col: 2}},
-				}, time.Microsecond)
-			}
-		}(g)
-	}
-	merged := NewRecorder()
-	for i := 0; i < 50; i++ {
-		if ts := r.Table("t"); ts != nil {
-			_ = ts.TotalQueries()
-			_ = ts.OLTPAttrScore()
-		}
-		merged.Merge(r)
-		_ = r.Tables()
-		_ = r.TotalQueries()
-	}
-	wg.Wait()
-	ts := r.Table("t")
-	if ts == nil || ts.Updates != 2000 || ts.Aggregations != 2000 {
-		t.Fatalf("final counts: %+v", ts)
-	}
-	if r.TotalQueries() != 4000 {
-		t.Errorf("total = %d", r.TotalQueries())
 	}
 }
 
@@ -237,7 +244,7 @@ func TestTableReturnsSnapshot(t *testing.T) {
 		Kind: query.Update, Table: "t",
 		Pred: &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewInt(1)},
 		Set:  map[int]value.Value{1: value.NewInt(9)},
-	}, 0)
+	})
 	snap := r.Table("t")
 	snap.Updates = 99
 	snap.AttrUpdates[1] = 99
@@ -254,12 +261,12 @@ func TestRecorderMerge(t *testing.T) {
 				Kind: query.Update, Table: "t",
 				Pred: &expr.Between{Col: 0, Lo: value.NewInt(int64(10 * i)), Hi: value.NewInt(int64(10*i + 5))},
 				Set:  map[int]value.Value{1: value.NewInt(1)},
-			}, time.Millisecond)
+			})
 		}
 		return r
 	}
 	a, b := mk(3), mk(2)
-	b.Observe(&query.Query{Kind: query.Select, Table: "u"}, time.Millisecond)
+	b.Observe(&query.Query{Kind: query.Select, Table: "u"})
 	a.Merge(b)
 	ts := a.Table("t")
 	if ts.Updates != 5 {
@@ -271,10 +278,12 @@ func TestRecorderMerge(t *testing.T) {
 	if hi := ts.UpdateRangeHi.Int(); hi != 25 {
 		t.Errorf("merged range hi = %d", hi)
 	}
-	if a.Table("u") == nil || a.TotalQueries() != 6 {
-		t.Errorf("merge missed table u (total %d)", a.TotalQueries())
+	if u := a.Table("u"); u == nil || u.RangeSelects != 1 {
+		t.Errorf("merge missed table u: %+v", u)
 	}
-	if a.TotalElapsed() != 6*time.Millisecond {
-		t.Errorf("merged elapsed = %v", a.TotalElapsed())
+	// The merged record is a copy: observing more into b leaves a alone.
+	b.Observe(&query.Query{Kind: query.Select, Table: "u"})
+	if u := a.Table("u"); u.RangeSelects != 1 {
+		t.Errorf("merge aliased b's record: %+v", u)
 	}
 }

@@ -19,10 +19,10 @@ const (
 	RecDropTable
 	// RecCreateIndex declares a secondary index on a column.
 	RecCreateIndex
-	// RecSetLayout moves a table to a new placement. Completed
-	// MigrateLayout swaps log this record too: a migration is durable
-	// only once its swap record is on disk, so a crash mid-migration
-	// replays as if the migration never started.
+	// RecSetLayout moves a table to a new placement. A completed
+	// MigrateLayout logs it after its swap: a migration is durable only
+	// once this record is on disk, so a crash mid-migration replays as if
+	// the migration never started.
 	RecSetLayout
 	// RecInsert appends rows (already coerced to the schema's types).
 	RecInsert
