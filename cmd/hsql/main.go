@@ -244,6 +244,7 @@ func remoteShell(addr string) {
 					vals["hs_rowstore_arena_bytes"], vals["hs_txn_fold_keys_total"])
 				fmt.Printf("column store: %.0f bytes resident for %.0f bytes of payload\n",
 					vals["hs_colstore_resident_bytes"], vals["hs_colstore_payload_bytes"])
+				fmt.Printf("indexes: %.0f bytes\n", vals["hs_index_bytes"])
 			default:
 				fmt.Println("unknown remote command (only \\quit, \\ping, \\metrics and \\stats work over -connect):", trimmed)
 			}
@@ -404,6 +405,7 @@ func (s *session) command(line string) bool {
 			fp := db.Footprint()
 			fmt.Printf("row store arena: %d bytes; %d keys folded\n", fp.RowArena, ts.FoldKeys)
 			fmt.Printf("column store: %d bytes resident for %d bytes of payload\n", fp.ColResident, fp.ColPayload)
+			fmt.Printf("indexes: %d bytes\n", fp.Index)
 			snap := s.mon.Snapshot()
 			fmt.Printf("observed %d queries (%d in window)\n", snap.Seen, snap.WindowSeen)
 			ph := metrics.Default().Histogram("hs_planning_seconds",

@@ -106,6 +106,15 @@
 //   - Row-at-a-time accumulation (agg.Result.AddRow: the row store, the
 //     generic fallbacks above, MVCC-merged scans) tracks extrema only
 //     for MIN and MAX; SUM, AVG and COUNT cost an add and an increment.
+//   - A read or write whose predicate names the whole primary key takes
+//     one row, with no plan node or flag of its own: both stores resolve
+//     it through their PK index (see Column store), a horizontal split
+//     prunes to one side when it is split on the key, and a vertical split
+//     covered by one partition uses that partition's keyed path. The
+//     engine's keyed UPDATE and DELETE (matched through the scan) and the
+//     fold of a committed transaction (DeletePK, Upsert) inherit it. A
+//     statement that needs columns of both partitions of a vertical split
+//     still joins them in full, keyed or not.
 //
 // # Column store
 //
@@ -135,8 +144,8 @@
 // references any more is left out — and returns the translation table
 // from old codes to new; the gathered codes are translated through it,
 // re-encoded (compress.Encode) and their zone maps rebuilt. The PK index
-// is rebuilt from one hash per entry of the key columns' dictionaries,
-// combined per row by code. The cost is O(rows + distinct·log
+// is rebuilt in one pass (pkindex.Build) from one hash per entry of the key
+// columns' dictionaries, combined per row by code. The cost is O(rows + distinct·log
 // distinct_delta) per column, with no value boxed, hashed or searched per
 // row. The trigger is unchanged: a delta above MergeThreshold (10 %) of a
 // table of more than 4096 rows merges at the end of the insert, and
@@ -161,14 +170,32 @@
 // load and two counting passes on a column table, not three scans; Open
 // publishes them after recovery.
 //
+// The PK index is the one both stores keep (internal/pkindex): an
+// open-addressing hash table in one pointer-free []uint64, a slot holding
+// the key hash's upper 32 bits (its tag) above the row id, probed linearly
+// from a home slot derived from the tag, so the table doubles, halves and
+// renumbers without hashing a key again; a delete shifts the rest of its
+// cluster back instead of leaving a tombstone, so the index holds exactly
+// the live keys between merges. Keys are not stored — a lookup yields the
+// rows under the tag and the store compares the key. A predicate that pins
+// every key column (expr.PKEquality) is answered through it before any
+// bitmap or block walk: the key's row, if live, has the predicate's columns
+// decoded to check the remaining conjuncts, and a scan hands it over as a
+// batch of one with only the requested columns decoded and no pool helper;
+// the match bitmap that Update, Delete and the aggregates read is that one
+// bit. A keyed read or write on a column table therefore costs the tuple
+// reconstruction of one row, as the paper's cost model charges it.
+//
 // Table.MemoryBytes is the logical payload (dictionary values at their
 // declared widths plus code vectors — what mem_bytes_per_row reports);
 // Table.ResidentBytes is what the fragments occupy, by capacity:
 // dictionaries, code vectors, NULL and zone arrays, the delta with its
-// lookup maps, the live bitmap and the PK index (the maps estimated).
-// hs_colstore_resident_bytes exports it, and hs_colstore_payload_bytes the
-// logical size beside it (also in /status and \stats); after a merge the
-// first stays within twice the second plus the PK index.
+// lookup maps and the live bitmap. hs_colstore_resident_bytes exports it,
+// and hs_colstore_payload_bytes the logical size beside it (also in /status
+// and \stats); after a merge the first stays within twice the second. The
+// index is measured apart, at 8 bytes a slot: Table.IndexBytes, and for
+// every PK and secondary index of both stores hs_index_bytes (index_bytes in
+// /status, "indexes" in \stats).
 //
 // # Row store
 //
@@ -185,6 +212,13 @@
 // reports); ArenaBytes, exported as hs_rowstore_arena_bytes, is the
 // physical one.
 //
+// The PK index and every secondary index (CreateIndex) are pkindex tables,
+// the column store's kind (see Column store): 8 bytes a slot, nothing for
+// the collector to scan, duplicates allowed for secondary values. A
+// predicate pinning the key, or a secondary-indexed column, scans only the
+// rows under its tag; a single-column numeric key also keeps an ordered
+// index for key ranges.
+//
 // value.Value is boxed only at the edge. Scan decodes into one scratch row
 // per scan, indexed by column: the predicate's columns first, the
 // requested columns (ScanCols; nil = all) only once the row matches; any
@@ -198,7 +232,7 @@
 // slots in place; Delete and DeletePK tombstone the window and take the
 // row out of every index. Once tombstones exceed a quarter of the live
 // rows (and 1024 windows) the arena and the string heap are rewritten and
-// the row ids in every index renumbered — no rehashing, no sorting — so
+// the row ids in every index renumbered in place — no rehashing, no sorting — so
 // the arena holds at most ~1.25 windows per live row under any churn, at
 // an amortised constant per deleted row. Compact does the same on demand.
 //
@@ -468,10 +502,10 @@
 //     commit is folded, a scan shows the committed image of an updated
 //     row in its base row's place, so a key-range read keeps its order. What stays
 //     predicate-based: a vertically split table implements the keyed
-//     calls through its Delete(pk = key) and Insert (matchingPKs, one
-//     code-vector scan of the column partition per key), and statements
-//     on tables without a primary key take the serial write path and
-//     apply their predicates to base storage directly.
+//     calls through its Delete(pk = key) and Insert, which each partition
+//     answers through its PK index, and statements on tables without a
+//     primary key take the serial write path and apply their predicates
+//     to base storage directly.
 //
 // Failure handling in the driver: losing the connection inside a
 // transaction surfaces an error instead of transparently redialing —

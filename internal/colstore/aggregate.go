@@ -623,7 +623,7 @@ func (da *denseGroupAgg) fold(res *agg.Result) {
 // blockRows batches, handing each batch's ascending rids plus its
 // main/delta split to fn: nm rids are main-resident, and the block's main
 // span holds mainN rows starting at b0. fn returning false stops the
-// iteration. It is the block-iteration skeleton of the serial scanBatches.
+// iteration. It is the serial block walk of liveCodes.
 func (t *Table) forBatches(match bitset.Bits, fn func(rids []int32, b0, nm, mainN int) bool) {
 	src := t.rowSource(match)
 	total := t.totalRows()

@@ -32,6 +32,7 @@ import (
 	"hybridstore/internal/bitset"
 	"hybridstore/internal/compress"
 	"hybridstore/internal/expr"
+	"hybridstore/internal/pkindex"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
 )
@@ -99,7 +100,7 @@ type Table struct {
 	liveSet   bitset.Bits // one bit per row slot; 0 = tombstoned
 	live      int
 
-	pkIndex map[uint64][]int32
+	pkIndex *pkindex.Index // hash(PK) -> row id
 
 	// MergeThreshold is the delta fraction that triggers a merge; set
 	// AutoMerge to false to manage merges manually (benchmarks and tests).
@@ -132,7 +133,7 @@ func New(sch *schema.Table) *Table {
 		}
 	}
 	if len(sch.PrimaryKey) > 0 {
-		t.pkIndex = make(map[uint64][]int32)
+		t.pkIndex = &pkindex.Index{}
 	}
 	return t
 }
@@ -173,10 +174,6 @@ func (t *Table) materialize(rid int, cols []int, dst []value.Value) {
 // Valid reports whether row slot rid is live.
 func (t *Table) Valid(rid int) bool { return t.liveSet.Get(rid) }
 
-func (t *Table) pkHash(row []value.Value) uint64 {
-	return value.HashRow(t.sch.PKValues(row))
-}
-
 // pkHashAt hashes the primary key stored at row rid.
 func (t *Table) pkHashAt(rid int) uint64 {
 	var buf [4]value.Value
@@ -201,12 +198,14 @@ func (t *Table) LookupPK(key []value.Value) (int, bool) {
 	if t.pkIndex == nil || len(key) != len(t.sch.PrimaryKey) {
 		return 0, false
 	}
-	for _, rid := range t.pkIndex[value.HashRow(key)] {
-		if t.liveSet.Get(int(rid)) && t.pkEqualAt(int(rid), key) {
-			return int(rid), true
-		}
-	}
-	return 0, false
+	rid, ok := t.pkIndex.Lookup(value.HashRow(key), func(rid int32) bool { return t.pkEqualAt(int(rid), key) })
+	return int(rid), ok
+}
+
+// HasPK reports whether a live row holds the primary key.
+func (t *Table) HasPK(key []value.Value) bool {
+	_, ok := t.LookupPK(key)
+	return ok
 }
 
 // Insert appends rows to the delta fragment, checking schema validity and
@@ -214,25 +213,8 @@ func (t *Table) LookupPK(key []value.Value) (int, bool) {
 // threshold. The whole batch is validated (including duplicates within
 // the batch) before anything is appended, so a failing INSERT is atomic.
 func (t *Table) Insert(rows [][]value.Value) error {
-	var batchKeys map[string]struct{}
-	for _, row := range rows {
-		if err := t.sch.ValidateRow(row); err != nil {
-			return err
-		}
-		if t.pkIndex != nil {
-			key := t.sch.PKValues(row)
-			if _, dup := t.LookupPK(key); dup {
-				return fmt.Errorf("colstore: duplicate primary key %v in table %q", key, t.sch.Name)
-			}
-			if batchKeys == nil {
-				batchKeys = make(map[string]struct{}, len(rows))
-			}
-			ks := value.TupleKey(key)
-			if _, dup := batchKeys[ks]; dup {
-				return fmt.Errorf("colstore: duplicate primary key %v within insert batch in table %q", key, t.sch.Name)
-			}
-			batchKeys[ks] = struct{}{}
-		}
+	if err := t.sch.ValidateInsert(rows, t.HasPK); err != nil {
+		return err
 	}
 	for _, row := range rows {
 		t.appendRow(row)
@@ -261,9 +243,9 @@ func (t *Table) DeletePK(key []value.Value) bool {
 }
 
 // tombstone clears row rid's live bit and takes it out of the PK index,
-// which chains it under hash h. Space is reclaimed at the next merge.
+// which holds it under hash h. Space is reclaimed at the next merge.
 func (t *Table) tombstone(rid int, h uint64) {
-	removeRid(t.pkIndex, h, int32(rid))
+	t.pkIndex.Remove(h, int32(rid))
 	t.liveSet.Clear(rid)
 	t.live--
 }
@@ -297,8 +279,7 @@ func (t *Table) appendRow(row []value.Value) {
 	t.liveSet.Set(int(rid))
 	t.live++
 	if t.pkIndex != nil {
-		h := t.pkHash(row)
-		t.pkIndex[h] = append(t.pkIndex[h], rid)
+		t.pkIndex.Add(value.HashRow(t.sch.PKValues(row)), rid)
 	}
 }
 
@@ -352,10 +333,7 @@ func (t *Table) rebuildPKIndex() {
 			hashes[rid] = value.HashStep(hashes[rid], byCode[code])
 		}
 	}
-	t.pkIndex = make(map[uint64][]int32, t.mainRows)
-	for rid, h := range hashes {
-		t.pkIndex[h] = append(t.pkIndex[h], int32(rid))
-	}
+	t.pkIndex = pkindex.Build(hashes)
 }
 
 // mergeColumn rebuilds column c's main fragment over the live rows and
@@ -492,12 +470,12 @@ func (t *Table) MemoryBytes() int {
 	return total
 }
 
-// ResidentBytes is what the table occupies in memory, by capacity:
-// dictionaries, code vectors, NULL and zone arrays, the delta fragment, the
-// live bitmap and the PK index (estimated at 48 bytes an entry: map slot,
-// chain header, row id) — the physical size of what MemoryBytes reports.
+// ResidentBytes is what the fragments occupy in memory, by capacity:
+// dictionaries, code vectors, NULL and zone arrays, the delta fragment and
+// the live bitmap — the physical size of what MemoryBytes reports. The PK
+// index is IndexBytes.
 func (t *Table) ResidentBytes() int {
-	total := 8*cap(t.liveSet) + 48*len(t.pkIndex)
+	total := 8 * cap(t.liveSet)
 	for i := range t.cols {
 		c := &t.cols[i]
 		total += c.mainDict.ResidentBytes() + c.mainCodes.SizeBytes() + cap(c.mainNulls) + 12*cap(c.mainZones) +
@@ -505,6 +483,9 @@ func (t *Table) ResidentBytes() int {
 	}
 	return total
 }
+
+// IndexBytes is the size of the PK index: 8 bytes a slot.
+func (t *Table) IndexBytes() int { return t.pkIndex.Bytes() }
 
 // ValueRuns calls fn once for every distinct value the live rows of column
 // col hold, NULL included, with the number of rows holding it: the column's
@@ -537,48 +518,21 @@ func (t *Table) ValueRuns(col int, fn func(v value.Value, rows int)) {
 // rows are migrated: the full tuple is reconstructed, tombstoned and
 // re-appended to the delta — the column store's expensive update path.
 func (t *Table) Update(pred expr.Predicate, set map[int]value.Value) (int, error) {
-	for col, v := range set {
-		if col < 0 || col >= len(t.cols) {
-			return 0, fmt.Errorf("colstore: update column %d out of range in %q", col, t.sch.Name)
-		}
-		c := t.sch.Columns[col]
-		if v.IsNull() && !c.Nullable {
-			return 0, fmt.Errorf("colstore: column %q is NOT NULL", c.Name)
-		}
-		if !v.IsNull() && v.Type() != c.Type {
-			return 0, fmt.Errorf("colstore: column %q expects %s, got %s", c.Name, c.Type, v.Type())
-		}
+	if err := t.sch.ValidateSet(set); err != nil {
+		return 0, err
 	}
 	rids := t.matchingRows(pred)
-	pkChanged := false
-	for _, k := range t.sch.PrimaryKey {
-		if _, ok := set[k]; ok {
-			pkChanged = true
+	// A new key colliding with another live row — or with another new key
+	// of the statement — would corrupt the PK index: the statement fails
+	// before anything changes.
+	pkChanged := t.sch.AssignsKey(set)
+	if pkChanged {
+		keys := make([][]value.Value, len(rids))
+		for i, rid := range rids {
+			keys[i] = t.sch.PKValues(t.Get(int(rid)))
 		}
-	}
-	// Validate PK-changing updates before mutating: a new key colliding
-	// with another live row — or with another new key of the same
-	// statement — would corrupt pkIndex and break LookupPK, so the
-	// statement fails atomically instead.
-	if pkChanged && t.pkIndex != nil {
-		newKeys := make(map[string]struct{}, len(rids))
-		for _, rid := range rids {
-			key := make([]value.Value, len(t.sch.PrimaryKey))
-			for i, k := range t.sch.PrimaryKey {
-				if v, ok := set[k]; ok {
-					key[i] = v
-				} else {
-					key[i] = t.cols[k].valueAt(int(rid), t.mainRows)
-				}
-			}
-			ks := value.TupleKey(key)
-			if _, dup := newKeys[ks]; dup {
-				return 0, fmt.Errorf("colstore: update would assign duplicate primary key %v to multiple rows in %q", key, t.sch.Name)
-			}
-			newKeys[ks] = struct{}{}
-			if orid, ok := t.LookupPK(key); ok && int32(orid) != rid {
-				return 0, fmt.Errorf("colstore: update would duplicate primary key %v in table %q", key, t.sch.Name)
-			}
+		if err := t.sch.ValidateKeyUpdate(set, keys, t.HasPK); err != nil {
+			return 0, err
 		}
 	}
 	for _, rid := range rids {
@@ -613,7 +567,7 @@ func (t *Table) updateRow(rid int, set map[int]value.Value, pkChanged bool) {
 		}
 	}
 	var oldKeyHash uint64
-	if t.pkIndex != nil && (pkChanged || !inPlace) {
+	if pkChanged || !inPlace {
 		oldKeyHash = t.pkHashAt(rid)
 	}
 	if !inPlace {
@@ -647,10 +601,9 @@ func (t *Table) updateRow(rid int, set map[int]value.Value, pkChanged bool) {
 			}
 		}
 	}
-	if pkChanged && t.pkIndex != nil {
-		removeRid(t.pkIndex, oldKeyHash, int32(rid))
-		h := t.pkHashAt(rid)
-		t.pkIndex[h] = append(t.pkIndex[h], int32(rid))
+	if pkChanged {
+		t.pkIndex.Remove(oldKeyHash, int32(rid))
+		t.pkIndex.Add(t.pkHashAt(rid), int32(rid))
 	}
 }
 
@@ -661,15 +614,4 @@ func (t *Table) Delete(pred expr.Predicate) int {
 		t.tombstone(int(rid), t.pkHashAt(int(rid)))
 	}
 	return len(rids)
-}
-
-func removeRid(idx map[uint64][]int32, h uint64, rid int32) {
-	lst := idx[h]
-	for i, r := range lst {
-		if r == rid {
-			lst[i] = lst[len(lst)-1]
-			idx[h] = lst[:len(lst)-1]
-			return
-		}
-	}
 }

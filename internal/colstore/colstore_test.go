@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hybridstore/internal/agg"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/expr"
 	"hybridstore/internal/rowstore"
 	"hybridstore/internal/schema"
@@ -422,6 +423,140 @@ func TestDelete(t *testing.T) {
 	// Re-insert of a deleted key is allowed.
 	if err := tb.Insert([][]value.Value{mkRow(0, 0, 0, "back")}); err != nil {
 		t.Errorf("re-insert: %v", err)
+	}
+}
+
+// TestDeleteLeavesOnlyLiveKeysInIndex deletes half the keys of a merged
+// table, by key and by predicate, with no merge after: the PK index must
+// hold exactly the live keys at once, and shrink with them.
+func TestDeleteLeavesOnlyLiveKeysInIndex(t *testing.T) {
+	tb := loaded(t, 2000)
+	tb.Merge()
+	tb.AutoMerge = false
+	before := tb.IndexBytes()
+	for id := int64(0); id < 2000; id += 2 {
+		key := []value.Value{value.NewBigint(id)}
+		if id%4 == 0 {
+			tb.DeletePK(key)
+		} else {
+			tb.Delete(&expr.Comparison{Col: 0, Op: expr.Eq, Val: key[0]})
+		}
+	}
+	if tb.Merges() != 1 || tb.Rows() != 1000 {
+		t.Fatalf("%d merges, %d rows", tb.Merges(), tb.Rows())
+	}
+	if n := tb.pkIndex.Len(); n != tb.Rows() {
+		t.Errorf("the PK index holds %d keys for %d live rows", n, tb.Rows())
+	}
+	for id := int64(0); id < 2000; id++ {
+		if _, ok := tb.LookupPK([]value.Value{value.NewBigint(id)}); ok != (id%2 == 1) {
+			t.Fatalf("LookupPK(%d) = %v", id, ok)
+		}
+	}
+	if after := tb.IndexBytes(); after >= before {
+		t.Errorf("the PK index occupies %d bytes after deleting half its keys, %d before", after, before)
+	}
+}
+
+// TestNoPrimaryKey writes to a table without a primary key, which keeps no
+// PK index: migrating updates and deletes in both fragments, then a merge.
+func TestNoPrimaryKey(t *testing.T) {
+	sch := schema.MustNew("heap", []schema.Column{{Name: "a", Type: value.Bigint}, {Name: "b", Type: value.Integer}})
+	tb := New(sch)
+	rows := make([][]value.Value, 100)
+	for i := range rows {
+		rows[i] = []value.Value{value.NewBigint(int64(i % 10)), value.NewInt(int64(i))}
+	}
+	for _, merge := range []bool{true, false} {
+		if err := tb.Insert(rows); err != nil {
+			t.Fatal(err)
+		}
+		if merge {
+			tb.Merge()
+		}
+	}
+	if n, err := tb.Update(&expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(3)}, map[int]value.Value{1: value.NewInt(-1)}); n != 20 || err != nil {
+		t.Fatalf("update: %d, %v", n, err)
+	}
+	if n := tb.Delete(&expr.Comparison{Col: 1, Op: expr.Eq, Val: value.NewInt(-1)}); n != 20 || tb.Rows() != 180 {
+		t.Fatalf("delete: %d, %d rows left", n, tb.Rows())
+	}
+	tb.Merge()
+	if tb.Rows() != 180 || tb.IndexBytes() != 0 {
+		t.Fatalf("%d rows, %d index bytes after the merge", tb.Rows(), tb.IndexBytes())
+	}
+}
+
+// TestKeyedPredicateTouchesOneRow answers predicates naming the whole key —
+// in the main fragment, in the delta, missing, tombstoned, with a residual
+// conjunct that holds and one that fails — on every read and write path,
+// and requires the answer of the same predicate written as a key range,
+// which the code-vector scan answers, with no block decoded.
+func TestKeyedPredicateTouchesOneRow(t *testing.T) {
+	const n = 20_000
+	build := func() *Table {
+		tb := loaded(t, n) // merged on insert
+		if tb.DeltaRows() != 0 {
+			t.Fatalf("%d delta rows after the load", tb.DeltaRows())
+		}
+		if err := tb.Insert([][]value.Value{mkRow(n, 1, 1, "d"), mkRow(n+1, 2, 2, "d")}); err != nil {
+			t.Fatal(err)
+		}
+		tb.DeletePK([]value.Value{value.NewBigint(500)})
+		return tb
+	}
+	keyed, scanned := build(), build()
+	pred := func(id int64, asRange bool, grp ...int64) expr.Predicate {
+		conj := []expr.Predicate{&expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(id)}}
+		if asRange {
+			conj[0] = &expr.Between{Col: 0, Lo: value.NewBigint(id), Hi: value.NewBigint(id)}
+		}
+		for _, g := range grp {
+			conj = append(conj, &expr.Comparison{Col: 1, Op: expr.Eq, Val: value.NewInt(g)})
+		}
+		return &expr.And{Preds: conj}
+	}
+	read := func(tb *Table, p expr.Predicate) string {
+		out := ""
+		tb.Scan(p, []int{0, 3}, func(rid int, row []value.Value) bool {
+			out += fmt.Sprintf("%d:%v,%v ", rid, row[0], row[3])
+			return true
+		})
+		tb.ScanBatchesExec(p, []int{2}, &exec.Ctx{Pool: exec.NewPool(8)}, func(w, block int, rids []int32, colVals [][]value.Value) bool {
+			out += fmt.Sprintf("b%d %v %v ", block, rids, colVals[0])
+			return true
+		})
+		res := tb.Aggregate([]agg.Spec{{Func: agg.Count, Col: -1}, {Func: agg.Sum, Col: 2}}, nil, p)
+		return out + fmt.Sprint(res.Rows())
+	}
+	for _, c := range []struct {
+		name string
+		id   int64
+		grp  []int64
+	}{
+		{"main", 123, nil}, {"delta", n + 1, nil}, {"missing", 3 * n, nil}, {"tombstoned", 500, nil},
+		{"residual holds", 123, []int64{3}}, {"residual fails", 123, []int64{4}},
+	} {
+		decoded := mBlocksDecoded.Value()
+		got := read(keyed, pred(c.id, false, c.grp...))
+		if d := mBlocksDecoded.Value() - decoded; d != 0 {
+			t.Errorf("%s: the keyed read decoded %d blocks", c.name, d)
+		}
+		if want := read(scanned, pred(c.id, true, c.grp...)); got != want {
+			t.Errorf("%s: keyed %q, scanned %q", c.name, got, want)
+		}
+		set := map[int]value.Value{2: value.NewDouble(-1)}
+		gu, err1 := keyed.Update(pred(c.id, false, c.grp...), set)
+		wu, err2 := scanned.Update(pred(c.id, true, c.grp...), set)
+		if gu != wu || err1 != nil || err2 != nil {
+			t.Errorf("%s: keyed update %d, %v; scanned %d, %v", c.name, gu, err1, wu, err2)
+		}
+		if gd, wd := keyed.Delete(pred(c.id, false, c.grp...)), scanned.Delete(pred(c.id, true, c.grp...)); gd != wd {
+			t.Errorf("%s: keyed delete %d, scanned %d", c.name, gd, wd)
+		}
+		if keyed.Rows() != scanned.Rows() || keyed.pkIndex.Len() != keyed.Rows() {
+			t.Errorf("%s: %d rows and %d keys, scanned %d rows", c.name, keyed.Rows(), keyed.pkIndex.Len(), scanned.Rows())
+		}
 	}
 }
 

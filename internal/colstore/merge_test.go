@@ -12,6 +12,7 @@ import (
 	"hybridstore/internal/bitset"
 	"hybridstore/internal/compress"
 	"hybridstore/internal/expr"
+	"hybridstore/internal/pkindex"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
 )
@@ -70,10 +71,9 @@ func oracleMerge(t *Table) {
 	t.mainRows, t.deltaRows, t.live = len(liveRids), 0, len(liveRids)
 	t.liveSet = bitset.New(t.mainRows)
 	t.liveSet.FillOnes(t.mainRows)
-	t.pkIndex = make(map[uint64][]int32)
+	t.pkIndex = &pkindex.Index{}
 	for rid := 0; rid < t.mainRows; rid++ {
-		h := t.pkHashAt(rid)
-		t.pkIndex[h] = append(t.pkIndex[h], int32(rid))
+		t.pkIndex.Add(t.pkHashAt(rid), int32(rid))
 	}
 	t.merges++
 }

@@ -44,10 +44,19 @@ func (t *Table) numMainBlocks() int { return (t.mainRows + blockRows - 1) / bloc
 // the next; on a table worth it the blocks are morsels. Blocks are
 // bitset-word aligned, so concurrent workers write disjoint words; the
 // delta passes and the tombstone AND run serially afterwards (the delta
-// shares its first word with the last main block). The bitset is backed by
-// s and valid until s is released. Zone-map outcomes go to ex's trace and
-// always to the cumulative package metrics.
+// shares its first word with the last main block). A predicate naming the
+// whole key sets the one bit of its row (keyedRow) and walks no block. The
+// bitset is backed by s and valid until s is released. Zone-map outcomes go
+// to ex's trace and always to the cumulative package metrics.
 func (t *Table) matchBitmapExec(pred expr.Predicate, s *scanScratch, ex *exec.Ctx) bitset.Bits {
+	if rid, ok := t.keyedRow(pred); ok {
+		match := s.bits(t.totalRows())
+		match.Zero()
+		if rid >= 0 {
+			match.Set(rid)
+		}
+		return match
+	}
 	nb := t.numMainBlocks()
 	run := ex // what the blocks run on: nothing (a plain loop) unless the table is worth helpers
 	if t.totalRows() < parallelMinRows || !ex.Parallel(nb) {
@@ -447,10 +456,23 @@ func (t *Table) aggregateGlobal(res *agg.Result, specs []agg.Spec, match bitset.
 // buffers. fn additionally receives the worker id (for per-worker
 // downstream state) and the batch's block index (block order is the
 // serial batch order, so callers can reassemble deterministic output);
-// it must be safe for concurrent calls with distinct worker ids.
+// it must be safe for concurrent calls with distinct worker ids. A predicate
+// naming the whole key hands its row over alone, on the caller.
 func (t *Table) ScanBatchesExec(pred expr.Predicate, cols []int, ex *exec.Ctx, fn func(w, block int, rids []int32, colVals [][]value.Value) bool) {
 	if cols == nil {
 		cols = t.allColumns()
+	}
+	if rid, ok := t.keyedRow(pred); ok {
+		if rid >= 0 {
+			inMain := int64(0)
+			if rid < t.mainRows {
+				inMain = 1
+			}
+			reportFragmentRows(ex.Tracer(), inMain, 1-inMain)
+			rids, colVals := t.keyedBatch(rid, cols)
+			fn(0, rid/blockRows, rids, colVals)
+		}
+		return
 	}
 	s := t.acquireScratch()
 	defer t.releaseScratch(s)

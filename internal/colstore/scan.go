@@ -356,39 +356,48 @@ func (t *Table) allColumns() []int {
 	return cols
 }
 
-// ScanBatches is the vectorized scan: matching live rows are streamed to
-// fn in batches of up to blockRows, with the requested columns decoded
-// column-at-a-time into reused column buffers. rids holds the batch's
-// global row ids in ascending order; colVals[j][k] is the value of column
-// cols[j] at row rids[k]. Both slices are reused between batches — fn must
-// not retain them. Returning false stops the scan. nil cols requests every
-// column.
-func (t *Table) ScanBatches(pred expr.Predicate, cols []int, fn func(rids []int32, colVals [][]value.Value) bool) {
-	if cols == nil {
-		cols = t.allColumns()
+// keyedRow answers a predicate that pins the whole primary key through the
+// PK index, before any bitmap or block walk: ok reports whether pred has
+// that shape, and rid is then the one live row satisfying all of pred, or
+// -1. The remaining conjuncts are checked on that row's predicate columns
+// alone.
+func (t *Table) keyedRow(pred expr.Predicate) (rid int, ok bool) {
+	key, ok := expr.PKEquality(pred, t.sch.PrimaryKey)
+	if !ok {
+		return 0, false
 	}
-	s := t.acquireScratch()
-	defer t.releaseScratch(s)
-	t.scanBatches(t.matchBitmapExec(pred, s, nil), cols, s, fn)
+	rid, found := t.LookupPK(key)
+	if !found {
+		return -1, true
+	}
+	row := make([]value.Value, len(t.cols))
+	t.materialize(rid, expr.ColumnSet(pred), row)
+	if !pred.Matches(row) {
+		return -1, true
+	}
+	return rid, true
 }
 
-// scanBatches streams batches for an already-computed match bitset
-// (nil = all live rows) using the scratch that backs it.
-func (t *Table) scanBatches(match bitset.Bits, cols []int, s *scanScratch, fn func(rids []int32, colVals [][]value.Value) bool) {
-	total := t.totalRows()
-	if total == 0 {
-		return
+// keyedBatch is the batch of row rid alone, with columns cols decoded.
+func (t *Table) keyedBatch(rid int, cols []int) (rids []int32, colVals [][]value.Value) {
+	vals := make([]value.Value, len(cols))
+	colVals = make([][]value.Value, len(cols))
+	for j, c := range cols {
+		vals[j] = t.cols[c].valueAt(rid, t.mainRows)
+		colVals[j] = vals[j : j+1 : j+1]
 	}
-	bufs := s.colBufs(len(cols))
-	views := make([][]value.Value, len(cols))
-	codes := s.codeBuf()
-	t.forBatches(match, func(rids []int32, b0, nm, mainN int) bool {
-		for j, cidx := range cols {
-			views[j] = bufs[j][:len(rids)]
-			t.gatherColumn(&t.cols[cidx], rids, b0, nm, mainN, codes, views[j])
-		}
-		return fn(rids, views)
-	})
+	return []int32{int32(rid)}, colVals
+}
+
+// ScanBatches is the vectorized scan, ScanBatchesExec on the caller alone:
+// matching live rows are streamed to fn in ascending batches of up to
+// blockRows, with the requested columns decoded column-at-a-time into reused
+// column buffers. rids holds the batch's global row ids in ascending order;
+// colVals[j][k] is the value of column cols[j] at row rids[k]. Both slices
+// are reused between batches — fn must not retain them. Returning false
+// stops the scan. nil cols requests every column.
+func (t *Table) ScanBatches(pred expr.Predicate, cols []int, fn func(rids []int32, colVals [][]value.Value) bool) {
+	t.ScanBatchesExec(pred, cols, nil, func(_, _ int, rids []int32, colVals [][]value.Value) bool { return fn(rids, colVals) })
 }
 
 // splitBatch returns the number nm of main-resident rids (ascending order
@@ -461,14 +470,10 @@ func (t *Table) gatherColumn(c *column, rids []int32, b0, nm, mainN int, codes [
 // every column. It is a thin row-at-a-time adapter over ScanBatches, kept
 // for callers that want tuple streaming.
 //
-// Unlike the row store, point predicates get no index shortcut: the
-// column store locates rows by evaluating the predicate over the code
-// vectors (a sequential scan, fast per row but O(n)). This mirrors real
-// column engines, where point access requires a dictionary probe plus a
-// position scan, and is the OLTP disadvantage the paper's cost model
-// charges the column store for. (The internal PK hash index accelerates
-// only insert uniqueness checks, standing in for the dictionary-based
-// duplicate test.)
+// A predicate naming the whole primary key is answered as the row store
+// answers it, through the PK index, and costs the tuple reconstruction of
+// the requested columns of one row — what the paper's cost model charges a
+// column-store point query (f_#selectedColumns), not a scan.
 func (t *Table) Scan(pred expr.Predicate, cols []int, fn func(rid int, row []value.Value) bool) {
 	if cols == nil {
 		cols = t.allColumns()
@@ -488,7 +493,7 @@ func (t *Table) Scan(pred expr.Predicate, cols []int, fn func(rid int, row []val
 }
 
 // matchingRows returns the global row ids of live rows matching pred,
-// without materializing any values (code-vector scan; see Scan). The
+// without materializing any values (see matchBitmapExec). The
 // result is pre-sized from the bitmap's popcount and freshly allocated —
 // callers (Update/Delete) run exclusively and mutate the table while
 // consuming it, so it must not alias pooled scan scratch.

@@ -156,11 +156,14 @@ func New() *Database {
 		"physical size of the row-store arenas: value slots, NULL bitmaps and string heaps, tombstoned windows included",
 		func() int64 { return int64(db.Footprint().RowArena) })
 	metrics.Default().GaugeFunc("hs_colstore_resident_bytes",
-		"physical size of the column-store fragments by capacity: dictionaries, code vectors, NULL and zone arrays, deltas, PK indexes",
+		"physical size of the column-store fragments by capacity: dictionaries, code vectors, NULL and zone arrays, deltas",
 		func() int64 { return int64(db.Footprint().ColResident) })
 	metrics.Default().GaugeFunc("hs_colstore_payload_bytes",
 		"logical size of the column-store fragments: dictionary values and code vectors, what MemoryBytes reports",
 		func() int64 { return int64(db.Footprint().ColPayload) })
+	metrics.Default().GaugeFunc("hs_index_bytes",
+		"size of every PK and secondary index of both stores: 8 bytes per hash-table slot",
+		func() int64 { return int64(db.Footprint().Index) })
 	return db
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"hybridstore/internal/agg"
 	"hybridstore/internal/catalog"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/expr"
 	"hybridstore/internal/query"
 	"hybridstore/internal/schema"
@@ -145,6 +146,45 @@ func TestExplainAnalyzeDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExplainAnalyzeKeyRead: a read naming the whole key of a column table
+// takes its one row from the PK index — EXPLAIN ANALYZE reports one row out
+// of the scan and no block decoded — and recruits no helper from an 8-slot
+// pool. The same read written as a key range is the scan it replaces: it
+// decodes the key's block and fans out over the pool.
+func TestExplainAnalyzeKeyRead(t *testing.T) {
+	db := newDB(t, catalog.ColumnStore, 20_000)
+	if err := db.Compact("sales"); err != nil {
+		t.Fatal(err)
+	}
+	pool := exec.NewPool(8)
+	db.SetPool(pool)
+	for _, c := range []struct {
+		pred    expr.Predicate
+		storage string
+		helpers bool
+	}{
+		{idEq(12_345), "main_rows=1", false},
+		{&expr.Between{Col: 0, Lo: value.NewBigint(12_345), Hi: value.NewBigint(12_345)}, "blocks_decoded=1 ", true},
+	} {
+		done := pool.Stats().Done
+		ex, err := db.ExplainAnalyzeContext(context.Background(), &query.Query{
+			Kind: query.Select, Table: "sales", Cols: []int{0, 2, 4}, Pred: c.pred})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows, _, ok := explainStage(t, ex, "scan"); !ok || rows != 1 {
+			t.Errorf("%s: scan rows_out %d (present %v), want 1", c.pred, rows, ok)
+		}
+		_, detail, _ := explainStage(t, ex, "storage")
+		if !strings.Contains(detail+" ", c.storage) || !c.helpers && strings.Contains(detail, "blocks_decoded") {
+			t.Errorf("%s: storage counters %q, want %q", c.pred, detail, c.storage)
+		}
+		if helped := pool.Stats().Done != done; helped != c.helpers {
+			t.Errorf("%s: pool helpers ran: %v, want %v", c.pred, helped, c.helpers)
+		}
 	}
 }
 

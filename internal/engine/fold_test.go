@@ -295,8 +295,17 @@ func TestUnfoldedUpdateKeepsItsPlace(t *testing.T) {
 		mustExec(t, db, differentialSteps()[0].q)
 		rng := &query.Query{Kind: query.Select, Table: "dml", Pred: &expr.Between{Col: 0, Lo: value.NewBigint(60), Hi: value.NewBigint(64)}}
 		before := mustExec(t, db, rng)
-		db.mu.RLock() // the committer's TryLock fails: the commit stays in the overlay
+		db.mu.RLock() // the committer's TryLock fails: the commits stay in the overlay
 		mustExec(t, db, &query.Query{Kind: query.Update, Table: "dml", Pred: idEq(62), Set: map[int]value.Value{2: value.NewDouble(-1)}})
+		// Keyed writes and reads of unfolded keys: auto-commit, and in a
+		// transaction that writes its key twice.
+		updateAndRead(t, db, nil, "dml", 62, 3, value.NewVarchar("unfolded"))
+		tx := begin(t, db)
+		updateAndRead(t, db, tx, "dml", 63, 2, value.NewDouble(-2))
+		updateAndRead(t, db, tx, "dml", 63, 2, value.NewDouble(-3))
+		if err := tx.Commit(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 		db.mu.RUnlock()
 		after := mustExec(t, db, rng)
 		if len(after.Rows) != len(before.Rows) {
@@ -306,9 +315,27 @@ func TestUnfoldedUpdateKeepsItsPlace(t *testing.T) {
 			if row[0].Int() != before.Rows[i][0].Int() {
 				t.Errorf("%s: position %d holds id %d, before the update id %d", lay.name, i, row[0].Int(), before.Rows[i][0].Int())
 			}
-			if row[0].Int() == 62 && row[2].Double() != -1 {
-				t.Errorf("%s: the committed update is not visible: %v", lay.name, row)
+			if id := row[0].Int(); id == 62 && (row[2].Double() != -1 || row[3].Varchar() != "unfolded") || id == 63 && row[2].Double() != -3 {
+				t.Errorf("%s: a committed update is not visible: %v", lay.name, row)
 			}
 		}
+	}
+}
+
+// updateAndRead sets column col of row id to v by key and reads the row
+// back by key, both in tx (auto-commit when nil): the read must see the
+// write.
+func updateAndRead(t *testing.T, db *Database, tx *Txn, table string, id int64, col int, v value.Value) {
+	t.Helper()
+	exec := db.Exec
+	if tx != nil {
+		exec = tx.Exec
+	}
+	if res, err := exec(&query.Query{Kind: query.Update, Table: table, Pred: idEq(id), Set: map[int]value.Value{col: v}}); err != nil || res.Affected != 1 {
+		t.Fatalf("update of id %d: %v, %v", id, res, err)
+	}
+	res, err := exec(&query.Query{Kind: query.Select, Table: table, Cols: []int{0, col}, Pred: idEq(id)})
+	if err != nil || len(res.Rows) != 1 || !value.Equal(res.Rows[0][1], v) {
+		t.Fatalf("read of id %d after writing %v: %v, %v", id, v, res, err)
 	}
 }

@@ -49,12 +49,7 @@ func (h *horizontalStorage) Insert(rows [][]value.Value) error {
 	// partitions (uniqueness is a table invariant, not a per-side one) —
 	// so a failing INSERT never leaves the hot side mutated while the
 	// cold side rejects, and no cross-partition duplicate can form.
-	for _, row := range rows {
-		if err := h.sch.ValidateRow(row); err != nil {
-			return err
-		}
-	}
-	if err := checkInsertPKs(h.sch, rows, h.HasPK); err != nil {
+	if err := h.sch.ValidateInsert(rows, h.HasPK); err != nil {
 		return err
 	}
 	hotRows, coldRows := h.split(rows)
@@ -200,11 +195,11 @@ func (h *horizontalStorage) Update(pred expr.Predicate, set map[int]value.Value)
 }
 
 // validatePKUpdate pre-validates a PK-changing update across both
-// partitions (checkPKUpdate). Updates here never change the split column
-// (those route to migratingUpdate), so each row's new key stays on the
-// row's own side.
+// partitions (schema.ValidateKeyUpdate). Updates here never change the
+// split column (those route to migratingUpdate), so each row's new key
+// stays on the row's own side.
 func (h *horizontalStorage) validatePKUpdate(pred expr.Predicate, set map[int]value.Value) error {
-	if !assignsPK(h.sch, set) {
+	if !h.sch.AssignsKey(set) {
 		return nil
 	}
 	var keys [][]value.Value
@@ -212,7 +207,7 @@ func (h *horizontalStorage) validatePKUpdate(pred expr.Predicate, set map[int]va
 		keys = append(keys, h.sch.PKValues(row))
 		return true
 	})
-	return checkPKUpdate(h.sch, set, keys, h.HasPK)
+	return h.sch.ValidateKeyUpdate(set, keys, h.HasPK)
 }
 
 // migratingUpdate handles updates that change the split column: affected

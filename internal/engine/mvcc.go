@@ -710,27 +710,15 @@ func txnInsert(rt *tableRuntime, sch *schema.Table, t *txn.Txn, q *query.Query) 
 }
 
 func (db *Database) txnUpdate(rt *tableRuntime, sch *schema.Table, t *txn.Txn, q *query.Query) (*Result, error) {
-	// Validate assignments up front, mirroring the stores' strict checks.
-	for col, v := range q.Set {
-		if col < 0 || col >= sch.NumColumns() {
-			return nil, fmt.Errorf("engine: update column %d out of range in %q", col, sch.Name)
-		}
-		c := sch.Columns[col]
-		if v.IsNull() {
-			if !c.Nullable {
-				return nil, fmt.Errorf("engine: column %q of table %q is NOT NULL", c.Name, sch.Name)
-			}
-			continue
-		}
-		if v.Type() != c.Type {
-			return nil, fmt.Errorf("engine: column %q of table %q expects %s, got %s", c.Name, sch.Name, c.Type, v.Type())
-		}
+	// Validate assignments up front, as the stores do.
+	if err := sch.ValidateSet(q.Set); err != nil {
+		return nil, err
 	}
 	olds := db.matchForWrite(rt, t, q.Pred)
 	if len(olds) == 0 {
 		return &Result{}, nil
 	}
-	pkChanged := assignsPK(sch, q.Set)
+	pkChanged := sch.AssignsKey(q.Set)
 	news := make([][]value.Value, len(olds))
 	for i, old := range olds {
 		nr := make([]value.Value, len(old))

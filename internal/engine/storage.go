@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"hybridstore/internal/agg"
 	"hybridstore/internal/colstore"
 	"hybridstore/internal/exec"
@@ -36,14 +34,16 @@ type storage interface {
 	// lets the stores fan the scan out across morsel workers. A nil ex
 	// (or nil ex.Pool) runs serially without cancellation.
 	Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate, ex *exec.Ctx) *agg.Result
-	// CreateIndex adds a secondary index where the underlying store
-	// supports one (row stores); otherwise it is a no-op. Callers that
-	// need to distinguish must consult SupportsIndex first.
+	// CreateIndex adds a secondary hash index (internal/pkindex, the table
+	// every PK index is) where the underlying store keeps them — row
+	// stores; otherwise it is a no-op. Callers that need to distinguish
+	// must consult SupportsIndex first.
 	CreateIndex(col int)
 	// SupportsIndex reports whether CreateIndex(col) would materialize a
 	// secondary index under the current layout. Column stores answer
-	// false (their sorted dictionaries are the implicit index the paper
-	// describes); partitioned layouts answer true when at least one
+	// false: their sorted dictionaries are the implicit index the paper
+	// describes for value predicates, and their PK index serves keyed
+	// reads and writes. Partitioned layouts answer true when at least one
 	// partition holding the column is row-oriented.
 	SupportsIndex(col int) bool
 	// Compact brings the storage to its read-optimized steady state:
@@ -84,81 +84,19 @@ type Footprint struct {
 	RowArena    int // row-store arenas: value slots, NULL bitmaps, string heaps
 	ColPayload  int
 	ColResident int // column-store fragments, by capacity (colstore.ResidentBytes)
+	Index       int // every PK and secondary index of both stores, by capacity
 }
 
 func (f *Footprint) addRow(t *rowstore.Table) {
 	f.RowPayload += t.MemoryBytes()
 	f.RowArena += t.ArenaBytes()
+	f.Index += t.IndexBytes()
 }
 
 func (f *Footprint) addCol(t *colstore.Table) {
 	f.ColPayload += t.MemoryBytes()
 	f.ColResident += t.ResidentBytes()
-}
-
-// checkInsertPKs validates an insert batch against the table-wide
-// primary-key invariant before any partition is mutated: no key may
-// already be live anywhere in the table (hasPK must answer for the
-// whole table, not one partition) and no key may appear twice within
-// the batch. Partitioned layouts call it so a failing INSERT is atomic
-// and cannot create cross-partition duplicates.
-func checkInsertPKs(sch *schema.Table, rows [][]value.Value, hasPK func([]value.Value) bool) error {
-	if len(sch.PrimaryKey) == 0 {
-		return nil
-	}
-	batchKeys := make(map[string]struct{}, len(rows))
-	for _, row := range rows {
-		key := sch.PKValues(row)
-		ks := value.TupleKey(key)
-		if _, dup := batchKeys[ks]; dup {
-			return fmt.Errorf("engine: duplicate primary key %v within insert batch in table %q", key, sch.Name)
-		}
-		batchKeys[ks] = struct{}{}
-		if hasPK(key) {
-			return fmt.Errorf("engine: duplicate primary key %v in table %q", key, sch.Name)
-		}
-	}
-	return nil
-}
-
-// assignsPK reports whether an UPDATE's assignments touch the primary key.
-func assignsPK(sch *schema.Table, set map[int]value.Value) bool {
-	for _, k := range sch.PrimaryKey {
-		if _, ok := set[k]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-// checkPKUpdate validates a PK-changing update against the table-wide
-// primary-key invariant before any partition is mutated. keys are the
-// current keys of the matched rows: no two may converge on one new key,
-// and a row that changes its key may not take one a live row holds —
-// hasPK must answer for the whole table, because the per-partition
-// stores cannot see a collision sitting in the other partition.
-func checkPKUpdate(sch *schema.Table, set map[int]value.Value, keys [][]value.Value, hasPK func([]value.Value) bool) error {
-	seen := make(map[string]struct{}, len(keys))
-	for _, key := range keys {
-		newKey := make([]value.Value, len(key))
-		unchanged := true
-		for i, k := range sch.PrimaryKey {
-			newKey[i] = key[i]
-			if v, ok := set[k]; ok {
-				newKey[i] = v
-				unchanged = unchanged && value.Equal(v, key[i])
-			}
-		}
-		ks := value.TupleKey(newKey)
-		if _, dup := seen[ks]; dup {
-			return fmt.Errorf("engine: update would assign duplicate primary key %v to multiple rows in %q", newKey, sch.Name)
-		}
-		seen[ks] = struct{}{}
-		if !unchanged && hasPK(newKey) {
-			return fmt.Errorf("engine: update would duplicate primary key %v in table %q", newKey, sch.Name)
-		}
-	}
-	return nil
+	f.Index += t.IndexBytes()
 }
 
 // persistRowTable streams a row-store table as a count-prefixed row
@@ -260,10 +198,7 @@ func (s *rowStorage) Compact() { s.t.Compact() }
 
 func (s *rowStorage) footprint(f *Footprint) { f.addRow(s.t) }
 
-func (s *rowStorage) HasPK(key []value.Value) bool {
-	_, ok := s.t.LookupPK(key)
-	return ok
-}
+func (s *rowStorage) HasPK(key []value.Value) bool { return s.t.HasPK(key) }
 
 func (s *rowStorage) DeletePK(key []value.Value) bool { return s.t.DeletePK(key) }
 
@@ -304,8 +239,9 @@ func (s *colStorage) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predic
 }
 
 // CreateIndex is a no-op: the column store's sorted dictionaries already
-// provide the implicit index the paper describes. SupportsIndex lets
-// callers detect this instead of assuming an index was materialized.
+// provide the implicit index the paper describes, and a predicate naming
+// the whole key goes through its PK index. SupportsIndex lets callers
+// detect this instead of assuming an index was materialized.
 func (s *colStorage) CreateIndex(col int) {}
 
 func (s *colStorage) SupportsIndex(col int) bool { return false }
@@ -316,10 +252,7 @@ func (s *colStorage) Compact() { s.t.Merge() }
 
 func (s *colStorage) footprint(f *Footprint) { f.addCol(s.t) }
 
-func (s *colStorage) HasPK(key []value.Value) bool {
-	_, ok := s.t.LookupPK(key)
-	return ok
-}
+func (s *colStorage) HasPK(key []value.Value) bool { return s.t.HasPK(key) }
 
 func (s *colStorage) DeletePK(key []value.Value) bool { return s.t.DeletePK(key) }
 

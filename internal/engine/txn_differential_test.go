@@ -226,6 +226,33 @@ func TestTxnDifferentialWall(t *testing.T) {
 			default:
 			}
 
+			// One more transfer, whose commit stays in the version overlay —
+			// this goroutine holds the read lock every fold needs — writing
+			// and reading its keys back by key inside the transaction, then
+			// keyed auto-commit writes and reads of them before the fold.
+			db.Vacuum()
+			db.mu.RLock()
+			tx, err := db.Begin(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			balA, errA := readBal(tx, 0)
+			balB, errB := readBal(tx, 1)
+			if errA != nil || errB != nil {
+				t.Fatal(errA, errB)
+			}
+			updateAndRead(t, db, tx, "sales", 0, 3, value.NewInt(balA-1))
+			updateAndRead(t, db, tx, "sales", 0, 3, value.NewInt(balA-7))
+			updateAndRead(t, db, tx, "sales", 1, 3, value.NewInt(balB+7))
+			if err := tx.Commit(ctx); err != nil {
+				t.Fatal(err)
+			}
+			images = append(images, commitImage{ts: tx.CommitTS(), rows: map[int64]int64{0: balA - 7, 1: balB + 7}})
+			updateAndRead(t, db, nil, "sales", 0, 3, value.NewInt(balA-10))
+			updateAndRead(t, db, nil, "sales", 1, 3, value.NewInt(balB+10))
+			db.mu.RUnlock()
+			unfolded := map[int64]int64{0: balA - 10, 1: balB + 10}
+
 			db.Vacuum()
 
 			// Serial oracle: replay the committed images in commit order.
@@ -244,8 +271,11 @@ func TestTxnDifferentialWall(t *testing.T) {
 					oracle[id] = bal
 				}
 			}
-			if len(images) != workers*txnsPer {
-				t.Fatalf("logged %d commits, want %d", len(images), workers*txnsPer)
+			for id, bal := range unfolded {
+				oracle[id] = bal
+			}
+			if len(images) != workers*txnsPer+1 {
+				t.Fatalf("logged %d commits, want %d", len(images), workers*txnsPer+1)
 			}
 
 			res := mustExec(t, db, &query.Query{Kind: query.Select, Table: "sales"})

@@ -71,12 +71,7 @@ func (v *verticalStorage) Insert(rows [][]value.Value) error {
 	// row partition is authoritative for the PK) and duplicates within
 	// the batch — before touching either partition, so a failing INSERT
 	// is atomic.
-	for _, row := range rows {
-		if err := v.sch.ValidateRow(row); err != nil {
-			return err
-		}
-	}
-	if err := checkInsertPKs(v.sch, rows, v.HasPK); err != nil {
+	if err := v.sch.ValidateInsert(rows, v.HasPK); err != nil {
 		return err
 	}
 	// Project the batch once per partition and insert each projection
@@ -494,12 +489,12 @@ func (v *verticalStorage) spanningGeneric(res *agg.Result, colPred, post expr.Pr
 // OLTP attributes). Otherwise matching primary keys are collected first
 // and each partition is updated by key.
 func (v *verticalStorage) Update(pred expr.Predicate, set map[int]value.Value) (int, error) {
+	if err := v.sch.ValidateSet(set); err != nil {
+		return 0, err
+	}
 	rowSet := map[int]value.Value{}
 	colSet := map[int]value.Value{}
 	for c, val := range set {
-		if c < 0 || c >= v.sch.NumColumns() {
-			return 0, fmt.Errorf("engine: update column %d out of range in %q", c, v.sch.Name)
-		}
 		if n, ok := v.rowFwd[c]; ok {
 			rowSet[n] = val
 		}
@@ -524,8 +519,8 @@ func (v *verticalStorage) Update(pred expr.Predicate, set map[int]value.Value) (
 	// must be rejected up front — both against rows outside the matched
 	// set and between the new keys of this statement — or a mid-loop
 	// failure would leave the partitions partially updated.
-	if assignsPK(v.sch, set) {
-		if err := checkPKUpdate(v.sch, set, keys, v.HasPK); err != nil {
+	if v.sch.AssignsKey(set) {
+		if err := v.sch.ValidateKeyUpdate(set, keys, v.HasPK); err != nil {
 			return 0, err
 		}
 	}
@@ -579,13 +574,10 @@ func (v *verticalStorage) Delete(pred expr.Predicate) int {
 // HasPK reports whether a live row carries the given primary-key values
 // (the row partition is authoritative; keys are in table PK order,
 // which projection preserves).
-func (v *verticalStorage) HasPK(key []value.Value) bool {
-	_, ok := v.rowPart.LookupPK(key)
-	return ok
-}
+func (v *verticalStorage) HasPK(key []value.Value) bool { return v.rowPart.HasPK(key) }
 
-// DeletePK and Upsert go through the predicate paths: a keyed write on a
-// vertical split still costs what Delete and Insert cost.
+// DeletePK and Upsert go through the predicate paths, which resolve a key
+// through each partition's PK index.
 func (v *verticalStorage) DeletePK(key []value.Value) bool {
 	return v.Delete(pkPredicate(v.sch.PrimaryKey, key)) > 0
 }

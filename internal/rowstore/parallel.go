@@ -38,7 +38,7 @@ func (t *Table) AggregateExec(specs []agg.Spec, groupBy []int, pred expr.Predica
 		}
 	}
 	capRows := t.capacityRows()
-	if _, indexed := t.candidateRows(pred); indexed || capRows < parallelMinRows {
+	if _, indexed := t.candidateRows(pred, nil); indexed || capRows < parallelMinRows {
 		stop, visited := ex.StopHook(), 0
 		t.ScanCols(pred, cols, func(rid int, row []value.Value) bool {
 			if stop != nil {

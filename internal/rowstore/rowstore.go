@@ -21,6 +21,7 @@ import (
 
 	"hybridstore/internal/agg"
 	"hybridstore/internal/expr"
+	"hybridstore/internal/pkindex"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
 )
@@ -47,9 +48,9 @@ type Table struct {
 	strFree  []uint32
 	strBytes int
 
-	pkIndex   map[uint64][]int32 // hash(PK) -> candidate row ids
-	pkOrdered *orderedPK         // ordered index for single-column PKs
-	secondary map[int]map[uint64][]int32
+	pkIndex   *pkindex.Index // hash(PK) -> row id
+	pkOrdered *orderedPK     // ordered index for single-column PKs
+	secondary map[int]*pkindex.Index
 }
 
 // New creates an empty row-store table for the schema. A hash index on the
@@ -64,7 +65,7 @@ func New(sch *schema.Table) *Table {
 		stride:    n,
 		nw:        (n + 63) / 64,
 		width:     n + (n+63)/64,
-		secondary: make(map[int]map[uint64][]int32),
+		secondary: make(map[int]*pkindex.Index),
 	}
 	t.blank = make([]uint64, t.width)
 	for c := range t.all {
@@ -75,7 +76,7 @@ func New(sch *schema.Table) *Table {
 		}
 	}
 	if len(sch.PrimaryKey) > 0 {
-		t.pkIndex = make(map[uint64][]int32)
+		t.pkIndex = &pkindex.Index{}
 		if len(sch.PrimaryKey) == 1 {
 			t.pkOrdered = &orderedPK{}
 		}
@@ -215,13 +216,14 @@ func (t *Table) LookupPK(key []value.Value) (int, bool) {
 	if t.pkIndex == nil || len(key) != len(t.sch.PrimaryKey) {
 		return 0, false
 	}
-	h := value.HashRow(key)
-	for _, rid := range t.pkIndex[h] {
-		if t.valid[rid] && t.pkEqual(int(rid), key) {
-			return int(rid), true
-		}
-	}
-	return 0, false
+	rid, ok := t.pkIndex.Lookup(value.HashRow(key), func(rid int32) bool { return t.pkEqual(int(rid), key) })
+	return int(rid), ok
+}
+
+// HasPK reports whether a live row holds the primary key.
+func (t *Table) HasPK(key []value.Value) bool {
+	_, ok := t.LookupPK(key)
+	return ok
 }
 
 // LookupPKNear is LookupPK with a guess: when slot hint holds the key the
@@ -243,25 +245,8 @@ func (t *Table) LookupPKNear(key []value.Value, hint int) (int, bool) {
 // durable engine that logs only acknowledged statements can replay to
 // exactly the same state.
 func (t *Table) Insert(rows [][]value.Value) error {
-	var batchKeys map[string]struct{}
-	for _, row := range rows {
-		if err := t.sch.ValidateRow(row); err != nil {
-			return err
-		}
-		if t.pkIndex != nil {
-			key := t.sch.PKValues(row)
-			if _, dup := t.LookupPK(key); dup {
-				return fmt.Errorf("rowstore: duplicate primary key %v in table %q", key, t.sch.Name)
-			}
-			if batchKeys == nil {
-				batchKeys = make(map[string]struct{}, len(rows))
-			}
-			ks := value.TupleKey(key)
-			if _, dup := batchKeys[ks]; dup {
-				return fmt.Errorf("rowstore: duplicate primary key %v within insert batch in table %q", key, t.sch.Name)
-			}
-			batchKeys[ks] = struct{}{}
-		}
+	if err := t.sch.ValidateInsert(rows, t.HasPK); err != nil {
+		return err
 	}
 	for _, row := range rows {
 		t.appendRow(row)
@@ -280,16 +265,9 @@ func (t *Table) appendRow(row []value.Value) {
 	}
 	t.valid = append(t.valid, true)
 	t.live++
-	if t.pkIndex != nil {
-		h := t.pkHash(rid)
-		t.pkIndex[h] = append(t.pkIndex[h], rid)
-	}
-	if t.pkOrdered != nil {
-		t.pkOrdered.insert(t, rid)
-	}
+	t.indexPK(rid)
 	for col, idx := range t.secondary {
-		h := t.cell(base, col).Hash()
-		idx[h] = append(idx[h], rid)
+		idx.Add(t.cell(base, col).Hash(), rid)
 	}
 }
 
@@ -318,8 +296,8 @@ func (t *Table) Upsert(rows [][]value.Value) error {
 		for c, v := range row {
 			if idx, ok := t.secondary[c]; ok {
 				if old := t.cell(base, c); !value.Equal(old, v) {
-					removeRid(idx, old.Hash(), int32(rid))
-					idx[v.Hash()] = append(idx[v.Hash()], int32(rid))
+					idx.Remove(old.Hash(), int32(rid))
+					idx.Add(v.Hash(), int32(rid))
 				}
 			}
 			t.set(base, c, v)
@@ -335,11 +313,10 @@ func (t *Table) CreateIndex(col int) {
 	if _, ok := t.secondary[col]; ok {
 		return
 	}
-	idx := make(map[uint64][]int32)
+	idx := &pkindex.Index{}
 	for rid, ok := range t.valid {
 		if ok {
-			h := t.Value(rid, col).Hash()
-			idx[h] = append(idx[h], int32(rid))
+			idx.Add(t.Value(rid, col).Hash(), int32(rid))
 		}
 	}
 	t.secondary[col] = idx
@@ -355,15 +332,15 @@ func (t *Table) HasIndex(col int) bool {
 }
 
 // candidateRows returns a restricted candidate row set for the predicate
-// when an index applies. ok is false when no index serves the predicate
-// and the caller must scan everything.
-func (t *Table) candidateRows(pred expr.Predicate) ([]int32, bool) {
+// when an index applies, appending hash-index candidates to buf. ok is false
+// when no index serves the predicate and the caller must scan everything.
+func (t *Table) candidateRows(pred expr.Predicate, buf []int32) ([]int32, bool) {
 	if pred == nil {
 		return nil, false
 	}
 	// PK point lookup through the hash index.
 	if key, ok := expr.PKEquality(pred, t.sch.PrimaryKey); ok && t.pkIndex != nil {
-		return t.pkIndex[value.HashRow(key)], true
+		return t.pkIndex.Append(buf, value.HashRow(key)), true
 	}
 	// Secondary index equality.
 	for _, c := range expr.Conjuncts(pred) {
@@ -372,7 +349,7 @@ func (t *Table) candidateRows(pred expr.Predicate) ([]int32, bool) {
 			continue
 		}
 		if idx, ok := t.secondary[cmp.Col]; ok {
-			return idx[cmp.Val.Hash()], true
+			return idx.Append(buf, cmp.Val.Hash()), true
 		}
 	}
 	// PK range through the ordered index (the row-store B-tree analogue).
@@ -407,7 +384,8 @@ func (t *Table) ScanCols(pred expr.Predicate, cols []int, fn func(rid int, row [
 		t.Read(rid, cols, row)
 		return fn(rid, row)
 	}
-	if cand, ok := t.candidateRows(pred); ok {
+	var buf [4]int32
+	if cand, ok := t.candidateRows(pred, buf[:0]); ok {
 		for _, rid := range cand {
 			if !visit(int(rid)) {
 				return
@@ -451,49 +429,25 @@ func (t *Table) matching(pred expr.Predicate) []int32 {
 // number of rows changed. Updates are in place; indexes on changed columns
 // (including the PK index) are maintained.
 func (t *Table) Update(pred expr.Predicate, set map[int]value.Value) (int, error) {
-	for col, v := range set {
-		if col < 0 || col >= t.stride {
-			return 0, fmt.Errorf("rowstore: update column %d out of range in %q", col, t.sch.Name)
-		}
-		c := t.sch.Columns[col]
-		if v.IsNull() && !c.Nullable {
-			return 0, fmt.Errorf("rowstore: column %q is NOT NULL", c.Name)
-		}
-		if !v.IsNull() && v.Type() != c.Type {
-			return 0, fmt.Errorf("rowstore: column %q expects %s, got %s", c.Name, c.Type, v.Type())
-		}
-	}
-	pkChanged := false
-	for _, k := range t.sch.PrimaryKey {
-		if _, ok := set[k]; ok && t.pkIndex != nil {
-			pkChanged = true
-		}
+	if err := t.sch.ValidateSet(set); err != nil {
+		return 0, err
 	}
 	touched := t.matching(pred)
 	// An update that changes the primary key must not create duplicates:
-	// validate every new key — against the pre-statement table state and
-	// against the other new keys of the same statement — before mutating
-	// anything, so a violating UPDATE fails atomically instead of
-	// corrupting pkIndex.
+	// every new key is validated — against the pre-statement table state and
+	// against the other new keys of the same statement — before anything
+	// changes, so a violating UPDATE fails atomically instead of corrupting
+	// the PK index.
+	pkChanged := t.sch.AssignsKey(set)
 	if pkChanged {
-		newKeys := make(map[string]struct{}, len(touched))
-		for _, rid := range touched {
-			key := make([]value.Value, len(t.sch.PrimaryKey))
-			for i, k := range t.sch.PrimaryKey {
-				if v, ok := set[k]; ok {
-					key[i] = v
-				} else {
-					key[i] = t.Value(int(rid), k)
-				}
-			}
-			ks := value.TupleKey(key)
-			if _, dup := newKeys[ks]; dup {
-				return 0, fmt.Errorf("rowstore: update would assign duplicate primary key %v to multiple rows in %q", key, t.sch.Name)
-			}
-			newKeys[ks] = struct{}{}
-			if orid, ok := t.LookupPK(key); ok && int32(orid) != rid {
-				return 0, fmt.Errorf("rowstore: update would duplicate primary key %v in table %q", key, t.sch.Name)
-			}
+		keys := make([][]value.Value, len(touched))
+		row := make([]value.Value, t.stride)
+		for i, rid := range touched {
+			t.Read(int(rid), t.sch.PrimaryKey, row)
+			keys[i] = t.sch.PKValues(row)
+		}
+		if err := t.sch.ValidateKeyUpdate(set, keys, t.HasPK); err != nil {
+			return 0, err
 		}
 	}
 	for _, rid := range touched {
@@ -503,29 +457,35 @@ func (t *Table) Update(pred expr.Predicate, set map[int]value.Value) (int, error
 		}
 		for col, v := range set {
 			if idx, ok := t.secondary[col]; ok {
-				removeRid(idx, t.cell(base, col).Hash(), rid)
-				idx[v.Hash()] = append(idx[v.Hash()], rid)
+				idx.Remove(t.cell(base, col).Hash(), rid)
+				idx.Add(v.Hash(), rid)
 			}
 			t.set(base, col, v)
 		}
 		if pkChanged {
-			h := t.pkHash(rid)
-			t.pkIndex[h] = append(t.pkIndex[h], rid)
-			if t.pkOrdered != nil {
-				t.pkOrdered.insert(t, rid)
-			}
+			t.indexPK(rid)
 		}
 	}
 	return len(touched), nil
 }
 
-// unindexPK takes row rid out of the primary-key indexes, under the key it
-// currently stores.
+// indexPK enters row rid into the primary-key indexes under the key it
+// stores; unindexPK takes it out again.
+func (t *Table) indexPK(rid int32) {
+	if t.pkIndex == nil {
+		return
+	}
+	t.pkIndex.Add(t.pkHash(rid), rid)
+	if t.pkOrdered != nil {
+		t.pkOrdered.insert(t, rid)
+	}
+}
+
 func (t *Table) unindexPK(rid int32) {
 	if t.pkIndex == nil {
 		return
 	}
-	removeRid(t.pkIndex, t.pkHash(rid), rid)
+	t.pkIndex.Remove(t.pkHash(rid), rid)
 	if t.pkOrdered != nil {
 		t.pkOrdered.remove(t, rid)
 	}
@@ -558,7 +518,7 @@ func (t *Table) drop(rid int32) {
 	base := t.base(int(rid))
 	t.unindexPK(rid)
 	for col, idx := range t.secondary {
-		removeRid(idx, t.cell(base, col).Hash(), rid)
+		idx.Remove(t.cell(base, col).Hash(), rid)
 	}
 	for _, c := range t.varchars {
 		t.set(base, c, value.Null(value.Varchar))
@@ -613,17 +573,10 @@ func (t *Table) Compact() int {
 	}
 	// Tombstoned rows left the indexes when they were dropped, so every
 	// indexed id has a new number and no key needs rehashing or sorting.
-	renumber := func(idx map[uint64][]int32) {
-		for _, rids := range idx {
-			for i, rid := range rids {
-				rids[i] = remap[rid]
-			}
-		}
-	}
-	renumber(t.pkIndex)
 	for _, idx := range t.secondary {
-		renumber(idx)
+		idx.Renumber(remap)
 	}
+	t.pkIndex.Renumber(remap)
 	if t.pkOrdered != nil {
 		for i, rid := range t.pkOrdered.rids {
 			t.pkOrdered.rids[i] = remap[rid]
@@ -651,18 +604,15 @@ func (t *Table) ArenaBytes() int {
 	return 8*len(t.slots) + 16*len(t.strs) + t.strBytes
 }
 
-// removeRid takes rid out of the chain of hash h.
-func removeRid(idx map[uint64][]int32, h uint64, rid int32) {
-	lst := idx[h]
-	for i, r := range lst {
-		if r == rid {
-			if len(lst) == 1 {
-				delete(idx, h)
-				return
-			}
-			lst[i] = lst[len(lst)-1]
-			idx[h] = lst[:len(lst)-1]
-			return
-		}
+// IndexBytes is the size of the table's indexes: the PK and secondary hash
+// tables at 8 bytes a slot and the ordered PK index at 4 bytes a row id.
+func (t *Table) IndexBytes() int {
+	n := t.pkIndex.Bytes()
+	for _, idx := range t.secondary {
+		n += idx.Bytes()
 	}
+	if t.pkOrdered != nil {
+		n += 4 * cap(t.pkOrdered.rids)
+	}
+	return n
 }

@@ -126,16 +126,103 @@ func (t *Table) ValidateRow(row []value.Value) error {
 		return fmt.Errorf("schema: table %q expects %d values, got %d", t.Name, len(t.Columns), len(row))
 	}
 	for i, v := range row {
-		c := t.Columns[i]
-		if v.IsNull() {
-			if !c.Nullable {
-				return fmt.Errorf("schema: column %q of table %q is NOT NULL", c.Name, t.Name)
+		if err := t.validateValue(i, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// validateValue checks that v fits column i: its type, or NULL where the
+// column allows it.
+func (t *Table) validateValue(i int, v value.Value) error {
+	c := t.Columns[i]
+	if v.IsNull() && !c.Nullable {
+		return fmt.Errorf("schema: column %q of table %q is NOT NULL", c.Name, t.Name)
+	}
+	if !v.IsNull() && v.Type() != c.Type {
+		return fmt.Errorf("schema: column %q of table %q expects %s, got %s", c.Name, t.Name, c.Type, v.Type())
+	}
+	return nil
+}
+
+// ValidateSet checks an UPDATE's assignments, column index to new value:
+// every column exists and every value fits it.
+func (t *Table) ValidateSet(set map[int]value.Value) error {
+	for col, v := range set {
+		if col < 0 || col >= len(t.Columns) {
+			return fmt.Errorf("schema: update column %d out of range in %q", col, t.Name)
+		}
+		if err := t.validateValue(col, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// AssignsKey reports whether an UPDATE's assignments touch the primary key.
+func (t *Table) AssignsKey(set map[int]value.Value) bool {
+	for _, k := range t.PrimaryKey {
+		if _, ok := set[k]; ok {
+			return true
+		}
+	}
+	return false
+}
+
+// ValidateKeyUpdate checks an UPDATE that assigns primary-key columns before
+// anything changes; keys are the current keys of the rows it matched. No
+// two rows may end up with one key, and a row whose key changes may not take
+// one taken reports as held.
+func (t *Table) ValidateKeyUpdate(set map[int]value.Value, keys [][]value.Value, taken func(key []value.Value) bool) error {
+	seen := make(map[string]struct{}, len(keys))
+	for _, key := range keys {
+		newKey := make([]value.Value, len(key))
+		unchanged := true
+		for i, k := range t.PrimaryKey {
+			newKey[i] = key[i]
+			if v, ok := set[k]; ok {
+				newKey[i] = v
+				unchanged = unchanged && value.Equal(v, key[i])
 			}
+		}
+		ks := value.TupleKey(newKey)
+		if _, dup := seen[ks]; dup {
+			return fmt.Errorf("schema: update would assign duplicate primary key %v to multiple rows in %q", newKey, t.Name)
+		}
+		seen[ks] = struct{}{}
+		if !unchanged && taken(newKey) {
+			return fmt.Errorf("schema: update would duplicate primary key %v in table %q", newKey, t.Name)
+		}
+	}
+	return nil
+}
+
+// ValidateInsert checks an insert batch before anything of it is stored:
+// every row against the schema (ValidateRow) and, when the table has a
+// primary key, every row's key against the keys taken reports as held and
+// against the batch's other keys — so a failing INSERT is atomic.
+func (t *Table) ValidateInsert(rows [][]value.Value, taken func(key []value.Value) bool) error {
+	var keys map[string]struct{}
+	for _, row := range rows {
+		if err := t.ValidateRow(row); err != nil {
+			return err
+		}
+		if len(t.PrimaryKey) == 0 {
 			continue
 		}
-		if v.Type() != c.Type {
-			return fmt.Errorf("schema: column %q of table %q expects %s, got %s", c.Name, t.Name, c.Type, v.Type())
+		key := t.PKValues(row)
+		if taken(key) {
+			return fmt.Errorf("schema: duplicate primary key %v in table %q", key, t.Name)
 		}
+		if keys == nil {
+			keys = make(map[string]struct{}, len(rows))
+		}
+		ks := value.TupleKey(key)
+		if _, dup := keys[ks]; dup {
+			return fmt.Errorf("schema: duplicate primary key %v within insert batch in table %q", key, t.Name)
+		}
+		keys[ks] = struct{}{}
 	}
 	return nil
 }

@@ -106,6 +106,7 @@ type statusBody struct {
 	RowArenaBytes int64         `json:"rowstore_arena_bytes"`
 	ColResident   int64         `json:"colstore_resident_bytes"`
 	ColPayload    int64         `json:"colstore_payload_bytes"`
+	IndexBytes    int64         `json:"index_bytes"`
 	SlowThreshold string        `json:"slow_query_threshold"`
 	Tables        []statusTable `json:"tables"`
 }
@@ -136,6 +137,7 @@ func (ds *DebugServer) writeStatus(w http.ResponseWriter, s *Server) {
 		RowArenaBytes: int64(fp.RowArena),
 		ColResident:   int64(fp.ColResident),
 		ColPayload:    int64(fp.ColPayload),
+		IndexBytes:    int64(fp.Index),
 		SlowThreshold: s.db.SlowQueryLogHandle().Threshold().String(),
 		Tables:        []statusTable{},
 	}

@@ -65,7 +65,7 @@ echo "== /metrics: valid Prometheus exposition =="
 metrics="$(curl -sf "http://127.0.0.1:$http_port/metrics")"
 echo "$metrics" | head -n 20
 # Loaded-daemon signals must be present.
-for want in hs_wal_fsync_seconds_bucket hs_engine_read_seconds_bucket hs_pool_slots hs_server_statements_total hs_rowstore_arena_bytes hs_colstore_resident_bytes hs_colstore_payload_bytes hs_colstore_merge_seconds_count hs_txn_fold_seconds_bucket hs_txn_fold_keys_total; do
+for want in hs_wal_fsync_seconds_bucket hs_engine_read_seconds_bucket hs_pool_slots hs_server_statements_total hs_rowstore_arena_bytes hs_colstore_resident_bytes hs_colstore_payload_bytes hs_index_bytes hs_colstore_merge_seconds_count hs_txn_fold_seconds_bucket hs_txn_fold_keys_total; do
   echo "$metrics" | grep -q "^$want" || { echo "FAIL: /metrics missing $want" >&2; exit 1; }
 done
 # Every non-comment line must match the exposition text format:
@@ -82,6 +82,7 @@ status="$(curl -sf "http://127.0.0.1:$http_port/status")"
 echo "$status"
 echo "$status" | grep -q '"kv"'         || { echo "FAIL: /status missing table kv" >&2; exit 1; }
 echo "$status" | grep -q '"slots"'      || { echo "FAIL: /status missing pool stats" >&2; exit 1; }
+echo "$status" | grep -q '"index_bytes"' || { echo "FAIL: /status missing index_bytes" >&2; exit 1; }
 echo "$status" | python3 -c 'import json,sys; json.load(sys.stdin)' 2>/dev/null \
   || { echo "FAIL: /status is not valid JSON" >&2; exit 1; }
 
