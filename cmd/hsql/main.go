@@ -433,7 +433,7 @@ func (s *session) command(line string) bool {
 		}
 		e := db.Catalog().Table(fields[1])
 		fmt.Printf("  %s; per-column distinct/compression:\n", st)
-		for i, c := range e.Schema.Columns {
+		for i, c := range e.Schema.Columns[:e.Schema.Visible()] {
 			fmt.Printf("    %-20s %-8s distinct=%-8d compression=%.2f\n",
 				c.Name, c.Type, st.Distinct(i), st.CompressionOf(i))
 		}

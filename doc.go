@@ -22,6 +22,14 @@
 // oltp_point, olap_scan, htap_durable and advisor_offline — declared in
 // BENCHMARK.json, each reporting end-to-end and per-layer metrics.
 //
+// Every table has a primary key. CREATE TABLE may omit PRIMARY KEY; the
+// table is then keyed, as SQLite's rowid keys it, by a hidden BIGINT
+// column schema.RowKey ("$rowid") that the engine fills from a per-table
+// counter (restarted past the largest key on Open). No statement can name
+// it — '$' cannot start an identifier — and it never shows in SELECT *,
+// in result columns, in the rendered DDL or in the INSERT and COPY arity,
+// so rows equal in every declared column are still distinct rows.
+//
 // # Execution model
 //
 // The column store executes scans and aggregates as a block-based
@@ -46,8 +54,10 @@
 //   - Each main-fragment column keeps per-block (1024-row) zone maps:
 //     min/max dictionary code plus NULL presence. Blocks whose zone
 //     misses the predicate's code range are skipped without decoding;
-//     blocks fully inside it match wholesale as all-ones words. In-place
-//     updates widen zones conservatively; merges rebuild them tight.
+//     blocks fully inside it match wholesale as all-ones words. A write
+//     never changes a main-fragment code (it tombstones the row and
+//     appends the new image to the delta), so a zone built by a merge
+//     holds until the next one.
 //   - colstore.Table.ScanBatches streams matching rows in 1024-row
 //     batches with the requested columns bulk-decoded column-at-a-time
 //     (compress.Packed.UnpackBlock) into reused buffers. The row-at-a-time
@@ -182,9 +192,10 @@
 // bitmap or block walk: the key's row, if live, has the predicate's columns
 // decoded to check the remaining conjuncts, and a scan hands it over as a
 // batch of one with only the requested columns decoded and no pool helper;
-// the match bitmap that Update, Delete and the aggregates read is that one
-// bit. A keyed read or write on a column table therefore costs the tuple
-// reconstruction of one row, as the paper's cost model charges it.
+// the match bitmap the aggregates read is that one bit, and DeletePK and
+// Upsert find the row through the index directly. A keyed read or write on
+// a column table therefore costs the tuple reconstruction of one row, as
+// the paper's cost model charges it.
 //
 // Table.MemoryBytes is the logical payload (dictionary values at their
 // declared widths plus code vectors — what mem_bytes_per_row reports);
@@ -229,8 +240,8 @@
 // through Value and Read.
 //
 // Writes by key cost the row they touch. Update and Upsert overwrite
-// slots in place; Delete and DeletePK tombstone the window and take the
-// row out of every index. Once tombstones exceed a quarter of the live
+// slots in place; DeletePK tombstones the window and takes the row out of
+// every index. Once tombstones exceed a quarter of the live
 // rows (and 1024 windows) the arena and the string heap are rewritten and
 // the row ids in every index renumbered in place — no rehashing, no sorting — so
 // the arena holds at most ~1.25 windows per live row under any churn, at
@@ -407,13 +418,14 @@
 //
 //   - wal.log — an append-only write-ahead log of CRC32C-checked frames,
 //     each carrying one logical record (CREATE/DROP TABLE, CREATE INDEX,
-//     SET LAYOUT, INSERT with coerced rows, UPDATE, DELETE) plus a
-//     monotonically increasing sequence number. Every statement is
-//     enqueued under the engine's write lock (so log order equals apply
-//     order) and acknowledged only after its frame is written and
-//     fsynced. Commits are grouped: the first waiter becomes the flush
-//     leader and syncs every pending frame (up to Options.GroupCommit,
-//     default 256) in one batch, so concurrent writers share fsyncs.
+//     SET LAYOUT, a committed transaction's row images, a COPY batch)
+//     plus a monotonically increasing sequence number. Every write is
+//     enqueued in apply order — a commit under the transaction manager's
+//     commit lock, DDL and COPY under the engine's write lock — and
+//     acknowledged only after its frame is written and fsynced. Commits
+//     are grouped: the first waiter becomes the flush leader and syncs
+//     every pending frame (up to Options.GroupCommit, default 256) in one
+//     batch, so concurrent writers share fsyncs.
 //   - snapshot — the catalog plus every table's storage payload,
 //     written by Checkpoint as snapshot.tmp → fsync → rename → directory
 //     fsync, then the WAL is truncated. Serialization is fragment-
@@ -482,8 +494,9 @@
 //     discards in-flight ones — a torn tail mid-record rolls the whole
 //     transaction back, never part of it (asserted per byte cut in the
 //     recovery tests).
-//   - DDL is auto-commit only; statements on tables without a primary
-//     key cannot join a transaction.
+//   - DDL is auto-commit only. A table declared without a primary key is
+//     keyed by its hidden row key, so it versions, commits and folds
+//     exactly like any other.
 //   - Committed versions are folded into base storage behind the commit
 //     (opportunistically after each commit, and by the migrate
 //     scheduler's maintenance tick via engine.Vacuum), then pruned once
@@ -500,12 +513,9 @@
 //     commit, and re-applying a fold is harmless. An in-flight migration
 //     replays folds onto its target in the same keyed form. Until a
 //     commit is folded, a scan shows the committed image of an updated
-//     row in its base row's place, so a key-range read keeps its order. What stays
-//     predicate-based: a vertically split table implements the keyed
-//     calls through its Delete(pk = key) and Insert, which each partition
-//     answers through its PK index, and statements on tables without a
-//     primary key take the serial write path and apply their predicates
-//     to base storage directly.
+//     row in its base row's place, so a key-range read keeps its order. A
+//     vertically split table deletes a key from each partition through
+//     its PK index and upserts as that delete plus an insert into both.
 //
 // Failure handling in the driver: losing the connection inside a
 // transaction surfaces an error instead of transparently redialing —

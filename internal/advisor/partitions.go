@@ -83,9 +83,6 @@ func (a *Advisor) PartitionCandidates(w *query.Workload, info costmodel.InfoSour
 // layout cost estimate.
 func (a *Advisor) horizontalCandidate(ti costmodel.TableInfo, ts *stats.TableStats) (*catalog.HorizontalSpec, string) {
 	sch := ti.Schema
-	if len(sch.PrimaryKey) == 0 {
-		return nil, ""
-	}
 	splitCol := sch.PrimaryKey[0]
 	if !numericType(sch.Columns[splitCol].Type) {
 		return nil, ""
@@ -142,7 +139,7 @@ type verticalVariant struct {
 // partition is emitted and the caller decides by estimated cost.
 func (a *Advisor) verticalCandidates(ti costmodel.TableInfo, ts *stats.TableStats) []verticalVariant {
 	sch := ti.Schema
-	if len(sch.PrimaryKey) == 0 || len(ts.AttrUpdates) == 0 {
+	if len(ts.AttrUpdates) == 0 {
 		return nil
 	}
 	n := sch.NumColumns()

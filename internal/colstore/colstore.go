@@ -18,10 +18,9 @@
 // sorted one with a translation table, and the code vectors are re-encoded
 // through it, O(rows + distinct·log distinct_delta) — an amortized cost
 // that grows with table size, reproducing the insert-cost asymmetry between
-// the stores that the paper's BaseInsertCosts·f_#rows captures. Updates
-// reconstruct the affected tuple (the paper's f_#affectedColumns
-// tuple-reconstruction effort) unless the new values can be patched into
-// the row's fragment dictionaries in place.
+// the stores that the paper's BaseInsertCosts·f_#rows captures. A write
+// goes by primary key: DeletePK tombstones the key's row and Upsert
+// appends the new image to the delta, reconstructing nothing in place.
 package colstore
 
 import (
@@ -31,7 +30,6 @@ import (
 
 	"hybridstore/internal/bitset"
 	"hybridstore/internal/compress"
-	"hybridstore/internal/expr"
 	"hybridstore/internal/pkindex"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
@@ -132,9 +130,7 @@ func New(sch *schema.Table) *Table {
 			deltaDict: compress.NewUDict(sch.Columns[i].Type),
 		}
 	}
-	if len(sch.PrimaryKey) > 0 {
-		t.pkIndex = &pkindex.Index{}
-	}
+	t.pkIndex = &pkindex.Index{}
 	return t
 }
 
@@ -174,16 +170,6 @@ func (t *Table) materialize(rid int, cols []int, dst []value.Value) {
 // Valid reports whether row slot rid is live.
 func (t *Table) Valid(rid int) bool { return t.liveSet.Get(rid) }
 
-// pkHashAt hashes the primary key stored at row rid.
-func (t *Table) pkHashAt(rid int) uint64 {
-	var buf [4]value.Value
-	key := buf[:0]
-	for _, k := range t.sch.PrimaryKey {
-		key = append(key, t.cols[k].valueAt(rid, t.mainRows))
-	}
-	return value.HashRow(key)
-}
-
 func (t *Table) pkEqualAt(rid int, key []value.Value) bool {
 	for i, k := range t.sch.PrimaryKey {
 		if !value.Equal(t.cols[k].valueAt(rid, t.mainRows), key[i]) {
@@ -195,7 +181,7 @@ func (t *Table) pkEqualAt(rid int, key []value.Value) bool {
 
 // LookupPK returns the global row id holding the given primary key.
 func (t *Table) LookupPK(key []value.Value) (int, bool) {
-	if t.pkIndex == nil || len(key) != len(t.sch.PrimaryKey) {
+	if len(key) != len(t.sch.PrimaryKey) {
 		return 0, false
 	}
 	rid, ok := t.pkIndex.Lookup(value.HashRow(key), func(rid int32) bool { return t.pkEqualAt(int(rid), key) })
@@ -278,9 +264,7 @@ func (t *Table) appendRow(row []value.Value) {
 	t.liveSet = bitset.Grow(t.liveSet, int(rid)+1)
 	t.liveSet.Set(int(rid))
 	t.live++
-	if t.pkIndex != nil {
-		t.pkIndex.Add(value.HashRow(t.sch.PKValues(row)), rid)
-	}
+	t.pkIndex.Add(value.HashRow(t.sch.PKValues(row)), rid)
 }
 
 // Merge folds the delta fragment into the main fragment and compacts away
@@ -301,9 +285,7 @@ func (t *Table) Merge() {
 	t.deltaRows = 0
 	t.liveSet = bitset.New(t.mainRows)
 	t.liveSet.FillOnes(t.mainRows)
-	if t.pkIndex != nil {
-		t.rebuildPKIndex()
-	}
+	t.rebuildPKIndex()
 	t.merges++
 	mMergeRows.Add(int64(t.mainRows))
 	mMergeSeconds.Observe(time.Since(start).Nanoseconds())
@@ -357,8 +339,7 @@ func (t *Table) mergeColumn(c *column) {
 	c.mainDict = dict
 	// Encode picks the smallest coding per column — bit-packed, run-length
 	// or frame-of-reference — at merge time, when the value distribution
-	// is known. Non-bit-packed vectors are immutable; updateRow routes
-	// their in-place updates through the migrate path instead.
+	// is known.
 	c.mainCodes = compress.Encode(codes, dict.Len())
 	c.mainNulls = nulls
 	c.mainZones = buildZones(codes, nulls)
@@ -510,108 +491,4 @@ func (t *Table) ValueRuns(col int, fn func(v value.Value, rows int)) {
 			fn(t.CodeValue(col, uint32(code)), n)
 		}
 	}
-}
-
-// Update applies set to all live rows matching pred, returning the number
-// of rows changed. Rows in the delta fragment (or whose new values already
-// exist in the main dictionary) are patched in place; other main-fragment
-// rows are migrated: the full tuple is reconstructed, tombstoned and
-// re-appended to the delta — the column store's expensive update path.
-func (t *Table) Update(pred expr.Predicate, set map[int]value.Value) (int, error) {
-	if err := t.sch.ValidateSet(set); err != nil {
-		return 0, err
-	}
-	rids := t.matchingRows(pred)
-	// A new key colliding with another live row — or with another new key
-	// of the statement — would corrupt the PK index: the statement fails
-	// before anything changes.
-	pkChanged := t.sch.AssignsKey(set)
-	if pkChanged {
-		keys := make([][]value.Value, len(rids))
-		for i, rid := range rids {
-			keys[i] = t.sch.PKValues(t.Get(int(rid)))
-		}
-		if err := t.sch.ValidateKeyUpdate(set, keys, t.HasPK); err != nil {
-			return 0, err
-		}
-	}
-	for _, rid := range rids {
-		t.updateRow(int(rid), set, pkChanged)
-	}
-	return len(rids), nil
-}
-
-func (t *Table) updateRow(rid int, set map[int]value.Value, pkChanged bool) {
-	inPlace := true
-	if rid < t.mainRows {
-		for col, v := range set {
-			if _, mutable := t.cols[col].mainCodes.(compress.Mutable); !mutable {
-				// RLE/FoR-coded vector: no in-place overwrite; migrate.
-				inPlace = false
-				break
-			}
-			if v.IsNull() {
-				// Setting NULL in main needs a null bitmap we may not have
-				// sized; migrate for simplicity.
-				inPlace = false
-				break
-			}
-			if _, ok := t.cols[col].mainDict.Code(v); !ok {
-				inPlace = false
-				break
-			}
-			if nulls := t.cols[col].mainNulls; nulls != nil && nulls[rid] {
-				inPlace = false // clearing a NULL flag requires a rewrite
-				break
-			}
-		}
-	}
-	var oldKeyHash uint64
-	if pkChanged || !inPlace {
-		oldKeyHash = t.pkHashAt(rid)
-	}
-	if !inPlace {
-		// Migrate: reconstruct, tombstone, re-append with new values.
-		row := t.Get(rid)
-		for col, v := range set {
-			row[col] = v
-		}
-		t.tombstone(rid, oldKeyHash)
-		t.appendRow(row)
-		return
-	}
-	for col, v := range set {
-		c := &t.cols[col]
-		if rid < t.mainRows {
-			code, _ := c.mainDict.Code(v)
-			c.mainCodes.(compress.Mutable).Set(rid, code)
-			patchZone(c.mainZones, rid, code)
-		} else {
-			d := rid - t.mainRows
-			if v.IsNull() {
-				if c.deltaNulls == nil {
-					c.deltaNulls = make([]bool, len(c.deltaCodes))
-				}
-				c.deltaNulls[d] = true
-			} else {
-				c.deltaCodes[d] = c.deltaDict.GetOrAdd(v)
-				if c.deltaNulls != nil {
-					c.deltaNulls[d] = false
-				}
-			}
-		}
-	}
-	if pkChanged {
-		t.pkIndex.Remove(oldKeyHash, int32(rid))
-		t.pkIndex.Add(t.pkHashAt(rid), int32(rid))
-	}
-}
-
-// Delete tombstones all live rows matching pred.
-func (t *Table) Delete(pred expr.Predicate) int {
-	rids := t.matchingRows(pred)
-	for _, rid := range rids {
-		t.tombstone(int(rid), t.pkHashAt(int(rid)))
-	}
-	return len(rids)
 }

@@ -311,74 +311,88 @@ func TestAggregateNullHandling(t *testing.T) {
 	check()
 }
 
-func TestUpdateInPlaceDelta(t *testing.T) {
-	tb := loaded(t, 10) // all in delta
-	pred := &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(3)}
-	n, err := tb.Update(pred, map[int]value.Value{2: value.NewDouble(333)})
-	if err != nil || n != 1 {
-		t.Fatalf("update: %d, %v", n, err)
+// upsertAmount stores key id with the given amount, as a transaction's fold
+// does, and checks the image a key lookup then finds and the live count.
+func upsertAmount(t *testing.T, tb *Table, id int64, amount float64) {
+	t.Helper()
+	rows := tb.Rows()
+	if err := tb.Upsert([][]value.Value{mkRow(id, id%5, amount, "u")}); err != nil {
+		t.Fatal(err)
 	}
-	rid, _ := tb.LookupPK([]value.Value{value.NewBigint(3)})
-	if got := tb.Get(rid)[2].Double(); got != 333 {
-		t.Errorf("updated value = %v", got)
+	rid, ok := tb.LookupPK([]value.Value{value.NewBigint(id)})
+	if !ok || tb.Get(rid)[2].Double() != amount {
+		t.Fatalf("key %d after upsert: %v", id, tb.Get(rid))
 	}
-	if tb.Rows() != 10 {
-		t.Errorf("rows changed: %d", tb.Rows())
+	if tb.Rows() != rows {
+		t.Fatalf("live rows %d -> %d", rows, tb.Rows())
 	}
 }
 
+// TestUpdateInPlaceDelta upserts a key held in the delta: the new image
+// replaces it there, and the merge reclaims the superseded one.
+func TestUpdateInPlaceDelta(t *testing.T) {
+	tb := loaded(t, 10) // all in delta
+	upsertAmount(t, tb, 3, 333)
+	if tb.DeltaRows() != 11 {
+		t.Errorf("delta rows = %d, want 11 (10 + the new image)", tb.DeltaRows())
+	}
+	tb.Merge()
+	if tb.DeltaRows() != 0 || tb.Rows() != 10 {
+		t.Errorf("after merge: delta=%d rows=%d, want 0 and 10", tb.DeltaRows(), tb.Rows())
+	}
+	rid, _ := tb.LookupPK([]value.Value{value.NewBigint(3)})
+	if got := tb.Get(rid)[2].Double(); got != 333 {
+		t.Errorf("merged value = %v", got)
+	}
+}
+
+// TestUpdateMigratesMainRow upserts a key held in the main fragment with a
+// value its dictionary lacks: the row moves to the delta, and every key
+// keeps exactly one live row.
 func TestUpdateMigratesMainRow(t *testing.T) {
 	tb := loaded(t, 10)
 	tb.Merge() // everything in main
-	pred := &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(5)}
-	// -1 is not in the main dictionary, forcing a migrate.
-	n, err := tb.Update(pred, map[int]value.Value{2: value.NewDouble(-1)})
-	if err != nil || n != 1 {
-		t.Fatalf("update: %d, %v", n, err)
-	}
+	upsertAmount(t, tb, 5, -1)
 	if tb.DeltaRows() != 1 {
 		t.Errorf("expected row migration to delta, delta=%d", tb.DeltaRows())
-	}
-	rid, ok := tb.LookupPK([]value.Value{value.NewBigint(5)})
-	if !ok || tb.Get(rid)[2].Double() != -1 {
-		t.Errorf("migrated row wrong: %v", tb.Get(rid))
-	}
-	if tb.Rows() != 10 {
-		t.Errorf("live rows = %d", tb.Rows())
 	}
 	// Aggregates must see exactly one row per id.
 	res := tb.Aggregate([]agg.Spec{{Func: agg.Count, Col: -1}}, nil, nil)
 	if res.Rows()[0][0].Int() != 10 {
-		t.Errorf("count after migrate = %v", res.Rows()[0][0])
+		t.Errorf("count after upsert = %v", res.Rows()[0][0])
 	}
 }
 
+// TestUpdateInPlaceMainWhenValueInDict upserts a main row to a value its
+// dictionary already holds. Every write goes to the delta, so the row moves
+// there like any other, and the merge brings it back into main.
 func TestUpdateInPlaceMainWhenValueInDict(t *testing.T) {
 	tb := loaded(t, 10)
 	tb.Merge()
-	// amount 7 exists in the dictionary, so updating id 2's amount to 7
-	// can be done in place.
-	pred := &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(2)}
-	n, err := tb.Update(pred, map[int]value.Value{2: value.NewDouble(7)})
-	if err != nil || n != 1 {
-		t.Fatalf("update: %d, %v", n, err)
+	upsertAmount(t, tb, 2, 7) // amount 7 is in the main dictionary
+	if tb.DeltaRows() != 1 {
+		t.Errorf("delta rows = %d, want 1", tb.DeltaRows())
 	}
-	if tb.DeltaRows() != 0 {
-		t.Errorf("in-place update should not touch delta: %d", tb.DeltaRows())
+	tb.Merge()
+	if tb.DeltaRows() != 0 || tb.Rows() != 10 {
+		t.Errorf("after merge: delta=%d rows=%d, want 0 and 10", tb.DeltaRows(), tb.Rows())
 	}
-	rid, _ := tb.LookupPK([]value.Value{value.NewBigint(2)})
-	if got := tb.Get(rid)[2].Double(); got != 7 {
-		t.Errorf("value = %v", got)
+	res := tb.Aggregate([]agg.Spec{{Func: agg.Sum, Col: 2}}, nil, nil)
+	if got := res.Rows()[0][0].Double(); got != 45-2+7 {
+		t.Errorf("SUM(amount) after merge = %v, want 50", got)
 	}
 }
 
+// TestUpdatePKMaintainsIndex moves a key as a transaction's fold does:
+// delete the old key, upsert the row under the new one.
 func TestUpdatePKMaintainsIndex(t *testing.T) {
 	tb := loaded(t, 10)
 	tb.Merge()
-	pred := &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(4)}
-	n, err := tb.Update(pred, map[int]value.Value{0: value.NewBigint(400)})
-	if err != nil || n != 1 {
-		t.Fatalf("update: %d, %v", n, err)
+	if !tb.DeletePK([]value.Value{value.NewBigint(4)}) {
+		t.Fatal("key 4 not found")
+	}
+	if err := tb.Upsert([][]value.Value{mkRow(400, 4, 4, "n4")}); err != nil {
+		t.Fatal(err)
 	}
 	if _, ok := tb.LookupPK([]value.Value{value.NewBigint(4)}); ok {
 		t.Error("old PK still resolvable")
@@ -388,25 +402,40 @@ func TestUpdatePKMaintainsIndex(t *testing.T) {
 	}
 }
 
+// TestUpdateValidates rejects an upsert batch holding a bad row before
+// anything of it changes.
 func TestUpdateValidates(t *testing.T) {
 	tb := loaded(t, 5)
-	if _, err := tb.Update(nil, map[int]value.Value{2: value.NewInt(1)}); err == nil {
-		t.Error("type mismatch accepted")
+	good := mkRow(1, 0, 100, "x")
+	for name, bad := range map[string][]value.Value{
+		"type mismatch":      {value.NewBigint(2), value.NewInt(0), value.NewInt(1), value.NewVarchar("x")},
+		"NULL into NOT NULL": {value.NewBigint(2), value.NewInt(0), value.Null(value.Double), value.NewVarchar("x")},
+		"short row":          {value.NewBigint(2)},
+	} {
+		if err := tb.Upsert([][]value.Value{good, bad}); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if _, err := tb.Update(nil, map[int]value.Value{0: value.Null(value.Bigint)}); err == nil {
-		t.Error("NULL into NOT NULL accepted")
-	}
-	if _, err := tb.Update(nil, map[int]value.Value{-1: value.NewInt(1)}); err == nil {
-		t.Error("bad column accepted")
+	rid, _ := tb.LookupPK([]value.Value{value.NewBigint(1)})
+	if got := tb.Get(rid)[2].Double(); got != 1 || tb.Rows() != 5 {
+		t.Errorf("rejected batch changed the table: amount %v, %d rows", got, tb.Rows())
 	}
 }
 
 func TestDelete(t *testing.T) {
 	tb := loaded(t, 20)
 	tb.Merge()
-	n := tb.Delete(&expr.Comparison{Col: 1, Op: expr.Eq, Val: value.NewInt(0)})
+	n := 0
+	for id := int64(0); id < 20; id += 5 { // the grp 0 rows
+		if tb.DeletePK([]value.Value{value.NewBigint(id)}) {
+			n++
+		}
+	}
+	if tb.DeletePK([]value.Value{value.NewBigint(0)}) {
+		t.Error("deleted key deleted twice")
+	}
 	if n != 4 || tb.Rows() != 16 {
-		t.Errorf("Delete = %d, Rows = %d", n, tb.Rows())
+		t.Errorf("DeletePK = %d, Rows = %d", n, tb.Rows())
 	}
 	if _, ok := tb.LookupPK([]value.Value{value.NewBigint(0)}); ok {
 		t.Error("deleted key still resolvable")
@@ -427,20 +456,15 @@ func TestDelete(t *testing.T) {
 }
 
 // TestDeleteLeavesOnlyLiveKeysInIndex deletes half the keys of a merged
-// table, by key and by predicate, with no merge after: the PK index must
-// hold exactly the live keys at once, and shrink with them.
+// table with no merge after: the PK index must hold exactly the live keys
+// at once, and shrink with them.
 func TestDeleteLeavesOnlyLiveKeysInIndex(t *testing.T) {
 	tb := loaded(t, 2000)
 	tb.Merge()
 	tb.AutoMerge = false
 	before := tb.IndexBytes()
 	for id := int64(0); id < 2000; id += 2 {
-		key := []value.Value{value.NewBigint(id)}
-		if id%4 == 0 {
-			tb.DeletePK(key)
-		} else {
-			tb.Delete(&expr.Comparison{Col: 0, Op: expr.Eq, Val: key[0]})
-		}
+		tb.DeletePK([]value.Value{value.NewBigint(id)})
 	}
 	if tb.Merges() != 1 || tb.Rows() != 1000 {
 		t.Fatalf("%d merges, %d rows", tb.Merges(), tb.Rows())
@@ -458,16 +482,21 @@ func TestDeleteLeavesOnlyLiveKeysInIndex(t *testing.T) {
 	}
 }
 
-// TestNoPrimaryKey writes to a table without a primary key, which keeps no
-// PK index: migrating updates and deletes in both fragments, then a merge.
+// TestNoPrimaryKey writes to a table declared without a primary key, which
+// is keyed by the hidden row key: duplicate declared values in both
+// fragments, upserts and deletes by row key, then a merge.
 func TestNoPrimaryKey(t *testing.T) {
 	sch := schema.MustNew("heap", []schema.Column{{Name: "a", Type: value.Bigint}, {Name: "b", Type: value.Integer}})
 	tb := New(sch)
-	rows := make([][]value.Value, 100)
-	for i := range rows {
-		rows[i] = []value.Value{value.NewBigint(int64(i % 10)), value.NewInt(int64(i))}
+	row := func(rowKey int64, b int64) []value.Value {
+		return []value.Value{value.NewBigint(rowKey % 10), value.NewInt(b), value.NewBigint(rowKey)}
 	}
 	for _, merge := range []bool{true, false} {
+		rows := make([][]value.Value, 100)
+		for i := range rows {
+			k := int64(i + tb.Rows())
+			rows[i] = row(k, k)
+		}
 		if err := tb.Insert(rows); err != nil {
 			t.Fatal(err)
 		}
@@ -475,23 +504,29 @@ func TestNoPrimaryKey(t *testing.T) {
 			tb.Merge()
 		}
 	}
-	if n, err := tb.Update(&expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(3)}, map[int]value.Value{1: value.NewInt(-1)}); n != 20 || err != nil {
-		t.Fatalf("update: %d, %v", n, err)
+	var upd [][]value.Value
+	for k := int64(3); k < 200; k += 10 { // the 20 rows with a = 3
+		upd = append(upd, row(k, -1))
 	}
-	if n := tb.Delete(&expr.Comparison{Col: 1, Op: expr.Eq, Val: value.NewInt(-1)}); n != 20 || tb.Rows() != 180 {
-		t.Fatalf("delete: %d, %d rows left", n, tb.Rows())
+	if err := tb.Upsert(upd); err != nil || tb.Rows() != 200 {
+		t.Fatalf("upsert: %v, %d rows", err, tb.Rows())
+	}
+	for _, r := range upd {
+		if !tb.DeletePK(r[2:]) {
+			t.Fatalf("row key %v not found", r[2])
+		}
 	}
 	tb.Merge()
-	if tb.Rows() != 180 || tb.IndexBytes() != 0 {
-		t.Fatalf("%d rows, %d index bytes after the merge", tb.Rows(), tb.IndexBytes())
+	if tb.Rows() != 180 || tb.pkIndex.Len() != 180 {
+		t.Fatalf("%d rows, %d keys after the merge", tb.Rows(), tb.pkIndex.Len())
 	}
 }
 
 // TestKeyedPredicateTouchesOneRow answers predicates naming the whole key —
 // in the main fragment, in the delta, missing, tombstoned, with a residual
-// conjunct that holds and one that fails — on every read and write path,
-// and requires the answer of the same predicate written as a key range,
-// which the code-vector scan answers, with no block decoded.
+// conjunct that holds and one that fails — on every read path, and requires
+// the answer of the same predicate written as a key range, which the
+// code-vector scan answers, with no block decoded.
 func TestKeyedPredicateTouchesOneRow(t *testing.T) {
 	const n = 20_000
 	build := func() *Table {
@@ -545,14 +580,9 @@ func TestKeyedPredicateTouchesOneRow(t *testing.T) {
 		if want := read(scanned, pred(c.id, true, c.grp...)); got != want {
 			t.Errorf("%s: keyed %q, scanned %q", c.name, got, want)
 		}
-		set := map[int]value.Value{2: value.NewDouble(-1)}
-		gu, err1 := keyed.Update(pred(c.id, false, c.grp...), set)
-		wu, err2 := scanned.Update(pred(c.id, true, c.grp...), set)
-		if gu != wu || err1 != nil || err2 != nil {
-			t.Errorf("%s: keyed update %d, %v; scanned %d, %v", c.name, gu, err1, wu, err2)
-		}
-		if gd, wd := keyed.Delete(pred(c.id, false, c.grp...)), scanned.Delete(pred(c.id, true, c.grp...)); gd != wd {
-			t.Errorf("%s: keyed delete %d, scanned %d", c.name, gd, wd)
+		key := []value.Value{value.NewBigint(c.id)}
+		if gd, wd := keyed.DeletePK(key), scanned.DeletePK(key); gd != wd {
+			t.Errorf("%s: keyed delete %v, scanned %v", c.name, gd, wd)
 		}
 		if keyed.Rows() != scanned.Rows() || keyed.pkIndex.Len() != keyed.Rows() {
 			t.Errorf("%s: %d rows and %d keys, scanned %d rows", c.name, keyed.Rows(), keyed.pkIndex.Len(), scanned.Rows())
@@ -610,7 +640,9 @@ func TestDistinctCountClampedOnSkewedColumn(t *testing.T) {
 	}
 	// Delete almost everything: dictionaries keep their entries but the
 	// estimate must not exceed the surviving rows.
-	tb.Delete(&expr.Comparison{Col: 0, Op: expr.Lt, Val: value.NewBigint(198)})
+	for id := int64(0); id < 198; id++ {
+		tb.DeletePK([]value.Value{value.NewBigint(id)})
+	}
 	if live := tb.Rows(); live != 2 {
 		t.Fatalf("Rows after delete = %d, want 2", live)
 	}
@@ -629,7 +661,7 @@ func TestValueRuns(t *testing.T) {
 	if err := tb.Insert([][]value.Value{mkRow(500, 9, -50, "x"), mkRow(501, 9, 99, "x")}); err != nil {
 		t.Fatal(err)
 	}
-	tb.Delete(&expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(0)})
+	tb.DeletePK([]value.Value{value.NewBigint(0)})
 	rows := map[float64]int{}
 	tb.Scan(nil, []int{2}, func(_ int, row []value.Value) bool {
 		rows[row[2].Double()]++
@@ -718,7 +750,7 @@ func TestColumnRowStoreEquivalence(t *testing.T) {
 	}
 }
 
-// Mutation equivalence under random updates and deletes.
+// Mutation equivalence under random upserts and deletes by key.
 func TestMutationEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	sch := testSchema()
@@ -737,20 +769,17 @@ func TestMutationEquivalence(t *testing.T) {
 	cs.Merge()
 	for step := 0; step < 60; step++ {
 		id := rng.Int63n(300)
-		pred := &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(id)}
 		switch step % 3 {
 		case 0:
-			set := map[int]value.Value{2: value.NewDouble(float64(rng.Intn(1000)))}
-			cn, cerr := cs.Update(pred, set)
-			rn, rerr := rs.Update(pred, set)
-			if cn != rn || (cerr == nil) != (rerr == nil) {
-				t.Fatalf("step %d: update mismatch cs=%d,%v rs=%d,%v", step, cn, cerr, rn, rerr)
+			row := [][]value.Value{mkRow(id, rng.Int63n(5), float64(rng.Intn(1000)), "u")}
+			cerr, rerr := cs.Upsert(row), rs.Upsert(row)
+			if cerr != nil || rerr != nil {
+				t.Fatalf("step %d: upsert cs=%v rs=%v", step, cerr, rerr)
 			}
 		case 1:
-			cn := cs.Delete(pred)
-			rn := rs.Delete(pred)
-			if cn != rn {
-				t.Fatalf("step %d: delete mismatch cs=%d rs=%d", step, cn, rn)
+			key := []value.Value{value.NewBigint(id)}
+			if cn, rn := cs.DeletePK(key), rs.DeletePK(key); cn != rn {
+				t.Fatalf("step %d: delete mismatch cs=%v rs=%v", step, cn, rn)
 			}
 		case 2:
 			if step%6 == 2 {
@@ -799,42 +828,31 @@ func TestUpdatePKDuplicateRejected(t *testing.T) {
 			if merged {
 				tb.Merge()
 			}
-			n, err := tb.Update(&expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(3)},
-				map[int]value.Value{0: value.NewBigint(5), 2: value.NewDouble(999)})
-			if err == nil {
-				t.Fatalf("duplicate-PK update succeeded (%d rows)", n)
+			// A key the table holds, or one twice in the batch: the insert
+			// is rejected whole.
+			for _, batch := range [][][]value.Value{
+				{mkRow(300, 0, 0, "new"), mkRow(5, 0, 999, "dup")},
+				{mkRow(500, 0, 0, "a"), mkRow(500, 1, 1, "b")},
+			} {
+				if err := tb.Insert(batch); err == nil {
+					t.Fatalf("duplicate-PK insert %v succeeded", batch)
+				}
 			}
 			if tb.Rows() != 10 {
 				t.Fatalf("rows = %d, want 10", tb.Rows())
 			}
-			rid, ok := tb.LookupPK([]value.Value{value.NewBigint(3)})
-			if !ok {
-				t.Fatal("row 3 lost after failed update")
+			for _, id := range []int64{300, 500} {
+				if _, ok := tb.LookupPK([]value.Value{value.NewBigint(id)}); ok {
+					t.Fatalf("partial application of rejected insert: key %d", id)
+				}
 			}
-			if got := tb.Get(rid)[2].Double(); got != 3 {
-				t.Fatalf("failed update mutated amount: %v (atomicity broken)", got)
+			// An upsert of a held key replaces its row: one live row per key.
+			if err := tb.Upsert([][]value.Value{mkRow(5, 0, 999, "up")}); err != nil {
+				t.Fatal(err)
 			}
-			if _, ok := tb.LookupPK([]value.Value{value.NewBigint(5)}); !ok {
-				t.Fatal("row 5 lost after failed update")
-			}
-			// Intra-statement duplicate: one constant key, several rows.
-			if _, err := tb.Update(&expr.Comparison{Col: 1, Op: expr.Eq, Val: value.NewInt(1)},
-				map[int]value.Value{0: value.NewBigint(500)}); err == nil {
-				t.Fatal("multi-row constant-PK update succeeded")
-			}
-			if _, ok := tb.LookupPK([]value.Value{value.NewBigint(500)}); ok {
-				t.Fatal("partial application of rejected update")
-			}
-			// Clean PK change maintains the index in both fragments.
-			if n, err := tb.Update(&expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(3)},
-				map[int]value.Value{0: value.NewBigint(300)}); err != nil || n != 1 {
-				t.Fatalf("clean PK update: n=%d err=%v", n, err)
-			}
-			if _, ok := tb.LookupPK([]value.Value{value.NewBigint(3)}); ok {
-				t.Fatal("old key still resolves")
-			}
-			if _, ok := tb.LookupPK([]value.Value{value.NewBigint(300)}); !ok {
-				t.Fatal("new key does not resolve")
+			rid, ok := tb.LookupPK([]value.Value{value.NewBigint(5)})
+			if !ok || tb.Get(rid)[2].Double() != 999 || tb.Rows() != 10 || tb.pkIndex.Len() != 10 {
+				t.Fatalf("upsert of key 5: %v, %d rows, %d keys", tb.Get(rid), tb.Rows(), tb.pkIndex.Len())
 			}
 		})
 	}
@@ -848,7 +866,7 @@ func TestFragmentRowsAndLoad(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	tb.Delete(&expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(4)})
+	tb.DeletePK([]value.Value{value.NewBigint(4)})
 
 	var main, delta [][]value.Value
 	tb.FragmentRows(func(row []value.Value, inMain bool) bool {

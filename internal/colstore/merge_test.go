@@ -11,7 +11,6 @@ import (
 
 	"hybridstore/internal/bitset"
 	"hybridstore/internal/compress"
-	"hybridstore/internal/expr"
 	"hybridstore/internal/pkindex"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
@@ -73,7 +72,7 @@ func oracleMerge(t *Table) {
 	t.liveSet.FillOnes(t.mainRows)
 	t.pkIndex = &pkindex.Index{}
 	for rid := 0; rid < t.mainRows; rid++ {
-		t.pkIndex.Add(t.pkHashAt(rid), int32(rid))
+		t.pkIndex.Add(value.HashRow(t.sch.PKValues(t.Get(rid))), int32(rid))
 	}
 	t.merges++
 }
@@ -135,8 +134,8 @@ func mergeRow(rng *rand.Rand, sch *schema.Table, id int64) []value.Value {
 	return append(row, value.NewInt(id/700), value.NewDate(id/128*2+id%2))
 }
 
-// TestMergeDifferential runs one random interleaving of inserts, in-place
-// and migrating updates, deletes and merges on two tables that differ only
+// TestMergeDifferential runs one random interleaving of inserts, upserts,
+// deletes by key and merges on two tables that differ only
 // in the merge — Merge on one, oracleMerge on the other — and requires
 // them to be indistinguishable after every merge: rows, sizes, rates,
 // dictionaries, code-vector kinds, zone maps and PK lookups of every key
@@ -164,9 +163,12 @@ func TestMergeDifferential(t *testing.T) {
 			}
 			both(func(tb *Table) (int, error) { return n, tb.Insert(rows) })
 		}
-		keyPred := func() expr.Predicate {
-			lo := rng.Int63n(nextID)
-			return &expr.Between{Col: 0, Lo: value.NewBigint(lo), Hi: value.NewBigint(lo + rng.Int63n(40))}
+		// byKey calls fn with the key of each id in [lo, lo+n], as a
+		// transaction's fold names the rows it writes.
+		byKey := func(lo, n int64, fn func(key []value.Value)) {
+			for id := lo; id <= lo+n; id++ {
+				fn([]value.Value{value.NewBigint(id)})
+			}
 		}
 		insert(2500)
 		kinds := map[string]bool{}
@@ -178,14 +180,32 @@ func TestMergeDifferential(t *testing.T) {
 			switch {
 			case r < 3:
 				insert(1 + rng.Intn(300))
-			case r < 6: // in place where the fragment's dictionary has the value, migrating otherwise
+			case r < 6: // the new image of every live row in the range
 				col := 1 + rng.Intn(5)
-				set := map[int]value.Value{col: mergeValue(rng, col, sch.Columns[col].Type)}
-				pred := keyPred()
-				both(func(tb *Table) (int, error) { return tb.Update(pred, set) })
+				v := mergeValue(rng, col, sch.Columns[col].Type)
+				lo, n := rng.Int63n(nextID), rng.Int63n(40)
+				both(func(tb *Table) (int, error) {
+					var rows [][]value.Value
+					byKey(lo, n, func(key []value.Value) {
+						if rid, ok := tb.LookupPK(key); ok {
+							row := tb.Get(rid)
+							row[col] = v
+							rows = append(rows, row)
+						}
+					})
+					return len(rows), tb.Upsert(rows)
+				})
 			case r < 8:
-				pred := keyPred()
-				both(func(tb *Table) (int, error) { return tb.Delete(pred), nil })
+				lo, n := rng.Int63n(nextID), rng.Int63n(40)
+				both(func(tb *Table) (int, error) {
+					deleted := 0
+					byKey(lo, n, func(key []value.Value) {
+						if tb.DeletePK(key) {
+							deleted++
+						}
+					})
+					return deleted, nil
+				})
 			default:
 				got.Merge()
 				oracleMerge(want)
@@ -277,7 +297,9 @@ func TestMergeSizesDictionariesExactly(t *testing.T) {
 	if err := tb.Insert(rows); err != nil { // merges on the way
 		t.Fatal(err)
 	}
-	tb.Delete(&expr.Comparison{Col: 0, Op: expr.Lt, Val: value.NewBigint(500)})
+	for id := int64(0); id < 500; id++ {
+		tb.DeletePK([]value.Value{value.NewBigint(id)})
+	}
 	tb.Merge()
 	var main, delta [][]value.Value
 	tb.FragmentRows(func(row []value.Value, inMain bool) bool {

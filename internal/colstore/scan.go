@@ -491,22 +491,3 @@ func (t *Table) Scan(pred expr.Predicate, cols []int, fn func(rid int, row []val
 		return true
 	})
 }
-
-// matchingRows returns the global row ids of live rows matching pred,
-// without materializing any values (see matchBitmapExec). The
-// result is pre-sized from the bitmap's popcount and freshly allocated —
-// callers (Update/Delete) run exclusively and mutate the table while
-// consuming it, so it must not alias pooled scan scratch.
-func (t *Table) matchingRows(pred expr.Predicate) []int32 {
-	s := t.acquireScratch()
-	defer t.releaseScratch(s)
-	match := t.matchBitmapExec(pred, s, nil)
-	src := match
-	want := t.live
-	if src == nil {
-		src = t.liveSet
-	} else {
-		want = match.Count()
-	}
-	return src.AppendSet(make([]int32, 0, want+1), 0, t.totalRows())
-}

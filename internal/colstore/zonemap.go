@@ -52,16 +52,3 @@ func buildZones(codes []uint32, nulls []bool) []codeZone {
 	}
 	return zones
 }
-
-// patchZone widens row rid's zone after an in-place code overwrite (the
-// column store's in-dictionary update path). Zones only ever widen, so
-// they stay conservative until the next merge rebuilds them tight.
-func patchZone(zones []codeZone, rid int, code uint32) {
-	z := &zones[rid/blockRows]
-	if code < z.lo {
-		z.lo = code
-	}
-	if code > z.hi {
-		z.hi = code
-	}
-}

@@ -50,25 +50,6 @@ func (p *Packed) set(i int, c uint32) {
 	}
 }
 
-// Set overwrites the i-th code in place. The new code must fit the vector's
-// width (i.e. be a valid code for the dictionary the vector was packed
-// against).
-func (p *Packed) Set(i int, c uint32) {
-	if p.width == 0 {
-		return // only code 0 exists
-	}
-	mask := uint64(1)<<p.width - 1
-	bitPos := uint64(i) * uint64(p.width)
-	word := bitPos / 64
-	off := bitPos % 64
-	p.words[word] = p.words[word]&^(mask<<off) | uint64(c)<<off
-	if spill := off + uint64(p.width); spill > 64 {
-		rem := spill - 64
-		remMask := uint64(1)<<rem - 1
-		p.words[word+1] = p.words[word+1]&^remMask | uint64(c)>>(64-off)
-	}
-}
-
 // Len returns the number of codes.
 func (p *Packed) Len() int { return p.n }
 

@@ -35,20 +35,12 @@ type CodeVector interface {
 	SizeBytes() int
 }
 
-// Mutable is implemented by code vectors that support in-place overwrite
-// of a single code (bit-packed vectors). RLE and FoR vectors are
-// immutable — callers route updates through delete + re-append instead.
-type Mutable interface {
-	Set(i int, c uint32)
-}
-
 // encodeMinRows is the vector length below which Encode does not bother
-// considering alternative codings: the absolute savings are tiny and
-// bit-packed vectors keep in-place updates.
+// considering alternative codings: the absolute savings are tiny.
 const encodeMinRows = 2 * forBlock
 
 // encode-wins threshold: an alternative coding must save at least 25%
-// over bit-packing to give up in-place mutability.
+// over bit-packing to be chosen.
 func beats(candidate, packed int) bool { return candidate*4 <= packed*3 }
 
 // Encode builds the smallest code vector for codes drawn from a
@@ -57,7 +49,7 @@ func beats(candidate, packed int) bool { return candidate*4 <= packed*3 }
 // (e.g. sorted or time-correlated columns) so per-block deltas need
 // fewer bits than global codes. The alternative codings answer range
 // predicates directly on coded data — RLE kernels skip whole runs
-// without unpacking — at the cost of in-place updates (see Mutable).
+// without unpacking.
 func Encode(codes []uint32, distinct int) CodeVector {
 	p := Pack(codes, distinct)
 	if len(codes) < encodeMinRows || p.SizeBytes() == 0 {

@@ -191,7 +191,7 @@ func TestEncodeChoosesByShape(t *testing.T) {
 		}
 	}
 
-	// Small vectors always stay bit-packed (mutable).
+	// Small vectors always stay bit-packed.
 	small := genCodes(rng, forBlock, 4, "runs")
 	if _, ok := Encode(small, 4).(*Packed); !ok {
 		t.Errorf("small vector: Encode did not stay Packed")

@@ -142,33 +142,40 @@ func TestCopyCrashRecoveryAllLayouts(t *testing.T) {
 		}
 	}
 	for _, lay := range copyLayoutSpecs() {
-		t.Run(lay.name, func(t *testing.T) {
-			dir := t.TempDir()
-			db := openTestDB(t, dir)
-			if err := db.CreateTableWithLayout(salesSchema(), lay.store, lay.spec); err != nil {
-				t.Fatal(err)
-			}
-			run(t, db)
+		for _, v := range salesVariants(lay.spec) {
+			t.Run(lay.name+v.suffix, func(t *testing.T) {
+				dir := t.TempDir()
+				db := openTestDB(t, dir)
+				if err := db.CreateTableWithLayout(v.sch, lay.store, v.spec); err != nil {
+					t.Fatal(err)
+				}
+				run(t, db)
 
-			ref := New()
-			defer ref.Close()
-			if err := ref.CreateTableWithLayout(salesSchema(), lay.store, lay.spec); err != nil {
-				t.Fatal(err)
-			}
-			run(t, ref)
-			want := visibleState(t, ref, "sales")
+				ref := New()
+				defer ref.Close()
+				if err := ref.CreateTableWithLayout(v.sch, lay.store, v.spec); err != nil {
+					t.Fatal(err)
+				}
+				run(t, ref)
+				want := visibleState(t, ref, "sales")
 
-			if got := visibleState(t, db, "sales"); !reflect.DeepEqual(got, want) {
-				t.Fatal("durable db diverged from in-memory reference before crash")
-			}
-			if err := db.Crash(); err != nil {
-				t.Fatal(err)
-			}
-			re := openTestDB(t, dir)
-			defer re.Close()
-			if got := visibleState(t, re, "sales"); !reflect.DeepEqual(got, want) {
-				t.Fatalf("layout %s: recovered state diverged (%d rows vs %d)", lay.name, len(got), len(want))
-			}
-		})
+				if got := visibleState(t, db, "sales"); !reflect.DeepEqual(got, want) {
+					t.Fatal("durable db diverged from in-memory reference before crash")
+				}
+				if err := db.Crash(); err != nil {
+					t.Fatal(err)
+				}
+				re := openTestDB(t, dir)
+				defer re.Close()
+				if got := visibleState(t, re, "sales"); !reflect.DeepEqual(got, want) {
+					t.Fatalf("layout %s: recovered state diverged (%d rows vs %d)", lay.name, len(got), len(want))
+				}
+				// A recovered table takes a new batch: a keyless one hands
+				// out row keys past the largest it holds.
+				if _, err := re.CopyRows(ctx, "sales", copyBatch(5000, 3)); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
 	}
 }

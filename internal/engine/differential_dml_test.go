@@ -17,7 +17,8 @@ import (
 // every layout and asserts identical visible state after every single
 // statement — the properties the per-layout DML fast paths must not
 // break: PK-changing updates, split-column moves, NULL assignments and
-// failing statements.
+// failing statements — for the table keyed by id and for its keyless
+// twin, which the hidden row key keys.
 
 func dmlSchema() *schema.Table {
 	return schema.MustNew("dml", []schema.Column{
@@ -26,6 +27,13 @@ func dmlSchema() *schema.Table {
 		{Name: "amt", Type: value.Double, Nullable: true},   // 2
 		{Name: "note", Type: value.Varchar, Nullable: true}, // 3
 	}, "id")
+}
+
+// dmlKeylessSchema is dmlSchema declared without a primary key; the hidden
+// row key is column 4.
+func dmlKeylessSchema() *schema.Table {
+	sch := dmlSchema()
+	return schema.MustNew(sch.Name, sch.Columns)
 }
 
 func dmlRow(id int64) []value.Value {
@@ -37,22 +45,44 @@ func dmlRow(id int64) []value.Value {
 	}
 }
 
-// dmlLayouts enumerates every physical layout the engine supports.
-func dmlLayouts() []struct {
+// dmlTables is the keyed dml table and its keyless twin, each with every
+// physical layout the engine supports.
+func dmlTables() []struct {
+	name    string
+	sch     *schema.Table
+	layouts []dmlLayout
+} {
+	keyless := dmlKeylessSchema()
+	var keylessLayouts []dmlLayout
+	for _, lay := range dmlLayouts() {
+		lay.spec = keylessSpec(lay.spec, keyless.NumColumns()-1)
+		keylessLayouts = append(keylessLayouts, lay)
+	}
+	return []struct {
+		name    string
+		sch     *schema.Table
+		layouts []dmlLayout
+	}{
+		{"keyed", dmlSchema(), dmlLayouts()},
+		{"keyless", keyless, keylessLayouts},
+	}
+}
+
+// dmlLayout is one physical layout of the dml table.
+type dmlLayout struct {
 	name  string
 	store catalog.StoreKind
 	spec  *catalog.PartitionSpec
-} {
+}
+
+// dmlLayouts enumerates every physical layout the engine supports.
+func dmlLayouts() []dmlLayout {
 	horiz := &catalog.HorizontalSpec{
 		SplitCol: 1, SplitVal: value.NewInt(50),
 		HotStore: catalog.RowStore, ColdStore: catalog.ColumnStore,
 	}
 	vert := &catalog.VerticalSpec{RowCols: []int{0, 1, 3}, ColCols: []int{0, 2}}
-	return []struct {
-		name  string
-		store catalog.StoreKind
-		spec  *catalog.PartitionSpec
-	}{
+	return []dmlLayout{
 		{"row", catalog.RowStore, nil},
 		{"column", catalog.ColumnStore, nil},
 		{"horizontal", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: horiz}},
@@ -61,17 +91,22 @@ func dmlLayouts() []struct {
 	}
 }
 
-// dmlStep is one statement with a short label for failure messages.
+// dmlStep is one statement with a short label for failure messages. keyed
+// marks a step only the table keyed by id runs (it tests that key);
+// affected, when set, is the row count every layout must report.
 type dmlStep struct {
-	name string
-	q    *query.Query
+	name     string
+	q        *query.Query
+	keyed    bool
+	affected int
 }
 
 // differentialSteps is the shared statement sequence. Statements that
 // must fail are designed to fail identically on every layout (schema
 // violations and single-partition PK collisions), so the visible state
-// stays comparable throughout.
-func differentialSteps() []dmlStep {
+// stays comparable throughout. On the keyless table, rows equal in every
+// declared column are distinct rows.
+func differentialSteps(keyless bool) []dmlStep {
 	rows := make([][]value.Value, 0, 100)
 	for i := 0; i < 100; i++ {
 		rows = append(rows, dmlRow(int64(i)))
@@ -79,95 +114,116 @@ func differentialSteps() []dmlStep {
 	eqID := func(id int64) expr.Predicate {
 		return &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(id)}
 	}
-	return []dmlStep{
-		{"bulk insert", &query.Query{Kind: query.Insert, Table: "dml", Rows: rows}},
-		{"range update", &query.Query{Kind: query.Update, Table: "dml",
+	steps := []dmlStep{
+		{name: "bulk insert", q: &query.Query{Kind: query.Insert, Table: "dml", Rows: rows}},
+		{name: "range update", q: &query.Query{Kind: query.Update, Table: "dml",
 			Pred: &expr.Between{Col: 1, Lo: value.NewInt(20), Hi: value.NewInt(60)},
 			Set:  map[int]value.Value{2: value.NewDouble(999.5)}}},
-		{"null set", &query.Query{Kind: query.Update, Table: "dml",
+		{name: "null set", q: &query.Query{Kind: query.Update, Table: "dml",
 			Pred: &expr.Comparison{Col: 0, Op: expr.Lt, Val: value.NewBigint(10)},
 			Set:  map[int]value.Value{3: value.Null(value.Varchar)}}},
-		{"split move hot to cold", &query.Query{Kind: query.Update, Table: "dml",
+		{name: "split move hot to cold", q: &query.Query{Kind: query.Update, Table: "dml",
 			Pred: &expr.Between{Col: 0, Lo: value.NewBigint(50), Hi: value.NewBigint(59)},
 			Set:  map[int]value.Value{1: value.NewInt(10)}}},
-		{"split move cold to hot", &query.Query{Kind: query.Update, Table: "dml",
+		{name: "split move cold to hot", q: &query.Query{Kind: query.Update, Table: "dml",
 			Pred: &expr.Comparison{Col: 0, Op: expr.Lt, Val: value.NewBigint(5)},
 			Set:  map[int]value.Value{1: value.NewInt(90)}}},
-		{"pk change", &query.Query{Kind: query.Update, Table: "dml",
+		{name: "pk change", q: &query.Query{Kind: query.Update, Table: "dml",
 			Pred: eqID(3), Set: map[int]value.Value{0: value.NewBigint(1003)}}},
 		// id 1003 carries grp 90 (hot); id 60 also has grp >= 50 (hot):
 		// the collision is within one partition, so every layout must
 		// reject it — and reject it atomically.
-		{"pk change duplicate (fails)", &query.Query{Kind: query.Update, Table: "dml",
+		{name: "pk change duplicate (fails)", keyed: true, q: &query.Query{Kind: query.Update, Table: "dml",
 			Pred: eqID(1003), Set: map[int]value.Value{0: value.NewBigint(60)}}},
 		// Multi-row update assigning the full PK a constant: intra-
 		// statement duplicate, rejected everywhere.
-		{"pk constant multi-row (fails)", &query.Query{Kind: query.Update, Table: "dml",
+		{name: "pk constant multi-row (fails)", keyed: true, q: &query.Query{Kind: query.Update, Table: "dml",
 			Pred: &expr.Between{Col: 0, Lo: value.NewBigint(70), Hi: value.NewBigint(72)},
 			Set:  map[int]value.Value{0: value.NewBigint(2000)}}},
-		{"not null violation (fails)", &query.Query{Kind: query.Update, Table: "dml",
+		{name: "not null violation (fails)", q: &query.Query{Kind: query.Update, Table: "dml",
 			Pred: eqID(80), Set: map[int]value.Value{1: value.Null(value.Integer)}}},
-		{"type mismatch (fails)", &query.Query{Kind: query.Update, Table: "dml",
+		{name: "type mismatch (fails)", q: &query.Query{Kind: query.Update, Table: "dml",
 			Pred: eqID(80), Set: map[int]value.Value{2: value.NewVarchar("oops")}}},
-		{"split move with pk change", &query.Query{Kind: query.Update, Table: "dml",
+		{name: "split move with pk change", q: &query.Query{Kind: query.Update, Table: "dml",
 			Pred: eqID(62), Set: map[int]value.Value{0: value.NewBigint(1062), 1: value.NewInt(5)}}},
-		{"range delete", &query.Query{Kind: query.Delete, Table: "dml",
+		{name: "range delete", q: &query.Query{Kind: query.Delete, Table: "dml",
 			Pred: &expr.Between{Col: 1, Lo: value.NewInt(0), Hi: value.NewInt(15)}}},
-		{"in-list delete", &query.Query{Kind: query.Delete, Table: "dml",
+		{name: "in-list delete", q: &query.Query{Kind: query.Delete, Table: "dml",
 			Pred: &expr.In{Col: 0, Vals: []value.Value{
 				value.NewBigint(75), value.NewBigint(76), value.NewBigint(9999)}}}},
-		{"reinsert after delete", &query.Query{Kind: query.Insert, Table: "dml",
+		{name: "reinsert after delete", q: &query.Query{Kind: query.Insert, Table: "dml",
 			Rows: [][]value.Value{dmlRow(7), dmlRow(300)}}},
 		// Atomic batch failures: no layout may keep a prefix of a batch
 		// that failed partway through validation.
-		{"insert batch with intra-batch dup (fails)", &query.Query{Kind: query.Insert, Table: "dml",
+		{name: "insert batch with intra-batch dup (fails)", keyed: true, q: &query.Query{Kind: query.Insert, Table: "dml",
 			Rows: [][]value.Value{dmlRow(400), dmlRow(401), dmlRow(400)}}},
-		{"insert batch colliding with existing (fails)", &query.Query{Kind: query.Insert, Table: "dml",
+		{name: "insert batch colliding with existing (fails)", keyed: true, q: &query.Query{Kind: query.Insert, Table: "dml",
 			Rows: [][]value.Value{dmlRow(500), dmlRow(7)}}}, // id 7 re-inserted above
-		{"delete everything", &query.Query{Kind: query.Delete, Table: "dml"}},
-		{"insert into empty", &query.Query{Kind: query.Insert, Table: "dml",
-			Rows: [][]value.Value{dmlRow(1), dmlRow(2)}}},
 	}
+	if keyless {
+		var kept []dmlStep
+		for _, st := range steps {
+			if !st.keyed {
+				kept = append(kept, st)
+			}
+		}
+		steps = append(kept,
+			dmlStep{name: "duplicate-row insert", affected: 2, q: &query.Query{Kind: query.Insert, Table: "dml",
+				Rows: [][]value.Value{dmlRow(500), dmlRow(500)}}},
+			dmlStep{name: "predicate delete of both copies", affected: 2, q: &query.Query{Kind: query.Delete, Table: "dml",
+				Pred: eqID(500)}})
+	}
+	return append(steps,
+		dmlStep{name: "delete everything", q: &query.Query{Kind: query.Delete, Table: "dml"}},
+		dmlStep{name: "insert into empty", q: &query.Query{Kind: query.Insert, Table: "dml",
+			Rows: [][]value.Value{dmlRow(1), dmlRow(2)}}})
 }
 
 func TestDifferentialDML(t *testing.T) {
-	layouts := dmlLayouts()
-	dbs := make([]*Database, len(layouts))
-	for i, lay := range layouts {
-		dbs[i] = New()
-		if err := dbs[i].CreateTableWithLayout(dmlSchema(), lay.store, lay.spec); err != nil {
-			t.Fatalf("%s: %v", lay.name, err)
-		}
-	}
-	for _, step := range differentialSteps() {
-		var refState []string
-		var refAffected int
-		var refFailed bool
-		for i, lay := range layouts {
-			res, err := dbs[i].Exec(step.q)
-			failed := err != nil
-			affected := 0
-			if res != nil {
-				affected = res.Affected
+	for _, tbl := range dmlTables() {
+		t.Run(tbl.name, func(t *testing.T) {
+			layouts := tbl.layouts
+			dbs := make([]*Database, len(layouts))
+			for i, lay := range layouts {
+				dbs[i] = New()
+				if err := dbs[i].CreateTableWithLayout(tbl.sch, lay.store, lay.spec); err != nil {
+					t.Fatalf("%s: %v", lay.name, err)
+				}
 			}
-			state := visibleState(t, dbs[i], "dml")
-			if i == 0 {
-				refState, refAffected, refFailed = state, affected, failed
-				continue
+			for _, step := range differentialSteps(tbl.sch.Visible() < tbl.sch.NumColumns()) {
+				var refState []string
+				var refAffected int
+				var refFailed bool
+				for i, lay := range layouts {
+					res, err := dbs[i].Exec(step.q)
+					failed := err != nil
+					affected := 0
+					if res != nil {
+						affected = res.Affected
+					}
+					if step.affected > 0 && affected != step.affected {
+						t.Fatalf("step %q: layout %s affected %d rows (err=%v), want %d", step.name, lay.name, affected, err, step.affected)
+					}
+					state := visibleState(t, dbs[i], "dml")
+					if i == 0 {
+						refState, refAffected, refFailed = state, affected, failed
+						continue
+					}
+					if failed != refFailed {
+						t.Fatalf("step %q: layout %s failed=%v, layout %s failed=%v (err=%v)",
+							step.name, lay.name, failed, layouts[0].name, refFailed, err)
+					}
+					if affected != refAffected {
+						t.Errorf("step %q: layout %s affected %d, layout %s affected %d",
+							step.name, lay.name, affected, layouts[0].name, refAffected)
+					}
+					if !reflect.DeepEqual(state, refState) {
+						t.Fatalf("step %q: layout %s diverged from %s: %d vs %d rows",
+							step.name, lay.name, layouts[0].name, len(state), len(refState))
+					}
+				}
 			}
-			if failed != refFailed {
-				t.Fatalf("step %q: layout %s failed=%v, layout %s failed=%v (err=%v)",
-					step.name, lay.name, failed, layouts[0].name, refFailed, err)
-			}
-			if affected != refAffected {
-				t.Errorf("step %q: layout %s affected %d, layout %s affected %d",
-					step.name, lay.name, affected, layouts[0].name, refAffected)
-			}
-			if !reflect.DeepEqual(state, refState) {
-				t.Fatalf("step %q: layout %s diverged from %s: %d vs %d rows",
-					step.name, lay.name, layouts[0].name, len(state), len(refState))
-			}
-		}
+		})
 	}
 }
 
@@ -176,14 +232,19 @@ func TestDifferentialDML(t *testing.T) {
 // over a predicate matching nothing, whose empty MIN/MAX must come back
 // as identically typed NULLs on every layout.
 func TestDifferentialDMLAggregates(t *testing.T) {
-	layouts := dmlLayouts()
+	for _, tbl := range dmlTables() {
+		t.Run(tbl.name, func(t *testing.T) { differentialAggregates(t, tbl.sch, tbl.layouts) })
+	}
+}
+
+func differentialAggregates(t *testing.T, sch *schema.Table, layouts []dmlLayout) {
 	dbs := make([]*Database, len(layouts))
 	for i, lay := range layouts {
 		dbs[i] = New()
-		if err := dbs[i].CreateTableWithLayout(dmlSchema(), lay.store, lay.spec); err != nil {
+		if err := dbs[i].CreateTableWithLayout(sch, lay.store, lay.spec); err != nil {
 			t.Fatalf("%s: %v", lay.name, err)
 		}
-		for _, step := range differentialSteps() {
+		for _, step := range differentialSteps(sch.Visible() < sch.NumColumns()) {
 			dbs[i].Exec(step.q) // failures are part of the sequence
 		}
 	}

@@ -83,11 +83,14 @@ type tableRuntime struct {
 	store storage
 	tail  *migrationTail
 
-	// ov is the table's MVCC version overlay (nil for tables without a
-	// primary key, which stay on the legacy serial write path). It is
-	// created with the table and survives layout migrations — chains
-	// reference primary keys, never physical row positions.
+	// ov is the table's MVCC version overlay. It is created with the table
+	// and survives layout migrations — chains reference primary keys,
+	// never physical row positions.
 	ov *txn.Table
+
+	// rowKey is the last hidden row key (schema.RowKey) handed out; Open
+	// restarts it at the largest one the table holds.
+	rowKey atomic.Int64
 }
 
 // Database is a hybrid-store database instance. New creates a purely
@@ -291,11 +294,7 @@ func (db *Database) createTableLocked(sch *schema.Table, store catalog.StoreKind
 	if err := db.cat.Add(entry); err != nil {
 		return err
 	}
-	rt := &tableRuntime{entry: entry, store: st}
-	if len(sch.PrimaryKey) > 0 {
-		rt.ov = txn.NewTable(sch.Name)
-	}
-	db.tables[k] = rt
+	db.tables[k] = &tableRuntime{entry: entry, store: st, ov: txn.NewTable(sch.Name)}
 	return nil
 }
 
@@ -337,14 +336,9 @@ func (db *Database) Rows(name string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n := rt.store.Rows()
-	if rt.ov != nil {
-		// Committed-but-unfolded overlay versions are part of the
-		// table's current state even though base storage hasn't
-		// absorbed them yet.
-		n += rt.ov.NetRows(db.txns.ReadTS(), db.foldedTS)
-	}
-	return n, nil
+	// Committed-but-unfolded overlay versions are part of the table's
+	// current state even though base storage hasn't absorbed them yet.
+	return rt.store.Rows() + rt.ov.NetRows(db.txns.ReadTS(), db.foldedTS), nil
 }
 
 // ErrIndexNotMaterialized reports that an index declaration could not be
@@ -515,9 +509,9 @@ func (db *Database) MemoryBytes(name string) (int, error) {
 }
 
 // Exec executes one query, measuring its runtime and notifying the
-// observer. DML on tables with a primary key runs through the MVCC
-// overlay under the read lock; reads take the read lock with a snapshot
-// timestamp, so neither blocks the other.
+// observer. DML runs through the MVCC overlay under the read lock; reads
+// take the read lock with a snapshot timestamp, so neither blocks the
+// other.
 func (db *Database) Exec(q *query.Query) (*Result, error) {
 	return db.ExecContext(context.Background(), q)
 }
@@ -569,9 +563,7 @@ func (db *Database) execWithPlan(ctx context.Context, q *query.Query, planned *p
 		// Routing: statements of an explicit transaction claim versions
 		// on the MVCC overlay; auto-commit statements run as
 		// single-statement transactions (read lock only, disjoint writers
-		// in parallel), which hand primary-key-less tables — seen under
-		// the read lock they take anyway — to the single-write-lock path
-		// (execSerialDML).
+		// in parallel).
 		if etx != nil {
 			res, err = db.execTxnDML(tr, etx, q)
 		} else {
@@ -662,56 +654,6 @@ func stopFunc(ctx context.Context) func() bool {
 	return func() bool { return ctx.Err() != nil }
 }
 
-// execDML applies one DML statement under the write lock. When the
-// database is durable the statement is enqueued to the WAL in apply
-// order and the returned sequence number must be waited on (outside the
-// lock) before acknowledging.
-func (db *Database) execDML(q *query.Query) (*Result, uint64, error) {
-	rt, err := db.runtime(q.Table)
-	if err != nil {
-		return nil, 0, err
-	}
-	switch q.Kind {
-	case query.Insert:
-		coerced, err := coerceRows(rt.entry.Schema, q.Rows)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := rt.store.Insert(coerced); err != nil {
-			return nil, 0, err
-		}
-		rt.recordTail(dmlOp{kind: query.Insert, rows: coerced})
-		seq, err := db.enqueueDML(&wal.Record{
-			Kind: wal.RecInsert, Table: q.Table,
-			Width: rt.entry.Schema.NumColumns(), Rows: coerced,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return &Result{Affected: len(coerced)}, seq, nil
-	case query.Update:
-		n, err := rt.store.Update(q.Pred, q.Set)
-		if err != nil {
-			return nil, 0, err
-		}
-		rt.recordTail(dmlOp{kind: query.Update, pred: q.Pred, set: q.Set})
-		seq, err := db.enqueueDML(&wal.Record{Kind: wal.RecUpdate, Table: q.Table, Pred: q.Pred, Set: q.Set})
-		if err != nil {
-			return nil, 0, err
-		}
-		return &Result{Affected: n}, seq, nil
-	case query.Delete:
-		n := rt.store.Delete(q.Pred)
-		rt.recordTail(dmlOp{kind: query.Delete, pred: q.Pred})
-		seq, err := db.enqueueDML(&wal.Record{Kind: wal.RecDelete, Table: q.Table, Pred: q.Pred})
-		if err != nil {
-			return nil, 0, err
-		}
-		return &Result{Affected: n}, seq, nil
-	}
-	return nil, 0, fmt.Errorf("engine: bad DML kind %v", q.Kind)
-}
-
 // enqueueDML hands a DML record to the WAL while the caller holds the
 // write lock (so WAL order equals apply order) and returns the sequence
 // number to wait on; 0 means the database is in-memory.
@@ -731,15 +673,22 @@ func (db *Database) logRecord(rec *wal.Record) error {
 	return db.log.Append(rec)
 }
 
-// coerceRows converts a statement's rows to the column types (the lenient
-// conversion of the SQL front end); the stores validate what they are
-// handed.
-func coerceRows(sch *schema.Table, rows [][]value.Value) ([][]value.Value, error) {
+// coerceRows converts a statement's rows of the declared columns to the
+// column types (the lenient conversion of the SQL front end) and gives
+// each row of a table keyed by the hidden row key the next key; the stores
+// validate what they are handed. A key drawn by a statement that fails or
+// rolls back is not handed out again.
+func (rt *tableRuntime) coerceRows(rows [][]value.Value) ([][]value.Value, error) {
+	sch := rt.entry.Schema
+	hidden := sch.Visible()
 	out := make([][]value.Value, len(rows))
 	for i, row := range rows {
 		cr, err := sch.CoerceRow(row)
 		if err != nil {
 			return nil, err
+		}
+		if hidden < len(cr) {
+			cr[hidden] = value.NewBigint(rt.rowKey.Add(1))
 		}
 		out[i] = cr
 	}

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,7 +13,9 @@ import (
 	"hybridstore/internal/expr"
 	"hybridstore/internal/query"
 	"hybridstore/internal/schema"
+	"hybridstore/internal/sql"
 	"hybridstore/internal/value"
+	"hybridstore/internal/wal"
 )
 
 func salesSchema() *schema.Table {
@@ -752,5 +756,90 @@ func TestLayoutEquivalenceRandomized(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHiddenRowKey checks that the row key of a table declared without a
+// primary key stays out of sight: SELECT * (single table and join), the
+// INSERT and COPY arity, the rendered DDL and a schema's WAL encoding know
+// only the declared columns.
+func TestHiddenRowKey(t *testing.T) {
+	db := New()
+	tags := schema.MustNew("tags", []schema.Column{
+		{Name: "n", Type: value.Integer, Nullable: true},
+		{Name: "label", Type: value.Varchar, Nullable: true},
+	})
+	if err := db.CreateTable(notesSchema(), catalog.RowStore); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateTable(tags, catalog.ColumnStore); err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, &query.Query{Kind: query.Insert, Table: "notes", Rows: [][]value.Value{note("a", 1), note("b", 2)}})
+	mustExec(t, db, &query.Query{Kind: query.Insert, Table: "tags", Rows: [][]value.Value{{value.NewInt(1), value.NewVarchar("one")}}})
+	sch := db.Catalog().Table("notes").Schema
+
+	for _, c := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"schema.New appends the key", func(t *testing.T) {
+			last := sch.NumColumns() - 1
+			if sch.Visible() != 2 || !reflect.DeepEqual(sch.PrimaryKey, []int{last}) ||
+				sch.Columns[last].Name != schema.RowKey || sch.Columns[last].Type != value.Bigint {
+				t.Fatalf("keyless schema: columns %v, key %v", sch.Columns, sch.PrimaryKey)
+			}
+		}},
+		{"select star", func(t *testing.T) {
+			for _, table := range []string{"notes", "tags"} {
+				res := mustExec(t, db, &query.Query{Kind: query.Select, Table: table})
+				if len(res.Cols) != 2 || len(res.Rows) == 0 || len(res.Rows[0]) != 2 {
+					t.Fatalf("SELECT * FROM %s: columns %v, rows %v", table, res.Cols, res.Rows)
+				}
+			}
+		}},
+		{"select star join", func(t *testing.T) {
+			res := mustExec(t, db, &query.Query{Kind: query.Select, Table: "notes",
+				Join: &query.Join{Table: "tags", LeftCol: 1, RightCol: 0}})
+			want := []string{"notes.msg", "notes.n", "tags.n", "tags.label"}
+			if !reflect.DeepEqual(res.Cols, want) || len(res.Rows) != 1 || len(res.Rows[0]) != 4 {
+				t.Fatalf("SELECT * join: columns %v, rows %v", res.Cols, res.Rows)
+			}
+		}},
+		{"insert arity", func(t *testing.T) {
+			mustExec(t, db, &query.Query{Kind: query.Insert, Table: "notes", Rows: [][]value.Value{note("c", 3)}})
+			extra := append(note("d", 4), value.NewBigint(99))
+			if _, err := db.Exec(&query.Query{Kind: query.Insert, Table: "notes", Rows: [][]value.Value{extra}}); err == nil {
+				t.Fatal("INSERT with a value for the hidden key accepted")
+			}
+		}},
+		{"copy arity", func(t *testing.T) {
+			if _, err := db.CopyRows(context.Background(), "notes", [][]value.Value{note("e", 5), note("e", 5)}); err != nil {
+				t.Fatal(err)
+			}
+			extra := append(note("f", 6), value.NewBigint(99))
+			if _, err := db.CopyRows(context.Background(), "notes", [][]value.Value{extra}); err == nil {
+				t.Fatal("COPY with a value for the hidden key accepted")
+			}
+		}},
+		{"DDL round trip", func(t *testing.T) {
+			st, err := sql.Parse(sch.DDL(), nil)
+			if err != nil {
+				t.Fatalf("parse %q: %v", sch.DDL(), err)
+			}
+			if got := st.CreateTable; !reflect.DeepEqual(got.Columns, sch.Columns) || !reflect.DeepEqual(got.PrimaryKey, sch.PrimaryKey) {
+				t.Fatalf("%q rebuilt columns %v key %v, want %v key %v", sch.DDL(), got.Columns, got.PrimaryKey, sch.Columns, sch.PrimaryKey)
+			}
+		}},
+		{"WAL schema round trip", func(t *testing.T) {
+			enc := wal.NewEncoder()
+			enc.Schema(sch)
+			got := wal.NewDecoder(enc.Bytes()).Schema()
+			if got == nil || !reflect.DeepEqual(got.Columns, sch.Columns) || !reflect.DeepEqual(got.PrimaryKey, sch.PrimaryKey) {
+				t.Fatalf("decoded %+v, want %+v", got, sch)
+			}
+		}},
+	} {
+		t.Run(c.name, c.run)
 	}
 }

@@ -98,7 +98,7 @@ func TestKeyedFoldAllLayouts(t *testing.T) {
 		if err := dbs[i].CreateTableWithLayout(dmlSchema(), lay.store, lay.spec); err != nil {
 			t.Fatalf("%s: %v", lay.name, err)
 		}
-		mustExec(t, dbs[i], differentialSteps()[0].q)
+		mustExec(t, dbs[i], differentialSteps(false)[0].q)
 	}
 	for n, stmts := range foldTxns() {
 		var ref []string
@@ -152,7 +152,7 @@ func TestKeyedFoldRecoveryTruncatedWAL(t *testing.T) {
 			if err := db.CreateTableWithLayout(dmlSchema(), lay.store, lay.spec); err != nil {
 				t.Fatal(err)
 			}
-			mustExec(t, db, differentialSteps()[0].q)
+			mustExec(t, db, differentialSteps(false)[0].q)
 			walPath := filepath.Join(dir, "wal.log")
 			fi, err := os.Stat(walPath)
 			if err != nil {
@@ -292,7 +292,7 @@ func TestUnfoldedUpdateKeepsItsPlace(t *testing.T) {
 		if err := db.CreateTableWithLayout(dmlSchema(), lay.store, lay.spec); err != nil {
 			t.Fatal(err)
 		}
-		mustExec(t, db, differentialSteps()[0].q)
+		mustExec(t, db, differentialSteps(false)[0].q)
 		rng := &query.Query{Kind: query.Select, Table: "dml", Pred: &expr.Between{Col: 0, Lo: value.NewBigint(60), Hi: value.NewBigint(64)}}
 		before := mustExec(t, db, rng)
 		db.mu.RLock() // the committer's TryLock fails: the commits stay in the overlay

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"hybridstore/internal/agg"
 	"hybridstore/internal/catalog"
 	"hybridstore/internal/exec"
@@ -166,106 +164,6 @@ func (h *horizontalStorage) Aggregate(specs []agg.Spec, groupBy []int, pred expr
 		coldRes.Merge(hotRes)
 		return coldRes
 	}
-}
-
-func (h *horizontalStorage) Update(pred expr.Predicate, set map[int]value.Value) (int, error) {
-	if _, movesSplitCol := set[h.spec.SplitCol]; movesSplitCol {
-		return h.migratingUpdate(pred, set)
-	}
-	if err := h.validatePKUpdate(pred, set); err != nil {
-		return 0, err
-	}
-	useHot, useCold := h.sides(pred)
-	total := 0
-	if useHot {
-		n, err := h.hot.Update(pred, set)
-		if err != nil {
-			return total, err
-		}
-		total += n
-	}
-	if useCold {
-		n, err := h.cold.Update(pred, set)
-		if err != nil {
-			return total, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// validatePKUpdate pre-validates a PK-changing update across both
-// partitions (schema.ValidateKeyUpdate). Updates here never change the
-// split column (those route to migratingUpdate), so each row's new key
-// stays on the row's own side.
-func (h *horizontalStorage) validatePKUpdate(pred expr.Predicate, set map[int]value.Value) error {
-	if !h.sch.AssignsKey(set) {
-		return nil
-	}
-	var keys [][]value.Value
-	h.Scan(pred, h.sch.PrimaryKey, func(row []value.Value) bool {
-		keys = append(keys, h.sch.PKValues(row))
-		return true
-	})
-	return h.sch.ValidateKeyUpdate(set, keys, h.HasPK)
-}
-
-// migratingUpdate handles updates that change the split column: affected
-// rows may have to move between partitions, so they are collected, deleted
-// and re-inserted with the new values through the normal routing. The
-// originals are kept until the re-insert succeeds: on failure every row
-// that made it in is removed and the originals are restored, so a failing
-// statement can no longer drop rows on the floor.
-func (h *horizontalStorage) migratingUpdate(pred expr.Predicate, set map[int]value.Value) (int, error) {
-	var originals, moved [][]value.Value
-	h.Scan(pred, nil, func(row []value.Value) bool {
-		orig := make([]value.Value, len(row))
-		copy(orig, row)
-		originals = append(originals, orig)
-		cp := make([]value.Value, len(row))
-		copy(cp, row)
-		for c, v := range set {
-			cp[c] = v
-		}
-		moved = append(moved, cp)
-		return true
-	})
-	if len(moved) == 0 {
-		return 0, nil
-	}
-	// Validate before touching anything: schema violations (the common
-	// failure) then reject without mutating.
-	for _, row := range moved {
-		if err := h.sch.ValidateRow(row); err != nil {
-			return 0, err
-		}
-	}
-	h.hot.Delete(pred)
-	h.cold.Delete(pred)
-	if err := h.Insert(moved); err != nil {
-		// Insert pre-validates the whole batch (schema, intra-batch
-		// duplicates and per-side key collisions) before inserting
-		// anything, so a failure means neither partition was touched:
-		// restoring the originals returns the table to its exact
-		// pre-statement state.
-		if rerr := h.Insert(originals); rerr != nil {
-			return 0, fmt.Errorf("engine: migrating update failed (%w) and restore failed: %v", err, rerr)
-		}
-		return 0, err
-	}
-	return len(moved), nil
-}
-
-func (h *horizontalStorage) Delete(pred expr.Predicate) int {
-	useHot, useCold := h.sides(pred)
-	n := 0
-	if useHot {
-		n += h.hot.Delete(pred)
-	}
-	if useCold {
-		n += h.cold.Delete(pred)
-	}
-	return n
 }
 
 func (h *horizontalStorage) CreateIndex(col int) {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"hybridstore/internal/metrics"
-	"hybridstore/internal/query"
 	"hybridstore/internal/value"
 	"hybridstore/internal/wal"
 )
@@ -84,19 +83,17 @@ func (db *Database) CopyRows(ctx context.Context, table string, rows [][]value.V
 	// overlay only holds uncommitted claims (checked below).
 	db.foldLocked()
 	sch := rt.entry.Schema
-	coerced, err := coerceRows(sch, rows)
+	coerced, err := rt.coerceRows(rows)
 	if err != nil {
 		db.mu.Unlock()
 		return nil, err
 	}
-	if rt.ov != nil {
-		if claimed := rt.ov.UncommittedKeys(); len(claimed) > 0 {
-			for _, cr := range coerced {
-				pk := sch.PKValues(cr)
-				if _, hit := claimed[value.TupleKey(pk)]; hit {
-					db.mu.Unlock()
-					return nil, fmt.Errorf("engine: duplicate primary key %v in table %q (claimed by a live transaction)", pk, table)
-				}
+	if claimed := rt.ov.UncommittedKeys(); len(claimed) > 0 {
+		for _, cr := range coerced {
+			pk := sch.PKValues(cr)
+			if _, hit := claimed[value.TupleKey(pk)]; hit {
+				db.mu.Unlock()
+				return nil, fmt.Errorf("engine: duplicate primary key %v in table %q (claimed by a live transaction)", pk, table)
 			}
 		}
 	}
@@ -104,7 +101,7 @@ func (db *Database) CopyRows(ctx context.Context, table string, rows [][]value.V
 		db.mu.Unlock()
 		return nil, err
 	}
-	rt.recordTail(dmlOp{kind: query.Insert, rows: coerced})
+	rt.recordTail(dmlOp{rows: coerced})
 	seq, err := db.enqueueDML(&wal.Record{
 		Kind: wal.RecCopy, Table: table,
 		Width: sch.NumColumns(), Rows: coerced,

@@ -108,7 +108,7 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 	// Probe phase.
 	outCols := q.Cols
 	if q.Kind == query.Select && outCols == nil {
-		outCols = allCols(nL + nR)
+		outCols = plan.StarCols(left.entry.Schema, right.entry.Schema)
 	}
 	var probeRows int64
 	sink := newRowSink(q, outCols, sh.topk != nil)

@@ -5,33 +5,26 @@ import (
 	"slices"
 
 	"hybridstore/internal/catalog"
-	"hybridstore/internal/expr"
-	"hybridstore/internal/query"
 	"hybridstore/internal/value"
 	"hybridstore/internal/wal"
 )
 
-// dmlOp is one buffered write recorded while a background migration is in
-// flight. Insert rows are deep-copied at record time so later in-place
-// mutations of store-internal buffers cannot alias the tail; predicates
-// are immutable expression trees and are shared.
+// dmlOp is one write to base storage recorded while a background migration
+// is in flight: a COPY batch's rows to insert or, when fold is set, a
+// committed transaction's effect — keys to delete, then rows to upsert,
+// both by primary key (applyFold). Rows are deep-copied at record time so
+// later in-place mutations of store-internal buffers cannot alias the tail.
 type dmlOp struct {
-	kind query.Kind
-	rows [][]value.Value
-	pred expr.Predicate
-	set  map[int]value.Value
-
-	// fold marks a committed transaction's effect on the table: keys to
-	// delete, then rows to upsert, both by primary key (applyFold).
 	fold bool
 	keys [][]value.Value
+	rows [][]value.Value
 }
 
-// migrationTail buffers the DML applied to a table's live storage while a
-// migration builds the replacement storage off to the side. Appends happen
-// under the database write lock (execDML holds it); the migrator reads the
-// slice under the read lock, so no separate mutex is needed — DML cannot
-// interleave with a reader holding db.mu.RLock.
+// migrationTail buffers the writes applied to a table's live storage while
+// a migration builds the replacement storage off to the side. Appends
+// happen under the database write lock (the fold and COPY hold it); the
+// migrator reads the slice under the read lock, so no separate mutex is
+// needed — a write cannot interleave with a reader holding db.mu.RLock.
 type migrationTail struct {
 	ops []dmlOp
 }
@@ -51,13 +44,6 @@ func (rt *tableRuntime) recordTail(op dmlOp) {
 		}
 		op.rows = rows
 	}
-	if op.set != nil {
-		set := make(map[int]value.Value, len(op.set))
-		for c, v := range op.set {
-			set[c] = v
-		}
-		op.set = set
-	}
 	rt.tail.ops = append(rt.tail.ops, op)
 }
 
@@ -68,15 +54,10 @@ func (rt *tableRuntime) recordTail(op dmlOp) {
 func replayOps(st storage, ops []dmlOp) error {
 	for _, op := range ops {
 		var err error
-		switch {
-		case op.fold:
+		if op.fold {
 			err = applyFold(st, op)
-		case op.kind == query.Insert:
+		} else {
 			err = st.Insert(op.rows)
-		case op.kind == query.Update:
-			_, err = st.Update(op.pred, op.set)
-		case op.kind == query.Delete:
-			st.Delete(op.pred)
 		}
 		if err != nil {
 			return err
@@ -162,9 +143,10 @@ func (db *Database) MigrateLayout(name string, store catalog.StoreKind, spec *ca
 		return cause
 	}
 
-	// Phase 2: snapshot under the read lock. DML needs the write lock, so
-	// the tail cannot grow while we scan: every op before mark is fully
-	// reflected in the snapshot, every op at or after mark is not at all.
+	// Phase 2: snapshot under the read lock. Writes to base storage need
+	// the write lock, so the tail cannot grow while we scan: every op
+	// before mark is fully reflected in the snapshot, every op at or after
+	// mark is not at all.
 	db.mu.RLock()
 	mark := len(tail.ops)
 	width := rt.entry.Schema.NumColumns()

@@ -30,11 +30,13 @@ import (
 // touches engine state — claim validation against schemas and base
 // storage, WAL records, the fold, and the statement-level merged view.
 //
+// Every table has a primary key (a table declared without one is keyed by
+// the hidden schema.RowKey), so every write takes this one path.
+//
 // Locking: DML statements and commits run under db.mu.RLock (plus the
 // txn manager's commit lock), so disjoint-row writers proceed in
 // parallel and readers are never excluded by a writer. Only the fold —
-// which mutates base storage — takes db.mu.Lock, the same exclusion the
-// serial DML path of primary-key-less tables uses.
+// which mutates base storage — and COPY take db.mu.Lock.
 
 // errTxnDone reports use of a transaction after Commit or Rollback.
 var errTxnDone = errors.New("engine: transaction has already finished")
@@ -187,22 +189,10 @@ func (db *Database) finishTxn(session string, committed bool) {
 // commitTxn is the commit path of an explicit transaction: stamp and
 // publish under the read lock, wait for WAL durability outside every
 // lock, then opportunistically fold.
-//
-// Transactions holding buffered PK-less inserts commit under the write
-// lock instead and fold before releasing it: a PK-less table has no
-// version overlay readers could resolve the commit through, so its rows
-// must be in base storage before any later snapshot can observe the commit
-// timestamp — the serialized path PK-less auto-commit DML already uses.
 func (db *Database) commitTxn(ctx context.Context, t *Txn) error {
-	serial := false
-	t.tx.Buffered(func(*txn.BufferedInsert) { serial = true })
-	lock, unlock := db.mu.RLock, db.mu.RUnlock
-	if serial {
-		lock, unlock = db.mu.Lock, db.mu.Unlock
-	}
-	lock()
+	db.mu.RLock()
 	if db.closed.Load() {
-		unlock()
+		db.mu.RUnlock()
 		db.txns.Abort(t.tx)
 		db.finishTxn(t.session, false)
 		return ErrClosed
@@ -210,10 +200,7 @@ func (db *Database) commitTxn(ctx context.Context, t *Txn) error {
 	tr := trace.FromContext(ctx)
 	sp := tr.Start("commit")
 	seq, err := db.publishCommit(t.tx)
-	if serial && err == nil {
-		db.foldLocked()
-	}
-	unlock()
+	db.mu.RUnlock()
 	sp.End()
 	db.finishTxn(t.session, true)
 	if err == nil {
@@ -222,9 +209,7 @@ func (db *Database) commitTxn(ctx context.Context, t *Txn) error {
 	if err != nil {
 		return fmt.Errorf("engine: transaction applied but not durable: %w", err)
 	}
-	if !serial {
-		db.foldBehind()
-	}
+	db.foldBehind()
 	return nil
 }
 
@@ -295,18 +280,6 @@ func (db *Database) collectCommitOps(t *txn.Txn) []wal.TxnTable {
 			tt.Rows = append(tt.Rows, row)
 		}
 	})
-	t.Buffered(func(b *txn.BufferedInsert) {
-		if _, err := db.runtime(b.Table); err != nil {
-			return // table dropped after the insert buffered
-		}
-		tt := byTable[b.Table]
-		if tt == nil {
-			// PKWidth 0: a PK-less batch has no delete set.
-			tt = &wal.TxnTable{Name: b.Table, Width: b.Width}
-			byTable[b.Table] = tt
-		}
-		tt.Rows = append(tt.Rows, b.Rows...)
-	})
 	names := make([]string, 0, len(byTable))
 	for name := range byTable {
 		names = append(names, name)
@@ -375,10 +348,9 @@ func (db *Database) foldLocked() {
 	for i, pc := range pend {
 		if err := db.applyCommitLocked(&pc); err != nil {
 			// The overlay validated these rows at claim time, so this is
-			// a base-storage invariant break (e.g. serial writes toggled
-			// under live chains). Re-queue the unapplied suffix — the
-			// chains keep serving correct reads, and the keyed apply can be
-			// repeated — and surface via metric.
+			// a base-storage invariant break. Re-queue the unapplied
+			// suffix — the chains keep serving correct reads, and the
+			// keyed apply can be repeated — and surface via metric.
 			mTxnFoldErrors.Inc()
 			db.pendingMu.Lock()
 			db.pending = append(pend[i:], db.pending...)
@@ -391,9 +363,7 @@ func (db *Database) foldLocked() {
 	}
 	minActive := db.txns.MinActiveTS()
 	for _, rt := range db.tables {
-		if rt.ov != nil {
-			rt.ov.Prune(db.foldedTS, minActive)
-		}
+		rt.ov.Prune(db.foldedTS, minActive)
 	}
 }
 
@@ -526,11 +496,6 @@ func (db *Database) execAutoTxnDML(ctx context.Context, tr *trace.Trace, q *quer
 			db.mu.RUnlock()
 			return nil, err
 		}
-		if rt.ov == nil {
-			// No primary key to hang version chains off: the serial path.
-			db.mu.RUnlock()
-			return db.execSerialDML(ctx, tr, q)
-		}
 		sp := tr.Start("apply")
 		t := db.txns.Begin()
 		res, err := db.applyTxnDML(rt, t, q)
@@ -581,23 +546,10 @@ func (db *Database) execTxnDML(tr *trace.Trace, etx *Txn, q *query.Query) (*Resu
 	}
 	rt, err := db.runtime(q.Table)
 	var res *Result
-	switch {
-	case err != nil:
-	case rt.ov != nil:
+	if err == nil {
 		sp := tr.Start("apply")
 		res, err = db.applyTxnDML(rt, etx.tx, q)
 		sp.End()
-	case q.Kind == query.Insert:
-		// PK-less table: no primary key means no chain to claim and no
-		// row another transaction could conflict on, so inserts simply
-		// buffer in the transaction and commit through the serialized
-		// (write-lock) path — see commitTxn.
-		sp := tr.Start("apply")
-		res, err = txnBufferInsert(rt, etx.tx, q)
-		sp.End()
-	default:
-		// UPDATE/DELETE need a key to version, and the table has none.
-		err = fmt.Errorf("%w: %s on table %q inside a transaction (no primary key to version rows by)", ErrUnsupported, q.Kind, q.Table)
 	}
 	db.mu.RUnlock()
 	if err != nil {
@@ -610,41 +562,13 @@ func (db *Database) execTxnDML(tr *trace.Trace, etx *Txn, q *query.Query) (*Resu
 	return res, nil
 }
 
-// execSerialDML is the single-write-lock DML path for tables without a
-// primary key (nothing to hang version chains off). It folds first so
-// base storage is current before being mutated in place.
-func (db *Database) execSerialDML(ctx context.Context, tr *trace.Trace, q *query.Query) (*Result, error) {
-	var seq uint64
-	sp := tr.Start("apply")
-	db.mu.Lock()
-	if db.closed.Load() {
-		db.mu.Unlock()
-		return nil, ErrClosed
-	}
-	db.foldLocked()
-	res, seq, err := db.execDML(q)
-	db.mu.Unlock()
-	sp.End()
-	// Group commit: the record was enqueued in apply order under the
-	// write lock.
-	if err == nil {
-		if err = db.waitDurable(tr, seq); err != nil {
-			err = fmt.Errorf("engine: %s applied but not durable: %w", q.Kind, err)
-		}
-	}
-	if err == nil {
-		sp.AddRowsOut(int64(res.Affected))
-	}
-	return res, err
-}
-
 // applyTxnDML runs one DML statement as claims on rt's overlay for
 // transaction t. Matching for UPDATE/DELETE happens at t's snapshot;
 // primary-key uniqueness (INSERT, key-moving UPDATE) is checked against
 // current reality — the overlay's newest committed state, else base
 // storage — mirroring the stores' own checks. Conflicts surface wrapping
 // txn.ErrConflict. Caller holds db.mu.RLock, so base storage is stable
-// (folds and legacy writes hold the write lock).
+// (folds and COPY hold the write lock).
 func (db *Database) applyTxnDML(rt *tableRuntime, t *txn.Txn, q *query.Query) (*Result, error) {
 	sch := rt.entry.Schema
 	switch q.Kind {
@@ -658,27 +582,8 @@ func (db *Database) applyTxnDML(rt *tableRuntime, t *txn.Txn, q *query.Query) (*
 	return nil, fmt.Errorf("engine: bad DML kind %v", q.Kind)
 }
 
-// txnBufferInsert queues an insert into a PK-less table inside an
-// explicit transaction: rows are coerced and validated now (statement
-// errors must surface at the statement), then wait in the transaction
-// until commit applies them to base storage atomically.
-func txnBufferInsert(rt *tableRuntime, t *txn.Txn, q *query.Query) (*Result, error) {
-	sch := rt.entry.Schema
-	coerced, err := coerceRows(sch, q.Rows)
-	if err != nil {
-		return nil, err
-	}
-	for _, cr := range coerced {
-		if err := sch.ValidateRow(cr); err != nil {
-			return nil, err
-		}
-	}
-	t.BufferInsert(sch.Name, sch.NumColumns(), coerced)
-	return &Result{Affected: len(coerced)}, nil
-}
-
 func txnInsert(rt *tableRuntime, sch *schema.Table, t *txn.Txn, q *query.Query) (*Result, error) {
-	coerced, err := coerceRows(sch, q.Rows)
+	coerced, err := rt.coerceRows(q.Rows)
 	if err != nil {
 		return nil, err
 	}
@@ -827,17 +732,6 @@ type overlayView struct {
 // base, holds the write lock, so base+overlay stay consistent for the
 // whole statement).
 func (db *Database) tableView(rt *tableRuntime, ts uint64, tx *txn.Txn) *overlayView {
-	if rt.ov == nil {
-		// PK-less tables have no overlay, but a transaction reading its
-		// own buffered inserts must see them (read-your-writes); they are
-		// invisible to everyone else until commit folds them into base.
-		if tx != nil {
-			if rows := tx.BufferedRows(rt.entry.Schema.Name); len(rows) > 0 {
-				return &overlayView{rows: rows}
-			}
-		}
-		return nil
-	}
 	if rt.ov.Len() == 0 {
 		return nil
 	}

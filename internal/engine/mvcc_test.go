@@ -200,68 +200,113 @@ func TestTxnSnapshotReadsAreStable(t *testing.T) {
 	if res.Rows[0][0].Float() != 0 {
 		t.Fatalf("post-commit read stale: %v", res.Rows[0][0])
 	}
+
+	// A table without a primary key reads the same snapshot: neither a row
+	// nor an update another session commits mid-transaction shows.
+	for _, store := range []catalog.StoreKind{catalog.RowStore, catalog.ColumnStore} {
+		db := New()
+		if err := db.CreateTable(notesSchema(), store); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, db, &query.Query{Kind: query.Insert, Table: "notes", Rows: [][]value.Value{note("a", 1)}})
+		reader := begin(t, db)
+		read := func() string {
+			cnt, err := reader.Exec(&query.Query{Kind: query.Aggregate, Table: "notes", Aggs: []agg.Spec{{Func: agg.Count, Col: -1}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := reader.Exec(&query.Query{Kind: query.Select, Table: "notes"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fmt.Sprint(cnt.Rows, all.Rows)
+		}
+		before := read()
+		mustExec(t, db, &query.Query{Kind: query.Insert, Table: "notes", Rows: [][]value.Value{note("b", 2)}})
+		mustExec(t, db, &query.Query{Kind: query.Update, Table: "notes", Set: map[int]value.Value{1: value.NewInt(9)}})
+		if after := read(); after != before {
+			t.Fatalf("%s: snapshot read of a keyless table moved: %s -> %s", store, before, after)
+		}
+		reader.Rollback()
+	}
 }
 
+// notesSchema is a table declared without a primary key.
+func notesSchema() *schema.Table {
+	return schema.MustNew("notes", []schema.Column{
+		{Name: "msg", Type: value.Varchar, Nullable: true},
+		{Name: "n", Type: value.Integer, Nullable: true},
+	})
+}
+
+func note(msg string, n int64) []value.Value {
+	return []value.Value{value.NewVarchar(msg), value.NewInt(n)}
+}
+
+// TestTxnPKlessTable runs a table without a primary key through explicit
+// transactions: its hidden row key versions it like any other table.
 func TestTxnPKlessTable(t *testing.T) {
 	db := New()
-	sch := schema.MustNew("nopk", []schema.Column{
-		{Name: "a", Type: value.Bigint, Nullable: true},
-	})
-	if err := db.CreateTable(sch, catalog.RowStore); err != nil {
+	if err := db.CreateTable(notesSchema(), catalog.RowStore); err != nil {
 		t.Fatal(err)
 	}
+	count := func(ex func(*query.Query) (*Result, error)) int {
+		t.Helper()
+		res, err := ex(&query.Query{Kind: query.Select, Table: "notes"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(res.Rows)
+	}
+	nEq := func(n int64) expr.Predicate { return &expr.Comparison{Col: 1, Op: expr.Eq, Val: value.NewInt(n)} }
 
-	// BEGIN…INSERT…COMMIT on a PK-less table buffers and commits.
 	tx := begin(t, db)
-	if _, err := tx.Exec(&query.Query{Kind: query.Insert, Table: "nopk",
-		Rows: [][]value.Value{{value.NewBigint(1)}, {value.NewBigint(2)}}}); err != nil {
-		t.Fatalf("PK-less insert rejected inside a transaction: %v", err)
+	if _, err := tx.Exec(&query.Query{Kind: query.Insert, Table: "notes",
+		Rows: [][]value.Value{note("a", 1), note("b", 2), note("b", 2)}}); err != nil {
+		t.Fatalf("insert inside a transaction: %v", err)
 	}
 	// Read-your-writes inside the transaction…
-	res, err := tx.Exec(&query.Query{Kind: query.Select, Table: "nopk"})
-	if err != nil || len(res.Rows) != 2 {
-		t.Fatalf("buffered rows invisible to own txn: %v %v", res, err)
+	if n := count(tx.Exec); n != 3 {
+		t.Fatalf("own inserts: %d rows visible inside the transaction, want 3", n)
 	}
 	// …but invisible to everyone else before commit.
-	out := mustExec(t, db, &query.Query{Kind: query.Select, Table: "nopk"})
-	if len(out.Rows) != 0 {
-		t.Fatalf("uncommitted PK-less insert leaked: %d rows", len(out.Rows))
+	if n := count(db.Exec); n != 0 {
+		t.Fatalf("uncommitted insert leaked: %d rows", n)
+	}
+	// UPDATE and DELETE by predicate inside the transaction.
+	if res, err := tx.Exec(&query.Query{Kind: query.Update, Table: "notes", Pred: nEq(2),
+		Set: map[int]value.Value{0: value.NewVarchar("B")}}); err != nil || res.Affected != 2 {
+		t.Fatalf("update inside a transaction: %v, %v", res, err)
+	}
+	if res, err := tx.Exec(&query.Query{Kind: query.Delete, Table: "notes", Pred: nEq(1)}); err != nil || res.Affected != 1 {
+		t.Fatalf("delete inside a transaction: %v, %v", res, err)
 	}
 	if err := tx.Commit(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	out = mustExec(t, db, &query.Query{Kind: query.Select, Table: "nopk"})
-	if len(out.Rows) != 2 {
-		t.Fatalf("committed PK-less insert: got %d rows, want 2", len(out.Rows))
+	if got := fmt.Sprint(visibleState(t, db, "notes")); got != "[VARCHAR:B|INTEGER:2| VARCHAR:B|INTEGER:2|]" {
+		t.Fatalf("after commit: %s", got)
 	}
 
-	// Rollback discards the buffer.
+	// Rollback discards inserts, updates and deletes alike.
 	tx2 := begin(t, db)
-	if _, err := tx2.Exec(&query.Query{Kind: query.Insert, Table: "nopk",
-		Rows: [][]value.Value{{value.NewBigint(3)}}}); err != nil {
-		t.Fatal(err)
+	for _, q := range []*query.Query{
+		{Kind: query.Insert, Table: "notes", Rows: [][]value.Value{note("c", 3)}},
+		{Kind: query.Update, Table: "notes", Set: map[int]value.Value{1: value.NewInt(7)}},
+		{Kind: query.Delete, Table: "notes", Pred: nEq(7)},
+	} {
+		if _, err := tx2.Exec(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := count(tx2.Exec); n != 0 {
+		t.Fatalf("inside the second transaction: %d rows, want 0", n)
 	}
 	if err := tx2.Rollback(); err != nil {
 		t.Fatal(err)
 	}
-	out = mustExec(t, db, &query.Query{Kind: query.Select, Table: "nopk"})
-	if len(out.Rows) != 2 {
-		t.Fatalf("rollback left traces: %d rows", len(out.Rows))
-	}
-
-	// UPDATE/DELETE have no key to version by — typed unsupported error.
-	tx3 := begin(t, db)
-	defer tx3.Rollback()
-	_, err = tx3.Exec(&query.Query{Kind: query.Delete, Table: "nopk", Pred: idEq(1)})
-	if !IsUnsupported(err) {
-		t.Fatalf("PK-less delete in txn: got %v, want ErrUnsupported", err)
-	}
-
-	// Reads of PK-less tables are fine inside a transaction.
-	tx4 := begin(t, db)
-	defer tx4.Rollback()
-	if _, err := tx4.Exec(&query.Query{Kind: query.Select, Table: "nopk"}); err != nil {
-		t.Fatalf("PK-less read rejected: %v", err)
+	if n := count(db.Exec); n != 2 {
+		t.Fatalf("rollback left traces: %d rows", n)
 	}
 }
 
@@ -426,7 +471,7 @@ func TestVacuumPrunesFoldedChains(t *testing.T) {
 	db.mu.RLock()
 	rt, err := db.runtime("sales")
 	var left int
-	if err == nil && rt.ov != nil {
+	if err == nil {
 		left = rt.ov.Len()
 	}
 	db.mu.RUnlock()

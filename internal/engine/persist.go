@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"hybridstore/internal/catalog"
-	"hybridstore/internal/query"
 	"hybridstore/internal/wal"
 )
 
@@ -119,11 +118,19 @@ func OpenOptions(dir string, opts Options) (*Database, error) {
 	}
 
 	// 5. Publish statistics: the planner prices a recovered table from
-	// its data, not from default selectivities.
+	// its data, not from default selectivities. A table keyed by the
+	// hidden row key resumes handing keys out past the largest it holds.
 	for _, name := range db.cat.Names() {
-		if _, err := db.CollectStats(name); err != nil {
+		st, err := db.CollectStats(name)
+		if err != nil {
 			log.Close()
 			return nil, err
+		}
+		rt, _ := db.runtime(name)
+		if sch := rt.entry.Schema; sch.Visible() < sch.NumColumns() {
+			if _, hi, ok := st.MinMax(sch.Visible()); ok {
+				rt.rowKey.Store(hi.Int())
+			}
 		}
 	}
 	return db, nil
@@ -153,24 +160,15 @@ func (db *Database) applyRecord(rec *wal.Record) error {
 		return err
 	case wal.RecSetLayout:
 		return db.MigrateLayout(rec.Table, rec.Store, rec.Spec)
-	case wal.RecInsert, wal.RecCopy, wal.RecUpdate, wal.RecDelete:
+	case wal.RecInsert, wal.RecCopy:
+		// A COPY batch replays exactly like an insert of its rows; the
+		// record boundary is the atomicity unit — a torn tail dropped the
+		// whole frame, so recovery never sees a partial batch.
 		rt, err := db.runtime(rec.Table)
 		if err != nil {
 			return err
 		}
-		op := dmlOp{rows: rec.Rows, pred: rec.Pred, set: rec.Set}
-		switch rec.Kind {
-		case wal.RecInsert, wal.RecCopy:
-			// A COPY batch replays exactly like an insert of its rows; the
-			// record boundary is the atomicity unit — a torn tail dropped
-			// the whole frame, so recovery never sees a partial batch.
-			op.kind = query.Insert
-		case wal.RecUpdate:
-			op.kind = query.Update
-		default:
-			op.kind = query.Delete
-		}
-		return replayOps(rt.store, []dmlOp{op})
+		return replayOps(rt.store, []dmlOp{{rows: rec.Rows}})
 	case wal.RecTxnCommit:
 		// One committed transaction's atomic effect. Log order equals
 		// commit order, so the physical delete-then-insert images replay

@@ -199,7 +199,7 @@ func (db *Database) execScanPlan(ctx context.Context, q *query.Query, sh *readSh
 	sch := rt.entry.Schema
 	cols := q.Cols
 	if cols == nil {
-		cols = allCols(sch.NumColumns())
+		cols = plan.StarCols(sch, nil)
 	}
 	res := &Result{Cols: make([]string, len(cols))}
 	for i, c := range cols {

@@ -1,15 +1,18 @@
 package engine
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
 	"hybridstore/internal/catalog"
 	"hybridstore/internal/expr"
 	"hybridstore/internal/query"
+	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
 	"hybridstore/internal/wal"
 )
@@ -81,6 +84,54 @@ func layoutSpecs() []struct {
 	}
 }
 
+// keylessSales is salesSchema declared without a primary key, so the
+// hidden row key, column 5, is its key and id (column 0) an ordinary
+// column that UPDATE may set to a value another row has.
+func keylessSales() *schema.Table {
+	sch := salesSchema()
+	return schema.MustNew(sch.Name, sch.Columns)
+}
+
+// keylessSpec is spec, a layout of a table keyed by the columns a vertical
+// split puts in both partitions, for the keyless twin of that table: those
+// columns stay in the row partition only, and the hidden row key rowKey
+// joins both.
+func keylessSpec(spec *catalog.PartitionSpec, rowKey int) *catalog.PartitionSpec {
+	if spec == nil || spec.Vertical == nil {
+		return spec
+	}
+	v, out := spec.Vertical, *spec
+	var colCols []int
+	for _, c := range v.ColCols {
+		if !slices.Contains(v.RowCols, c) {
+			colCols = append(colCols, c)
+		}
+	}
+	out.Vertical = &catalog.VerticalSpec{
+		RowCols: append(slices.Clone(v.RowCols), rowKey),
+		ColCols: append(colCols, rowKey),
+	}
+	return &out
+}
+
+// salesVariants is the keyed sales table and its keyless twin, each with
+// the layout spec adapted to it and the subtest name suffix.
+func salesVariants(spec *catalog.PartitionSpec) []struct {
+	suffix string
+	sch    *schema.Table
+	spec   *catalog.PartitionSpec
+} {
+	keyless := keylessSales()
+	return []struct {
+		suffix string
+		sch    *schema.Table
+		spec   *catalog.PartitionSpec
+	}{
+		{"", salesSchema(), spec},
+		{"_keyless", keyless, keylessSpec(spec, keyless.NumColumns()-1)},
+	}
+}
+
 // applyWorkload runs a mixed DML sequence: inserts, an update, a PK
 // change, a split-column move and a delete.
 func applyWorkload(t *testing.T, db *Database) {
@@ -141,6 +192,65 @@ func TestRecoveryCrashAllLayouts(t *testing.T) {
 				t.Fatalf("layout %s: catalog placement not recovered: %+v", lay.name, e)
 			}
 		})
+	}
+}
+
+// TestRecoveryWideTableDelete crashes right after an auto-commit DELETE by
+// key on tables of 8 and 30 columns, on every layout. The DELETE's commit
+// record carries one deleted key and no row images, so it is much shorter
+// than the table is wide, and recovery must still decode it.
+func TestRecoveryWideTableDelete(t *testing.T) {
+	for _, width := range []int{8, 30} {
+		cols := make([]schema.Column, width)
+		for c := range cols {
+			cols[c] = schema.Column{Name: fmt.Sprintf("c%d", c), Type: value.Integer}
+		}
+		cols[0] = schema.Column{Name: "id", Type: value.Bigint}
+		horiz := &catalog.HorizontalSpec{
+			SplitCol: 1, SplitVal: value.NewInt(5),
+			HotStore: catalog.RowStore, ColdStore: catalog.ColumnStore,
+		}
+		vert := &catalog.VerticalSpec{RowCols: []int{0, 1}}
+		for c := 0; c < width; c++ {
+			if c != 1 {
+				vert.ColCols = append(vert.ColCols, c)
+			}
+		}
+		layouts := []dmlLayout{
+			{"row", catalog.RowStore, nil},
+			{"column", catalog.ColumnStore, nil},
+			{"horizontal", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: horiz}},
+			{"vertical", catalog.Partitioned, &catalog.PartitionSpec{Vertical: vert}},
+			{"horizontal+vertical", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: horiz, Vertical: vert}},
+		}
+		for _, lay := range layouts {
+			t.Run(fmt.Sprintf("%s/width%d", lay.name, width), func(t *testing.T) {
+				dir := t.TempDir()
+				db := openTestDB(t, dir)
+				if err := db.CreateTableWithLayout(schema.MustNew("wide", cols, "id"), lay.store, lay.spec); err != nil {
+					t.Fatal(err)
+				}
+				rows := make([][]value.Value, 10)
+				for i := range rows {
+					rows[i] = []value.Value{value.NewBigint(int64(i))}
+					for c := 1; c < width; c++ {
+						rows[i] = append(rows[i], value.NewInt(int64(i+c)))
+					}
+				}
+				mustExec(t, db, &query.Query{Kind: query.Insert, Table: "wide", Rows: rows})
+				mustExec(t, db, &query.Query{Kind: query.Delete, Table: "wide",
+					Pred: &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(1)}})
+				want := visibleState(t, db, "wide")
+				if err := db.Crash(); err != nil {
+					t.Fatal(err)
+				}
+				re := openTestDB(t, dir)
+				defer re.Close()
+				if got := visibleState(t, re, "wide"); !reflect.DeepEqual(got, want) {
+					t.Fatalf("recovered %d rows, want %d", len(got), len(want))
+				}
+			})
+		}
 	}
 }
 

@@ -16,12 +16,13 @@ import (
 // vertically split tables and horizontally split tables are
 // interchangeable — the transparency the paper requires of store-aware
 // partitioning ("the query rewriting must be realized automatically and
-// transparently to the user", §4).
+// transparently to the user", §4). Every write names rows by primary key:
+// Insert appends rows under keys no live row holds (a COPY batch, a
+// migration's copy, replay of an insert record), and a committed
+// transaction folds in through DeletePK and Upsert.
 type storage interface {
 	Rows() int
 	Insert(rows [][]value.Value) error
-	Update(pred expr.Predicate, set map[int]value.Value) (int, error)
-	Delete(pred expr.Predicate) int
 	// Scan streams rows matching pred. cols lists the columns the caller
 	// will read (nil = all); implementations may leave other positions
 	// stale. The row slice is scratch — do not retain.
@@ -56,10 +57,10 @@ type storage interface {
 	// footprint adds what is under this storage to f.
 	footprint(f *Footprint)
 	// HasPK reports whether a live row with the given primary-key values
-	// (in table PK order) exists. Partitioned layouts use it to
-	// pre-validate inserts and PK-changing updates across their
-	// partitions, so a multi-partition statement fails atomically instead
-	// of mutating one partition before the other rejects.
+	// (in table PK order) exists. The engine checks transactional writes
+	// against it, and partitioned layouts pre-validate an insert across
+	// their partitions with it, so a batch fails atomically instead of
+	// mutating one partition before the other rejects.
 	HasPK(key []value.Value) bool
 	// DeletePK removes the live row with the given primary key, reporting
 	// whether there was one, and Upsert stores full-width rows under their
@@ -174,12 +175,6 @@ func (s *rowStorage) Rows() int { return s.t.Rows() }
 
 func (s *rowStorage) Insert(rows [][]value.Value) error { return s.t.Insert(rows) }
 
-func (s *rowStorage) Update(pred expr.Predicate, set map[int]value.Value) (int, error) {
-	return s.t.Update(pred, set)
-}
-
-func (s *rowStorage) Delete(pred expr.Predicate) int { return s.t.Delete(pred) }
-
 func (s *rowStorage) Scan(pred expr.Predicate, cols []int, fn func(row []value.Value) bool) {
 	s.t.ScanCols(pred, cols, func(rid int, row []value.Value) bool { return fn(row) })
 }
@@ -223,12 +218,6 @@ type colStorage struct {
 func (s *colStorage) Rows() int { return s.t.Rows() }
 
 func (s *colStorage) Insert(rows [][]value.Value) error { return s.t.Insert(rows) }
-
-func (s *colStorage) Update(pred expr.Predicate, set map[int]value.Value) (int, error) {
-	return s.t.Update(pred, set)
-}
-
-func (s *colStorage) Delete(pred expr.Predicate) int { return s.t.Delete(pred) }
 
 func (s *colStorage) Scan(pred expr.Predicate, cols []int, fn func(row []value.Value) bool) {
 	s.t.Scan(pred, cols, func(rid int, row []value.Value) bool { return fn(row) })

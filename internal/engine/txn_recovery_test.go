@@ -9,26 +9,27 @@ import (
 
 	"hybridstore/internal/catalog"
 	"hybridstore/internal/query"
+	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
 )
 
 // commitTxnWorkload runs one explicit transaction touching several rows
-// (update, delete, insert) and commits it, so its WAL commit record is a
-// multi-row unit that recovery must apply atomically or not at all.
-func commitTxnWorkload(t *testing.T, db *Database, round int64) {
+// (update, delete, insert) of each of the given sales-shaped tables and
+// commits it, so its WAL commit record is a multi-row unit that recovery
+// must apply atomically or not at all.
+func commitTxnWorkload(t *testing.T, db *Database, round int64, tables ...string) {
 	t.Helper()
 	tx := begin(t, db)
-	if _, err := tx.Exec(&query.Query{Kind: query.Update, Table: "sales",
-		Pred: idEq(round), Set: map[int]value.Value{2: value.NewDouble(9000 + float64(round))}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Exec(&query.Query{Kind: query.Delete, Table: "sales",
-		Pred: idEq(round + 4)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tx.Exec(&query.Query{Kind: query.Insert, Table: "sales",
-		Rows: [][]value.Value{salesRow(100 + round)}}); err != nil {
-		t.Fatal(err)
+	for _, table := range tables {
+		for _, q := range []*query.Query{
+			{Kind: query.Update, Table: table, Pred: idEq(round), Set: map[int]value.Value{2: value.NewDouble(9000 + float64(round))}},
+			{Kind: query.Delete, Table: table, Pred: idEq(round + 4)},
+			{Kind: query.Insert, Table: table, Rows: [][]value.Value{salesRow(100 + round)}},
+		} {
+			if _, err := tx.Exec(q); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if err := tx.Commit(context.Background()); err != nil {
 		t.Fatal(err)
@@ -38,26 +39,46 @@ func commitTxnWorkload(t *testing.T, db *Database, round int64) {
 // TestTxnRecoveryTruncatedCommitRecord cuts the WAL at every byte length
 // across two transactional commit records and checks each recovery lands
 // on exactly one of the legal committed states — a torn commit record
-// rolls the whole transaction back, never replaying part of it.
+// rolls the whole transaction back, never replaying part of it. Each
+// transaction writes a keyed table and a keyless one (notes), and a table
+// recovered with all its rows hands out row keys past the largest it holds.
 func TestTxnRecoveryTruncatedCommitRecord(t *testing.T) {
 	dir := t.TempDir()
 	db := openTestDB(t, dir)
-	if err := db.CreateTable(salesSchema(), catalog.RowStore); err != nil {
-		t.Fatal(err)
+	notes := keylessSales()
+	notes.Name = "notes"
+	for _, sch := range []*schema.Table{salesSchema(), notes} {
+		if err := db.CreateTable(sch, catalog.RowStore); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Base state arrives as one multi-row insert so every legal recovery
-	// image is an atomic state, not an insert prefix.
+	// state renders both tables; one a cut left uncreated has no rows.
+	state := func(db *Database) []string {
+		var out []string
+		for _, table := range []string{"sales", "notes"} {
+			if _, err := db.Rows(table); err == nil {
+				for _, row := range visibleState(t, db, table) {
+					out = append(out, table+":"+row)
+				}
+			}
+		}
+		return out
+	}
+	// Each table's base state arrives as one multi-row insert so every
+	// legal recovery image is an atomic state, not an insert prefix.
 	base := make([][]value.Value, 0, 10)
 	for i := 0; i < 10; i++ {
 		base = append(base, salesRow(int64(i)))
 	}
 	mustExec(t, db, &query.Query{Kind: query.Insert, Table: "sales", Rows: base})
-	stateBase := visibleState(t, db, "sales")
+	stateSales := state(db)
+	mustExec(t, db, &query.Query{Kind: query.Insert, Table: "notes", Rows: base})
+	stateBase := state(db)
 
-	commitTxnWorkload(t, db, 1)
-	stateA := visibleState(t, db, "sales")
-	commitTxnWorkload(t, db, 2)
-	stateB := visibleState(t, db, "sales")
+	commitTxnWorkload(t, db, 1, "sales", "notes")
+	stateA := state(db)
+	commitTxnWorkload(t, db, 2, "sales", "notes")
+	stateB := state(db)
 	if err := db.Crash(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +87,8 @@ func TestTxnRecoveryTruncatedCommitRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legal := [][]string{{}, stateBase, stateA, stateB}
-	names := []string{"empty", "base", "after-txn-A", "after-both"}
+	legal := [][]string{nil, stateSales, stateBase, stateA, stateB}
+	names := []string{"empty", "sales-only", "base", "after-txn-A", "after-both"}
 	reached := make([]bool, len(legal))
 	for cut := 0; cut <= len(data); cut++ {
 		cutDir := t.TempDir()
@@ -75,12 +96,7 @@ func TestTxnRecoveryTruncatedCommitRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		re := openTestDB(t, cutDir)
-		if _, err := re.Rows("sales"); err != nil {
-			// Cut inside the create-table record: the table never existed.
-			re.Close()
-			continue
-		}
-		got := visibleState(t, re, "sales")
+		got := state(re)
 		matched := -1
 		for i, want := range legal {
 			if reflect.DeepEqual(got, want) {
@@ -92,6 +108,12 @@ func TestTxnRecoveryTruncatedCommitRecord(t *testing.T) {
 			t.Fatalf("cut at %d/%d bytes: recovered a partial transaction: %v", cut, len(data), got)
 		}
 		reached[matched] = true
+		if cut == len(data) {
+			mustExec(t, re, &query.Query{Kind: query.Insert, Table: "notes", Rows: [][]value.Value{salesRow(500)}})
+			if n, _ := re.Rows("notes"); n != 11 {
+				t.Fatalf("notes holds %d rows after an insert into the recovered 10", n)
+			}
+		}
 		re.Close()
 	}
 	// Sanity: the sweep actually visited every atomic state, including the
@@ -107,42 +129,47 @@ func TestTxnRecoveryTruncatedCommitRecord(t *testing.T) {
 // another still open; recovery must replay the committed one in full and
 // show no trace of the open one.
 func TestTxnRecoveryCommittedOnly(t *testing.T) {
-	for _, spec := range layoutSpecs() {
-		t.Run(spec.name, func(t *testing.T) {
-			dir := t.TempDir()
-			db := openTestDB(t, dir)
-			if err := db.CreateTableWithLayout(salesSchema(), spec.store, spec.spec); err != nil {
-				t.Fatal(err)
-			}
-			rows := make([][]value.Value, 0, 10)
-			for i := 0; i < 10; i++ {
-				rows = append(rows, salesRow(int64(i)))
-			}
-			mustExec(t, db, &query.Query{Kind: query.Insert, Table: "sales", Rows: rows})
+	for _, lay := range layoutSpecs() {
+		for _, v := range salesVariants(lay.spec) {
+			t.Run(lay.name+v.suffix, func(t *testing.T) {
+				dir := t.TempDir()
+				db := openTestDB(t, dir)
+				if err := db.CreateTableWithLayout(v.sch, lay.store, v.spec); err != nil {
+					t.Fatal(err)
+				}
+				rows := make([][]value.Value, 0, 10)
+				for i := 0; i < 10; i++ {
+					rows = append(rows, salesRow(int64(i)))
+				}
+				mustExec(t, db, &query.Query{Kind: query.Insert, Table: "sales", Rows: rows})
 
-			commitTxnWorkload(t, db, 3)
-			want := visibleState(t, db, "sales")
+				commitTxnWorkload(t, db, 3, "sales")
+				want := visibleState(t, db, "sales")
 
-			// Open transaction with pending writes at crash time: its
-			// versions live only in the overlay, never in the WAL.
-			open := begin(t, db)
-			if _, err := open.Exec(&query.Query{Kind: query.Update, Table: "sales",
-				Pred: idEq(0), Set: map[int]value.Value{2: value.NewDouble(-1)}}); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := open.Exec(&query.Query{Kind: query.Insert, Table: "sales",
-				Rows: [][]value.Value{salesRow(999)}}); err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Crash(); err != nil {
-				t.Fatal(err)
-			}
+				// Open transaction with pending writes at crash time: its
+				// versions live only in the overlay, never in the WAL.
+				open := begin(t, db)
+				if _, err := open.Exec(&query.Query{Kind: query.Update, Table: "sales",
+					Pred: idEq(0), Set: map[int]value.Value{2: value.NewDouble(-1)}}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := open.Exec(&query.Query{Kind: query.Insert, Table: "sales",
+					Rows: [][]value.Value{salesRow(999)}}); err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Crash(); err != nil {
+					t.Fatal(err)
+				}
 
-			re := openTestDB(t, dir)
-			defer re.Close()
-			if got := visibleState(t, re, "sales"); !reflect.DeepEqual(got, want) {
-				t.Fatalf("recovery state diverged:\n got %v\nwant %v", got, want)
-			}
-		})
+				re := openTestDB(t, dir)
+				defer re.Close()
+				if got := visibleState(t, re, "sales"); !reflect.DeepEqual(got, want) {
+					t.Fatalf("recovery state diverged:\n got %v\nwant %v", got, want)
+				}
+				// A recovered table takes new rows: a keyless one hands out a
+				// row key past the largest it holds, whatever its layout.
+				mustExec(t, re, &query.Query{Kind: query.Insert, Table: "sales", Rows: [][]value.Value{salesRow(2000)}})
+			})
+		}
 	}
 }

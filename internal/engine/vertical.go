@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"hybridstore/internal/agg"
@@ -44,9 +43,6 @@ func newVerticalStorage(sch *schema.Table, spec *catalog.VerticalSpec) (*vertica
 	if err != nil {
 		return nil, err
 	}
-	if len(rsSchema.PrimaryKey) == 0 || len(csSchema.PrimaryKey) == 0 {
-		return nil, fmt.Errorf("engine: vertical partitions of %q must retain the primary key", sch.Name)
-	}
 	v := &verticalStorage{
 		sch:     sch,
 		spec:    spec,
@@ -82,9 +78,8 @@ func (v *verticalStorage) Insert(rows [][]value.Value) error {
 	}
 	if err := v.colPart.Insert(projectRows(rows, v.spec.ColCols)); err != nil {
 		// Keep partitions consistent: roll the row partition back by key.
-		rsch := v.rowPart.Schema()
-		for _, rrow := range rrows {
-			v.rowPart.Delete(pkPredicate(rsch.PrimaryKey, rsch.PKValues(rrow)))
+		for _, row := range rows {
+			v.rowPart.DeletePK(v.sch.PKValues(row))
 		}
 		return err
 	}
@@ -103,15 +98,6 @@ func projectRows(rows [][]value.Value, cols []int) [][]value.Value {
 		}
 	}
 	return out
-}
-
-// pkPredicate builds col=val conjunctions over the given columns.
-func pkPredicate(cols []int, key []value.Value) expr.Predicate {
-	preds := make([]expr.Predicate, len(cols))
-	for i, c := range cols {
-		preds[i] = &expr.Comparison{Col: c, Op: expr.Eq, Val: key[i]}
-	}
-	return andOf(preds)
 }
 
 // andOf is the conjunction of preds (nil when there are none).
@@ -482,104 +468,17 @@ func (v *verticalStorage) spanningGeneric(res *agg.Result, colPred, post expr.Pr
 		})
 }
 
-// Update routes assignments to the partitions holding the assigned
-// columns. When the predicate is fully contained in one partition and all
-// assignments target that same partition, the update executes there
-// directly (this is the fast path the advisor's vertical split creates for
-// OLTP attributes). Otherwise matching primary keys are collected first
-// and each partition is updated by key.
-func (v *verticalStorage) Update(pred expr.Predicate, set map[int]value.Value) (int, error) {
-	if err := v.sch.ValidateSet(set); err != nil {
-		return 0, err
-	}
-	rowSet := map[int]value.Value{}
-	colSet := map[int]value.Value{}
-	for c, val := range set {
-		if n, ok := v.rowFwd[c]; ok {
-			rowSet[n] = val
-		}
-		if n, ok := v.colFwd[c]; ok {
-			colSet[n] = val
-		}
-	}
-	predCols := expr.ColumnSet(pred)
-	// Fast path: everything in the row partition.
-	if v.coverage(predCols) == partRow && len(colSet) == 0 {
-		rpred, _ := expr.Remap(pred, v.rowFwd)
-		return v.rowPart.Update(rpred, rowSet)
-	}
-	// Fast path: everything in the column partition.
-	if v.coverage(predCols) == partCol && len(rowSet) == 0 {
-		cpred, _ := expr.Remap(pred, v.colFwd)
-		return v.colPart.Update(cpred, colSet)
-	}
-	// General path: find matching keys, then update both partitions by key.
-	keys := v.matchingPKs(pred)
-	// A PK-changing update is applied key by key below, so collisions
-	// must be rejected up front — both against rows outside the matched
-	// set and between the new keys of this statement — or a mid-loop
-	// failure would leave the partitions partially updated.
-	if v.sch.AssignsKey(set) {
-		if err := v.sch.ValidateKeyUpdate(set, keys, v.HasPK); err != nil {
-			return 0, err
-		}
-	}
-	rowPK := v.rowPart.Schema().PrimaryKey
-	colPK := v.colPart.Schema().PrimaryKey
-	for _, key := range keys {
-		if len(rowSet) > 0 {
-			if _, err := v.rowPart.Update(pkPredicate(rowPK, key), rowSet); err != nil {
-				return 0, err
-			}
-		}
-		if len(colSet) > 0 {
-			if _, err := v.colPart.Update(pkPredicate(colPK, key), colSet); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return len(keys), nil
-}
-
-// matchingPKs returns the primary keys of rows matching pred, scanning the
-// cheapest partition that covers the predicate.
-func (v *verticalStorage) matchingPKs(pred expr.Predicate) [][]value.Value {
-	var keys [][]value.Value
-	predCols := expr.ColumnSet(pred)
-	pkTable := v.sch.PrimaryKey
-	collect := func(row []value.Value) bool {
-		key := make([]value.Value, len(pkTable))
-		for i, k := range pkTable {
-			key[i] = row[k]
-		}
-		keys = append(keys, key)
-		return true
-	}
-	need := append(append([]int{}, predCols...), pkTable...)
-	v.Scan(pred, need, collect)
-	return keys
-}
-
-func (v *verticalStorage) Delete(pred expr.Predicate) int {
-	keys := v.matchingPKs(pred)
-	rowPK := v.rowPart.Schema().PrimaryKey
-	colPK := v.colPart.Schema().PrimaryKey
-	for _, key := range keys {
-		v.rowPart.Delete(pkPredicate(rowPK, key))
-		v.colPart.Delete(pkPredicate(colPK, key))
-	}
-	return len(keys)
-}
-
 // HasPK reports whether a live row carries the given primary-key values
 // (the row partition is authoritative; keys are in table PK order,
 // which projection preserves).
 func (v *verticalStorage) HasPK(key []value.Value) bool { return v.rowPart.HasPK(key) }
 
-// DeletePK and Upsert go through the predicate paths, which resolve a key
-// through each partition's PK index.
+// DeletePK removes the key's row from both partitions, each resolving the
+// key through its PK index, and Upsert re-inserts each row into both
+// after deleting its key.
 func (v *verticalStorage) DeletePK(key []value.Value) bool {
-	return v.Delete(pkPredicate(v.sch.PrimaryKey, key)) > 0
+	v.colPart.DeletePK(key)
+	return v.rowPart.DeletePK(key)
 }
 
 func (v *verticalStorage) Upsert(rows [][]value.Value) error {

@@ -222,7 +222,7 @@ func (b *builder) single() (Node, error) {
 
 	cols := q.Cols
 	if cols == nil {
-		cols = allCols(n)
+		cols = StarCols(m.Schema, nil)
 	}
 	ordered := len(q.OrderBy) > 0
 	scanCols := cols
@@ -396,7 +396,7 @@ func (b *builder) join() (Node, error) {
 	cur = b.orderLimit(cur, q.OrderBy, q.Limit)
 	outCols := q.Cols
 	if outCols == nil {
-		outCols = allCols(nL + nR)
+		outCols = StarCols(mL.Schema, mR.Schema)
 	}
 	rows := cur.Estimate().Rows
 	if q.Limit > 0 && len(q.OrderBy) == 0 && float64(q.Limit) < rows {
@@ -479,6 +479,19 @@ func allCols(n int) []int {
 		out[i] = i
 	}
 	return out
+}
+
+// StarCols is what SELECT * projects, in combined indexing: the declared
+// columns of left, then those of right (nil for a single-table read). A
+// hidden row key (schema.RowKey) is never among them.
+func StarCols(left, right *schema.Table) []int {
+	cols := allCols(left.Visible())
+	if right != nil {
+		for c := 0; c < right.Visible(); c++ {
+			cols = append(cols, left.NumColumns()+c)
+		}
+	}
+	return cols
 }
 
 func orderByCols(keys []query.Order) []int {

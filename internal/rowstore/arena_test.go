@@ -128,7 +128,7 @@ func TestArenaRoundTrip(t *testing.T) {
 	}
 	checkAgainst(t, tb, model, "upsert")
 
-	tb.Delete(&expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(1)})
+	deleteWhere(tb, &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(1)})
 	if !tb.DeletePK([]value.Value{value.NewBigint(3)}) || tb.DeletePK([]value.Value{value.NewBigint(3)}) {
 		t.Fatal("DeletePK must report the one row it removed")
 	}
@@ -230,7 +230,7 @@ func TestTombstoneReclamation(t *testing.T) {
 		t.Fatalf("%d rows after churn", tb.Rows())
 	}
 	// Shrinking: the arena follows the live rows down.
-	tb.Delete(&expr.Comparison{Col: 0, Op: expr.Lt, Val: value.NewBigint(next - 10_000)})
+	deleteWhere(tb, &expr.Comparison{Col: 0, Op: expr.Lt, Val: value.NewBigint(next - 10_000)})
 	bound("bulk delete")
 	if rid, ok := tb.LookupPK([]value.Value{value.NewBigint(next - 1)}); !ok || tb.Value(rid, 0).Int() != next-1 {
 		t.Fatal("PK index broken by reclamation")

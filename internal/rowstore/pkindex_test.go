@@ -76,7 +76,7 @@ func TestOrderedPKAfterDeleteAndUpdate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tb.Delete(&expr.Between{Col: 0, Lo: value.NewBigint(10), Hi: value.NewBigint(19)})
+	deleteWhere(tb, &expr.Between{Col: 0, Lo: value.NewBigint(10), Hi: value.NewBigint(19)})
 	// Move key 5 to 500.
 	if _, err := tb.Update(&expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(5)},
 		map[int]value.Value{0: value.NewBigint(500)}); err != nil {
@@ -130,7 +130,7 @@ func TestOrderedPKEquivalenceRandomized(t *testing.T) {
 		case 2:
 			k := rng.Int63n(2000)
 			if live[k] {
-				tb.Delete(&expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(k)})
+				deleteWhere(tb, &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(k)})
 				delete(live, k)
 			}
 		}

@@ -55,7 +55,7 @@ type Table struct {
 
 // New creates an empty row-store table for the schema. A hash index on the
 // primary key is always maintained (it backs uniqueness checks and point
-// queries).
+// queries), and an ordered one besides when the key is one column.
 func New(sch *schema.Table) *Table {
 	n := sch.NumColumns()
 	t := &Table{
@@ -65,6 +65,7 @@ func New(sch *schema.Table) *Table {
 		stride:    n,
 		nw:        (n + 63) / 64,
 		width:     n + (n+63)/64,
+		pkIndex:   &pkindex.Index{},
 		secondary: make(map[int]*pkindex.Index),
 	}
 	t.blank = make([]uint64, t.width)
@@ -75,11 +76,8 @@ func New(sch *schema.Table) *Table {
 			t.varchars = append(t.varchars, c)
 		}
 	}
-	if len(sch.PrimaryKey) > 0 {
-		t.pkIndex = &pkindex.Index{}
-		if len(sch.PrimaryKey) == 1 {
-			t.pkOrdered = &orderedPK{}
-		}
+	if len(sch.PrimaryKey) == 1 {
+		t.pkOrdered = &orderedPK{}
 	}
 	return t
 }
@@ -213,7 +211,7 @@ func (t *Table) pkEqual(rid int, key []value.Value) bool {
 
 // LookupPK returns the physical row id for a primary-key value, if present.
 func (t *Table) LookupPK(key []value.Value) (int, bool) {
-	if t.pkIndex == nil || len(key) != len(t.sch.PrimaryKey) {
+	if len(key) != len(t.sch.PrimaryKey) {
 		return 0, false
 	}
 	rid, ok := t.pkIndex.Lookup(value.HashRow(key), func(rid int32) bool { return t.pkEqual(int(rid), key) })
@@ -328,7 +326,7 @@ func (t *Table) HasIndex(col int) bool {
 	if _, ok := t.secondary[col]; ok {
 		return true
 	}
-	return len(t.sch.PrimaryKey) == 1 && t.sch.PrimaryKey[0] == col && t.pkIndex != nil
+	return len(t.sch.PrimaryKey) == 1 && t.sch.PrimaryKey[0] == col
 }
 
 // candidateRows returns a restricted candidate row set for the predicate
@@ -339,7 +337,7 @@ func (t *Table) candidateRows(pred expr.Predicate, buf []int32) ([]int32, bool) 
 		return nil, false
 	}
 	// PK point lookup through the hash index.
-	if key, ok := expr.PKEquality(pred, t.sch.PrimaryKey); ok && t.pkIndex != nil {
+	if key, ok := expr.PKEquality(pred, t.sch.PrimaryKey); ok {
 		return t.pkIndex.Append(buf, value.HashRow(key)), true
 	}
 	// Secondary index equality.
@@ -472,9 +470,6 @@ func (t *Table) Update(pred expr.Predicate, set map[int]value.Value) (int, error
 // indexPK enters row rid into the primary-key indexes under the key it
 // stores; unindexPK takes it out again.
 func (t *Table) indexPK(rid int32) {
-	if t.pkIndex == nil {
-		return
-	}
 	t.pkIndex.Add(t.pkHash(rid), rid)
 	if t.pkOrdered != nil {
 		t.pkOrdered.insert(t, rid)
@@ -482,23 +477,10 @@ func (t *Table) indexPK(rid int32) {
 }
 
 func (t *Table) unindexPK(rid int32) {
-	if t.pkIndex == nil {
-		return
-	}
 	t.pkIndex.Remove(t.pkHash(rid), rid)
 	if t.pkOrdered != nil {
 		t.pkOrdered.remove(t, rid)
 	}
-}
-
-// Delete removes all live rows matching pred and returns the count.
-func (t *Table) Delete(pred expr.Predicate) int {
-	touched := t.matching(pred)
-	for _, rid := range touched {
-		t.drop(rid)
-	}
-	t.reclaim()
-	return len(touched)
 }
 
 // DeletePK removes the row with the given primary key, if the table holds

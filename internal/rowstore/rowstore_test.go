@@ -282,7 +282,7 @@ func TestUpdateMaintainsSecondaryIndex(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	tb := loaded(t, 10)
-	n := tb.Delete(&expr.Comparison{Col: 1, Op: expr.Eq, Val: value.NewInt(1)})
+	n := deleteWhere(tb, &expr.Comparison{Col: 1, Op: expr.Eq, Val: value.NewInt(1)})
 	if n != 2 || tb.Rows() != 8 {
 		t.Errorf("Delete = %d, Rows = %d", n, tb.Rows())
 	}
@@ -303,7 +303,7 @@ func TestDelete(t *testing.T) {
 func TestCompact(t *testing.T) {
 	tb := loaded(t, 10)
 	tb.CreateIndex(1)
-	tb.Delete(&expr.Comparison{Col: 0, Op: expr.Lt, Val: value.NewBigint(5)})
+	deleteWhere(tb, &expr.Comparison{Col: 0, Op: expr.Lt, Val: value.NewBigint(5)})
 	if got := tb.Compact(); got != 5 {
 		t.Errorf("Compact reclaimed %d", got)
 	}
@@ -333,7 +333,7 @@ func TestMemoryBytes(t *testing.T) {
 		t.Error("MemoryBytes should be positive")
 	}
 	before := tb.MemoryBytes()
-	tb.Delete(&expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(0)})
+	deleteWhere(tb, &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(0)})
 	if tb.MemoryBytes() >= before {
 		t.Error("deleting should shrink accounted memory")
 	}
@@ -421,7 +421,7 @@ func TestUpdatePKDuplicateRejected(t *testing.T) {
 
 func TestLoadRoundTrip(t *testing.T) {
 	tb := loaded(t, 20)
-	tb.Delete(&expr.Comparison{Col: 0, Op: expr.Lt, Val: value.NewBigint(5)})
+	deleteWhere(tb, &expr.Comparison{Col: 0, Op: expr.Lt, Val: value.NewBigint(5)})
 	var rows [][]value.Value
 	tb.Scan(nil, func(rid int, row []value.Value) bool {
 		cp := make([]value.Value, len(row))
@@ -465,4 +465,18 @@ func TestInsertBatchAtomic(t *testing.T) {
 	if tb.Rows() != 5 {
 		t.Fatalf("rows = %d after intra-dup batch, want 5", tb.Rows())
 	}
+}
+
+// deleteWhere deletes the rows matching pred by key, as a transaction's
+// fold does, and returns how many it deleted.
+func deleteWhere(tb *Table, pred expr.Predicate) int {
+	var keys [][]value.Value
+	tb.Scan(pred, func(_ int, row []value.Value) bool {
+		keys = append(keys, tb.Schema().PKValues(row))
+		return true
+	})
+	for _, key := range keys {
+		tb.DeletePK(key)
+	}
+	return len(keys)
 }

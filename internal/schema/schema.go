@@ -21,17 +21,31 @@ type Column struct {
 type Table struct {
 	Name       string
 	Columns    []Column
-	PrimaryKey []int // indexes into Columns; may be empty
+	PrimaryKey []int // indexes into Columns; never empty (see RowKey)
 
 	byName map[string]int
 }
 
+// RowKey names the hidden key of a table declared without a primary key:
+// New appends a BIGINT column of this name and makes it the key, as
+// SQLite's rowid. '$' cannot start a SQL identifier, so no statement can
+// name it; the engine assigns its values.
+const RowKey = "$rowid"
+
 // New constructs a validated table schema. The primary-key columns are given
-// by name and must exist.
+// by name and must exist; with none, the hidden RowKey column is appended
+// and is the key.
 func New(name string, cols []Column, pk ...string) (*Table, error) {
 	t := &Table{Name: name, Columns: cols}
 	if err := t.init(); err != nil {
 		return nil, err
+	}
+	if len(pk) == 0 {
+		t.Columns = append(cols[:len(cols):len(cols)], Column{Name: RowKey, Type: value.Bigint})
+		if err := t.init(); err != nil {
+			return nil, err
+		}
+		pk = []string{RowKey}
 	}
 	for _, k := range pk {
 		i, ok := t.byName[strings.ToLower(k)]
@@ -74,8 +88,22 @@ func (t *Table) init() error {
 	return nil
 }
 
-// NumColumns returns the number of columns.
+// NumColumns returns the number of columns, the hidden RowKey included.
 func (t *Table) NumColumns() int { return len(t.Columns) }
+
+// hasRowKey reports whether the table's key is the hidden RowKey column,
+// which is then its last column.
+func (t *Table) hasRowKey() bool { return t.Columns[len(t.Columns)-1].Name == RowKey }
+
+// Visible returns the number of declared columns: every column but the
+// hidden RowKey. They come first, so a row of a statement that cannot
+// name the key (INSERT, COPY, SELECT *) is the first Visible columns.
+func (t *Table) Visible() int {
+	if t.hasRowKey() {
+		return len(t.Columns) - 1
+	}
+	return len(t.Columns)
+}
 
 // ColIndex returns the index of the named column (case-insensitive), or -1.
 func (t *Table) ColIndex(name string) int {
@@ -199,24 +227,18 @@ func (t *Table) ValidateKeyUpdate(set map[int]value.Value, keys [][]value.Value,
 }
 
 // ValidateInsert checks an insert batch before anything of it is stored:
-// every row against the schema (ValidateRow) and, when the table has a
-// primary key, every row's key against the keys taken reports as held and
-// against the batch's other keys — so a failing INSERT is atomic.
+// every row against the schema (ValidateRow), and every row's key against
+// the keys taken reports as held and against the batch's other keys — so a
+// failing INSERT is atomic.
 func (t *Table) ValidateInsert(rows [][]value.Value, taken func(key []value.Value) bool) error {
-	var keys map[string]struct{}
+	keys := make(map[string]struct{}, len(rows))
 	for _, row := range rows {
 		if err := t.ValidateRow(row); err != nil {
 			return err
 		}
-		if len(t.PrimaryKey) == 0 {
-			continue
-		}
 		key := t.PKValues(row)
 		if taken(key) {
 			return fmt.Errorf("schema: duplicate primary key %v in table %q", key, t.Name)
-		}
-		if keys == nil {
-			keys = make(map[string]struct{}, len(rows))
 		}
 		ks := value.TupleKey(key)
 		if _, dup := keys[ks]; dup {
@@ -227,14 +249,15 @@ func (t *Table) ValidateInsert(rows [][]value.Value, taken func(key []value.Valu
 	return nil
 }
 
-// CoerceRow converts row values to the column types where possible,
-// returning a new slice. It is the lenient counterpart to ValidateRow used
-// by the SQL front end.
+// CoerceRow converts the values of a row of the declared columns (Visible)
+// to their types where possible, returning a new full-width slice whose
+// hidden RowKey, if any, is left for the caller to assign. It is the
+// lenient counterpart to ValidateRow used by the SQL front end.
 func (t *Table) CoerceRow(row []value.Value) ([]value.Value, error) {
-	if len(row) != len(t.Columns) {
-		return nil, fmt.Errorf("schema: table %q expects %d values, got %d", t.Name, len(t.Columns), len(row))
+	if len(row) != t.Visible() {
+		return nil, fmt.Errorf("schema: table %q expects %d values, got %d", t.Name, t.Visible(), len(row))
 	}
-	out := make([]value.Value, len(row))
+	out := make([]value.Value, len(t.Columns))
 	for i, v := range row {
 		cv, err := value.Coerce(v, t.Columns[i].Type)
 		if err != nil {
@@ -247,9 +270,6 @@ func (t *Table) CoerceRow(row []value.Value) ([]value.Value, error) {
 
 // PKValues extracts the primary-key values from a row.
 func (t *Table) PKValues(row []value.Value) []value.Value {
-	if len(t.PrimaryKey) == 0 {
-		return nil
-	}
 	out := make([]value.Value, len(t.PrimaryKey))
 	for i, k := range t.PrimaryKey {
 		out[i] = row[k]
@@ -258,8 +278,8 @@ func (t *Table) PKValues(row []value.Value) []value.Value {
 }
 
 // Project returns a new schema containing only the given column indexes (in
-// the given order), named name. Primary-key columns retain their PK status
-// if all PK columns are included.
+// the given order), named name, keyed by the same primary key; every key
+// column must be among them.
 func (t *Table) Project(name string, cols []int) (*Table, error) {
 	sub := make([]Column, len(cols))
 	pos := make(map[int]int, len(cols))
@@ -274,17 +294,12 @@ func (t *Table) Project(name string, cols []int) (*Table, error) {
 	if err := nt.init(); err != nil {
 		return nil, err
 	}
-	allPK := len(t.PrimaryKey) > 0
 	for _, k := range t.PrimaryKey {
-		if _, ok := pos[k]; !ok {
-			allPK = false
-			break
+		p, ok := pos[k]
+		if !ok {
+			return nil, fmt.Errorf("schema: projection %q of %q drops key column %q", name, t.Name, t.Columns[k].Name)
 		}
-	}
-	if allPK {
-		for _, k := range t.PrimaryKey {
-			nt.PrimaryKey = append(nt.PrimaryKey, pos[k])
-		}
+		nt.PrimaryKey = append(nt.PrimaryKey, p)
 	}
 	return nt, nil
 }
@@ -300,11 +315,12 @@ func (t *Table) Clone(name string) *Table {
 	return nt
 }
 
-// DDL renders the schema as a CREATE TABLE statement.
+// DDL renders the schema as a CREATE TABLE statement; a table keyed by the
+// hidden RowKey renders without it and without a PRIMARY KEY clause.
 func (t *Table) DDL() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "CREATE TABLE %s (", t.Name)
-	for i, c := range t.Columns {
+	for i, c := range t.Columns[:t.Visible()] {
 		if i > 0 {
 			b.WriteString(", ")
 		}
@@ -313,7 +329,7 @@ func (t *Table) DDL() string {
 			b.WriteString(" NOT NULL")
 		}
 	}
-	if len(t.PrimaryKey) > 0 {
+	if !t.hasRowKey() {
 		b.WriteString(", PRIMARY KEY (")
 		for i, k := range t.PrimaryKey {
 			if i > 0 {

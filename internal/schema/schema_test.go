@@ -139,8 +139,8 @@ func TestPKValues(t *testing.T) {
 		t.Errorf("PKValues = %v", pk)
 	}
 	noPK := MustNew("t", []Column{{Name: "a", Type: value.Integer}})
-	if got := noPK.PKValues([]value.Value{value.NewInt(1)}); got != nil {
-		t.Errorf("PKValues without PK = %v", got)
+	if got := noPK.PKValues([]value.Value{value.NewInt(1), value.NewBigint(5)}); len(got) != 1 || got[0].Int() != 5 {
+		t.Errorf("PKValues of a table keyed by %s = %v", RowKey, got)
 	}
 }
 
@@ -156,13 +156,9 @@ func TestProject(t *testing.T) {
 	if len(p.PrimaryKey) != 1 || p.PrimaryKey[0] != 0 {
 		t.Errorf("PK not carried over: %v", p.PrimaryKey)
 	}
-	// Dropping the PK column loses PK status.
-	p2, err := s.Project("nopk", []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p2.PrimaryKey) != 0 {
-		t.Errorf("PK should be dropped: %v", p2.PrimaryKey)
+	// A projection keeps the key: dropping a key column is an error.
+	if _, err := s.Project("nopk", []int{1, 2}); err == nil {
+		t.Error("projection without the key column accepted")
 	}
 	if _, err := s.Project("bad", []int{99}); err == nil {
 		t.Error("out-of-range projection accepted")

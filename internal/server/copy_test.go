@@ -116,3 +116,58 @@ func TestCopyEndToEnd(t *testing.T) {
 		t.Fatalf("session died after rejected COPY: %v", err)
 	}
 }
+
+// TestHiddenRowKeyOverWire drives a table declared without a primary key
+// over TCP: result columns and rows of SELECT * (single table and join)
+// carry only the declared columns, INSERT takes the declared arity and
+// no more, and CopyIn streams rows of declared width.
+func TestHiddenRowKeyOverWire(t *testing.T) {
+	srv := startServer(t, engine.New(), Config{})
+	defer shutdown(t, srv)
+	c, err := client.Dial(srv.Addr().String(), client.Options{Name: "rowkey"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	for _, stmt := range []string{
+		"CREATE TABLE note (msg VARCHAR, n INTEGER)",
+		"CREATE TABLE tag (n INTEGER, label VARCHAR)",
+		"INSERT INTO note VALUES ('a', 1), ('a', 1)",
+		"INSERT INTO tag VALUES (1, 'one')",
+	} {
+		if _, err := c.Exec(ctx, stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	if _, err := c.Exec(ctx, "INSERT INTO note VALUES ('b', 2, 3)"); err == nil {
+		t.Fatal("INSERT with a value for the hidden key accepted")
+	}
+	cp, err := c.CopyIn(ctx, "note", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Send(value.NewVarchar("c"), value.NewInt(3)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := cp.Close(); err != nil || n != 1 {
+		t.Fatalf("CopyIn of a declared-width row: %d, %v", n, err)
+	}
+	for q, want := range map[string][]string{
+		"SELECT * FROM note":                            {"msg", "n"},
+		"SELECT * FROM note JOIN tag ON note.n = tag.n": {"note.msg", "note.n", "tag.n", "tag.label"},
+	} {
+		res, err := c.Query(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if fmt.Sprint(res.Cols) != fmt.Sprint(want) || len(res.Rows) == 0 {
+			t.Fatalf("%s: columns %v (%d rows), want %v", q, res.Cols, len(res.Rows), want)
+		}
+		for _, row := range res.Rows {
+			if len(row) != len(want) {
+				t.Fatalf("%s: row %v has %d values, want %d", q, row, len(row), len(want))
+			}
+		}
+	}
+}

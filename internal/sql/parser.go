@@ -941,7 +941,7 @@ func (p *parser) copyStmt() (*query.Query, error) {
 }
 
 // valuesRows parses the (...), (...) literal-row list shared by INSERT
-// and COPY, enforcing the table's column arity on every row.
+// and COPY, enforcing the arity of the declared columns on every row.
 func (p *parser) valuesRows(sch *schema.Table, name string) ([][]value.Value, error) {
 	var rows [][]value.Value
 	for {
@@ -950,7 +950,7 @@ func (p *parser) valuesRows(sch *schema.Table, name string) ([][]value.Value, er
 		}
 		var row []value.Value
 		for col := 0; ; col++ {
-			if col >= sch.NumColumns() {
+			if col >= sch.Visible() {
 				return nil, fmt.Errorf("sql: too many values for table %q", name)
 			}
 			v, err := p.typedLiteral(col)
@@ -965,8 +965,8 @@ func (p *parser) valuesRows(sch *schema.Table, name string) ([][]value.Value, er
 		if err := p.expectPunct(")"); err != nil {
 			return nil, err
 		}
-		if len(row) != sch.NumColumns() {
-			return nil, fmt.Errorf("sql: table %q expects %d values, got %d", name, sch.NumColumns(), len(row))
+		if len(row) != sch.Visible() {
+			return nil, fmt.Errorf("sql: table %q expects %d values, got %d", name, sch.Visible(), len(row))
 		}
 		rows = append(rows, row)
 		if !p.acceptPunct(",") {

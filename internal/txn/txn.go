@@ -61,55 +61,8 @@ type Txn struct {
 	// transaction is in flight.
 	writes []claimed
 
-	// buffered holds inserts into PK-less tables. With no primary key
-	// there is no chain to claim and no row another transaction could
-	// conflict on, so the rows simply wait in the transaction and are
-	// appended to base storage atomically at commit. Appended by the
-	// transaction's own statements (one statement in flight at a time);
-	// read at commit/rollback like writes.
-	buffered []BufferedInsert
-
 	// commitTS is set by Commit (0 until then).
 	commitTS uint64
-}
-
-// BufferedInsert is one PK-less table's batch of rows inserted by a
-// still-open transaction, applied to base storage only at commit.
-type BufferedInsert struct {
-	Table string
-	Width int
-	Rows  [][]value.Value
-}
-
-// BufferInsert queues rows for a PK-less table. Rows for the same table
-// accumulate into one batch so the commit record stays one TxnTable per
-// table.
-func (t *Txn) BufferInsert(table string, width int, rows [][]value.Value) {
-	for i := range t.buffered {
-		if t.buffered[i].Table == table {
-			t.buffered[i].Rows = append(t.buffered[i].Rows, rows...)
-			return
-		}
-	}
-	t.buffered = append(t.buffered, BufferedInsert{Table: table, Width: width, Rows: rows})
-}
-
-// Buffered calls fn for every PK-less batch the transaction holds.
-func (t *Txn) Buffered(fn func(b *BufferedInsert)) {
-	for i := range t.buffered {
-		fn(&t.buffered[i])
-	}
-}
-
-// BufferedRows returns the rows buffered for one table (nil when none) —
-// the transaction's read-your-writes view of a PK-less table.
-func (t *Txn) BufferedRows(table string) [][]value.Value {
-	for i := range t.buffered {
-		if t.buffered[i].Table == table {
-			return t.buffered[i].Rows
-		}
-	}
-	return nil
 }
 
 // claimed is one entry of a transaction's write set.
@@ -125,9 +78,9 @@ type claimed struct {
 // CommitTS returns the commit timestamp (0 before Commit).
 func (t *Txn) CommitTS() uint64 { return t.commitTS }
 
-// Writes reports how many writes the transaction holds: claimed chains
-// plus buffered PK-less batches. Zero means commit is a no-op.
-func (t *Txn) Writes() int { return len(t.writes) + len(t.buffered) }
+// Writes reports how many chains the transaction has claimed. Zero means
+// commit is a no-op.
+func (t *Txn) Writes() int { return len(t.writes) }
 
 // Pending calls fn for every chain the transaction holds an uncommitted
 // version on: the owning overlay table, the chain's primary key and the
@@ -240,7 +193,6 @@ func (m *Manager) Abort(t *Txn) {
 		w.table.release(t, w.chain)
 	}
 	t.writes = nil
-	t.buffered = nil
 	m.end(t)
 }
 

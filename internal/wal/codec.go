@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"hybridstore/internal/catalog"
-	"hybridstore/internal/expr"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
 )
@@ -140,72 +139,6 @@ func (e *Encoder) Spec(spec *catalog.PartitionSpec) {
 	if v := spec.Vertical; v != nil {
 		e.Ints(v.RowCols)
 		e.Ints(v.ColCols)
-	}
-}
-
-// Predicate appends a predicate tree. Tag 0 is the nil predicate.
-func (e *Encoder) Predicate(p expr.Predicate) {
-	switch q := p.(type) {
-	case nil:
-		e.Byte(0)
-	case expr.True:
-		e.Byte(1)
-	case *expr.Comparison:
-		e.Byte(2)
-		e.Varint(int64(q.Col))
-		e.Byte(byte(q.Op))
-		e.Value(q.Val)
-	case *expr.Between:
-		e.Byte(3)
-		e.Varint(int64(q.Col))
-		e.Value(q.Lo)
-		e.Value(q.Hi)
-	case *expr.In:
-		e.Byte(4)
-		e.Varint(int64(q.Col))
-		e.Uvarint(uint64(len(q.Vals)))
-		for _, v := range q.Vals {
-			e.Value(v)
-		}
-	case *expr.And:
-		e.Byte(5)
-		e.Uvarint(uint64(len(q.Preds)))
-		for _, sub := range q.Preds {
-			e.Predicate(sub)
-		}
-	case *expr.Or:
-		e.Byte(6)
-		e.Uvarint(uint64(len(q.Preds)))
-		for _, sub := range q.Preds {
-			e.Predicate(sub)
-		}
-	case *expr.Not:
-		e.Byte(7)
-		e.Predicate(q.P)
-	default:
-		// Unknown node types cannot round-trip; encode as True so the
-		// frame stays well-formed and flag it loudly at decode time via
-		// a reserved tag instead of silently matching everything.
-		e.Byte(255)
-	}
-}
-
-// Set appends an update assignment map in sorted column order (sorted so
-// encoding is deterministic and test-comparable).
-func (e *Encoder) Set(set map[int]value.Value) {
-	cols := make([]int, 0, len(set))
-	for c := range set {
-		cols = append(cols, c)
-	}
-	for i := 1; i < len(cols); i++ {
-		for j := i; j > 0 && cols[j] < cols[j-1]; j-- {
-			cols[j], cols[j-1] = cols[j-1], cols[j]
-		}
-	}
-	e.Uvarint(uint64(len(cols)))
-	for _, c := range cols {
-		e.Varint(int64(c))
-		e.Value(set[c])
 	}
 }
 
@@ -359,7 +292,7 @@ func (d *Decoder) Rows(width int) [][]value.Value {
 	if d.err != nil {
 		return nil
 	}
-	if width < 1 || n > uint64(d.Remaining()) { // each row takes >= width >= 1 bytes
+	if width < 1 || n > uint64(d.Remaining()/width) { // each value takes >= 1 byte
 		d.fail("wal: implausible row count %d (width %d)", n, width)
 		return nil
 	}
@@ -418,6 +351,10 @@ func (d *Decoder) Spec() *catalog.PartitionSpec {
 	if d.err != nil || flags == 0 {
 		return nil
 	}
+	if flags&^3 != 0 {
+		d.fail("wal: unknown partitioning flags %#x", flags)
+		return nil
+	}
 	spec := &catalog.PartitionSpec{}
 	if flags&1 != 0 {
 		h := &catalog.HorizontalSpec{}
@@ -434,80 +371,4 @@ func (d *Decoder) Spec() *catalog.PartitionSpec {
 		return nil
 	}
 	return spec
-}
-
-// Predicate reads a predicate tree.
-func (d *Decoder) Predicate() expr.Predicate {
-	tag := d.Byte()
-	if d.err != nil {
-		return nil
-	}
-	switch tag {
-	case 0:
-		return nil
-	case 1:
-		return expr.True{}
-	case 2:
-		c := &expr.Comparison{Col: d.Int()}
-		c.Op = expr.CmpOp(d.Byte())
-		c.Val = d.Value()
-		return c
-	case 3:
-		b := &expr.Between{Col: d.Int()}
-		b.Lo = d.Value()
-		b.Hi = d.Value()
-		return b
-	case 4:
-		in := &expr.In{Col: d.Int()}
-		n := d.Uvarint()
-		if d.err != nil || n > uint64(d.Remaining()) {
-			d.fail("wal: implausible IN list length %d", n)
-			return nil
-		}
-		in.Vals = make([]value.Value, n)
-		for i := range in.Vals {
-			in.Vals[i] = d.Value()
-		}
-		return in
-	case 5, 6:
-		n := d.Uvarint()
-		if d.err != nil || n > uint64(d.Remaining()) {
-			d.fail("wal: implausible predicate arity %d", n)
-			return nil
-		}
-		preds := make([]expr.Predicate, n)
-		for i := range preds {
-			preds[i] = d.Predicate()
-		}
-		if tag == 5 {
-			return &expr.And{Preds: preds}
-		}
-		return &expr.Or{Preds: preds}
-	case 7:
-		return &expr.Not{P: d.Predicate()}
-	default:
-		d.fail("wal: unknown predicate tag %d", tag)
-		return nil
-	}
-}
-
-// Set reads an update assignment map.
-func (d *Decoder) Set() map[int]value.Value {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(d.Remaining()) {
-		d.fail("wal: implausible set size %d", n)
-		return nil
-	}
-	set := make(map[int]value.Value, n)
-	for i := uint64(0); i < n; i++ {
-		c := d.Int()
-		set[c] = d.Value()
-	}
-	if d.err != nil {
-		return nil
-	}
-	return set
 }

@@ -4,12 +4,13 @@ import (
 	"fmt"
 
 	"hybridstore/internal/catalog"
-	"hybridstore/internal/expr"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
 )
 
-// RecordKind identifies a logical log record.
+// RecordKind identifies a logical log record. The numbers are the on-disk
+// format: a kind keeps its number for good, and a retired one is not
+// reused.
 type RecordKind uint8
 
 const (
@@ -26,10 +27,10 @@ const (
 	RecSetLayout
 	// RecInsert appends rows (already coerced to the schema's types).
 	RecInsert
-	// RecUpdate assigns values to rows matching a predicate.
-	RecUpdate
-	// RecDelete removes rows matching a predicate.
-	RecDelete
+	// Kinds 6 and 7 were UPDATE and DELETE by predicate, which tables
+	// without a primary key wrote before every table had one. The decoder
+	// refuses them.
+
 	// RecTxnCommit is one committed transaction's atomic effect: for
 	// each touched table, the primary keys whose rows the transaction
 	// superseded or deleted, and the full images of the rows it left
@@ -38,14 +39,14 @@ const (
 	// order — which the engine guarantees equals log order. A crash
 	// before the record is durable loses the whole transaction; there
 	// is no partial replay.
-	RecTxnCommit
+	RecTxnCommit RecordKind = 8
 	// RecCopy appends one bulk-ingest batch (already coerced rows). It
 	// is encoded exactly like RecInsert but kept distinct so recovery
 	// and tooling can tell streamed batches from single statements; one
 	// record covers a whole client frame, making the batch atomic under
 	// crash recovery — a torn tail replays every row of the batch or
 	// none of them.
-	RecCopy
+	RecCopy RecordKind = 9
 )
 
 // String names the record kind.
@@ -61,10 +62,6 @@ func (k RecordKind) String() string {
 		return "SET-LAYOUT"
 	case RecInsert:
 		return "INSERT"
-	case RecUpdate:
-		return "UPDATE"
-	case RecDelete:
-		return "DELETE"
 	case RecTxnCommit:
 		return "TXN-COMMIT"
 	case RecCopy:
@@ -88,9 +85,7 @@ type Record struct {
 
 	// DML payload. Width is the table arity, needed to frame Rows.
 	Width int
-	Rows  [][]value.Value     // RecInsert
-	Pred  expr.Predicate      // RecUpdate, RecDelete
-	Set   map[int]value.Value // RecUpdate
+	Rows  [][]value.Value // RecInsert, RecCopy
 
 	// Txn is the per-table payload of a RecTxnCommit.
 	Txn []TxnTable
@@ -127,11 +122,6 @@ func (r *Record) encode(e *Encoder) {
 	case RecInsert, RecCopy:
 		e.Varint(int64(r.Width))
 		e.Rows(r.Rows)
-	case RecUpdate:
-		e.Predicate(r.Pred)
-		e.Set(r.Set)
-	case RecDelete:
-		e.Predicate(r.Pred)
 	case RecTxnCommit:
 		e.Uvarint(uint64(len(r.Txn)))
 		for _, tt := range r.Txn {
@@ -160,15 +150,12 @@ func decodeRecord(d *Decoder) (*Record, error) {
 		r.Spec = d.Spec()
 	case RecInsert, RecCopy:
 		r.Width = d.Int()
-		if d.Err() == nil && (r.Width <= 0 || r.Width > d.Remaining()+1) {
+		if d.Err() == nil && r.Width <= 0 {
 			return nil, fmt.Errorf("wal: implausible insert width %d", r.Width)
 		}
 		r.Rows = d.Rows(r.Width)
-	case RecUpdate:
-		r.Pred = d.Predicate()
-		r.Set = d.Set()
-	case RecDelete:
-		r.Pred = d.Predicate()
+	case 6, 7:
+		return nil, fmt.Errorf("wal: record kind %d (UPDATE/DELETE by predicate) is no longer written or replayed", r.Kind)
 	case RecTxnCommit:
 		n := d.Uvarint()
 		if d.Err() == nil && n > uint64(d.Remaining()) {
@@ -176,16 +163,13 @@ func decodeRecord(d *Decoder) (*Record, error) {
 		}
 		for i := uint64(0); i < n && d.Err() == nil; i++ {
 			tt := TxnTable{Name: d.String(), Width: d.Int(), PKWidth: d.Int()}
-			// PKWidth 0 is legal: PK-less tables commit buffered inserts
-			// with no delete set (there is no key to delete by).
-			if d.Err() == nil && (tt.Width <= 0 || tt.Width > d.Remaining()+1 || tt.PKWidth < 0 || tt.PKWidth > tt.Width) {
+			if d.Err() == nil && tt.PKWidth == 0 {
+				return nil, fmt.Errorf("wal: txn table %q has no primary key (pk width 0)", tt.Name)
+			}
+			if d.Err() == nil && (tt.Width <= 0 || tt.PKWidth < 0 || tt.PKWidth > tt.Width) {
 				return nil, fmt.Errorf("wal: implausible txn table framing (width %d, pk %d)", tt.Width, tt.PKWidth)
 			}
-			if tt.PKWidth > 0 {
-				tt.DelPKs = d.Rows(tt.PKWidth)
-			} else if dels := d.Uvarint(); d.Err() == nil && dels != 0 {
-				return nil, fmt.Errorf("wal: %d delete keys on pk-less txn table", dels)
-			}
+			tt.DelPKs = d.Rows(tt.PKWidth)
 			tt.Rows = d.Rows(tt.Width)
 			r.Txn = append(r.Txn, tt)
 		}

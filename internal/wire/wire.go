@@ -104,9 +104,8 @@ const (
 	// safe to retry from BEGIN.
 	CodeTxnConflict byte = 7
 	// CodeUnsupported: the statement is well-formed but the engine
-	// genuinely cannot execute it (e.g. COPY inside an open transaction,
-	// or versioned DML on a PK-less table). Unlike CodeSQL it is never
-	// worth retrying unchanged.
+	// genuinely cannot execute it (e.g. COPY inside an open
+	// transaction). Unlike CodeSQL it is never worth retrying unchanged.
 	CodeUnsupported byte = 8
 )
 

@@ -52,6 +52,23 @@ INSERT INTO kv VALUES (4, 'four');
 SELECT COUNT(*) FROM kv;
 EOF
 
+echo "== remote hsql: a table without a primary key, in a transaction =="
+note="$("$work/hsql" -connect "127.0.0.1:$port" <<'EOF'
+CREATE TABLE note (msg VARCHAR, n INTEGER);
+INSERT INTO note VALUES ('a', 1);
+INSERT INTO note VALUES ('b', 2);
+INSERT INTO note VALUES ('c', 3);
+BEGIN;
+UPDATE note SET msg = 'B' WHERE n = 2;
+DELETE FROM note WHERE n = 1;
+COMMIT;
+SELECT * FROM note;
+EOF
+)"
+echo "$note"
+echo "$note" | grep -q 'msg | n$' || { echo "FAIL: SELECT * on a keyless table must print its two declared columns" >&2; exit 1; }
+echo "$note" | grep -q '^B | 2$'   || { echo "FAIL: transactional UPDATE on a keyless table lost" >&2; exit 1; }
+
 echo "== EXPLAIN ANALYZE over the wire =="
 ea="$("$work/hsql" -connect "127.0.0.1:$port" <<'EOF'
 EXPLAIN ANALYZE SELECT v FROM kv WHERE k >= 2;
@@ -111,6 +128,26 @@ if echo "$out" | grep -q '^one$'; then
   echo "FAIL: deleted row resurrected" >&2
   exit 1
 fi
+
+echo "== verify the keyless table's recovery, then insert into it =="
+out="$("$work/hsql" -connect "127.0.0.1:$port" <<'EOF'
+SELECT msg, n FROM note ORDER BY n;
+INSERT INTO note VALUES ('d', 4);
+SELECT COUNT(*) FROM note;
+EOF
+)"
+echo "$out"
+echo "$out" | grep -q '^B | 2$' || { echo "FAIL: keyless table lost its committed UPDATE" >&2; exit 1; }
+echo "$out" | grep -q '^c | 3$' || { echo "FAIL: keyless table lost a row" >&2; exit 1; }
+if echo "$out" | grep -q '^a | 1$'; then
+  echo "FAIL: keyless table resurrected a deleted row" >&2
+  exit 1
+fi
+if echo "$out" | grep -q 'error'; then
+  echo "FAIL: INSERT into the recovered keyless table failed" >&2
+  exit 1
+fi
+echo "$out" | grep -q '^3$' || { echo "FAIL: expected 3 keyless rows after the insert" >&2; exit 1; }
 
 echo "== graceful drain =="
 kill -TERM "$pid"
