@@ -434,7 +434,11 @@
 //     the delta unmerged, preserving merge debt), and partitioned
 //     layouts serialize each partition recursively. The snapshot is
 //     stamped with the WAL sequence it covers, so a crash between the
-//     rename and the truncate cannot double-apply the stale tail.
+//     rename and the truncate cannot double-apply the stale tail. Its
+//     format is version 2. A version-1 snapshot, written before every
+//     table had a key, still loads: the rows of a keyless table take
+//     hidden keys 1..n, and a logged insert of the declared width takes
+//     fresh ones on replay.
 //
 // Recovery invariants: Open restores the snapshot, replays intact WAL
 // frames in sequence order through the same replayOps machinery

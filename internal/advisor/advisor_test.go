@@ -409,6 +409,40 @@ func TestDDLRendering(t *testing.T) {
 	}
 }
 
+// TestDDLRenderingHiddenKey checks that advice for a table declared without
+// a primary key calls its hidden key ROWID.
+func TestDDLRenderingHiddenKey(t *testing.T) {
+	a := New(costmodel.DefaultModel())
+	sch := schema.MustNew("notes", []schema.Column{
+		{Name: "msg", Type: value.Varchar, Nullable: true},
+		{Name: "n", Type: value.Integer, Nullable: true},
+	})
+	info := fabricatedInfo(map[string]*schema.Table{"notes": sch}, map[string]int{"notes": 1000})
+	key := sch.PrimaryKey[0]
+	rec := &Recommendation{Layout: Layout{
+		Stores: costmodel.Placement{"notes": catalog.Partitioned},
+		Partitions: map[string]*catalog.PartitionSpec{"notes": {
+			Horizontal: &catalog.HorizontalSpec{
+				SplitCol: key, SplitVal: value.NewBigint(900),
+				HotStore: catalog.RowStore, ColdStore: catalog.ColumnStore,
+			},
+			Vertical: &catalog.VerticalSpec{RowCols: []int{0, key}, ColCols: []int{1, key}},
+		}},
+	}}
+	ddl := a.renderDDL(rec, info)
+	if len(ddl) != 1 {
+		t.Fatalf("ddl = %v", ddl)
+	}
+	for _, frag := range []string{"RANGE (ROWID)", "(msg, ROWID) STORE ROW", "(n, ROWID) STORE COLUMN"} {
+		if !strings.Contains(ddl[0], frag) {
+			t.Errorf("DDL missing %q: %s", frag, ddl[0])
+		}
+	}
+	if strings.Contains(ddl[0], "$") {
+		t.Errorf("DDL names the hidden key: %s", ddl[0])
+	}
+}
+
 func rangeInts(lo, hi int) []int {
 	var out []int
 	for i := lo; i < hi; i++ {

@@ -35,6 +35,9 @@ func partitionDDL(table string, spec *catalog.PartitionSpec, info costmodel.Info
 	fmt.Fprintf(&b, "ALTER TABLE %s PARTITION BY", table)
 	colName := func(c int) string {
 		if ti, ok := info(table); ok && ti.Schema != nil && c < ti.Schema.NumColumns() {
+			if c >= ti.Schema.Visible() {
+				return "ROWID" // the hidden row key, which no statement can name
+			}
 			return ti.Schema.Columns[c].Name
 		}
 		return fmt.Sprintf("col%d", c)

@@ -26,14 +26,18 @@ import (
 	"time"
 
 	"hybridstore/internal/catalog"
+	"hybridstore/internal/value"
 	"hybridstore/internal/wal"
 )
 
 const (
-	snapshotFile    = "snapshot"
-	walFile         = "wal.log"
-	snapshotMagic   = "HSSNAP"
-	snapshotVersion = 1
+	snapshotFile  = "snapshot"
+	walFile       = "wal.log"
+	snapshotMagic = "HSSNAP"
+	// snapshotVersion 2 stores the hidden row key of a table declared
+	// without a primary key. Version 1, written before every table had a
+	// key, still loads (restoreKeyless).
+	snapshotVersion = 2
 )
 
 // Options tunes a durable database.
@@ -168,7 +172,16 @@ func (db *Database) applyRecord(rec *wal.Record) error {
 		if err != nil {
 			return err
 		}
-		return replayOps(rt.store, []dmlOp{{rows: rec.Rows}})
+		rows := rec.Rows
+		if rec.Width < rt.entry.Schema.NumColumns() {
+			// Logged before every table had a key: rows of the declared
+			// columns of a keyless table take fresh hidden keys, as the
+			// statement's rows would now.
+			if rows, err = rt.coerceRows(rows); err != nil {
+				return err
+			}
+		}
+		return replayOps(rt.store, []dmlOp{{rows: rows}})
 	case wal.RecTxnCommit:
 		// One committed transaction's atomic effect. Log order equals
 		// commit order, so the physical delete-then-insert images replay
@@ -319,8 +332,9 @@ func (db *Database) loadSnapshot(data []byte) (uint64, error) {
 	if magic := dec.String(); magic != snapshotMagic {
 		return 0, fmt.Errorf("engine: bad snapshot magic %q", magic)
 	}
-	if v := dec.Uvarint(); dec.Err() == nil && v != snapshotVersion {
-		return 0, fmt.Errorf("engine: unsupported snapshot version %d", v)
+	version := dec.Uvarint()
+	if dec.Err() == nil && version != 1 && version != snapshotVersion {
+		return 0, fmt.Errorf("engine: unsupported snapshot version %d", version)
 	}
 	startSeq := dec.Uvarint()
 	n := dec.Uvarint()
@@ -342,7 +356,12 @@ func (db *Database) loadSnapshot(data []byte) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if err := rt.store.restore(dec); err != nil {
+		if version == 1 && sch.Visible() < sch.NumColumns() {
+			err = restoreKeyless(dec, rt, store, spec)
+		} else {
+			err = rt.store.restore(dec)
+		}
+		if err != nil {
 			return 0, fmt.Errorf("engine: restore table %q: %w", sch.Name, err)
 		}
 		for _, c := range indexes {
@@ -353,6 +372,39 @@ func (db *Database) loadSnapshot(data []byte) (uint64, error) {
 		}
 	}
 	return startSeq, dec.Err()
+}
+
+// restoreKeyless loads a table declared without a primary key from a
+// version-1 snapshot, written before every table had a key. Its payload is
+// the layout's row sections — one for a row store, main then delta for a
+// column store, the hot side then the cold side for a horizontal split —
+// each of the declared columns only; version 1 could not split such a table
+// vertically. The rows take the hidden keys 1..n, and the key counter
+// resumes after them.
+func restoreKeyless(dec *wal.Decoder, rt *tableRuntime, store catalog.StoreKind, spec *catalog.PartitionSpec) error {
+	leaves := []catalog.StoreKind{store}
+	if spec != nil {
+		if spec.Horizontal == nil || spec.Vertical != nil {
+			return fmt.Errorf("version-1 snapshot holds a vertical split of a table without a primary key")
+		}
+		leaves = []catalog.StoreKind{spec.Horizontal.HotStore, spec.Horizontal.ColdStore}
+	}
+	width := rt.entry.Schema.Visible()
+	var rows [][]value.Value
+	for _, leaf := range leaves {
+		rows = append(rows, dec.Rows(width)...)
+		if leaf == catalog.ColumnStore {
+			rows = append(rows, dec.Rows(width)...)
+		}
+	}
+	if err := dec.Err(); err != nil {
+		return err
+	}
+	for i, row := range rows {
+		rows[i] = append(row, value.NewBigint(int64(i+1)))
+	}
+	rt.rowKey.Store(int64(len(rows)))
+	return rt.store.Insert(rows)
 }
 
 // syncDir fsyncs a directory so a just-renamed file inside it survives

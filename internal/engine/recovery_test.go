@@ -254,6 +254,92 @@ func TestRecoveryWideTableDelete(t *testing.T) {
 	}
 }
 
+// TestOpenVersion1KeylessTable opens data directories written before every
+// table had a key. Their version-1 snapshot holds a keyless table's rows at
+// the declared width, and the log inserts more at that width. Open gives
+// every row its own hidden key, and an INSERT after it takes a fresh one.
+func TestOpenVersion1KeylessTable(t *testing.T) {
+	horiz := &catalog.PartitionSpec{Horizontal: &catalog.HorizontalSpec{
+		SplitCol: 1, SplitVal: value.NewInt(2),
+		HotStore: catalog.RowStore, ColdStore: catalog.ColumnStore,
+	}}
+	for _, lay := range []struct {
+		name     string
+		store    catalog.StoreKind
+		spec     *catalog.PartitionSpec
+		sections int // row sections in the layout's payload
+	}{
+		{"row", catalog.RowStore, nil, 1},
+		{"column", catalog.ColumnStore, nil, 2},
+		{"horizontal", catalog.Partitioned, horiz, 3},
+	} {
+		t.Run(lay.name, func(t *testing.T) {
+			dir := t.TempDir()
+			enc := wal.NewEncoder()
+			enc.String(snapshotMagic)
+			enc.Uvarint(1) // snapshot version
+			enc.Uvarint(1) // first WAL sequence the snapshot does not cover
+			enc.Uvarint(1) // tables
+			// The schema as version 1 stored it: the declared columns, no key.
+			enc.String("notes")
+			enc.Uvarint(2)
+			for _, c := range notesSchema().Columns[:2] {
+				enc.String(c.Name)
+				enc.Byte(byte(c.Type))
+				enc.Byte(1)
+			}
+			enc.Ints(nil)
+			enc.Byte(byte(lay.store))
+			enc.Spec(lay.spec)
+			enc.Ints(nil) // secondary indexes
+			for s := 0; s < lay.sections; s++ {
+				enc.Rows([][]value.Value{note("a", 1), note("a", 1)})
+			}
+			if err := os.WriteFile(filepath.Join(dir, snapshotFile), enc.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			log, err := wal.Open(filepath.Join(dir, walFile), 1, 0, wal.Options{NoSync: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Append(&wal.Record{Kind: wal.RecInsert, Table: "notes", Width: 2,
+				Rows: [][]value.Value{note("b", 2)}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			db := openTestDB(t, dir)
+			mustExec(t, db, &query.Query{Kind: query.Insert, Table: "notes", Rows: [][]value.Value{note("c", 3)}})
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re := openTestDB(t, dir)
+			defer re.Close()
+			n := 2*lay.sections + 2
+			if got := visibleState(t, re, "notes"); len(got) != n {
+				t.Fatalf("%d rows after reopening, want %d: %v", len(got), n, got)
+			}
+			rt, err := re.runtime("notes")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var keys []int64
+			rt.store.Scan(nil, nil, func(row []value.Value) bool {
+				keys = append(keys, row[2].Int())
+				return true
+			})
+			slices.Sort(keys)
+			for i, k := range keys {
+				if len(keys) != n || k != int64(i+1) {
+					t.Fatalf("hidden keys %v, want 1..%d", keys, n)
+				}
+			}
+		})
+	}
+}
+
 // TestRecoverySmoke is the CI smoke sequence: populate → checkpoint →
 // more writes → crash with a truncated WAL → restart → verify that
 // exactly the acknowledged prefix survived.

@@ -34,11 +34,14 @@ const RowKey = "$rowid"
 
 // New constructs a validated table schema. The primary-key columns are given
 // by name and must exist; with none, the hidden RowKey column is appended
-// and is the key.
+// and is the key. No declared column may be named RowKey.
 func New(name string, cols []Column, pk ...string) (*Table, error) {
 	t := &Table{Name: name, Columns: cols}
 	if err := t.init(); err != nil {
 		return nil, err
+	}
+	if _, ok := t.byName[RowKey]; ok {
+		return nil, fmt.Errorf("schema: table %q declares the hidden key column %q", name, RowKey)
 	}
 	if len(pk) == 0 {
 		t.Columns = append(cols[:len(cols):len(cols)], Column{Name: RowKey, Type: value.Bigint})
@@ -55,6 +58,24 @@ func New(name string, cols []Column, pk ...string) (*Table, error) {
 		t.PrimaryKey = append(t.PrimaryKey, i)
 	}
 	return t, nil
+}
+
+// Rebuild reconstructs a schema from its stored form: every column, the
+// hidden RowKey included, and the key as column indexes. A table keyed by
+// the hidden RowKey rebuilds as New built it; a stored form with no key at
+// all, written before every table had one, gets the hidden key too.
+func Rebuild(name string, cols []Column, pk []int) (*Table, error) {
+	if k := len(cols) - 1; len(pk) == 1 && pk[0] == k && cols[k].Name == RowKey {
+		cols, pk = cols[:k], nil
+	}
+	names := make([]string, len(pk))
+	for i, c := range pk {
+		if c < 0 || c >= len(cols) {
+			return nil, fmt.Errorf("schema: primary-key column %d out of range in %q", c, name)
+		}
+		names[i] = cols[c].Name
+	}
+	return New(name, cols, names...)
 }
 
 // MustNew is New but panics on error; intended for tests and generators
@@ -91,9 +112,12 @@ func (t *Table) init() error {
 // NumColumns returns the number of columns, the hidden RowKey included.
 func (t *Table) NumColumns() int { return len(t.Columns) }
 
-// hasRowKey reports whether the table's key is the hidden RowKey column,
-// which is then its last column.
-func (t *Table) hasRowKey() bool { return t.Columns[len(t.Columns)-1].Name == RowKey }
+// hasRowKey reports whether the table is keyed by the hidden RowKey column
+// alone, which is then its last column.
+func (t *Table) hasRowKey() bool {
+	last := len(t.Columns) - 1
+	return len(t.PrimaryKey) == 1 && t.PrimaryKey[0] == last && t.Columns[last].Name == RowKey
+}
 
 // Visible returns the number of declared columns: every column but the
 // hidden RowKey. They come first, so a row of a statement that cannot

@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -38,6 +39,31 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New("t", []Column{{Name: ""}}); err == nil {
 		t.Error("unnamed column should fail")
+	}
+	if _, err := New("t", []Column{{Name: "id", Type: value.Bigint}, {Name: RowKey, Type: value.Bigint}}, "id"); err == nil {
+		t.Error("a declared column named as the hidden key should fail")
+	}
+}
+
+// TestRebuild rebuilds schemas from their stored columns and key: a keyed
+// table as it was, a table keyed by the hidden row key without a second
+// one, and a keyless table stored before every table had a key with one.
+func TestRebuild(t *testing.T) {
+	keyless := MustNew("t", []Column{{Name: "a", Type: value.Integer}})
+	for _, want := range []*Table{demo(t), keyless} {
+		got, err := Rebuild(want.Name, want.Columns, want.PrimaryKey)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("rebuilt %+v, %v; want %+v", got, err, want)
+		}
+	}
+	if got, err := Rebuild("t", keyless.Columns[:1], nil); err != nil || !reflect.DeepEqual(got, keyless) {
+		t.Errorf("stored without a key: rebuilt %+v, %v; want %+v", got, err, keyless)
+	}
+	if _, err := Rebuild("t", keyless.Columns, []int{0}); err == nil {
+		t.Error("a stored hidden key column that is not the key should fail")
+	}
+	if _, err := Rebuild("t", keyless.Columns, []int{5}); err == nil {
+		t.Error("an out-of-range key column should fail")
 	}
 }
 

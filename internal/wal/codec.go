@@ -329,15 +329,7 @@ func (d *Decoder) Schema() *schema.Table {
 	if d.err != nil {
 		return nil
 	}
-	pkNames := make([]string, len(pk))
-	for i, k := range pk {
-		if k < 0 || k >= len(cols) {
-			d.fail("wal: primary-key column %d out of range", k)
-			return nil
-		}
-		pkNames[i] = cols[k].Name
-	}
-	sch, err := schema.New(name, cols, pkNames...)
+	sch, err := schema.Rebuild(name, cols, pk)
 	if err != nil {
 		d.fail("wal: bad schema: %v", err)
 		return nil

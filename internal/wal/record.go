@@ -155,7 +155,8 @@ func decodeRecord(d *Decoder) (*Record, error) {
 		}
 		r.Rows = d.Rows(r.Width)
 	case 6, 7:
-		return nil, fmt.Errorf("wal: record kind %d (UPDATE/DELETE by predicate) is no longer written or replayed", r.Kind)
+		return nil, fmt.Errorf("wal: record kind %d, an UPDATE/DELETE by predicate on a table without a primary key, "+
+			"comes from a build before every table had a key; open and close the data directory with that build first", r.Kind)
 	case RecTxnCommit:
 		n := d.Uvarint()
 		if d.Err() == nil && n > uint64(d.Remaining()) {
@@ -164,7 +165,8 @@ func decodeRecord(d *Decoder) (*Record, error) {
 		for i := uint64(0); i < n && d.Err() == nil; i++ {
 			tt := TxnTable{Name: d.String(), Width: d.Int(), PKWidth: d.Int()}
 			if d.Err() == nil && tt.PKWidth == 0 {
-				return nil, fmt.Errorf("wal: txn table %q has no primary key (pk width 0)", tt.Name)
+				return nil, fmt.Errorf("wal: txn table %q has no primary key (pk width 0): a transaction on a keyless table "+
+					"from a build before every table had a key; open and close the data directory with that build first", tt.Name)
 			}
 			if d.Err() == nil && (tt.Width <= 0 || tt.PKWidth < 0 || tt.PKWidth > tt.Width) {
 				return nil, fmt.Errorf("wal: implausible txn table framing (width %d, pk %d)", tt.Width, tt.PKWidth)
