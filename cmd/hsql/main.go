@@ -414,11 +414,10 @@ func (s *session) command(line string) bool {
 				fmt.Printf("planning: %d plans, mean %.1fus, p50 %.1fus, p99 %.1fus\n",
 					c, float64(ph.Sum())/float64(c)/1e3, ph.Quantile(0.5)/1e3, ph.Quantile(0.99)/1e3)
 			}
-			for _, tw := range snap.Tables {
-				fmt.Println(" ", tw)
-			}
-			for _, sw := range snap.Sessions {
-				fmt.Println("  session", sw)
+			for _, name := range snap.Recorder.Tables() {
+				o := snap.Recorder.Table(name)
+				fmt.Printf("  %s: %d ops (ins %d, upd %d, del %d, sel %d, agg %d)\n", name,
+					o.TotalQueries(), o.Inserts, o.Updates, o.Deletes, o.Selects, o.Aggregations)
 			}
 			break
 		}

@@ -288,7 +288,7 @@
 //     down automatically as concurrent statements scale up instead of
 //     oversubscribing cores.
 //   - Cancellation is polled at morsel claims and batch boundaries;
-//     tombstones, zone maps, the delta fragment and monitor attribution
+//     tombstones, zone maps, the delta fragment and the workload monitor
 //     behave identically in serial and parallel runs. The differential
 //     suite (internal/engine parallel tests) runs pools of 1, 2, 3 and 8
 //     slots over fractional keyfigures and asserts bit-identical
@@ -306,8 +306,8 @@
 // estimate, and the engine executes the tree. The planner is cost-based:
 // it prices alternatives with the calibrated store cost model
 // (internal/costmodel, the same model the advisor uses) fed by collected
-// table statistics, falling back to the workload monitor's live observed
-// predicate selectivities for tables never analyzed.
+// table statistics, falling back to a textbook default selectivity for
+// tables never analyzed.
 //
 //   - Predicate pushdown: join predicates split structurally into
 //     left-only, right-only and cross-side conjuncts; single-side
@@ -374,18 +374,17 @@
 // The paper's online mode (§4) runs as a full subsystem on top of the
 // offline advisor:
 //
-//   - internal/monitor is the engine's one Observer: it receives every
-//     statement (with its session label), every explicit transaction's
-//     completion and every COPY batch, feeds observed selectivities back
-//     to the planner, and maintains rolling per-table — and
-//     per-partition, for horizontal layouts — workload statistics over a
-//     ring of epoch buckets: operation mix, touched columns, estimated
-//     predicate selectivities, live row and delta-fragment counts, plus a
-//     bounded sample of the observed queries. Each epoch keeps one
-//     internal/stats recorder of exactly the counters the advisor reads;
-//     the monitor's lock serialises it. Rotating epochs age an old
-//     workload phase out of the window, so a mix shift changes the
-//     recommendation instead of being outvoted by history. Measured
+//   - internal/monitor is the one place workload statistics are
+//     recorded. Its Recorder keeps exactly the per-table counters the
+//     advisor reads: the operation mix, the attributes each statement
+//     updates or analyses, and the key range updates concentrate on.
+//     Offline, the advisor replays a workload file through one. Online,
+//     the Monitor is the engine's one Observer: every successful
+//     statement lands in a ring of epoch buckets, each one Recorder plus
+//     a bounded sample of its most recent queries, under the monitor's
+//     lock. Rotating epochs age an old workload phase out of the window,
+//     so a mix shift changes the recommendation instead of being
+//     outvoted by history. Measured
 //     monitoring overhead on the hot scan path is well under 2% (see
 //     internal/monitor benchmarks).
 //   - advisor.RecommendSnapshot consumes monitor snapshots in place of
@@ -529,8 +528,7 @@
 //
 // Observability: hs_txn_{begin,commit,abort,conflict}_total and the
 // hs_txn_active gauge are exported via SHOW METRICS, /metrics and
-// /status; \stats in hsql prints the same counters, and the workload
-// monitor attributes commits/aborts per session.
+// /status; \stats in hsql prints the same counters.
 // hs_txn_fold_seconds is the time one fold holds the write lock,
 // hs_txn_fold_keys_total the primary keys folded (deleted or upserted),
 // hs_txn_fold_errors_total the folds re-queued after a storage error (0
@@ -569,9 +567,10 @@
 //
 // Sustained ingest into a column store grows its write-optimized
 // delta; the migrate manager's merge scheduler keeps that bounded
-// adaptively. It diffs the workload monitor's per-table ingest totals
-// into a live rows/sec rate and schedules the next delta-merge check
-// for when that rate would fill Config.CompactDeltaRows, clamped
+// adaptively. It diffs the database's count of COPY rows
+// (engine.Database.IngestedRows) into a live rows/sec rate and
+// schedules the next delta-merge check for when that rate would fill
+// Config.CompactDeltaRows, clamped
 // between Config.CompactMinInterval (the floor a firehose pins it to,
 // default 1s) and the AutoAdvise interval (the idle ceiling); the first
 // check, before any rate is known, comes after the floor.
@@ -615,9 +614,8 @@
 // statement runs under a per-session context; cancel frames and
 // statement deadlines abort in-flight scans and aggregates at the
 // engine's next batch boundary (~1024 rows) via engine.ExecContext.
-// The workload monitor attributes statements per session
-// (engine.WithSession → monitor Snapshot.Sessions), so the advisor
-// sees the real multi-tenant mix.
+// Each statement carries its session label (engine.WithSession), which
+// the slow-query log records.
 //
 // Admission control: concurrent sessions are capped (excess connections
 // are refused with a too-busy error frame), statement execution passes

@@ -31,7 +31,7 @@ func main() {
 	}
 
 	// Client side: the Go driver. Options.Name labels this session in
-	// the server's workload monitor.
+	// the server's slow-query log.
 	ctx := context.Background()
 	conn, err := client.Dial(srv.Addr().String(), client.Options{Name: "example"})
 	if err != nil {

@@ -6,8 +6,8 @@ import (
 	"hybridstore/internal/catalog"
 	"hybridstore/internal/costmodel"
 	"hybridstore/internal/expr"
+	"hybridstore/internal/monitor"
 	"hybridstore/internal/query"
-	"hybridstore/internal/stats"
 )
 
 // Layout is a complete storage layout: a store per table plus optional
@@ -259,7 +259,7 @@ type Recommendation struct {
 // fine-grained decision, §3.2). ws may be nil (offline mode: statistics
 // are derived from the workload itself); pinned fixes stores for specific
 // tables.
-func (a *Advisor) Recommend(w *query.Workload, info costmodel.InfoSource, ws *stats.Recorder, pinned costmodel.Placement) *Recommendation {
+func (a *Advisor) Recommend(w *query.Workload, info costmodel.InfoSource, ws *monitor.Recorder, pinned costmodel.Placement) *Recommendation {
 	trec := a.RecommendTables(w, info, pinned)
 	rec := &Recommendation{
 		TableOnly:      trec.Placement,

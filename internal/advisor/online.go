@@ -29,23 +29,23 @@ func (a *Advisor) RecommendSnapshot(snap *monitor.Snapshot, cat *catalog.Catalog
 // internal/migrate).
 func CurrentLayout(snap *monitor.Snapshot, cat *catalog.Catalog) Layout {
 	layout := Layout{Stores: costmodel.Placement{}, Partitions: map[string]*catalog.PartitionSpec{}}
-	for _, tw := range snap.Tables {
-		e := cat.Table(tw.Name)
+	for _, name := range snap.Recorder.Tables() {
+		e := cat.Table(name)
 		if e == nil {
 			continue
 		}
 		if e.Partitioning != nil {
-			layout.Partitions[tw.Name] = e.Partitioning
+			layout.Partitions[name] = e.Partitioning
 			// Partitioned tables keep their cold-side store for the
 			// table-level placement term.
 			if h := e.Partitioning.Horizontal; h != nil {
-				layout.Stores[tw.Name] = h.ColdStore
+				layout.Stores[name] = h.ColdStore
 			} else {
-				layout.Stores[tw.Name] = catalog.ColumnStore
+				layout.Stores[name] = catalog.ColumnStore
 			}
 			continue
 		}
-		layout.Stores[tw.Name] = e.Store
+		layout.Stores[name] = e.Store
 	}
 	return layout
 }

@@ -6,8 +6,8 @@ import (
 
 	"hybridstore/internal/catalog"
 	"hybridstore/internal/costmodel"
+	"hybridstore/internal/monitor"
 	"hybridstore/internal/query"
-	"hybridstore/internal/stats"
 	"hybridstore/internal/value"
 )
 
@@ -23,8 +23,8 @@ type PartitionCandidate struct {
 // offline-mode approximation of the online mode's recorded extended
 // statistics ("we could ... estimate those tuples based on the queries and
 // standard table statistics", §3.2).
-func deriveStats(w *query.Workload) *stats.Recorder {
-	rec := stats.NewRecorder()
+func deriveStats(w *query.Workload) *monitor.Recorder {
+	rec := monitor.NewRecorder()
 	for _, q := range w.Queries {
 		rec.Observe(q)
 	}
@@ -42,7 +42,7 @@ func deriveStats(w *query.Workload) *stats.Recorder {
 //
 // For each table it emits up to three candidates (horizontal, vertical,
 // both); the caller picks by estimated layout cost.
-func (a *Advisor) PartitionCandidates(w *query.Workload, info costmodel.InfoSource, ws *stats.Recorder, coldStores costmodel.Placement) []PartitionCandidate {
+func (a *Advisor) PartitionCandidates(w *query.Workload, info costmodel.InfoSource, ws *monitor.Recorder, coldStores costmodel.Placement) []PartitionCandidate {
 	if ws == nil {
 		ws = deriveStats(w)
 	}
@@ -81,7 +81,7 @@ func (a *Advisor) PartitionCandidates(w *query.Workload, info costmodel.InfoSour
 // always column-store (fast analysis of historic data) — the paper's
 // scheme; whether the split actually pays off is decided by the caller's
 // layout cost estimate.
-func (a *Advisor) horizontalCandidate(ti costmodel.TableInfo, ts *stats.TableStats) (*catalog.HorizontalSpec, string) {
+func (a *Advisor) horizontalCandidate(ti costmodel.TableInfo, ts *monitor.TableStats) (*catalog.HorizontalSpec, string) {
 	sch := ti.Schema
 	splitCol := sch.PrimaryKey[0]
 	if !numericType(sch.Columns[splitCol].Type) {
@@ -137,7 +137,7 @@ type verticalVariant struct {
 // column that is updated and grouped by) can reasonably live on either
 // side, so a second variant with contested attributes in the column
 // partition is emitted and the caller decides by estimated cost.
-func (a *Advisor) verticalCandidates(ti costmodel.TableInfo, ts *stats.TableStats) []verticalVariant {
+func (a *Advisor) verticalCandidates(ti costmodel.TableInfo, ts *monitor.TableStats) []verticalVariant {
 	sch := ti.Schema
 	if len(ts.AttrUpdates) == 0 {
 		return nil

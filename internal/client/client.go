@@ -29,7 +29,7 @@ import (
 
 // Options tunes a connection.
 type Options struct {
-	// Name labels the session in the server's workload monitor.
+	// Name labels the session in the server's slow-query log.
 	Name string
 	// StatementTimeout asks the server to deadline each statement.
 	StatementTimeout time.Duration

@@ -32,16 +32,10 @@ import (
 	"hybridstore/internal/wal"
 )
 
-// Observer is the workload monitor as the engine sees it: every executed
-// statement with its runtime and session label (empty if unattributed),
-// every explicit transaction's completion and every COPY batch flow in;
-// AvgSelectivity, a table's observed mean predicate selectivity, flows
-// back as the planner's fallback for tables without statistics.
+// Observer is the workload monitor as the engine sees it: every
+// executed statement flows in once it has succeeded.
 type Observer interface {
-	ObserveSession(session string, q *query.Query, d time.Duration)
-	ObserveTxn(session string, committed bool)
-	ObserveIngest(table string, rows int)
-	AvgSelectivity(table string) (float64, bool)
+	Observe(q *query.Query)
 }
 
 // ErrClosed is returned by Exec/ExecContext (and wrapped into durability
@@ -53,8 +47,8 @@ var ErrClosed = errors.New("engine: database is closed")
 // under.
 type sessionKey struct{}
 
-// WithSession tags a context with a session/client label; statements
-// executed under it are attributed to that session by the Observer.
+// WithSession tags a context with a session/client label; the slow-query
+// log attributes the statements executed under it to that session.
 func WithSession(ctx context.Context, session string) context.Context {
 	return context.WithValue(ctx, sessionKey{}, session)
 }
@@ -103,6 +97,8 @@ type Database struct {
 	// obs is read once per statement, outside db.mu: behind a pending fold
 	// writer every extra read-lock acquisition queues again.
 	obs atomic.Pointer[Observer]
+	// ingested counts the rows every COPY batch has applied.
+	ingested atomic.Int64
 
 	// pool is the worker pool analytical reads draw morsel helpers
 	// from. It defaults to the shared process-wide pool; the network
@@ -522,7 +518,7 @@ func (db *Database) Exec(q *query.Query) (*Result, error) {
 // statement returns ctx.Err(). DML is not interrupted once applied (a
 // half-applied statement could not be rolled back), but the context is
 // checked before the statement starts. A session label attached via
-// WithSession is forwarded to the Observer.
+// WithSession labels the statement in the slow-query log.
 func (db *Database) ExecContext(ctx context.Context, q *query.Query) (*Result, error) {
 	return db.execWithPlan(ctx, q, nil)
 }
@@ -618,7 +614,7 @@ func (db *Database) execWithPlan(ctx context.Context, q *query.Query, planned *p
 		mReadSeconds.Observe(res.Duration.Nanoseconds())
 	}
 	if obs := db.observer(); obs != nil {
-		obs.ObserveSession(SessionFromContext(ctx), q, res.Duration)
+		obs.Observe(q)
 	}
 	sl.observe(SessionFromContext(ctx), q, res.Duration, resultRows(res), tr)
 	return res, nil

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"hybridstore/internal/agg"
 	"hybridstore/internal/catalog"
@@ -618,17 +617,9 @@ func TestCreateIndex(t *testing.T) {
 
 type captureObserver struct {
 	queries []*query.Query
-	total   time.Duration
 }
 
-func (c *captureObserver) ObserveSession(_ string, q *query.Query, d time.Duration) {
-	c.queries = append(c.queries, q)
-	c.total += d
-}
-
-func (c *captureObserver) ObserveTxn(string, bool)               {}
-func (c *captureObserver) ObserveIngest(string, int)             {}
-func (c *captureObserver) AvgSelectivity(string) (float64, bool) { return 0, false }
+func (c *captureObserver) Observe(q *query.Query) { c.queries = append(c.queries, q) }
 
 func TestObserverInvoked(t *testing.T) {
 	db := newDB(t, catalog.RowStore, 10)

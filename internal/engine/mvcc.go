@@ -72,8 +72,7 @@ func TxnFromContext(ctx context.Context) *Txn {
 // A Txn serves one statement at a time; sessions already serialize
 // their statements, which is the intended usage.
 type Txn struct {
-	db      *Database
-	session string
+	db *Database
 
 	mu   sync.Mutex
 	tx   *txn.Txn
@@ -82,13 +81,12 @@ type Txn struct {
 }
 
 // Begin opens a transaction with a snapshot of the currently committed
-// state. The context only contributes the session label for monitor
-// attribution.
-func (db *Database) Begin(ctx context.Context) (*Txn, error) {
+// state. The context is not consulted.
+func (db *Database) Begin(context.Context) (*Txn, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
 	}
-	t := &Txn{db: db, session: SessionFromContext(ctx), tx: db.txns.Begin()}
+	t := &Txn{db: db, tx: db.txns.Begin()}
 	mTxnBegins.Inc()
 	mTxnActive.Add(1)
 	return t, nil
@@ -130,7 +128,7 @@ func (t *Txn) fail(cause error) {
 	t.err = fmt.Errorf("engine: transaction aborted: %w", cause)
 	t.mu.Unlock()
 	t.db.txns.Abort(t.tx)
-	t.db.finishTxn(t.session, false)
+	t.db.finishTxn(false)
 }
 
 // CommitTS returns the commit timestamp (0 before a successful Commit).
@@ -168,22 +166,18 @@ func (t *Txn) Rollback() error {
 	t.done = true
 	t.mu.Unlock()
 	t.db.txns.Abort(t.tx)
-	t.db.finishTxn(t.session, false)
+	t.db.finishTxn(false)
 	return nil
 }
 
-// finishTxn records an explicit transaction's completion in the metrics
-// and the session monitor.
-func (db *Database) finishTxn(session string, committed bool) {
+// finishTxn records an explicit transaction's completion in the metrics.
+func (db *Database) finishTxn(committed bool) {
 	if committed {
 		mTxnCommits.Inc()
 	} else {
 		mTxnAborts.Inc()
 	}
 	mTxnActive.Add(-1)
-	if obs := db.observer(); obs != nil {
-		obs.ObserveTxn(session, committed)
-	}
 }
 
 // commitTxn is the commit path of an explicit transaction: stamp and
@@ -194,7 +188,7 @@ func (db *Database) commitTxn(ctx context.Context, t *Txn) error {
 	if db.closed.Load() {
 		db.mu.RUnlock()
 		db.txns.Abort(t.tx)
-		db.finishTxn(t.session, false)
+		db.finishTxn(false)
 		return ErrClosed
 	}
 	tr := trace.FromContext(ctx)
@@ -202,7 +196,7 @@ func (db *Database) commitTxn(ctx context.Context, t *Txn) error {
 	seq, err := db.publishCommit(t.tx)
 	db.mu.RUnlock()
 	sp.End()
-	db.finishTxn(t.session, true)
+	db.finishTxn(true)
 	if err == nil {
 		err = db.waitDurable(tr, seq)
 	}

@@ -17,7 +17,7 @@ import (
 // closures read runtime state directly, so they are only valid while the
 // caller holds db.mu (read or write).
 func (db *Database) planEnvLocked() plan.Env {
-	env := plan.Env{
+	return plan.Env{
 		Meta: func(table string) (plan.TableMeta, bool) {
 			rt, ok := db.tables[tableKey(table)]
 			if !ok {
@@ -42,10 +42,6 @@ func (db *Database) planEnvLocked() plan.Env {
 		Model:          db.planModel(),
 		CatalogVersion: db.cat.Version(),
 	}
-	if obs := db.observer(); obs != nil {
-		env.LiveSelectivity = obs.AvgSelectivity
-	}
-	return env
 }
 
 // planModel returns the cost model the planner prices alternatives with:

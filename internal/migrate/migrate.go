@@ -99,10 +99,10 @@ type Manager struct {
 	wg       sync.WaitGroup
 	now      func() time.Time // test hook
 
-	// Adaptive-cadence state: the last ingest totals reading and when it
-	// was taken, so successive compactDelay calls can compute the bulk
-	// ingest rate without the monitor carrying a window for us.
-	lastIngest   map[string]int64
+	// Adaptive-cadence state: the last db.IngestedRows reading and when
+	// it was taken, so successive compactDelay calls can compute the bulk
+	// ingest rate.
+	lastIngest   int64
 	lastIngestAt time.Time
 }
 
@@ -154,20 +154,20 @@ func (m *Manager) advise() (*advisor.Recommendation, *monitor.Snapshot, error) {
 	if snap.Queries.Len() == 0 {
 		return nil, nil, fmt.Errorf("migrate: no observed workload yet")
 	}
-	for _, tw := range snap.Tables {
+	for _, name := range snap.Recorder.Tables() {
 		// Skip the full-scan refresh when the existing catalog statistics
 		// are still close to the live row count — AutoAdvise ticks on
 		// stable tables would otherwise rescan everything every interval.
-		if e := m.db.Catalog().Table(tw.Name); e != nil && e.Stats != nil {
+		if e := m.db.Catalog().Table(name); e != nil && e.Stats != nil {
 			n := e.Stats.NumRows
-			if n > 0 && tw.Rows >= n-n/10 && tw.Rows <= n+n/10 {
+			if rows, err := m.db.Rows(name); err == nil && n > 0 && rows >= n-n/10 && rows <= n+n/10 {
 				continue
 			}
 		}
-		if _, err := m.db.CollectStats(tw.Name); err != nil {
+		if _, err := m.db.CollectStats(name); err != nil {
 			// A table may have been dropped while still in the window;
 			// confine the failure to it instead of wedging the cycle.
-			m.record(tw.Name, "skip", "stats: "+err.Error())
+			m.record(name, "skip", "stats: "+err.Error())
 			continue
 		}
 	}
@@ -313,19 +313,16 @@ func (m *Manager) compactDelay(ceiling time.Duration) time.Duration {
 	floor := m.cfg.CompactMinInterval
 	delay := ceiling
 	defer func() { mMergeInterval.Set(delay.Milliseconds()) }()
-	if floor <= 0 || floor >= ceiling || m.cfg.CompactDeltaRows <= 0 || m.mon == nil {
+	if floor <= 0 || floor >= ceiling || m.cfg.CompactDeltaRows <= 0 {
 		return delay
 	}
-	totals := m.mon.IngestRows()
+	total := m.db.IngestedRows()
 	now := m.now()
 	m.mu.Lock()
 	elapsed := now.Sub(m.lastIngestAt)
 	first := m.lastIngestAt.IsZero()
-	var grew int64
-	for t, n := range totals {
-		grew += n - m.lastIngest[t]
-	}
-	m.lastIngest = totals
+	grew := total - m.lastIngest
+	m.lastIngest = total
 	m.lastIngestAt = now
 	m.mu.Unlock()
 	if first {

@@ -1,6 +1,7 @@
 package migrate
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,8 @@ import (
 	"hybridstore/internal/engine"
 	"hybridstore/internal/monitor"
 	"hybridstore/internal/query"
+	"hybridstore/internal/schema"
+	"hybridstore/internal/value"
 	"hybridstore/internal/workload"
 )
 
@@ -318,6 +321,25 @@ func TestAutoAdvise(t *testing.T) {
 func TestAdaptiveCompactCadence(t *testing.T) {
 	db := engine.New()
 	defer db.Close()
+	sch := schema.MustNew("t", []schema.Column{
+		{Name: "id", Type: value.Bigint},
+		{Name: "v", Type: value.Integer},
+	}, "id")
+	if err := db.CreateTable(sch, catalog.RowStore); err != nil {
+		t.Fatal(err)
+	}
+	next := int64(0)
+	ingest := func(n int) {
+		t.Helper()
+		rows := make([][]value.Value, n)
+		for i := range rows {
+			rows[i] = []value.Value{value.NewBigint(next), value.NewInt(1)}
+			next++
+		}
+		if _, err := db.CopyRows(context.Background(), "t", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
 	mon := monitor.New(db, monitor.DefaultConfig())
 	m := NewManager(db, advisor.New(costmodel.DefaultModel()), mon, Config{
 		CompactDeltaRows:   1000,
@@ -334,19 +356,19 @@ func TestAdaptiveCompactCadence(t *testing.T) {
 	}
 	// 10k rows/s against a 1000-row threshold wants 0.1s — clamped to
 	// the floor.
-	mon.ObserveIngest("t", 10000)
+	ingest(10000)
 	base = base.Add(time.Second)
 	if d := m.compactDelay(ceiling); d != time.Second {
 		t.Fatalf("firehose delay = %v, want floor 1s", d)
 	}
 	// 10 rows/s wants 100s — clamped to the ceiling.
-	mon.ObserveIngest("t", 100)
+	ingest(100)
 	base = base.Add(10 * time.Second)
 	if d := m.compactDelay(ceiling); d != ceiling {
 		t.Fatalf("trickle delay = %v, want ceiling %v", d, ceiling)
 	}
 	// 200 rows/s wants exactly 5s — inside the band, used as-is.
-	mon.ObserveIngest("t", 2000)
+	ingest(2000)
 	base = base.Add(10 * time.Second)
 	if d := m.compactDelay(ceiling); d != 5*time.Second {
 		t.Fatalf("mid-band delay = %v, want 5s", d)
@@ -358,7 +380,7 @@ func TestAdaptiveCompactCadence(t *testing.T) {
 	}
 	// Adaptation off (no floor): always the ceiling.
 	m.cfg.CompactMinInterval = 0
-	mon.ObserveIngest("t", 100000)
+	ingest(100000)
 	base = base.Add(time.Second)
 	if d := m.compactDelay(ceiling); d != ceiling {
 		t.Fatalf("unadaptive delay = %v, want ceiling %v", d, ceiling)

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"testing"
-	"time"
 
 	"hybridstore/internal/agg"
 	"hybridstore/internal/catalog"
@@ -89,10 +88,7 @@ func BenchmarkScanOverheadMonitored(b *testing.B) {
 // monitor's recording cost.
 type noopObs struct{}
 
-func (noopObs) ObserveSession(string, *query.Query, time.Duration) {}
-func (noopObs) ObserveTxn(string, bool)                            {}
-func (noopObs) ObserveIngest(string, int)                          {}
-func (noopObs) AvgSelectivity(string) (float64, bool)              { return 0, false }
+func (noopObs) Observe(*query.Query) {}
 
 func BenchmarkScanOverheadNoopObserver(b *testing.B) {
 	db := benchEngine(b, 100000)
@@ -107,6 +103,6 @@ func BenchmarkObserve(b *testing.B) {
 	q := scanQuery()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ObserveSession("", q, 0)
+		m.Observe(q)
 	}
 }

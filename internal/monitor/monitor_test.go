@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"context"
 	"sync"
 	"testing"
 
@@ -54,9 +53,6 @@ func pointSelect(id int64) *query.Query {
 
 func TestSnapshotFeatures(t *testing.T) {
 	db := testDB(t, catalog.ColumnStore, 100)
-	if _, err := db.CollectStats("t"); err != nil {
-		t.Fatal(err)
-	}
 	m := New(db, Config{Epochs: 4, RotateEvery: 0, SampleCap: 64})
 	for i := 0; i < 10; i++ {
 		if _, err := db.Exec(aggQuery()); err != nil {
@@ -75,29 +71,12 @@ func TestSnapshotFeatures(t *testing.T) {
 	if snap.Queries.Len() != 40 {
 		t.Errorf("sample size %d", snap.Queries.Len())
 	}
-	tw, ok := snap.Table("t")
-	if !ok {
-		t.Fatal("table window missing")
+	ts := snap.Recorder.Table("t")
+	if ts == nil {
+		t.Fatal("table statistics missing")
 	}
-	if tw.Ops.Aggregations != 10 || tw.Ops.PointSelects != 30 {
-		t.Errorf("op mix: aggs=%d points=%d", tw.Ops.Aggregations, tw.Ops.PointSelects)
-	}
-	if want := 10.0 / 40; tw.OLAPFraction != want {
-		t.Errorf("OLAP fraction %v, want %v", tw.OLAPFraction, want)
-	}
-	if tw.Rows != 100 {
-		t.Errorf("live rows %d", tw.Rows)
-	}
-	if tw.AvgSelectivity <= 0 || tw.AvgSelectivity > 0.5 {
-		t.Errorf("point-select mean selectivity %v out of range", tw.AvgSelectivity)
-	}
-	// Touched columns: id (point preds), grp (group by), amount (agg).
-	if len(tw.TouchedCols) != 3 {
-		t.Errorf("touched cols %v", tw.TouchedCols)
-	}
-	// The column store keeps the fresh inserts in its delta fragment.
-	if tw.DeltaRows == 0 {
-		t.Error("expected delta rows in the window")
+	if ts.Aggregations != 10 || ts.Selects != 30 {
+		t.Errorf("op mix: aggs=%d selects=%d", ts.Aggregations, ts.Selects)
 	}
 }
 
@@ -111,8 +90,8 @@ func TestRollingWindowAgesOutOldMix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if snap := m.Snapshot(); snap.Tables[0].OLAPFraction < 0.5 {
-		t.Fatalf("window should be OLAP-heavy, got %v", snap.Tables[0].OLAPFraction)
+	if ts := m.Snapshot().Recorder.Table("t"); ts.Aggregations*2 < ts.TotalQueries() {
+		t.Fatalf("window should be OLAP-heavy, got %d of %d", ts.Aggregations, ts.TotalQueries())
 	}
 	for i := 0; i < 30; i++ { // three full OLTP epochs push the OLAP ones out
 		if _, err := db.Exec(pointSelect(int64(i % 50))); err != nil {
@@ -120,9 +99,8 @@ func TestRollingWindowAgesOutOldMix(t *testing.T) {
 		}
 	}
 	snap := m.Snapshot()
-	tw, _ := snap.Table("t")
-	if tw.Ops.Aggregations != 0 {
-		t.Errorf("OLAP phase should have aged out, still %d aggs in window", tw.Ops.Aggregations)
+	if ts := snap.Recorder.Table("t"); ts.Aggregations != 0 {
+		t.Errorf("OLAP phase should have aged out, still %d aggs in window", ts.Aggregations)
 	}
 	if snap.Seen != 60 {
 		t.Errorf("lifetime seen %d", snap.Seen)
@@ -132,45 +110,59 @@ func TestRollingWindowAgesOutOldMix(t *testing.T) {
 	}
 }
 
-func TestPerPartitionAttribution(t *testing.T) {
-	db := engine.New()
-	spec := &catalog.PartitionSpec{Horizontal: &catalog.HorizontalSpec{
-		SplitCol: 0, SplitVal: value.NewBigint(50),
-		HotStore: catalog.RowStore, ColdStore: catalog.ColumnStore,
-	}}
-	if err := db.CreateTableWithLayout(testSchema(), catalog.RowStore, spec); err != nil {
-		t.Fatal(err)
+// TestRecreatedTableKeepsDefaultEstimate: the monitor feeds nothing back
+// into planning, so a table dropped and re-created under the same name
+// is estimated exactly as it would be with no monitor attached — not
+// with the point-select selectivity observed on the dropped table.
+func TestRecreatedTableKeepsDefaultEstimate(t *testing.T) {
+	const n = 5000
+	load := func(db *engine.Database) {
+		t.Helper()
+		if err := db.CreateTable(testSchema(), catalog.RowStore); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([][]value.Value, 0, n)
+		for i := 0; i < n; i++ {
+			rows = append(rows, []value.Value{
+				value.NewBigint(int64(i)), value.NewInt(int64(i % 50)), value.NewDouble(float64(i)),
+			})
+		}
+		if _, err := db.Exec(&query.Query{Kind: query.Insert, Table: "t", Rows: rows}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rows := make([][]value.Value, 0, 100)
-	for i := 0; i < 100; i++ {
-		rows = append(rows, []value.Value{
-			value.NewBigint(int64(i)), value.NewInt(0), value.NewDouble(1),
-		})
+	estimate := func(monitored bool) float64 {
+		t.Helper()
+		db := engine.New()
+		if monitored {
+			New(db, DefaultConfig())
+		}
+		load(db)
+		if _, err := db.CollectStats("t"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			if _, err := db.Exec(pointSelect(int64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.DropTable("t"); err != nil {
+			t.Fatal(err)
+		}
+		load(db) // no CollectStats: the new table has no statistics
+		p, err := db.PlanQuery(&query.Query{Kind: query.Select, Table: "t",
+			Pred: &expr.Comparison{Col: 1, Op: expr.Lt, Val: value.NewInt(40)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Estimate().Rows
 	}
-	m := New(db, Config{Epochs: 2, SampleCap: 16})
-	if _, err := db.Exec(&query.Query{Kind: query.Insert, Table: "t", Rows: rows}); err != nil {
-		t.Fatal(err)
+	bare, monitored := estimate(false), estimate(true)
+	if bare != 500 {
+		t.Fatalf("estimate without a monitor = %v, want the default 500", bare)
 	}
-	// Hot-only point select (key above split), cold-only (below), and an
-	// unconstrained aggregate touching both.
-	if _, err := db.Exec(pointSelect(80)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec(pointSelect(10)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec(aggQuery()); err != nil {
-		t.Fatal(err)
-	}
-	tw, ok := m.Snapshot().Table("t")
-	if !ok || tw.Partitions == nil {
-		t.Fatal("partition window missing")
-	}
-	p := tw.Partitions
-	// The bulk insert spans both sides; the point selects split 1/1; the
-	// aggregate hits both.
-	if p.HotOps != 1 || p.ColdOps != 1 || p.BothOps != 2 {
-		t.Errorf("hot/cold/both = %d/%d/%d, want 1/1/2", p.HotOps, p.ColdOps, p.BothOps)
+	if monitored != bare {
+		t.Errorf("estimate with a monitor = %v, want %v as without one", monitored, bare)
 	}
 }
 
@@ -200,62 +192,7 @@ func TestConcurrentObserveAndSnapshot(t *testing.T) {
 	if got := m.Seen(); got != 400 {
 		t.Errorf("seen %d, want 400", got)
 	}
-	snap := m.Snapshot()
-	tw, ok := snap.Table("t")
-	if !ok || tw.Ops.TotalQueries() == 0 {
+	if ts := m.Snapshot().Recorder.Table("t"); ts == nil || ts.TotalQueries() == 0 {
 		t.Fatal("window empty after concurrent traffic")
-	}
-}
-
-func TestSessionAttribution(t *testing.T) {
-	db := testDB(t, catalog.RowStore, 50)
-	m := New(db, Config{Epochs: 3, RotateEvery: 10, SampleCap: 32})
-
-	olap := engine.WithSession(context.Background(), "analyst#1")
-	oltp := engine.WithSession(context.Background(), "writer#2")
-	for i := 0; i < 12; i++ {
-		if _, err := db.ExecContext(olap, aggQuery()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := db.ExecContext(oltp, &query.Query{
-			Kind: query.Update, Table: "t",
-			Set:  map[int]value.Value{2: value.NewDouble(float64(i))},
-			Pred: &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(int64(i))},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Unattributed statements must not grow the session list.
-	if _, err := db.Exec(pointSelect(1)); err != nil {
-		t.Fatal(err)
-	}
-
-	snap := m.Snapshot()
-	if len(snap.Sessions) != 2 {
-		t.Fatalf("sessions = %+v", snap.Sessions)
-	}
-	byName := map[string]SessionWindow{}
-	for _, sw := range snap.Sessions {
-		byName[sw.Name] = sw
-	}
-	an := byName["analyst#1"]
-	if an.Queries != 12 || an.OLAP != 12 || an.DML != 0 {
-		t.Fatalf("analyst window: %+v", an)
-	}
-	wr := byName["writer#2"]
-	if wr.Queries != 8 || wr.OLAP != 0 || wr.DML != 8 {
-		t.Fatalf("writer window: %+v", wr)
-	}
-	if len(wr.Tables) != 1 || wr.Tables[0] != "t" {
-		t.Fatalf("writer tables: %v", wr.Tables)
-	}
-	// Sessions age out with the window like everything else: the
-	// attribution spans epochs (RotateEvery=10 rotated at least once
-	// above), and resetting clears it.
-	m.Reset()
-	if got := m.Snapshot(); len(got.Sessions) != 0 {
-		t.Fatalf("sessions survived reset: %+v", got.Sessions)
 	}
 }

@@ -1,11 +1,7 @@
-// Package stats implements the extended workload statistics of the paper's
-// online mode: per-table query-type counters, per-attribute update and
-// aggregation counters, and the update-locality tracking ("tuples that are
-// frequently updated as a whole") that feeds the horizontal-partitioning
-// heuristic in §3.2/§4.
-package stats
+package monitor
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -14,22 +10,23 @@ import (
 	"hybridstore/internal/value"
 )
 
-// TableStats accumulates workload statistics for one table.
+// TableStats accumulates the extended workload statistics of one table:
+// the operation mix, per-attribute update and analysis counters, and the
+// update-locality tracking ("tuples that are frequently updated as a
+// whole") that feeds the horizontal-partitioning heuristic in §3.2/§4.
 type TableStats struct {
 	// Query-type counters.
 	Inserts      int
 	Updates      int
 	Deletes      int
-	PointSelects int
-	RangeSelects int
+	Selects      int
 	Aggregations int
 
-	// Per-attribute counters, sized to the table's column count on first
-	// use.
+	// Per-attribute counters, all of one length: grown to the highest
+	// column counted so far.
 	AttrUpdates   []int // column assigned by an UPDATE
 	AttrAggs      []int // column aggregated
 	AttrGroupBys  []int // column grouped by
-	AttrPreds     []int // column referenced by any WHERE predicate
 	AttrOLAPPreds []int // column referenced by an aggregation query's predicate
 
 	// Update key-range tracking on the table's first PK (or predicate)
@@ -48,19 +45,10 @@ func (ts *TableStats) Clone() *TableStats {
 		return nil
 	}
 	cp := *ts
-	dup := func(s []int) []int {
-		if s == nil {
-			return nil
-		}
-		ns := make([]int, len(s))
-		copy(ns, s)
-		return ns
-	}
-	cp.AttrUpdates = dup(ts.AttrUpdates)
-	cp.AttrAggs = dup(ts.AttrAggs)
-	cp.AttrGroupBys = dup(ts.AttrGroupBys)
-	cp.AttrPreds = dup(ts.AttrPreds)
-	cp.AttrOLAPPreds = dup(ts.AttrOLAPPreds)
+	cp.AttrUpdates = slices.Clone(ts.AttrUpdates)
+	cp.AttrAggs = slices.Clone(ts.AttrAggs)
+	cp.AttrGroupBys = slices.Clone(ts.AttrGroupBys)
+	cp.AttrOLAPPreds = slices.Clone(ts.AttrOLAPPreds)
 	return &cp
 }
 
@@ -73,8 +61,7 @@ func (ts *TableStats) Merge(o *TableStats) {
 	ts.Inserts += o.Inserts
 	ts.Updates += o.Updates
 	ts.Deletes += o.Deletes
-	ts.PointSelects += o.PointSelects
-	ts.RangeSelects += o.RangeSelects
+	ts.Selects += o.Selects
 	ts.Aggregations += o.Aggregations
 	ts.ensureCols(len(o.AttrUpdates))
 	addInto := func(dst, src []int) {
@@ -85,7 +72,6 @@ func (ts *TableStats) Merge(o *TableStats) {
 	addInto(ts.AttrUpdates, o.AttrUpdates)
 	addInto(ts.AttrAggs, o.AttrAggs)
 	addInto(ts.AttrGroupBys, o.AttrGroupBys)
-	addInto(ts.AttrPreds, o.AttrPreds)
 	addInto(ts.AttrOLAPPreds, o.AttrOLAPPreds)
 	// Update-range tracking merges only when both sides watched the same
 	// column (or ts never chose one).
@@ -120,13 +106,12 @@ func (ts *TableStats) ensureCols(n int) {
 	ts.AttrUpdates = grow(ts.AttrUpdates)
 	ts.AttrAggs = grow(ts.AttrAggs)
 	ts.AttrGroupBys = grow(ts.AttrGroupBys)
-	ts.AttrPreds = grow(ts.AttrPreds)
 	ts.AttrOLAPPreds = grow(ts.AttrOLAPPreds)
 }
 
 // TotalQueries returns all recorded statements against the table.
 func (ts *TableStats) TotalQueries() int {
-	return ts.Inserts + ts.Updates + ts.Deletes + ts.PointSelects + ts.RangeSelects + ts.Aggregations
+	return ts.Inserts + ts.Updates + ts.Deletes + ts.Selects + ts.Aggregations
 }
 
 // InsertFraction returns the fraction of inserts among the table's
@@ -140,7 +125,7 @@ func (ts *TableStats) InsertFraction() float64 {
 }
 
 // Recorder collects extended workload statistics per table. It is not
-// safe for concurrent use: the workload monitor serialises its recorders
+// safe for concurrent use: the monitor serialises its epochs' recorders
 // under its own lock, and offline replay runs on one goroutine.
 type Recorder struct {
 	tables map[string]*TableStats
@@ -169,93 +154,31 @@ func (r *Recorder) Observe(q *query.Query) {
 		ts.Inserts++
 	case query.Update:
 		ts.Updates++
-		maxCol := -1
 		for c := range q.Set {
-			if c > maxCol {
-				maxCol = c
-			}
-		}
-		predCols := expr.ColumnSet(q.Pred)
-		for _, c := range predCols {
-			if c > maxCol {
-				maxCol = c
-			}
-		}
-		ts.ensureCols(maxCol + 1)
-		for c := range q.Set {
+			ts.ensureCols(c + 1)
 			ts.AttrUpdates[c]++
-		}
-		for _, c := range predCols {
-			ts.AttrPreds[c]++
 		}
 		trackUpdateRange(ts, q)
 	case query.Delete:
 		ts.Deletes++
-		bumpPreds(ts, q.Pred)
 	case query.Select:
-		if len(expr.ColumnSet(q.Pred)) > 0 && isPoint(q.Pred) {
-			ts.PointSelects++
-		} else {
-			ts.RangeSelects++
-		}
-		bumpPreds(ts, q.Pred)
+		ts.Selects++
 	case query.Aggregate:
 		ts.Aggregations++
-		maxCol := -1
-		for _, s := range q.Aggs {
-			if s.Col > maxCol {
-				maxCol = s.Col
-			}
-		}
-		for _, c := range q.GroupBy {
-			if c > maxCol {
-				maxCol = c
-			}
-		}
-		predCols := expr.ColumnSet(q.Pred)
-		for _, c := range predCols {
-			if c > maxCol {
-				maxCol = c
-			}
-		}
-		ts.ensureCols(maxCol + 1)
 		for _, s := range q.Aggs {
 			if s.Col >= 0 {
+				ts.ensureCols(s.Col + 1)
 				ts.AttrAggs[s.Col]++
 			}
 		}
 		for _, c := range q.GroupBy {
+			ts.ensureCols(c + 1)
 			ts.AttrGroupBys[c]++
 		}
-		for _, c := range predCols {
-			ts.AttrPreds[c]++
+		for _, c := range expr.ColumnSet(q.Pred) {
+			ts.ensureCols(c + 1)
 			ts.AttrOLAPPreds[c]++
 		}
-	}
-}
-
-// isPoint treats a predicate as a point lookup when it contains an
-// equality conjunct.
-func isPoint(p expr.Predicate) bool {
-	for _, c := range expr.Conjuncts(p) {
-		if cmp, ok := c.(*expr.Comparison); ok && cmp.Op == expr.Eq {
-			return true
-		}
-	}
-	return false
-}
-
-func bumpPreds(ts *TableStats, p expr.Predicate) {
-	cols := expr.ColumnSet(p)
-	maxCol := -1
-	for _, c := range cols {
-		if c > maxCol {
-			maxCol = c
-		}
-	}
-	ts.ensureCols(maxCol + 1)
-	for _, c := range cols {
-		ts.AttrPreds[c]++
 	}
 }
 

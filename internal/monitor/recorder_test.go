@@ -1,4 +1,4 @@
-package stats
+package monitor
 
 import (
 	"sync"
@@ -39,9 +39,6 @@ func TestObserveUpdate(t *testing.T) {
 	}
 	if ts.AttrUpdates[2] != 1 || ts.AttrUpdates[3] != 1 {
 		t.Errorf("attr updates: %v", ts.AttrUpdates)
-	}
-	if ts.AttrPreds[0] != 1 {
-		t.Errorf("attr preds: %v", ts.AttrPreds)
 	}
 }
 
@@ -84,8 +81,8 @@ func TestObserveSelectPointVsRange(t *testing.T) {
 	})
 	r.Observe(&query.Query{Kind: query.Select, Table: "t"})
 	ts := r.Table("t")
-	if ts.PointSelects != 1 || ts.RangeSelects != 2 {
-		t.Errorf("point=%d range=%d", ts.PointSelects, ts.RangeSelects)
+	if ts.Selects != 3 || ts.TotalQueries() != 3 {
+		t.Errorf("selects=%d total=%d, want 3/3", ts.Selects, ts.TotalQueries())
 	}
 }
 
@@ -101,8 +98,8 @@ func TestObserveAggregate(t *testing.T) {
 	if ts.Aggregations != 1 {
 		t.Errorf("aggs = %d", ts.Aggregations)
 	}
-	if ts.AttrAggs[4] != 1 || ts.AttrGroupBys[1] != 1 || ts.AttrPreds[2] != 1 {
-		t.Errorf("attr counters: aggs=%v gb=%v preds=%v", ts.AttrAggs, ts.AttrGroupBys, ts.AttrPreds)
+	if ts.AttrAggs[4] != 1 || ts.AttrGroupBys[1] != 1 || ts.AttrOLAPPreds[2] != 1 {
+		t.Errorf("attr counters: aggs=%v gb=%v olap preds=%v", ts.AttrAggs, ts.AttrGroupBys, ts.AttrOLAPPreds)
 	}
 }
 
@@ -122,7 +119,7 @@ func TestObserveJoins(t *testing.T) {
 	if ts := r.Table("fact"); ts.Aggregations != 1 || ts.TotalQueries() != 1 {
 		t.Errorf("fact stats: %+v", ts)
 	}
-	if ts := r.Table("dim"); ts.RangeSelects != 1 || ts.TotalQueries() != 1 {
+	if ts := r.Table("dim"); ts.Selects != 1 || ts.TotalQueries() != 1 {
 		t.Errorf("dim stats: %+v", ts)
 	}
 	if names := r.Tables(); len(names) != 2 || names[0] != "dim" || names[1] != "fact" {
@@ -160,7 +157,7 @@ func TestTablesAndReset(t *testing.T) {
 	if names := merged.Tables(); len(names) != 1 || names[0] != "c" {
 		t.Errorf("window Tables after reset = %v", names)
 	}
-	if merged.Table("A") != nil || merged.Table("c").RangeSelects != 1 {
+	if merged.Table("A") != nil || merged.Table("c").Selects != 1 {
 		t.Errorf("window after reset: a=%+v c=%+v", merged.Table("a"), merged.Table("c"))
 	}
 }
@@ -233,7 +230,7 @@ func TestObserveDelete(t *testing.T) {
 		Pred: &expr.Comparison{Col: 1, Op: expr.Lt, Val: value.NewInt(0)},
 	})
 	ts := r.Table("t")
-	if ts.Deletes != 1 || ts.AttrPreds[1] != 1 {
+	if ts.Deletes != 1 || ts.TotalQueries() != 1 {
 		t.Errorf("delete stats: %+v", ts)
 	}
 }
@@ -278,12 +275,12 @@ func TestRecorderMerge(t *testing.T) {
 	if hi := ts.UpdateRangeHi.Int(); hi != 25 {
 		t.Errorf("merged range hi = %d", hi)
 	}
-	if u := a.Table("u"); u == nil || u.RangeSelects != 1 {
+	if u := a.Table("u"); u == nil || u.Selects != 1 {
 		t.Errorf("merge missed table u: %+v", u)
 	}
 	// The merged record is a copy: observing more into b leaves a alone.
 	b.Observe(&query.Query{Kind: query.Select, Table: "u"})
-	if u := a.Table("u"); u.RangeSelects != 1 {
+	if u := a.Table("u"); u.Selects != 1 {
 		t.Errorf("merge aliased b's record: %+v", u)
 	}
 }

@@ -14,8 +14,8 @@ import (
 
 // testEnv builds a two-table environment: "big" (10k rows) and "small"
 // (100 rows), both without collected statistics so selectivity falls
-// back to the live monitor hint or the textbook default.
-func testEnv(live func(string) (float64, bool)) Env {
+// back to the textbook default.
+func testEnv() Env {
 	big := schema.MustNew("big", []schema.Column{
 		{Name: "id", Type: value.Bigint},
 		{Name: "k", Type: value.Integer},
@@ -34,8 +34,7 @@ func testEnv(live func(string) (float64, bool)) Env {
 			m, ok := meta[strings.ToLower(table)]
 			return m, ok
 		},
-		LiveSelectivity: live,
-		CatalogVersion:  42,
+		CatalogVersion: 42,
 	}
 }
 
@@ -46,7 +45,7 @@ func kinds(p *Plan) []string {
 }
 
 func TestBuildStampsVersionAndIDs(t *testing.T) {
-	p, err := Build(&query.Query{Kind: query.Select, Table: "big"}, testEnv(nil))
+	p, err := Build(&query.Query{Kind: query.Select, Table: "big"}, testEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func TestBuildSideFollowsEstimates(t *testing.T) {
 		Kind: query.Select, Table: "big",
 		Join: &query.Join{Table: "small", LeftCol: 1, RightCol: 0},
 	}
-	p, err := Build(q, testEnv(nil))
+	p, err := Build(q, testEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,21 +76,29 @@ func TestBuildSideFollowsEstimates(t *testing.T) {
 		t.Fatal("small right side should build, got BuildLeft")
 	}
 
-	// A selective predicate on the big (left) side — reported by the live
-	// monitor, not statistics — shrinks it below the small side and flips
-	// the decision.
-	live := func(table string) (float64, bool) {
+	// A selective predicate on the big (left) side — estimated from the
+	// key range in its statistics — shrinks it below the small side and
+	// flips the decision.
+	env := testEnv()
+	meta := env.Meta
+	env.Meta = func(table string) (TableMeta, bool) {
+		m, ok := meta(table)
 		if table == "big" {
-			return 0.001, true // ~10 estimated rows
+			m.Stats = &catalog.TableStats{
+				NumRows:  10_000,
+				MinV:     []value.Value{value.NewBigint(0)},
+				MaxV:     []value.Value{value.NewBigint(9_999)},
+				HasRange: []bool{true},
+			} // id < 10 → ~10 estimated rows
 		}
-		return 0, false
+		return m, ok
 	}
 	q2 := &query.Query{
 		Kind: query.Select, Table: "big",
 		Join: &query.Join{Table: "small", LeftCol: 1, RightCol: 0},
 		Pred: &expr.Comparison{Col: 0, Op: expr.Lt, Val: value.NewBigint(10)},
 	}
-	p2, err := Build(q2, testEnv(live))
+	p2, err := Build(q2, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +108,7 @@ func TestBuildSideFollowsEstimates(t *testing.T) {
 
 	// Forcing the build side overrides the estimate.
 	force := false
-	p3, err := BuildOptions(q2, testEnv(live), Options{ForceBuildLeft: &force})
+	p3, err := BuildOptions(q2, env, Options{ForceBuildLeft: &force})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +133,7 @@ func TestPushdownMovesPredIntoScans(t *testing.T) {
 		Join: &query.Join{Table: "small", LeftCol: 1, RightCol: 0},
 		Pred: pred,
 	}
-	p, err := Build(q, testEnv(nil))
+	p, err := Build(q, testEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +162,7 @@ func TestPushdownMovesPredIntoScans(t *testing.T) {
 	}
 
 	// Disabled: scans are bare and everything evaluates post-join.
-	pd, err := BuildOptions(q, testEnv(nil), Options{DisablePushdown: true})
+	pd, err := BuildOptions(q, testEnv(), Options{DisablePushdown: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +203,7 @@ func TestOrderLimitOperatorChoice(t *testing.T) {
 	for _, tc := range cases {
 		q := base()
 		tc.mut(q)
-		p, err := BuildOptions(q, testEnv(nil), tc.opts)
+		p, err := BuildOptions(q, testEnv(), tc.opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -212,7 +219,7 @@ func TestTopKEstimateBounded(t *testing.T) {
 		Kind: query.Select, Table: "big", Cols: []int{0},
 		OrderBy: []query.Order{{Col: 1}}, Limit: 7,
 	}
-	p, err := Build(q, testEnv(nil))
+	p, err := Build(q, testEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +239,7 @@ func TestAggregatePlanShape(t *testing.T) {
 		GroupBy: []int{1},
 		Pred:    &expr.Comparison{Col: 1, Op: expr.Ge, Val: value.NewInt(1)},
 	}
-	p, err := Build(q, testEnv(nil))
+	p, err := Build(q, testEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +260,7 @@ func TestAggregatePlanShape(t *testing.T) {
 }
 
 func TestBuildValidation(t *testing.T) {
-	env := testEnv(nil)
+	env := testEnv()
 	cases := []struct {
 		name string
 		q    *query.Query
@@ -284,7 +291,7 @@ func TestPlanStringRendersTree(t *testing.T) {
 		Aggs:    []agg.Spec{{Func: agg.Count, Col: -1}},
 		GroupBy: []int{4},
 	}
-	p, err := Build(q, testEnv(nil))
+	p, err := Build(q, testEnv())
 	if err != nil {
 		t.Fatal(err)
 	}

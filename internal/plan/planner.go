@@ -23,9 +23,9 @@ type TableMeta struct {
 	HasIndex func(col int) bool
 }
 
-// Env supplies the planner's inputs. Meta (and LiveSelectivity) are only
-// guaranteed valid for the duration of the Build call — the engine hands
-// out closures that read runtime state under its lock.
+// Env supplies the planner's inputs. Meta is only guaranteed valid for
+// the duration of the Build call — the engine hands out closures that
+// read runtime state under its lock.
 type Env struct {
 	// Meta resolves a table name to its current characteristics.
 	Meta func(table string) (TableMeta, bool)
@@ -33,10 +33,6 @@ type Env struct {
 	// aggregate work; nil leaves node costs at zero (plans still carry
 	// cardinality estimates and structural decisions).
 	Model *costmodel.Model
-	// LiveSelectivity optionally returns the workload monitor's observed
-	// mean predicate selectivity for a table — the fallback cardinality
-	// signal for tables without collected statistics.
-	LiveSelectivity func(table string) (float64, bool)
 	// CatalogVersion is stamped into the plan for cache invalidation.
 	CatalogVersion uint64
 }
@@ -52,8 +48,8 @@ type Options struct {
 	DisableTopK bool
 }
 
-// defaultSel is assumed when neither statistics nor live monitor
-// observations give a signal (matches expr's default).
+// defaultSel is assumed for a predicate on a table without collected
+// statistics (matches expr's default).
 const defaultSel = 0.1
 
 // Build plans one read statement (Select or Aggregate, with or without a
@@ -113,32 +109,16 @@ func (b *builder) meta(table string) (TableMeta, error) {
 	return m, nil
 }
 
-// selectivity estimates the fraction of m's rows matching pred:
-// collected statistics first, the live monitor's observed average
-// second, the textbook default last.
-func (b *builder) selectivity(table string, m TableMeta, pred expr.Predicate) float64 {
+// selectivity estimates the fraction of m's rows matching pred from
+// collected statistics, or the textbook default without them.
+func selectivity(m TableMeta, pred expr.Predicate) float64 {
 	if pred == nil {
 		return 1
 	}
 	if m.Stats != nil {
 		return expr.EstimateSelectivity(pred, m.Stats)
 	}
-	if b.env.LiveSelectivity != nil {
-		if s, ok := b.env.LiveSelectivity(table); ok {
-			return clamp01(s)
-		}
-	}
 	return defaultSel
-}
-
-func clamp01(x float64) float64 {
-	if x < 0 {
-		return 0
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
 }
 
 // cost runs the calibrated cost model over a synthetic per-node query.
@@ -177,7 +157,7 @@ func lowerKey(s string) string {
 
 // scanNode builds a Scan over table m materializing cols under pred.
 func (b *builder) scanNode(table string, m TableMeta, pred expr.Predicate, cols []int, limit int) *Scan {
-	rows := float64(m.Rows) * b.selectivity(table, m, pred)
+	rows := float64(m.Rows) * selectivity(m, pred)
 	if limit > 0 && float64(limit) < rows {
 		rows = float64(limit)
 	}
@@ -333,8 +313,8 @@ func (b *builder) join() (Node, error) {
 	}
 	needL, needR := JoinNeededCols(q, nL, nR)
 
-	rowsL := float64(mL.Rows) * b.selectivity(q.Table, mL, leftPred)
-	rowsR := float64(mR.Rows) * b.selectivity(q.Join.Table, mR, rightPred)
+	rowsL := float64(mL.Rows) * selectivity(mL, leftPred)
+	rowsR := float64(mR.Rows) * selectivity(mR, rightPred)
 
 	// Greedy statistics-light join ordering: the smaller estimated
 	// (post-pushdown) input builds the hash table.

@@ -25,8 +25,8 @@ type session struct {
 	id   uint64
 	conn net.Conn
 
-	// label attributes the session's statements in the workload
-	// monitor; Hello refines it with the client's name.
+	// label attributes the session's statements in the slow-query log;
+	// Hello refines it with the client's name.
 	label string
 
 	// timeout is the per-statement deadline from Hello (0 = none).

@@ -3,7 +3,9 @@
 # directory, drive it through the remote-mode shell, kill -9 the daemon,
 # restart it on the same data directory, and verify every acknowledged
 # write survived. Exercises the full stack: wire protocol, sessions,
-# WAL durability and crash recovery.
+# WAL durability and crash recovery. A second daemon with -auto then
+# checks the online advisor loop: workload monitor -> advisor ->
+# background layout migration, durable across kill -9.
 set -euo pipefail
 
 work="$(mktemp -d)"
@@ -150,6 +152,62 @@ fi
 echo "$out" | grep -q '^3$' || { echo "FAIL: expected 3 keyless rows after the insert" >&2; exit 1; }
 
 echo "== graceful drain =="
+kill -TERM "$pid"
+wait "$pid"
+pid=""
+
+# The online advisor end to end: the monitor records an analytic mix
+# arriving over the wire, the background loop (-auto) recommends the
+# column store for it and moves the table with engine.MigrateLayout, and
+# the move survives kill -9.
+store_of() { # table -> "STORE ROWS" from /status
+  curl -sf "http://127.0.0.1:$http_port/status" | python3 -c '
+import json, sys
+for t in json.load(sys.stdin)["tables"]:
+    if t["name"] == sys.argv[1]:
+        print(t["store"], t["rows"])' "$1"
+}
+
+echo "== start hsqld -auto 200ms on a second data dir =="
+adata="$work/advise"
+port=$((port + 1))
+http_port=$((http_port + 1))
+"$work/hsqld" -listen "127.0.0.1:$port" -data "$adata" -http "127.0.0.1:$http_port" -auto 200ms &
+pid=$!
+wait_ready "$port"
+
+echo "== remote hsql: COPY 2000 rows, then 150 GROUP BY aggregates =="
+python3 - "$work" <<'PY'
+import sys
+with open(sys.argv[1] + "/load.sql", "w") as f:
+    print("CREATE TABLE facts (id BIGINT NOT NULL, grp INTEGER, amount DOUBLE, PRIMARY KEY (id));", file=f)
+    print("COPY facts FROM VALUES " + ", ".join(f"({i}, {i % 10}, {i % 100}.5)" for i in range(2000)) + ";", file=f)
+with open(sys.argv[1] + "/olap.sql", "w") as f:
+    for _ in range(150):
+        print("SELECT grp, SUM(amount) FROM facts GROUP BY grp;", file=f)
+PY
+"$work/hsql" -connect "127.0.0.1:$port" < "$work/load.sql" > /dev/null
+[ "$(store_of facts)" = "ROW 2000" ] || { echo "FAIL: facts should start as a 2000-row ROW table, got: $(store_of facts)" >&2; exit 1; }
+"$work/hsql" -connect "127.0.0.1:$port" < "$work/olap.sql" > /dev/null
+
+echo "== wait for the advisor to move facts to the column store =="
+for _ in $(seq 1 150); do
+  [ "$(store_of facts)" = "COLUMN 2000" ] && break
+  sleep 0.1
+done
+[ "$(store_of facts)" = "COLUMN 2000" ] || { echo "FAIL: facts not migrated to COLUMN within 15s: $(store_of facts)" >&2; exit 1; }
+curl -sf "http://127.0.0.1:$http_port/metrics" | grep -E '^hs_engine_migrations_total [1-9]' \
+  || { echo "FAIL: hs_engine_migrations_total did not count the move" >&2; exit 1; }
+
+echo "== kill -9, restart, verify the layout and rows survived =="
+kill -9 "$pid"
+wait "$pid" 2>/dev/null || true
+pid=""
+port=$((port + 1))
+"$work/hsqld" -listen "127.0.0.1:$port" -data "$adata" -http "127.0.0.1:$http_port" &
+pid=$!
+wait_ready "$port"
+[ "$(store_of facts)" = "COLUMN 2000" ] || { echo "FAIL: after restart facts is $(store_of facts), want COLUMN 2000" >&2; exit 1; }
 kill -TERM "$pid"
 wait "$pid"
 pid=""
