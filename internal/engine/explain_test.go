@@ -325,7 +325,8 @@ func (b *syncBuffer) Reset() {
 }
 
 // TestSlowQueryLog asserts the slow-query log captures statements over
-// the threshold with a trace summary, and that disarming stops it.
+// the threshold with a trace summary and session label, and that
+// disarming stops it.
 func TestSlowQueryLog(t *testing.T) {
 	db := newDB(t, catalog.ColumnStore, 2000)
 	var buf syncBuffer
@@ -335,7 +336,7 @@ func TestSlowQueryLog(t *testing.T) {
 		Aggs: []agg.Spec{{Func: agg.Sum, Col: 2}},
 		Pred: &expr.Comparison{Col: 1, Op: expr.Lt, Val: value.NewInt(3)},
 	}
-	if _, err := db.Exec(q); err != nil {
+	if _, err := db.ExecContext(WithSession(context.Background(), "analyst#1"), q); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -344,6 +345,9 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	if !strings.Contains(out, "stage=aggregate") {
 		t.Errorf("slow log entry missing trace summary: %q", out)
+	}
+	if !strings.Contains(out, `"session":"analyst#1"`) {
+		t.Errorf("slow log entry missing session label: %q", out)
 	}
 
 	db.SlowQueryLogHandle().SetThreshold(0)
