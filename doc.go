@@ -60,9 +60,12 @@
 //     holds until the next one.
 //   - colstore.Table.ScanBatches streams matching rows in 1024-row
 //     batches with the requested columns bulk-decoded column-at-a-time
-//     (compress.Packed.UnpackBlock) into reused buffers. The row-at-a-time
-//     Scan is a thin adapter over it; the engine's vertical-partition
-//     scans consume batches directly.
+//     (compress.Packed.UnpackBlock) into reused buffers. It is the column
+//     store's side of the engine's one read, a block scan every layout
+//     implements: the row store's scan is gathered into blocks of the
+//     same size on the caller, a horizontal split scans hot then cold,
+//     and a vertical split scans the one partition holding the
+//     statement's columns or joins the two on the key.
 //   - Grouped aggregation has one kernel (colstore.DenseAgg): dense
 //     per-(group, spec) scalar accumulators indexed by a dense group id
 //     and fed block-at-a-time from unpacked code vectors. SUM
@@ -260,9 +263,12 @@
 //
 //   - Column-store match bitmaps are built block-parallel (each worker
 //     applies every conjunct to its blocks; word alignment keeps
-//     workers on disjoint bitset words), and SELECT collection
-//     reassembles batches by block index so parallel row order equals
-//     serial row order.
+//     workers on disjoint bitset words). Every layout's block scan
+//     numbers its blocks in the order a serial scan visits them, and a
+//     SELECT's one collector — plain, ordered or top-K, over a table or
+//     a join — reassembles rows by that number, so parallel row order
+//     equals serial row order on every layout. Only a bare LIMIT, which
+//     can stop early, scans serially.
 //   - Every aggregate is an ordered reduction (exec.Reduce): the scan is
 //     cut into fixed ranges of consecutive morsels, each range
 //     accumulates into a partial of its own — dense per-code
@@ -280,14 +286,20 @@
 //     integers and add up exactly in any order.
 //   - A star join's probe is the dense kernel over the fact table and
 //     parallel like any grouped aggregate; its build side and every
-//     hash join's are scanned serially (a dimension is small). The
-//     generic aggregate probe of a column-store table walks the shared
-//     hash table block-parallel, one partial result per block.
+//     hash join's are scanned serially (a dimension is small). Every
+//     hash-join probe — aggregate or SELECT, on any layout — walks the
+//     shared hash table block-parallel over the probe side's block scan:
+//     an aggregate keeps one partial result per block and merges them in
+//     block order, a SELECT hands its rows to the collector by block. A
+//     table with unfolded versions at the statement's snapshot is read
+//     serially, its blocks merged with the overlay.
 //   - The network server admits statements through the same pool
 //     (session slot = worker slot), so intra-query parallelism scales
 //     down automatically as concurrent statements scale up instead of
 //     oversubscribing cores.
-//   - Cancellation is polled at morsel claims and batch boundaries;
+//   - Cancellation is polled once per block by the block scan itself
+//     (at morsel claims in the column store, between blocks in the row
+//     store), through the statement's exec.Ctx;
 //     tombstones, zone maps, the delta fragment and the workload monitor
 //     behave identically in serial and parallel runs. The differential
 //     suite (internal/engine parallel tests) runs pools of 1, 2, 3 and 8

@@ -81,9 +81,11 @@ func BenchmarkColScanSelective(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		count := 0
 		var sum float64
-		tb.Scan(pred, []int{0, 2}, func(rid int, row []value.Value) bool {
-			count++
-			sum += row[2].Double()
+		tb.ScanBatches(pred, []int{0, 2}, func(rids []int32, colVals [][]value.Value) bool {
+			count += len(rids)
+			for _, v := range colVals[1] {
+				sum += v.Double()
+			}
 			return true
 		})
 		benchSink = sum

@@ -142,10 +142,9 @@ func TestScanPredicateFastPath(t *testing.T) {
 		&expr.Comparison{Col: 2, Op: expr.Ge, Val: value.NewDouble(50)},
 	}}
 	var ids []int64
-	tb.Scan(pred, []int{0}, func(rid int, row []value.Value) bool {
-		ids = append(ids, row[0].Int())
-		return true
-	})
+	for _, r := range scanRows(tb, pred, []int{0}) {
+		ids = append(ids, r.vals[0].Int())
+	}
 	// grp==2: ids 2,7,...,97 and 100; amount>=50: 52,57,...,97,100
 	want := 11
 	if len(ids) != want {
@@ -157,12 +156,7 @@ func TestScanBetween(t *testing.T) {
 	tb := loaded(t, 50)
 	tb.Merge()
 	pred := &expr.Between{Col: 0, Lo: value.NewBigint(10), Hi: value.NewBigint(19)}
-	count := 0
-	tb.Scan(pred, []int{0}, func(rid int, row []value.Value) bool {
-		count++
-		return true
-	})
-	if count != 10 {
+	if count := len(scanRows(tb, pred, []int{0})); count != 10 {
 		t.Errorf("BETWEEN matched %d", count)
 	}
 }
@@ -173,12 +167,7 @@ func TestScanFallbackOr(t *testing.T) {
 		&expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(3)},
 		&expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(7)},
 	}}
-	count := 0
-	tb.Scan(pred, nil, func(rid int, row []value.Value) bool {
-		count++
-		return true
-	})
-	if count != 2 {
+	if count := len(scanRows(tb, pred, nil)); count != 2 {
 		t.Errorf("OR matched %d", count)
 	}
 }
@@ -187,25 +176,47 @@ func TestScanPKShortcut(t *testing.T) {
 	tb := loaded(t, 100)
 	pred := &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(55)}
 	var got []int64
-	tb.Scan(pred, []int{0, 2}, func(rid int, row []value.Value) bool {
-		got = append(got, row[0].Int())
-		return true
-	})
+	for _, r := range scanRows(tb, pred, []int{0, 2}) {
+		got = append(got, r.vals[0].Int())
+	}
 	if len(got) != 1 || got[0] != 55 {
 		t.Errorf("PK scan = %v", got)
 	}
 }
 
 func TestScanEarlyStop(t *testing.T) {
-	tb := loaded(t, 30)
-	count := 0
-	tb.Scan(nil, nil, func(rid int, row []value.Value) bool {
-		count++
-		return count < 4
+	tb := loaded(t, 3*blockRows)
+	batches, rows := 0, 0
+	tb.ScanBatches(nil, nil, func(rids []int32, _ [][]value.Value) bool {
+		batches++
+		rows += len(rids)
+		return false
 	})
-	if count != 4 {
-		t.Errorf("early stop visited %d", count)
+	if batches != 1 || rows != blockRows {
+		t.Errorf("early stop visited %d batches, %d rows", batches, rows)
 	}
+}
+
+// scanned is one row of a scan: its rid and the requested columns.
+type scanned struct {
+	rid  int
+	vals []value.Value
+}
+
+// scanRows collects what ScanBatches streams, a row at a time.
+func scanRows(tb *Table, pred expr.Predicate, cols []int) []scanned {
+	var out []scanned
+	tb.ScanBatches(pred, cols, func(rids []int32, colVals [][]value.Value) bool {
+		for k, rid := range rids {
+			r := scanned{rid: int(rid), vals: make([]value.Value, len(colVals))}
+			for j := range colVals {
+				r.vals[j] = colVals[j][k]
+			}
+			out = append(out, r)
+		}
+		return true
+	})
+	return out
 }
 
 func TestAggregateGlobalAcrossFragments(t *testing.T) {
@@ -553,10 +564,9 @@ func TestKeyedPredicateTouchesOneRow(t *testing.T) {
 	}
 	read := func(tb *Table, p expr.Predicate) string {
 		out := ""
-		tb.Scan(p, []int{0, 3}, func(rid int, row []value.Value) bool {
-			out += fmt.Sprintf("%d:%v,%v ", rid, row[0], row[3])
-			return true
-		})
+		for _, r := range scanRows(tb, p, []int{0, 3}) {
+			out += fmt.Sprintf("%d:%v,%v ", r.rid, r.vals[0], r.vals[1])
+		}
 		tb.ScanBatchesExec(p, []int{2}, &exec.Ctx{Pool: exec.NewPool(8)}, func(w, block int, rids []int32, colVals [][]value.Value) bool {
 			out += fmt.Sprintf("b%d %v %v ", block, rids, colVals[0])
 			return true
@@ -663,10 +673,9 @@ func TestValueRuns(t *testing.T) {
 	}
 	tb.DeletePK([]value.Value{value.NewBigint(0)})
 	rows := map[float64]int{}
-	tb.Scan(nil, []int{2}, func(_ int, row []value.Value) bool {
-		rows[row[2].Double()]++
-		return true
-	})
+	for _, r := range scanRows(tb, nil, []int{2}) {
+		rows[r.vals[0].Double()]++
+	}
 	lo, hi, runs := math.Inf(1), math.Inf(-1), 0
 	tb.ValueRuns(2, func(v value.Value, n int) {
 		runs++
@@ -801,12 +810,7 @@ func TestScanEmptyCols(t *testing.T) {
 	tb := loaded(t, 30)
 	tb.Merge()
 	// Empty (non-nil) cols streams rids without materializing values.
-	count := 0
-	tb.Scan(&expr.Comparison{Col: 1, Op: expr.Eq, Val: value.NewInt(2)}, []int{}, func(rid int, row []value.Value) bool {
-		count++
-		return true
-	})
-	if count != 6 {
+	if count := len(scanRows(tb, &expr.Comparison{Col: 1, Op: expr.Eq, Val: value.NewInt(2)}, []int{})); count != 6 {
 		t.Errorf("empty-cols scan matched %d", count)
 	}
 	tb.ScanBatches(nil, []int{}, func(rids []int32, colVals [][]value.Value) bool {

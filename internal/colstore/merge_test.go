@@ -223,18 +223,7 @@ func TestMergeDifferential(t *testing.T) {
 
 func assertSameTable(t *testing.T, seed int64, got, want *Table, keys int64) {
 	t.Helper()
-	type row struct {
-		rid  int
-		vals []value.Value
-	}
-	scan := func(tb *Table) (out []row) {
-		tb.Scan(nil, nil, func(rid int, vals []value.Value) bool {
-			out = append(out, row{rid, append([]value.Value(nil), vals...)})
-			return true
-		})
-		return out
-	}
-	g, w := scan(got), scan(want)
+	g, w := scanRows(got, nil, nil), scanRows(want, nil, nil)
 	if len(g) != len(w) {
 		t.Fatalf("seed %d: Scan returns %d rows, the oracle %d", seed, len(g), len(w))
 	}

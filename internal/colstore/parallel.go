@@ -25,7 +25,7 @@ const globalCountsLimit = 1 << 16
 // trace, no helper goroutines — when rows is too few to be worth them.
 func callerOnly(ex *exec.Ctx, rows int) *exec.Ctx {
 	if rows < parallelMinRows {
-		return &exec.Ctx{Stop: ex.StopHook(), Trace: ex.Tracer()}
+		return ex.Serial()
 	}
 	return ex
 }
@@ -268,21 +268,6 @@ func reduceColumns[P any](t *Table, match bitset.Bits, cols []int, ex *exec.Ctx,
 	reduceBatches(t, match, ex, per, newPartial, func(w int, p P, rids []int32, b0, nm, mainN int) bool {
 		return add(w, p, rids, cg.gather(w, rids, b0, nm, mainN))
 	}, merge)
-}
-
-// ReduceBatches is the vectorized scan under an ordered reduction: live
-// rows matching pred stream to add in blockRows batches with the
-// requested columns decoded, each block accumulates into a partial of its
-// own, and the partials reach merge in block order (see exec.Reduce) — so
-// what a caller sums up over the scan does not depend on the pool size.
-// nil cols requests every column.
-func ReduceBatches[P any](t *Table, pred expr.Predicate, cols []int, ex *exec.Ctx, newPartial func() P, add func(w int, p P, rids []int32, colVals [][]value.Value) bool, merge func(P)) {
-	if cols == nil {
-		cols = t.allColumns()
-	}
-	s := t.acquireScratch()
-	defer t.releaseScratch(s)
-	reduceColumns(t, t.matchBitmapExec(pred, s, ex), cols, ex, 1, newPartial, add, merge)
 }
 
 // reportFragmentRows folds one batch stream's delta-vs-main split into

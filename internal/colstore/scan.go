@@ -463,31 +463,3 @@ func (t *Table) gatherColumn(c *column, rids []int32, b0, nm, mainN int, codes [
 		}
 	}
 }
-
-// Scan calls fn for each live row matching pred with the requested columns
-// materialized into a reused scratch row (full table width; unrequested
-// entries are stale). fn must not retain the slice. A nil cols materializes
-// every column. It is a thin row-at-a-time adapter over ScanBatches, kept
-// for callers that want tuple streaming.
-//
-// A predicate naming the whole primary key is answered as the row store
-// answers it, through the PK index, and costs the tuple reconstruction of
-// the requested columns of one row — what the paper's cost model charges a
-// column-store point query (f_#selectedColumns), not a scan.
-func (t *Table) Scan(pred expr.Predicate, cols []int, fn func(rid int, row []value.Value) bool) {
-	if cols == nil {
-		cols = t.allColumns()
-	}
-	scratch := make([]value.Value, len(t.cols))
-	t.ScanBatches(pred, cols, func(rids []int32, colVals [][]value.Value) bool {
-		for k, rid := range rids {
-			for j, c := range cols {
-				scratch[c] = colVals[j][k]
-			}
-			if !fn(int(rid), scratch) {
-				return false
-			}
-		}
-		return true
-	})
-}

@@ -32,10 +32,12 @@ import (
 	"hybridstore/internal/wal"
 )
 
-// Observer is the workload monitor as the engine sees it: every
-// executed statement flows in once it has succeeded.
+// Observer is the workload monitor as the engine sees it: every executed
+// statement flows in once it has succeeded, and every dropped table, so a
+// table created later under its name inherits nothing observed of it.
 type Observer interface {
 	Observe(q *query.Query)
+	Dropped(table string)
 }
 
 // ErrClosed is returned by Exec/ExecContext (and wrapped into durability
@@ -187,10 +189,15 @@ func (db *Database) SetPool(p *exec.Pool) { db.pool = p }
 func (db *Database) Pool() *exec.Pool { return db.pool }
 
 // execCtx derives one statement's execution context: the database pool,
-// the context-backed cancellation hook, and the statement trace (nil for
-// untraced statements — every trace consumer is nil-safe).
+// the context-backed cancellation hook (none for a context that can never
+// be cancelled), and the statement trace (nil for untraced statements —
+// every trace consumer is nil-safe).
 func (db *Database) execCtx(ctx context.Context) *exec.Ctx {
-	return &exec.Ctx{Pool: db.pool, Stop: stopFunc(ctx), Trace: trace.FromContext(ctx)}
+	ex := &exec.Ctx{Pool: db.pool, Trace: trace.FromContext(ctx)}
+	if ctx.Done() != nil {
+		ex.Stop = func() bool { return ctx.Err() != nil }
+	}
+	return ex
 }
 
 // Catalog exposes the system catalog.
@@ -312,6 +319,9 @@ func (db *Database) dropTableLocked(name string) error {
 	}
 	delete(db.tables, k)
 	db.cat.Remove(name)
+	if obs := db.observer(); obs != nil {
+		obs.Dropped(name)
+	}
 	return nil
 }
 
@@ -483,8 +493,11 @@ func collectStats(st storage, sch *schema.Table) *catalog.TableStats {
 		}
 	}
 	if len(scan) > 0 {
-		st.Scan(nil, scan, func(row []value.Value) bool {
-			sc.Add(row)
+		row := make([]value.Value, sch.NumColumns())
+		st.Scan(nil, scan, nil, func(_, _ int, colVals [][]value.Value) bool {
+			for k := range colVals[0] {
+				sc.Add(blockRow(colVals, scan, k, row))
+			}
 			return true
 		})
 	}
@@ -639,15 +652,6 @@ func resultRows(res *Result) int {
 		return len(res.Rows)
 	}
 	return res.Affected
-}
-
-// stopFunc derives the batch-boundary cancellation poll from a context;
-// contexts that can never be cancelled poll nothing.
-func stopFunc(ctx context.Context) func() bool {
-	if ctx.Done() == nil {
-		return nil
-	}
-	return func() bool { return ctx.Err() != nil }
 }
 
 // enqueueDML hands a DML record to the WAL while the caller holds the

@@ -37,6 +37,20 @@ func salesRow(id int64) []value.Value {
 	}
 }
 
+// storeRows returns a copy of every live row of st, a width-column table,
+// in serial scan order.
+func storeRows(st storage, width int) [][]value.Value {
+	var rows [][]value.Value
+	cols := allCols(width)
+	st.Scan(nil, cols, nil, func(_, _ int, colVals [][]value.Value) bool {
+		for k := range colVals[0] {
+			rows = append(rows, blockRow(colVals, cols, k, make([]value.Value, width)))
+		}
+		return true
+	})
+	return rows
+}
+
 func newDB(t *testing.T, store catalog.StoreKind, n int) *Database {
 	t.Helper()
 	db := New()
@@ -620,6 +634,8 @@ type captureObserver struct {
 }
 
 func (c *captureObserver) Observe(q *query.Query) { c.queries = append(c.queries, q) }
+
+func (c *captureObserver) Dropped(string) {}
 
 func TestObserverInvoked(t *testing.T) {
 	db := newDB(t, catalog.RowStore, 10)

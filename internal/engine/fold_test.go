@@ -36,14 +36,13 @@ func baseState(t *testing.T, db *Database, table string) []string {
 		t.Fatalf("%d version chains survive a vacuum with no open transaction", n)
 	}
 	var out []string
-	rt.store.Scan(nil, nil, func(row []value.Value) bool {
+	for _, row := range storeRows(rt.store, rt.entry.Schema.NumColumns()) {
 		s := ""
 		for _, v := range row {
 			s += v.Type().String() + ":" + v.String() + "|"
 		}
 		out = append(out, s)
-		return true
-	})
+	}
 	sort.Strings(out)
 	if len(out) != rt.store.Rows() {
 		t.Fatalf("scan sees %d rows, Rows() says %d", len(out), rt.store.Rows())
@@ -262,7 +261,7 @@ func TestRowStoragePersistRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	dst.Scan(nil, nil, func(row []value.Value) bool {
+	for _, row := range storeRows(dst, sch.NumColumns()) {
 		want := rows[n]
 		for c, v := range row {
 			if v.Type() != want[c].Type() || v.IsNull() != want[c].IsNull() || v.Bits() != want[c].Bits() || v.Varchar() != want[c].Varchar() {
@@ -270,8 +269,7 @@ func TestRowStoragePersistRoundTrip(t *testing.T) {
 			}
 		}
 		n++
-		return true
-	})
+	}
 	if n != len(rows) || footprintOf(dst) != footprintOf(src) {
 		t.Errorf("restored %d rows, %+v; stored %d rows, %+v", n, footprintOf(dst), len(rows), footprintOf(src))
 	}

@@ -138,3 +138,53 @@ func BenchmarkPointRead(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSelect is olap_scan's projection and top-K statements — SELECT
+// id, k0, k3 FROM t WHERE f3 = ? with and without ORDER BY k0 DESC, id
+// LIMIT 10 — on the standard table in every layout, in process: the one
+// block scan and its collector, per layout. f3 = ? keeps a tenth of the
+// rows.
+func BenchmarkSelect(b *testing.B) {
+	const rows = 30000
+	spec := workload.StandardTable("t")
+	horizontal, vertical := standardSplits(spec, rows)
+	k0, k3, f3 := spec.Keyfigures[0], spec.Keyfigures[3], spec.Filters[3]
+	for _, l := range []struct {
+		name  string
+		store catalog.StoreKind
+		part  *catalog.PartitionSpec
+	}{
+		{"row", catalog.RowStore, nil},
+		{"column", catalog.ColumnStore, nil},
+		{"horizontal", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: horizontal}},
+		{"vertical", catalog.Partitioned, &catalog.PartitionSpec{Vertical: vertical}},
+	} {
+		b.Run(l.name, func(b *testing.B) {
+			db := engine.New()
+			if err := spec.LoadLayout(db, l.store, l.part, rows, 2012); err != nil {
+				b.Fatal(err)
+			}
+			for _, shape := range []struct {
+				name  string
+				order []query.Order
+				limit int
+				min   int
+			}{
+				{"project", nil, 0, rows / 20},
+				{"topk", []query.Order{{Col: k0, Desc: true}, {Col: 0}}, 10, 10},
+			} {
+				b.Run(shape.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						res, err := db.Exec(&query.Query{Kind: query.Select, Table: "t", Cols: []int{0, k0, k3},
+							Pred:    &expr.Comparison{Col: f3, Op: expr.Eq, Val: value.NewInt(int64(i % 10))},
+							OrderBy: shape.order, Limit: shape.limit})
+						if err != nil || len(res.Rows) < shape.min {
+							b.Fatal(len(res.Rows), err)
+						}
+					}
+				})
+			}
+		})
+	}
+}

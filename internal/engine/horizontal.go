@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"sync/atomic"
+
 	"hybridstore/internal/agg"
 	"hybridstore/internal/catalog"
 	"hybridstore/internal/exec"
@@ -123,21 +125,30 @@ func (h *horizontalStorage) sides(pred expr.Predicate) (useHot, useCold bool) {
 	return
 }
 
-func (h *horizontalStorage) Scan(pred expr.Predicate, cols []int, fn func(row []value.Value) bool) {
+// coldSeq numbers the cold partition's blocks after any block of the hot
+// one: a partition holds fewer than 2^30 blocks.
+const coldSeq = 1 << 30
+
+// Scan scans the hot partition, then the cold one.
+func (h *horizontalStorage) Scan(pred expr.Predicate, cols []int, ex *exec.Ctx, fn func(w, seq int, colVals [][]value.Value) bool) {
 	useHot, useCold := h.sides(pred)
-	stopped := false
-	wrapped := func(row []value.Value) bool {
-		if !fn(row) {
-			stopped = true
-			return false
+	if !useHot || !useCold { // one side or none: its own block numbers do
+		if useHot {
+			h.hot.Scan(pred, cols, ex, fn)
+		} else if useCold {
+			h.cold.Scan(pred, cols, ex, fn)
 		}
-		return true
+		return
 	}
-	if useHot {
-		h.hot.Scan(pred, cols, wrapped)
-	}
-	if useCold && !stopped {
-		h.cold.Scan(pred, cols, wrapped)
+	var stopped atomic.Bool
+	h.hot.Scan(pred, cols, ex, func(w, seq int, colVals [][]value.Value) bool {
+		if !fn(w, seq, colVals) {
+			stopped.Store(true)
+		}
+		return !stopped.Load()
+	})
+	if !stopped.Load() {
+		h.cold.Scan(pred, cols, ex, func(w, seq int, colVals [][]value.Value) bool { return fn(w, coldSeq+seq, colVals) })
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"hybridstore/internal/agg"
@@ -37,7 +38,6 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 	if q.Join.LeftCol < 0 || q.Join.LeftCol >= nL || q.Join.RightCol < 0 || q.Join.RightCol >= nR {
 		return nil, fmt.Errorf("engine: join columns out of range")
 	}
-	stop := stopFunc(ctx)
 	ex := db.execCtx(ctx)
 
 	// Planner decision: predicate pushdown below the join.
@@ -52,8 +52,8 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 	needL, needR := plan.JoinNeededCols(q, nL, nR)
 
 	// Snapshot views: a side whose version overlay contributes rows at
-	// the statement's snapshot scans through the merged serial path; a
-	// nil view keeps that side's vectorized fast paths.
+	// the statement's snapshot scans serially through the merged view; a
+	// nil view keeps that side's parallel scan and the star join.
 	ls := joinSide{rt: left, view: db.tableView(left, snap.ts, snap.tx),
 		pred: leftPred, need: needL, joinCol: q.Join.LeftCol, width: nL, offset: 0}
 	rs := joinSide{rt: right, view: db.tableView(right, snap.ts, snap.tx),
@@ -93,10 +93,10 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 	var hash map[uint64][]*buildRow
 	var buildRows int64
 	if cs, ok := probe.rt.store.(*colStorage); ok && q.Kind == query.Aggregate && postPred == nil && starJoinShape(q, &probe, &build) {
-		star = newStarJoin(cs.t, q, &probe, &build, buildNeed, stop)
+		star = newStarJoin(cs.t, q, &probe, &build, buildNeed, ex)
 		buildRows = star.buildRows
 	} else {
-		hash, buildRows = buildJoinHash(&build, buildNeed, stop)
+		hash, buildRows = buildJoinHash(&build, buildNeed, ex)
 	}
 	bsp.AddRowsOut(buildRows)
 	bsp.End()
@@ -111,48 +111,26 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 		outCols = plan.StarCols(left.entry.Schema, right.entry.Schema)
 	}
 	var probeRows int64
-	sink := newRowSink(q, outCols, sh.topk != nil)
-	if star != nil {
+	var rc *rowCollector
+	switch {
+	case star != nil:
 		probeRows = star.probe(aggRes, probe.pred, ex)
-	} else if cs, ok := probe.rt.store.(*colStorage); ok && probe.view == nil && q.Kind == query.Aggregate {
-		probeRows = probeJoinBatched(cs.t, q, &probe, &build, buildNeed, hash, aggRes, postPred, nL+nR, ex)
-	} else {
-		combined := make([]value.Value, nL+nR)
-		probeNeed := append(append([]int{}, probe.need...), probe.joinCol)
-		mergedScan(probe.rt, probe.view, probe.pred, probeNeed, func(row []value.Value) bool {
-			probeRows++
-			if stop != nil && probeRows%scanCancelBatch == 0 && stop() {
-				return false
+	case q.Kind == query.Aggregate:
+		aggregateBlocks(aggRes, ex, func(add func(w, seq int, row []value.Value) bool) {
+			probeRows = probeJoin(&probe, &build, buildNeed, hash, postPred, nL+nR, ex, add)
+		})
+	default:
+		// A joined row is offered as a one-row block of its output columns,
+		// sort keys and probe key (so that the block has a column).
+		pos := append(append(slices.Clip(outCols), orderCols(q.OrderBy)...), probe.offset+probe.joinCol)
+		var pex *exec.Ctx
+		rc, pex = newRowCollector(q, len(outCols), pos, sh.topk != nil, ex)
+		probeRows = probeJoin(&probe, &build, buildNeed, hash, postPred, nL+nR, pex, func(w, seq int, row []value.Value) bool {
+			one := make([][]value.Value, len(pos))
+			for j, p := range pos {
+				one[j] = row[p : p+1]
 			}
-			k := row[probe.joinCol]
-			if k.IsNull() {
-				return true
-			}
-			matches := hash[k.Hash()]
-			if len(matches) == 0 {
-				return true
-			}
-			// Fill the probe side of the combined row once.
-			for _, c := range probeNeed {
-				combined[probe.offset+c] = row[c]
-			}
-			for _, m := range matches {
-				if !value.Equal(m.key, k) {
-					continue // hash collision
-				}
-				for _, c := range buildNeed {
-					combined[build.offset+c] = m.vals[c]
-				}
-				if postPred != nil && !postPred.Matches(combined) {
-					continue
-				}
-				if q.Kind == query.Aggregate {
-					aggRes.AddRow(combined)
-				} else if !sink.add(combined) {
-					return false
-				}
-			}
-			return true
+			return rc.add(w, seq, one)
 		})
 	}
 	sp := tr.Span("join")
@@ -171,9 +149,8 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 		psp.End()
 		return nil, err
 	}
-	if q.Kind == query.Select { // grouped rows are assembled below
-		res.Rows = sink.finish()
-		psp.AddRowsOut(int64(len(res.Rows)))
+	if rc != nil { // grouped rows are assembled below
+		res.Rows = finishCollect(tr, sh, rc, psp)
 	}
 	psp.End()
 
@@ -243,24 +220,20 @@ type buildRow struct {
 
 // buildJoinHash materializes the needed columns of the build side's
 // matching rows, keyed by join key; NULL keys never join and are left out.
-func buildJoinHash(build *joinSide, buildNeed []int, stop func() bool) (hash map[uint64][]*buildRow, rows int64) {
+func buildJoinHash(build *joinSide, buildNeed []int, ex *exec.Ctx) (hash map[uint64][]*buildRow, rows int64) {
 	hash = make(map[uint64][]*buildRow)
-	visited := 0
-	mergedScan(build.rt, build.view, build.pred, buildNeed, func(r []value.Value) bool {
-		if visited++; stop != nil && visited%scanCancelBatch == 0 && stop() {
-			return false
+	keyIdx := len(buildNeed) - 1
+	mergedScan(build.rt, build.view, build.pred, buildNeed, ex.Serial(), func(_, _ int, colVals [][]value.Value) bool {
+		for k, key := range colVals[keyIdx] {
+			if key.IsNull() {
+				continue
+			}
+			br := &buildRow{key: build.joinKey(key), vals: make([]value.Value, build.width)}
+			blockRow(colVals, buildNeed, k, br.vals)
+			h := br.key.Hash()
+			hash[h] = append(hash[h], br)
+			rows++
 		}
-		key := r[build.joinCol]
-		if key.IsNull() {
-			return true
-		}
-		br := &buildRow{key: build.joinKey(key), vals: make([]value.Value, build.width)}
-		for _, c := range buildNeed {
-			br.vals[c] = r[c]
-		}
-		h := br.key.Hash()
-		hash[h] = append(hash[h], br)
-		rows++
 		return true
 	})
 	return hash, rows
@@ -312,7 +285,7 @@ type starJoin struct {
 	buildRows, resolved int64 // build rows with a key; those whose key the probe dictionary holds
 }
 
-func newStarJoin(t *colstore.Table, q *query.Query, probe, build *joinSide, buildNeed []int, stop func() bool) *starJoin {
+func newStarJoin(t *colstore.Table, q *query.Query, probe, build *joinSide, buildNeed []int, ex *exec.Ctx) *starJoin {
 	space := t.CodeSpace(probe.joinCol)
 	sj := &starJoin{t: t, groupOf: make([]uint32, space), ids: agg.NewResult(nil, q.GroupBy)}
 	const unset = ^uint32(0)
@@ -337,43 +310,44 @@ func newStarJoin(t *colstore.Table, q *query.Query, probe, build *joinSide, buil
 	sj.nulls = make([][]bool, len(extCols))
 
 	key := make([]value.Value, len(q.GroupBy))
-	hint, visited := 0, 0
-	mergedScan(build.rt, build.view, build.pred, buildNeed, func(row []value.Value) bool {
-		if visited++; stop != nil && visited%scanCancelBatch == 0 && stop() {
-			return false
-		}
-		k := row[build.joinCol]
-		if k.IsNull() {
-			return true
-		}
-		sj.buildRows++
-		// A value can sit in the main and in the delta dictionary.
-		main, delta := t.LookupCodes(probe.joinCol, build.joinKey(k), hint)
-		if main < 0 && delta < 0 {
-			return true // no probe row carries the key
-		}
-		sj.resolved++
-		hint = main + 1 // build rows tend to arrive in key order
-		g := uint32(0)  // an ungrouped aggregate has the one group
-		if len(key) > 0 {
-			for i, c := range q.GroupBy {
-				key[i] = row[c-build.offset]
-			}
-			g = uint32(sj.ids.GroupIndex(key))
-		}
-		for _, code := range [2]int{main, delta} {
-			if code < 0 {
+	row := make([]value.Value, build.width)
+	hint := 0
+	mergedScan(build.rt, build.view, build.pred, buildNeed, ex.Serial(), func(_, _ int, colVals [][]value.Value) bool {
+		for k := range colVals[0] {
+			row = blockRow(colVals, buildNeed, k, row)
+			jk := row[build.joinCol]
+			if jk.IsNull() {
 				continue
 			}
-			sj.groupOf[code] = g
-			for e, c := range extCols {
-				if v := row[c]; !v.IsNull() {
-					sj.vals[e][code] = v.Float()
-				} else {
-					if sj.nulls[e] == nil {
-						sj.nulls[e] = make([]bool, space)
+			sj.buildRows++
+			// A value can sit in the main and in the delta dictionary.
+			main, delta := t.LookupCodes(probe.joinCol, build.joinKey(jk), hint)
+			if main < 0 && delta < 0 {
+				continue // no probe row carries the key
+			}
+			sj.resolved++
+			hint = main + 1 // build rows tend to arrive in key order
+			g := uint32(0)  // an ungrouped aggregate has the one group
+			if len(key) > 0 {
+				for i, c := range q.GroupBy {
+					key[i] = row[c-build.offset]
+				}
+				g = uint32(sj.ids.GroupIndex(key))
+			}
+			for _, code := range [2]int{main, delta} {
+				if code < 0 {
+					continue
+				}
+				sj.groupOf[code] = g
+				for e, c := range extCols {
+					if v := row[c]; !v.IsNull() {
+						sj.vals[e][code] = v.Float()
+					} else {
+						if sj.nulls[e] == nil {
+							sj.nulls[e] = make([]bool, space)
+						}
+						sj.nulls[e][code] = true
 					}
-					sj.nulls[e][code] = true
 				}
 			}
 		}
@@ -424,62 +398,42 @@ func (sj *starJoin) probe(aggRes *agg.Result, pred expr.Predicate, ex *exec.Ctx)
 	return sj.probed.Load()
 }
 
-// probeJoinBatched is the generic aggregate probe of a column-store probe
-// side: every block's batch walks the shared (read-only) hash table and
-// accumulates into a partial result of its own, on whichever worker
-// claimed the block; the partials merge in block order, so the result
-// does not depend on the pool size. Select joins stay on the serial
-// probe — their limit/order semantics want the serial row order — and
-// stopped contexts leave a partial aggRes the caller discards. It returns
-// the probe rows seen.
-func probeJoinBatched(t *colstore.Table, q *query.Query, probe, build *joinSide, buildNeed []int, hash map[uint64][]*buildRow, aggRes *agg.Result, postPred expr.Predicate, combinedWidth int, ex *exec.Ctx) (rows int64) {
+// probeJoin streams the probe side through the build side's hash table:
+// the rows of each block, on whichever worker the scan hands it to, meet
+// their matches in a combined row, and each combined row that passes the
+// post-join conjuncts goes to emit under the block's seq; emit returning
+// false stops the probe. It returns the probe rows seen.
+func probeJoin(probe, build *joinSide, buildNeed []int, hash map[uint64][]*buildRow, postPred expr.Predicate, combinedWidth int, ex *exec.Ctx, emit func(w, seq int, row []value.Value) bool) int64 {
 	probeNeed := append(append([]int{}, probe.need...), probe.joinCol)
 	keyIdx := len(probeNeed) - 1
-	type partial struct {
-		res  *agg.Result
-		rows int64
-	}
-	combined := make([][]value.Value, ex.Workers(t.NumBlocks()))
-	colstore.ReduceBatches(t, probe.pred, probeNeed, ex, func() *partial { return &partial{} },
-		func(w int, p *partial, rids []int32, colVals [][]value.Value) bool {
-			if p.res == nil {
-				p.res = agg.NewResult(q.Aggs, q.GroupBy)
+	var rows atomic.Int64
+	mergedScan(probe.rt, probe.view, probe.pred, probeNeed, ex, func(w, seq int, colVals [][]value.Value) bool {
+		row := make([]value.Value, combinedWidth)
+		rows.Add(int64(len(colVals[keyIdx])))
+		for k, kv := range colVals[keyIdx] {
+			if kv.IsNull() {
+				continue
 			}
-			if combined[w] == nil {
-				combined[w] = make([]value.Value, combinedWidth)
+			matches := hash[kv.Hash()]
+			if len(matches) == 0 {
+				continue
 			}
-			p.rows += int64(len(rids))
-			row := combined[w]
-			for k := range rids {
-				kv := colVals[keyIdx][k]
-				if kv.IsNull() {
-					continue
+			for j, c := range probeNeed {
+				row[probe.offset+c] = colVals[j][k]
+			}
+			for _, m := range matches {
+				if !value.Equal(m.key, kv) {
+					continue // hash collision
 				}
-				matches := hash[kv.Hash()]
-				if len(matches) == 0 {
-					continue
+				for _, c := range buildNeed {
+					row[build.offset+c] = m.vals[c]
 				}
-				for j, c := range probeNeed {
-					row[probe.offset+c] = colVals[j][k]
-				}
-				for _, m := range matches {
-					if !value.Equal(m.key, kv) {
-						continue // hash collision
-					}
-					for _, c := range buildNeed {
-						row[build.offset+c] = m.vals[c]
-					}
-					if postPred == nil || postPred.Matches(row) {
-						p.res.AddRow(row)
-					}
+				if (postPred == nil || postPred.Matches(row)) && !emit(w, seq, row) {
+					return false
 				}
 			}
-			return true
-		},
-		func(p *partial) {
-			aggRes.Merge(p.res)
-			rows += p.rows
-			*p = partial{}
-		})
-	return rows
+		}
+		return true
+	})
+	return rows.Load()
 }

@@ -149,12 +149,12 @@ func (db *Database) MigrateLayout(name string, store catalog.StoreKind, spec *ca
 	// mark is not at all.
 	db.mu.RLock()
 	mark := len(tail.ops)
-	width := rt.entry.Schema.NumColumns()
 	var snapshot [][]value.Value
-	rt.store.Scan(nil, nil, func(row []value.Value) bool {
-		cp := make([]value.Value, width)
-		copy(cp, row)
-		snapshot = append(snapshot, cp)
+	cols := allCols(rt.entry.Schema.NumColumns())
+	rt.store.Scan(nil, cols, nil, func(_, _ int, colVals [][]value.Value) bool {
+		for k := range colVals[0] {
+			snapshot = append(snapshot, blockRow(colVals, cols, k, make([]value.Value, len(cols))))
+		}
 		return true
 	})
 	indexes := append([]int(nil), rt.entry.Indexes...)

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"hybridstore/internal/exec"
 	"hybridstore/internal/expr"
 	"hybridstore/internal/query"
 	"hybridstore/internal/schema"
@@ -688,10 +690,11 @@ func (db *Database) txnDelete(rt *tableRuntime, sch *schema.Table, t *txn.Txn, q
 func (db *Database) matchForWrite(rt *tableRuntime, t *txn.Txn, pred expr.Predicate) [][]value.Value {
 	view := db.tableView(rt, t.BeginTS, t)
 	var olds [][]value.Value
-	mergedScan(rt, view, pred, nil, func(row []value.Value) bool {
-		cp := make([]value.Value, len(row))
-		copy(cp, row)
-		olds = append(olds, cp)
+	cols := allCols(rt.entry.Schema.NumColumns())
+	mergedScan(rt, view, pred, cols, nil, func(_, _ int, colVals [][]value.Value) bool {
+		for k := range colVals[0] {
+			olds = append(olds, blockRow(colVals, cols, k, make([]value.Value, len(cols))))
+		}
 		return true
 	})
 	return olds
@@ -730,9 +733,9 @@ func (db *Database) tableView(rt *tableRuntime, ts uint64, tx *txn.Txn) *overlay
 		return nil
 	}
 	v := &overlayView{masked: make(map[string]int)}
-	// Delta (not Snapshot): only chains whose visible version diverges
-	// from the folded base state reach the view, so an overlay holding
-	// nothing but live claims yields nil and reads keep the fast path.
+	// Only chains whose visible version diverges from the folded base
+	// state reach the view, so an overlay holding nothing but live claims
+	// yields nil and reads keep the fast path.
 	rt.ov.Delta(ts, db.foldedTS, tx, func(pk, row []value.Value, visible bool) {
 		at := -1
 		if visible {
@@ -749,56 +752,82 @@ func (db *Database) tableView(rt *tableRuntime, ts uint64, tx *txn.Txn) *overlay
 	return v
 }
 
-// mergedScan is the serial base scan merged with a statement's overlay
-// view: a superseded base row gives its place to the image the overlay
-// shows for its key — an updated row stays where the scan order (physical
-// or index) puts it, whether or not its commit has been folded yet — and
-// the overlay's remaining visible rows follow, all through the same
-// predicate. With a nil view it is exactly the base scan. When a view is present the projection is
-// widened to include the primary key (rows are indexed by absolute
-// column position either way, and overlay rows always carry full width),
-// so callers' column indexing is unaffected.
-func mergedScan(rt *tableRuntime, view *overlayView, pred expr.Predicate, cols []int, fn func(row []value.Value) bool) {
+// mergedScan is the block scan of rt's base storage merged with a
+// statement's overlay view. With a nil view it is the base scan on ex.
+// Otherwise it runs serially on the caller, as a transformer of the
+// base scan's blocks: in each block a superseded base row gives its place
+// to the image the overlay shows for its key — an updated row stays where
+// the scan order (physical or index) puts it, whether or not its commit
+// has been folded yet — and the overlay's remaining visible rows follow in
+// one more block, all through the same predicate. The columns are then
+// widened with the primary key (overlay images carry full width);
+// colVals[j] is still column cols[j] for every j < len(cols).
+func mergedScan(rt *tableRuntime, view *overlayView, pred expr.Predicate, cols []int, ex *exec.Ctx, fn func(w, seq int, colVals [][]value.Value) bool) {
 	if view == nil {
-		rt.store.Scan(pred, cols, fn)
+		rt.store.Scan(pred, cols, ex, fn)
 		return
 	}
 	sch := rt.entry.Schema
-	scanCols := cols
-	if scanCols != nil {
-		scanCols = unionCols(scanCols, sch.PrimaryKey)
-	}
+	cols = unionCols(orAll(cols, sch.NumColumns()), sch.PrimaryKey)
 	pkbuf := make([]value.Value, len(sch.PrimaryKey))
 	placed := make([]bool, len(view.rows)) // images already shown in their base row's place
-	stopped := false
-	rt.store.Scan(pred, scanCols, func(row []value.Value) bool {
-		for i, c := range sch.PrimaryKey {
-			pkbuf[i] = row[c]
-		}
-		if at, ok := view.masked[value.TupleKey(pkbuf)]; ok {
-			if at < 0 || placed[at] {
-				return true
-			}
-			placed[at] = true
-			if row = view.rows[at]; pred != nil && !pred.Matches(row) {
-				return true
+	put := func(dst [][]value.Value, img []value.Value) {
+		if pred == nil || pred.Matches(img) {
+			for j, c := range cols {
+				dst[j] = append(dst[j], img[c])
 			}
 		}
-		if !fn(row) {
-			stopped = true
-			return false
+	}
+	last, stopped := 0, false
+	rt.store.Scan(pred, cols, ex.Serial(), func(_, seq int, colVals [][]value.Value) bool {
+		var out [][]value.Value // the block rebuilt from its first superseded row on
+		for k := range colVals[0] {
+			for i, c := range sch.PrimaryKey {
+				pkbuf[i] = colVals[slices.Index(cols, c)][k]
+			}
+			at, masked := view.masked[value.TupleKey(pkbuf)]
+			if masked && out == nil {
+				out = make([][]value.Value, len(cols))
+				for j := range out {
+					out[j] = append(make([]value.Value, 0, len(colVals[0])), colVals[j][:k]...)
+				}
+			}
+			switch {
+			case out != nil && !masked:
+				for j := range out {
+					out[j] = append(out[j], colVals[j][k])
+				}
+			case masked && at >= 0 && !placed[at]:
+				placed[at] = true
+				put(out, view.rows[at])
+			}
 		}
-		return true
+		if out == nil {
+			out = colVals
+		}
+		last, stopped = seq, len(out[0]) > 0 && !fn(0, seq, out)
+		return !stopped
 	})
-	if stopped {
+	if stopped || ex.Stopped() {
 		return
 	}
-	for i, row := range view.rows {
-		if placed[i] || pred != nil && !pred.Matches(row) {
-			continue
-		}
-		if !fn(row) {
-			return
+	rest := make([][]value.Value, len(cols))
+	for i, img := range view.rows {
+		if !placed[i] {
+			put(rest, img)
 		}
 	}
+	if len(rest[0]) > 0 {
+		fn(0, last+1, rest)
+	}
+}
+
+// blockRow returns row k of a block of columns cols as a row of table
+// positions: column cols[j] of row holds colVals[j][k]; other positions
+// are left as they were.
+func blockRow(colVals [][]value.Value, cols []int, k int, row []value.Value) []value.Value {
+	for j, c := range cols {
+		row[c] = colVals[j][k]
+	}
+	return row
 }

@@ -1,17 +1,16 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
+	"hybridstore/internal/agg"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/query"
 	"hybridstore/internal/value"
 )
-
-// scanCancelBatch is how many callback rows a context-aware scan
-// processes between cancellation polls — the engine-side batch boundary
-// (the column store streams blocks of the same size underneath).
-const scanCancelBatch = 1024
 
 // orderCols extracts the column indexes of an ORDER BY clause.
 func orderCols(order []query.Order) []int {
@@ -23,23 +22,15 @@ func orderCols(order []query.Order) []int {
 }
 
 // unionCols returns cols plus any extras not already present, preserving
-// cols' order (projection positions must not move). The result is a
-// fresh slice.
+// cols' order (projection positions must not move); cols itself when it
+// has them all.
 func unionCols(cols, extras []int) []int {
-	out := append(make([]int, 0, len(cols)+len(extras)), cols...)
 	for _, e := range extras {
-		found := false
-		for _, c := range out {
-			if c == e {
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, e)
+		if !slices.Contains(cols, e) {
+			cols = append(slices.Clip(cols), e)
 		}
 	}
-	return out
+	return cols
 }
 
 // compareKeys orders two extracted key tuples under the ORDER BY
@@ -58,87 +49,171 @@ func compareKeys(a, b []value.Value, order []query.Order) int {
 	return 0
 }
 
-// sortRowsByKeys stably sorts rows by their parallel key tuples.
-func sortRowsByKeys(rows, keys [][]value.Value, order []query.Order) {
-	idx := make([]int, len(rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		return compareKeys(keys[idx[i]], keys[idx[j]], order) < 0
-	})
-	permuted := make([][]value.Value, len(rows))
-	for i, j := range idx {
-		permuted[i] = rows[j]
-	}
-	copy(rows, permuted)
+// blockParts keeps what each scan block produced, per worker, tagged with
+// the block's seq, and hands it back in seq order — the order of a serial
+// scan — whichever worker took which block.
+type blockParts[P any] struct{ workers [][]seqPart[P] }
+
+type seqPart[P any] struct {
+	seq int
+	p   P
 }
 
-// rowSink gathers a SELECT's output from a row-at-a-time scan under the
-// statement's ORDER BY and LIMIT: a planned top-K keeps the k best rows in
-// a bounded heap — building an output row only once its sort key is
-// admitted — a plain ORDER BY keeps every row with its sort key, and a
-// bare LIMIT says when the output is full. Rows arrive indexed by the
-// statement's columns, in the serial scan order ties are broken by.
-type rowSink struct {
-	q          *query.Query
-	cols       []int
-	acc        *topKAcc // nil unless the plan has a top-K
-	key        []value.Value
-	rows, keys [][]value.Value
-	seq        int64
+// at returns block seq's part on worker w, a zero P when the block is new.
+// A worker takes a block whole, so its blocks' rows arrive together.
+func (b *blockParts[P]) at(w, seq int) *P {
+	ps := b.workers[w]
+	if n := len(ps); n > 0 && ps[n-1].seq == seq {
+		return &ps[n-1].p
+	}
+	b.workers[w] = append(ps, seqPart[P]{seq: seq})
+	return &b.workers[w][len(ps)].p
 }
 
-func newRowSink(q *query.Query, cols []int, topK bool) *rowSink {
-	s := &rowSink{q: q, cols: cols, key: make([]value.Value, len(q.OrderBy))}
-	if topK {
-		s.acc = newTopK(q.Limit, q.OrderBy)
+// inOrder returns the parts in seq order. A worker's blocks arrive in
+// seq order, so one worker's parts already are.
+func (b *blockParts[P]) inOrder() []seqPart[P] {
+	if len(b.workers) == 1 {
+		return b.workers[0]
 	}
-	return s
+	all := slices.Concat(b.workers...)
+	slices.SortFunc(all, func(x, y seqPart[P]) int { return cmp.Compare(x.seq, y.seq) })
+	return all
 }
 
-// add offers one row; false means the output is complete.
-func (s *rowSink) add(row []value.Value) bool {
-	for i, o := range s.q.OrderBy {
-		s.key[i] = row[o.Col]
-	}
-	switch {
-	case s.acc != nil:
-		if s.acc.Admits(s.key, s.seq) {
-			s.acc.Add(projectRow(row, s.cols), s.key, s.seq)
+// aggregateBlocks folds the rows a block scan offers into res: each block
+// into a partial result of its own, the partials merged in seq order, so
+// the result does not depend on the pool size.
+func aggregateBlocks(res *agg.Result, ex *exec.Ctx, scan func(add func(w, seq int, row []value.Value) bool)) {
+	parts := blockParts[*agg.Result]{workers: make([][]seqPart[*agg.Result], maxWorkers(ex))}
+	scan(func(w, seq int, row []value.Value) bool {
+		p := parts.at(w, seq)
+		if *p == nil {
+			*p = agg.NewResult(res.Specs, res.GroupCols)
 		}
-		s.seq++
-	case len(s.key) > 0:
-		s.rows = append(s.rows, projectRow(row, s.cols))
-		s.keys = append(s.keys, append([]value.Value(nil), s.key...))
-	default:
-		s.rows = append(s.rows, projectRow(row, s.cols))
-		return s.q.Limit <= 0 || len(s.rows) < s.q.Limit
+		(*p).AddRow(row)
+		return true
+	})
+	for _, p := range parts.inOrder() {
+		res.Merge(p.p)
+	}
+}
+
+// rowCollector gathers a SELECT's output from a block scan — the one
+// collector of every layout and of joins. Blocks are offered on any
+// worker, so the output, ties of the ORDER BY included, follows their seq
+// and not which worker took which block. A planned top-K keeps each
+// worker's k best rows in a bounded heap — building an output row only
+// once its sort key is admitted — a plain ORDER BY keeps every row with
+// its sort key after its output columns, and a bare LIMIT, whose scan runs
+// serially, says when the output is full. A block's columns are read at
+// positions: out for the output columns, key for the ORDER BY keys.
+type rowCollector struct {
+	q        *query.Query
+	out, key []int
+	blocks   blockParts[rowBlock]
+	heaps    []*topKAcc // per worker; nil without a top-K
+	gathered int        // rows kept under a bare LIMIT
+}
+
+// rowBlock is what one scan block gave a collector: how many rows it
+// offered, and the rows it kept.
+type rowBlock struct {
+	offered int
+	rows    [][]value.Value
+}
+
+// newRowCollector returns a collector for q, whose blocks hold columns
+// cols, the nOut output columns first, and the context its scan runs on:
+// serially under a bare LIMIT (no ORDER BY), which can stop the scan once
+// the first rows are in.
+func newRowCollector(q *query.Query, nOut int, cols []int, topK bool, ex *exec.Ctx) (*rowCollector, *exec.Ctx) {
+	if q.Limit > 0 && len(q.OrderBy) == 0 {
+		ex = ex.Serial()
+	}
+	pos := make([]int, nOut+len(q.OrderBy)) // the output columns, then the sort keys
+	for i := range pos {
+		if pos[i] = i; i >= nOut {
+			pos[i] = slices.Index(cols, q.OrderBy[i-nOut].Col)
+		}
+	}
+	c := &rowCollector{q: q, out: pos, key: pos[nOut:], blocks: blockParts[rowBlock]{workers: make([][]seqPart[rowBlock], maxWorkers(ex))}}
+	if topK {
+		c.out, c.heaps = pos[:nOut], make([]*topKAcc, maxWorkers(ex))
+		for w := range c.heaps {
+			c.heaps[w] = newTopK(q.Limit, q.OrderBy)
+		}
+	}
+	return c, ex
+}
+
+// add offers the rows of block seq on worker w; false means the output is
+// complete.
+func (c *rowCollector) add(w, seq int, colVals [][]value.Value) bool {
+	b, n, m := c.blocks.at(w, seq), len(colVals[0]), len(c.out)
+	var flat []value.Value // the block's rows, in one array
+	if c.heaps == nil {
+		flat = make([]value.Value, n*m)
+		b.rows = slices.Grow(b.rows, n)
+	}
+	for k := 0; k < n; k++ {
+		arrival := int64(seq)<<32 | int64(b.offered)
+		b.offered++
+		if c.heaps != nil {
+			h := c.heaps[w]
+			for i, p := range c.key {
+				h.cand[i] = colVals[p][k]
+			}
+			if h.Admits(h.cand, arrival) {
+				h.Add(pick(make([]value.Value, m), colVals, c.out, k), h.cand, arrival)
+			}
+			continue
+		}
+		b.rows = append(b.rows, pick(flat[k*m:(k+1)*m:(k+1)*m], colVals, c.out, k))
+		if c.q.Limit > 0 && len(c.key) == 0 { // a bare LIMIT: the scan is serial
+			if c.gathered++; c.gathered >= c.q.Limit {
+				return false
+			}
+		}
 	}
 	return true
 }
 
-// finish returns the gathered rows in output order.
-func (s *rowSink) finish() [][]value.Value {
-	switch {
-	case s.acc != nil:
-		return s.acc.Finish()
-	case len(s.key) > 0:
-		sortRowsByKeys(s.rows, s.keys, s.q.OrderBy)
-		if s.q.Limit > 0 && len(s.rows) > s.q.Limit {
-			s.rows = s.rows[:s.q.Limit]
+// finish returns the gathered rows in output order, and how many rows the
+// scan offered.
+func (c *rowCollector) finish() (rows [][]value.Value, offered int64) {
+	for i, b := range c.blocks.inOrder() {
+		if offered += int64(b.p.offered); i == 0 {
+			rows = b.p.rows // a lone block's rows need no copy
+		} else {
+			rows = append(rows, b.p.rows...)
 		}
 	}
-	return s.rows
+	switch n := len(c.out) - len(c.key); {
+	case c.heaps != nil:
+		acc := newTopK(c.q.Limit, c.q.OrderBy)
+		for _, h := range c.heaps {
+			acc.Merge(h)
+		}
+		rows = acc.Finish()
+	case len(c.key) > 0:
+		slices.SortStableFunc(rows, func(a, b []value.Value) int { return compareKeys(a[n:], b[n:], c.q.OrderBy) })
+		for i, row := range rows {
+			rows[i] = row[:n:n]
+		}
+	}
+	if c.q.Limit > 0 && len(rows) > c.q.Limit {
+		rows = rows[:c.q.Limit]
+	}
+	return rows, offered
 }
 
-// projectRow returns a fresh row holding the given columns of row.
-func projectRow(row []value.Value, cols []int) []value.Value {
-	out := make([]value.Value, len(cols))
-	for i, c := range cols {
-		out[i] = row[c]
+// pick fills dst with row k of a block's columns at positions pos.
+func pick(dst []value.Value, colVals [][]value.Value, pos []int, k int) []value.Value {
+	for i, p := range pos {
+		dst[i] = colVals[p][k]
 	}
-	return out
+	return dst
 }
 
 // sortAggRows sorts an aggregate result's rows by its ORDER BY keys,

@@ -212,9 +212,25 @@ func TestOrderByJoin(t *testing.T) {
 	}
 }
 
-func bigAnalyticsDB(t testing.TB, store catalog.StoreKind, n int) *Database {
+// bigAnalyticsDB loads n order rows in the given layout, plus a 64-row
+// row-store dimension "dim" keyed by the order's grp.
+func bigAnalyticsDB(t testing.TB, store catalog.StoreKind, spec *catalog.PartitionSpec, n int) *Database {
 	db := New()
-	if err := db.CreateTable(orderSchema(), store); err != nil {
+	if err := db.CreateTableWithLayout(orderSchema(), store, spec); err != nil {
+		t.Fatal(err)
+	}
+	dim := schema.MustNew("dim", []schema.Column{
+		{Name: "g", Type: value.Integer},
+		{Name: "label", Type: value.Varchar},
+	}, "g")
+	if err := db.CreateTable(dim, catalog.RowStore); err != nil {
+		t.Fatal(err)
+	}
+	var dimRows [][]value.Value
+	for g := 0; g < 64; g++ {
+		dimRows = append(dimRows, []value.Value{value.NewInt(int64(g)), value.NewVarchar(fmt.Sprintf("g%d", g%4))})
+	}
+	if _, err := db.Exec(&query.Query{Kind: query.Insert, Table: "dim", Rows: dimRows}); err != nil {
 		t.Fatal(err)
 	}
 	batch := make([][]value.Value, 0, 4096)
@@ -244,29 +260,55 @@ func bigAnalyticsDB(t testing.TB, store catalog.StoreKind, n int) *Database {
 }
 
 // TestExecContextCancelAbortsScan verifies that a cancelled context
-// aborts in-flight reads at a batch boundary on both store executors.
-// The scan-started hook pins the interleaving — the read parks at its
-// start until the cancel has landed — so the test asserts the abort
-// deterministically instead of racing a wall-clock sleep against scan
-// speed and tolerating "finished first" outcomes.
+// aborts in-flight reads at a batch boundary on every layout, for scans,
+// aggregates and both kinds of join. The scan-started hook pins the
+// interleaving — the read parks at its start until the cancel has landed —
+// so the test asserts the abort deterministically instead of racing a
+// wall-clock sleep against scan speed and tolerating "finished first"
+// outcomes.
 func TestExecContextCancelAbortsScan(t *testing.T) {
 	defer SetScanStartedHook(nil)
-	for _, store := range []catalog.StoreKind{catalog.RowStore, catalog.ColumnStore} {
-		db := bigAnalyticsDB(t, store, 50_000)
-		aggQ := &query.Query{
+	const n = 50_000
+	horiz := &catalog.HorizontalSpec{
+		SplitCol: 0, SplitVal: value.NewBigint(n / 2),
+		HotStore: catalog.RowStore, ColdStore: catalog.ColumnStore,
+	}
+	vert := &catalog.VerticalSpec{RowCols: []int{0, 3}, ColCols: []int{0, 1, 2}}
+	layouts := []struct {
+		name  string
+		store catalog.StoreKind
+		spec  *catalog.PartitionSpec
+	}{
+		{"row", catalog.RowStore, nil},
+		{"column", catalog.ColumnStore, nil},
+		{"horizontal", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: horiz}},
+		{"vertical", catalog.Partitioned, &catalog.PartitionSpec{Vertical: vert}},
+		{"horizontal+vertical", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: horiz, Vertical: vert}},
+	}
+	join := &query.Join{Table: "dim", LeftCol: 1, RightCol: 0}
+	queries := map[string]*query.Query{
+		"aggregate": {
 			Kind: query.Aggregate, Table: "ord",
 			Aggs:    []agg.Spec{{Func: agg.Sum, Col: 2}, {Func: agg.Min, Col: 0}, {Func: agg.Max, Col: 0}},
 			GroupBy: []int{1},
 			Pred:    &expr.Comparison{Col: 2, Op: expr.Ge, Val: value.NewDouble(0)},
-		}
-		selQ := &query.Query{Kind: query.Select, Table: "ord"}
-		for name, q := range map[string]*query.Query{"aggregate": aggQ, "select": selQ} {
+		},
+		"select":      {Kind: query.Select, Table: "ord"},
+		"join select": {Kind: query.Select, Table: "ord", Join: join},
+		"join aggregate": {
+			Kind: query.Aggregate, Table: "ord", Join: join,
+			Aggs: []agg.Spec{{Func: agg.Sum, Col: 2}}, GroupBy: []int{1},
+		},
+	}
+	for _, lay := range layouts {
+		db := bigAnalyticsDB(t, lay.store, lay.spec, n)
+		for name, q := range queries {
 			// Pre-cancelled context: nothing runs.
 			SetScanStartedHook(nil)
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			if _, err := db.ExecContext(ctx, q); !errors.Is(err, context.Canceled) {
-				t.Fatalf("%v/%s pre-cancelled: err = %v", store, name, err)
+				t.Fatalf("%s/%s pre-cancelled: err = %v", lay.name, name, err)
 			}
 			// Cancel mid-flight: the hook signals the scan's start and
 			// holds it there until the context dies, so by the time rows
@@ -292,16 +334,16 @@ func TestExecContextCancelAbortsScan(t *testing.T) {
 			select {
 			case <-started:
 			case <-time.After(5 * time.Second):
-				t.Fatalf("%v/%s: scan never reached the started hook", store, name)
+				t.Fatalf("%s/%s: scan never reached the started hook", lay.name, name)
 			}
 			cancel()
 			select {
 			case err := <-errCh:
 				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("%v/%s: err = %v, want context.Canceled", store, name, err)
+					t.Fatalf("%s/%s: err = %v, want context.Canceled", lay.name, name, err)
 				}
 			case <-time.After(5 * time.Second):
-				t.Fatalf("%v/%s: cancelled query did not return", store, name)
+				t.Fatalf("%s/%s: cancelled query did not return", lay.name, name)
 			}
 		}
 	}

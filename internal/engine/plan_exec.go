@@ -185,13 +185,13 @@ func (db *Database) execPlan(ctx context.Context, q *query.Query, p *plan.Plan, 
 	return db.execScanPlan(ctx, q, &sh, snap)
 }
 
-// execScanPlan executes a planned single-table SELECT.
+// execScanPlan executes a planned single-table SELECT: the table's block
+// scan feeds a rowCollector.
 func (db *Database) execScanPlan(ctx context.Context, q *query.Query, sh *readShape, snap stmtSnap) (*Result, error) {
 	rt, err := db.runtime(q.Table)
 	if err != nil {
 		return nil, err
 	}
-	view := db.tableView(rt, snap.ts, snap.tx)
 	sch := rt.entry.Schema
 	cols := q.Cols
 	if cols == nil {
@@ -201,171 +201,43 @@ func (db *Database) execScanPlan(ctx context.Context, q *query.Query, sh *readSh
 	for i, c := range cols {
 		res.Cols[i] = sch.Columns[c].Name
 	}
-	ordered := len(q.OrderBy) > 0
-	scanCols := cols
-	if ordered {
-		scanCols = unionCols(cols, orderCols(q.OrderBy))
-	}
-	useTopK := sh.topk != nil
-
+	// The sort keys, which may not be projected, ride along per row.
+	scanCols := unionCols(cols, orderCols(q.OrderBy))
 	tr := trace.FromContext(ctx)
 	var ssp *trace.Span
 	if tr != nil {
 		ssp = tr.Start(nodeSpanName(sh.scan))
 	}
-
-	// Morsel-parallel collection: when the store is the column store,
-	// whose batch scan fans out across morsel workers, and the limit
-	// cannot short-circuit (no limit, or an ORDER BY that must see every
-	// row anyway), blocks are projected concurrently and reassembled in
-	// block order — the exact row order of the serial scan. A traced
-	// statement takes this path even serially, because only the batch
-	// kernels report the storage counters (blocks decoded vs
-	// zone-map-skipped, main/delta rows) the trace wants.
-	ex := db.execCtx(ctx)
-	if cs, ok := rt.store.(*colStorage); ok && view == nil &&
-		(ex.Parallel(cs.t.NumBlocks()) || ex.Tracer() != nil) &&
-		(q.Limit <= 0 || ordered) {
-		bs := cs.t
-		pos := make([]int, sch.NumColumns())
-		for j, c := range scanCols {
-			pos[c] = j
-		}
-		if useTopK {
-			// Planned single-pass top-K: per-worker bounded heaps with
-			// block/row arrival sequences, merged after the scan. The
-			// retained set is a pure function of the scanned rows, so
-			// the result matches the serial stable-sort+limit exactly
-			// regardless of worker schedule.
-			states := make([]*topKAcc, ex.Workers(bs.NumBlocks()))
-			bs.ScanBatchesExec(q.Pred, scanCols, ex, func(w, block int, rids []int32, colVals [][]value.Value) bool {
-				st := states[w]
-				if st == nil {
-					st = newTopK(q.Limit, q.OrderBy)
-					states[w] = st
-				}
-				for k := range rids {
-					for i, o := range q.OrderBy {
-						st.cand[i] = colVals[pos[o.Col]][k]
-					}
-					seq := int64(block)<<32 | int64(k)
-					if !st.Admits(st.cand, seq) {
-						continue
-					}
-					out := make([]value.Value, len(cols))
-					for i, c := range cols {
-						out[i] = colVals[pos[c]][k]
-					}
-					st.Add(out, st.cand, seq)
-				}
-				return true
-			})
-			if err := ctx.Err(); err != nil {
-				ssp.End()
-				return nil, err
-			}
-			acc := newTopK(q.Limit, q.OrderBy)
-			for _, st := range states {
-				if st != nil {
-					acc.Merge(st)
-				}
-			}
-			res.Rows = acc.Finish()
-			finishScanSpan(tr, ssp, sh, len(res.Rows))
-			res.Affected = len(res.Rows)
-			return res, nil
-		}
-		// With an ORDER BY the sort keys (which may not be projected) ride
-		// along per row.
-		perBlock := make([][][]value.Value, bs.NumBlocks())
-		var keys [][]value.Value
-		var perKeys [][][]value.Value
-		if ordered {
-			perKeys = make([][][]value.Value, bs.NumBlocks())
-		}
-		bs.ScanBatchesExec(q.Pred, scanCols, ex, func(w, block int, rids []int32, colVals [][]value.Value) bool {
-			rows := make([][]value.Value, len(rids))
-			for k := range rids {
-				out := make([]value.Value, len(cols))
-				for i, c := range cols {
-					out[i] = colVals[pos[c]][k]
-				}
-				rows[k] = out
-			}
-			perBlock[block] = rows
-			if ordered {
-				bkeys := make([][]value.Value, len(rids))
-				for k := range rids {
-					key := make([]value.Value, len(q.OrderBy))
-					for i, o := range q.OrderBy {
-						key[i] = colVals[pos[o.Col]][k]
-					}
-					bkeys[k] = key
-				}
-				perKeys[block] = bkeys
-			}
-			return true
-		})
-		if err := ctx.Err(); err != nil {
-			ssp.End()
-			return nil, err
-		}
-		for b, rows := range perBlock {
-			res.Rows = append(res.Rows, rows...)
-			if ordered {
-				keys = append(keys, perKeys[b]...)
-			}
-		}
-		ssp.AddRowsOut(int64(len(res.Rows)))
-		ssp.End()
-		if ordered {
-			var sosp *trace.Span
-			if tr != nil {
-				sosp = tr.Start(nodeSpanName(sh.sort))
-				sosp.AddRowsIn(int64(len(res.Rows)))
-			}
-			sortRowsByKeys(res.Rows, keys, q.OrderBy)
-			if q.Limit > 0 && len(res.Rows) > q.Limit {
-				res.Rows = res.Rows[:q.Limit]
-			}
-			if sosp != nil {
-				sosp.AddRowsOut(int64(len(res.Rows)))
-				sosp.End()
-			}
-		}
-		res.Affected = len(res.Rows)
-		return res, nil
-	}
-	stop := stopFunc(ctx)
-	visited := 0
-	sink := newRowSink(q, cols, useTopK)
-	mergedScan(rt, view, q.Pred, scanCols, func(row []value.Value) bool {
-		if visited++; stop != nil && visited%scanCancelBatch == 0 && stop() {
-			return false
-		}
-		return sink.add(row)
-	})
+	c, ex := newRowCollector(q, len(cols), scanCols, sh.topk != nil, db.execCtx(ctx))
+	mergedScan(rt, db.tableView(rt, snap.ts, snap.tx), q.Pred, scanCols, ex, c.add)
 	if err := ctx.Err(); err != nil {
 		ssp.End()
 		return nil, err
 	}
-	ssp.AddRowsOut(int64(len(sink.rows))) // a top-K reports its rows in a span of its own
-	res.Rows = sink.finish()
-	finishScanSpan(tr, ssp, sh, len(res.Rows))
+	res.Rows = finishCollect(tr, sh, c, ssp)
 	res.Affected = len(res.Rows)
 	return res, nil
 }
 
-// finishScanSpan closes the scan span and records the fused top-K as its
-// own span (the heap runs inside the scan loop, so only the output
-// cardinality is separately attributable).
-func finishScanSpan(tr *trace.Trace, ssp *trace.Span, sh *readShape, rows int) {
-	ssp.End()
-	if tr != nil && sh.topk != nil {
-		tsp := tr.Start(nodeSpanName(sh.topk))
-		tsp.AddRowsOut(int64(rows))
-		tsp.End()
+// finishCollect ends the span of the scan or probe that fed c, which
+// reports the rows offered, and runs the collector's sort or top-K in a
+// span of its own.
+func finishCollect(tr *trace.Trace, sh *readShape, c *rowCollector, sp *trace.Span) [][]value.Value {
+	sp.End()
+	var osp *trace.Span
+	if tr != nil && (sh.topk != nil || sh.sort != nil) {
+		var n plan.Node = sh.sort
+		if sh.topk != nil {
+			n = sh.topk
+		}
+		osp = tr.Start(nodeSpanName(n))
 	}
+	rows, offered := c.finish()
+	sp.AddRowsOut(offered)
+	osp.AddRowsIn(offered)
+	osp.AddRowsOut(int64(len(rows)))
+	osp.End()
+	return rows
 }
 
 // execAggPlan executes a planned single-table aggregate through the
@@ -388,16 +260,12 @@ func (db *Database) execAggPlan(ctx context.Context, q *query.Query, sh *readSha
 	if view := db.tableView(rt, snap.ts, snap.tx); view != nil {
 		ar = agg.NewResult(q.Aggs, q.GroupBy)
 		ar.SetOutputTypes(sch.ColTypes())
-		stop := stopFunc(ctx)
-		visited := 0
-		mergedScan(rt, view, q.Pred, nil, func(row []value.Value) bool {
-			if stop != nil {
-				visited++
-				if visited%scanCancelBatch == 0 && stop() {
-					return false
-				}
+		cols := allCols(sch.NumColumns())
+		row := make([]value.Value, len(cols))
+		mergedScan(rt, view, q.Pred, cols, db.execCtx(ctx), func(_, _ int, colVals [][]value.Value) bool {
+			for k := range colVals[0] {
+				ar.AddRow(blockRow(colVals, cols, k, row))
 			}
-			ar.AddRow(row)
 			return true
 		})
 	} else {

@@ -33,16 +33,7 @@ func oracleTable(t *testing.T, db *Database, table string) [][]value.Value {
 	if !ok {
 		t.Fatalf("oracle: no table %q", table)
 	}
-	n := rt.entry.Schema.NumColumns()
-	cols := allCols(n)
-	var out [][]value.Value
-	rt.store.Scan(nil, cols, func(row []value.Value) bool {
-		cp := make([]value.Value, n)
-		copy(cp, row)
-		out = append(out, cp)
-		return true
-	})
-	return out
+	return storeRows(rt.store, rt.entry.Schema.NumColumns())
 }
 
 // oracleExec evaluates q naively over pre-materialized table rows.

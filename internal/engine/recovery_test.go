@@ -326,10 +326,9 @@ func TestOpenVersion1KeylessTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			var keys []int64
-			rt.store.Scan(nil, nil, func(row []value.Value) bool {
+			for _, row := range storeRows(rt.store, rt.entry.Schema.NumColumns()) {
 				keys = append(keys, row[2].Int())
-				return true
-			})
+			}
 			slices.Sort(keys)
 			for i, k := range keys {
 				if len(keys) != n || k != int64(i+1) {

@@ -14,10 +14,9 @@ import (
 func scanStats(db *Database, table string) *catalog.TableStats {
 	rt := db.tables[tableKey(table)]
 	sc := catalog.NewStatsCollector(rt.entry.Schema.ColTypes())
-	rt.store.Scan(nil, nil, func(row []value.Value) bool {
+	for _, row := range storeRows(rt.store, rt.entry.Schema.NumColumns()) {
 		sc.Add(row)
-		return true
-	})
+	}
 	return sc.Finish()
 }
 

@@ -111,23 +111,20 @@ func andOf(preds []expr.Predicate) expr.Predicate {
 	return &expr.And{Preds: preds}
 }
 
-// coverage reports which partition, if any, contains all the given table
-// columns; -1 = neither.
+// coverage reports which partition, if any, holds all the given table
+// columns and the columns of pred.
 const (
 	partRow  = 0
 	partCol  = 1
 	partNone = -1
 )
 
-func (v *verticalStorage) coverage(cols []int) int {
+func (v *verticalStorage) coverage(cols []int, pred expr.Predicate) int {
 	inRow, inCol := true, true
-	for _, c := range cols {
-		if _, ok := v.rowFwd[c]; !ok {
-			inRow = false
-		}
-		if _, ok := v.colFwd[c]; !ok {
-			inCol = false
-		}
+	for _, c := range append(expr.ColumnSet(pred), cols...) {
+		_, row := v.rowFwd[c]
+		_, col := v.colFwd[c]
+		inRow, inCol = inRow && row, inCol && col
 	}
 	switch {
 	case inRow:
@@ -139,75 +136,45 @@ func (v *verticalStorage) coverage(cols []int) int {
 	}
 }
 
-// neededCols unions projection and predicate columns.
-func neededCols(cols []int, pred expr.Predicate) []int {
-	set := map[int]struct{}{}
-	for _, c := range cols {
-		set[c] = struct{}{}
-	}
-	for _, c := range expr.ColumnSet(pred) {
-		set[c] = struct{}{}
-	}
-	out := make([]int, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	return out
-}
-
 // Scan streams matching rows. When the referenced columns fit a single
 // partition it scans that partition alone; otherwise it reconstructs full
 // tuples by joining the partitions on the primary key (the cost the paper
 // charges queries that span a vertical split).
-func (v *verticalStorage) Scan(pred expr.Predicate, cols []int, fn func(row []value.Value) bool) {
-	if cols == nil {
-		cols = allCols(v.sch.NumColumns())
-	}
-	need := neededCols(cols, pred)
-	scratch := make([]value.Value, v.sch.NumColumns())
-	switch v.coverage(need) {
+func (v *verticalStorage) Scan(pred expr.Predicate, cols []int, ex *exec.Ctx, fn func(w, seq int, colVals [][]value.Value) bool) {
+	cols = orAll(cols, v.sch.NumColumns())
+	switch v.coverage(cols, pred) {
 	case partRow:
 		rpred, _ := expr.Remap(pred, v.rowFwd)
-		v.rowPart.Scan(rpred, func(rid int, prow []value.Value) bool {
-			for i, c := range v.spec.RowCols {
-				scratch[c] = prow[i]
-			}
-			return fn(scratch)
-		})
+		scanRowTable(v.rowPart, rpred, remapCols(cols, v.rowFwd), ex, fn)
 	case partCol:
-		// Vectorized path: batch-scan only the needed columns of the
-		// column partition instead of materializing every partition
-		// column row-at-a-time.
 		cpred, _ := expr.Remap(pred, v.colFwd)
-		localCols := make([]int, len(need))
-		for i, c := range need {
-			localCols[i] = v.colFwd[c]
-		}
-		v.colPart.ScanBatches(cpred, localCols, func(rids []int32, colVals [][]value.Value) bool {
-			for k := range rids {
-				for j, c := range need {
-					scratch[c] = colVals[j][k]
-				}
-				if !fn(scratch) {
-					return false
-				}
-			}
-			return true
-		})
+		v.colPart.ScanBatchesExec(cpred, remapCols(cols, v.colFwd), ex, func(w, block int, _ []int32, colVals [][]value.Value) bool { return fn(w, block, colVals) })
 	default:
-		v.scanJoined(pred, fn, scratch)
+		v.scanJoined(pred, cols, ex, fn)
 	}
+}
+
+// remapCols returns the partition positions of table columns cols.
+func remapCols(cols []int, fwd map[int]int) []int {
+	out := make([]int, len(cols))
+	for i, c := range cols {
+		out[i] = fwd[c]
+	}
+	return out
 }
 
 // scanJoined reconstructs full-width tuples via a PK join: the row
 // partition drives, the column partition is probed per key (tuple
 // reconstruction on the column store side).
-func (v *verticalStorage) scanJoined(pred expr.Predicate, fn func(row []value.Value) bool, scratch []value.Value) {
+func (v *verticalStorage) scanJoined(pred expr.Predicate, cols []int, ex *exec.Ctx, fn func(w, seq int, colVals [][]value.Value) bool) {
 	pkRow := v.rowPart.Schema().PrimaryKey
 	key := make([]value.Value, len(pkRow))
+	row := make([]value.Value, v.sch.NumColumns())
+	var matched [][]value.Value // the current block's rows, by position
+	b := &rowBlocks{cols: cols, ex: ex, fn: fn, get: func(k int32, col int) value.Value { return matched[k][col] }}
 	v.rowPart.Scan(nil, func(rid int, prow []value.Value) bool {
 		for i, c := range v.spec.RowCols {
-			scratch[c] = prow[i]
+			row[c] = prow[i]
 		}
 		for i, k := range pkRow {
 			key[i] = prow[k]
@@ -219,13 +186,18 @@ func (v *verticalStorage) scanJoined(pred expr.Predicate, fn func(row []value.Va
 		}
 		crow := v.colPart.Get(crid)
 		for i, c := range v.spec.ColCols {
-			scratch[c] = crow[i]
+			row[c] = crow[i]
 		}
-		if pred != nil && !pred.Matches(scratch) {
+		if pred != nil && !pred.Matches(row) {
 			return true
 		}
-		return fn(scratch)
+		if len(b.ids) == len(matched) { // the buffers of a block's rows are reused
+			matched = append(matched, make([]value.Value, len(row)))
+		}
+		copy(matched[len(b.ids)], row)
+		return b.add(len(b.ids))
 	})
+	b.flush()
 }
 
 // Aggregate pushes the aggregation into a single partition when all
@@ -431,12 +403,8 @@ func (v *verticalStorage) spanningGeneric(res *agg.Result, colPred, post expr.Pr
 		}
 	}
 
-	type partial struct{ res *agg.Result }
-	colstore.ReduceBatches(v.colPart, colPred, scanCols, ex, func() *partial { return &partial{} },
-		func(w int, p *partial, rids []int32, colVals [][]value.Value) bool {
-			if p.res == nil {
-				p.res = agg.NewResult(res.Specs, res.GroupCols)
-			}
+	aggregateBlocks(res, ex, func(add func(w, seq int, row []value.Value) bool) {
+		v.colPart.ScanBatchesExec(colPred, scanCols, ex, func(w, block int, rids []int32, colVals [][]value.Value) bool {
 			key, row := make([]value.Value, npk), make([]value.Value, v.sch.NumColumns())
 			var next int
 			var misses int64
@@ -455,17 +423,14 @@ func (v *verticalStorage) spanningGeneric(res *agg.Result, colPred, post expr.Pr
 					row[c.table] = v.rowPart.Value(rrid, c.local)
 				}
 				if post == nil || post.Matches(row) {
-					p.res.AddRow(row)
+					add(w, block, row)
 				}
 			}
 			join.probed.Add(int64(len(rids)))
 			join.misses.Add(misses)
 			return true
-		},
-		func(p *partial) {
-			res.Merge(p.res)
-			p.res = nil
 		})
+	})
 }
 
 // HasPK reports whether a live row carries the given primary-key values

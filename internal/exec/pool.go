@@ -165,9 +165,9 @@ type Ctx struct {
 	Trace *trace.Trace
 }
 
-// Serial returns a Ctx that executes serially but still honors the given
-// cancellation hook.
-func Serial(stop func() bool) *Ctx { return &Ctx{Stop: stop} }
+// Serial returns c without its pool: the same cancellation hook and trace,
+// with every loop run on the calling goroutine.
+func (c *Ctx) Serial() *Ctx { return &Ctx{Stop: c.StopHook(), Trace: c.Tracer()} }
 
 // Tracer returns the Ctx's trace (nil for a nil Ctx or an untraced
 // statement) so storage layers can report counters nil-safely.

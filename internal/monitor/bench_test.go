@@ -90,6 +90,8 @@ type noopObs struct{}
 
 func (noopObs) Observe(*query.Query) {}
 
+func (noopObs) Dropped(string) {}
+
 func BenchmarkScanOverheadNoopObserver(b *testing.B) {
 	db := benchEngine(b, 100000)
 	db.SetObserver(noopObs{})

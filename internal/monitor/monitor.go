@@ -15,6 +15,8 @@
 package monitor
 
 import (
+	"slices"
+	"strings"
 	"sync"
 
 	"hybridstore/internal/engine"
@@ -112,6 +114,23 @@ func (m *Monitor) Observe(q *query.Query) {
 		m.ring[m.head] = &epoch{rec: NewRecorder()}
 	}
 	m.mu.Unlock()
+}
+
+// Dropped implements engine.Observer: the window forgets the table's
+// counters and the sampled statements that read or write it, so a table
+// created later under the name starts from no history.
+func (m *Monitor) Dropped(table string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, ep := range m.ring {
+		if ep == nil {
+			continue
+		}
+		ep.rec.forget(table)
+		ep.sample = slices.DeleteFunc(ep.sample, func(q *query.Query) bool {
+			return strings.EqualFold(q.Table, table) || q.Join != nil && strings.EqualFold(q.Join.Table, table)
+		})
+	}
 }
 
 // Seen returns the total number of observed queries.

@@ -166,6 +166,58 @@ func TestRecreatedTableKeepsDefaultEstimate(t *testing.T) {
 	}
 }
 
+// TestDroppedTableLeavesWindow: DROP TABLE forgets what the window holds
+// under the table's name — counters and sampled statements, in every
+// epoch — so a narrower table re-created under the name does not inherit
+// the old table's aggregates on a column it does not have.
+func TestDroppedTableLeavesWindow(t *testing.T) {
+	db := engine.New()
+	m := New(db, Config{Epochs: 3, RotateEvery: 10, SampleCap: 64})
+	wideCols := []schema.Column{{Name: "id", Type: value.Bigint}}
+	for _, name := range []string{"grp", "c2", "c3", "c4", "amount"} {
+		wideCols = append(wideCols, schema.Column{Name: name, Type: value.Double})
+	}
+	if err := db.CreateTable(schema.MustNew("t", wideCols, "id"), catalog.RowStore); err != nil {
+		t.Fatal(err)
+	}
+	row := []value.Value{value.NewBigint(1)}
+	for c := 1; c < len(wideCols); c++ {
+		row = append(row, value.NewDouble(float64(c)))
+	}
+	if _, err := db.Exec(&query.Query{Kind: query.Insert, Table: "t", Rows: [][]value.Value{row}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 25; i++ { // spans every epoch of the ring
+		if _, err := db.Exec(&query.Query{Kind: query.Aggregate, Table: "t",
+			Aggs: []agg.Spec{{Func: agg.Sum, Col: 5}}, GroupBy: []int{1}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.DropTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	narrow := schema.MustNew("t", []schema.Column{{Name: "id", Type: value.Bigint}, {Name: "v", Type: value.Double}}, "id")
+	if err := db.CreateTable(narrow, catalog.RowStore); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 3; i++ {
+		if _, err := db.Exec(pointSelect(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := m.Snapshot()
+	ts := snap.Recorder.Table("t")
+	if ts == nil || ts.Aggregations != 0 || ts.Selects != 3 || len(ts.AttrAggs) > 2 {
+		t.Fatalf("re-created t's window statistics %+v, want 3 selects and no aggregates", ts)
+	}
+	if n := snap.Queries.Len(); n != 3 {
+		t.Errorf("window sample holds %d statements, want the 3 selects on the new t", n)
+	}
+	if snap.Seen != 29 {
+		t.Errorf("Seen = %d, want every observed statement (29)", snap.Seen)
+	}
+}
+
 // TestConcurrentObserveAndSnapshot exercises the monitor under parallel
 // query traffic and snapshotting (run with -race).
 func TestConcurrentObserveAndSnapshot(t *testing.T) {

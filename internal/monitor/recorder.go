@@ -146,6 +146,9 @@ func (r *Recorder) table(name string) *TableStats {
 	return ts
 }
 
+// forget drops a table's counters.
+func (r *Recorder) forget(name string) { delete(r.tables, strings.ToLower(name)) }
+
 // Observe records one executed query.
 func (r *Recorder) Observe(q *query.Query) {
 	ts := r.table(q.Table)

@@ -18,6 +18,7 @@ package rowstore
 
 import (
 	"fmt"
+	"slices"
 
 	"hybridstore/internal/agg"
 	"hybridstore/internal/expr"
@@ -365,16 +366,23 @@ func (t *Table) Scan(pred expr.Predicate, fn func(rid int, row []value.Value) bo
 }
 
 // ScanCols is Scan reading the given columns only (nil = all). The row
-// handed to fn is one scratch row per scan, indexed by column: the
-// predicate's columns are boxed first, the requested ones only once the
-// row matches, any other position is stale. fn must not retain or mutate
-// it.
+// handed to fn is one scratch row per scan, indexed by column and reaching
+// the last column read: the predicate's columns are boxed first, the
+// requested ones only once the row matches, any other position is stale.
+// fn must not retain or mutate it.
 func (t *Table) ScanCols(pred expr.Predicate, cols []int, fn func(rid int, row []value.Value) bool) {
 	if cols == nil {
 		cols = t.all
 	}
 	predCols := expr.ColumnSet(pred)
-	row := make([]value.Value, t.stride)
+	width := 0
+	if len(predCols) > 0 {
+		width = predCols[len(predCols)-1] + 1 // ColumnSet is sorted
+	}
+	if len(cols) > 0 {
+		width = max(width, slices.Max(cols)+1)
+	}
+	row := make([]value.Value, width)
 	visit := func(rid int) bool {
 		if !t.valid[rid] || pred != nil && !t.matches(rid, pred, predCols, row) {
 			return true

@@ -331,28 +331,14 @@ func (tb *Table) release(t *Txn, c *chain) {
 	}
 }
 
-// Snapshot enumerates every chain with the row visible under snapshot s
-// for transaction t (nil outside explicit transactions): the
-// transaction's own uncommitted version, else the newest version
-// committed at or before s (the ts==0 base pre-image is visible to every
-// snapshot). visible=false means the key is absent for this snapshot
-// (tombstone, or created entirely after s).
-//
-// The engine builds one per-statement view from this, so readers never
-// block writers: concurrent claims and commits mutate chains under the
-// table lock while the statement works off its own materialized view.
-func (tb *Table) Snapshot(s uint64, t *Txn, fn func(pk []value.Value, row []value.Value, visible bool)) {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	for _, c := range tb.chains {
-		row, ok := c.visible(s, t)
-		fn(c.pk, row, ok && row != nil)
-	}
-}
-
-// Delta is Snapshot restricted to the chains whose visible version under
-// (s, t) differs from the version base storage holds after folds up to
-// folded — the only keys a base scan answers incorrectly. Chains whose
+// Delta enumerates the chains whose visible version under snapshot s for
+// transaction t (nil outside explicit transactions) — the transaction's
+// own uncommitted version, else the newest version committed at or before
+// s — differs from the version base storage holds after folds up to
+// folded: the only keys a base scan answers incorrectly. visible=false
+// means the key is absent for this snapshot (tombstone, or created
+// entirely after s). The engine builds each statement's view from it, so
+// readers never block writers. Chains whose
 // visible version IS the current base authority are skipped, so an
 // overlay holding nothing but live uncommitted claims (the steady state
 // under OLTP load: claims over unchanged base rows) contributes nothing
@@ -426,23 +412,6 @@ func (tb *Table) NetRows(s, folded uint64) int {
 		}
 	}
 	return net
-}
-
-// visible resolves the chain under (s, t); callers hold tb.mu.
-func (c *chain) visible(s uint64, t *Txn) ([]value.Value, bool) {
-	for i := range c.versions {
-		v := &c.versions[i]
-		if v.owner != nil {
-			if v.owner == t {
-				return v.row, true
-			}
-			continue
-		}
-		if v.ts <= s {
-			return v.row, true
-		}
-	}
-	return nil, false
 }
 
 // UncommittedKeys returns the TupleKeys of every chain whose head is an

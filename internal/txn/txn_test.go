@@ -233,14 +233,22 @@ func assertVisible(t *testing.T, tb *Table, s uint64, tx *Txn, id, want int64) {
 	}
 }
 
-// lookup scans the overlay for one pk under (s, tx).
+// lookup finds the chain of one pk in the overlay and the row it shows
+// under (s, tx); visible=false means the key is absent at s.
 func lookup(tb *Table, s uint64, tx *Txn, id int64) (r []value.Value, found, visible bool) {
-	tb.Snapshot(s, tx, func(pk, row []value.Value, vis bool) {
-		if pk[0].Int() == id {
-			found = true
-			visible = vis
-			r = row
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	for _, c := range tb.chains {
+		if c.pk[0].Int() != id {
+			continue
 		}
-	})
-	return
+		// tx's own claim, else the newest version committed at or before s.
+		for _, v := range c.versions {
+			if v.owner == nil && v.ts <= s || v.owner != nil && v.owner == tx {
+				return v.row, true, v.row != nil
+			}
+		}
+		return nil, true, false
+	}
+	return nil, false, false
 }
