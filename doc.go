@@ -58,14 +58,18 @@
 //     never changes a main-fragment code (it tombstones the row and
 //     appends the new image to the delta), so a zone built by a merge
 //     holds until the next one.
-//   - colstore.Table.ScanBatches streams matching rows in 1024-row
-//     batches with the requested columns bulk-decoded column-at-a-time
-//     (compress.Packed.UnpackBlock) into reused buffers. It is the column
-//     store's side of the engine's one read, a block scan every layout
-//     implements: the row store's scan is gathered into blocks of the
-//     same size on the caller, a horizontal split scans hot then cold,
-//     and a vertical split scans the one partition holding the
-//     statement's columns or joins the two on the key.
+//   - colstore.Table.Blocks cuts the matching rows into numbered
+//     1024-row blocks and decodes a block's requested columns
+//     column-at-a-time (compress.Packed.UnpackBlock) into the buffers of
+//     the worker that asks for it. It is the column store's side of the
+//     engine's one read, numbered blocks (exec.Blocks) every layout
+//     returns: the row store's blocks are 256-slot ranges of its arena
+//     or runs of an index's candidates, a horizontal split numbers the
+//     hot side's blocks before the cold side's, and a vertical split
+//     returns the blocks of the one partition holding the statement's
+//     columns or joins the two on the key, one row-partition block at a
+//     time. A join's probe and an MVCC-merged scan are block sources
+//     too, built on the blocks of their input.
 //   - Grouped aggregation has one kernel (colstore.DenseAgg): dense
 //     per-(group, spec) scalar accumulators indexed by a dense group id
 //     and fed block-at-a-time from unpacked code vectors. SUM
@@ -84,8 +88,10 @@
 //     the scanned table is fed as a caller-filled float vector per
 //     batch (SUM, AVG and COUNT only: extrema are tracked as codes).
 //     Group-bys the kernel cannot number densely — three or more
-//     columns, or two with more than 2^18 code combinations — hash
-//     their keys per row into one partial result per block range.
+//     columns, or two with more than 2^18 code combinations — go to the
+//     generic hash fold (agg.Result.Fold), which every other aggregate
+//     shares: it hashes each block row's key into one partial result
+//     per block range.
 //     Ungrouped aggregates count per code and fold one weighted add per
 //     distinct value — the paper's f_compression advantage.
 //   - Horizontally partitioned tables compute partial aggregates for the
@@ -110,15 +116,16 @@
 //     column or a MIN/MAX column in the row partition, a disjunction
 //     across both) decodes the needed column-partition columns,
 //     assembles the joined row, tests the remaining conjuncts on it and
-//     accumulates it into a hash-grouped partial per block. Nothing
+//     hands the joined block to the generic hash fold. Nothing
 //     links the partitions but the key: the column store renumbers rows
 //     when it migrates and merges them, so a stored rid-to-rid link
 //     would be a second source of truth. A horizontal+vertical layout
 //     (hot rows whole in the row store, cold rows split) runs this for
 //     its cold side beside the hot side's aggregate.
-//   - Row-at-a-time accumulation (agg.Result.AddRow: the row store, the
-//     generic fallbacks above, MVCC-merged scans) tracks extrema only
-//     for MIN and MAX; SUM, AVG and COUNT cost an add and an increment.
+//   - Row-at-a-time accumulation (agg.Result.AddRow, which the generic
+//     hash fold runs for the row store, the fallbacks above, hash-join
+//     probes and MVCC-merged scans) tracks extrema only for MIN and
+//     MAX; SUM, AVG and COUNT cost an add and an increment.
 //   - A read or write whose predicate names the whole primary key takes
 //     one row, with no plan node or flag of its own: both stores resolve
 //     it through their PK index (see Column store), a horizontal split
@@ -233,14 +240,13 @@
 // rows under its tag; a single-column numeric key also keeps an ordered
 // index for key ranges.
 //
-// value.Value is boxed only at the edge. Scan decodes into one scratch row
-// per scan, indexed by column: the predicate's columns first, the
-// requested columns (ScanCols; nil = all) only once the row matches; any
-// other position is stale, and the callback must not retain the row —
-// the storage.Scan contract every layout already had. LookupPK compares
-// slots without boxing, Aggregate boxes only the grouping and aggregate
-// columns, and the vertical split's PK join reads single attributes
-// through Value and Read.
+// value.Value is boxed only at the edge. Blocks, the engine's read of a
+// row table, boxes a row's predicate columns into a scratch row and, once
+// the row matches, the requested columns into the block's column buffers,
+// sized to the block's candidates (one row for a keyed read); an aggregate
+// requests only its grouping and aggregate columns. LookupPK compares
+// slots without boxing, and the vertical split's PK join reads single
+// attributes through Value and Read.
 //
 // Writes by key cost the row they touch. Update and Upsert overwrite
 // slots in place; DeletePK tombstones the window and takes the row out of
@@ -266,20 +272,23 @@
 //     workers on disjoint bitset words). Every layout's block scan
 //     numbers its blocks in the order a serial scan visits them, and a
 //     SELECT's one collector — plain, ordered or top-K, over a table or
-//     a join — reassembles rows by that number, so parallel row order
+//     a join — keeps block i's rows in slot i (top-K heaps stay per
+//     worker, ties broken by block number), so parallel row order
 //     equals serial row order on every layout. Only a bare LIMIT, which
-//     can stop early, scans serially.
+//     can stop early, runs its blocks in order on one worker.
 //   - Every aggregate is an ordered reduction (exec.Reduce): the scan is
 //     cut into fixed ranges of consecutive morsels, each range
 //     accumulates into a partial of its own — dense per-code
 //     accumulators (single-table group-bys, star-join probes, spanning
 //     aggregates), scalar accumulators of the ungrouped path, hash group
-//     maps of the generic and row-store paths — on whichever worker
-//     claims it, and the
-//     partials merge strictly in range order. The range size derives
-//     from the block count and the group cardinality (a range covers at
+//     maps of the generic hash fold — on whichever worker claims it, and
+//     the partials merge strictly in range order as ranges complete and
+//     are reused, so no more partials are alive than the workers hold
+//     (and a few finished ranges waiting for a slow one). The range size
+//     derives from the block count and the group cardinality (a range covers at
 //     least 32 rows per accumulator cell, so merging stays a few
-//     percent of scanning; small partials get one block per range),
+//     percent of scanning; small partials get one block per range; a
+//     generic fold outside the column store takes four blocks),
 //     never from the pool: how a float SUM's additions associate is a
 //     function of the data alone, and a 1-slot pool returns the same
 //     bits as an N-slot one. Per-code counts of the ungrouped path are
@@ -289,17 +298,18 @@
 //     hash join's are scanned serially (a dimension is small). Every
 //     hash-join probe — aggregate or SELECT, on any layout — walks the
 //     shared hash table block-parallel over the probe side's block scan:
-//     an aggregate keeps one partial result per block and merges them in
-//     block order, a SELECT hands its rows to the collector by block. A
+//     joined block i holds probe block i's matches, which an aggregate
+//     folds like any block scan and a SELECT hands to the collector. A
 //     table with unfolded versions at the statement's snapshot is read
-//     serially, its blocks merged with the overlay.
+//     serially, its blocks merged with the overlay and its unplaced
+//     images in one more block.
 //   - The network server admits statements through the same pool
 //     (session slot = worker slot), so intra-query parallelism scales
 //     down automatically as concurrent statements scale up instead of
 //     oversubscribing cores.
-//   - Cancellation is polled once per block by the block scan itself
-//     (at morsel claims in the column store, between blocks in the row
-//     store), through the statement's exec.Ctx;
+//   - Cancellation is polled once per block, when a worker claims it
+//     (exec.Ctx.Morsels and exec.Reduce), through the statement's
+//     exec.Ctx;
 //     tombstones, zone maps, the delta fragment and the workload monitor
 //     behave identically in serial and parallel runs. The differential
 //     suite (internal/engine parallel tests) runs pools of 1, 2, 3 and 8

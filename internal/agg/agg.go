@@ -1,13 +1,16 @@
 // Package agg implements aggregation accumulators and grouped aggregation
-// results shared by the row store (tuple-at-a-time accumulation), the
-// column store (per-dictionary-code weighted accumulation) and the engine
-// (merging partial results across horizontal partitions; the paper's
-// "union of both partitions" for queries that span them).
+// results shared by the column store (per-dictionary-code weighted
+// accumulation), the one generic hash fold every other aggregate runs on
+// (Result.Fold, over a block scan of any store) and the engine (merging
+// partial results across horizontal partitions; the paper's "union of both
+// partitions" for queries that span them).
 package agg
 
 import (
 	"fmt"
+	"slices"
 
+	"hybridstore/internal/exec"
 	"hybridstore/internal/value"
 )
 
@@ -321,9 +324,14 @@ func (r *Result) GroupIndex(key []value.Value) int {
 			return i
 		}
 	}
-	kc := make([]value.Value, len(key))
-	copy(kc, key)
-	g := &Group{Key: kc, Accs: make([]Acc, len(r.Specs))}
+	var g *Group
+	if n := len(r.Groups); n < cap(r.Groups) {
+		g = r.Groups[:n+1][n] // a group Merge emptied out of r, reused
+	}
+	if g == nil {
+		g = &Group{Key: make([]value.Value, len(key)), Accs: make([]Acc, len(r.Specs))}
+	}
+	copy(g.Key, key)
 	r.index[h] = len(r.Groups)
 	r.chain = append(r.chain, newest)
 	r.Groups = append(r.Groups, g)
@@ -364,8 +372,8 @@ func (r *Result) AddRow(row []value.Value) {
 }
 
 // Merge folds a compatible partial result (same specs and grouping) into
-// r. other must not be used afterwards: an r without groups takes over
-// other's.
+// r and leaves other empty, ready to accumulate again (into the groups it
+// had, emptied): an r without groups takes over other's.
 func (r *Result) Merge(other *Result) {
 	if other == nil {
 		return
@@ -377,10 +385,11 @@ func (r *Result) Merge(other *Result) {
 		for i := range r.Global().Accs {
 			r.Global().Accs[i].Merge(&other.Global().Accs[i])
 		}
+		clear(other.Global().Accs)
 		return
 	}
 	if len(r.Groups) == 0 {
-		r.Groups, r.index, r.chain = other.Groups, other.index, other.chain
+		r.Groups, r.index, r.chain, other.Groups, other.index, other.chain = other.Groups, other.index, other.chain, r.Groups, r.index, r.chain
 		return
 	}
 	for _, g := range other.Groups {
@@ -388,7 +397,48 @@ func (r *Result) Merge(other *Result) {
 		for i := range dst.Accs {
 			dst.Accs[i].Merge(&g.Accs[i])
 		}
+		clear(g.Accs)
 	}
+	other.Groups, other.chain = other.Groups[:0], other.chain[:0]
+	clear(other.index)
+}
+
+// Fold is the generic hash aggregation: it folds into r, one row at a
+// time (AddRow), the rows of the block scan that scan returns for the
+// columns r's grouping and specs name (grouping columns first, at least one
+// column). Ranges of per consecutive blocks each accumulate into a partial
+// result of their own, and the partials are merged into r in block order as
+// the ranges complete, then reused (exec.Reduce): the result is a function
+// of the data and per alone, never of the pool size, groups follow their
+// first appearance in scan order, and no more partials are alive than the
+// workers hold. A stopped scan leaves r partial, to be discarded.
+func (r *Result) Fold(per int, scan func(cols []int) exec.Blocks) {
+	cols := slices.Clone(r.GroupCols)
+	for _, s := range r.Specs {
+		if s.Col >= 0 && !slices.Contains(cols, s.Col) {
+			cols = append(cols, s.Col)
+		}
+	}
+	if len(cols) == 0 {
+		cols = []int{0} // COUNT(*) alone: any column counts the rows
+	}
+	width := slices.Max(cols) + 1 // a block row is read into a row of table positions
+	type partial struct {
+		*Result
+		row []value.Value
+	}
+	b := scan(cols)
+	exec.Reduce(b.Ctx, b.N, per, func() partial { return partial{NewResult(r.Specs, r.GroupCols), make([]value.Value, width)} }, func(w int, p partial, i int) bool {
+		colVals := b.Block(w, i)
+		for k := 0; len(colVals) > 0 && k < len(colVals[0]); k++ {
+			for j, c := range cols {
+				p.row[c] = colVals[j][k]
+			}
+			p.AddRow(p.row)
+		}
+		return true
+	}, func(p partial) { r.Merge(p.Result) })
+	b.Release()
 }
 
 // NumGroups returns the number of result groups.

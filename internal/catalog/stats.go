@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hybridstore/internal/compress"
@@ -93,13 +94,16 @@ func (s *TableStats) String() string {
 // beyond it, so collection stays O(rows) with bounded memory on large
 // tables — and AddRun takes a dictionary-encoded column's distinct values
 // with their row counts, exact at any cardinality. Below the cap the two
-// produce identical statistics.
+// produce identical statistics. Part and Merge join the collectors of two
+// disjoint parts of a table, each fed as its layout allows.
 type StatsCollector struct {
 	types       []value.Type
-	rows        int               // rows Add saw
-	runs        []bool            // column is fed by AddRun; Add leaves it alone
-	runRows     []int             // rows AddRun saw
-	runDistinct []int             // non-NULL runs AddRun saw
+	rows        int    // rows Add saw
+	runs        []bool // column is fed by AddRun; Add leaves it alone
+	runRows     []int  // rows AddRun saw
+	runDistinct []int  // non-NULL runs AddRun saw
+	keep        bool   // keep the runs' values in runVals (see Part)
+	runVals     [][]value.Value
 	seen        []*compress.UDict // distinct values Add saw, until capped
 	capped      []bool
 	seenAtCap   []int // rows scanned when the cap was passed
@@ -121,6 +125,7 @@ func NewStatsCollector(types []value.Type) *StatsCollector {
 		runs:        make([]bool, n),
 		runRows:     make([]int, n),
 		runDistinct: make([]int, n),
+		runVals:     make([][]value.Value, n),
 		seen:        make([]*compress.UDict, n),
 		capped:      make([]bool, n),
 		seenAtCap:   make([]int, n),
@@ -163,39 +168,92 @@ func (sc *StatsCollector) Add(row []value.Value) {
 func (sc *StatsCollector) AddRun(col int, v value.Value, rows int) {
 	sc.runs[col] = true
 	sc.runRows[col] += rows
-	if !v.IsNull() {
+	switch {
+	case v.IsNull():
+		return
+	case sc.keep:
+		sc.runVals[col] = append(sc.runVals[col], v)
+	default:
 		sc.runDistinct[col]++
-		sc.observe(col, v, rows)
 	}
+	sc.observe(col, v, rows)
 }
 
 // observe folds rows occurrences of the non-NULL v into column i's value
 // range and VARCHAR length.
 func (sc *StatsCollector) observe(i int, v value.Value, rows int) {
-	if !sc.hasRange[i] {
-		sc.minV[i], sc.maxV[i] = v, v
-		sc.hasRange[i] = true
-	} else {
-		if value.Less(v, sc.minV[i]) {
-			sc.minV[i] = v
-		}
-		if value.Less(sc.maxV[i], v) {
-			sc.maxV[i] = v
-		}
-	}
+	sc.widen(i, v, v)
 	if sc.types[i] == value.Varchar {
 		sc.varcharLen[i] += rows * len(v.Varchar())
 		sc.varcharCnt[i] += rows
 	}
 }
 
+// widen extends column i's value range to [lo, hi].
+func (sc *StatsCollector) widen(i int, lo, hi value.Value) {
+	if !sc.hasRange[i] {
+		sc.minV[i], sc.maxV[i] = lo, hi
+		sc.hasRange[i] = true
+		return
+	}
+	if value.Less(lo, sc.minV[i]) {
+		sc.minV[i] = lo
+	}
+	if value.Less(sc.maxV[i], hi) {
+		sc.maxV[i] = hi
+	}
+}
+
+// numRows is how many rows the feeds saw: Add's, or — when no row came
+// through Add — those every column's runs counted.
+func (sc *StatsCollector) numRows() int {
+	rows := sc.rows
+	for _, r := range sc.runRows {
+		rows = max(rows, r)
+	}
+	return rows
+}
+
+// Part returns a collector for rows disjoint from those sc is about to be
+// fed — another partition of the table — to fold back with Merge. Both
+// then keep the values their runs feed, which Merge needs to count a
+// value both saw once.
+func (sc *StatsCollector) Part() *StatsCollector {
+	p := NewStatsCollector(sc.types)
+	sc.keep, p.keep = true, true
+	return p
+}
+
+// Merge folds in o, a collector from Part. A value both hold counts once,
+// and a column past the distinct cap on either side extrapolates from the
+// rows seen when the cap was passed. Merge is the collector's last feed.
+func (sc *StatsCollector) Merge(o *StatsCollector) {
+	rows := sc.numRows()
+	for i := range sc.types {
+		for _, v := range slices.Concat(sc.runVals[i], o.runVals[i]) {
+			sc.seen[i].GetOrAdd(v)
+		}
+		for code := 0; code < o.seen[i].Len(); code++ {
+			sc.seen[i].GetOrAdd(o.seen[i].Value(uint32(code)))
+		}
+		sc.runVals[i] = nil
+		if o.capped[i] && !sc.capped[i] {
+			sc.capped[i], sc.seenAtCap[i] = true, rows+o.seenAtCap[i]
+		}
+		if o.hasRange[i] {
+			sc.widen(i, o.minV[i], o.maxV[i])
+		}
+		sc.varcharLen[i] += o.varcharLen[i]
+		sc.varcharCnt[i] += o.varcharCnt[i]
+		sc.runRows[i] = 0
+	}
+	sc.rows = rows + o.numRows()
+}
+
 // Finish produces the TableStats.
 func (sc *StatsCollector) Finish() *TableStats {
 	n := len(sc.types)
-	rows := sc.rows
-	for _, r := range sc.runRows {
-		rows = max(rows, r) // no row came through Add: every column counted them
-	}
+	rows := sc.numRows()
 	st := &TableStats{
 		NumRows:     rows,
 		DistinctN:   make([]int, n),
@@ -206,7 +264,7 @@ func (sc *StatsCollector) Finish() *TableStats {
 		AvgVarchar:  make([]int, n),
 	}
 	for i := 0; i < n; i++ {
-		d := sc.seen[i].Len() + sc.runDistinct[i]
+		d := sc.seen[i].Len() + sc.runDistinct[i] + len(sc.runVals[i])
 		if sc.capped[i] {
 			// Linear extrapolation: distinct values kept appearing at the
 			// cap rate for the remaining rows (upper-bounded by row count).

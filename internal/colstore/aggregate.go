@@ -37,9 +37,12 @@ func (t *Table) AggregateExec(specs []agg.Spec, groupBy []int, pred expr.Predica
 	match := t.matchBitmapExec(pred, s, ex) // nil means all live rows
 	if len(groupBy) == 0 {
 		t.aggregateGlobal(res, specs, match, ex)
-	} else {
-		t.aggregateGeneric(res, specs, groupBy, match, ex)
+		return res
 	}
+	res.Fold(RangeBlocks(t.groupBound(groupBy)*max(1, len(specs))), func(cols []int) exec.Blocks {
+		b, _ := t.matchBlocks(match, cols, ex)
+		return b
+	})
 	return res
 }
 
@@ -241,7 +244,7 @@ func (t *Table) LookupCodes(col int, v value.Value, hint int) (main, delta int) 
 }
 
 // gatherCodes fills dst[k] with column c's code (see CodeSpace) at rids[k];
-// b0, nm and mainN describe the batch as in forBatches, block is a
+// b0, nm and mainN describe the batch (see batchWalker.block), block is a
 // blockRows decode buffer.
 func (t *Table) gatherCodes(c *column, rids []int32, b0, nm, mainN int, block, dst []uint32) {
 	mainLen := uint32(c.mainDict.Len())
@@ -406,12 +409,16 @@ func (da *denseGroupAgg) run(res *agg.Result, match bitset.Bits, ex *exec.Ctx) {
 	t := da.t
 	states := make([]*denseScratch, ex.Workers(t.NumBlocks()))
 	per := RangeBlocks(da.gTotal * max(1, len(da.q.Specs)))
-	reduceBatches(t, match, ex, per, func() *densePartial { return &densePartial{} }, func(w int, p *densePartial, rids []int32, b0, nm, mainN int) bool {
-		sc := da.scratch(states, w)
-		da.index(sc, rids, b0, nm, mainN)
-		da.addBatch(p, sc, rids, b0, nm, mainN)
+	bw, run := t.walkBatches(match, ex)
+	exec.Reduce(run, t.NumBlocks(), per, func() *densePartial { return &densePartial{} }, func(w int, p *densePartial, b int) bool {
+		if rids, b0, nm, mainN := bw.block(w, b); len(rids) > 0 {
+			sc := da.scratch(states, w)
+			da.index(sc, rids, b0, nm, mainN)
+			da.addBatch(p, sc, rids, b0, nm, mainN)
+		}
 		return true
 	}, da.merge)
+	bw.report(run.Tracer())
 	if !ex.Stopped() {
 		da.fold(res)
 	}
@@ -619,28 +626,6 @@ func (da *denseGroupAgg) fold(res *agg.Result) {
 	}
 }
 
-// forBatches iterates the participating rows of match (nil = all live) in
-// blockRows batches, handing each batch's ascending rids plus its
-// main/delta split to fn: nm rids are main-resident, and the block's main
-// span holds mainN rows starting at b0. fn returning false stops the
-// iteration. It is the serial block walk of liveCodes.
-func (t *Table) forBatches(match bitset.Bits, fn func(rids []int32, b0, nm, mainN int) bool) {
-	src := t.rowSource(match)
-	total := t.totalRows()
-	rids := make([]int32, 0, blockRows)
-	for b0 := 0; b0 < total; b0 += blockRows {
-		n := min(blockRows, total-b0)
-		rids = src.AppendSet(rids[:0], b0, b0+n)
-		if len(rids) == 0 {
-			continue
-		}
-		nm, mainN := t.splitBatch(rids, b0, n)
-		if !fn(rids, b0, nm, mainN) {
-			return
-		}
-	}
-}
-
 // aggregateGlobalDelta folds the delta fragment of one value column into
 // an ungrouped accumulator by per-code counting. Shared by the serial and
 // morsel-parallel global paths (the delta is small and always serial).
@@ -673,65 +658,12 @@ func (t *Table) aggregateGlobalDelta(acc *agg.Acc, c *column, match bitset.Bits,
 	}
 }
 
-// aggregateGeneric handles multi-column group-bys by materializing the key
-// per row through the batched scan, hash-grouping each block range into a
-// partial result that is merged into res in range order. Group order
-// follows first appearance in block order.
-func (t *Table) aggregateGeneric(res *agg.Result, specs []agg.Spec, groupBy []int, match bitset.Bits, ex *exec.Ctx) {
-	colIdx := make(map[int]int)
-	var cols []int
-	need := func(c int) int {
-		if _, ok := colIdx[c]; !ok {
-			colIdx[c] = len(cols)
-			cols = append(cols, c)
-		}
-		return colIdx[c]
-	}
-	// Positional indices keep the per-row loop free of map lookups. The
-	// group count is bounded by the product of the group dictionaries and
-	// by the row count.
-	groupPos := make([]int, len(groupBy))
+// groupBound bounds the group count of a grouping on cols: the product of
+// their code spaces, and the row count.
+func (t *Table) groupBound(cols []int) int {
 	groups := 1
-	for i, c := range groupBy {
-		groupPos[i] = need(c)
-		d := t.cols[c].mainDict.Len() + t.cols[c].deltaDict.Len() + 1
-		groups = min(groups*d, t.totalRows())
+	for _, c := range cols {
+		groups = min(groups*t.CodeSpace(c), t.totalRows())
 	}
-	specPos := make([]int, len(specs))
-	for si, s := range specs {
-		specPos[si] = -1
-		if s.Col >= 0 {
-			specPos[si] = need(s.Col)
-		}
-	}
-	type partial struct{ res *agg.Result }
-	key := make([][]value.Value, ex.Workers(t.NumBlocks()))
-	per := RangeBlocks(groups * max(1, len(specs)))
-	reduceColumns(t, match, cols, ex, per, func() *partial { return &partial{} },
-		func(w int, p *partial, rids []int32, colVals [][]value.Value) bool {
-			if p.res == nil {
-				p.res = agg.NewResult(specs, groupBy)
-			}
-			if key[w] == nil {
-				key[w] = make([]value.Value, len(groupBy))
-			}
-			for k := range rids {
-				for i, pos := range groupPos {
-					key[w][i] = colVals[pos][k]
-				}
-				g := p.res.GroupFor(key[w])
-				for si, pos := range specPos {
-					if pos < 0 {
-						g.Accs[si].AddCount(1)
-					} else {
-						g.Accs[si].AddFor(specs[si].Func, colVals[pos][k])
-					}
-				}
-			}
-			return true
-		},
-		func(p *partial) {
-			res.Merge(p.res)
-			p.res = nil
-		})
+	return groups
 }

@@ -354,17 +354,18 @@ func (t *Table) mergeColumn(c *column) {
 func (t *Table) liveCodes(c *column, fn func(codes []uint32)) (refs []int) {
 	refs = make([]int, c.mainDict.Len()+c.deltaDict.Len()+1)
 	block, dst := make([]uint32, blockRows), make([]uint32, blockRows)
-	t.forBatches(nil, func(rids []int32, b0, nm, mainN int) bool {
+	bw, _ := t.walkBatches(nil, nil)
+	for b := range t.NumBlocks() {
+		rids, b0, nm, mainN := bw.block(0, b)
 		codes := dst[:len(rids)]
 		t.gatherCodes(c, rids, b0, nm, mainN, block, codes)
 		for _, code := range codes {
 			refs[code]++
 		}
-		if fn != nil {
+		if fn != nil && len(codes) > 0 {
 			fn(codes)
 		}
-		return true
-	})
+	}
 	return refs
 }
 

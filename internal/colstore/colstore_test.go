@@ -567,8 +567,9 @@ func TestKeyedPredicateTouchesOneRow(t *testing.T) {
 		for _, r := range scanRows(tb, p, []int{0, 3}) {
 			out += fmt.Sprintf("%d:%v,%v ", r.rid, r.vals[0], r.vals[1])
 		}
-		tb.ScanBatchesExec(p, []int{2}, &exec.Ctx{Pool: exec.NewPool(8)}, func(w, block int, rids []int32, colVals [][]value.Value) bool {
-			out += fmt.Sprintf("b%d %v %v ", block, rids, colVals[0])
+		b, rids := tb.scanBlocks(p, []int{2}, &exec.Ctx{Pool: exec.NewPool(8)})
+		b.Each(func(w, _ int, colVals [][]value.Value) bool {
+			out += fmt.Sprintf("%v %v ", rids(w), colVals[0])
 			return true
 		})
 		res := tb.Aggregate([]agg.Spec{{Func: agg.Count, Col: -1}, {Func: agg.Sum, Col: 2}}, nil, p)

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"math"
 	"sort"
 
 	"hybridstore/internal/agg"
@@ -59,7 +60,7 @@ func (t *Table) matchBitmapExec(pred expr.Predicate, s *scanScratch, ex *exec.Ct
 	}
 	nb := t.numMainBlocks()
 	run := ex // what the blocks run on: nothing (a plain loop) unless the table is worth helpers
-	if t.totalRows() < parallelMinRows || !ex.Parallel(nb) {
+	if t.totalRows() < parallelMinRows || ex.Workers(nb) <= 1 {
 		run = nil
 	}
 	matchers, ok := t.compileMatchers(pred)
@@ -104,27 +105,20 @@ func (t *Table) matchBitmapExec(pred expr.Predicate, s *scanScratch, ex *exec.Ct
 }
 
 // fallbackBitmapExec evaluates an arbitrary predicate by materializing the
-// referenced columns, one block per morsel: each worker gathers them for the
-// block's live rows, runs the predicate per row over a scratch row and sets
-// bits in its block's (word-disjoint) region of the shared bitmap.
+// referenced columns, one block per morsel: each worker runs the predicate
+// per row of its block over a scratch row and sets bits in the block's
+// (word-disjoint) region of the shared bitmap.
 func (t *Table) fallbackBitmapExec(pred expr.Predicate, s *scanScratch, ex *exec.Ctx) bitset.Bits {
 	cols := expr.ColumnSet(pred)
 	match := s.bits(t.totalRows())
 	match.Zero()
-	cg := t.gatherColumns(cols, ex)
-	defer cg.release()
-	bw, ex := t.walkBatches(nil, ex)
-	rows := make([][]value.Value, len(bw.states))
-	ex.Morsels(t.NumBlocks(), func(w, b int) bool {
-		rids, b0, nm, mainN := bw.block(w, b)
-		if len(rids) == 0 {
-			return true
-		}
+	b, rids := t.matchBlocks(nil, cols, ex)
+	rows := make([][]value.Value, b.Ctx.Workers(b.N))
+	b.Each(func(w, _ int, colVals [][]value.Value) bool {
 		if rows[w] == nil {
 			rows[w] = make([]value.Value, len(t.cols))
 		}
-		colVals := cg.gather(w, rids, b0, nm, mainN)
-		for k, rid := range rids {
+		for k, rid := range rids(w) {
 			for j, c := range cols {
 				rows[w][c] = colVals[j][k]
 			}
@@ -152,11 +146,11 @@ type batchWorker struct {
 	main, delta int64
 }
 
-// walkBatches prepares a walk over match. Small tables are not worth
-// helper goroutines: the returned context runs them on the caller alone.
+// walkBatches prepares a walk over match for any worker of ex. Small tables
+// are not worth helper goroutines: the returned context runs them on the
+// caller alone.
 func (t *Table) walkBatches(match bitset.Bits, ex *exec.Ctx) (*batchWalker, *exec.Ctx) {
-	ex = callerOnly(ex, t.totalRows())
-	return &batchWalker{t: t, src: t.rowSource(match), states: make([]batchWorker, ex.Workers(t.NumBlocks()))}, ex
+	return &batchWalker{t: t, src: t.rowSource(match), states: make([]batchWorker, ex.Workers(math.MaxInt))}, callerOnly(ex, t.totalRows())
 }
 
 // block returns block b's batch for worker w: the ascending rids (empty
@@ -189,85 +183,6 @@ func (bw *batchWalker) report(tr *trace.Trace) {
 		deltaRows += bw.states[w].delta
 	}
 	reportFragmentRows(tr, mainRows, deltaRows)
-}
-
-// forBatchesExec is forBatches driven by the execution context: one scan
-// block per morsel. fn must be safe for concurrent calls with distinct
-// worker ids; batch order across workers is not defined (on one worker it
-// is ascending), and the cancellation hook is polled between blocks.
-func (t *Table) forBatchesExec(match bitset.Bits, ex *exec.Ctx, fn func(w int, rids []int32, b0, nm, mainN int) bool) {
-	bw, ex := t.walkBatches(match, ex)
-	ex.Morsels(t.NumBlocks(), func(w, b int) bool {
-		rids, b0, nm, mainN := bw.block(w, b)
-		return len(rids) == 0 || fn(w, rids, b0, nm, mainN)
-	})
-	bw.report(ex.Tracer())
-}
-
-// reduceBatches is forBatchesExec under exec.Reduce's ordered reduction:
-// ranges of per blocks each accumulate, block by block in ascending
-// order, into a partial of their own, and the partials reach merge in
-// block order — so what add sums up does not depend on the pool size.
-func reduceBatches[P any](t *Table, match bitset.Bits, ex *exec.Ctx, per int, newPartial func() P, add func(w int, p P, rids []int32, b0, nm, mainN int) bool, merge func(P)) {
-	bw, ex := t.walkBatches(match, ex)
-	exec.Reduce(ex, t.NumBlocks(), per, newPartial, func(w int, p P, b int) bool {
-		rids, b0, nm, mainN := bw.block(w, b)
-		return len(rids) == 0 || add(w, p, rids, b0, nm, mainN)
-	}, merge)
-	bw.report(ex.Tracer())
-}
-
-// columnGatherer decodes the requested columns of a batch column-at-a-time
-// into per-worker buffers.
-type columnGatherer struct {
-	t      *Table
-	cols   []int
-	states []*gatherWorker
-}
-
-type gatherWorker struct {
-	s     *scanScratch
-	views [][]value.Value
-}
-
-func (t *Table) gatherColumns(cols []int, ex *exec.Ctx) *columnGatherer {
-	return &columnGatherer{t: t, cols: cols, states: make([]*gatherWorker, ex.Workers(t.NumBlocks()))}
-}
-
-// gather returns colVals with colVals[j][k] the value of column cols[j] at
-// row rids[k]. The slices are reused by worker w's next batch.
-func (cg *columnGatherer) gather(w int, rids []int32, b0, nm, mainN int) [][]value.Value {
-	st := cg.states[w]
-	if st == nil {
-		st = &gatherWorker{s: cg.t.acquireScratch(), views: make([][]value.Value, len(cg.cols))}
-		cg.states[w] = st
-	}
-	bufs := st.s.colBufs(len(cg.cols))
-	codes := st.s.codeBuf()
-	for j, cidx := range cg.cols {
-		st.views[j] = bufs[j][:len(rids)]
-		cg.t.gatherColumn(&cg.t.cols[cidx], rids, b0, nm, mainN, codes, st.views[j])
-	}
-	return st.views
-}
-
-// release returns the workers' scratch buffers to the table's pool.
-func (cg *columnGatherer) release() {
-	for _, st := range cg.states {
-		if st != nil {
-			cg.t.releaseScratch(st.s)
-		}
-	}
-}
-
-// reduceColumns is reduceBatches with the requested columns of every
-// batch decoded (see columnGatherer.gather) — add must not retain them.
-func reduceColumns[P any](t *Table, match bitset.Bits, cols []int, ex *exec.Ctx, per int, newPartial func() P, add func(w int, p P, rids []int32, colVals [][]value.Value) bool, merge func(P)) {
-	cg := t.gatherColumns(cols, ex)
-	defer cg.release()
-	reduceBatches(t, match, ex, per, newPartial, func(w int, p P, rids []int32, b0, nm, mainN int) bool {
-		return add(w, p, rids, cg.gather(w, rids, b0, nm, mainN))
-	}, merge)
 }
 
 // reportFragmentRows folds one batch stream's delta-vs-main split into
@@ -436,35 +351,85 @@ func (t *Table) aggregateGlobal(res *agg.Result, specs []agg.Spec, match bitset.
 	}
 }
 
-// ScanBatchesExec is ScanBatches driven by the execution context: batches
-// are claimed one scan block per morsel and decoded into per-worker
-// buffers. fn additionally receives the worker id (for per-worker
-// downstream state) and the batch's block index (block order is the
-// serial batch order, so callers can reassemble deterministic output);
-// it must be safe for concurrent calls with distinct worker ids. A predicate
-// naming the whole key hands its row over alone, on the caller.
-func (t *Table) ScanBatchesExec(pred expr.Predicate, cols []int, ex *exec.Ctx, fn func(w, block int, rids []int32, colVals [][]value.Value) bool) {
+// Blocks returns the live rows matching pred as numbered blocks of columns
+// cols (nil = every column; see exec.Blocks), one scan block each, the
+// columns decoded column-at-a-time into per-worker buffers. A predicate
+// naming the whole key yields its row alone, in one block.
+func (t *Table) Blocks(pred expr.Predicate, cols []int, ex *exec.Ctx) exec.Blocks {
+	b, _ := t.scanBlocks(pred, cols, ex)
+	return b
+}
+
+// scanBlocks is Blocks, and what returns the row ids of worker w's last
+// block.
+func (t *Table) scanBlocks(pred expr.Predicate, cols []int, ex *exec.Ctx) (exec.Blocks, func(w int) []int32) {
 	if cols == nil {
 		cols = t.allColumns()
 	}
 	if rid, ok := t.keyedRow(pred); ok {
-		if rid >= 0 {
-			inMain := int64(0)
-			if rid < t.mainRows {
-				inMain = 1
-			}
-			reportFragmentRows(ex.Tracer(), inMain, 1-inMain)
-			rids, colVals := t.keyedBatch(rid, cols)
-			fn(0, rid/blockRows, rids, colVals)
+		if rid < 0 {
+			return exec.Blocks{Ctx: ex}, nil
 		}
-		return
+		inMain := int64(0)
+		if rid < t.mainRows {
+			inMain = 1
+		}
+		reportFragmentRows(ex.Tracer(), inMain, 1-inMain)
+		rids := []int32{int32(rid)}
+		return exec.Blocks{N: 1, Ctx: ex, Block: func(int, int) [][]value.Value {
+			vals, colVals := make([]value.Value, len(cols)), make([][]value.Value, len(cols))
+			for j, c := range cols {
+				vals[j] = t.cols[c].valueAt(rid, t.mainRows)
+				colVals[j] = vals[j : j+1 : j+1]
+			}
+			return colVals
+		}}, func(int) []int32 { return rids }
 	}
 	s := t.acquireScratch()
-	defer t.releaseScratch(s)
-	match := t.matchBitmapExec(pred, s, ex)
-	cg := t.gatherColumns(cols, ex)
-	defer cg.release()
-	t.forBatchesExec(match, ex, func(w int, rids []int32, b0, nm, mainN int) bool {
-		return fn(w, b0/blockRows, rids, cg.gather(w, rids, b0, nm, mainN))
-	})
+	b, rids := t.matchBlocks(t.matchBitmapExec(pred, s, ex), cols, ex)
+	done := b.Done
+	b.Done = func() {
+		done()
+		t.releaseScratch(s)
+	}
+	return b, rids
+}
+
+// matchBlocks cuts the rows of match (nil = all live) into numbered blocks
+// of columns cols, one scan block each, decoded column-at-a-time into
+// per-worker buffers; rids returns the row ids of worker w's last block.
+func (t *Table) matchBlocks(match bitset.Bits, cols []int, ex *exec.Ctx) (b exec.Blocks, rids func(w int) []int32) {
+	bw, run := t.walkBatches(match, ex)
+	type gatherWorker struct {
+		s     *scanScratch
+		views [][]value.Value
+	}
+	gather := make([]*gatherWorker, len(bw.states))
+	return exec.Blocks{N: t.NumBlocks(), Ctx: run,
+			Block: func(w, i int) [][]value.Value {
+				rids, b0, nm, mainN := bw.block(w, i)
+				if len(rids) == 0 {
+					return nil
+				}
+				g := gather[w]
+				if g == nil {
+					g = &gatherWorker{s: t.acquireScratch(), views: make([][]value.Value, len(cols))}
+					gather[w] = g
+				}
+				bufs, codes := g.s.colBufs(len(cols)), g.s.codeBuf()
+				for j, c := range cols {
+					g.views[j] = bufs[j][:len(rids)]
+					t.gatherColumn(&t.cols[c], rids, b0, nm, mainN, codes, g.views[j])
+				}
+				return g.views
+			},
+			Done: func() {
+				bw.report(run.Tracer())
+				for _, g := range gather {
+					if g != nil {
+						t.releaseScratch(g.s)
+					}
+				}
+			}},
+		func(w int) []int32 { return bw.states[w].rids }
 }

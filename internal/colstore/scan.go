@@ -378,26 +378,21 @@ func (t *Table) keyedRow(pred expr.Predicate) (rid int, ok bool) {
 	return rid, true
 }
 
-// keyedBatch is the batch of row rid alone, with columns cols decoded.
-func (t *Table) keyedBatch(rid int, cols []int) (rids []int32, colVals [][]value.Value) {
-	vals := make([]value.Value, len(cols))
-	colVals = make([][]value.Value, len(cols))
-	for j, c := range cols {
-		vals[j] = t.cols[c].valueAt(rid, t.mainRows)
-		colVals[j] = vals[j : j+1 : j+1]
-	}
-	return []int32{int32(rid)}, colVals
-}
-
-// ScanBatches is the vectorized scan, ScanBatchesExec on the caller alone:
-// matching live rows are streamed to fn in ascending batches of up to
-// blockRows, with the requested columns decoded column-at-a-time into reused
-// column buffers. rids holds the batch's global row ids in ascending order;
-// colVals[j][k] is the value of column cols[j] at row rids[k]. Both slices
-// are reused between batches — fn must not retain them. Returning false
-// stops the scan. nil cols requests every column.
+// ScanBatches is the vectorized scan, Blocks on the caller alone: matching
+// live rows are streamed to fn in ascending batches of up to blockRows, with
+// the requested columns decoded column-at-a-time into reused column buffers.
+// rids holds the batch's global row ids in ascending order; colVals[j][k]
+// is the value of column cols[j] at row rids[k]. Both slices are reused
+// between batches — fn must not retain them. Returning false stops the
+// scan. nil cols requests every column.
 func (t *Table) ScanBatches(pred expr.Predicate, cols []int, fn func(rids []int32, colVals [][]value.Value) bool) {
-	t.ScanBatchesExec(pred, cols, nil, func(_, _ int, rids []int32, colVals [][]value.Value) bool { return fn(rids, colVals) })
+	b, rids := t.scanBlocks(pred, cols, nil)
+	defer b.Release()
+	for i := 0; i < b.N; i++ {
+		if colVals := b.Block(0, i); colVals != nil && !fn(rids(0), colVals) {
+			return
+		}
+	}
 }
 
 // splitBatch returns the number nm of main-resident rids (ascending order

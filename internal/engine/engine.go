@@ -460,18 +460,27 @@ func (db *Database) CollectStats(name string) (*catalog.TableStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := collectStats(rt.store, rt.entry.Schema)
+	sc := catalog.NewStatsCollector(rt.entry.Schema.ColTypes())
+	collectStats(sc, rt.store, rt.entry.Schema)
+	st := sc.Finish()
 	db.cat.SetStats(name, st)
 	return st, nil
 }
 
-// collectStats computes a table's statistics. The columns a column-store
+// collectStats feeds sc a table's statistics. The columns a column-store
 // table holds — or the column partition of a vertical split, alone — are
 // read off its dictionaries with one counting pass over the code vectors
 // (colstore.ValueRuns: no row materialized, distinct counts exact at any
-// cardinality); every other column comes from one scan.
-func collectStats(st storage, sch *schema.Table) *catalog.TableStats {
-	sc := catalog.NewStatsCollector(sch.ColTypes())
+// cardinality), and the partitions of a horizontal split each as their own
+// layout allows; every other column comes from one scan.
+func collectStats(sc *catalog.StatsCollector, st storage, sch *schema.Table) {
+	if h, ok := st.(*horizontalStorage); ok {
+		hot := sc.Part()
+		collectStats(sc, h.cold, sch)
+		collectStats(hot, h.hot, sch)
+		sc.Merge(hot)
+		return
+	}
 	scan := allCols(sch.NumColumns())
 	runs := func(t *colstore.Table, partCol, col int) {
 		t.ValueRuns(partCol, func(v value.Value, rows int) { sc.AddRun(col, v, rows) })
@@ -493,15 +502,8 @@ func collectStats(st storage, sch *schema.Table) *catalog.TableStats {
 		}
 	}
 	if len(scan) > 0 {
-		row := make([]value.Value, sch.NumColumns())
-		st.Scan(nil, scan, nil, func(_, _ int, colVals [][]value.Value) bool {
-			for k := range colVals[0] {
-				sc.Add(blockRow(colVals, scan, k, row))
-			}
-			return true
-		})
+		eachRow(st.Scan(nil, scan, nil), scan, sch.NumColumns(), sc.Add)
 	}
-	return sc.Finish()
 }
 
 // MemoryBytes returns the estimated payload size of a table.

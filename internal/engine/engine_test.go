@@ -40,15 +40,7 @@ func salesRow(id int64) []value.Value {
 // storeRows returns a copy of every live row of st, a width-column table,
 // in serial scan order.
 func storeRows(st storage, width int) [][]value.Value {
-	var rows [][]value.Value
-	cols := allCols(width)
-	st.Scan(nil, cols, nil, func(_, _ int, colVals [][]value.Value) bool {
-		for k := range colVals[0] {
-			rows = append(rows, blockRow(colVals, cols, k, make([]value.Value, width)))
-		}
-		return true
-	})
-	return rows
+	return rowsOf(st.Scan(nil, nil, nil), width)
 }
 
 func newDB(t *testing.T, store catalog.StoreKind, n int) *Database {

@@ -3,10 +3,12 @@ package engine_test
 import (
 	"testing"
 
+	"hybridstore/internal/agg"
 	"hybridstore/internal/catalog"
 	"hybridstore/internal/engine"
 	"hybridstore/internal/expr"
 	"hybridstore/internal/query"
+	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
 	"hybridstore/internal/workload"
 )
@@ -101,6 +103,24 @@ func standardSplits(spec *workload.TableSpec, rows int64) (*catalog.HorizontalSp
 		&catalog.VerticalSpec{RowCols: rowCols, ColCols: colCols}
 }
 
+// benchLayout is one layout a benchmark runs a table in.
+type benchLayout struct {
+	name  string
+	store catalog.StoreKind
+	part  *catalog.PartitionSpec
+}
+
+// benchLayouts are the row, column, horizontal and vertical layouts, the
+// partitioned ones split as given.
+func benchLayouts(horizontal *catalog.HorizontalSpec, vertical *catalog.VerticalSpec) []benchLayout {
+	return []benchLayout{
+		{"row", catalog.RowStore, nil},
+		{"column", catalog.ColumnStore, nil},
+		{"horizontal", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: horizontal}},
+		{"vertical", catalog.Partitioned, &catalog.PartitionSpec{Vertical: vertical}},
+	}
+}
+
 // BenchmarkPointRead is olap_scan's point statement — SELECT id, k0, k1,
 // f0, g0 FROM t WHERE id = ? — on the standard table in every layout, in
 // process. The vertical split puts k0 and k1 in the row partition, so the
@@ -110,16 +130,7 @@ func BenchmarkPointRead(b *testing.B) {
 	spec := workload.StandardTable("t")
 	horizontal, vertical := standardSplits(spec, rows)
 	cols := []int{0, 1, 2, spec.Filters[0], spec.GroupBys[0]}
-	for _, l := range []struct {
-		name  string
-		store catalog.StoreKind
-		part  *catalog.PartitionSpec
-	}{
-		{"row", catalog.RowStore, nil},
-		{"column", catalog.ColumnStore, nil},
-		{"horizontal", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: horizontal}},
-		{"vertical", catalog.Partitioned, &catalog.PartitionSpec{Vertical: vertical}},
-	} {
+	for _, l := range benchLayouts(horizontal, vertical) {
 		b.Run(l.name, func(b *testing.B) {
 			db := engine.New()
 			if err := spec.LoadLayout(db, l.store, l.part, rows, 2012); err != nil {
@@ -149,16 +160,7 @@ func BenchmarkSelect(b *testing.B) {
 	spec := workload.StandardTable("t")
 	horizontal, vertical := standardSplits(spec, rows)
 	k0, k3, f3 := spec.Keyfigures[0], spec.Keyfigures[3], spec.Filters[3]
-	for _, l := range []struct {
-		name  string
-		store catalog.StoreKind
-		part  *catalog.PartitionSpec
-	}{
-		{"row", catalog.RowStore, nil},
-		{"column", catalog.ColumnStore, nil},
-		{"horizontal", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: horizontal}},
-		{"vertical", catalog.Partitioned, &catalog.PartitionSpec{Vertical: vertical}},
-	} {
+	for _, l := range benchLayouts(horizontal, vertical) {
 		b.Run(l.name, func(b *testing.B) {
 			db := engine.New()
 			if err := spec.LoadLayout(db, l.store, l.part, rows, 2012); err != nil {
@@ -187,4 +189,84 @@ func BenchmarkSelect(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkAggregate is olap_scan's aggregates through Database.Exec on
+// every layout, in process: the ungrouped SUM and the GROUP BY of the
+// standard table, and the join of a fact table in the layout with a column
+// dimension table (fact.f0 < 300 keeps about a third of the fact rows).
+// The fact table's vertical split keeps the joined and aggregated columns
+// in its column partition, as the advisor does. accounts is htap_durable's
+// SUM over a row table of 10 000 balances.
+func BenchmarkAggregate(b *testing.B) {
+	const rows, dimRows = 30000, 2000
+	spec, fact, dim := workload.StandardTable("t"), workload.FactTable("fact", dimRows), workload.DimensionTable("dim")
+	horizontal, vertical := standardSplits(spec, rows)
+	k0, k3, g1 := spec.Keyfigures[0], spec.Keyfigures[3], spec.GroupBys[1]
+	nFact := fact.Schema.NumColumns()
+	queries := []struct {
+		name string
+		q    *query.Query
+	}{
+		{"sum", &query.Query{Kind: query.Aggregate, Table: "t",
+			Aggs: []agg.Spec{{Func: agg.Sum, Col: k0}, {Func: agg.Sum, Col: k3}}}},
+		{"group", &query.Query{Kind: query.Aggregate, Table: "t", GroupBy: []int{g1},
+			Aggs: []agg.Spec{{Func: agg.Sum, Col: k0}, {Func: agg.Avg, Col: k3}}}},
+		{"join", &query.Query{Kind: query.Aggregate, Table: "fact",
+			Join:    &query.Join{Table: "dim", LeftCol: 1, RightCol: 0},
+			GroupBy: []int{nFact + 2}, // dim.d_g1
+			Aggs:    []agg.Spec{{Func: agg.Sum, Col: fact.Keyfigures[0]}},
+			Pred:    &expr.Comparison{Col: fact.Filters[0], Op: expr.Lt, Val: value.NewInt(300)}}},
+	}
+	factLayouts := benchLayouts(
+		&catalog.HorizontalSpec{SplitCol: 0, SplitVal: value.NewBigint(rows * 9 / 10),
+			HotStore: catalog.RowStore, ColdStore: catalog.ColumnStore},
+		&catalog.VerticalSpec{RowCols: []int{0, 7, 8, 9}, ColCols: []int{0, 1, 2, 3, 4, 5, 6}})
+	for i, l := range benchLayouts(horizontal, vertical) {
+		b.Run(l.name, func(b *testing.B) {
+			db := engine.New()
+			if err := spec.LoadLayout(db, l.store, l.part, rows, 2012); err != nil {
+				b.Fatal(err)
+			}
+			if err := fact.LoadLayout(db, l.store, factLayouts[i].part, rows, 2013); err != nil {
+				b.Fatal(err)
+			}
+			if err := dim.Load(db, catalog.ColumnStore, dimRows, 2014); err != nil {
+				b.Fatal(err)
+			}
+			for _, c := range queries {
+				b.Run(c.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if res, err := db.Exec(c.q); err != nil || len(res.Rows) == 0 {
+							b.Fatal(res, err)
+						}
+					}
+				})
+			}
+		})
+	}
+	b.Run("accounts", func(b *testing.B) {
+		db := engine.New()
+		sch := schema.MustNew("accounts", []schema.Column{
+			{Name: "id", Type: value.Bigint}, {Name: "balance", Type: value.Double}, {Name: "owner", Type: value.Integer},
+		}, "id")
+		if err := db.CreateTable(sch, catalog.RowStore); err != nil {
+			b.Fatal(err)
+		}
+		acc := make([][]value.Value, 10000)
+		for i := range acc {
+			acc[i] = []value.Value{value.NewBigint(int64(i)), value.NewDouble(1000), value.NewInt(int64(i % 97))}
+		}
+		if _, err := db.Exec(&query.Query{Kind: query.Insert, Table: "accounts", Rows: acc}); err != nil {
+			b.Fatal(err)
+		}
+		q := &query.Query{Kind: query.Aggregate, Table: "accounts", Aggs: []agg.Spec{{Func: agg.Sum, Col: 1}}}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if res, err := db.Exec(q); err != nil || res.Rows[0][0].Float() != 1000*10000 {
+				b.Fatal(res, err)
+			}
+		}
+	})
 }

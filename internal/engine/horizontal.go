@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sync/atomic"
-
 	"hybridstore/internal/agg"
 	"hybridstore/internal/catalog"
 	"hybridstore/internal/exec"
@@ -125,31 +123,37 @@ func (h *horizontalStorage) sides(pred expr.Predicate) (useHot, useCold bool) {
 	return
 }
 
-// coldSeq numbers the cold partition's blocks after any block of the hot
-// one: a partition holds fewer than 2^30 blocks.
-const coldSeq = 1 << 30
+// Scan returns the hot partition's blocks, then the cold one's.
+func (h *horizontalStorage) Scan(pred expr.Predicate, cols []int, ex *exec.Ctx) exec.Blocks {
+	switch useHot, useCold := h.sides(pred); {
+	case useHot && useCold:
+		return concatBlocks(h.hot.Scan(pred, cols, ex), h.cold.Scan(pred, cols, ex))
+	case useHot:
+		return h.hot.Scan(pred, cols, ex)
+	case useCold:
+		return h.cold.Scan(pred, cols, ex)
+	}
+	return exec.Blocks{Ctx: ex}
+}
 
-// Scan scans the hot partition, then the cold one.
-func (h *horizontalStorage) Scan(pred expr.Predicate, cols []int, ex *exec.Ctx, fn func(w, seq int, colVals [][]value.Value) bool) {
-	useHot, useCold := h.sides(pred)
-	if !useHot || !useCold { // one side or none: its own block numbers do
-		if useHot {
-			h.hot.Scan(pred, cols, ex, fn)
-		} else if useCold {
-			h.cold.Scan(pred, cols, ex, fn)
-		}
-		return
+// concatBlocks returns a's blocks, then b's, on the narrower context of the
+// two: one without a pool when either has none.
+func concatBlocks(a, b exec.Blocks) exec.Blocks {
+	ctx := a.Ctx
+	if b.Ctx == nil || b.Ctx.Pool == nil {
+		ctx = b.Ctx
 	}
-	var stopped atomic.Bool
-	h.hot.Scan(pred, cols, ex, func(w, seq int, colVals [][]value.Value) bool {
-		if !fn(w, seq, colVals) {
-			stopped.Store(true)
-		}
-		return !stopped.Load()
-	})
-	if !stopped.Load() {
-		h.cold.Scan(pred, cols, ex, func(w, seq int, colVals [][]value.Value) bool { return fn(w, coldSeq+seq, colVals) })
-	}
+	return exec.Blocks{N: a.N + b.N, Ctx: ctx,
+		Block: func(w, i int) [][]value.Value {
+			if i < a.N {
+				return a.Block(w, i)
+			}
+			return b.Block(w, i-a.N)
+		},
+		Done: func() {
+			a.Release()
+			b.Release()
+		}}
 }
 
 // Aggregate computes partial aggregates per relevant partition and merges

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -110,28 +111,19 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 	if q.Kind == query.Select && outCols == nil {
 		outCols = plan.StarCols(left.entry.Schema, right.entry.Schema)
 	}
-	var probeRows int64
+	var probeRows atomic.Int64
 	var rc *rowCollector
+	probeCols := func(cols []int) exec.Blocks {
+		return probeJoin(&probe, &build, buildNeed, hash, postPred, nL+nR, cols, ex, &probeRows)
+	}
 	switch {
 	case star != nil:
-		probeRows = star.probe(aggRes, probe.pred, ex)
+		probeRows.Store(star.probe(aggRes, probe.pred, ex))
 	case q.Kind == query.Aggregate:
-		aggregateBlocks(aggRes, ex, func(add func(w, seq int, row []value.Value) bool) {
-			probeRows = probeJoin(&probe, &build, buildNeed, hash, postPred, nL+nR, ex, add)
-		})
+		aggRes.Fold(foldBlocks, probeCols)
 	default:
-		// A joined row is offered as a one-row block of its output columns,
-		// sort keys and probe key (so that the block has a column).
-		pos := append(append(slices.Clip(outCols), orderCols(q.OrderBy)...), probe.offset+probe.joinCol)
-		var pex *exec.Ctx
-		rc, pex = newRowCollector(q, len(outCols), pos, sh.topk != nil, ex)
-		probeRows = probeJoin(&probe, &build, buildNeed, hash, postPred, nL+nR, pex, func(w, seq int, row []value.Value) bool {
-			one := make([][]value.Value, len(pos))
-			for j, p := range pos {
-				one[j] = row[p : p+1]
-			}
-			return rc.add(w, seq, one)
-		})
+		pos := append(slices.Clip(outCols), orderCols(q.OrderBy)...) // the output columns, then the sort keys
+		rc = collectRows(q, len(outCols), pos, sh.topk != nil, probeCols(pos))
 	}
 	sp := tr.Span("join")
 	if star != nil {
@@ -143,7 +135,7 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 		sp.Tag("probe", "generic")
 	}
 	sp.Add("build_rows", buildRows)
-	sp.Add("probe_rows", probeRows)
+	sp.Add("probe_rows", probeRows.Load())
 
 	if err := ctx.Err(); err != nil {
 		psp.End()
@@ -222,19 +214,13 @@ type buildRow struct {
 // matching rows, keyed by join key; NULL keys never join and are left out.
 func buildJoinHash(build *joinSide, buildNeed []int, ex *exec.Ctx) (hash map[uint64][]*buildRow, rows int64) {
 	hash = make(map[uint64][]*buildRow)
-	keyIdx := len(buildNeed) - 1
-	mergedScan(build.rt, build.view, build.pred, buildNeed, ex.Serial(), func(_, _ int, colVals [][]value.Value) bool {
-		for k, key := range colVals[keyIdx] {
-			if key.IsNull() {
-				continue
-			}
-			br := &buildRow{key: build.joinKey(key), vals: make([]value.Value, build.width)}
-			blockRow(colVals, buildNeed, k, br.vals)
+	eachRow(mergedScan(build.rt, build.view, build.pred, buildNeed, ex.Serial()), buildNeed, build.width, func(row []value.Value) {
+		if key := row[build.joinCol]; !key.IsNull() {
+			br := &buildRow{key: build.joinKey(key), vals: slices.Clone(row)}
 			h := br.key.Hash()
 			hash[h] = append(hash[h], br)
 			rows++
 		}
-		return true
 	})
 	return hash, rows
 }
@@ -310,48 +296,43 @@ func newStarJoin(t *colstore.Table, q *query.Query, probe, build *joinSide, buil
 	sj.nulls = make([][]bool, len(extCols))
 
 	key := make([]value.Value, len(q.GroupBy))
-	row := make([]value.Value, build.width)
 	hint := 0
-	mergedScan(build.rt, build.view, build.pred, buildNeed, ex.Serial(), func(_, _ int, colVals [][]value.Value) bool {
-		for k := range colVals[0] {
-			row = blockRow(colVals, buildNeed, k, row)
-			jk := row[build.joinCol]
-			if jk.IsNull() {
+	eachRow(mergedScan(build.rt, build.view, build.pred, buildNeed, ex.Serial()), buildNeed, build.width, func(row []value.Value) {
+		jk := row[build.joinCol]
+		if jk.IsNull() {
+			return
+		}
+		sj.buildRows++
+		// A value can sit in the main and in the delta dictionary.
+		main, delta := t.LookupCodes(probe.joinCol, build.joinKey(jk), hint)
+		if main < 0 && delta < 0 {
+			return // no probe row carries the key
+		}
+		sj.resolved++
+		hint = main + 1 // build rows tend to arrive in key order
+		g := uint32(0)  // an ungrouped aggregate has the one group
+		if len(key) > 0 {
+			for i, c := range q.GroupBy {
+				key[i] = row[c-build.offset]
+			}
+			g = uint32(sj.ids.GroupIndex(key))
+		}
+		for _, code := range [2]int{main, delta} {
+			if code < 0 {
 				continue
 			}
-			sj.buildRows++
-			// A value can sit in the main and in the delta dictionary.
-			main, delta := t.LookupCodes(probe.joinCol, build.joinKey(jk), hint)
-			if main < 0 && delta < 0 {
-				continue // no probe row carries the key
-			}
-			sj.resolved++
-			hint = main + 1 // build rows tend to arrive in key order
-			g := uint32(0)  // an ungrouped aggregate has the one group
-			if len(key) > 0 {
-				for i, c := range q.GroupBy {
-					key[i] = row[c-build.offset]
-				}
-				g = uint32(sj.ids.GroupIndex(key))
-			}
-			for _, code := range [2]int{main, delta} {
-				if code < 0 {
-					continue
-				}
-				sj.groupOf[code] = g
-				for e, c := range extCols {
-					if v := row[c]; !v.IsNull() {
-						sj.vals[e][code] = v.Float()
-					} else {
-						if sj.nulls[e] == nil {
-							sj.nulls[e] = make([]bool, space)
-						}
-						sj.nulls[e][code] = true
+			sj.groupOf[code] = g
+			for e, c := range extCols {
+				if v := row[c]; !v.IsNull() {
+					sj.vals[e][code] = v.Float()
+				} else {
+					if sj.nulls[e] == nil {
+						sj.nulls[e] = make([]bool, space)
 					}
+					sj.nulls[e][code] = true
 				}
 			}
 		}
-		return true
 	})
 	groups := len(sj.ids.Groups)
 	for code, g := range sj.groupOf {
@@ -398,18 +379,17 @@ func (sj *starJoin) probe(aggRes *agg.Result, pred expr.Predicate, ex *exec.Ctx)
 	return sj.probed.Load()
 }
 
-// probeJoin streams the probe side through the build side's hash table:
-// the rows of each block, on whichever worker the scan hands it to, meet
-// their matches in a combined row, and each combined row that passes the
-// post-join conjuncts goes to emit under the block's seq; emit returning
-// false stops the probe. It returns the probe rows seen.
-func probeJoin(probe, build *joinSide, buildNeed []int, hash map[uint64][]*buildRow, postPred expr.Predicate, combinedWidth int, ex *exec.Ctx, emit func(w, seq int, row []value.Value) bool) int64 {
+// probeJoin is the probe side run through the build side's hash table, as
+// a block source of combined-row columns cols: joined block i holds the
+// combined rows of probe block i's matches that pass the post-join
+// conjuncts. probed counts the probe rows seen.
+func probeJoin(probe, build *joinSide, buildNeed []int, hash map[uint64][]*buildRow, postPred expr.Predicate, combinedWidth int, cols []int, ex *exec.Ctx, probed *atomic.Int64) exec.Blocks {
 	probeNeed := append(append([]int{}, probe.need...), probe.joinCol)
 	keyIdx := len(probeNeed) - 1
-	var rows atomic.Int64
-	mergedScan(probe.rt, probe.view, probe.pred, probeNeed, ex, func(w, seq int, colVals [][]value.Value) bool {
-		row := make([]value.Value, combinedWidth)
-		rows.Add(int64(len(colVals[keyIdx])))
+	in := mergedScan(probe.rt, probe.view, probe.pred, probeNeed, ex)
+	return joinedBlocks(in, ex, combinedWidth, cols, func(colVals [][]value.Value, jw *joinWorker) {
+		probed.Add(int64(len(colVals[keyIdx])))
+		row := jw.row
 		for k, kv := range colVals[keyIdx] {
 			if kv.IsNull() {
 				continue
@@ -428,12 +408,48 @@ func probeJoin(probe, build *joinSide, buildNeed []int, hash map[uint64][]*build
 				for _, c := range buildNeed {
 					row[build.offset+c] = m.vals[c]
 				}
-				if (postPred == nil || postPred.Matches(row)) && !emit(w, seq, row) {
-					return false
+				if postPred == nil || postPred.Matches(row) {
+					jw.put()
 				}
 			}
 		}
-		return true
 	})
-	return rows.Load()
+}
+
+// joinedBlocks turns the blocks of a join's driving side into the join's
+// blocks of columns cols: joined block i holds what match puts out for
+// driving block i, with its own worker's buffers — a width-wide combined
+// row to fill, and put, which takes the row as it stands.
+func joinedBlocks(in exec.Blocks, ex *exec.Ctx, width int, cols []int, match func(colVals [][]value.Value, jw *joinWorker)) exec.Blocks {
+	workers := make([]*joinWorker, ex.Workers(math.MaxInt))
+	return exec.Blocks{N: in.N, Ctx: in.Ctx, Done: in.Done, Block: func(w, i int) [][]value.Value {
+		colVals := in.Block(w, i)
+		if len(colVals) == 0 {
+			return nil
+		}
+		jw := workers[w]
+		if jw == nil {
+			jw = &joinWorker{row: make([]value.Value, width), cols: cols, out: make([][]value.Value, len(cols))}
+			workers[w] = jw
+		}
+		for j := range jw.out {
+			jw.out[j] = jw.out[j][:0]
+		}
+		match(colVals, jw)
+		return nonEmpty(jw.out)
+	}}
+}
+
+// joinWorker is one worker's buffers of a join's block source.
+type joinWorker struct {
+	row  []value.Value // the combined row
+	cols []int
+	out  [][]value.Value // the block's columns cols
+}
+
+// put appends the combined row's columns to the block.
+func (jw *joinWorker) put() {
+	for j, c := range jw.cols {
+		jw.out[j] = append(jw.out[j], jw.row[c])
+	}
 }

@@ -149,14 +149,7 @@ func (db *Database) MigrateLayout(name string, store catalog.StoreKind, spec *ca
 	// mark is not at all.
 	db.mu.RLock()
 	mark := len(tail.ops)
-	var snapshot [][]value.Value
-	cols := allCols(rt.entry.Schema.NumColumns())
-	rt.store.Scan(nil, cols, nil, func(_, _ int, colVals [][]value.Value) bool {
-		for k := range colVals[0] {
-			snapshot = append(snapshot, blockRow(colVals, cols, k, make([]value.Value, len(cols))))
-		}
-		return true
-	})
+	snapshot := rowsOf(rt.store.Scan(nil, nil, nil), rt.entry.Schema.NumColumns())
 	indexes := append([]int(nil), rt.entry.Indexes...)
 	db.mu.RUnlock()
 

@@ -689,15 +689,7 @@ func (db *Database) txnDelete(rt *tableRuntime, sch *schema.Table, t *txn.Txn, q
 // db.mu.RLock.
 func (db *Database) matchForWrite(rt *tableRuntime, t *txn.Txn, pred expr.Predicate) [][]value.Value {
 	view := db.tableView(rt, t.BeginTS, t)
-	var olds [][]value.Value
-	cols := allCols(rt.entry.Schema.NumColumns())
-	mergedScan(rt, view, pred, cols, nil, func(_, _ int, colVals [][]value.Value) bool {
-		for k := range colVals[0] {
-			olds = append(olds, blockRow(colVals, cols, k, make([]value.Value, len(cols))))
-		}
-		return true
-	})
-	return olds
+	return rowsOf(mergedScan(rt, view, pred, nil, nil), rt.entry.Schema.NumColumns())
 }
 
 // stmtSnap carries one read statement's snapshot: the timestamp it reads
@@ -754,80 +746,107 @@ func (db *Database) tableView(rt *tableRuntime, ts uint64, tx *txn.Txn) *overlay
 
 // mergedScan is the block scan of rt's base storage merged with a
 // statement's overlay view. With a nil view it is the base scan on ex.
-// Otherwise it runs serially on the caller, as a transformer of the
-// base scan's blocks: in each block a superseded base row gives its place
-// to the image the overlay shows for its key — an updated row stays where
-// the scan order (physical or index) puts it, whether or not its commit
-// has been folded yet — and the overlay's remaining visible rows follow in
-// one more block, all through the same predicate. The columns are then
-// widened with the primary key (overlay images carry full width);
-// colVals[j] is still column cols[j] for every j < len(cols).
-func mergedScan(rt *tableRuntime, view *overlayView, pred expr.Predicate, cols []int, ex *exec.Ctx, fn func(w, seq int, colVals [][]value.Value) bool) {
+// Otherwise its blocks run in order on one worker, transforming the base
+// scan's: in each block a superseded base row gives its place to the image
+// the overlay shows for its key — an updated row stays where the scan order
+// (physical or index) puts it, whether or not its commit has been folded
+// yet — and the overlay's remaining visible rows follow in one more block,
+// all through the same predicate. The columns are then widened with the
+// primary key (overlay images carry full width); colVals[j] is still
+// column cols[j] for every j < len(cols).
+func mergedScan(rt *tableRuntime, view *overlayView, pred expr.Predicate, cols []int, ex *exec.Ctx) exec.Blocks {
 	if view == nil {
-		rt.store.Scan(pred, cols, ex, fn)
-		return
+		return rt.store.Scan(pred, cols, ex)
 	}
 	sch := rt.entry.Schema
 	cols = unionCols(orAll(cols, sch.NumColumns()), sch.PrimaryKey)
-	pkbuf := make([]value.Value, len(sch.PrimaryKey))
-	placed := make([]bool, len(view.rows)) // images already shown in their base row's place
-	put := func(dst [][]value.Value, img []value.Value) {
+	pkbuf, pkPos := make([]value.Value, len(sch.PrimaryKey)), make([]int, len(sch.PrimaryKey))
+	for i, c := range sch.PrimaryKey {
+		pkPos[i] = slices.Index(cols, c)
+	}
+	placed := make([]bool, len(view.rows))  // images already shown in their base row's place
+	out := make([][]value.Value, len(cols)) // a block rebuilt from its first superseded row on
+	put := func(img []value.Value) {
 		if pred == nil || pred.Matches(img) {
 			for j, c := range cols {
-				dst[j] = append(dst[j], img[c])
+				out[j] = append(out[j], img[c])
 			}
 		}
 	}
-	last, stopped := 0, false
-	rt.store.Scan(pred, cols, ex.Serial(), func(_, seq int, colVals [][]value.Value) bool {
-		var out [][]value.Value // the block rebuilt from its first superseded row on
+	base := rt.store.Scan(pred, cols, ex.Serial())
+	return exec.Blocks{N: base.N + 1, Ctx: base.Ctx, Done: base.Done, Block: func(w, i int) [][]value.Value {
+		for j := range out {
+			out[j] = out[j][:0]
+		}
+		if i == base.N {
+			for i, img := range view.rows {
+				if !placed[i] {
+					put(img)
+				}
+			}
+			return nonEmpty(out)
+		}
+		colVals := base.Block(w, i)
+		if len(colVals) == 0 {
+			return nil
+		}
+		rebuilt := false
 		for k := range colVals[0] {
-			for i, c := range sch.PrimaryKey {
-				pkbuf[i] = colVals[slices.Index(cols, c)][k]
+			for i, p := range pkPos {
+				pkbuf[i] = colVals[p][k]
 			}
 			at, masked := view.masked[value.TupleKey(pkbuf)]
-			if masked && out == nil {
-				out = make([][]value.Value, len(cols))
+			if masked && !rebuilt {
+				rebuilt = true
 				for j := range out {
-					out[j] = append(make([]value.Value, 0, len(colVals[0])), colVals[j][:k]...)
+					out[j] = append(out[j], colVals[j][:k]...)
 				}
 			}
 			switch {
-			case out != nil && !masked:
+			case rebuilt && !masked:
 				for j := range out {
 					out[j] = append(out[j], colVals[j][k])
 				}
 			case masked && at >= 0 && !placed[at]:
 				placed[at] = true
-				put(out, view.rows[at])
+				put(view.rows[at])
 			}
 		}
-		if out == nil {
-			out = colVals
+		if !rebuilt {
+			return colVals
 		}
-		last, stopped = seq, len(out[0]) > 0 && !fn(0, seq, out)
-		return !stopped
-	})
-	if stopped || ex.Stopped() {
-		return
-	}
-	rest := make([][]value.Value, len(cols))
-	for i, img := range view.rows {
-		if !placed[i] {
-			put(rest, img)
-		}
-	}
-	if len(rest[0]) > 0 {
-		fn(0, last+1, rest)
-	}
+		return nonEmpty(out)
+	}}
 }
 
-// blockRow returns row k of a block of columns cols as a row of table
-// positions: column cols[j] of row holds colVals[j][k]; other positions
-// are left as they were.
-func blockRow(colVals [][]value.Value, cols []int, k int, row []value.Value) []value.Value {
-	for j, c := range cols {
-		row[c] = colVals[j][k]
+// nonEmpty returns colVals, or nil when it holds no row.
+func nonEmpty(colVals [][]value.Value) [][]value.Value {
+	if len(colVals[0]) == 0 {
+		return nil
 	}
-	return row
+	return colVals
+}
+
+// rowsOf copies out every row of serial blocks whose first width columns
+// are the table's, in block order.
+func rowsOf(b exec.Blocks, width int) (rows [][]value.Value) {
+	eachRow(b, allCols(width), width, func(row []value.Value) { rows = append(rows, slices.Clone(row)) })
+	return rows
+}
+
+// eachRow hands fn, in block order, every row of serial blocks of columns
+// cols as a row of table positions, width wide — column cols[j] at
+// position cols[j], the others left as the last row had them — in one
+// reused row.
+func eachRow(b exec.Blocks, cols []int, width int, fn func(row []value.Value)) {
+	row := make([]value.Value, width)
+	b.Each(func(_, _ int, colVals [][]value.Value) bool {
+		for k := range colVals[0] {
+			for j, c := range cols {
+				row[c] = colVals[j][k]
+			}
+			fn(row)
+		}
+		return true
+	})
 }

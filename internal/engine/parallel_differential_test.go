@@ -197,11 +197,13 @@ func parQueries(seed int64) []*query.Query {
 			specs[j] = agg.Spec{Func: f, Col: col}
 		}
 		var groupBy []int
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 1:
 			groupBy = []int{1}
 		case 2:
 			groupBy = []int{1, 2}
+		case 3:
+			groupBy = []int{1, 2, 4} // too many columns for the dense kernel: the generic fold
 		}
 		qs = append(qs, &query.Query{
 			Kind: query.Aggregate, Table: "par",
@@ -253,7 +255,7 @@ func (b byKey) Swap(i, j int) {
 
 // assertPoolSizeIndependent runs q under worker pools of 1, 2, 3 and 8
 // slots (1 and 8 under the race detector) and requires bit-identical
-// (order-insensitive) results.
+// results: a SELECT's rows in the same order, an aggregate's groups in any.
 func assertPoolSizeIndependent(t *testing.T, db *Database, q *query.Query, label string) {
 	t.Helper()
 	sizes := []int{1, 2, 3, 8}
@@ -267,7 +269,10 @@ func assertPoolSizeIndependent(t *testing.T, db *Database, q *query.Query, label
 		if err != nil {
 			t.Fatalf("%s: %d-slot pool: %v", label, size, err)
 		}
-		rows := sortedRows(res.Rows)
+		rows := res.Rows
+		if q.Kind != query.Select {
+			rows = sortedRows(rows)
+		}
 		if size == 1 {
 			serial = rows
 		} else if !reflect.DeepEqual(serial, rows) {

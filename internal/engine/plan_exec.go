@@ -7,6 +7,7 @@ import (
 
 	"hybridstore/internal/agg"
 	"hybridstore/internal/costmodel"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/plan"
 	"hybridstore/internal/query"
 	"hybridstore/internal/trace"
@@ -208,8 +209,7 @@ func (db *Database) execScanPlan(ctx context.Context, q *query.Query, sh *readSh
 	if tr != nil {
 		ssp = tr.Start(nodeSpanName(sh.scan))
 	}
-	c, ex := newRowCollector(q, len(cols), scanCols, sh.topk != nil, db.execCtx(ctx))
-	mergedScan(rt, db.tableView(rt, snap.ts, snap.tx), q.Pred, scanCols, ex, c.add)
+	c := collectRows(q, len(cols), scanCols, sh.topk != nil, mergedScan(rt, db.tableView(rt, snap.ts, snap.tx), q.Pred, scanCols, db.execCtx(ctx)))
 	if err := ctx.Err(); err != nil {
 		ssp.End()
 		return nil, err
@@ -242,9 +242,9 @@ func finishCollect(tr *trace.Trace, sh *readShape, c *rowCollector, sp *trace.Sp
 
 // execAggPlan executes a planned single-table aggregate through the
 // storage layer's fused scan+aggregate kernel — or, when the statement's
-// snapshot view overlays versioned rows, through a merged row-at-a-time
-// accumulation (the kernels only see base storage, which would miss or
-// double-count versioned keys).
+// snapshot view overlays versioned rows, through the generic hash fold
+// over the merged scan (the kernels only see base storage, which would miss
+// or double-count versioned keys).
 func (db *Database) execAggPlan(ctx context.Context, q *query.Query, sh *readShape, snap stmtSnap) (*Result, error) {
 	rt, err := db.runtime(q.Table)
 	if err != nil {
@@ -256,20 +256,12 @@ func (db *Database) execAggPlan(ctx context.Context, q *query.Query, sh *readSha
 	if tr != nil && sh.agg != nil {
 		asp = tr.Start(nodeSpanName(sh.agg))
 	}
+	ex := db.execCtx(ctx)
 	var ar *agg.Result
 	if view := db.tableView(rt, snap.ts, snap.tx); view != nil {
-		ar = agg.NewResult(q.Aggs, q.GroupBy)
-		ar.SetOutputTypes(sch.ColTypes())
-		cols := allCols(sch.NumColumns())
-		row := make([]value.Value, len(cols))
-		mergedScan(rt, view, q.Pred, cols, db.execCtx(ctx), func(_, _ int, colVals [][]value.Value) bool {
-			for k := range colVals[0] {
-				ar.AddRow(blockRow(colVals, cols, k, row))
-			}
-			return true
-		})
+		ar = foldScan(sch.ColTypes(), q.Aggs, q.GroupBy, func(cols []int) exec.Blocks { return mergedScan(rt, view, q.Pred, cols, ex) })
 	} else {
-		ar = rt.store.Aggregate(q.Aggs, q.GroupBy, q.Pred, db.execCtx(ctx))
+		ar = rt.store.Aggregate(q.Aggs, q.GroupBy, q.Pred, ex)
 	}
 	if err := ctx.Err(); err != nil {
 		asp.End()

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"math"
-
 	"hybridstore/internal/agg"
 	"hybridstore/internal/colstore"
 	"hybridstore/internal/exec"
@@ -26,17 +24,16 @@ import (
 type storage interface {
 	Rows() int
 	Insert(rows [][]value.Value) error
-	// Scan streams the live rows matching pred in blocks of up to
-	// scanBlockRows: colVals[j][k] is column cols[j] of the block's k-th
-	// row (nil or empty cols = every column, in table order). seq numbers
-	// the blocks in the order a serial scan visits them, so a caller that
-	// is handed blocks out of that order can restore it; w is the worker
-	// the block runs on. With a pool in ex, blocks run concurrently on
-	// distinct workers; ex's Stop hook is polled at block boundaries and a
-	// stopped scan's output must be discarded; a nil ex runs serially.
-	// fn returning false stops the scan. The slices are reused after fn
-	// returns — do not retain them.
-	Scan(pred expr.Predicate, cols []int, ex *exec.Ctx, fn func(w, seq int, colVals [][]value.Value) bool)
+	// Scan returns the live rows matching pred as numbered blocks (see
+	// exec.Blocks): block(w, i) decodes block i's rows into worker w's
+	// buffers, colVals[j][k] being column cols[j] of the block's k-th row
+	// (nil or empty cols = every column, in table order), and the blocks
+	// are numbered in the order a serial scan visits them. They run on the
+	// returned context — ex, or ex without its pool where the layout is
+	// too small for helpers or must visit its blocks in order — whose Stop
+	// hook is polled between blocks; a stopped scan's output must be
+	// discarded, and a nil ex runs serially.
+	Scan(pred expr.Predicate, cols []int, ex *exec.Ctx) exec.Blocks
 	// Aggregate computes grouped aggregates over rows matching pred. ex
 	// carries the statement's execution context: its Stop hook (derived
 	// from the statement context) is polled at batch boundaries —
@@ -185,12 +182,27 @@ func (s *rowStorage) Rows() int { return s.t.Rows() }
 
 func (s *rowStorage) Insert(rows [][]value.Value) error { return s.t.Insert(rows) }
 
-func (s *rowStorage) Scan(pred expr.Predicate, cols []int, ex *exec.Ctx, fn func(w, seq int, colVals [][]value.Value) bool) {
-	scanRowTable(s.t, pred, orAll(cols, s.t.Schema().NumColumns()), ex, fn)
+func (s *rowStorage) Scan(pred expr.Predicate, cols []int, ex *exec.Ctx) exec.Blocks {
+	return s.t.Blocks(pred, cols, ex)
 }
 
 func (s *rowStorage) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate, ex *exec.Ctx) *agg.Result {
-	return s.t.AggregateExec(specs, groupBy, pred, ex)
+	return foldScan(s.t.Schema().ColTypes(), specs, groupBy, func(cols []int) exec.Blocks { return s.Scan(pred, cols, ex) })
+}
+
+// foldBlocks is how many consecutive scan blocks share one partial of a
+// generic hash fold (agg.Result.Fold) — 1 024 row-store slots, 4 096
+// column-store rows — so merging a partial costs little beside its scan.
+const foldBlocks = 4
+
+// foldScan aggregates, through the generic hash fold, the block scan that
+// scan returns for the columns the aggregates name, whose table columns
+// have the given types.
+func foldScan(types []value.Type, specs []agg.Spec, groupBy []int, scan func(cols []int) exec.Blocks) *agg.Result {
+	res := agg.NewResult(specs, groupBy)
+	res.SetOutputTypes(types)
+	res.Fold(foldBlocks, scan)
+	return res
 }
 
 func (s *rowStorage) CreateIndex(col int) { s.t.CreateIndex(col) }
@@ -220,10 +232,6 @@ func (s *rowStorage) restore(dec *wal.Decoder) error {
 	return nil
 }
 
-// scanBlockRows is the block size of a scan over a row-at-a-time store,
-// the column store's block size.
-const scanBlockRows = 1024
-
 // orAll returns cols, or every column of a width-column table when cols
 // is nil or empty.
 func orAll(cols []int, width int) []int {
@@ -231,69 +239,6 @@ func orAll(cols []int, width int) []int {
 		return allCols(width)
 	}
 	return cols
-}
-
-// maxWorkers is the most workers a scan on ex hands blocks to, for sizing
-// per-worker state.
-func maxWorkers(ex *exec.Ctx) int { return ex.Workers(math.MaxInt) }
-
-// rowBlocks gathers the rows a row-at-a-time scan matches into the column
-// blocks of storage.Scan, on the caller: add takes a matched row's id and
-// hands the block over once it holds scanBlockRows rows, flush hands over
-// the rest. Once a block's rows are known its columns are read through
-// get, into buffers sized to the first block and reused.
-type rowBlocks struct {
-	cols    []int
-	get     func(id int32, col int) value.Value
-	ex      *exec.Ctx
-	fn      func(w, seq int, colVals [][]value.Value) bool
-	ids     []int32
-	colVals [][]value.Value
-	seq     int
-	stopped bool
-}
-
-// add offers the row with the given id; false means stop.
-func (b *rowBlocks) add(id int) bool {
-	b.ids = append(b.ids, int32(id))
-	return len(b.ids) < scanBlockRows || b.flush()
-}
-
-// flush hands the gathered rows over as a block, unless the scan or the
-// statement has been stopped; false means stop.
-func (b *rowBlocks) flush() bool {
-	if b.stopped || len(b.ids) == 0 {
-		return !b.stopped
-	}
-	if n := len(b.ids); b.colVals == nil || cap(b.colVals[0]) < n {
-		flat := make([]value.Value, n*len(b.cols))
-		b.colVals = make([][]value.Value, len(b.cols))
-		for j := range b.colVals {
-			b.colVals[j] = flat[j*n : j*n : (j+1)*n]
-		}
-	}
-	for j, c := range b.cols {
-		vals := b.colVals[j][:0]
-		for _, id := range b.ids {
-			vals = append(vals, b.get(id, c))
-		}
-		b.colVals[j] = vals
-	}
-	if b.ex.Stopped() || !b.fn(0, b.seq, b.colVals) {
-		b.stopped = true
-		return false
-	}
-	b.seq++
-	b.ids = b.ids[:0]
-	return true
-}
-
-// scanRowTable is storage.Scan over a row-store table, cols indexing its
-// columns: the store's own scan, serial, gathered into blocks.
-func scanRowTable(t *rowstore.Table, pred expr.Predicate, cols []int, ex *exec.Ctx, fn func(w, seq int, colVals [][]value.Value) bool) {
-	b := &rowBlocks{cols: cols, ex: ex, fn: fn, get: func(rid int32, col int) value.Value { return t.Value(int(rid), col) }}
-	t.ScanCols(pred, []int{}, func(rid int, _ []value.Value) bool { return b.add(rid) })
-	b.flush()
 }
 
 // colStorage adapts colstore.Table to the storage interface.
@@ -305,9 +250,8 @@ func (s *colStorage) Rows() int { return s.t.Rows() }
 
 func (s *colStorage) Insert(rows [][]value.Value) error { return s.t.Insert(rows) }
 
-func (s *colStorage) Scan(pred expr.Predicate, cols []int, ex *exec.Ctx, fn func(w, seq int, colVals [][]value.Value) bool) {
-	cols = orAll(cols, s.t.Schema().NumColumns())
-	s.t.ScanBatchesExec(pred, cols, ex, func(w, block int, _ []int32, colVals [][]value.Value) bool { return fn(w, block, colVals) })
+func (s *colStorage) Scan(pred expr.Predicate, cols []int, ex *exec.Ctx) exec.Blocks {
+	return s.t.Blocks(pred, orAll(cols, s.t.Schema().NumColumns()), ex)
 }
 
 func (s *colStorage) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate, ex *exec.Ctx) *agg.Result {

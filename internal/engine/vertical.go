@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"hybridstore/internal/agg"
@@ -136,22 +137,21 @@ func (v *verticalStorage) coverage(cols []int, pred expr.Predicate) int {
 	}
 }
 
-// Scan streams matching rows. When the referenced columns fit a single
-// partition it scans that partition alone; otherwise it reconstructs full
-// tuples by joining the partitions on the primary key (the cost the paper
-// charges queries that span a vertical split).
-func (v *verticalStorage) Scan(pred expr.Predicate, cols []int, ex *exec.Ctx, fn func(w, seq int, colVals [][]value.Value) bool) {
+// Scan returns the matching rows' blocks. When the referenced columns fit
+// a single partition it scans that partition alone; otherwise it
+// reconstructs full tuples by joining the partitions on the primary key
+// (the cost the paper charges queries that span a vertical split).
+func (v *verticalStorage) Scan(pred expr.Predicate, cols []int, ex *exec.Ctx) exec.Blocks {
 	cols = orAll(cols, v.sch.NumColumns())
 	switch v.coverage(cols, pred) {
 	case partRow:
 		rpred, _ := expr.Remap(pred, v.rowFwd)
-		scanRowTable(v.rowPart, rpred, remapCols(cols, v.rowFwd), ex, fn)
+		return v.rowPart.Blocks(rpred, remapCols(cols, v.rowFwd), ex)
 	case partCol:
 		cpred, _ := expr.Remap(pred, v.colFwd)
-		v.colPart.ScanBatchesExec(cpred, remapCols(cols, v.colFwd), ex, func(w, block int, _ []int32, colVals [][]value.Value) bool { return fn(w, block, colVals) })
-	default:
-		v.scanJoined(pred, cols, ex, fn)
+		return v.colPart.Blocks(cpred, remapCols(cols, v.colFwd), ex)
 	}
+	return v.scanJoined(pred, cols, ex)
 }
 
 // remapCols returns the partition positions of table columns cols.
@@ -163,41 +163,35 @@ func remapCols(cols []int, fwd map[int]int) []int {
 	return out
 }
 
-// scanJoined reconstructs full-width tuples via a PK join: the row
-// partition drives, the column partition is probed per key (tuple
-// reconstruction on the column store side).
-func (v *verticalStorage) scanJoined(pred expr.Predicate, cols []int, ex *exec.Ctx, fn func(w, seq int, colVals [][]value.Value) bool) {
+// scanJoined reconstructs full-width tuples via a PK join, on the calling
+// goroutine: the row partition's blocks drive, and the column partition is
+// probed per key (tuple reconstruction on the column store side).
+func (v *verticalStorage) scanJoined(pred expr.Predicate, cols []int, ex *exec.Ctx) exec.Blocks {
 	pkRow := v.rowPart.Schema().PrimaryKey
-	key := make([]value.Value, len(pkRow))
-	row := make([]value.Value, v.sch.NumColumns())
-	var matched [][]value.Value // the current block's rows, by position
-	b := &rowBlocks{cols: cols, ex: ex, fn: fn, get: func(k int32, col int) value.Value { return matched[k][col] }}
-	v.rowPart.Scan(nil, func(rid int, prow []value.Value) bool {
-		for i, c := range v.spec.RowCols {
-			row[c] = prow[i]
+	in := v.rowPart.Blocks(nil, nil, ex.Serial())
+	return joinedBlocks(in, in.Ctx, v.sch.NumColumns(), cols, func(prows [][]value.Value, jw *joinWorker) {
+		key := make([]value.Value, len(pkRow))
+		for k := range prows[0] {
+			for i, c := range v.spec.RowCols {
+				jw.row[c] = prows[i][k]
+			}
+			for i, c := range pkRow {
+				key[i] = prows[c][k]
+			}
+			crid, ok := v.colPart.LookupPK(key)
+			if !ok {
+				mVerticalJoinMiss.Inc() // partition inconsistency; skip defensively
+				continue
+			}
+			crow := v.colPart.Get(crid)
+			for i, c := range v.spec.ColCols {
+				jw.row[c] = crow[i]
+			}
+			if pred == nil || pred.Matches(jw.row) {
+				jw.put()
+			}
 		}
-		for i, k := range pkRow {
-			key[i] = prow[k]
-		}
-		crid, ok := v.colPart.LookupPK(key)
-		if !ok {
-			mVerticalJoinMiss.Inc() // partition inconsistency; skip defensively
-			return true
-		}
-		crow := v.colPart.Get(crid)
-		for i, c := range v.spec.ColCols {
-			row[c] = crow[i]
-		}
-		if pred != nil && !pred.Matches(row) {
-			return true
-		}
-		if len(b.ids) == len(matched) { // the buffers of a block's rows are reused
-			matched = append(matched, make([]value.Value, len(row)))
-		}
-		copy(matched[len(b.ids)], row)
-		return b.add(len(b.ids))
 	})
-	b.flush()
 }
 
 // Aggregate pushes the aggregation into a single partition when all
@@ -206,38 +200,24 @@ func (v *verticalStorage) scanJoined(pred expr.Predicate, cols []int, ex *exec.C
 // otherwise it joins the partitions on the primary key, column partition
 // driving (aggregateSpanning).
 func (v *verticalStorage) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate, ex *exec.Ctx) *agg.Result {
-	remapInto := func(fwd map[int]int) ([]agg.Spec, []int, expr.Predicate, bool) {
-		rs := make([]agg.Spec, len(specs))
-		for i, s := range specs {
-			if s.Col < 0 {
-				rs[i] = s
-				continue
-			}
-			n, ok := fwd[s.Col]
-			if !ok {
-				return nil, nil, nil, false
-			}
-			rs[i] = agg.Spec{Func: s.Func, Col: n}
+	cols := slices.Clone(groupBy)
+	for _, s := range specs {
+		if s.Col >= 0 {
+			cols = append(cols, s.Col)
 		}
-		gb := make([]int, len(groupBy))
-		for i, c := range groupBy {
-			n, ok := fwd[c]
-			if !ok {
-				return nil, nil, nil, false
-			}
-			gb[i] = n
-		}
-		p, ok := expr.Remap(pred, fwd)
-		if !ok {
-			return nil, nil, nil, false
-		}
-		return rs, gb, p, true
 	}
-	if rs, gb, p, ok := remapInto(v.rowFwd); ok {
-		return v.rowPart.AggregateExec(rs, gb, p, ex)
-	}
-	if rs, gb, p, ok := remapInto(v.colFwd); ok {
-		return v.colPart.AggregateExec(rs, gb, p, ex)
+	switch v.coverage(cols, pred) {
+	case partRow:
+		return foldScan(v.sch.ColTypes(), specs, groupBy, func(cols []int) exec.Blocks { return v.Scan(pred, cols, ex) })
+	case partCol:
+		local := slices.Clone(specs)
+		for i, s := range local {
+			if s.Col >= 0 {
+				local[i].Col = v.colFwd[s.Col]
+			}
+		}
+		cpred, _ := expr.Remap(pred, v.colFwd)
+		return v.colPart.AggregateExec(local, remapCols(groupBy, v.colFwd), cpred, ex)
 	}
 	return v.aggregateSpanning(specs, groupBy, pred, ex)
 }
@@ -371,44 +351,38 @@ func (v *verticalStorage) spanningDense(res *agg.Result, specs []agg.Spec, group
 	return v.colPart.AggregateDense(res, &dense, colPred, ex)
 }
 
-// spanningGeneric joins full rows: the column partition's surviving rows
-// arrive in blocks with the key and the needed column-partition columns
-// decoded, the remaining conjuncts are tested on the joined row, which is
-// then accumulated into the block's partial result.
+// spanningGeneric joins full rows into the generic hash fold: the column
+// partition's surviving rows arrive in blocks with the key and the needed
+// column-partition columns decoded, the remaining conjuncts are tested on
+// the joined row, and joined block i holds block i's rows that pass.
 func (v *verticalStorage) spanningGeneric(res *agg.Result, colPred, post expr.Predicate, ex *exec.Ctx, join *spanJoin) {
-	// The scan decodes the key first, then the column-partition columns
-	// the joined row needs; joinedCol maps a table column to where the
-	// joined row takes it from.
-	type joinedCol struct{ table, local int }
-	scanCols := append([]int{}, v.colPart.Schema().PrimaryKey...)
-	npk := len(scanCols)
-	var fromCol, fromRow []joinedCol // local: index into the batch's columns / the row partition's tuple
-	need := append(expr.ColumnSet(post), res.GroupCols...)
-	for _, s := range res.Specs {
-		if s.Col >= 0 {
-			need = append(need, s.Col)
+	res.Fold(foldBlocks, func(cols []int) exec.Blocks {
+		// The scan decodes the key first, then the column-partition
+		// columns the joined row needs; joinedCol maps a table column to
+		// where the joined row takes it from.
+		type joinedCol struct{ table, local int }
+		scanCols := append([]int{}, v.colPart.Schema().PrimaryKey...)
+		npk := len(scanCols)
+		var fromCol, fromRow []joinedCol // local: index into the block's columns / the row partition's tuple
+		seen := make(map[int]bool)
+		for _, c := range append(expr.ColumnSet(post), cols...) {
+			if seen[c] {
+				continue
+			}
+			seen[c] = true
+			if local, ok := v.colFwd[c]; ok {
+				fromCol = append(fromCol, joinedCol{c, len(scanCols)})
+				scanCols = append(scanCols, local)
+			} else {
+				fromRow = append(fromRow, joinedCol{c, v.rowFwd[c]})
+			}
 		}
-	}
-	seen := make(map[int]bool, len(need))
-	for _, c := range need {
-		if seen[c] {
-			continue
-		}
-		seen[c] = true
-		if local, ok := v.colFwd[c]; ok {
-			fromCol = append(fromCol, joinedCol{c, len(scanCols)})
-			scanCols = append(scanCols, local)
-		} else {
-			fromRow = append(fromRow, joinedCol{c, v.rowFwd[c]})
-		}
-	}
-
-	aggregateBlocks(res, ex, func(add func(w, seq int, row []value.Value) bool) {
-		v.colPart.ScanBatchesExec(colPred, scanCols, ex, func(w, block int, rids []int32, colVals [][]value.Value) bool {
-			key, row := make([]value.Value, npk), make([]value.Value, v.sch.NumColumns())
+		in := v.colPart.Blocks(colPred, scanCols, ex)
+		return joinedBlocks(in, ex, v.sch.NumColumns(), cols, func(colVals [][]value.Value, jw *joinWorker) {
+			key := make([]value.Value, npk)
 			var next int
 			var misses int64
-			for k := range rids {
+			for k := range colVals[0] {
 				for i := range key {
 					key[i] = colVals[i][k]
 				}
@@ -417,18 +391,17 @@ func (v *verticalStorage) spanningGeneric(res *agg.Result, colPred, post expr.Pr
 					continue
 				}
 				for _, c := range fromCol {
-					row[c.table] = colVals[c.local][k]
+					jw.row[c.table] = colVals[c.local][k]
 				}
 				for _, c := range fromRow {
-					row[c.table] = v.rowPart.Value(rrid, c.local)
+					jw.row[c.table] = v.rowPart.Value(rrid, c.local)
 				}
-				if post == nil || post.Matches(row) {
-					add(w, block, row)
+				if post == nil || post.Matches(jw.row) {
+					jw.put()
 				}
 			}
-			join.probed.Add(int64(len(rids)))
+			join.probed.Add(int64(len(colVals[0])))
 			join.misses.Add(misses)
-			return true
 		})
 	})
 }

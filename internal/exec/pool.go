@@ -207,11 +207,6 @@ func (c *Ctx) Workers(n int) int {
 	return n
 }
 
-// Parallel reports whether a Morsels loop over n morsels could use more
-// than one worker; callers use it to skip building mergeable per-worker
-// state when execution is serial anyway.
-func (c *Ctx) Parallel(n int) bool { return c.Workers(n) > 1 }
-
 // Morsels runs fn(worker, morsel) for every morsel in [0, n), claiming
 // morsels from a shared counter. The calling goroutine is always worker
 // 0; up to Workers(n)-1 helpers are try-acquired from the pool and get

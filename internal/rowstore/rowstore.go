@@ -18,9 +18,10 @@ package rowstore
 
 import (
 	"fmt"
-	"slices"
+	"math"
 
 	"hybridstore/internal/agg"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/expr"
 	"hybridstore/internal/pkindex"
 	"hybridstore/internal/schema"
@@ -331,7 +332,7 @@ func (t *Table) HasIndex(col int) bool {
 }
 
 // candidateRows returns a restricted candidate row set for the predicate
-// when an index applies, appending hash-index candidates to buf. ok is false
+// when an index applies, appended to buf: the caller owns it. ok is false
 // when no index serves the predicate and the caller must scan everything.
 func (t *Table) candidateRows(pred expr.Predicate, buf []int32) ([]int32, bool) {
 	if pred == nil {
@@ -353,41 +354,23 @@ func (t *Table) candidateRows(pred expr.Predicate, buf []int32) ([]int32, bool) 
 	}
 	// PK range through the ordered index (the row-store B-tree analogue).
 	if rg, ok := t.pkRange(pred); ok {
-		return t.pkOrdered.rangeRids(t, rg.Lo, rg.Hi), true
+		return append(buf, t.pkOrdered.rangeRids(t, rg.Lo, rg.Hi)...), true
 	}
 	return nil, false
 }
 
 // Scan calls fn for each live row matching pred, in physical order, until
 // fn returns false. Index-assisted candidate restriction is applied for
-// PK and secondary-index equality predicates and PK ranges.
+// PK and secondary-index equality predicates and PK ranges. The row handed
+// to fn is one scratch row per scan; fn must not retain or mutate it.
 func (t *Table) Scan(pred expr.Predicate, fn func(rid int, row []value.Value) bool) {
-	t.ScanCols(pred, nil, fn)
-}
-
-// ScanCols is Scan reading the given columns only (nil = all). The row
-// handed to fn is one scratch row per scan, indexed by column and reaching
-// the last column read: the predicate's columns are boxed first, the
-// requested ones only once the row matches, any other position is stale.
-// fn must not retain or mutate it.
-func (t *Table) ScanCols(pred expr.Predicate, cols []int, fn func(rid int, row []value.Value) bool) {
-	if cols == nil {
-		cols = t.all
-	}
 	predCols := expr.ColumnSet(pred)
-	width := 0
-	if len(predCols) > 0 {
-		width = predCols[len(predCols)-1] + 1 // ColumnSet is sorted
-	}
-	if len(cols) > 0 {
-		width = max(width, slices.Max(cols)+1)
-	}
-	row := make([]value.Value, width)
+	row := make([]value.Value, t.stride)
 	visit := func(rid int) bool {
 		if !t.valid[rid] || pred != nil && !t.matches(rid, pred, predCols, row) {
 			return true
 		}
-		t.Read(rid, cols, row)
+		t.Read(rid, t.all, row)
 		return fn(rid, row)
 	}
 	var buf [4]int32
@@ -414,17 +397,96 @@ func (t *Table) matches(rid int, pred expr.Predicate, predCols []int, row []valu
 }
 
 // Aggregate computes the given aggregates over rows matching pred, grouped
-// by the groupBy columns. The row store has no columnar fast path: every
+// by the groupBy columns, one tuple at a time on the caller: the plain
+// serial reference the column store's kernels are tested against. Every
 // matching tuple is visited, which is exactly the access pattern the
 // paper's Figure 1 illustrates for aggregation on a row store.
 func (t *Table) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate) *agg.Result {
-	return t.AggregateExec(specs, groupBy, pred, nil)
+	res := agg.NewResult(specs, groupBy)
+	res.SetOutputTypes(t.types)
+	t.Scan(pred, func(_ int, row []value.Value) bool {
+		res.AddRow(row)
+		return true
+	})
+	return res
+}
+
+// blockRows is the arena slots (or index candidates) one scan block covers:
+// few enough that a block's decoded columns stay in the first-level cache
+// while its consumer reads them.
+const blockRows = 256
+
+// Blocks returns the live rows matching pred as numbered blocks of columns
+// cols (nil = every column; see exec.Blocks): ranges of blockRows arena
+// slots in physical order or, when an index serves pred, runs of blockRows
+// of its candidate ids in the index's order. Only the columns pred and cols
+// name are boxed, into buffers no larger than a block's candidates. The
+// table must not change while the blocks run.
+func (t *Table) Blocks(pred expr.Predicate, cols []int, ex *exec.Ctx) exec.Blocks {
+	if len(cols) == 0 {
+		cols = t.all
+	}
+	cand, indexed := t.candidateRows(pred, nil)
+	n := len(t.valid)
+	if indexed {
+		n = len(cand)
+	}
+	predCols := expr.ColumnSet(pred)
+	workers := make([]blockWorker, ex.Workers(math.MaxInt))
+	return exec.Blocks{N: (n + blockRows - 1) / blockRows, Ctx: ex, Block: func(w, i int) [][]value.Value {
+		lo, hi := i*blockRows, min(n, (i+1)*blockRows)
+		bw := &workers[w]
+		if bw.row == nil && len(predCols) > 0 {
+			bw.row = make([]value.Value, predCols[len(predCols)-1]+1) // ColumnSet is sorted
+		}
+		ids := bw.ids[:0]
+		if indexed {
+			ids = cand[lo:lo] // the block's matching candidates, kept in place
+		}
+		for j := lo; j < hi; j++ {
+			rid := j
+			if indexed {
+				rid = int(cand[j])
+			}
+			if t.valid[rid] && (pred == nil || t.matches(rid, pred, predCols, bw.row)) {
+				ids = append(ids, int32(rid))
+			}
+		}
+		if bw.ids = ids; len(ids) == 0 {
+			return nil
+		}
+		n, m := len(ids), len(cols) // column j at flat[j*n:(j+1)*n]
+		if len(bw.flat) < n*m {
+			bw.flat, bw.cols = make([]value.Value, n*m), make([][]value.Value, m)
+		}
+		for k, rid := range ids {
+			win := t.slots[int(rid)*t.width : (int(rid)+1)*t.width]
+			vals := win[t.nw:]
+			for j, c := range cols {
+				bw.flat[j*n+k] = t.box(c, win[c>>6]>>(uint(c)&63)&1 != 0, vals[c])
+			}
+		}
+		for j := range bw.cols {
+			bw.cols[j] = bw.flat[j*n : (j+1)*n : (j+1)*n]
+		}
+		return bw.cols
+	}}
+}
+
+// blockWorker is one worker's buffers of a block scan: the ids of the
+// block's matching rows, a scratch row for the predicate and the decoded
+// columns, boxed row by row.
+type blockWorker struct {
+	ids  []int32
+	row  []value.Value
+	flat []value.Value
+	cols [][]value.Value
 }
 
 // matching returns the ids of the live rows matching pred.
 func (t *Table) matching(pred expr.Predicate) []int32 {
 	var rids []int32
-	t.ScanCols(pred, []int{}, func(rid int, _ []value.Value) bool {
+	t.Scan(pred, func(rid int, _ []value.Value) bool {
 		rids = append(rids, int32(rid))
 		return true
 	})
