@@ -614,9 +614,14 @@
 // scan loops.
 //
 // Frame format (internal/wire): a frame is [uint32 LE payload length]
-// [payload]; the payload's first byte is the message type and the rest
-// is encoded with the internal/wal codec — values, rows and schemas
-// share one binary encoding across the log, the snapshot and the wire.
+// [payload]; the payload's first byte is the message type. Requests are
+// encoded with the internal/wal codec, so a COPY batch's rows are
+// encoded alike on the wire and in the log. Result sets travel
+// column-major under protocol version 2: the row count, then per column
+// one kind byte and its values — untagged when the column holds one type
+// and no NULL (DOUBLE as 8 fixed bytes, INTEGER/BIGINT/DATE as varints,
+// VARCHAR length-prefixed), with a tag byte per value otherwise. The
+// client decodes a result into one backing array that every row slices.
 // Requests: Hello (client name, protocol version, optional per-statement
 // timeout), Exec (SQL text + '?' parameters), Prepare, StmtExec,
 // StmtClose, Ping, Cancel, Quit. Responses: Welcome, OK, Rows,

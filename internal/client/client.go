@@ -196,8 +196,19 @@ func (c *Conn) connectLocked() error {
 // dead (the next request redials).
 func (c *Conn) readLoop(conn net.Conn, pending chan *call) {
 	var rerr error
+	var buf []byte // reused frame buffer: decoded responses do not alias it
 	for {
-		rs, err := wire.ReadResponse(conn, c.opts.MaxFrame)
+		frame, err := wire.ReadFrame(conn, buf, c.opts.MaxFrame)
+		if err != nil {
+			rerr = err
+			break
+		}
+		if cap(frame) <= wire.MaxRetained {
+			buf = frame
+		} else {
+			buf = nil
+		}
+		rs, err := wire.DecodeResponse(frame)
 		if err != nil {
 			rerr = err
 			break

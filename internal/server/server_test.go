@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"hybridstore/internal/query"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
+	"hybridstore/internal/wire"
 )
 
 func startServer(t testing.TB, db *engine.Database, cfg Config) *Server {
@@ -148,6 +151,64 @@ func analyticsTable(t testing.TB, n int) *engine.Database {
 	}
 	flush()
 	return db
+}
+
+// TestServerOversizedResultRefused: a result past the frame limit gets
+// CodeProtocol instead of a frame the client would refuse, and the
+// session serves its next statement.
+func TestServerOversizedResultRefused(t *testing.T) {
+	db := analyticsTable(t, 80_000)
+	all, err := db.Exec(&query.Query{Kind: query.Select, Table: "big"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(wire.EncodeResponse(&wire.Response{Type: wire.MsgRows, Cols: all.Cols, Rows: all.Rows})); n < 900<<10 {
+		t.Fatalf("the whole table encodes to only %d bytes", n)
+	}
+	srv := startServer(t, db, Config{MaxFrame: 64 << 10})
+	defer shutdown(t, srv)
+	c, err := client.Dial(srv.Addr().String(), client.Options{Name: "oversized", NoReconnect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	_, err = c.Query(ctx, "SELECT * FROM big")
+	var se *client.Error
+	if !errors.As(err, &se) || se.Code != wire.CodeProtocol || !strings.Contains(se.Msg, "frame limit (page with LIMIT)") {
+		t.Fatalf("oversized result: %v", err)
+	}
+	res, err := c.Query(ctx, "SELECT id, x FROM big WHERE id = 7")
+	if err != nil {
+		t.Fatalf("statement after the refused one: %v", err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][1].Double() != 7.5 {
+		t.Fatalf("rows = %v", res.Rows)
+	}
+}
+
+// TestServerRefusesOldProtocolVersion: a version-1 client gets a
+// protocol error naming both versions.
+func TestServerRefusesOldProtocolVersion(t *testing.T) {
+	srv := startServer(t, engine.New(), Config{})
+	defer shutdown(t, srv)
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := wire.WriteRequest(conn, &wire.Request{Type: wire.MsgHello, ClientName: "old", Version: 1}); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := wire.ReadResponse(conn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("protocol version 1 not supported (server speaks %d)", wire.ProtocolVersion)
+	if rs.Type != wire.MsgError || rs.Code != wire.CodeProtocol || rs.Err != want {
+		t.Fatalf("hello at version 1: %+v", rs)
+	}
 }
 
 func TestServerCancelAbortsAnalyticalScan(t *testing.T) {

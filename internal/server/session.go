@@ -53,6 +53,9 @@ type session struct {
 	// writer, but the reader emits a best-effort protocol-error frame
 	// when a session dies on garbage input.
 	writeMu sync.Mutex
+	// wbuf is the reused frame buffer write encodes into (under
+	// writeMu); one larger than wire.MaxRetained is not kept.
+	wbuf []byte
 
 	// stmts maps this session's prepared-statement handles (issued from
 	// the server-wide counter) into the shared cache's templates. Only
@@ -178,19 +181,28 @@ func (se *session) cancelCurrent() {
 	se.cancelMu.Unlock()
 }
 
-// write serializes one response frame; responses that would exceed the
-// frame limit are replaced by an error so the client's reader survives.
+// write encodes one response frame, header included, into the session's
+// buffer and sends it in one Write. A result that would pass the frame
+// limit is replaced by an error, so the client's reader survives; the
+// encoder gives up on it at the limit.
 func (se *session) write(rs *wire.Response) error {
-	payload := wire.EncodeResponse(rs)
-	if len(payload) > se.srv.cfg.MaxFrame {
-		payload = wire.EncodeResponse(&wire.Response{
-			Type: wire.MsgError, Code: wire.CodeProtocol,
-			Err: fmt.Sprintf("result of %d bytes exceeds the %d-byte frame limit (page with LIMIT)", len(payload), se.srv.cfg.MaxFrame),
-		})
-	}
 	se.writeMu.Lock()
 	defer se.writeMu.Unlock()
-	return wire.WriteFrame(se.conn, payload)
+	max := se.srv.cfg.MaxFrame
+	frame, err := wire.AppendResponse(se.wbuf[:0], rs, max)
+	if err != nil {
+		frame, _ = wire.AppendResponse(frame[:0], &wire.Response{
+			Type: wire.MsgError, Code: wire.CodeProtocol,
+			Err: fmt.Sprintf("result of %d rows exceeds the %d-byte frame limit (page with LIMIT)", len(rs.Rows), max),
+		}, 0)
+	}
+	if cap(frame) <= wire.MaxRetained {
+		se.wbuf = frame
+	} else {
+		se.wbuf = nil
+	}
+	_, err = se.conn.Write(frame)
+	return err
 }
 
 // handle serves one request, returning its response (nil for Quit).

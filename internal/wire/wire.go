@@ -1,8 +1,11 @@
 // Package wire defines the hsqld network protocol: length-prefixed
-// binary frames whose payloads are encoded with the internal/wal codec
-// (the same uvarint-framed primitives WAL records and snapshots use, so
-// values, rows and schemas share one encoding across the log, the
-// snapshot and the wire).
+// binary frames. Requests are encoded with the internal/wal codec (the
+// same uvarint-framed primitives WAL records and snapshots use, so a
+// COPY batch's rows are encoded alike on the wire and in the log).
+// Result sets travel column-major since protocol version 2: the row
+// count, then per column one kind byte and its values, untagged when the
+// column holds one type and no NULL (see columns.go). This package is the
+// one place that knows the format; the server and the client call it.
 //
 // A frame is [uint32 LE payload length][payload]; the payload's first
 // byte is the message type. Each request frame receives exactly one
@@ -15,8 +18,10 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"hybridstore/internal/value"
@@ -25,7 +30,7 @@ import (
 
 // ProtocolVersion is bumped on incompatible frame-format changes; Hello
 // carries the client's version and the server rejects mismatches.
-const ProtocolVersion = 1
+const ProtocolVersion = 2
 
 // DefaultMaxFrame caps the payload size either side accepts (and the
 // row payload a response may carry). Large results should be paged with
@@ -34,6 +39,15 @@ const DefaultMaxFrame = 8 << 20
 
 // frameHeaderLen is the fixed [length] prefix.
 const frameHeaderLen = 4
+
+// MaxRetained caps the frame buffer a session or connection keeps for
+// its next frame: a buffer grown past it by one large result is dropped
+// rather than held for the life of the connection.
+const MaxRetained = 512 << 10
+
+// ErrFrameTooLarge reports a response whose payload passed the frame
+// limit; AppendResponse stops encoding as soon as it does.
+var ErrFrameTooLarge = errors.New("wire: response exceeds the frame limit")
 
 // Request message types.
 const (
@@ -70,7 +84,7 @@ const (
 	MsgWelcome byte = 0x81
 	// MsgOK reports a statement that returned no rows.
 	MsgOK byte = 0x82
-	// MsgRows carries a result set.
+	// MsgRows carries a result set, column-major (see columns.go).
 	MsgRows byte = 0x83
 	// MsgPrepared answers Prepare with the handle and parameter count.
 	MsgPrepared byte = 0x84
@@ -167,29 +181,37 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame payload, rejecting frames larger than max
-// (0 = DefaultMaxFrame) without allocating for them. A cleanly closed
-// connection between frames returns io.EOF; a connection cut inside a
-// frame returns io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader, max int) ([]byte, error) {
+// ReadFrame reads one frame payload into buf's storage when it fits (buf
+// may be nil), rejecting frames larger than max (0 = DefaultMaxFrame)
+// without allocating for them. A cleanly closed connection between
+// frames returns io.EOF; a connection cut inside a frame returns
+// io.ErrUnexpectedEOF.
+func ReadFrame(r io.Reader, buf []byte, max int) ([]byte, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < frameHeaderLen {
+		buf = make([]byte, frameHeaderLen)
+	}
+	hdr := buf[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("wire: truncated frame header: %w", err)
 		}
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n == 0 {
 		return nil, fmt.Errorf("wire: empty frame")
 	}
 	if int64(n) > int64(max) {
 		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, max)
 	}
-	payload := make([]byte, n)
+	payload := buf[:0]
+	if cap(payload) < int(n) {
+		payload = make([]byte, n)
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("wire: truncated frame (%d bytes expected): %w", n, io.ErrUnexpectedEOF)
@@ -275,33 +297,61 @@ func DecodeRequest(payload []byte) (*Request, error) {
 	return rq, nil
 }
 
+// AppendResponse appends rs to dst as one whole frame, header included,
+// so it can go out in a single Write. It stops as soon as the payload
+// passes max bytes (0 = DefaultMaxFrame) and returns dst as it was with
+// ErrFrameTooLarge: an oversized result is never serialized in full.
+func AppendResponse(dst []byte, rs *Response, max int) ([]byte, error) {
+	if max <= 0 {
+		max = DefaultMaxFrame
+	}
+	start := len(dst)
+	dst, ok := appendPayload(append(dst, 0, 0, 0, 0), rs, start+frameHeaderLen+max)
+	if !ok {
+		return dst[:start], ErrFrameTooLarge
+	}
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-frameHeaderLen))
+	return dst, nil
+}
+
 // EncodeResponse serializes a response into a frame payload.
 func EncodeResponse(rs *Response) []byte {
-	e := wal.NewEncoder()
-	e.Byte(rs.Type)
+	payload, _ := appendPayload(nil, rs, math.MaxInt)
+	return payload
+}
+
+// appendPayload appends rs's payload to dst; it stops and reports false
+// once dst grows past limit bytes.
+func appendPayload(dst []byte, rs *Response, limit int) ([]byte, bool) {
+	dst = append(dst, rs.Type)
 	switch rs.Type {
 	case MsgWelcome:
-		e.Uvarint(rs.Session)
+		dst = binary.AppendUvarint(dst, rs.Session)
 	case MsgOK:
-		e.Varint(int64(rs.Affected))
-		e.Uvarint(uint64(rs.Duration))
+		dst = binary.AppendVarint(dst, int64(rs.Affected))
+		dst = binary.AppendUvarint(dst, uint64(rs.Duration))
 	case MsgRows:
-		e.Varint(int64(rs.Affected))
-		e.Uvarint(uint64(rs.Duration))
-		e.Uvarint(uint64(len(rs.Cols)))
+		dst = binary.AppendVarint(dst, int64(rs.Affected))
+		dst = binary.AppendUvarint(dst, uint64(rs.Duration))
+		dst = binary.AppendUvarint(dst, uint64(len(rs.Cols)))
 		for _, c := range rs.Cols {
-			e.String(c)
+			dst = appendString(dst, c)
 		}
-		e.Rows(rs.Rows)
+		return appendColumns(dst, rs.Rows, len(rs.Cols), limit)
 	case MsgPrepared:
-		e.Uvarint(rs.Stmt)
-		e.Uvarint(uint64(rs.NumParams))
+		dst = binary.AppendUvarint(dst, rs.Stmt)
+		dst = binary.AppendUvarint(dst, uint64(rs.NumParams))
 	case MsgError:
-		e.Byte(rs.Code)
-		e.String(rs.Err)
+		dst = append(dst, rs.Code)
+		dst = appendString(dst, rs.Err)
 	case MsgPong:
 	}
-	return e.Bytes()
+	return dst, len(dst) <= limit
+}
+
+func appendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
 }
 
 // DecodeResponse parses a frame payload into a response.
@@ -324,12 +374,17 @@ func DecodeResponse(payload []byte) (*Response, error) {
 			// emits MsgRows without columns.
 			return nil, fmt.Errorf("wire: implausible column count %d", n)
 		}
+		rs.Cols = make([]string, 0, min(n, allocBatch))
+		for i := uint64(0); i < n && d.Err() == nil; i++ {
+			rs.Cols = append(rs.Cols, d.String())
+		}
 		if d.Err() == nil {
-			rs.Cols = make([]string, 0, min(n, allocBatch))
-			for i := uint64(0); i < n && d.Err() == nil; i++ {
-				rs.Cols = append(rs.Cols, d.String())
+			// The column-major row section runs to the end of the frame.
+			var err error
+			if rs.Rows, err = decodeColumns(payload[len(payload)-d.Remaining():], len(rs.Cols)); err != nil {
+				return nil, err
 			}
-			rs.Rows = d.Rows(len(rs.Cols))
+			return rs, nil
 		}
 	case MsgPrepared:
 		rs.Stmt = d.Uvarint()
@@ -389,11 +444,18 @@ func decodeParams(d *wal.Decoder) ([]value.Value, error) {
 func WriteRequest(w io.Writer, rq *Request) error { return WriteFrame(w, EncodeRequest(rq)) }
 
 // WriteResponse encodes and frames a response.
-func WriteResponse(w io.Writer, rs *Response) error { return WriteFrame(w, EncodeResponse(rs)) }
+func WriteResponse(w io.Writer, rs *Response) error {
+	frame, err := AppendResponse(nil, rs, 0)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
+}
 
 // ReadRequest reads and decodes one request frame.
 func ReadRequest(r io.Reader, max int) (*Request, error) {
-	payload, err := ReadFrame(r, max)
+	payload, err := ReadFrame(r, nil, max)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +464,7 @@ func ReadRequest(r io.Reader, max int) (*Request, error) {
 
 // ReadResponse reads and decodes one response frame.
 func ReadResponse(r io.Reader, max int) (*Response, error) {
-	payload, err := ReadFrame(r, max)
+	payload, err := ReadFrame(r, nil, max)
 	if err != nil {
 		return nil, err
 	}
