@@ -65,7 +65,6 @@ func main() {
 		compactMin  = flag.Duration("compact-min-interval", 0, "floor of the adaptive delta-merge cadence under bulk-ingest (COPY) pressure; needs -auto (0 = default 1s, negative disables adaptation)")
 		maxSessions = flag.Int("max-sessions", 0, "max concurrent client sessions (0 = default 128)")
 		workers     = flag.Int("workers", 0, "worker-pool slots shared by statement admission and morsel-parallel scans (0 = GOMAXPROCS)")
-		queueDepth  = flag.Int("queue-depth", 0, "pipelined requests buffered per session (0 = default 32)")
 		maxFrame    = flag.Int("max-frame", 0, "max request/response frame bytes (0 = default 8 MiB)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-drain budget on shutdown")
 		httpAddr    = flag.String("http", "", "debug HTTP listen address for /metrics, /status, /slowlog, /debug/pprof (empty = disabled; bind to loopback)")
@@ -126,7 +125,6 @@ func main() {
 	srv, err := server.Serve(db, *listen, server.Config{
 		MaxSessions: *maxSessions,
 		Workers:     *workers,
-		QueueDepth:  *queueDepth,
 		MaxFrame:    *maxFrame,
 		Logf:        logger.Printf,
 	})

@@ -617,43 +617,69 @@
 // [payload]; the payload's first byte is the message type. Requests are
 // encoded with the internal/wal codec, so a COPY batch's rows are
 // encoded alike on the wire and in the log. Result sets travel
-// column-major under protocol version 2: the row count, then per column
+// column-major (since protocol version 2): the row count, then per column
 // one kind byte and its values — untagged when the column holds one type
 // and no NULL (DOUBLE as 8 fixed bytes, INTEGER/BIGINT/DATE as varints,
 // VARCHAR length-prefixed), with a tag byte per value otherwise. The
 // client decodes a result into one backing array that every row slices.
 // Requests: Hello (client name, protocol version, optional per-statement
 // timeout), Exec (SQL text + '?' parameters), Prepare, StmtExec,
-// StmtClose, Ping, Cancel, Quit. Responses: Welcome, OK, Rows,
-// Prepared, Error (with a code: SQL, shutdown, cancelled, protocol,
-// too-busy), Pong. Each request gets exactly one response, in request
-// order — ordering is the correlation mechanism, which makes client
-// pipelining free. Oversized frames are rejected before allocation and
-// truncated frames surface as clean errors (fuzzed in internal/wire).
+// StmtClose, Ping, Copy, Quit, and Cancel on a connection of its own.
+// Responses: Welcome (session id and cancel key), OK, Rows, Prepared,
+// Error (with a code: SQL, shutdown, cancelled, protocol, too-busy),
+// Pong. Each request gets exactly one response, in request order —
+// ordering is the correlation mechanism, which makes client pipelining
+// free, and a request's position on its connection (Hello is 0) is its
+// name. Protocol version 3 added the cancel connection. Oversized
+// frames are rejected before allocation and truncated frames surface as
+// clean errors (fuzzed in internal/wire).
 //
 // Session lifecycle (internal/server): a connection becomes a session
-// with a reader goroutine (decodes frames into a bounded queue,
-// intercepts out-of-band Cancel frames) and an executor goroutine
-// (serves the queue in order). Prepared statements are tokenized once
-// into a server-wide statement cache keyed by text — sessions hold
-// handles into it — and re-bound against the live catalog per
-// execution, so they survive schema and layout migrations. Every
-// statement runs under a per-session context; cancel frames and
-// statement deadlines abort in-flight scans and aggregates at the
-// engine's next batch boundary (~1024 rows) via engine.ExecContext.
-// Each statement carries its session label (engine.WithSession), which
-// the slow-query log records.
+// served by one goroutine, which reads a request through a buffered
+// reader into a reused frame buffer, executes it and writes its reply
+// (encoded whole into a reused buffer, sent in one write) before it
+// reads the next. On the client (internal/client) no goroutine reads
+// for the callers either: a caller whose reply is pending takes the
+// connection's one-slot read token and reads the replies in order,
+// handing each to its caller, until its own arrives. A round trip thus
+// crosses no goroutine hand-off on either side when one caller is
+// waiting. Prepared statements are tokenized once into a server-wide
+// statement cache keyed by text — sessions hold handles into it — and
+// re-bound against the live catalog per execution, so they survive
+// schema and layout migrations. Every statement runs under a
+// per-session context; cancels and statement deadlines abort in-flight
+// scans and aggregates at the engine's next batch boundary (~1024 rows)
+// via engine.ExecContext. Each statement carries its session label
+// (engine.WithSession), which the slow-query log records.
 //
-// Admission control: concurrent sessions are capped (excess connections
-// are refused with a too-busy error frame), statement execution passes
-// through a bounded worker pool, and a session whose pipeline queue
-// fills stops being read — backpressure reaches the client through the
-// TCP window instead of accumulating goroutines. Shutdown drains
-// gracefully: the listener closes, accepted requests finish (in-flight
-// statements are hard-cancelled only past the drain deadline), then the
-// engine closes — checkpointing durable state — so kill -9 after a
-// drained shutdown, or even instead of one, never loses an acknowledged
-// write. Statements racing the close fail with engine.ErrClosed.
+// Cancel, as in PostgreSQL: nothing reads a session's connection while
+// its statement runs, so a cancel comes on a connection of its own.
+// Welcome carries a random per-session key; a client whose call's
+// context ends interrupts its own read (context.AfterFunc plus a read
+// deadline, only while it waits for a frame's first byte), dials the
+// server and sends Cancel{session, key, request position}. The server
+// counts the requests each session reads, cancels the named one at once
+// if it is running, at its start if it has not been read yet, and not at
+// all if it has finished — so a cancel that lands as its statement
+// completes never aborts the next one — and closes the connection,
+// which never becomes a session. A wrong key cancels nothing. The
+// caller then waits on for its reply, which reports the cancellation or,
+// if the statement beat the cancel, its result.
+//
+// Admission control: concurrent sessions are capped (excess
+// connections, a cancel connection included, are refused with a
+// too-busy error frame), and statement execution passes through a
+// bounded worker pool. A client that pipelines faster than its session
+// serves is held back by the TCP window: the requests behind the one in
+// progress wait in the socket, not in goroutines or queues.
+//
+// Shutdown drains gracefully. The listener closes; each session
+// finishes the request in progress and reads no more, so the requests a
+// client pipelined behind it see a lost connection; in-flight
+// statements are hard-cancelled only past the drain deadline. Then the
+// engine closes, checkpointing durable state, so kill -9 after a drained
+// shutdown, or even instead of one, never loses an acknowledged write.
+// Statements racing the close fail with engine.ErrClosed.
 //
 // TestServerSoakConcurrentSessions runs concurrent writer and analytical
 // reader sessions over TCP beside layout migrations and

@@ -4,23 +4,26 @@
 // arrive in the same order, and callers waiting on a response are
 // matched by position — which is also what makes pipelining free: a
 // goroutine's request goes on the wire immediately, without waiting for
-// earlier responses.
+// earlier responses. No goroutine of its own reads the connection: a
+// caller whose reply is pending takes the read token and hands each
+// reply to its caller until its own arrives.
 //
-// Cancelling a call's context sends an out-of-band Cancel frame; the
-// server aborts the session's in-flight statement at the engine's next
-// batch boundary and the call returns the server's cancellation error.
-// A Conn that loses its connection reconnects automatically on the next
-// call, and prepared statements re-prepare themselves transparently
-// after a reconnect (handles are per-connection on the server).
+// Cancelling a call's context sends a cancel naming the call's request
+// on a connection of its own; the server aborts that statement at the
+// engine's next batch boundary and the call returns the server's
+// cancellation error. A Conn that loses its connection reconnects
+// automatically on the next call, and prepared statements re-prepare
+// themselves transparently after a reconnect (handles are
+// per-connection on the server).
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hybridstore/internal/value"
@@ -101,15 +104,27 @@ type Result struct {
 	Duration time.Duration
 }
 
-// call is one in-flight request awaiting its positional response. seq
-// is the request's position on its connection: the call is at the head
-// of the pipeline — i.e. the one the server is answering next — exactly
-// when the connection's response counter equals seq.
+// call is one in-flight request awaiting its positional response; seq
+// is the request's position on its connection (Hello is 0), the number
+// a cancel names it by.
 type call struct {
 	seq  uint64
 	rs   *wire.Response
 	err  error
 	done chan struct{}
+}
+
+// line is one connection's read side. The caller holding the one-slot
+// read token reads the replies and hands each to the call at the head
+// of pending, the calls in request order.
+type line struct {
+	conn    net.Conn
+	r       *bufio.Reader
+	buf     []byte // reused frame buffer of the token holder
+	token   chan struct{}
+	pending chan *call
+	// session and key, from Welcome, authenticate a cancel.
+	session, key uint64
 }
 
 // Conn is a driver connection. Zero value is not usable; Dial creates
@@ -118,19 +133,14 @@ type Conn struct {
 	addr string
 	opts Options
 
-	mu      sync.Mutex
-	c       net.Conn
-	epoch   uint64 // bumped per (re)connect; stale Stmt handles detect it
-	pending chan *call
-	closed  bool
-
-	// sent counts requests written on the current connection (guarded
-	// by mu); recv counts responses matched by its reader. A call's
-	// seq == recv means it is the head of the pipeline — the statement
-	// the server is executing (or about to) — which is the only call a
-	// session-level Cancel frame can safely target.
+	mu     sync.Mutex
+	ln     *line  // nil when the connection is lost
+	epoch  uint64 // bumped per (re)connect; stale Stmt handles detect it
+	closed bool
+	// sent is the position of the next request on ln; wbuf is the reused
+	// buffer requests are encoded into.
 	sent uint64
-	recv atomic.Uint64
+	wbuf []byte
 
 	// txn is the open explicit transaction (guarded by mu). While it is
 	// set the connection will NOT redial after a connection loss: a
@@ -153,93 +163,51 @@ func Dial(addr string, opts Options) (*Conn, error) {
 }
 
 // connectLocked (re)establishes the connection and performs the hello
-// handshake synchronously before the response reader starts.
+// handshake.
 func (c *Conn) connectLocked() error {
 	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
 	if err != nil {
 		return fmt.Errorf("client: dial %s: %w", c.addr, err)
 	}
-	hello := &wire.Request{
-		Type: wire.MsgHello, ClientName: c.opts.Name,
-		Version: wire.ProtocolVersion, Timeout: c.opts.StatementTimeout,
-	}
+	ln := &line{conn: conn, r: bufio.NewReader(conn), token: make(chan struct{}, 1),
+		pending: make(chan *call, c.opts.MaxPipeline)}
 	conn.SetDeadline(time.Now().Add(c.opts.DialTimeout))
-	if err := wire.WriteRequest(conn, hello); err != nil {
-		conn.Close()
-		return fmt.Errorf("client: hello: %w", err)
+	var rs *wire.Response
+	if err = wire.WriteRequest(conn, &wire.Request{Type: wire.MsgHello, ClientName: c.opts.Name,
+		Version: wire.ProtocolVersion, Timeout: c.opts.StatementTimeout}); err == nil {
+		rs, err = ln.next(c.opts.MaxFrame)
 	}
-	rs, err := wire.ReadResponse(conn, c.opts.MaxFrame)
+	switch {
+	case err != nil:
+		err = fmt.Errorf("client: hello: %w", err)
+	case rs.Type == wire.MsgError:
+		err = &Error{Code: rs.Code, Msg: rs.Err}
+	case rs.Type != wire.MsgWelcome:
+		err = fmt.Errorf("client: unexpected hello response type 0x%02x", rs.Type)
+	}
 	if err != nil {
 		conn.Close()
-		return fmt.Errorf("client: hello: %w", err)
-	}
-	if rs.Type == wire.MsgError {
-		conn.Close()
-		return &Error{Code: rs.Code, Msg: rs.Err}
-	}
-	if rs.Type != wire.MsgWelcome {
-		conn.Close()
-		return fmt.Errorf("client: unexpected hello response type 0x%02x", rs.Type)
+		return err
 	}
 	conn.SetDeadline(time.Time{})
-	c.c = conn
+	ln.session, ln.key = rs.Session, rs.Key
+	c.ln = ln
 	c.epoch++
-	c.sent = 0
-	c.recv.Store(0)
-	c.pending = make(chan *call, c.opts.MaxPipeline)
-	go c.readLoop(conn, c.pending)
+	c.sent = 1
 	return nil
 }
 
-// readLoop matches response frames to pending calls by position. On any
-// read error every in-flight call fails and the connection is marked
-// dead (the next request redials).
-func (c *Conn) readLoop(conn net.Conn, pending chan *call) {
-	var rerr error
-	var buf []byte // reused frame buffer: decoded responses do not alias it
-	for {
-		frame, err := wire.ReadFrame(conn, buf, c.opts.MaxFrame)
-		if err != nil {
-			rerr = err
-			break
-		}
-		if cap(frame) <= wire.MaxRetained {
-			buf = frame
-		} else {
-			buf = nil
-		}
-		rs, err := wire.DecodeResponse(frame)
-		if err != nil {
-			rerr = err
-			break
-		}
-		select {
-		case cl := <-pending:
-			cl.rs = rs
-			c.recv.Add(1)
-			close(cl.done)
-		default:
-			rerr = fmt.Errorf("client: unsolicited response type 0x%02x", rs.Type)
-		}
-		if rerr != nil {
-			break
-		}
+// next reads and decodes one reply through the reused frame buffer; the
+// decoded reply does not alias it.
+func (ln *line) next(max int) (*wire.Response, error) {
+	frame, err := wire.ReadFrame(ln.r, ln.buf, max)
+	if err != nil {
+		return nil, err
 	}
-	c.mu.Lock()
-	if c.c == conn {
-		c.c = nil // next call redials
+	if cap(frame) <= wire.MaxRetained {
+		ln.buf = frame
 	}
-	c.mu.Unlock()
-	conn.Close()
-	for {
-		select {
-		case cl := <-pending:
-			cl.err = fmt.Errorf("client: connection lost: %w", rerr)
-			close(cl.done)
-		default:
-			return
-		}
-	}
+	return wire.DecodeResponse(frame)
 }
 
 // roundTrip writes one request and waits for its positional response.
@@ -249,7 +217,7 @@ func (c *Conn) roundTrip(ctx context.Context, rq *wire.Request) (*wire.Response,
 		c.mu.Unlock()
 		return nil, errors.New("client: connection closed")
 	}
-	if c.c == nil {
+	if c.ln == nil {
 		if c.txn != nil {
 			// No transparent redial inside a transaction: the server
 			// rolled it back when the session died, and a retried
@@ -266,58 +234,26 @@ func (c *Conn) roundTrip(ctx context.Context, rq *wire.Request) (*wire.Response,
 			return nil, err
 		}
 	}
-	conn := c.c
+	ln := c.ln
 	cl := &call{seq: c.sent, done: make(chan struct{})}
 	select {
-	case c.pending <- cl:
+	case ln.pending <- cl:
 	default:
 		c.mu.Unlock()
 		return nil, fmt.Errorf("client: pipeline full (%d requests in flight)", c.opts.MaxPipeline)
 	}
 	c.sent++
-	err := wire.WriteRequest(conn, rq)
+	c.wbuf = wire.AppendRequest(c.wbuf[:0], rq)
+	if _, err := ln.conn.Write(c.wbuf); err != nil {
+		// The reply will never come: the read fails every pending call.
+		ln.conn.Close()
+	}
+	if cap(c.wbuf) > wire.MaxRetained {
+		c.wbuf = nil
+	}
 	c.mu.Unlock()
-	if err != nil {
-		// The reader will fail the call when the broken conn surfaces;
-		// wait for it so the pending queue stays positionally aligned.
-		<-cl.done
-		if cl.err != nil {
-			return nil, cl.err
-		}
-		return nil, err
-	}
 
-	select {
-	case <-cl.done:
-	case <-ctx.Done():
-		// A Cancel frame aborts whatever the session is currently
-		// executing, so it may only be sent once THIS call is at the
-		// head of the pipeline — cancelling earlier would abort some
-		// other goroutine's statement. Wait for headship (or the
-		// response), fire the cancel, then wait for the response so
-		// positional matching stays aligned. If the response beats the
-		// cancel it is returned faithfully: a write that was applied
-		// must not be reported as cancelled. The residual race — the
-		// server finishing this statement just as the cancel lands,
-		// aborting the session's next one — is inherent to
-		// session-level cancellation.
-		for {
-			if c.recv.Load() == cl.seq {
-				c.cancel(conn)
-				break
-			}
-			stillWaiting := false
-			select {
-			case <-cl.done:
-			case <-time.After(time.Millisecond):
-				stillWaiting = true
-			}
-			if !stillWaiting {
-				break
-			}
-		}
-		<-cl.done
-	}
+	c.await(ctx, ln, cl)
 	if cl.err != nil {
 		return nil, cl.err
 	}
@@ -327,13 +263,104 @@ func (c *Conn) roundTrip(ctx context.Context, rq *wire.Request) (*wire.Response,
 	return cl.rs, nil
 }
 
-// cancel sends an out-of-band cancel frame on conn (best effort).
-func (c *Conn) cancel(conn net.Conn) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.c == conn {
-		_ = wire.WriteRequest(conn, &wire.Request{Type: wire.MsgCancel})
+// await returns once cl has its reply, reading the connection itself
+// whenever no other caller is. If ctx ends first, a cancel names cl's
+// request, and cl waits on for the reply so positional matching stays
+// aligned: a reply that beats the cancel is returned faithfully, since
+// a write that was applied must not be reported as cancelled.
+func (c *Conn) await(ctx context.Context, ln *line, cl *call) {
+	done := ctx.Done()
+	for {
+		select {
+		case <-cl.done:
+			return
+		case ln.token <- struct{}{}:
+			interrupted := c.read(ctx, ln, cl)
+			<-ln.token
+			if !interrupted {
+				return
+			}
+		case <-done:
+		}
+		done, ctx = nil, context.Background()
+		c.cancel(ln, cl.seq)
 	}
+}
+
+// read hands each reply to the call at the head of the pipeline until
+// cl's own arrives or the connection fails (every pending call then
+// fails). It reports true when ctx ended while it waited for a frame.
+func (c *Conn) read(ctx context.Context, ln *line, cl *call) bool {
+	for {
+		select {
+		case <-cl.done:
+			return false
+		default:
+		}
+		// Only the wait for a frame's first bytes is interruptible: the
+		// deadline ctx sets is cleared before the frame is read whole.
+		var stop func() bool
+		var fired chan struct{}
+		if ctx.Done() != nil {
+			fired = make(chan struct{})
+			stop = context.AfterFunc(ctx, func() {
+				ln.conn.SetReadDeadline(time.Unix(1, 0))
+				close(fired)
+			})
+		}
+		_, err := ln.r.Peek(1)
+		if stop != nil && !stop() {
+			<-fired
+			ln.conn.SetReadDeadline(time.Time{})
+			if err != nil {
+				return true // the deadline, or an error the next read meets again
+			}
+		}
+		var rs *wire.Response
+		if err == nil {
+			rs, err = ln.next(c.opts.MaxFrame)
+		}
+		if err == nil {
+			select {
+			case head := <-ln.pending:
+				head.rs = rs
+				close(head.done)
+				continue
+			default:
+				err = fmt.Errorf("client: unsolicited response type 0x%02x", rs.Type)
+			}
+		}
+		// The connection is lost: the next call redials, and every
+		// pending call fails.
+		c.mu.Lock()
+		if c.ln == ln {
+			c.ln = nil
+		}
+		c.mu.Unlock()
+		ln.conn.Close()
+		for {
+			select {
+			case p := <-ln.pending:
+				p.err = fmt.Errorf("client: connection lost: %w", err)
+				close(p.done)
+			default:
+				return false
+			}
+		}
+	}
+}
+
+// cancel asks the server, on a connection of its own, to cancel request
+// seq of ln's session (best effort).
+func (c *Conn) cancel(ln *line, seq uint64) {
+	conn, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
+	if err != nil {
+		return
+	}
+	defer conn.Close()
+	// A cancel that fails to go out leaves the call waiting for its
+	// reply, as if the statement had beaten the cancel.
+	_ = wire.WriteRequest(conn, &wire.Request{Type: wire.MsgCancel, Session: ln.session, Key: ln.key, Seq: seq})
 }
 
 func toResult(rs *wire.Response) *Result {
@@ -398,7 +425,7 @@ func (c *Conn) Begin(ctx context.Context) (*Tx, error) {
 	// Redial here if needed: once the slot is reserved, roundTrip
 	// refuses to reconnect (a fresh session would not hold the
 	// transaction), but no transaction exists yet at this point.
-	if c.c == nil && !c.opts.NoReconnect {
+	if c.ln == nil && !c.opts.NoReconnect {
 		if err := c.connectLocked(); err != nil {
 			c.mu.Unlock()
 			return nil, err
@@ -513,7 +540,7 @@ func (c *Conn) Prepare(ctx context.Context, sqlText string) (*Stmt, error) {
 func (st *Stmt) ensure(ctx context.Context) error {
 	st.c.mu.Lock()
 	epoch := st.c.epoch
-	dead := st.c.c == nil
+	dead := st.c.ln == nil
 	st.c.mu.Unlock()
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -753,10 +780,10 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.closed = true
-	if c.c != nil {
-		_ = wire.WriteRequest(c.c, &wire.Request{Type: wire.MsgQuit})
-		err := c.c.Close()
-		c.c = nil
+	if c.ln != nil {
+		_ = wire.WriteRequest(c.ln.conn, &wire.Request{Type: wire.MsgQuit})
+		err := c.ln.conn.Close()
+		c.ln = nil
 		return err
 	}
 	return nil

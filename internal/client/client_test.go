@@ -3,6 +3,8 @@ package client
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -30,7 +32,7 @@ func fakeServer(t *testing.T, respond func(rq *wire.Request) *wire.Response) str
 			go func(conn net.Conn) {
 				defer conn.Close()
 				for {
-					rq, err := wire.ReadRequest(conn, 0)
+					rq, err := readRequest(conn)
 					if err != nil {
 						return
 					}
@@ -39,11 +41,8 @@ func fakeServer(t *testing.T, respond func(rq *wire.Request) *wire.Response) str
 						rs = &wire.Response{Type: wire.MsgWelcome, Session: 1}
 					} else if rq.Type == wire.MsgQuit {
 						return
-					} else {
-						rs = respond(rq)
-						if rs == nil {
-							continue // out-of-band (cancel)
-						}
+					} else if rs = respond(rq); rs == nil {
+						return // a cancel connection: one frame, no reply
 					}
 					if err := wire.WriteResponse(conn, rs); err != nil {
 						return
@@ -53,6 +52,15 @@ func fakeServer(t *testing.T, respond func(rq *wire.Request) *wire.Response) str
 		}
 	}()
 	return ln.Addr().String()
+}
+
+// readRequest reads and decodes one request frame.
+func readRequest(r io.Reader) (*wire.Request, error) {
+	frame, err := wire.ReadFrame(r, nil, 0)
+	if err != nil {
+		return nil, err
+	}
+	return wire.DecodeRequest(frame)
 }
 
 func TestClientRoundTripAndErrorMapping(t *testing.T) {
@@ -102,8 +110,18 @@ func TestClientRoundTripAndErrorMapping(t *testing.T) {
 
 func TestClientPipelineOrdering(t *testing.T) {
 	// Responses echo the request's parameter so ordering mismatches are
-	// visible.
+	// visible. "hold" is answered only once release is closed.
+	holding, release := make(chan struct{}, 1), make(chan struct{})
+	cancels := make(chan uint64, 1)
 	addr := fakeServer(t, func(rq *wire.Request) *wire.Response {
+		switch {
+		case rq.Type == wire.MsgCancel:
+			cancels <- rq.Seq
+			return nil
+		case rq.SQL == "hold":
+			holding <- struct{}{}
+			<-release
+		}
 		return &wire.Response{Type: wire.MsgRows, Cols: []string{"p"},
 			Rows: [][]value.Value{{rq.Params[0]}}}
 	})
@@ -136,6 +154,57 @@ func TestClientPipelineOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+
+	// A caller whose context ends while it holds the read token, with
+	// another goroutine's call pipelined behind it: the caller's cancel
+	// names its own request, and both calls return their own replies.
+	c2, err := Dial(addr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	c2.mu.Lock()
+	ln := c2.ln
+	c2.mu.Unlock()
+	echo := func(ctx context.Context, sql string, want int64, out chan<- error) {
+		res, err := c2.Exec(ctx, sql, value.NewBigint(want))
+		if err == nil && res.Rows[0][0].Int() != want {
+			err = fmt.Errorf("%s got the reply %v", sql, res.Rows[0][0])
+		}
+		out <- err
+	}
+	hctx, cancel := context.WithCancel(ctx)
+	heldDone, behindDone := make(chan error, 1), make(chan error, 1)
+	go echo(hctx, "hold", 1, heldDone)
+	<-holding
+	waitFor(t, "the held call to take the read token", func() bool { return len(ln.token) == 1 })
+	go echo(ctx, "echo", 2, behindDone)
+	waitFor(t, "a call pipelined behind it", func() bool { return len(ln.pending) == 2 })
+	cancel()
+	select {
+	case seq := <-cancels:
+		if seq != 1 {
+			t.Fatalf("the cancel named request %d, want 1 (the first after Hello)", seq)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no cancel was sent")
+	}
+	close(release)
+	if err := <-heldDone; err != nil {
+		t.Fatalf("cancelled caller: %v", err)
+	}
+	if err := <-behindDone; err != nil {
+		t.Fatalf("caller behind it: %v", err)
+	}
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
 }
 
 func TestClientConnectionLostSurfaces(t *testing.T) {
@@ -150,12 +219,12 @@ func TestClientConnectionLostSurfaces(t *testing.T) {
 			return
 		}
 		// Welcome, then die mid-conversation.
-		rq, _ := wire.ReadRequest(conn, 0)
+		rq, _ := readRequest(conn)
 		if rq != nil && rq.Type == wire.MsgHello {
 			wire.WriteResponse(conn, &wire.Response{Type: wire.MsgWelcome, Session: 1})
 		}
-		wire.ReadRequest(conn, 0) // swallow the next request...
-		conn.Close()              // ...and cut the connection
+		readRequest(conn) // swallow the next request...
+		conn.Close()      // ...and cut the connection
 	}()
 	c, err := Dial(ln.Addr().String(), Options{NoReconnect: true, DialTimeout: 2 * time.Second})
 	if err != nil {
@@ -195,7 +264,7 @@ func TestTxnConnectionLossNoRetry(t *testing.T) {
 			go func(conn net.Conn, first bool) {
 				defer conn.Close()
 				for {
-					rq, err := wire.ReadRequest(conn, 0)
+					rq, err := readRequest(conn)
 					if err != nil {
 						return
 					}

@@ -1,16 +1,14 @@
 // Package server implements the hsqld network service: a TCP server
 // speaking the internal/wire protocol in front of one engine.Database.
 //
-// Each accepted connection becomes a session with two goroutines: a
-// reader that decodes request frames (intercepting out-of-band cancels)
-// into a bounded pipeline queue, and an executor that serves the queue
-// in order — so clients can pipeline requests while responses stay in
-// request order. Statement execution passes through a server-wide
-// bounded worker pool: at most Config.Workers statements run in the
-// engine at once, excess requests wait in their session's queue, and a
-// full queue stops the session's reader — backpressure propagates to
-// the client's TCP window instead of accumulating goroutines or buffers.
-// Admission control also caps concurrent sessions; connections beyond
+// Each accepted connection becomes a session served by one goroutine,
+// which reads a request, executes it and writes its reply before it
+// reads the next: responses stay in request order while clients
+// pipeline, and the requests behind the one in progress wait in the
+// socket — backpressure is the client's TCP window, not goroutines or
+// buffers. Statement execution passes through a server-wide bounded
+// worker pool: at most Config.Workers statements run in the engine at
+// once. Admission control caps concurrent sessions; connections beyond
 // the cap are refused with a CodeTooBusy error frame.
 //
 // Prepared statements are tokenized once and cached server-wide keyed
@@ -18,14 +16,17 @@
 // re-bound against the live catalog per execution, so they survive
 // schema and layout changes. Every statement executes under a
 // per-session context: Hello can set a per-statement deadline, and a
-// Cancel frame aborts the in-flight statement at the engine's next
-// batch boundary.
+// cancel aborts a statement at the engine's next batch boundary. As in
+// PostgreSQL, a cancel comes on a connection of its own whose one frame
+// names a session, the key its Welcome carried and a request; it never
+// becomes a session.
 //
-// Shutdown drains gracefully: the listener closes, session readers
-// stop, executors finish every request already accepted (in-flight
-// statements are hard-cancelled only if the drain deadline expires),
-// and finally the engine is closed — which checkpoints durable state —
-// so a drained shutdown never loses an acknowledged write.
+// Shutdown drains gracefully: the listener closes, each session
+// finishes the request in progress and reads no more (requests
+// pipelined behind it see a lost connection; in-flight statements are
+// hard-cancelled only if the drain deadline expires), and finally the
+// engine is closed — which checkpoints durable state — so a drained
+// shutdown never loses an acknowledged write.
 package server
 
 import (
@@ -58,9 +59,6 @@ type Config struct {
 	// scans may recruit. 0 = the process-wide default pool
 	// (GOMAXPROCS slots unless exec.SetDefaultSize overrode it).
 	Workers int
-	// QueueDepth bounds the pipelined requests buffered per session
-	// before the reader stops reading (TCP backpressure). 0 = 32.
-	QueueDepth int
 	// MaxFrame caps accepted request frames and emitted response
 	// frames. 0 = wire.DefaultMaxFrame.
 	MaxFrame int
@@ -81,9 +79,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 128
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 32
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = wire.DefaultMaxFrame
@@ -179,34 +174,23 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed (Shutdown) or fatal
 		}
-		if s.draining.Load() {
-			mSessionsRefused.Inc()
-			_ = wire.WriteResponse(conn, &wire.Response{
-				Type: wire.MsgError, Code: wire.CodeShutdown, Err: "server is shutting down",
-			})
-			conn.Close()
-			continue
-		}
+		// Draining is checked under the lock: Shutdown sets the flag and
+		// then stops every registered session's reading under this same
+		// mutex, so a connection is either refused here or registered in
+		// time to be drained.
 		s.mu.Lock()
-		// Re-check draining under the lock: Shutdown sets the flag and
-		// then stops every registered session's reader under this same
-		// mutex, so a connection that slips past the first check is
-		// either refused here or registered in time to be drained.
-		if s.draining.Load() {
-			s.mu.Unlock()
-			_ = wire.WriteResponse(conn, &wire.Response{
-				Type: wire.MsgError, Code: wire.CodeShutdown, Err: "server is shutting down",
-			})
-			conn.Close()
-			continue
+		var refusal *wire.Response
+		switch {
+		case s.draining.Load():
+			refusal = &wire.Response{Type: wire.MsgError, Code: wire.CodeShutdown, Err: "server is shutting down"}
+		case len(s.sessions) >= s.cfg.MaxSessions:
+			refusal = &wire.Response{Type: wire.MsgError, Code: wire.CodeTooBusy,
+				Err: fmt.Sprintf("server at its session limit (%d)", s.cfg.MaxSessions)}
 		}
-		if len(s.sessions) >= s.cfg.MaxSessions {
+		if refusal != nil {
 			s.mu.Unlock()
 			mSessionsRefused.Inc()
-			_ = wire.WriteResponse(conn, &wire.Response{
-				Type: wire.MsgError, Code: wire.CodeTooBusy,
-				Err: fmt.Sprintf("server at its session limit (%d)", s.cfg.MaxSessions),
-			})
+			_ = wire.WriteResponse(conn, refusal)
 			conn.Close()
 			continue
 		}
@@ -217,6 +201,17 @@ func (s *Server) acceptLoop() {
 		mSessionsOpened.Inc()
 		s.wg.Add(1)
 		go sess.run()
+	}
+}
+
+// cancelRequest serves a cancel connection's frame: the named session's
+// request is cancelled if the key matches.
+func (s *Server) cancelRequest(rq *wire.Request) {
+	s.mu.Lock()
+	sess := s.sessions[rq.Session]
+	s.mu.Unlock()
+	if sess != nil && sess.key == rq.Key {
+		sess.cancel(rq.Seq)
 	}
 }
 
@@ -243,9 +238,9 @@ func (s *Server) Sessions() int {
 }
 
 // Shutdown drains the server and closes the engine (checkpointing
-// durable state): the listener stops accepting, session readers are
-// stopped, executors finish every request already read off the wire,
-// and once every session has exited the database is closed. If ctx
+// durable state): the listener stops accepting, every session finishes
+// the request in progress and reads no more, and once every session has
+// exited the database is closed. If ctx
 // expires first (or, without a deadline, after Config.DrainTimeout),
 // in-flight statements are hard-cancelled — they abort at the engine's
 // next batch boundary — and connections are torn down before the
@@ -260,8 +255,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.DrainTimeout)
 		defer cancel()
 	}
-	// Stop every session's reader: queued requests still execute, new
-	// frames are no longer read.
+	// Stop every session's reading: the request in progress finishes,
+	// the ones pipelined behind it are not read.
 	s.mu.Lock()
 	for _, sess := range s.sessions {
 		sess.stopReading()

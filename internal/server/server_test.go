@@ -187,8 +187,9 @@ func TestServerOversizedResultRefused(t *testing.T) {
 	}
 }
 
-// TestServerRefusesOldProtocolVersion: a version-1 client gets a
-// protocol error naming both versions.
+// TestServerRefusesOldProtocolVersion: a client of the previous
+// protocol version (2, before the cancel connection) gets a protocol
+// error naming both versions.
 func TestServerRefusesOldProtocolVersion(t *testing.T) {
 	srv := startServer(t, engine.New(), Config{})
 	defer shutdown(t, srv)
@@ -198,16 +199,16 @@ func TestServerRefusesOldProtocolVersion(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := wire.WriteRequest(conn, &wire.Request{Type: wire.MsgHello, ClientName: "old", Version: 1}); err != nil {
+	if err := wire.WriteRequest(conn, &wire.Request{Type: wire.MsgHello, ClientName: "old", Version: 2}); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := wire.ReadResponse(conn, 0)
+	rs, err := readResponse(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprintf("protocol version 1 not supported (server speaks %d)", wire.ProtocolVersion)
+	want := fmt.Sprintf("protocol version 2 not supported (server speaks %d)", wire.ProtocolVersion)
 	if rs.Type != wire.MsgError || rs.Code != wire.CodeProtocol || rs.Err != want {
-		t.Fatalf("hello at version 1: %+v", rs)
+		t.Fatalf("hello at version 2: %+v", rs)
 	}
 }
 
@@ -234,7 +235,8 @@ func TestServerCancelAbortsAnalyticalScan(t *testing.T) {
 	}
 	full := time.Since(start)
 
-	// Now cancel it in flight via the out-of-band Cancel frame.
+	// Now cancel it in flight: the client sends a cancel on a connection
+	// of its own.
 	cctx, cancel := context.WithCancel(ctx)
 	go func() {
 		time.Sleep(full / 10)

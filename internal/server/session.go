@@ -1,12 +1,16 @@
 package server
 
 import (
+	"bufio"
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hybridstore/internal/engine"
@@ -15,15 +19,20 @@ import (
 	"hybridstore/internal/wire"
 )
 
-// session is one client connection: a reader goroutine feeding a
-// bounded request queue and an executor goroutine (run) serving it in
-// order. The state machine is deliberately small — created → (hello) →
-// serving → draining → gone — with the hello optional so bare clients
-// can fire statements immediately.
+// session is one client connection, served by one goroutine (run) that
+// reads a request, handles it and writes its reply before it reads the
+// next: requests a client pipelines wait in the socket, so the TCP
+// window is the session's backpressure. The state machine is
+// deliberately small — created → (hello) → serving → draining → gone —
+// with the hello optional so bare clients can fire statements
+// immediately.
 type session struct {
 	srv  *Server
 	id   uint64
 	conn net.Conn
+	// key authenticates the cancel connections that name this session;
+	// Welcome hands it to the client.
+	key uint64
 
 	// label attributes the session's statements in the slow-query log;
 	// Hello refines it with the client's name.
@@ -36,50 +45,47 @@ type session struct {
 	// hard-stop.
 	ctx context.Context
 
-	// reqCh is the bounded pipeline queue; the reader blocks when it is
-	// full, which is the per-session backpressure.
-	reqCh chan *wire.Request
+	// stopped is set by drain: the request in progress finishes, and
+	// nothing more is read.
+	stopped atomic.Bool
 
-	// stopRead aborts a blocked read during drain.
-	readMu      sync.Mutex
-	readStopped bool
-
-	// curCancel aborts the statement the executor is running (nil when
-	// idle); Cancel frames call it from the reader goroutine.
+	// seq is the position of the request in progress or, between
+	// requests, of the next one to read (Hello is 0). curCancel aborts
+	// the statement running now (nil when none is); cancels holds the
+	// positions named by cancels that reached no running statement yet.
 	cancelMu  sync.Mutex
+	seq       uint64
 	curCancel context.CancelFunc
+	cancels   map[uint64]bool
 
-	// writeMu serializes response frames: the executor is the main
-	// writer, but the reader emits a best-effort protocol-error frame
-	// when a session dies on garbage input.
-	writeMu sync.Mutex
-	// wbuf is the reused frame buffer write encodes into (under
-	// writeMu); one larger than wire.MaxRetained is not kept.
-	wbuf []byte
+	// rbuf and wbuf are the reused frame buffers of the last request
+	// and reply; one larger than wire.MaxRetained is not kept.
+	rbuf, wbuf []byte
 
 	// stmts maps this session's prepared-statement handles (issued from
-	// the server-wide counter) into the shared cache's templates. Only
-	// the executor touches it.
+	// the server-wide counter) into the shared cache's templates.
 	stmts map[uint64]*cachedStmt
 
 	// tx is the session's open explicit transaction (BEGIN…COMMIT); nil
-	// outside one. Only the executor touches it; statements executed
-	// while it is set join the transaction instead of auto-committing.
-	// After a statement failure the engine has already aborted the
-	// transaction, but tx stays set (statements keep returning the abort
-	// reason) until the client acknowledges with ROLLBACK — mirroring
-	// the usual SQL session contract.
+	// outside one. Statements executed while it is set join the
+	// transaction instead of auto-committing. After a statement failure
+	// the engine has already aborted the transaction, but tx stays set
+	// (statements keep returning the abort reason) until the client
+	// acknowledges with ROLLBACK — mirroring the usual SQL session
+	// contract.
 	tx *engine.Txn
 }
 
 func newSession(s *Server, id uint64, conn net.Conn) *session {
+	var key [8]byte
+	rand.Read(key[:]) // never fails: it crashes the program instead
 	return &session{
 		srv:   s,
 		id:    id,
 		conn:  conn,
+		key:   binary.LittleEndian.Uint64(key[:]),
 		label: fmt.Sprintf("sess#%d", id),
 		ctx:   s.baseCtx,
-		reqCh: make(chan *wire.Request, s.cfg.QueueDepth),
 		stmts: make(map[uint64]*cachedStmt),
 		// The configured cap applies from the first statement, so a
 		// client that never sends Hello cannot dodge it.
@@ -87,25 +93,16 @@ func newSession(s *Server, id uint64, conn net.Conn) *session {
 	}
 }
 
-// stopReading wakes a blocked read and prevents further ones; queued
-// requests still execute (graceful drain).
+// stopReading lets the request in progress finish and wakes a blocked
+// read; the requests a client pipelined behind it see a lost connection.
 func (se *session) stopReading() {
-	se.readMu.Lock()
-	se.readStopped = true
-	se.readMu.Unlock()
+	se.stopped.Store(true)
 	se.conn.SetReadDeadline(time.Now())
 }
 
-// reqProtoErr marks a poison queue entry the reader enqueues when the
-// request stream turns to garbage: the executor emits it as an error
-// frame IN ORDER — after every response already owed — and terminates
-// the session. Writing it directly from the reader would interleave it
-// ahead of queued responses and mis-correlate the client's positional
-// matching. The value is a response type, which no valid request can
-// carry.
-const reqProtoErr = wire.MsgError
-
-// run is the session's executor loop (and lifecycle owner).
+// run serves the connection until it closes, Quit, a protocol error or
+// drain. A connection whose first frame is a Cancel never becomes a
+// session: it cancels the request it names and closes.
 func (se *session) run() {
 	defer func() {
 		// A connection dying mid-transaction must not leave write claims
@@ -117,68 +114,96 @@ func (se *session) run() {
 		se.conn.Close()
 		se.srv.dropSession(se)
 	}()
-	go se.readLoop()
-	for rq := range se.reqCh {
-		if rq.Type == reqProtoErr {
-			se.write(&wire.Response{Type: wire.MsgError, Code: wire.CodeProtocol, Err: rq.SQL})
-			break
-		}
-		rs := se.handle(rq)
-		if rs == nil { // Quit
-			break
-		}
-		if err := se.write(rs); err != nil {
-			break
-		}
-	}
-	// Let the reader's queue drain so it can exit (it may be blocked on
-	// a full queue while we stop consuming).
-	se.stopReading()
-	for range se.reqCh {
-	}
-}
-
-// readLoop decodes frames into the queue, intercepting out-of-band
-// cancels. It owns closing reqCh.
-func (se *session) readLoop() {
-	defer close(se.reqCh)
+	r := bufio.NewReader(se.conn)
 	for {
-		rq, err := wire.ReadRequest(se.conn, se.srv.cfg.MaxFrame)
+		rq, err := se.read(r)
 		if err != nil {
-			se.readMu.Lock()
-			stopped := se.readStopped
-			se.readMu.Unlock()
-			if !stopped {
-				// Protocol-level garbage earns a final error frame, but
-				// it must flow through the executor queue so it lands
-				// after every response already owed (response order is
-				// the client's correlation mechanism). EOF is a normal
-				// hangup and net errors (resets, closed conns) are not
-				// worth one.
-				var ne net.Error
-				if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.As(err, &ne) {
-					se.reqCh <- &wire.Request{Type: reqProtoErr, SQL: err.Error()}
-				}
+			// Garbage earns a final error frame; every reply owed is
+			// already written. EOF is a normal hangup and net errors
+			// (resets, closed conns, drain's deadline) are not worth one.
+			var ne net.Error
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.As(err, &ne) {
+				se.write(&wire.Response{Type: wire.MsgError, Code: wire.CodeProtocol, Err: err.Error()})
 			}
 			return
 		}
-		if rq.Type == wire.MsgCancel {
-			se.cancelCurrent()
-			continue
+		if rq.Type == wire.MsgCancel && se.seq == 0 {
+			se.srv.cancelRequest(rq)
+			return
 		}
-		se.reqCh <- rq
-		if rq.Type == wire.MsgQuit {
+		rs := se.handle(rq)
+		se.cancelMu.Lock()
+		delete(se.cancels, se.seq)
+		se.seq++
+		se.cancelMu.Unlock()
+		if rs == nil || se.write(rs) != nil || se.stopped.Load() { // Quit, lost, drain
 			return
 		}
 	}
 }
 
-func (se *session) cancelCurrent() {
+// read reads and decodes the next request through the session's reused
+// buffer; the decoded request does not alias it.
+func (se *session) read(r *bufio.Reader) (*wire.Request, error) {
+	frame, err := wire.ReadFrame(r, se.rbuf, se.srv.cfg.MaxFrame)
+	if err != nil {
+		return nil, err
+	}
+	if cap(frame) <= wire.MaxRetained {
+		se.rbuf = frame
+	}
+	return wire.DecodeRequest(frame)
+}
+
+// cancel cancels request seq now if it is running, at its start if it
+// has not been read yet, and not at all if it has finished.
+func (se *session) cancel(seq uint64) {
 	se.cancelMu.Lock()
-	if se.curCancel != nil {
+	defer se.cancelMu.Unlock()
+	if seq < se.seq {
+		return
+	}
+	if se.cancels == nil {
+		se.cancels = make(map[uint64]bool)
+	}
+	se.cancels[seq] = true
+	if seq == se.seq && se.curCancel != nil {
 		se.curCancel()
 	}
+}
+
+// begin readies the current request's statement to run: its context,
+// with the session deadline applied and registered for cancels, and a
+// slot of the shared worker pool (the statement runs on it; any further
+// parallelism the engine finds comes from try-acquiring idle slots of
+// the same pool). A request that a cancel named before it started, or
+// that is cancelled while it waits for a slot, gets its reply instead.
+func (se *session) begin(ctx context.Context) (context.Context, func(), *wire.Response) {
+	var cancel context.CancelFunc
+	if se.timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, se.timeout)
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
+	}
+	se.cancelMu.Lock()
+	se.curCancel = cancel
+	cancelled := se.cancels[se.seq]
 	se.cancelMu.Unlock()
+	end := func() {
+		se.cancelMu.Lock()
+		se.curCancel = nil
+		se.cancelMu.Unlock()
+		cancel()
+	}
+	err := context.Canceled
+	if !cancelled {
+		err = se.srv.pool.Acquire(ctx)
+	}
+	if err != nil {
+		end()
+		return nil, nil, ctxError(err)
+	}
+	return ctx, func() { se.srv.pool.Release(); end() }, nil
 }
 
 // write encodes one response frame, header included, into the session's
@@ -186,8 +211,6 @@ func (se *session) cancelCurrent() {
 // limit is replaced by an error, so the client's reader survives; the
 // encoder gives up on it at the limit.
 func (se *session) write(rs *wire.Response) error {
-	se.writeMu.Lock()
-	defer se.writeMu.Unlock()
 	max := se.srv.cfg.MaxFrame
 	frame, err := wire.AppendResponse(se.wbuf[:0], rs, max)
 	if err != nil {
@@ -220,7 +243,7 @@ func (se *session) handle(rq *wire.Request) *wire.Response {
 		if max := se.srv.cfg.MaxStmtTimeout; max > 0 && (se.timeout == 0 || se.timeout > max) {
 			se.timeout = max
 		}
-		return &wire.Response{Type: wire.MsgWelcome, Session: se.id}
+		return &wire.Response{Type: wire.MsgWelcome, Session: se.id, Key: se.key}
 	case wire.MsgPing:
 		return &wire.Response{Type: wire.MsgPong}
 	case wire.MsgQuit:
@@ -278,8 +301,7 @@ func (se *session) prepare(text string) (*cachedStmt, error) {
 }
 
 // execPrepared binds and executes one statement under a fresh statement
-// context (session deadline applied, cancel registered for out-of-band
-// Cancel frames) on a worker-pool slot.
+// context on a worker-pool slot (see begin).
 func (se *session) execPrepared(cs *cachedStmt, params []value.Value) *wire.Response {
 	st, err := cs.pp.Bind(se.srv.resolver, params)
 	if err != nil {
@@ -296,31 +318,13 @@ func (se *session) execPrepared(cs *cachedStmt, params []value.Value) *wire.Resp
 	if se.tx != nil {
 		ctx = engine.WithTxn(ctx, se.tx)
 	}
-	var cancel context.CancelFunc
-	if se.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, se.timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
+	ctx, end, rs := se.begin(ctx)
+	if rs != nil {
+		return rs
 	}
-	se.cancelMu.Lock()
-	se.curCancel = cancel
-	se.cancelMu.Unlock()
-	defer func() {
-		se.cancelMu.Lock()
-		se.curCancel = nil
-		se.cancelMu.Unlock()
-		cancel()
-	}()
+	defer end()
 
-	// Shared worker pool: wait for an execution slot (or hard-stop).
-	// The statement runs on this slot; any additional parallelism the
-	// engine finds comes from try-acquiring idle slots of the same pool.
-	if err := se.srv.pool.Acquire(ctx); err != nil {
-		return ctxError(err)
-	}
-	defer se.srv.pool.Release()
-
-	rs, err := se.srv.execStatement(ctx, st, cs)
+	rs, err = se.srv.execStatement(ctx, st, cs)
 	mStatements.Inc()
 	if err != nil {
 		mStmtErrors.Inc()
@@ -331,8 +335,8 @@ func (se *session) execPrepared(cs *cachedStmt, params []value.Value) *wire.Resp
 
 // execCopy serves one MsgCopy bulk-ingest frame: the whole batch is
 // applied and made durable atomically through the engine's ingest fast
-// path. It takes a worker-pool slot and registers for out-of-band
-// cancel exactly like a statement, but skips SQL parsing entirely —
+// path. It takes a worker-pool slot and registers for cancels exactly
+// like a statement, but skips SQL parsing entirely —
 // the frame already carries typed rows.
 func (se *session) execCopy(rq *wire.Request) *wire.Response {
 	if se.tx != nil {
@@ -342,27 +346,11 @@ func (se *session) execCopy(rq *wire.Request) *wire.Response {
 		return &wire.Response{Type: wire.MsgError, Code: wire.CodeUnsupported,
 			Err: "server: COPY inside an open transaction is not supported (COMMIT or ROLLBACK first)"}
 	}
-	ctx := engine.WithSession(se.ctx, se.label)
-	var cancel context.CancelFunc
-	if se.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, se.timeout)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
+	ctx, end, rs := se.begin(engine.WithSession(se.ctx, se.label))
+	if rs != nil {
+		return rs
 	}
-	se.cancelMu.Lock()
-	se.curCancel = cancel
-	se.cancelMu.Unlock()
-	defer func() {
-		se.cancelMu.Lock()
-		se.curCancel = nil
-		se.cancelMu.Unlock()
-		cancel()
-	}()
-
-	if err := se.srv.pool.Acquire(ctx); err != nil {
-		return ctxError(err)
-	}
-	defer se.srv.pool.Release()
+	defer end()
 
 	res, err := se.srv.db.CopyRows(ctx, rq.Table, rq.Rows)
 	mStatements.Inc()
@@ -396,7 +384,7 @@ func execError(err error) *wire.Response {
 }
 
 // execTxnCtl serves BEGIN/COMMIT/ROLLBACK. Transaction control runs on
-// the executor goroutine without a worker-pool slot: BEGIN and ROLLBACK
+// the session goroutine without a worker-pool slot: BEGIN and ROLLBACK
 // are instant, and COMMIT's cost is the WAL group-commit wait, which
 // holds no engine resources a pool slot would meter.
 func (se *session) execTxnCtl(kind sql.TxnKind) *wire.Response {
@@ -407,10 +395,7 @@ func (se *session) execTxnCtl(kind sql.TxnKind) *wire.Response {
 		}
 		tx, err := se.srv.db.Begin(engine.WithSession(se.ctx, se.label))
 		if err != nil {
-			if errors.Is(err, engine.ErrClosed) {
-				return &wire.Response{Type: wire.MsgError, Code: wire.CodeShutdown, Err: err.Error()}
-			}
-			return sqlError(err)
+			return execError(err)
 		}
 		se.tx = tx
 		return &wire.Response{Type: wire.MsgOK}
@@ -421,14 +406,7 @@ func (se *session) execTxnCtl(kind sql.TxnKind) *wire.Response {
 		tx := se.tx
 		se.tx = nil
 		if err := tx.Commit(engine.WithSession(se.ctx, se.label)); err != nil {
-			switch {
-			case engine.IsConflict(err):
-				return &wire.Response{Type: wire.MsgError, Code: wire.CodeTxnConflict, Err: err.Error()}
-			case errors.Is(err, engine.ErrClosed):
-				return &wire.Response{Type: wire.MsgError, Code: wire.CodeShutdown, Err: err.Error()}
-			default:
-				return sqlError(err)
-			}
+			return execError(err)
 		}
 		return &wire.Response{Type: wire.MsgOK}
 	default: // sql.TxnRollback

@@ -25,6 +25,9 @@ type Encoder struct {
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
+// AppendEncoder returns an encoder that appends to buf.
+func AppendEncoder(buf []byte) *Encoder { return &Encoder{buf: buf} }
+
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
 

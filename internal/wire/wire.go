@@ -10,7 +10,8 @@
 // A frame is [uint32 LE payload length][payload]; the payload's first
 // byte is the message type. Each request frame receives exactly one
 // response frame, in request order — the ordering is what lets clients
-// pipeline without per-request correlation ids. Frames larger than the
+// pipeline without per-request correlation ids, and a request's position
+// (Hello is 0) is the number a Cancel names it by. Frames larger than the
 // reader's limit are rejected before any allocation, and truncated
 // frames surface as io.ErrUnexpectedEOF, so a malicious or confused peer
 // cannot make the server allocate or block unboundedly.
@@ -30,7 +31,7 @@ import (
 
 // ProtocolVersion is bumped on incompatible frame-format changes; Hello
 // carries the client's version and the server rejects mismatches.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // DefaultMaxFrame caps the payload size either side accepts (and the
 // row payload a response may carry). Large results should be paged with
@@ -64,8 +65,11 @@ const (
 	MsgStmtClose byte = 0x05
 	// MsgPing checks liveness.
 	MsgPing byte = 0x06
-	// MsgCancel aborts the session's currently executing statement. It
-	// is processed out of band (no response frame of its own): the
+	// MsgCancel is the one frame of a connection of its own: it names a
+	// session, the key its Welcome carried and the position of one of
+	// its requests. The server cancels that request if it is running,
+	// at its start if it has not been read yet, and not at all if it has
+	// finished; it answers nothing and closes the connection. The
 	// cancelled statement's response reports the cancellation.
 	MsgCancel byte = 0x07
 	// MsgQuit closes the session after the pipeline drains.
@@ -80,7 +84,8 @@ const (
 
 // Response message types.
 const (
-	// MsgWelcome answers Hello with the session id.
+	// MsgWelcome answers Hello with the session id and the session's
+	// random cancel key.
 	MsgWelcome byte = 0x81
 	// MsgOK reports a statement that returned no rows.
 	MsgOK byte = 0x82
@@ -145,6 +150,8 @@ type Request struct {
 	Table string
 	Width int
 	Rows  [][]value.Value
+	// Cancel: the session, its key and the request's position.
+	Session, Key, Seq uint64
 }
 
 // Response is one server→client message; only the fields of its Type
@@ -153,7 +160,7 @@ type Response struct {
 	Type byte
 
 	// Welcome.
-	Session uint64
+	Session, Key uint64
 
 	// Prepared.
 	Stmt      uint64
@@ -168,17 +175,6 @@ type Response struct {
 	// Error.
 	Code byte
 	Err  string
-}
-
-// WriteFrame frames and writes one payload. The header and payload go
-// out in a single Write call, so frames from writers serialized by a
-// mutex can never interleave on the socket.
-func WriteFrame(w io.Writer, payload []byte) error {
-	buf := make([]byte, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[frameHeaderLen:], payload)
-	_, err := w.Write(buf)
-	return err
 }
 
 // ReadFrame reads one frame payload into buf's storage when it fits (buf
@@ -222,8 +218,13 @@ func ReadFrame(r io.Reader, buf []byte, max int) ([]byte, error) {
 }
 
 // EncodeRequest serializes a request into a frame payload.
-func EncodeRequest(rq *Request) []byte {
-	e := wal.NewEncoder()
+func EncodeRequest(rq *Request) []byte { return AppendRequest(nil, rq)[frameHeaderLen:] }
+
+// AppendRequest appends rq to dst as one whole frame, header included,
+// so it can go out in a single Write.
+func AppendRequest(dst []byte, rq *Request) []byte {
+	start := len(dst)
+	e := wal.AppendEncoder(append(dst, 0, 0, 0, 0))
 	e.Byte(rq.Type)
 	switch rq.Type {
 	case MsgHello:
@@ -244,10 +245,14 @@ func EncodeRequest(rq *Request) []byte {
 		e.String(rq.Table)
 		e.Varint(int64(rq.Width))
 		e.Rows(rq.Rows)
-	case MsgPing, MsgCancel, MsgQuit:
-		// Type byte only.
+	case MsgCancel:
+		e.Uvarint(rq.Session)
+		e.Uvarint(rq.Key)
+		e.Uvarint(rq.Seq)
 	}
-	return e.Bytes()
+	dst = e.Bytes()
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-frameHeaderLen))
+	return dst
 }
 
 // DecodeRequest parses a frame payload into a request.
@@ -284,7 +289,9 @@ func DecodeRequest(payload []byte) (*Request, error) {
 		// The codec's Rows already bounds up-front allocation and
 		// validates the claimed count against the remaining bytes.
 		rq.Rows = d.Rows(rq.Width)
-	case MsgPing, MsgCancel, MsgQuit:
+	case MsgCancel:
+		rq.Session, rq.Key, rq.Seq = d.Uvarint(), d.Uvarint(), d.Uvarint()
+	case MsgPing, MsgQuit:
 	default:
 		return nil, fmt.Errorf("wire: unknown request type 0x%02x", rq.Type)
 	}
@@ -327,6 +334,7 @@ func appendPayload(dst []byte, rs *Response, limit int) ([]byte, bool) {
 	switch rs.Type {
 	case MsgWelcome:
 		dst = binary.AppendUvarint(dst, rs.Session)
+		dst = binary.AppendUvarint(dst, rs.Key)
 	case MsgOK:
 		dst = binary.AppendVarint(dst, int64(rs.Affected))
 		dst = binary.AppendUvarint(dst, uint64(rs.Duration))
@@ -360,7 +368,7 @@ func DecodeResponse(payload []byte) (*Response, error) {
 	rs := &Response{Type: d.Byte()}
 	switch rs.Type {
 	case MsgWelcome:
-		rs.Session = d.Uvarint()
+		rs.Session, rs.Key = d.Uvarint(), d.Uvarint()
 	case MsgOK:
 		rs.Affected = d.Int()
 		rs.Duration = time.Duration(d.Uvarint())
@@ -441,7 +449,10 @@ func decodeParams(d *wal.Decoder) ([]value.Value, error) {
 }
 
 // WriteRequest encodes and frames a request.
-func WriteRequest(w io.Writer, rq *Request) error { return WriteFrame(w, EncodeRequest(rq)) }
+func WriteRequest(w io.Writer, rq *Request) error {
+	_, err := w.Write(AppendRequest(nil, rq))
+	return err
+}
 
 // WriteResponse encodes and frames a response.
 func WriteResponse(w io.Writer, rs *Response) error {
@@ -451,22 +462,4 @@ func WriteResponse(w io.Writer, rs *Response) error {
 	}
 	_, err = w.Write(frame)
 	return err
-}
-
-// ReadRequest reads and decodes one request frame.
-func ReadRequest(r io.Reader, max int) (*Request, error) {
-	payload, err := ReadFrame(r, nil, max)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeRequest(payload)
-}
-
-// ReadResponse reads and decodes one response frame.
-func ReadResponse(r io.Reader, max int) (*Response, error) {
-	payload, err := ReadFrame(r, nil, max)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeResponse(payload)
 }

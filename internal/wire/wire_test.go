@@ -77,7 +77,7 @@ func TestRequestRoundTripProperty(t *testing.T) {
 		case 5:
 			rq = Request{Type: MsgPing}
 		case 6:
-			rq = Request{Type: MsgCancel}
+			rq = Request{Type: MsgCancel, Session: rng.Uint64() % 1e9, Key: rng.Uint64(), Seq: rng.Uint64() % 1e6}
 		default:
 			rq = Request{Type: MsgQuit}
 		}
@@ -87,6 +87,7 @@ func TestRequestRoundTripProperty(t *testing.T) {
 		}
 		if got.Type != rq.Type || got.SQL != rq.SQL || got.Stmt != rq.Stmt ||
 			got.ClientName != rq.ClientName || got.Version != rq.Version || got.Timeout != rq.Timeout ||
+			got.Session != rq.Session || got.Key != rq.Key || got.Seq != rq.Seq ||
 			!paramsEqual(got.Params, rq.Params) {
 			t.Fatalf("round trip mismatch:\n  in  %+v\n  out %+v", rq, got)
 		}
@@ -114,7 +115,7 @@ func TestResponseRoundTripProperty(t *testing.T) {
 		var rs Response
 		switch rng.Intn(6) {
 		case 0:
-			rs = Response{Type: MsgWelcome, Session: rng.Uint64() % 1e9}
+			rs = Response{Type: MsgWelcome, Session: rng.Uint64() % 1e9, Key: rng.Uint64()}
 		case 1:
 			rs = Response{Type: MsgOK, Affected: rng.Intn(1000), Duration: time.Duration(rng.Intn(1e9))}
 		case 2:
@@ -132,7 +133,7 @@ func TestResponseRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %+v: %v", rs, err)
 		}
-		if got.Type != rs.Type || got.Session != rs.Session || got.Stmt != rs.Stmt ||
+		if got.Type != rs.Type || got.Session != rs.Session || got.Key != rs.Key || got.Stmt != rs.Stmt ||
 			got.NumParams != rs.NumParams || got.Affected != rs.Affected ||
 			got.Duration != rs.Duration || got.Code != rs.Code || got.Err != rs.Err ||
 			!reflect.DeepEqual(got.Cols, rs.Cols) {
@@ -153,9 +154,8 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{{0x01}, []byte("hello frame"), bytes.Repeat([]byte{0xAB}, 1<<16)}
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(p))))
+		buf.Write(p)
 	}
 	for _, want := range payloads {
 		got, err := ReadFrame(&buf, nil, 0)
@@ -189,12 +189,8 @@ func TestOversizedFrameRejected(t *testing.T) {
 }
 
 func TestTruncatedFrameRejected(t *testing.T) {
-	full := EncodeRequest(&Request{Type: MsgExec, SQL: "SELECT * FROM t", Params: []value.Value{value.NewInt(7)}})
-	var whole bytes.Buffer
-	if err := WriteFrame(&whole, full); err != nil {
-		t.Fatal(err)
-	}
-	raw := whole.Bytes()
+	raw := AppendRequest(nil, &Request{Type: MsgExec, SQL: "SELECT * FROM t", Params: []value.Value{value.NewInt(7)}})
+	full := raw[4:]
 	// Every proper prefix must fail with ErrUnexpectedEOF (or io.EOF for
 	// the empty prefix), never hang or misparse.
 	for cut := 0; cut < len(raw); cut++ {
@@ -243,6 +239,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(EncodeRequest(&Request{Type: MsgExec, SQL: "SELECT 1 FROM t", Params: []value.Value{value.NewInt(1)}}))
 	f.Add(EncodeRequest(&Request{Type: MsgHello, ClientName: "c", Version: 1}))
 	f.Add(EncodeRequest(&Request{Type: MsgStmtExec, Stmt: 3, Params: []value.Value{value.Null(value.Varchar)}}))
+	f.Add(EncodeRequest(&Request{Type: MsgCancel, Session: 12, Key: 0x9E3779B97F4A7C15, Seq: 300}))
 	f.Add([]byte{0x02, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rq, err := DecodeRequest(data)
@@ -253,7 +250,8 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of valid request failed: %v", err)
 		}
-		if re.Type != rq.Type || re.SQL != rq.SQL || re.Stmt != rq.Stmt || !paramsEqual(re.Params, rq.Params) {
+		if re.Type != rq.Type || re.SQL != rq.SQL || re.Stmt != rq.Stmt || !paramsEqual(re.Params, rq.Params) ||
+			re.Session != rq.Session || re.Key != rq.Key || re.Seq != rq.Seq {
 			t.Fatalf("unstable round trip: %+v vs %+v", rq, re)
 		}
 	})
@@ -267,6 +265,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		f.Add(EncodeResponse(rs))
 	}
 	f.Add(EncodeResponse(&Response{Type: MsgError, Code: CodeSQL, Err: "x"}))
+	f.Add(EncodeResponse(&Response{Type: MsgWelcome, Session: 12, Key: 0x9E3779B97F4A7C15}))
 	f.Add([]byte{0x83, 0x00, 0x00, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rs, err := DecodeResponse(data)
@@ -279,6 +278,9 @@ func FuzzDecodeResponse(f *testing.F) {
 		}
 		if err := sameRows(re.Rows, rs.Rows); err != nil {
 			t.Fatalf("unstable round trip: %v", err)
+		}
+		if re.Session != rs.Session || re.Key != rs.Key {
+			t.Fatalf("unstable Welcome: %+v vs %+v", rs, re)
 		}
 	})
 }
@@ -457,6 +459,46 @@ func TestDecodedVarcharsDoNotAliasFrame(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Cols, first.Cols) {
 		t.Fatalf("columns %q", got.Cols)
+	}
+}
+
+// TestDecodedRequestDoesNotAliasFrame reads two request frames through
+// one reused buffer, as a session does, and checks the first request's
+// text, parameters and rows survive the second read and an overwrite.
+func TestDecodedRequestDoesNotAliasFrame(t *testing.T) {
+	params := []value.Value{value.NewVarchar("alpha"), value.NewBigint(7)}
+	rows := [][]value.Value{{value.NewVarchar("beta"), value.NewDouble(1.5)}}
+	var stream bytes.Buffer
+	stream.Write(AppendRequest(nil, &Request{Type: MsgExec, SQL: "SELECT v FROM t WHERE k = ? AND g = ?", Params: params}))
+	stream.Write(AppendRequest(nil, &Request{Type: MsgCopy, Table: "t", Width: 2, Rows: rows}))
+	stream.Write(AppendRequest(nil, &Request{Type: MsgExec, SQL: strings.Repeat("z", 200)}))
+	buf := make([]byte, 0, 4096)
+	var got []*Request
+	for i := 0; i < 3; i++ {
+		frame, err := ReadFrame(&stream, buf, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &frame[0] != &buf[:1][0] {
+			t.Fatalf("frame %d was not read into the reused buffer", i)
+		}
+		rq, err := DecodeRequest(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, rq)
+	}
+	for i := range buf[:cap(buf)] {
+		buf[:cap(buf)][i] = 0xAA
+	}
+	if got[0].SQL != "SELECT v FROM t WHERE k = ? AND g = ?" || !paramsEqual(got[0].Params, params) {
+		t.Fatalf("exec request after overwrite: %+v", got[0])
+	}
+	if got[1].Table != "t" {
+		t.Fatalf("copy table after overwrite: %q", got[1].Table)
+	}
+	if err := sameRows(got[1].Rows, rows); err != nil {
+		t.Fatal(err)
 	}
 }
 
