@@ -70,17 +70,23 @@
 //     columns or joins the two on the key, one row-partition block at a
 //     time. A join's probe and an MVCC-merged scan are block sources
 //     too, built on the blocks of their input.
-//   - Grouped aggregation has one kernel (colstore.DenseAgg): dense
+//   - Column-store aggregation has one kernel (colstore.DenseAgg): dense
 //     per-(group, spec) scalar accumulators indexed by a dense group id
-//     and fed block-at-a-time from unpacked code vectors. SUM
-//     accumulates pre-decoded per-code floats and MIN/MAX track code
-//     extrema (sorted dictionaries make code order value order), so the
-//     per-row work is integer/float scalar ops with no value
-//     comparisons and no boxed values. Three callers feed it. A
-//     single-table GROUP BY on one column, or on two with a small
-//     combined code space, numbers its groups by dictionary code. A
-//     star-join probe numbers them through an array indexed by the join
-//     key's code (see Query planning). The spanning aggregate of a
+//     and fed block-at-a-time. Per batch it decodes a value column's
+//     codes once (straight from the block when every main row of it
+//     participates), gathers their dictionary floats into one float
+//     batch, then adds the batch: an ungrouped aggregate — the one group
+//     — in four register partials, a grouped one into each row's group
+//     cell. MIN/MAX track code extrema (sorted dictionaries make code
+//     order value order), so the per-row work is integer/float scalar
+//     ops with no value comparisons and no boxed values; delta rows
+//     (unsorted dictionary) keep value accumulators. Compression pays
+//     through narrower codes to unpack and a smaller dictionary to
+//     gather from (the paper's f_compression). Three callers feed it. A
+//     single-table aggregate, ungrouped or grouped on one column or on
+//     two with a small combined code space, numbers its groups by
+//     dictionary code. A star-join probe numbers them through an array
+//     indexed by the join key's code (see Query planning). The spanning aggregate of a
 //     vertical split (below) groups by the column partition's codes. The
 //     latter two use the kernel's two extension points: the caller may
 //     assign each batch row its group from the codes of columns it
@@ -92,8 +98,6 @@
 //     generic hash fold (agg.Result.Fold), which every other aggregate
 //     shares: it hashes each block row's key into one partial result
 //     per block range.
-//     Ungrouped aggregates count per code and fold one weighted add per
-//     distinct value — the paper's f_compression advantage.
 //   - Horizontally partitioned tables compute partial aggregates for the
 //     hot and cold partitions concurrently on the shared worker pool and
 //     merge them (the paper's "union of both partitions"), falling back
@@ -278,21 +282,21 @@
 //     can stop early, runs its blocks in order on one worker.
 //   - Every aggregate is an ordered reduction (exec.Reduce): the scan is
 //     cut into fixed ranges of consecutive morsels, each range
-//     accumulates into a partial of its own — dense per-code
-//     accumulators (single-table group-bys, star-join probes, spanning
-//     aggregates), scalar accumulators of the ungrouped path, hash group
-//     maps of the generic hash fold — on whichever worker claims it, and
-//     the partials merge strictly in range order as ranges complete and
-//     are reused, so no more partials are alive than the workers hold
-//     (and a few finished ranges waiting for a slow one). The range size
+//     accumulates into a partial of its own — dense per-group
+//     accumulators (single-table aggregates, star-join probes, spanning
+//     aggregates), hash group maps of the generic hash fold — on
+//     whichever worker claims it, and the partials merge strictly in
+//     range order as ranges complete and are reused, so no more partials
+//     are alive than the workers hold (and a few finished ranges waiting
+//     for a slow one). The range size
 //     derives from the block count and the group cardinality (a range covers at
 //     least 32 rows per accumulator cell, so merging stays a few
 //     percent of scanning; small partials get one block per range; a
 //     generic fold outside the column store takes four blocks),
 //     never from the pool: how a float SUM's additions associate is a
 //     function of the data alone, and a 1-slot pool returns the same
-//     bits as an N-slot one. Per-code counts of the ungrouped path are
-//     integers and add up exactly in any order.
+//     bits as an N-slot one. Within a range the dense kernel's additions
+//     follow block order and position in the batch, never the worker.
 //   - A star join's probe is the dense kernel over the fact table and
 //     parallel like any grouped aggregate; its build side and every
 //     hash join's are scanned serially (a dimension is small). Every

@@ -1,9 +1,10 @@
 // Package agg implements aggregation accumulators and grouped aggregation
-// results shared by the column store (per-dictionary-code weighted
-// accumulation), the one generic hash fold every other aggregate runs on
-// (Result.Fold, over a block scan of any store) and the engine (merging
-// partial results across horizontal partitions; the paper's "union of both
-// partitions" for queries that span them).
+// results shared by the column store's dense kernel (which folds its
+// scalar per-group sums and code extrema in once per group), the one
+// generic hash fold every other aggregate runs on (Result.Fold, over a
+// block scan of any store) and the engine (merging partial results across
+// horizontal partitions; the paper's "union of both partitions" for
+// queries that span them).
 package agg
 
 import (
@@ -95,9 +96,7 @@ func (a *Acc) Add(v value.Value) {
 	a.AddWeighted(v, 1)
 }
 
-// AddWeighted folds a value occurring weight times. This is the column
-// store's per-code fast path: one call per distinct value rather than one
-// per row.
+// AddWeighted folds a value occurring weight times.
 func (a *Acc) AddWeighted(v value.Value, weight int64) {
 	if v.IsNull() || weight <= 0 {
 		return
@@ -133,8 +132,8 @@ func (a *Acc) AddFor(f Func, v value.Value) {
 
 // AddSummary folds a precomputed partial aggregate — the Float-sum, the
 // non-NULL row count and the min/max value of a batch of rows — into the
-// accumulator. Vectorized aggregators accumulate these per dictionary code
-// with integer/float scalar ops and fold once per group, instead of paying
+// accumulator. The column store's dense kernel accumulates these per group
+// with integer/float scalar ops and folds once per group, instead of paying
 // a value comparison per row.
 func (a *Acc) AddSummary(sum float64, count int64, min, max value.Value) {
 	if count <= 0 {

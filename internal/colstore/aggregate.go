@@ -10,11 +10,11 @@ import (
 
 // Aggregate computes the given aggregates over live rows matching pred,
 // grouped by the groupBy columns. It is the column store's analytical fast
-// path: predicate evaluation happens on dictionary codes (matchBitmap),
-// group and value columns are bulk-decoded block-at-a-time, and ungrouped
-// aggregates use per-code counting — one decode per distinct value instead
-// of one per row — which is how compression speeds up aggregation in the
-// paper's column store (f_compression).
+// path: predicate evaluation happens on dictionary codes (matchBitmap), and
+// every aggregation the dense kernel can number — ungrouped, or grouped on
+// one column or on two with a small combined code space — runs on it
+// (DenseAgg), value columns decoded and gathered block-at-a-time; only
+// wider group-bys take the generic hash fold.
 func (t *Table) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate) *agg.Result {
 	return t.AggregateExec(specs, groupBy, pred, nil)
 }
@@ -29,16 +29,12 @@ func (t *Table) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate) 
 func (t *Table) AggregateExec(specs []agg.Spec, groupBy []int, pred expr.Predicate, ex *exec.Ctx) *agg.Result {
 	res := agg.NewResult(specs, groupBy)
 	res.SetOutputTypes(t.sch.ColTypes())
-	if len(groupBy) > 0 && t.AggregateDense(res, &DenseAgg{Specs: specs, GroupBy: groupBy}, pred, ex) {
+	if t.AggregateDense(res, &DenseAgg{Specs: specs, GroupBy: groupBy}, pred, ex) {
 		return res
 	}
 	s := t.acquireScratch()
 	defer t.releaseScratch(s)
 	match := t.matchBitmapExec(pred, s, ex) // nil means all live rows
-	if len(groupBy) == 0 {
-		t.aggregateGlobal(res, specs, match, ex)
-		return res
-	}
 	res.Fold(RangeBlocks(t.groupBound(groupBy)*max(1, len(specs))), func(cols []int) exec.Blocks {
 		b, _ := t.matchBlocks(match, cols, ex)
 		return b
@@ -79,14 +75,6 @@ func (t *Table) rowSource(match bitset.Bits) bitset.Bits {
 		return t.liveSet
 	}
 	return match
-}
-
-// countMatches counts contributing rows.
-func (t *Table) countMatches(match bitset.Bits) int64 {
-	if match == nil {
-		return int64(t.live)
-	}
-	return int64(match.Count())
 }
 
 // codeAcc accumulates one (group, spec) cell over main-fragment rows:
@@ -155,11 +143,12 @@ func RangeBlocks(cells int) int {
 	return max(1, (reduceRowsPerCell*cells+blockRows-1)/blockRows)
 }
 
-// DenseAgg describes one grouped aggregation for the dense kernel:
-// per-(group, spec) scalar accumulators indexed by a dense group id and
-// fed block-at-a-time from unpacked code vectors, partials per block range
-// merged in block order. Per-row work over the main fragment is integer
-// and float scalar ops only — no value comparisons, no per-row decode.
+// DenseAgg describes one aggregation for the dense kernel — ungrouped
+// aggregates are its one-group case: per-(group, spec) scalar accumulators
+// indexed by a dense group id and fed block-at-a-time from unpacked code
+// vectors, partials per block range merged in block order. Per-row work
+// over the main fragment is integer and float scalar ops only — no value
+// comparisons, no per-row decode.
 // The kernel has two extension points, which is how a star-join probe and
 // the spanning aggregate of a vertical split run on it: the caller may
 // number the groups itself from the codes of columns it names, and a spec
@@ -285,13 +274,13 @@ type denseGroupAgg struct {
 	t        *Table
 	q        *DenseAgg
 	gTotal   int   // groups; the accumulators have one more slot, DenseBatch.Drop
+	global   bool  // no grouping and no Fill: every row lands in group 0
 	codeCols []int // columns decoded per batch: the kernel's own grouping columns, then q.Cols
 	key      func(g uint32) []value.Value
-	fvals    [][]float64 // per spec: the main dictionary as floats, by code
-	extrema  []bool      // per spec: MIN or MAX, the cell tracks code extrema
-	ext      []int       // per spec: its external vector, -1 for none
-	valCols  []int       // distinct value columns
-	valBuf   []int       // per spec: index of its column in valCols (-1: COUNT(*) or external)
+	extrema  []bool // per spec: MIN or MAX, the cell tracks code extrema
+	ext      []int  // per spec: its external vector, -1 for none
+	valCols  []int  // distinct value columns
+	valBuf   []int  // per spec: index of its column in valCols (-1: COUNT(*) or external)
 	total    densePartial
 }
 
@@ -304,15 +293,16 @@ type densePartial struct {
 	deltaAccs [][]agg.Acc // per group: value-based delta accumulators
 }
 
-// denseScratch is one worker's staging buffers for the dense kernel: block
-// decode buffers per value column, the batch's codes per code column and
-// the batch itself.
+// denseScratch is one worker's staging buffers for the dense kernel: the
+// batch's codes per code column, one value column's codes and floats, a
+// block decode buffer and the batch itself.
 type denseScratch struct {
-	valCodes [][]uint32
-	codes    [][]uint32
-	block    []uint32
-	gidx     []uint32
-	batch    DenseBatch
+	codes  [][]uint32
+	vcodes []uint32
+	vals   []float64
+	block  []uint32
+	gidx   []uint32
+	batch  DenseBatch
 }
 
 // newDenseGroupAgg prepares a run of q; ok is false when the kernel cannot
@@ -321,7 +311,6 @@ func (t *Table) newDenseGroupAgg(q *DenseAgg) (da *denseGroupAgg, ok bool) {
 	specs := q.Specs
 	da = &denseGroupAgg{
 		t: t, q: q, gTotal: q.Groups, codeCols: q.Cols, key: q.Key,
-		fvals:   make([][]float64, len(specs)),
 		extrema: make([]bool, len(specs)),
 		ext:     make([]int, len(specs)),
 		valBuf:  make([]int, len(specs)),
@@ -331,7 +320,7 @@ func (t *Table) newDenseGroupAgg(q *DenseAgg) (da *denseGroupAgg, ok bool) {
 		key := make([]value.Value, len(q.GroupBy))
 		switch len(q.GroupBy) {
 		case 0:
-			da.gTotal = 1
+			da.gTotal, da.global = 1, q.Fill == nil // Fill may drop rows
 		case 1:
 			da.gTotal = t.CodeSpace(q.GroupBy[0])
 		case 2:
@@ -368,7 +357,6 @@ func (t *Table) newDenseGroupAgg(q *DenseAgg) (da *denseGroupAgg, ok bool) {
 		}
 		da.valBuf[si] = bufOf[s.Col]
 		da.extrema[si] = s.Func == agg.Min || s.Func == agg.Max
-		da.fvals[si] = t.cols[s.Col].mainDict.Floats()
 	}
 	return da, true
 }
@@ -382,15 +370,13 @@ func (da *denseGroupAgg) scratch(states []*denseScratch, w int) *denseScratch {
 			nExt = max(nExt, e+1)
 		}
 		sc = &denseScratch{
-			valCodes: make([][]uint32, len(da.valCols)),
-			codes:    make([][]uint32, len(da.codeCols)),
-			block:    make([]uint32, blockRows),
-			gidx:     make([]uint32, blockRows),
+			codes:  make([][]uint32, len(da.codeCols)),
+			vcodes: make([]uint32, blockRows),
+			vals:   make([]float64, blockRows),
+			block:  make([]uint32, blockRows),
+			gidx:   make([]uint32, blockRows),
 			batch: DenseBatch{Drop: uint32(da.gTotal),
 				Codes: make([][]uint32, len(da.q.Cols)), Ext: make([]ExtVec, nExt)},
-		}
-		for i := range sc.valCodes {
-			sc.valCodes[i] = make([]uint32, blockRows)
 		}
 		for i := range sc.codes {
 			sc.codes[i] = make([]uint32, blockRows)
@@ -458,7 +444,12 @@ func (da *denseGroupAgg) index(sc *denseScratch, rids []int32, b0, nm, mainN int
 }
 
 // addBatch folds the batch staged in sc into p. nm is the count of
-// main-resident rows, mainN the block's main span.
+// main-resident rows, mainN the block's main span. A value column is
+// decoded once for the specs that share it (SUM(x) + AVG(x)) and its
+// dictionary floats gathered into sc.vals, then added: in register
+// partials when the batch is the one global group (sumBatch), into each
+// row's group cell otherwise. MIN and MAX track code extrema; delta rows
+// (unsorted dictionary) keep value accumulators.
 func (da *denseGroupAgg) addBatch(p *densePartial, sc *denseScratch, rids []int32, b0, nm, mainN int) {
 	t := da.t
 	specs := da.q.Specs
@@ -469,55 +460,68 @@ func (da *denseGroupAgg) addBatch(p *densePartial, sc *denseScratch, rids []int3
 		p.counts = make([]int64, da.gTotal+1)
 	}
 	accs, counts := p.accs, p.counts
-	for _, g := range gidx {
-		counts[g]++
-	}
-	// Bulk-decode each distinct value column once per block, then
-	// accumulate per spec (repeated columns — SUM(x) + AVG(x) — share
-	// the decode).
-	if nm > 0 {
-		for i, col := range da.valCols {
-			t.cols[col].mainCodes.UnpackBlock(b0, sc.valCodes[i][:mainN])
+	if da.global {
+		counts[0] += int64(len(rids))
+	} else {
+		for _, g := range gidx {
+			counts[g]++
 		}
 	}
-	for si := range specs {
-		if e := da.ext[si]; e >= 0 {
-			v := &sc.batch.Ext[e]
-			for k, g := range gidx {
-				if !v.Null[k] {
-					accs[int(g)*nspec+si].addSum(v.Vals[k])
-				}
-			}
+	for si, e := range da.ext {
+		if e < 0 {
 			continue
 		}
-		s := &specs[si]
-		if s.Col < 0 || nm == 0 {
-			continue
+		v := &sc.batch.Ext[e]
+		for k, g := range gidx {
+			if !v.Null[k] {
+				accs[int(g)*nspec+si].addSum(v.Vals[k])
+			}
 		}
-		c := &t.cols[s.Col]
-		vcodes := sc.valCodes[da.valBuf[si]]
-		f := da.fvals[si]
-		switch nulls, extrema := c.mainNulls, da.extrema[si]; {
-		case nulls == nil && !extrema:
-			for k := 0; k < nm; k++ {
-				accs[int(gidx[k])*nspec+si].addSum(f[vcodes[int(rids[k])-b0]])
+	}
+	for i := 0; i < len(da.valCols) && nm > 0; i++ {
+		c := &t.cols[da.valCols[i]]
+		codes, vals, f := sc.vcodes[:nm], sc.vals[:nm], c.mainDict.Floats()
+		t.gatherCodes(c, rids[:nm], b0, nm, mainN, sc.block, codes)
+		nulls, mainLen := 0, uint32(len(f)) // a NULL's code is past the main dictionary
+		if c.mainNulls == nil {
+			for k, code := range codes {
+				vals[k] = f[code]
 			}
-		case nulls == nil:
-			for k := 0; k < nm; k++ {
-				code := vcodes[int(rids[k])-b0]
-				accs[int(gidx[k])*nspec+si].add(f[code], code)
-			}
-		default:
-			for k := 0; k < nm; k++ {
-				rid := int(rids[k])
-				if nulls[rid] {
-					continue
-				}
-				code := vcodes[rid-b0]
-				if extrema {
-					accs[int(gidx[k])*nspec+si].add(f[code], code)
+		} else {
+			for k, code := range codes {
+				vals[k] = 0 // a NULL adds nothing to the global sum
+				if code < mainLen {
+					vals[k] = f[code]
 				} else {
-					accs[int(gidx[k])*nspec+si].addSum(f[code])
+					nulls++
+				}
+			}
+		}
+		for si := range specs {
+			if da.valBuf[si] != i {
+				continue
+			}
+			switch a, extrema := &accs[si], da.extrema[si]; {
+			case da.global && !extrema:
+				a.sum += sumBatch(vals)
+				a.cnt += int64(nm - nulls)
+			case da.global && nulls == 0:
+				lo, hi := a.minC, a.maxC
+				for _, code := range codes {
+					lo, hi = min(lo, code), max(hi, code)
+				}
+				a.minC, a.maxC = lo, hi
+				a.cnt += int64(nm)
+			default:
+				for k, code := range codes {
+					if code >= mainLen {
+						continue
+					}
+					if a := &accs[int(gidx[k])*nspec+si]; extrema {
+						a.add(vals[k], code)
+					} else {
+						a.addSum(vals[k])
+					}
 				}
 			}
 		}
@@ -545,6 +549,23 @@ func (da *denseGroupAgg) addBatch(p *densePartial, sc *denseScratch, rids []int3
 			b[si].AddFor(s.Func, c.deltaDict.Value(c.deltaCodes[d]))
 		}
 	}
+}
+
+// sumBatch adds vals in four register partials, one per position mod 4,
+// joined in a fixed order: a batch's sum depends on its values alone.
+func sumBatch(vals []float64) float64 {
+	var s0, s1, s2, s3 float64
+	k := 0
+	for ; k+4 <= len(vals); k += 4 {
+		s0 += vals[k]
+		s1 += vals[k+1]
+		s2 += vals[k+2]
+		s3 += vals[k+3]
+	}
+	for ; k < len(vals); k++ {
+		s0 += vals[k]
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // merge drains a finished range's partial into the running total.
@@ -622,38 +643,6 @@ func (da *denseGroupAgg) fold(res *agg.Result) {
 			if tot.deltaAccs != nil && tot.deltaAccs[g] != nil {
 				grp.Accs[si].Merge(&tot.deltaAccs[g][si])
 			}
-		}
-	}
-}
-
-// aggregateGlobalDelta folds the delta fragment of one value column into
-// an ungrouped accumulator by per-code counting. Shared by the serial and
-// morsel-parallel global paths (the delta is small and always serial).
-func (t *Table) aggregateGlobalDelta(acc *agg.Acc, c *column, match bitset.Bits, dense bool) {
-	if t.deltaRows == 0 {
-		return
-	}
-	counts := make([]int64, c.deltaDict.Len())
-	if dense && c.deltaNulls == nil {
-		for _, code := range c.deltaCodes {
-			counts[code]++
-		}
-	} else {
-		src := t.rowSource(match)
-		for d, code := range c.deltaCodes {
-			rid := t.mainRows + d
-			if !src.Get(rid) {
-				continue
-			}
-			if c.deltaNulls != nil && c.deltaNulls[d] {
-				continue
-			}
-			counts[code]++
-		}
-	}
-	for code, cnt := range counts {
-		if cnt > 0 {
-			acc.AddWeighted(c.deltaDict.Value(uint32(code)), cnt)
 		}
 	}
 }

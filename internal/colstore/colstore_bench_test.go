@@ -107,6 +107,39 @@ func BenchmarkColAggregateGroupBy(b *testing.B) {
 	}
 }
 
+// BenchmarkColAggregateGlobal measures ungrouped SUM, AVG and MIN over a
+// DOUBLE column of 10 000 distinct values in 30 000 rows: main has every
+// row merged, delta leaves the last tenth of them unmerged.
+func BenchmarkColAggregateGlobal(b *testing.B) {
+	const n = 30000
+	specs := []agg.Spec{{Func: agg.Sum, Col: 2}, {Func: agg.Avg, Col: 2}, {Func: agg.Min, Col: 2}}
+	for _, c := range []struct {
+		name   string
+		merged int
+	}{{"main", n}, {"delta", n - n/10}} {
+		b.Run(c.name, func(b *testing.B) {
+			tb := New(testSchema())
+			tb.AutoMerge = false
+			rows := make([][]value.Value, 0, n)
+			for i := 0; i < n; i++ {
+				rows = append(rows, mkRow(int64(i), int64(i%64), float64(i*7919%10000)/4, "x"))
+			}
+			if err := tb.Insert(rows[:c.merged]); err != nil {
+				b.Fatal(err)
+			}
+			tb.Merge()
+			if err := tb.Insert(rows[c.merged:]); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = tb.Aggregate(specs, nil, nil)
+			}
+		})
+	}
+}
+
 // BenchmarkColAggregatePairGroup measures the dense two-column group-by
 // fast path (grp x note).
 func BenchmarkColAggregatePairGroup(b *testing.B) {

@@ -2,10 +2,12 @@ package colstore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"hybridstore/internal/agg"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/expr"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
@@ -13,8 +15,10 @@ import (
 
 // diffTable builds a table exercising every physical state the vectorized
 // pipeline must handle: a merged main fragment with NULLs, a delta tail,
-// tombstones from deletes, and main rows moved to the delta by upserts. Amounts are
-// integral so float aggregation is order-independent (sums are exact).
+// tombstones from deletes, and main rows moved to the delta by upserts.
+// Amounts are integral, so their sums are exact in any order; frac holds
+// positive hundredths, ±0.0 and NULLs, so its sums depend on the order of
+// the additions and its extrema on how -0.0 and +0.0 tie.
 func diffTable(t *testing.T, rng *rand.Rand, n int) *Table {
 	t.Helper()
 	sch := schema.MustNew("diff",
@@ -23,7 +27,19 @@ func diffTable(t *testing.T, rng *rand.Rand, n int) *Table {
 			{Name: "grp", Type: value.Integer, Nullable: true},
 			{Name: "amount", Type: value.Double},
 			{Name: "note", Type: value.Varchar, Nullable: true},
+			{Name: "frac", Type: value.Double, Nullable: true},
 		}, "id")
+	frac := func() value.Value {
+		switch rng.Intn(12) {
+		case 0:
+			return value.NewDouble(0)
+		case 1:
+			return value.NewDouble(math.Copysign(0, -1))
+		case 2:
+			return value.Null(value.Double)
+		}
+		return value.NewDouble(float64(1+rng.Intn(99999)) / 100)
+	}
 	tb := New(sch)
 	tb.AutoMerge = false
 	rows := make([][]value.Value, 0, n)
@@ -38,7 +54,7 @@ func diffTable(t *testing.T, rng *rand.Rand, n int) *Table {
 		}
 		rows = append(rows, []value.Value{
 			value.NewBigint(int64(i)), grp,
-			value.NewDouble(float64(rng.Intn(500))), note,
+			value.NewDouble(float64(rng.Intn(500))), note, frac(),
 		})
 	}
 	if err := tb.Insert(rows); err != nil {
@@ -59,7 +75,7 @@ func diffTable(t *testing.T, rng *rand.Rand, n int) *Table {
 			continue
 		}
 		row := tb.Get(rid)
-		row[2] = amount
+		row[2], row[4] = amount, frac()
 		if err := tb.Upsert([][]value.Value{row}); err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +89,7 @@ func diffTable(t *testing.T, rng *rand.Rand, n int) *Table {
 		}
 		tail = append(tail, []value.Value{
 			value.NewBigint(int64(i)), grp,
-			value.NewDouble(float64(rng.Intn(500))), value.NewVarchar("d"),
+			value.NewDouble(float64(rng.Intn(500))), value.NewVarchar("d"), frac(),
 		})
 	}
 	if err := tb.Insert(tail); err != nil {
@@ -98,9 +114,15 @@ func randomPredicate(rng *rand.Rand, n int) expr.Predicate {
 			return &expr.Comparison{Col: 3, Op: expr.CmpOp(rng.Intn(6)), Val: value.NewVarchar(fmt.Sprintf("s%d", rng.Intn(6)))}
 		}
 	}
-	switch rng.Intn(8) {
+	switch rng.Intn(10) {
 	case 0:
 		return nil
+	case 8:
+		// A key: one row, or none when it was deleted.
+		return &expr.Comparison{Col: 0, Op: expr.Eq, Val: value.NewBigint(rng.Int63n(int64(n)))}
+	case 9:
+		// Matches no row, on the compiled path.
+		return &expr.Comparison{Col: 0, Op: expr.Lt, Val: value.NewBigint(-1)}
 	case 1:
 		return cmp()
 	case 2:
@@ -174,21 +196,38 @@ func TestDifferentialScan(t *testing.T) {
 }
 
 // TestDifferentialAggregate asserts grouped and global aggregates computed
-// by the vectorized paths are identical to per-row oracle accumulation
-// over the oracle's row set.
+// by the vectorized paths agree with per-row oracle accumulation over the
+// oracle's row set (floats to a relative 1e-12: the kernel adds in another
+// order), and that every pool size returns the same bits. The table is
+// large enough for the pools to run helpers.
 func TestDifferentialAggregate(t *testing.T) {
+	const n = 12000
 	rng := rand.New(rand.NewSource(51212))
-	tb := diffTable(t, rng, 5000)
+	tb := diffTable(t, rng, n)
 	specs := []agg.Spec{
 		{Func: agg.Sum, Col: 2},
 		{Func: agg.Count, Col: -1},
 		{Func: agg.Min, Col: 2},
 		{Func: agg.Max, Col: 2},
 		{Func: agg.Count, Col: 1},
+		{Func: agg.Avg, Col: 2},
+		{Func: agg.Sum, Col: 4},
+		{Func: agg.Avg, Col: 4},
+		{Func: agg.Min, Col: 4},
+		{Func: agg.Max, Col: 4},
+		{Func: agg.Count, Col: 4},
 	}
+	pools := []*exec.Pool{exec.NewPool(1), exec.NewPool(2), exec.NewPool(3), exec.NewPool(8)}
 	groupings := [][]int{nil, {1}, {1, 3}, {1, 2, 3}}
+	rowKey := func(row []value.Value, groupBy []int) string {
+		k := ""
+		for i := range groupBy {
+			k += row[i].Key() + "\x1f"
+		}
+		return k
+	}
 	for trial := 0; trial < 120; trial++ {
-		pred := randomPredicate(rng, 5000)
+		pred := randomPredicate(rng, n)
 		groupBy := groupings[trial%len(groupings)]
 
 		// Oracle: per-row accumulation over reconstructed tuples.
@@ -213,35 +252,54 @@ func TestDifferentialAggregate(t *testing.T) {
 				}
 			}
 		}
-
-		got := tb.Aggregate(specs, groupBy, pred)
-		if got.NumGroups() != want.NumGroups() {
-			t.Fatalf("trial %d (%v, group %v): %d groups, oracle %d",
-				trial, pred, groupBy, got.NumGroups(), want.NumGroups())
-		}
 		index := map[string][]value.Value{}
 		for _, row := range want.Rows() {
-			k := ""
-			for i := 0; i < len(groupBy); i++ {
-				k += row[i].Key() + "\x1f"
-			}
-			index[k] = row
+			index[rowKey(row, groupBy)] = row
 		}
-		for _, row := range got.Rows() {
-			k := ""
-			for i := 0; i < len(groupBy); i++ {
-				k += row[i].Key() + "\x1f"
+
+		var first map[string][]value.Value // the first pool's rows, by group
+		for pi, pool := range pools {
+			got := tb.AggregateExec(specs, groupBy, pred, &exec.Ctx{Pool: pool})
+			if got.NumGroups() != want.NumGroups() {
+				t.Fatalf("trial %d (%v, group %v, pool %d): %d groups, oracle %d",
+					trial, pred, groupBy, pool.Size(), got.NumGroups(), want.NumGroups())
 			}
-			wrow, ok := index[k]
-			if !ok {
-				t.Fatalf("trial %d: group %v missing in oracle", trial, row[:len(groupBy)])
+			if pi == 0 {
+				first = map[string][]value.Value{}
 			}
-			for i := range row {
-				if !value.Equal(row[i], wrow[i]) {
-					t.Fatalf("trial %d (%v, group %v) col %d: vectorized %v, oracle %v",
-						trial, pred, groupBy, i, row[i], wrow[i])
+			for _, row := range got.Rows() {
+				k := rowKey(row, groupBy)
+				wrow, ok := index[k]
+				if !ok {
+					t.Fatalf("trial %d: group %v missing in oracle", trial, row[:len(groupBy)])
+				}
+				if pi == 0 {
+					first[k] = row
+				}
+				for i := range row {
+					if !closeValues(row[i], wrow[i]) {
+						t.Fatalf("trial %d (%v, group %v, pool %d) col %d: vectorized %v, oracle %v",
+							trial, pred, groupBy, pool.Size(), i, row[i], wrow[i])
+					}
+					if !value.Equal(row[i], first[k][i]) {
+						t.Fatalf("trial %d (%v, group %v) col %d: pool %d returned %v, pool %d %v",
+							trial, pred, groupBy, i, pool.Size(), row[i], pools[0].Size(), first[k][i])
+					}
 				}
 			}
 		}
 	}
+}
+
+// closeValues reports whether a and b are equal, or both non-NULL DOUBLEs
+// within a relative 1e-12 of each other.
+func closeValues(a, b value.Value) bool {
+	if value.Equal(a, b) {
+		return true
+	}
+	if a.IsNull() || b.IsNull() || a.Type() != value.Double || b.Type() != value.Double {
+		return false
+	}
+	x, y := a.Double(), b.Double()
+	return math.Abs(x-y) <= 1e-12*max(math.Abs(x), math.Abs(y))
 }

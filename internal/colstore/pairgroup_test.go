@@ -7,7 +7,6 @@ import (
 
 	"hybridstore/internal/agg"
 	"hybridstore/internal/expr"
-	"hybridstore/internal/rowstore"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
 )
@@ -25,7 +24,6 @@ func pairSchema() *schema.Table {
 func TestPairGroupMatchesRowStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cs := New(pairSchema())
-	rs := rowstore.New(pairSchema())
 	flags := []string{"A", "N", "R"}
 	var rows [][]value.Value
 	for i := 0; i < 2000; i++ {
@@ -44,9 +42,6 @@ func TestPairGroupMatchesRowStore(t *testing.T) {
 	if err := cs.Insert(rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.Insert(rows); err != nil {
-		t.Fatal(err)
-	}
 	cs.Merge()
 	// Add delta rows so both fragments contribute codes.
 	extra := [][]value.Value{{
@@ -56,9 +51,7 @@ func TestPairGroupMatchesRowStore(t *testing.T) {
 	if err := cs.Insert(extra); err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.Insert(extra); err != nil {
-		t.Fatal(err)
-	}
+	rows = append(rows, extra...)
 
 	specs := []agg.Spec{{Func: agg.Sum, Col: 3}, {Func: agg.Count, Col: -1}}
 	groupBy := []int{1, 2}
@@ -70,7 +63,7 @@ func TestPairGroupMatchesRowStore(t *testing.T) {
 		&expr.Comparison{Col: 3, Op: expr.Ge, Val: value.NewDouble(500)},
 	} {
 		cres := cs.Aggregate(specs, groupBy, pred)
-		rres := rs.Aggregate(specs, groupBy, pred)
+		rres := foldRows(cs.Schema(), rows, specs, groupBy, pred)
 		if cres.NumGroups() != rres.NumGroups() {
 			t.Fatalf("pred=%v: groups cs=%d rs=%d", pred, cres.NumGroups(), rres.NumGroups())
 		}

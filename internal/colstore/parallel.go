@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"hybridstore/internal/agg"
 	"hybridstore/internal/bitset"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/expr"
@@ -15,12 +14,6 @@ import (
 // parallelMinRows is the table size below which scans and aggregations
 // stay serial: the per-worker state setup outweighs the work.
 const parallelMinRows = 8 * blockRows
-
-// globalCountsLimit is the largest main dictionary for which the
-// parallel ungrouped path keeps per-worker per-code count arrays (the
-// compression-aware fast path); larger dictionaries switch to scalar
-// code accumulators so memory stays bounded.
-const globalCountsLimit = 1 << 16
 
 // callerOnly returns ex stripped of its pool — same cancellation hook and
 // trace, no helper goroutines — when rows is too few to be worth them.
@@ -196,158 +189,6 @@ func reportFragmentRows(tr *trace.Trace, mainRows, deltaRows int64) {
 	if tr != nil {
 		tr.Add("main_rows", mainRows)
 		tr.Add("delta_rows", deltaRows)
-	}
-}
-
-// aggregateGlobal computes ungrouped aggregates over the main fragment
-// block-at-a-time, then folds the (small, serial) delta. A column with a
-// small dictionary is counted per code — one decode per distinct value
-// instead of one per row, and the integer counts of all workers add up
-// exactly whatever the pool size; a column with a large dictionary keeps
-// a scalar accumulator per block instead, merged in block order, so
-// memory stays bounded and the float sum is pool-size independent too.
-func (t *Table) aggregateGlobal(res *agg.Result, specs []agg.Spec, match bitset.Bits, ex *exec.Ctx) {
-	nb := t.numMainBlocks()
-	ex = callerOnly(ex, t.mainRows)
-	g := res.Global()
-	dense := match == nil && t.live == t.totalRows()
-	src := t.rowSource(match)
-
-	// Per-spec plan, shared read-only by all workers.
-	counting := make([]bool, len(specs))
-	fvals := make([][]float64, len(specs))
-	for si, sp := range specs {
-		if sp.Col < 0 {
-			g.Accs[si].AddCount(t.countMatches(match))
-			continue
-		}
-		c := &t.cols[sp.Col]
-		if c.mainDict.Len() <= globalCountsLimit {
-			counting[si] = true
-			continue
-		}
-		fvals[si] = c.mainDict.Floats()
-	}
-
-	type gState struct {
-		counts [][]int64 // per counting-mode spec: rows per main code
-		codes  []uint32
-		rids   []int32
-	}
-	states := make([]*gState, ex.Workers(nb))
-	total := newCodeAccs(len(specs)) // per large-dictionary spec
-	exec.Reduce(ex, nb, 1, func() []codeAcc { return newCodeAccs(len(specs)) }, func(w int, accs []codeAcc, b int) bool {
-		st := states[w]
-		if st == nil {
-			st = &gState{
-				counts: make([][]int64, len(specs)),
-				codes:  make([]uint32, blockRows),
-				rids:   make([]int32, 0, blockRows),
-			}
-			for si, sp := range specs {
-				if sp.Col >= 0 && counting[si] {
-					st.counts[si] = make([]int64, t.cols[sp.Col].mainDict.Len())
-				}
-			}
-			states[w] = st
-		}
-		b0 := b * blockRows
-		n := min(blockRows, t.mainRows-b0)
-		haveRids := false
-		for si := range specs {
-			sp := &specs[si]
-			if sp.Col < 0 {
-				continue
-			}
-			c := &t.cols[sp.Col]
-			fast := dense && c.mainNulls == nil
-			if !fast && !haveRids {
-				st.rids = src.AppendSet(st.rids[:0], b0, b0+n)
-				haveRids = true
-			}
-			if !fast && len(st.rids) == 0 {
-				continue
-			}
-			c.mainCodes.UnpackBlock(b0, st.codes[:n])
-			codes := st.codes[:n]
-			if counting[si] {
-				cnts := st.counts[si]
-				switch {
-				case fast:
-					for _, code := range codes {
-						cnts[code]++
-					}
-				case c.mainNulls == nil:
-					for _, rid := range st.rids {
-						cnts[codes[int(rid)-b0]]++
-					}
-				default:
-					for _, rid := range st.rids {
-						if !c.mainNulls[rid] {
-							cnts[codes[int(rid)-b0]]++
-						}
-					}
-				}
-				continue
-			}
-			a := &accs[si]
-			f := fvals[si]
-			switch {
-			case fast:
-				for _, code := range codes {
-					a.add(f[code], code)
-				}
-			case c.mainNulls == nil:
-				for _, rid := range st.rids {
-					code := codes[int(rid)-b0]
-					a.add(f[code], code)
-				}
-			default:
-				for _, rid := range st.rids {
-					if !c.mainNulls[rid] {
-						code := codes[int(rid)-b0]
-						a.add(f[code], code)
-					}
-				}
-			}
-		}
-		return true
-	}, func(accs []codeAcc) {
-		for si := range accs {
-			total[si].drain(&accs[si])
-		}
-	})
-	if ex.Stopped() {
-		return
-	}
-	for si, sp := range specs {
-		if sp.Col < 0 {
-			continue
-		}
-		c := &t.cols[sp.Col]
-		if counting[si] {
-			var sum []int64
-			for _, st := range states {
-				if st == nil {
-					continue
-				}
-				if sum == nil {
-					sum = st.counts[si]
-					continue
-				}
-				for code, cnt := range st.counts[si] {
-					sum[code] += cnt
-				}
-			}
-			for code, cnt := range sum {
-				if cnt > 0 {
-					g.Accs[si].AddWeighted(c.mainDict.Value(uint32(code)), cnt)
-				}
-			}
-		} else if m := &total[si]; m.cnt > 0 {
-			g.Accs[si].AddSummary(m.sum, m.cnt, c.mainDict.Value(m.minC), c.mainDict.Value(m.maxC))
-		}
-		t.aggregateGlobalDelta(&g.Accs[si], c, match, dense)
 	}
 }
 

@@ -21,11 +21,10 @@ func BitsFor(distinct int) uint {
 	return uint(bits.Len64(uint64(distinct - 1)))
 }
 
-// Pack builds a packed vector from codes, sized for maxCode distinct codes.
-// The word array is padded by one zero word so readers can fetch two
-// adjacent words unconditionally (a shift by 64-off yields 0 when off is
-// 0, per Go's defined shift semantics), removing the code-straddles-a-word
-// branch from every decode loop.
+// Pack builds a packed vector from codes, sized for distinct codes. A code
+// may straddle two words; every reader tests for that (off+width > 64)
+// before it touches the second one, so the word array ends with the last
+// code's bits.
 func Pack(codes []uint32, distinct int) *Packed {
 	w := BitsFor(distinct)
 	p := &Packed{width: w, n: len(codes)}
@@ -33,7 +32,7 @@ func Pack(codes []uint32, distinct int) *Packed {
 		return p
 	}
 	totalBits := uint64(len(codes)) * uint64(w)
-	p.words = make([]uint64, (totalBits+63)/64+1)
+	p.words = make([]uint64, (totalBits+63)/64)
 	for i, c := range codes {
 		p.set(i, c)
 	}
@@ -245,9 +244,5 @@ func (p *Packed) RangeMatchWordsAnd(start, n int, lo, hi uint32, out []uint64) {
 	}
 }
 
-// SizeBytes returns the in-memory size of the packed payload (excluding
-// the read-padding word).
-func (p *Packed) SizeBytes() int {
-	totalBits := uint64(p.n) * uint64(p.width)
-	return int((totalBits + 63) / 64 * 8)
-}
+// SizeBytes returns the in-memory size of the packed payload.
+func (p *Packed) SizeBytes() int { return 8 * len(p.words) }

@@ -370,7 +370,8 @@ func (c *calibrator) calibrateStore(kind catalog.StoreKind, prefix string) (*cos
 
 	// f_compression: reference-size tables with varying distinct counts on
 	// d. The row store is expected to come out flat; the column store
-	// speeds up with compression (per-code aggregation).
+	// speeds up with compression (narrower codes to unpack, a smaller
+	// dictionary to gather floats from).
 	var cxs, cys []float64
 	cxs = append(cxs, refCompr)
 	cys = append(cys, t1)

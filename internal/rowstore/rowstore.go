@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 
-	"hybridstore/internal/agg"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/expr"
 	"hybridstore/internal/pkindex"
@@ -394,21 +393,6 @@ func (t *Table) Scan(pred expr.Predicate, fn func(rid int, row []value.Value) bo
 func (t *Table) matches(rid int, pred expr.Predicate, predCols []int, row []value.Value) bool {
 	t.Read(rid, predCols, row)
 	return pred.Matches(row)
-}
-
-// Aggregate computes the given aggregates over rows matching pred, grouped
-// by the groupBy columns, one tuple at a time on the caller: the plain
-// serial reference the column store's kernels are tested against. Every
-// matching tuple is visited, which is exactly the access pattern the
-// paper's Figure 1 illustrates for aggregation on a row store.
-func (t *Table) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate) *agg.Result {
-	res := agg.NewResult(specs, groupBy)
-	res.SetOutputTypes(t.types)
-	t.Scan(pred, func(_ int, row []value.Value) bool {
-		res.AddRow(row)
-		return true
-	})
-	return res
 }
 
 // blockRows is the arena slots (or index candidates) one scan block covers:

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"hybridstore/internal/agg"
+	"hybridstore/internal/exec"
 	"hybridstore/internal/expr"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
@@ -175,9 +176,18 @@ func TestSecondaryIndex(t *testing.T) {
 	}
 }
 
+// aggregate folds the rows of tb matching pred the way the engine
+// aggregates a row table: the generic hash fold over its block scan.
+func aggregate(tb *Table, specs []agg.Spec, groupBy []int, pred expr.Predicate) *agg.Result {
+	res := agg.NewResult(specs, groupBy)
+	res.SetOutputTypes(tb.Schema().ColTypes())
+	res.Fold(1, func(cols []int) exec.Blocks { return tb.Blocks(pred, cols, nil) })
+	return res
+}
+
 func TestAggregateGlobal(t *testing.T) {
 	tb := loaded(t, 10) // amounts 0..9
-	res := tb.Aggregate([]agg.Spec{{Func: agg.Sum, Col: 2}, {Func: agg.Count, Col: -1}}, nil, nil)
+	res := aggregate(tb, []agg.Spec{{Func: agg.Sum, Col: 2}, {Func: agg.Count, Col: -1}}, nil, nil)
 	rows := res.Rows()
 	if rows[0][0].Double() != 45 {
 		t.Errorf("SUM = %v", rows[0][0])
@@ -189,7 +199,7 @@ func TestAggregateGlobal(t *testing.T) {
 
 func TestAggregateGrouped(t *testing.T) {
 	tb := loaded(t, 10)
-	res := tb.Aggregate([]agg.Spec{{Func: agg.Count, Col: -1}}, []int{1}, nil)
+	res := aggregate(tb, []agg.Spec{{Func: agg.Count, Col: -1}}, []int{1}, nil)
 	if res.NumGroups() != 5 {
 		t.Errorf("groups = %d", res.NumGroups())
 	}
@@ -203,7 +213,7 @@ func TestAggregateGrouped(t *testing.T) {
 func TestAggregateWithPredicate(t *testing.T) {
 	tb := loaded(t, 10)
 	pred := &expr.Comparison{Col: 2, Op: expr.Ge, Val: value.NewDouble(5)}
-	res := tb.Aggregate([]agg.Spec{{Func: agg.Min, Col: 2}}, nil, pred)
+	res := aggregate(tb, []agg.Spec{{Func: agg.Min, Col: 2}}, nil, pred)
 	if got := res.Rows()[0][0].Double(); got != 5 {
 		t.Errorf("MIN = %v", got)
 	}
