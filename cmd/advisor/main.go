@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -51,13 +52,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*schemaPath, *workloadPath, *rowsFlag, *modelPath, *saveModel, *calibrate, *defaultRows); err != nil {
+	if err := run(os.Stdout, *schemaPath, *workloadPath, *rowsFlag, *modelPath, *saveModel, *calibrate, *defaultRows); err != nil {
 		fmt.Fprintln(os.Stderr, "advisor:", err)
 		os.Exit(1)
 	}
 }
 
-func run(schemaPath, workloadPath, rowsFlag, modelPath, saveModel string, calibrate bool, defaultRows int) error {
+func run(out io.Writer, schemaPath, workloadPath, rowsFlag, modelPath, saveModel string, calibrate bool, defaultRows int) error {
 	// Parse the schema script.
 	schemaSQL, err := os.ReadFile(schemaPath)
 	if err != nil {
@@ -150,16 +151,16 @@ func run(schemaPath, workloadPath, rowsFlag, modelPath, saveModel string, calibr
 		if err := json.Unmarshal(data, model); err != nil {
 			return fmt.Errorf("loading model: %w", err)
 		}
-		fmt.Printf("loaded cost model from %s\n", modelPath)
+		fmt.Fprintf(out, "loaded cost model from %s\n", modelPath)
 	case calibrate:
-		fmt.Println("calibrating cost model against this machine...")
+		fmt.Fprintln(out, "calibrating cost model against this machine...")
 		model, err = calib.Calibrate(calib.DefaultConfig())
 		if err != nil {
 			return err
 		}
 	default:
 		model = costmodel.DefaultModel()
-		fmt.Println("using the built-in analytic cost model (use -calibrate for machine-specific estimates)")
+		fmt.Fprintln(out, "using the built-in analytic cost model (use -calibrate for machine-specific estimates)")
 	}
 	if saveModel != "" {
 		data, err := json.MarshalIndent(model, "", "  ")
@@ -169,28 +170,28 @@ func run(schemaPath, workloadPath, rowsFlag, modelPath, saveModel string, calibr
 		if err := os.WriteFile(saveModel, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote cost model to %s\n", saveModel)
+		fmt.Fprintf(out, "wrote cost model to %s\n", saveModel)
 	}
 
 	adv := advisor.New(model)
-	rec := adv.RecommendOffline(advisor.OfflineInput{Catalog: cat, Workload: w})
+	rec := adv.Recommend(w, advisor.InfoFromCatalog(cat), nil, nil)
 
-	fmt.Printf("\nworkload: %d statements, %.2f%% OLAP, tables: %s\n",
+	fmt.Fprintf(out, "\nworkload: %d statements, %.2f%% OLAP, tables: %s\n",
 		w.Len(), w.OLAPFraction()*100, strings.Join(w.Tables(), ", "))
-	fmt.Printf("\nestimated workload runtimes:\n")
-	fmt.Printf("  all tables in the row store:    %10.2f ms\n", rec.RowOnlyCost/1e6)
-	fmt.Printf("  all tables in the column store: %10.2f ms\n", rec.ColumnOnlyCost/1e6)
-	fmt.Printf("  recommended table-level layout: %10.2f ms\n", rec.TableLevelCost/1e6)
-	fmt.Printf("  recommended partitioned layout: %10.2f ms\n", rec.PartitionedCost/1e6)
+	fmt.Fprintf(out, "\nestimated workload runtimes:\n")
+	fmt.Fprintf(out, "  all tables in the row store:    %10.2f ms\n", rec.RowOnlyCost/1e6)
+	fmt.Fprintf(out, "  all tables in the column store: %10.2f ms\n", rec.ColumnOnlyCost/1e6)
+	fmt.Fprintf(out, "  recommended table-level layout: %10.2f ms\n", rec.TableLevelCost/1e6)
+	fmt.Fprintf(out, "  recommended partitioned layout: %10.2f ms\n", rec.PartitionedCost/1e6)
 
-	fmt.Printf("\nrecommended storage layout:\n")
+	fmt.Fprintf(out, "\nrecommended storage layout:\n")
 	for _, ddl := range rec.DDL {
-		fmt.Printf("  %s\n", ddl)
+		fmt.Fprintf(out, "  %s\n", ddl)
 	}
 	if len(rec.Reasons) > 0 {
-		fmt.Printf("\npartitioning rationale:\n")
+		fmt.Fprintf(out, "\npartitioning rationale:\n")
 		for t, r := range rec.Reasons {
-			fmt.Printf("  %-12s %s\n", t+":", r)
+			fmt.Fprintf(out, "  %-12s %s\n", t+":", r)
 		}
 	}
 	return nil
@@ -240,10 +241,8 @@ func approximateStats(t *schema.Table, rows int) *catalog.TableStats {
 			}
 		}
 	}
-	sc := 0.0
 	for i := range st.Compression {
 		st.Compression[i] = 0.6
-		sc += 0.6
 	}
 	return st
 }

@@ -71,7 +71,7 @@ type session struct {
 func main() {
 	auto := flag.Duration("auto", 0, "auto-advise interval; also the idle ceiling of the delta-merge cadence (0 disables, e.g. 30s)")
 	hysteresis := flag.Float64("hysteresis", -1, "min relative improvement before auto-migrating (-1 = default)")
-	compactRows := flag.Int("compact-delta", 0, "delta rows that trigger a background merge on a column store (0 = default 50000)")
+	compactRows := flag.Int("compact-delta", 0, "delta rows that trigger a background merge on a column store; needs -auto (0 = default 50000)")
 	compactMin := flag.Duration("compact-min-interval", 0, "floor of the adaptive delta-merge cadence under bulk-ingest (COPY) pressure; needs -auto (0 = default 1s, negative disables adaptation)")
 	dataDir := flag.String("data", "", "data directory for durable mode (WAL + snapshots; empty = in-memory)")
 	groupCommit := flag.Int("group-commit", 0, "max WAL records per fsync batch (0 = default)")
@@ -352,13 +352,15 @@ func (s *session) command(line string) bool {
 			fmt.Println()
 		}
 	case "\\store":
-		if len(fields) != 3 {
-			fmt.Println("usage: \\store <table> row|column")
-			break
-		}
-		store := catalog.RowStore
-		if strings.EqualFold(fields[2], "column") {
+		var store catalog.StoreKind
+		switch {
+		case len(fields) == 3 && strings.EqualFold(fields[2], "row"):
+			store = catalog.RowStore
+		case len(fields) == 3 && strings.EqualFold(fields[2], "column"):
 			store = catalog.ColumnStore
+		default:
+			fmt.Println("usage: \\store <table> row|column")
+			return true
 		}
 		if err := db.MigrateLayout(fields[1], store, nil); err != nil {
 			fmt.Println("error:", err)

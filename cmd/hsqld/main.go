@@ -61,7 +61,7 @@ func main() {
 		groupCommit = flag.Int("group-commit", 0, "max WAL records per fsync batch (0 = default)")
 		auto        = flag.Duration("auto", 0, "auto-advise interval for background layout migration; also the idle ceiling of the delta-merge cadence (0 disables)")
 		hysteresis  = flag.Float64("hysteresis", -1, "min relative improvement before auto-migrating (-1 = default)")
-		compactRows = flag.Int("compact-delta", 0, "delta rows that trigger a background merge on a column store (0 = default 50000)")
+		compactRows = flag.Int("compact-delta", 0, "delta rows that trigger a background merge on a column store; needs -auto (0 = default 50000)")
 		compactMin  = flag.Duration("compact-min-interval", 0, "floor of the adaptive delta-merge cadence under bulk-ingest (COPY) pressure; needs -auto (0 = default 1s, negative disables adaptation)")
 		maxSessions = flag.Int("max-sessions", 0, "max concurrent client sessions (0 = default 128)")
 		workers     = flag.Int("workers", 0, "worker-pool slots shared by statement admission and morsel-parallel scans (0 = GOMAXPROCS)")

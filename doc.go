@@ -171,7 +171,7 @@
 // is rebuilt in one pass (pkindex.Build) from one hash per entry of the key
 // columns' dictionaries, combined per row by code. The cost is O(rows + distinct·log
 // distinct_delta) per column, with no value boxed, hashed or searched per
-// row. The trigger is unchanged: a delta above MergeThreshold (10 %) of a
+// row. The trigger is unchanged and fixed: a delta above 10 % of a
 // table of more than 4096 rows merges at the end of the insert, and
 // Database.Compact merges on request. hs_colstore_merge_seconds is the
 // duration of one merge of one table, hs_colstore_merge_rows_total the

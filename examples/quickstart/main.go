@@ -79,10 +79,7 @@ func main() {
 		log.Fatal(err)
 	}
 	adv := advisor.New(costmodel.DefaultModel())
-	rec := adv.RecommendOffline(advisor.OfflineInput{
-		Catalog:  db.Catalog(),
-		Workload: workload,
-	})
+	rec := adv.Recommend(workload, advisor.InfoFromCatalog(db.Catalog()), nil, nil)
 
 	fmt.Println("estimated workload runtimes:")
 	fmt.Printf("  row store only:    %8.2f ms\n", rec.RowOnlyCost/1e6)

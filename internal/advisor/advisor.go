@@ -18,39 +18,35 @@ import (
 	"hybridstore/internal/query"
 )
 
-// Config tunes the advisor's search and heuristics.
-type Config struct {
-	// ExactLimit is the maximum number of tables for exhaustive placement
+const (
+	// exactLimit is the maximum number of tables for exhaustive placement
 	// enumeration; beyond it a join-aware local search is used.
-	ExactLimit int
-	// InsertFractionThreshold is the minimum fraction of insert statements
+	exactLimit = 12
+	// insertFractionThreshold is the minimum fraction of insert statements
 	// for a table before a row-store insert partition is recommended
 	// ("if it is sufficiently high", §3.2).
-	InsertFractionThreshold float64
-	// HotUpdateMinCount is the minimum number of range-located updates
+	insertFractionThreshold = 0.05
+	// hotUpdateMinCount is the minimum number of range-located updates
 	// before the advisor trusts the observed hot key range.
-	HotUpdateMinCount int
-	// HotRangeMaxFraction rejects hot ranges covering more than this
+	hotUpdateMinCount = 10
+	// hotRangeMaxFraction rejects hot ranges covering more than this
 	// fraction of the table (then the whole table is update-hot and a
 	// partition would not help).
-	HotRangeMaxFraction float64
+	hotRangeMaxFraction = 0.5
+	// localSearchRestarts is the number of random restarts of the local
+	// search used beyond exactLimit.
+	localSearchRestarts = 3
+)
+
+// Config tunes the advisor's heuristics.
+type Config struct {
 	// MinPartitionRows skips partitioning recommendations for tiny tables.
 	MinPartitionRows int
-	// LocalSearchRestarts is the number of random restarts of the local
-	// search used beyond ExactLimit.
-	LocalSearchRestarts int
 }
 
 // DefaultConfig returns the standard thresholds.
 func DefaultConfig() Config {
-	return Config{
-		ExactLimit:              12,
-		InsertFractionThreshold: 0.05,
-		HotUpdateMinCount:       10,
-		HotRangeMaxFraction:     0.5,
-		MinPartitionRows:        1000,
-		LocalSearchRestarts:     3,
-	}
+	return Config{MinPartitionRows: 1000}
 }
 
 // Advisor recommends storage layouts.
@@ -208,11 +204,11 @@ func (a *Advisor) RecommendTables(w *query.Workload, info costmodel.InfoSource, 
 			free++
 		}
 	}
-	if free <= a.Config.ExactLimit {
+	if free <= exactLimit {
 		best, bestCost = d.enumerate(pinnedBits)
 		rec.Exact = true
 	} else {
-		best, bestCost = d.localSearch(pinnedBits, a.Config.LocalSearchRestarts)
+		best, bestCost = d.localSearch(pinnedBits, localSearchRestarts)
 	}
 	for i, t := range d.tables {
 		rec.Placement[t] = storeOf[best[i]]

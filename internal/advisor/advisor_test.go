@@ -306,7 +306,7 @@ func TestRecommendOffline(t *testing.T) {
 	w := workload.GenMixed(spec, workload.MixConfig{
 		Queries: 300, OLAPFraction: 0.2, TableRows: 5000, Seed: 19,
 	})
-	rec := a.RecommendOffline(OfflineInput{Catalog: db.Catalog(), Workload: w})
+	rec := a.Recommend(w, InfoFromCatalog(db.Catalog()), nil, nil)
 	if rec.Layout.Stores.StoreOf("exp") != catalog.ColumnStore {
 		t.Errorf("20%% OLAP on 5k rows should go columnar: %+v", rec.Layout.Stores)
 	}

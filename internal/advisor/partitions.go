@@ -88,13 +88,13 @@ func (a *Advisor) horizontalCandidate(ti costmodel.TableInfo, ts *monitor.TableS
 		return nil, ""
 	}
 	// Hot update range: updates repeatedly address a bounded key region.
-	if ts.UpdateRangeSeen && ts.UpdateRangeCol == splitCol && ts.UpdateRangeCount >= a.Config.HotUpdateMinCount {
+	if ts.UpdateRangeSeen && ts.UpdateRangeCol == splitCol && ts.UpdateRangeCount >= hotUpdateMinCount {
 		if ti.Stats != nil {
 			if lo, hi, ok := ti.Stats.MinMax(splitCol); ok {
 				span := hi.Float() - lo.Float()
 				if span > 0 {
 					frac := (hi.Float() - ts.UpdateRangeLo.Float()) / span
-					if frac > 0 && frac <= a.Config.HotRangeMaxFraction {
+					if frac > 0 && frac <= hotRangeMaxFraction {
 						return &catalog.HorizontalSpec{
 								SplitCol:  splitCol,
 								SplitVal:  ts.UpdateRangeLo,
@@ -109,7 +109,7 @@ func (a *Advisor) horizontalCandidate(ti costmodel.TableInfo, ts *monitor.TableS
 	}
 	// Insert partition: enough inserts to justify a row-store partition
 	// for newly arriving tuples.
-	if ts.InsertFraction() >= a.Config.InsertFractionThreshold {
+	if ts.InsertFraction() >= insertFractionThreshold {
 		if ti.Stats != nil {
 			if _, hi, ok := ti.Stats.MinMax(splitCol); ok {
 				splitVal := nextKey(hi)

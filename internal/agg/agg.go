@@ -86,44 +86,15 @@ type Acc struct {
 	seen     bool
 }
 
-// Add folds a single value into the accumulator. NULLs are ignored except
-// by COUNT(*) (which callers express by adding a non-null dummy or using
-// AddWeighted with the row count).
-func (a *Acc) Add(v value.Value) {
-	if v.IsNull() {
-		return
-	}
-	a.AddWeighted(v, 1)
-}
-
-// AddWeighted folds a value occurring weight times.
-func (a *Acc) AddWeighted(v value.Value, weight int64) {
-	if v.IsNull() || weight <= 0 {
-		return
-	}
-	a.sum += v.Float() * float64(weight)
-	a.count += weight
-	if !a.seen {
-		a.min, a.max = v, v
-		a.seen = true
-		return
-	}
-	if value.Less(v, a.min) {
-		a.min = v
-	}
-	if value.Less(a.max, v) {
-		a.max = v
-	}
-}
-
-// AddFor folds a single value the way function f needs it: only MIN and
-// MAX pay for tracking extrema, which no other function reads (Merge and
-// Final tolerate an accumulator that never saw them).
+// AddFor folds a single value the way function f needs it: NULLs are
+// ignored, and only MIN and MAX pay for tracking extrema, which no other
+// function reads (Merge and Final tolerate an accumulator that never saw
+// them).
 func (a *Acc) AddFor(f Func, v value.Value) {
 	switch {
 	case v.IsNull():
 	case f == Min || f == Max:
-		a.AddWeighted(v, 1)
+		a.AddSummary(v.Float(), 1, v, v)
 	default:
 		a.sum += v.Float()
 		a.count++
@@ -192,9 +163,6 @@ func (a *Acc) Merge(b *Acc) {
 		a.max = b.max
 	}
 }
-
-// Count returns the number of accumulated (non-NULL) values.
-func (a *Acc) Count() int64 { return a.count }
 
 // OutputType returns the result type of the function applied to a
 // column of type colType: COUNT yields BIGINT, SUM and AVG widen to
@@ -439,9 +407,6 @@ func (r *Result) Fold(per int, scan func(cols []int) exec.Blocks) {
 	}, func(p partial) { r.Merge(p.Result) })
 	b.Release()
 }
-
-// NumGroups returns the number of result groups.
-func (r *Result) NumGroups() int { return len(r.Groups) }
 
 // Rows materializes the result as output rows: group-key columns followed
 // by one value per aggregate spec.

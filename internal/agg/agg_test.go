@@ -33,10 +33,13 @@ func TestSpecString(t *testing.T) {
 	}
 }
 
+// The tests fold values with AddFor(Min, v): the MIN/MAX branch keeps
+// every statistic an accumulator has (sum, count and extrema), so one
+// accumulator answers every function.
 func TestAccBasics(t *testing.T) {
 	var a Acc
 	for _, x := range []float64{1, 2, 3, 4} {
-		a.Add(value.NewDouble(x))
+		a.AddFor(Min, value.NewDouble(x))
 	}
 	if got := a.Final(Sum).Double(); got != 10 {
 		t.Errorf("SUM = %v", got)
@@ -57,10 +60,10 @@ func TestAccBasics(t *testing.T) {
 
 func TestAccIgnoresNull(t *testing.T) {
 	var a Acc
-	a.Add(value.Null(value.Double))
-	a.Add(value.NewDouble(5))
-	if a.Count() != 1 || a.Final(Sum).Double() != 5 {
-		t.Errorf("NULL not ignored: count=%d", a.Count())
+	a.AddFor(Min, value.Null(value.Double))
+	a.AddFor(Min, value.NewDouble(5))
+	if n := a.Final(Count).Int(); n != 1 || a.Final(Sum).Double() != 5 {
+		t.Errorf("NULL not ignored: count=%d", n)
 	}
 }
 
@@ -71,24 +74,6 @@ func TestAccEmpty(t *testing.T) {
 	}
 	if a.Final(Count).Int() != 0 {
 		t.Error("empty COUNT should be 0")
-	}
-}
-
-func TestAddWeighted(t *testing.T) {
-	var a, b Acc
-	for i := 0; i < 5; i++ {
-		a.Add(value.NewInt(7))
-	}
-	b.AddWeighted(value.NewInt(7), 5)
-	if a.Final(Sum).Double() != b.Final(Sum).Double() {
-		t.Error("weighted sum mismatch")
-	}
-	if a.Final(Count).Int() != b.Final(Count).Int() {
-		t.Error("weighted count mismatch")
-	}
-	b.AddWeighted(value.NewInt(1), 0)
-	if b.Final(Count).Int() != 5 {
-		t.Error("zero weight should be ignored")
 	}
 }
 
@@ -104,11 +89,11 @@ func TestMergeAcc(t *testing.T) {
 	var a, b, whole Acc
 	for i := 1; i <= 6; i++ {
 		v := value.NewInt(int64(i))
-		whole.Add(v)
+		whole.AddFor(Min, v)
 		if i <= 3 {
-			a.Add(v)
+			a.AddFor(Min, v)
 		} else {
-			b.Add(v)
+			b.AddFor(Min, v)
 		}
 	}
 	a.Merge(&b)
@@ -135,8 +120,8 @@ func TestMergeAcc(t *testing.T) {
 
 func TestResultUngrouped(t *testing.T) {
 	r := NewResult([]Spec{{Func: Sum, Col: 0}, {Func: Count, Col: -1}}, nil)
-	r.Global().Accs[0].Add(value.NewDouble(2))
-	r.Global().Accs[0].Add(value.NewDouble(3))
+	r.Global().Accs[0].AddFor(Min, value.NewDouble(2))
+	r.Global().Accs[0].AddFor(Min, value.NewDouble(3))
 	r.Global().Accs[1].AddCount(2)
 	rows := r.Rows()
 	if len(rows) != 1 {
@@ -145,8 +130,8 @@ func TestResultUngrouped(t *testing.T) {
 	if rows[0][0].Double() != 5 || rows[0][1].Int() != 2 {
 		t.Errorf("row = %v", rows[0])
 	}
-	if r.NumGroups() != 1 {
-		t.Errorf("NumGroups = %d", r.NumGroups())
+	if len(r.Groups) != 1 {
+		t.Errorf("groups = %d", len(r.Groups))
 	}
 }
 
@@ -154,13 +139,13 @@ func TestResultGrouped(t *testing.T) {
 	r := NewResult([]Spec{{Func: Sum, Col: 1}}, []int{0})
 	add := func(k int64, v float64) {
 		g := r.GroupFor([]value.Value{value.NewInt(k)})
-		g.Accs[0].Add(value.NewDouble(v))
+		g.Accs[0].AddFor(Min, value.NewDouble(v))
 	}
 	add(1, 10)
 	add(2, 20)
 	add(1, 5)
-	if r.NumGroups() != 2 {
-		t.Fatalf("NumGroups = %d", r.NumGroups())
+	if len(r.Groups) != 2 {
+		t.Fatalf("groups = %d", len(r.Groups))
 	}
 	rows := r.Rows()
 	sums := map[int64]float64{}
@@ -190,7 +175,7 @@ func TestResultMergeGrouped(t *testing.T) {
 	mk := func(pairs map[int64]float64) *Result {
 		r := NewResult([]Spec{{Func: Sum, Col: 1}}, []int{0})
 		for k, v := range pairs {
-			r.GroupFor([]value.Value{value.NewInt(k)}).Accs[0].Add(value.NewDouble(v))
+			r.GroupFor([]value.Value{value.NewInt(k)}).Accs[0].AddFor(Min, value.NewDouble(v))
 		}
 		return r
 	}
@@ -213,8 +198,8 @@ func TestResultMergeGrouped(t *testing.T) {
 func TestResultMergeUngrouped(t *testing.T) {
 	a := NewResult([]Spec{{Func: Min, Col: 0}}, nil)
 	b := NewResult([]Spec{{Func: Min, Col: 0}}, nil)
-	a.Global().Accs[0].Add(value.NewInt(5))
-	b.Global().Accs[0].Add(value.NewInt(3))
+	a.Global().Accs[0].AddFor(Min, value.NewInt(5))
+	b.Global().Accs[0].AddFor(Min, value.NewInt(3))
 	a.Merge(b)
 	if got := a.Global().Accs[0].Final(Min).Int(); got != 3 {
 		t.Errorf("merged MIN = %d", got)
@@ -240,11 +225,11 @@ func TestMergeEquivalenceProperty(t *testing.T) {
 		var a, b, whole Acc
 		for i, x := range xs {
 			v := value.NewDouble(x)
-			whole.Add(v)
+			whole.AddFor(Min, v)
 			if i < cut {
-				a.Add(v)
+				a.AddFor(Min, v)
 			} else {
-				b.Add(v)
+				b.AddFor(Min, v)
 			}
 		}
 		a.Merge(&b)
@@ -272,7 +257,7 @@ func TestAddCountDoesNotPoisonMinMax(t *testing.T) {
 	var countOnly Acc
 	countOnly.AddCount(5)
 	var real Acc
-	real.Add(value.NewBigint(10))
+	real.AddFor(Min, value.NewBigint(10))
 	real.Merge(&countOnly)
 	if got := real.Final(Count).Int(); got != 6 {
 		t.Errorf("merged count = %d, want 6", got)
@@ -321,7 +306,7 @@ func TestFinalTypedEmptyMinMax(t *testing.T) {
 		}
 	}
 	// Non-empty accumulators ignore the hint and return the real value.
-	a.Add(value.NewVarchar("x"))
+	a.AddFor(Min, value.NewVarchar("x"))
 	if got := a.FinalTyped(Min, value.Varchar); got.IsNull() || got.Varchar() != "x" {
 		t.Errorf("non-empty FinalTyped = %v", got)
 	}

@@ -1,12 +1,12 @@
 // Package bitset provides the dense uint64 bitmap the column store's
 // vectorized scan pipeline operates on. A Bits value holds one bit per row
 // slot packed 64 to a word, so predicate conjunctions combine with
-// word-at-a-time AND/ANDNOT instead of per-row boolean writes, and set-bit
+// word-at-a-time AND instead of per-row boolean writes, and set-bit
 // iteration advances with trailing-zero counts instead of testing every
 // slot.
 //
 // Invariant: bits at positions >= the logical length are always zero, so
-// Count and word-level iteration never see ghost rows. All writers in this
+// word-level iteration never sees ghost rows. All writers in this
 // package maintain the invariant; code that fills words directly (the
 // column store's block scan) is responsible for masking its final partial
 // word.
@@ -83,40 +83,6 @@ func (b Bits) And(o Bits) {
 	}
 }
 
-// AndNot removes o's bits from b word-at-a-time (b &^= o).
-func (b Bits) AndNot(o Bits) {
-	for i := range b {
-		b[i] &^= o[i]
-	}
-}
-
-// Count returns the number of set bits.
-func (b Bits) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// CountRange returns the number of set bits in [lo, hi).
-func (b Bits) CountRange(lo, hi int) int {
-	if lo >= hi {
-		return 0
-	}
-	lw, hw := lo>>6, (hi-1)>>6
-	loMask := ^uint64(0) << (uint(lo) & 63)
-	hiMask := ^uint64(0) >> (63 - uint(hi-1)&63)
-	if lw == hw {
-		return bits.OnesCount64(b[lw] & loMask & hiMask)
-	}
-	n := bits.OnesCount64(b[lw] & loMask)
-	for i := lw + 1; i < hw; i++ {
-		n += bits.OnesCount64(b[i])
-	}
-	return n + bits.OnesCount64(b[hw]&hiMask)
-}
-
 // AppendSet appends the positions of set bits in [lo, hi) to dst, skipping
 // zero words and advancing within a word by trailing-zero counts.
 func (b Bits) AppendSet(dst []int32, lo, hi int) []int32 {
@@ -141,26 +107,4 @@ func (b Bits) AppendSet(dst []int32, lo, hi int) []int32 {
 		}
 	}
 	return dst
-}
-
-// AnyRange reports whether any bit in [lo, hi) is set.
-func (b Bits) AnyRange(lo, hi int) bool {
-	if lo >= hi {
-		return false
-	}
-	lw, hw := lo>>6, (hi-1)>>6
-	loMask := ^uint64(0) << (uint(lo) & 63)
-	hiMask := ^uint64(0) >> (63 - uint(hi-1)&63)
-	if lw == hw {
-		return b[lw]&loMask&hiMask != 0
-	}
-	if b[lw]&loMask != 0 {
-		return true
-	}
-	for i := lw + 1; i < hw; i++ {
-		if b[i] != 0 {
-			return true
-		}
-	}
-	return b[hw]&hiMask != 0
 }

@@ -22,11 +22,14 @@ func TestSetGetClear(t *testing.T) {
 	}
 }
 
+// count is the number of set bits, read the way scans read them.
+func count(b Bits) int { return len(b.AppendSet(nil, 0, 64*len(b))) }
+
 func TestFillOnesAndCount(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 100, 128, 1000} {
 		b := New(n + 70) // extra words that must stay zero
 		b.FillOnes(n)
-		if got := b.Count(); got != n {
+		if got := count(b); got != n {
 			t.Errorf("FillOnes(%d): Count = %d", n, got)
 		}
 		if n > 0 && (!b.Get(0) || !b.Get(n-1)) {
@@ -40,8 +43,8 @@ func TestFillOnesAndCount(t *testing.T) {
 	b := New(256)
 	b.FillOnes(256)
 	b.FillOnes(10)
-	if b.Count() != 10 {
-		t.Errorf("re-FillOnes left stale bits: %d", b.Count())
+	if n := count(b); n != 10 {
+		t.Errorf("re-FillOnes left stale bits: %d", n)
 	}
 }
 
@@ -57,10 +60,6 @@ func TestAndAndNot(t *testing.T) {
 		if a.Get(i) != want {
 			t.Fatalf("And: bit %d = %v", i, a.Get(i))
 		}
-	}
-	a.AndNot(b)
-	if a.Count() != 0 {
-		t.Errorf("AndNot of identical sets left %d bits", a.Count())
 	}
 }
 
@@ -78,20 +77,11 @@ func TestRangeOpsAgainstNaive(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		lo := rng.Intn(n + 1)
 		hi := lo + rng.Intn(n+1-lo)
-		wantCount, wantAny := 0, false
 		var wantSet []int32
 		for i := lo; i < hi; i++ {
 			if ref[i] {
-				wantCount++
-				wantAny = true
 				wantSet = append(wantSet, int32(i))
 			}
-		}
-		if got := b.CountRange(lo, hi); got != wantCount {
-			t.Fatalf("CountRange(%d,%d) = %d, want %d", lo, hi, got, wantCount)
-		}
-		if got := b.AnyRange(lo, hi); got != wantAny {
-			t.Fatalf("AnyRange(%d,%d) = %v", lo, hi, got)
 		}
 		got := b.AppendSet(nil, lo, hi)
 		if len(got) != len(wantSet) {
@@ -109,7 +99,7 @@ func TestGrow(t *testing.T) {
 	b := New(64)
 	b.Set(10)
 	b = Grow(b, 1000)
-	if !b.Get(10) || b.Count() != 1 {
+	if !b.Get(10) || count(b) != 1 {
 		t.Error("Grow lost contents")
 	}
 	if len(b) != Words(1000) {

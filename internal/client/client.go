@@ -43,12 +43,13 @@ type Options struct {
 	DialTimeout time.Duration
 	// NoReconnect disables automatic redial after a broken connection.
 	NoReconnect bool
-	// MaxPipeline bounds requests in flight on the connection; a call
-	// arriving with the pipeline full fails fast with a "pipeline
-	// full" error rather than blocking (blocking would have to hold
-	// the write lock across the wait). 0 = 256.
-	MaxPipeline int
 }
+
+// maxPipeline bounds requests in flight on the connection; a call arriving
+// with the pipeline full fails fast with a "pipeline full" error rather
+// than blocking (blocking would have to hold the write lock across the
+// wait).
+const maxPipeline = 256
 
 func (o Options) withDefaults() Options {
 	if o.DialTimeout <= 0 {
@@ -56,9 +57,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxFrame <= 0 {
 		o.MaxFrame = wire.DefaultMaxFrame
-	}
-	if o.MaxPipeline <= 0 {
-		o.MaxPipeline = 256
 	}
 	return o
 }
@@ -170,7 +168,7 @@ func (c *Conn) connectLocked() error {
 		return fmt.Errorf("client: dial %s: %w", c.addr, err)
 	}
 	ln := &line{conn: conn, r: bufio.NewReader(conn), token: make(chan struct{}, 1),
-		pending: make(chan *call, c.opts.MaxPipeline)}
+		pending: make(chan *call, maxPipeline)}
 	conn.SetDeadline(time.Now().Add(c.opts.DialTimeout))
 	var rs *wire.Response
 	if err = wire.WriteRequest(conn, &wire.Request{Type: wire.MsgHello, ClientName: c.opts.Name,
@@ -240,7 +238,7 @@ func (c *Conn) roundTrip(ctx context.Context, rq *wire.Request) (*wire.Response,
 	case ln.pending <- cl:
 	default:
 		c.mu.Unlock()
-		return nil, fmt.Errorf("client: pipeline full (%d requests in flight)", c.opts.MaxPipeline)
+		return nil, fmt.Errorf("client: pipeline full (%d requests in flight)", maxPipeline)
 	}
 	c.sent++
 	c.wbuf = wire.AppendRequest(c.wbuf[:0], rq)

@@ -8,19 +8,14 @@ import (
 	"hybridstore/internal/value"
 )
 
-// Aggregate computes the given aggregates over live rows matching pred,
-// grouped by the groupBy columns. It is the column store's analytical fast
-// path: predicate evaluation happens on dictionary codes (matchBitmap), and
-// every aggregation the dense kernel can number — ungrouped, or grouped on
-// one column or on two with a small combined code space — runs on it
-// (DenseAgg), value columns decoded and gathered block-at-a-time; only
-// wider group-bys take the generic hash fold.
-func (t *Table) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate) *agg.Result {
-	return t.AggregateExec(specs, groupBy, pred, nil)
-}
-
-// AggregateExec is Aggregate with an execution context: ex carries the
-// cancellation hook — polled once per blockRows-sized block; when it
+// AggregateExec computes the given aggregates over live rows matching
+// pred, grouped by the groupBy columns. It is the column store's
+// analytical fast path: predicate evaluation happens on dictionary codes
+// (matchBitmap), and every aggregation the dense kernel can number —
+// ungrouped, or grouped on one column or on two with a small combined code
+// space — runs on it (DenseAgg), value columns decoded and gathered
+// block-at-a-time; only wider group-bys take the generic hash fold. ex
+// carries the cancellation hook — polled once per blockRows-sized block; when it
 // fires the aggregation is abandoned and the partial result must be
 // discarded — and the worker pool the morsel loops draw helpers from. A
 // nil ex (or nil ex.Pool) runs serially. Either way partial sums are

@@ -35,9 +35,9 @@ import (
 	"hybridstore/internal/value"
 )
 
-// DefaultMergeThreshold is the delta-to-total row fraction that triggers an
+// mergeThreshold is the delta-to-total row fraction that triggers an
 // automatic merge on insert.
-const DefaultMergeThreshold = 0.10
+const mergeThreshold = 0.10
 
 // minMergeRows avoids merging tiny tables on every insert.
 const minMergeRows = 4096
@@ -100,11 +100,9 @@ type Table struct {
 
 	pkIndex *pkindex.Index // hash(PK) -> row id
 
-	// MergeThreshold is the delta fraction that triggers a merge; set
-	// AutoMerge to false to manage merges manually (benchmarks and tests).
-	MergeThreshold float64
-	AutoMerge      bool
-	merges         int
+	// AutoMerge merges once the delta passes mergeThreshold of the rows;
+	// set it to false to manage merges manually (benchmarks and tests).
+	AutoMerge bool
 
 	// Pooled scan scratches: the engine allows concurrent readers (and
 	// re-entrant scans from batch callbacks), so every scan-shaped
@@ -117,10 +115,9 @@ type Table struct {
 // New creates an empty column-store table for the schema.
 func New(sch *schema.Table) *Table {
 	t := &Table{
-		sch:            sch,
-		cols:           make([]column, sch.NumColumns()),
-		MergeThreshold: DefaultMergeThreshold,
-		AutoMerge:      true,
+		sch:       sch,
+		cols:      make([]column, sch.NumColumns()),
+		AutoMerge: true,
 	}
 	for i := range t.cols {
 		t.cols[i] = column{
@@ -146,9 +143,6 @@ func (t *Table) totalRows() int { return t.mainRows + t.deltaRows }
 // DeltaRows returns the current size of the write-optimized delta fragment.
 func (t *Table) DeltaRows() int { return t.deltaRows }
 
-// Merges returns how many delta merges have run (exposed for tests).
-func (t *Table) Merges() int { return t.merges }
-
 // Get reconstructs the full tuple at global row id rid. This is the tuple
 // reconstruction the paper charges column-store point queries for
 // (f_#selectedColumns).
@@ -166,9 +160,6 @@ func (t *Table) materialize(rid int, cols []int, dst []value.Value) {
 		dst[c] = t.cols[c].valueAt(rid, t.mainRows)
 	}
 }
-
-// Valid reports whether row slot rid is live.
-func (t *Table) Valid(rid int) bool { return t.liveSet.Get(rid) }
 
 func (t *Table) pkEqualAt(rid int, key []value.Value) bool {
 	for i, k := range t.sch.PrimaryKey {
@@ -212,7 +203,7 @@ func (t *Table) Insert(rows [][]value.Value) error {
 // autoMerge merges once the delta has outgrown the threshold.
 func (t *Table) autoMerge() {
 	if t.AutoMerge && t.totalRows() > minMergeRows &&
-		float64(t.deltaRows) > t.MergeThreshold*float64(t.totalRows()) {
+		float64(t.deltaRows) > mergeThreshold*float64(t.totalRows()) {
 		t.Merge()
 	}
 }
@@ -286,7 +277,6 @@ func (t *Table) Merge() {
 	t.liveSet = bitset.New(t.mainRows)
 	t.liveSet.FillOnes(t.mainRows)
 	t.rebuildPKIndex()
-	t.merges++
 	mMergeRows.Add(int64(t.mainRows))
 	mMergeSeconds.Observe(time.Since(start).Nanoseconds())
 }
@@ -397,33 +387,11 @@ func Load(sch *schema.Table, main, delta [][]value.Value) (*Table, error) {
 		return nil, fmt.Errorf("colstore: load main fragment: %w", err)
 	}
 	t.Merge()
-	if len(main) > 0 {
-		t.merges = 0 // the load-time merge is not workload merge activity
-	}
 	if err := t.Insert(delta); err != nil {
 		return nil, fmt.Errorf("colstore: load delta fragment: %w", err)
 	}
 	t.AutoMerge = true
 	return t, nil
-}
-
-// DistinctCount returns the (approximate) number of distinct values in
-// column col: exact after a merge, an upper bound while delta values
-// overlap the main dictionary. The raw dictionary sum can exceed the
-// live row count (overlapping delta values, deleted rows keep their
-// dictionary entries), so it is clamped to [1, Rows()] on non-empty
-// tables — planner cardinality divides by NDV, and an NDV above the row
-// count would collapse equality/group estimates toward zero and
-// mis-price join build sides.
-func (t *Table) DistinctCount(col int) int {
-	d := t.cols[col].mainDict.Len() + t.cols[col].deltaDict.Len()
-	if live := t.Rows(); d > live {
-		d = live
-	}
-	if d < 1 && t.live > 0 {
-		d = 1
-	}
-	return d
 }
 
 // payloadBytes is the compressed payload of the column: dictionary values

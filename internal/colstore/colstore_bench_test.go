@@ -103,7 +103,7 @@ func BenchmarkColAggregateGroupBy(b *testing.B) {
 	b.SetBytes(int64(tb.totalRows()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = tb.Aggregate(specs, []int{1}, pred)
+		benchSink = tb.AggregateExec(specs, []int{1}, pred, nil)
 	}
 }
 
@@ -134,7 +134,7 @@ func BenchmarkColAggregateGlobal(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				benchSink = tb.Aggregate(specs, nil, nil)
+				benchSink = tb.AggregateExec(specs, nil, nil, nil)
 			}
 		})
 	}
@@ -149,6 +149,6 @@ func BenchmarkColAggregatePairGroup(b *testing.B) {
 	b.SetBytes(int64(tb.totalRows()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink = tb.Aggregate(specs, []int{1, 3}, nil)
+		benchSink = tb.AggregateExec(specs, []int{1, 3}, nil, nil)
 	}
 }

@@ -55,8 +55,8 @@ func TestInsertAndGet(t *testing.T) {
 	if tb.Schema().Name != "items" {
 		t.Error("Schema accessor broken")
 	}
-	if !tb.Valid(3) {
-		t.Error("Valid broken")
+	if !tb.liveSet.Get(3) {
+		t.Error("row 3 not live")
 	}
 }
 
@@ -93,9 +93,6 @@ func TestMergeCompactsAndPreservesData(t *testing.T) {
 	if tb.DeltaRows() != 0 || tb.Rows() != 50 {
 		t.Errorf("after merge: delta=%d rows=%d", tb.DeltaRows(), tb.Rows())
 	}
-	if tb.Merges() != 1 {
-		t.Errorf("merges = %d", tb.Merges())
-	}
 	for i := 0; i < 50; i++ {
 		rid, ok := tb.LookupPK([]value.Value{value.NewBigint(int64(i))})
 		if !ok {
@@ -105,16 +102,16 @@ func TestMergeCompactsAndPreservesData(t *testing.T) {
 			t.Fatalf("value for %d = %v", i, got)
 		}
 	}
-	// Merge with nothing to do is a no-op.
+	// Merge with nothing to do is a no-op: it builds no new dictionary.
+	dict := tb.cols[2].mainDict
 	tb.Merge()
-	if tb.Merges() != 1 {
-		t.Error("no-op merge counted")
+	if tb.cols[2].mainDict != dict {
+		t.Error("no-op merge rebuilt the main fragment")
 	}
 }
 
 func TestAutoMerge(t *testing.T) {
 	tb := New(testSchema())
-	tb.MergeThreshold = 0.1
 	batch := make([][]value.Value, 0, 1000)
 	for i := 0; i < 10000; i++ {
 		batch = append(batch, mkRow(int64(i), int64(i%5), float64(i), "x"))
@@ -125,8 +122,8 @@ func TestAutoMerge(t *testing.T) {
 			batch = batch[:0]
 		}
 	}
-	if tb.Merges() == 0 {
-		t.Error("auto-merge never triggered")
+	if tb.DeltaRows() > mergeThreshold*10000 {
+		t.Errorf("auto-merge never triggered: %d delta rows", tb.DeltaRows())
 	}
 	if tb.Rows() != 10000 {
 		t.Errorf("rows = %d", tb.Rows())
@@ -232,12 +229,12 @@ func TestAggregateGlobalAcrossFragments(t *testing.T) {
 	if err := tb.Insert(extra); err != nil {
 		t.Fatal(err)
 	}
-	res := tb.Aggregate([]agg.Spec{
+	res := tb.AggregateExec([]agg.Spec{
 		{Func: agg.Sum, Col: 2},
 		{Func: agg.Count, Col: -1},
 		{Func: agg.Min, Col: 2},
 		{Func: agg.Max, Col: 2},
-	}, nil, nil)
+	}, nil, nil, nil)
 	rows := res.Rows()
 	wantSum := float64(109*110) / 2
 	if rows[0][0].Double() != wantSum {
@@ -255,7 +252,7 @@ func TestAggregateWithPredicate(t *testing.T) {
 	tb := loaded(t, 100)
 	tb.Merge()
 	pred := &expr.Comparison{Col: 2, Op: expr.Lt, Val: value.NewDouble(10)}
-	res := tb.Aggregate([]agg.Spec{{Func: agg.Sum, Col: 2}}, nil, pred)
+	res := tb.AggregateExec([]agg.Spec{{Func: agg.Sum, Col: 2}}, nil, pred, nil)
 	if got := res.Rows()[0][0].Double(); got != 45 {
 		t.Errorf("filtered SUM = %v", got)
 	}
@@ -267,9 +264,9 @@ func TestAggregateSingleGroup(t *testing.T) {
 	if err := tb.Insert([][]value.Value{mkRow(100, 0, 1000, "x")}); err != nil {
 		t.Fatal(err)
 	}
-	res := tb.Aggregate([]agg.Spec{{Func: agg.Count, Col: -1}, {Func: agg.Sum, Col: 2}}, []int{1}, nil)
-	if res.NumGroups() != 5 {
-		t.Fatalf("groups = %d", res.NumGroups())
+	res := tb.AggregateExec([]agg.Spec{{Func: agg.Count, Col: -1}, {Func: agg.Sum, Col: 2}}, []int{1}, nil, nil)
+	if len(res.Groups) != 5 {
+		t.Fatalf("groups = %d", len(res.Groups))
 	}
 	counts := map[int64]int64{}
 	for _, row := range res.Rows() {
@@ -287,11 +284,11 @@ func TestAggregateSingleGroup(t *testing.T) {
 
 func TestAggregateMultiGroup(t *testing.T) {
 	tb := loaded(t, 20)
-	res := tb.Aggregate([]agg.Spec{{Func: agg.Count, Col: -1}}, []int{1, 3}, nil)
+	res := tb.AggregateExec([]agg.Spec{{Func: agg.Count, Col: -1}}, []int{1, 3}, nil, nil)
 	// grp has 5 values, note has 7 values; with 20 rows keyed by i%5 and
 	// i%7 there are 20 distinct (i%5, i%7) pairs.
-	if res.NumGroups() != 20 {
-		t.Errorf("multi-group count = %d", res.NumGroups())
+	if len(res.Groups) != 20 {
+		t.Errorf("multi-group count = %d", len(res.Groups))
 	}
 }
 
@@ -310,7 +307,7 @@ func TestAggregateNullHandling(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := func() {
-		res := tb.Aggregate([]agg.Spec{{Func: agg.Sum, Col: 1}, {Func: agg.Count, Col: -1}}, nil, nil)
+		res := tb.AggregateExec([]agg.Spec{{Func: agg.Sum, Col: 1}, {Func: agg.Count, Col: -1}}, nil, nil, nil)
 		r := res.Rows()[0]
 		if r[0].Double() != 30 {
 			t.Errorf("SUM with NULL = %v", r[0])
@@ -370,7 +367,7 @@ func TestUpdateMigratesMainRow(t *testing.T) {
 		t.Errorf("expected row migration to delta, delta=%d", tb.DeltaRows())
 	}
 	// Aggregates must see exactly one row per id.
-	res := tb.Aggregate([]agg.Spec{{Func: agg.Count, Col: -1}}, nil, nil)
+	res := tb.AggregateExec([]agg.Spec{{Func: agg.Count, Col: -1}}, nil, nil, nil)
 	if res.Rows()[0][0].Int() != 10 {
 		t.Errorf("count after upsert = %v", res.Rows()[0][0])
 	}
@@ -390,7 +387,7 @@ func TestUpdateInPlaceMainWhenValueInDict(t *testing.T) {
 	if tb.DeltaRows() != 0 || tb.Rows() != 10 {
 		t.Errorf("after merge: delta=%d rows=%d, want 0 and 10", tb.DeltaRows(), tb.Rows())
 	}
-	res := tb.Aggregate([]agg.Spec{{Func: agg.Sum, Col: 2}}, nil, nil)
+	res := tb.AggregateExec([]agg.Spec{{Func: agg.Sum, Col: 2}}, nil, nil, nil)
 	if got := res.Rows()[0][0].Double(); got != 45-2+7 {
 		t.Errorf("SUM(amount) after merge = %v, want 50", got)
 	}
@@ -453,7 +450,7 @@ func TestDelete(t *testing.T) {
 	if _, ok := tb.LookupPK([]value.Value{value.NewBigint(0)}); ok {
 		t.Error("deleted key still resolvable")
 	}
-	res := tb.Aggregate([]agg.Spec{{Func: agg.Count, Col: -1}}, nil, nil)
+	res := tb.AggregateExec([]agg.Spec{{Func: agg.Count, Col: -1}}, nil, nil, nil)
 	if res.Rows()[0][0].Int() != 16 {
 		t.Errorf("count after delete = %v", res.Rows()[0][0])
 	}
@@ -479,8 +476,8 @@ func TestDeleteLeavesOnlyLiveKeysInIndex(t *testing.T) {
 	for id := int64(0); id < 2000; id += 2 {
 		tb.DeletePK([]value.Value{value.NewBigint(id)})
 	}
-	if tb.Merges() != 1 || tb.Rows() != 1000 {
-		t.Fatalf("%d merges, %d rows", tb.Merges(), tb.Rows())
+	if tb.mainRows != 2000 || tb.Rows() != 1000 {
+		t.Fatalf("%d main rows (a merge ran), %d rows", tb.mainRows, tb.Rows())
 	}
 	if n := tb.pkIndex.Len(); n != tb.Rows() {
 		t.Errorf("the PK index holds %d keys for %d live rows", n, tb.Rows())
@@ -574,7 +571,7 @@ func TestKeyedPredicateTouchesOneRow(t *testing.T) {
 			out += fmt.Sprintf("%v %v ", rids(w), colVals[0])
 			return true
 		})
-		res := tb.Aggregate([]agg.Spec{{Func: agg.Count, Col: -1}, {Func: agg.Sum, Col: 2}}, nil, p)
+		res := tb.AggregateExec([]agg.Spec{{Func: agg.Count, Col: -1}, {Func: agg.Sum, Col: 2}}, nil, p, nil)
 		return out + fmt.Sprint(res.Rows())
 	}
 	for _, c := range []struct {
@@ -619,14 +616,15 @@ func TestCompressionRateAndMemory(t *testing.T) {
 	if tb.MemoryBytes() <= 0 {
 		t.Error("MemoryBytes should be positive")
 	}
-	if tb.DistinctCount(1) != 5 {
-		t.Errorf("DistinctCount(grp) = %d", tb.DistinctCount(1))
+	if d := distinct(tb, 1); d != 5 {
+		t.Errorf("distinct grp = %d", d)
 	}
 }
 
 // Regression: the raw dictionary sum (main + delta) overcounts NDV when
 // delta values overlap the main dictionary or rows are deleted; the
-// estimate feeds planner cardinality, so it must stay within [1, Rows()].
+// distinct count that statistics read through ValueRuns feeds planner
+// cardinality, so it must stay within [1, Rows()].
 func TestDistinctCountClampedOnSkewedColumn(t *testing.T) {
 	tb := New(testSchema())
 	tb.AutoMerge = false
@@ -648,8 +646,8 @@ func TestDistinctCountClampedOnSkewedColumn(t *testing.T) {
 	if err := tb.Insert(rows); err != nil {
 		t.Fatal(err)
 	}
-	if d := tb.DistinctCount(1); d < 1 || d > tb.Rows() {
-		t.Fatalf("DistinctCount(grp) = %d outside [1, %d]", d, tb.Rows())
+	if d := distinct(tb, 1); d < 1 || d > tb.Rows() {
+		t.Fatalf("distinct grp = %d outside [1, %d]", d, tb.Rows())
 	}
 	// Delete almost everything: dictionaries keep their entries but the
 	// estimate must not exceed the surviving rows.
@@ -660,10 +658,17 @@ func TestDistinctCountClampedOnSkewedColumn(t *testing.T) {
 		t.Fatalf("Rows after delete = %d, want 2", live)
 	}
 	for col := 0; col < 4; col++ {
-		if d := tb.DistinctCount(col); d < 1 || d > 2 {
-			t.Fatalf("DistinctCount(%d) = %d outside [1, 2] after mass delete", col, d)
+		if d := distinct(tb, col); d < 1 || d > 2 {
+			t.Fatalf("distinct col %d = %d outside [1, 2] after mass delete", col, d)
 		}
 	}
+}
+
+// distinct counts col's distinct live values as statistics read them.
+func distinct(tb *Table, col int) int {
+	n := 0
+	tb.ValueRuns(col, func(value.Value, int) { n++ })
+	return n
 }
 
 // TestValueRuns checks the dictionary read-out behind statistics: every
@@ -724,10 +729,10 @@ func TestColumnRowStoreEquivalence(t *testing.T) {
 		if trial%2 == 0 {
 			groupBy = []int{1}
 		}
-		cres := cs.Aggregate(specs, groupBy, pred)
+		cres := cs.AggregateExec(specs, groupBy, pred, nil)
 		rres := foldRows(sch, rows, specs, groupBy, pred)
-		if cres.NumGroups() != rres.NumGroups() {
-			t.Fatalf("trial %d: group counts differ: cs=%d rs=%d", trial, cres.NumGroups(), rres.NumGroups())
+		if len(cres.Groups) != len(rres.Groups) {
+			t.Fatalf("trial %d: group counts differ: cs=%d rs=%d", trial, len(cres.Groups), len(rres.Groups))
 		}
 		csums := map[string][]value.Value{}
 		for _, row := range cres.Rows() {
@@ -803,7 +808,7 @@ func TestMutationEquivalence(t *testing.T) {
 		}
 	}
 	specs := []agg.Spec{{Func: agg.Sum, Col: 2}}
-	cres := cs.Aggregate(specs, nil, nil)
+	cres := cs.AggregateExec(specs, nil, nil, nil)
 	want := foldRows(sch, slices.Collect(maps.Values(live)), specs, nil, nil)
 	if cres.Rows()[0][0].Double() != want.Rows()[0][0].Double() {
 		t.Fatalf("final sums diverged: cs=%v want %v", cres.Rows()[0][0], want.Rows()[0][0])
@@ -908,9 +913,6 @@ func TestFragmentRowsAndLoad(t *testing.T) {
 	}
 	if re.Rows() != 31 || re.DeltaRows() != 2 {
 		t.Fatalf("loaded rows=%d delta=%d, want 31/2", re.Rows(), re.DeltaRows())
-	}
-	if re.Merges() != 0 {
-		t.Fatalf("load counted %d workload merges", re.Merges())
 	}
 	for _, id := range []int64{0, 3, 5, 29, 100, 101} {
 		if _, ok := re.LookupPK([]value.Value{value.NewBigint(id)}); !ok {

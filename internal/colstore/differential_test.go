@@ -149,7 +149,7 @@ func randomPredicate(rng *rand.Rand, n int) expr.Predicate {
 func oracleRows(tb *Table, pred expr.Predicate) []int32 {
 	var out []int32
 	for rid := 0; rid < tb.totalRows(); rid++ {
-		if !tb.Valid(rid) {
+		if !tb.liveSet.Get(rid) {
 			continue
 		}
 		if pred == nil || pred.Matches(tb.Get(rid)) {
@@ -248,7 +248,7 @@ func TestDifferentialAggregate(t *testing.T) {
 				if s.Col < 0 {
 					g.Accs[si].AddCount(1)
 				} else {
-					g.Accs[si].Add(row[s.Col])
+					g.Accs[si].AddFor(s.Func, row[s.Col])
 				}
 			}
 		}
@@ -260,9 +260,9 @@ func TestDifferentialAggregate(t *testing.T) {
 		var first map[string][]value.Value // the first pool's rows, by group
 		for pi, pool := range pools {
 			got := tb.AggregateExec(specs, groupBy, pred, &exec.Ctx{Pool: pool})
-			if got.NumGroups() != want.NumGroups() {
+			if len(got.Groups) != len(want.Groups) {
 				t.Fatalf("trial %d (%v, group %v, pool %d): %d groups, oracle %d",
-					trial, pred, groupBy, pool.Size(), got.NumGroups(), want.NumGroups())
+					trial, pred, groupBy, pool.Size(), len(got.Groups), len(want.Groups))
 			}
 			if pi == 0 {
 				first = map[string][]value.Value{}

@@ -62,10 +62,10 @@ func TestPairGroupMatchesRowStore(t *testing.T) {
 		nil,
 		&expr.Comparison{Col: 3, Op: expr.Ge, Val: value.NewDouble(500)},
 	} {
-		cres := cs.Aggregate(specs, groupBy, pred)
+		cres := cs.AggregateExec(specs, groupBy, pred, nil)
 		rres := foldRows(cs.Schema(), rows, specs, groupBy, pred)
-		if cres.NumGroups() != rres.NumGroups() {
-			t.Fatalf("pred=%v: groups cs=%d rs=%d", pred, cres.NumGroups(), rres.NumGroups())
+		if len(cres.Groups) != len(rres.Groups) {
+			t.Fatalf("pred=%v: groups cs=%d rs=%d", pred, len(cres.Groups), len(rres.Groups))
 		}
 		want := map[string][]value.Value{}
 		for _, row := range rres.Rows() {
@@ -108,8 +108,8 @@ func TestPairGroupFeasibility(t *testing.T) {
 		t.Error("1e6 code product should not take the dense path")
 	}
 	// The generic fallback must still be correct.
-	res := cs.Aggregate([]agg.Spec{{Func: agg.Count, Col: -1}}, []int{1, 4}, nil)
-	if res.NumGroups() != 1000 {
-		t.Errorf("fallback groups = %d", res.NumGroups())
+	res := cs.AggregateExec([]agg.Spec{{Func: agg.Count, Col: -1}}, []int{1, 4}, nil, nil)
+	if len(res.Groups) != 1000 {
+		t.Errorf("fallback groups = %d", len(res.Groups))
 	}
 }

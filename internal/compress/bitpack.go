@@ -52,9 +52,6 @@ func (p *Packed) set(i int, c uint32) {
 // Len returns the number of codes.
 func (p *Packed) Len() int { return p.n }
 
-// Width returns the bits used per code.
-func (p *Packed) Width() uint { return p.width }
-
 // Get returns the i-th code.
 func (p *Packed) Get(i int) uint32 {
 	if p.width == 0 {

@@ -140,8 +140,8 @@ func TestPackRoundTrip(t *testing.T) {
 
 func TestPackWidthZero(t *testing.T) {
 	p := Pack([]uint32{0, 0, 0}, 1)
-	if p.Width() != 0 || p.SizeBytes() != 0 {
-		t.Errorf("width-0 vector should occupy no payload: w=%d size=%d", p.Width(), p.SizeBytes())
+	if p.width != 0 || p.SizeBytes() != 0 {
+		t.Errorf("width-0 vector should occupy no payload: w=%d size=%d", p.width, p.SizeBytes())
 	}
 	if p.Get(2) != 0 {
 		t.Error("width-0 Get should be 0")

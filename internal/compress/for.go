@@ -49,9 +49,6 @@ func NewFoR(codes []uint32) *FoR {
 // Len returns the number of codes.
 func (f *FoR) Len() int { return f.n }
 
-// Width returns the bits used per delta.
-func (f *FoR) Width() uint { return f.deltas.Width() }
-
 // Get returns the i-th code.
 func (f *FoR) Get(i int) uint32 { return f.base[i/forBlock] + f.deltas.Get(i) }
 

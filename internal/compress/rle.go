@@ -33,9 +33,6 @@ func NewRLE(codes []uint32) *RLE {
 // Len returns the number of codes.
 func (r *RLE) Len() int { return r.n }
 
-// Runs returns the number of runs.
-func (r *RLE) Runs() int { return len(r.codes) }
-
 // runAt returns the index of the run containing position i.
 func (r *RLE) runAt(i int) int {
 	return sort.Search(len(r.ends), func(k int) bool { return int(r.ends[k]) > i })

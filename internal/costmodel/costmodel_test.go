@@ -97,12 +97,6 @@ func TestPiecewiseFn(t *testing.T) {
 	if (PiecewiseFn{}).At(5) != 1 {
 		t.Error("empty piecewise should be 1")
 	}
-	if !(PiecewiseFn{Xs: []float64{0, 1}, Ys: []float64{2, 2}}).Constant() {
-		t.Error("constant detection")
-	}
-	if (PiecewiseFn{Xs: []float64{0, 1}, Ys: []float64{1, 2}}).Constant() {
-		t.Error("non-constant detection")
-	}
 }
 
 func TestFitLinear(t *testing.T) {

@@ -74,16 +74,6 @@ func (f PiecewiseFn) At(x float64) float64 {
 	return y0 + (y1-y0)*(x-x0)/(x1-x0)
 }
 
-// Constant reports whether the function is (numerically) constant.
-func (f PiecewiseFn) Constant() bool {
-	for _, y := range f.Ys {
-		if y != f.Ys[0] {
-			return false
-		}
-	}
-	return true
-}
-
 // StoreParams holds every base cost and adjustment function for one store.
 // All base costs are in nanoseconds at the calibration reference setting
 // (RefRows rows, RefCompression compression rate, one aggregate on a

@@ -123,11 +123,6 @@ type Database struct {
 	// still an atomic swap); see SetSlowQueryLog.
 	slow atomic.Pointer[slowLogBox]
 
-	// costModel is the calibrated cost model the planner prices
-	// alternatives with; nil falls back to the deterministic default
-	// profile (see SetCostModel).
-	costModel atomic.Pointer[costmodel.Model]
-
 	// txns issues MVCC timestamps and tracks live transactions; commits
 	// publish to the version overlays under the read lock, and pending
 	// lists the committed transactions not yet folded into base storage
@@ -140,8 +135,8 @@ type Database struct {
 	foldedTS  uint64
 }
 
-// defaultPlanModel caches the analytic default cost model shared by
-// every database without an attached calibrated model.
+// defaultPlanModel caches the analytic default cost model the planner
+// prices alternatives with, as every advisor does.
 var defaultPlanModel = sync.OnceValue(costmodel.DefaultModel)
 
 // New creates an empty database.
@@ -396,21 +391,6 @@ func (db *Database) createIndexLocked(name string, col int) error {
 		return fmt.Errorf("%w: column %d of %q", ErrIndexNotMaterialized, col, name)
 	}
 	return nil
-}
-
-// SupportsIndex reports whether a secondary index on col would be
-// materialized under the table's current layout.
-func (db *Database) SupportsIndex(name string, col int) (bool, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	rt, err := db.runtime(name)
-	if err != nil {
-		return false, err
-	}
-	if col < 0 || col >= rt.entry.Schema.NumColumns() {
-		return false, fmt.Errorf("engine: index column %d out of range for %q", col, name)
-	}
-	return rt.store.SupportsIndex(col), nil
 }
 
 // Compact brings a table's storage to its read-optimized steady state

@@ -389,11 +389,11 @@ func TestStarJoinStops(t *testing.T) {
 	if !ex.Stopped() {
 		t.Fatal("stop hook never fired")
 	}
-	if res.NumGroups() != 0 {
-		t.Errorf("stopped probe folded %d groups", res.NumGroups())
+	if len(res.Groups) != 0 {
+		t.Errorf("stopped probe folded %d groups", len(res.Groups))
 	}
-	if pool.InUse() != 0 {
-		t.Errorf("%d pool slots still held after a stopped probe", pool.InUse())
+	if pool.Stats().InUse != 0 {
+		t.Errorf("%d pool slots still held after a stopped probe", pool.Stats().InUse)
 	}
 	star = newStarJoin(fact.store.(*colStorage).t, q, &probe, &build, []int{1, 0}, nil)
 	if seen := star.probe(res, nil, &exec.Ctx{Pool: pool}); seen != n {

@@ -359,7 +359,7 @@ func TestMigrateKeepsDeclaredIndexes(t *testing.T) {
 	if err := db.MigrateLayout("sales", catalog.ColumnStore, nil); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := db.SupportsIndex("sales", 1); ok {
+	if db.tables["sales"].store.SupportsIndex(1) {
 		t.Error("column store claims index support")
 	}
 	if !db.Catalog().Table("sales").HasIndex(1) {
@@ -369,7 +369,7 @@ func TestMigrateKeepsDeclaredIndexes(t *testing.T) {
 	if err := db.MigrateLayout("sales", catalog.RowStore, nil); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _ := db.SupportsIndex("sales", 1); !ok {
+	if !db.tables["sales"].store.SupportsIndex(1) {
 		t.Error("row store should support the index")
 	}
 	res, err := db.Exec(&query.Query{Kind: query.Select, Table: "sales",

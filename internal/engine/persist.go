@@ -140,9 +140,6 @@ func OpenOptions(dir string, opts Options) (*Database, error) {
 	return db, nil
 }
 
-// Durable reports whether the database is backed by a data directory.
-func (db *Database) Durable() bool { return db.log != nil }
-
 // applyRecord replays one WAL record during recovery. DML goes through
 // the same replayOps machinery that migration tail replay uses; DDL
 // goes through the un-logged cores of the public methods, a layout

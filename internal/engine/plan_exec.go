@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"hybridstore/internal/agg"
-	"hybridstore/internal/costmodel"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/plan"
 	"hybridstore/internal/query"
@@ -40,23 +39,10 @@ func (db *Database) planEnvLocked() plan.Env {
 				HasIndex: e.HasIndex,
 			}, true
 		},
-		Model:          db.planModel(),
+		Model:          defaultPlanModel(),
 		CatalogVersion: db.cat.Version(),
 	}
 }
-
-// planModel returns the cost model the planner prices alternatives with:
-// an attached calibrated model, or the deterministic default profile.
-func (db *Database) planModel() *costmodel.Model {
-	if m := db.costModel.Load(); m != nil {
-		return m
-	}
-	return defaultPlanModel()
-}
-
-// SetCostModel attaches a calibrated cost model for the planner to use
-// (nil reverts to the default analytic profile).
-func (db *Database) SetCostModel(m *costmodel.Model) { db.costModel.Store(m) }
 
 // planReadLocked plans one read statement under the held lock, recording
 // planning latency.

@@ -87,7 +87,7 @@ func oracleExec(q *query.Query, left, right [][]value.Value, nL int) [][]value.V
 				if s.Col < 0 {
 					g.Accs[i].AddCount(1)
 				} else {
-					g.Accs[i].Add(row[s.Col])
+					g.Accs[i].AddFor(s.Func, row[s.Col])
 				}
 			}
 		}

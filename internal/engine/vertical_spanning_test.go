@@ -256,17 +256,17 @@ func TestVerticalSpanningAggregateStops(t *testing.T) {
 	}
 	var counted int64
 	for _, g := range res.Groups {
-		counted += g.Accs[0].Count()
+		counted += g.Accs[0].Final(agg.Count).Int()
 	}
 	if counted >= n {
 		t.Errorf("stopped aggregate still visited all %d rows", counted)
 	}
-	if pool.InUse() != 0 {
-		t.Errorf("%d pool slots still held after a stopped aggregate", pool.InUse())
+	if pool.Stats().InUse != 0 {
+		t.Errorf("%d pool slots still held after a stopped aggregate", pool.Stats().InUse)
 	}
 	// The same storage still answers in full afterwards.
 	res = v.Aggregate(specs, nil, nil, &exec.Ctx{Pool: pool})
-	if got := res.Global().Accs[0].Count(); got != n {
+	if got := res.Global().Accs[0].Final(agg.Count).Int(); got != n {
 		t.Errorf("COUNT(*) after a stopped run = %d, want %d", got, n)
 	}
 
@@ -340,7 +340,7 @@ func BenchmarkVerticalSpanningAggregate(b *testing.B) {
 		l.store.Compact()
 		b.Run(l.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if got := l.store.Aggregate(specs, []int{g1}, nil, ex).NumGroups(); got != 20 {
+				if got := len(l.store.Aggregate(specs, []int{g1}, nil, ex).Groups); got != 20 {
 					b.Fatalf("%d groups, want 20", got)
 				}
 			}

@@ -73,11 +73,6 @@ func NewPool(n int) *Pool {
 // Size returns the number of slots.
 func (p *Pool) Size() int { return p.size }
 
-// InUse returns the number of currently held slots (admission +
-// in-flight helper workers); a value at Size means the pool is
-// saturated.
-func (p *Pool) InUse() int { return len(p.slots) }
-
 // Acquire blocks until a slot is free (statement admission) or ctx is
 // done, returning ctx.Err() in the latter case. While blocked the
 // caller counts as queued in Stats.

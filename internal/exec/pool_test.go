@@ -86,8 +86,8 @@ func TestAcquireBlocksAndCtxCancels(t *testing.T) {
 	if err := p.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if p.InUse() != 1 {
-		t.Fatalf("InUse = %d, want 1", p.InUse())
+	if n := p.Stats().InUse; n != 1 {
+		t.Fatalf("InUse = %d, want 1", n)
 	}
 	if p.TryAcquire() {
 		t.Fatal("TryAcquire succeeded on a full pool")

@@ -42,9 +42,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Name returns the registered metric name.
-func (c *Counter) Name() string { return c.name }
-
 // Gauge is a value that can go up and down.
 type Gauge struct {
 	name string
@@ -60,9 +57,6 @@ func (g *Gauge) Add(n int64) { g.v.Add(n) }
 
 // Value returns the current gauge value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Name returns the registered metric name.
-func (g *Gauge) Name() string { return g.name }
 
 // gaugeFunc is a gauge whose value is computed by a callback at
 // collection time — used for values another subsystem already tracks
@@ -160,9 +154,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	return h.upperBound(len(h.counts) - 1)
 }
-
-// Name returns the registered metric name.
-func (h *Histogram) Name() string { return h.name }
 
 // Registry holds named instruments and renders them. Registration is
 // idempotent by name: asking for an existing name returns the existing

@@ -27,13 +27,13 @@ import (
 	"hybridstore/internal/monitor"
 )
 
+// defaultHysteresis is the minimum relative predicted improvement (0.1 =
+// the recommended layout must be ≥10% cheaper than staying put) before a
+// migration is executed, unless Evaluate or AutoAdvise is given another.
+const defaultHysteresis = 0.1
+
 // Config tunes the manager.
 type Config struct {
-	// Hysteresis is the default minimum relative predicted improvement
-	// (e.g. 0.1 = the recommended layout must be ≥10% cheaper than
-	// staying put) before a migration is executed. AutoAdvise takes an
-	// explicit override.
-	Hysteresis float64
 	// Cooldown is the minimum time between migrations of one table.
 	Cooldown time.Duration
 	// MinWindowQueries gates automatic evaluation until the rolling
@@ -53,7 +53,6 @@ type Config struct {
 // DefaultConfig returns the standard thresholds.
 func DefaultConfig() Config {
 	return Config{
-		Hysteresis:         0.1,
 		Cooldown:           30 * time.Second,
 		MinWindowQueries:   100,
 		CompactDeltaRows:   50000,
@@ -75,7 +74,8 @@ var (
 		"bulk-ingest row rate the merge cadence last adapted to")
 )
 
-// Event records one manager action for auditing (\migrate log in hsql).
+// Event records one manager action for auditing. Tests read the log
+// through Events; a decision log of the advisor's choices builds on it.
 type Event struct {
 	Time   time.Time
 	Table  string
@@ -92,7 +92,6 @@ type Manager struct {
 
 	mu       sync.Mutex
 	lastMove map[string]time.Time
-	lastRec  *advisor.Recommendation
 	events   []Event
 	running  bool
 	stopCh   chan struct{}
@@ -108,9 +107,6 @@ type Manager struct {
 
 // NewManager wires the manager to a database, advisor and monitor.
 func NewManager(db *engine.Database, adv *advisor.Advisor, mon *monitor.Monitor, cfg Config) *Manager {
-	if cfg.Hysteresis < 0 {
-		cfg.Hysteresis = 0
-	}
 	return &Manager{
 		db: db, adv: adv, mon: mon, cfg: cfg,
 		lastMove: map[string]time.Time{},
@@ -132,14 +128,6 @@ func (m *Manager) Events() []Event {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]Event(nil), m.events...)
-}
-
-// LastRecommendation returns the most recent recommendation (nil before
-// the first Advise).
-func (m *Manager) LastRecommendation() *advisor.Recommendation {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastRec
 }
 
 // Advise snapshots the rolling workload window, refreshes the catalog
@@ -175,9 +163,6 @@ func (m *Manager) advise() (*advisor.Recommendation, *monitor.Snapshot, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	m.mu.Lock()
-	m.lastRec = rec
-	m.mu.Unlock()
 	return rec, snap, nil
 }
 
@@ -248,10 +233,10 @@ func (m *Manager) migrate(rec *advisor.Recommendation, honorCooldown bool) ([]st
 // Evaluate runs one advisory cycle: snapshot, recommend, and migrate when
 // the hysteresis test passes. It returns the migrated tables (nil when
 // the recommendation was not worth applying). A negative hysteresis uses
-// the config default.
+// defaultHysteresis.
 func (m *Manager) Evaluate(hysteresis float64) ([]string, error) {
 	if hysteresis < 0 {
-		hysteresis = m.cfg.Hysteresis
+		hysteresis = defaultHysteresis
 	}
 	rec, snap, err := m.advise()
 	if err != nil {
@@ -346,7 +331,7 @@ func (m *Manager) compactDelay(ceiling time.Duration) time.Duration {
 
 // AutoAdvise starts the background advisory loop: every interval it
 // evaluates the workload — once the rolling window holds enough queries
-// — with the given hysteresis (negative = config default). Compaction
+// — with the given hysteresis (negative = defaultHysteresis). Compaction
 // checks run on their own adaptive timer: between CompactMinInterval
 // and the AutoAdvise interval, paced by the observed bulk-ingest rate
 // (see compactDelay), so sustained COPY streams get their deltas merged

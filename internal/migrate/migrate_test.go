@@ -239,7 +239,11 @@ func TestCooldownThrottlesRepeatMoves(t *testing.T) {
 	}
 	// An explicit (administrator) Migrate bypasses the automatic
 	// cooldown...
-	moved, err = mgr.Migrate(mgr.LastRecommendation())
+	rec, err := mgr.Advise()
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved, err = mgr.Migrate(rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func kinds(p *Plan) []string {
 }
 
 func TestBuildStampsVersionAndIDs(t *testing.T) {
-	p, err := Build(&query.Query{Kind: query.Select, Table: "big"}, testEnv())
+	p, err := BuildOptions(&query.Query{Kind: query.Select, Table: "big"}, testEnv(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestBuildSideFollowsEstimates(t *testing.T) {
 		Kind: query.Select, Table: "big",
 		Join: &query.Join{Table: "small", LeftCol: 1, RightCol: 0},
 	}
-	p, err := Build(q, testEnv())
+	p, err := BuildOptions(q, testEnv(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestBuildSideFollowsEstimates(t *testing.T) {
 		Join: &query.Join{Table: "small", LeftCol: 1, RightCol: 0},
 		Pred: &expr.Comparison{Col: 0, Op: expr.Lt, Val: value.NewBigint(10)},
 	}
-	p2, err := Build(q2, env)
+	p2, err := BuildOptions(q2, env, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestPushdownMovesPredIntoScans(t *testing.T) {
 		Join: &query.Join{Table: "small", LeftCol: 1, RightCol: 0},
 		Pred: pred,
 	}
-	p, err := Build(q, testEnv())
+	p, err := BuildOptions(q, testEnv(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestTopKEstimateBounded(t *testing.T) {
 		Kind: query.Select, Table: "big", Cols: []int{0},
 		OrderBy: []query.Order{{Col: 1}}, Limit: 7,
 	}
-	p, err := Build(q, testEnv())
+	p, err := BuildOptions(q, testEnv(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestAggregatePlanShape(t *testing.T) {
 		GroupBy: []int{1},
 		Pred:    &expr.Comparison{Col: 1, Op: expr.Ge, Val: value.NewInt(1)},
 	}
-	p, err := Build(q, testEnv())
+	p, err := BuildOptions(q, testEnv(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestBuildValidation(t *testing.T) {
 			Pred: &expr.Comparison{Col: 5, Op: expr.Eq, Val: value.NewInt(1)}}, "out of range"},
 	}
 	for _, tc := range cases {
-		_, err := Build(tc.q, env)
+		_, err := BuildOptions(tc.q, env, Options{})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
@@ -291,7 +291,7 @@ func TestPlanStringRendersTree(t *testing.T) {
 		Aggs:    []agg.Spec{{Func: agg.Count, Col: -1}},
 		GroupBy: []int{4},
 	}
-	p, err := Build(q, testEnv())
+	p, err := BuildOptions(q, testEnv(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,13 +52,9 @@ type Options struct {
 // statistics (matches expr's default).
 const defaultSel = 0.1
 
-// Build plans one read statement (Select or Aggregate, with or without a
-// join) into a physical plan.
-func Build(q *query.Query, env Env) (*Plan, error) {
-	return BuildOptions(q, env, Options{})
-}
-
-// BuildOptions is Build with forced planner decisions.
+// BuildOptions plans one read statement (Select or Aggregate, with or
+// without a join) into a physical plan; opts forces planner decisions
+// (the zero Options plans by cost alone).
 func BuildOptions(q *query.Query, env Env, opts Options) (*Plan, error) {
 	if q.Kind != query.Select && q.Kind != query.Aggregate {
 		return nil, fmt.Errorf("plan: cannot plan %v statement", q.Kind)

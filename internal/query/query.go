@@ -107,23 +107,6 @@ type Query struct {
 	Set map[int]value.Value
 }
 
-// NumAffectedCols returns the number of assigned columns of an update.
-func (q *Query) NumAffectedCols() int { return len(q.Set) }
-
-// SetCols returns the sorted assigned column indexes of an update.
-func (q *Query) SetCols() []int {
-	cols := make([]int, 0, len(q.Set))
-	for c := range q.Set {
-		cols = append(cols, c)
-	}
-	for i := 1; i < len(cols); i++ {
-		for j := i; j > 0 && cols[j] < cols[j-1]; j-- {
-			cols[j], cols[j-1] = cols[j-1], cols[j]
-		}
-	}
-	return cols
-}
-
 // IsOLAP reports whether the query is analytical (an aggregation); every
 // other kind counts as OLTP in the paper's workload mixes.
 func (q *Query) IsOLAP() bool { return q.Kind == Aggregate }

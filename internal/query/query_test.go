@@ -33,18 +33,6 @@ func TestIsOLAP(t *testing.T) {
 	}
 }
 
-func TestSetColsSorted(t *testing.T) {
-	q := &Query{Kind: Update, Set: map[int]value.Value{
-		5: value.NewInt(1), 1: value.NewInt(2), 3: value.NewInt(3),
-	}}
-	if got := q.SetCols(); !reflect.DeepEqual(got, []int{1, 3, 5}) {
-		t.Errorf("SetCols = %v", got)
-	}
-	if q.NumAffectedCols() != 3 {
-		t.Errorf("NumAffectedCols = %d", q.NumAffectedCols())
-	}
-}
-
 func TestTables(t *testing.T) {
 	q := &Query{Kind: Aggregate, Table: "fact"}
 	if got := q.Tables(); !reflect.DeepEqual(got, []string{"fact"}) {

@@ -119,12 +119,12 @@ func TestArenaRoundTrip(t *testing.T) {
 	}
 	fresh := append([]value.Value{value.NewBigint(id)}, rows[2][1:]...)
 	up, model[id] = append(up, fresh), fresh
-	slots := tb.capacityRows()
+	slots := len(tb.valid)
 	if err := tb.Upsert(up); err != nil {
 		t.Fatal(err)
 	}
-	if tb.capacityRows() != slots+1 {
-		t.Fatalf("upsert of %d held keys and one new one took %d new slot windows", len(up)-1, tb.capacityRows()-slots)
+	if len(tb.valid) != slots+1 {
+		t.Fatalf("upsert of %d held keys and one new one took %d new slot windows", len(up)-1, len(tb.valid)-slots)
 	}
 	checkAgainst(t, tb, model, "upsert")
 
@@ -206,12 +206,12 @@ func TestTombstoneReclamation(t *testing.T) {
 			t.Fatal(c, err)
 		}
 	}
-	if tb.capacityRows() != n {
-		t.Fatalf("10000 keyed updates grew the arena from %d to %d slot windows", n, tb.capacityRows())
+	if len(tb.valid) != n {
+		t.Fatalf("10000 keyed updates grew the arena from %d to %d slot windows", n, len(tb.valid))
 	}
 	bound := func(step string) {
 		t.Helper()
-		if c, live := tb.capacityRows(), tb.Rows(); 4*(c-live) > live+4*reclaimMinDead {
+		if c, live := len(tb.valid), tb.Rows(); 4*(c-live) > live+4*reclaimMinDead {
 			t.Fatalf("%s: %d slot windows for %d live rows", step, c, live)
 		}
 	}

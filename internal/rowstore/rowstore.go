@@ -100,12 +100,6 @@ func (t *Table) Schema() *schema.Table { return t.sch }
 // Rows returns the number of live rows.
 func (t *Table) Rows() int { return t.live }
 
-// capacityRows returns the number of row slots including deleted ones.
-func (t *Table) capacityRows() int { return len(t.valid) }
-
-// Valid reports whether the row slot rid holds a live row.
-func (t *Table) Valid(rid int) bool { return t.valid[rid] }
-
 // base returns the arena index of row rid's first value slot.
 func (t *Table) base(rid int) int { return rid*t.width + t.nw }
 
@@ -319,15 +313,6 @@ func (t *Table) CreateIndex(col int) {
 		}
 	}
 	t.secondary[col] = idx
-}
-
-// HasIndex reports whether column col has a secondary index (or is the
-// sole PK column, which the PK index covers).
-func (t *Table) HasIndex(col int) bool {
-	if _, ok := t.secondary[col]; ok {
-		return true
-	}
-	return len(t.sch.PrimaryKey) == 1 && t.sch.PrimaryKey[0] == col
 }
 
 // candidateRows returns a restricted candidate row set for the predicate

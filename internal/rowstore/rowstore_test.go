@@ -48,7 +48,7 @@ func TestInsertAndRows(t *testing.T) {
 	if tb.Value(3, 0).Int() != 3 || tb.Value(3, 2).Double() != 3 {
 		t.Errorf("row 3 = %v %v", tb.Value(3, 0), tb.Value(3, 2))
 	}
-	if !tb.Valid(3) {
+	if !tb.valid[3] {
 		t.Error("row 3 should be valid")
 	}
 	if tb.Schema().Name != "items" {
@@ -151,15 +151,12 @@ func TestScanUsesPKIndex(t *testing.T) {
 
 func TestSecondaryIndex(t *testing.T) {
 	tb := loaded(t, 50)
-	if tb.HasIndex(1) {
+	if _, ok := tb.secondary[1]; ok {
 		t.Error("no index yet on grp")
-	}
-	if !tb.HasIndex(0) {
-		t.Error("single-column PK should count as indexed")
 	}
 	tb.CreateIndex(1)
 	tb.CreateIndex(1) // idempotent
-	if !tb.HasIndex(1) {
+	if _, ok := tb.secondary[1]; !ok || len(tb.secondary) != 1 {
 		t.Error("index not registered")
 	}
 	pred := &expr.Comparison{Col: 1, Op: expr.Eq, Val: value.NewInt(3)}
@@ -200,8 +197,8 @@ func TestAggregateGlobal(t *testing.T) {
 func TestAggregateGrouped(t *testing.T) {
 	tb := loaded(t, 10)
 	res := aggregate(tb, []agg.Spec{{Func: agg.Count, Col: -1}}, []int{1}, nil)
-	if res.NumGroups() != 5 {
-		t.Errorf("groups = %d", res.NumGroups())
+	if len(res.Groups) != 5 {
+		t.Errorf("groups = %d", len(res.Groups))
 	}
 	for _, row := range res.Rows() {
 		if row[1].Int() != 2 {
@@ -317,8 +314,8 @@ func TestCompact(t *testing.T) {
 	if got := tb.Compact(); got != 5 {
 		t.Errorf("Compact reclaimed %d", got)
 	}
-	if tb.Rows() != 5 || tb.capacityRows() != 5 {
-		t.Errorf("after compact: rows=%d cap=%d", tb.Rows(), tb.capacityRows())
+	if tb.Rows() != 5 || len(tb.valid) != 5 {
+		t.Errorf("after compact: rows=%d cap=%d", tb.Rows(), len(tb.valid))
 	}
 	rid, ok := tb.LookupPK([]value.Value{value.NewBigint(7)})
 	if !ok || tb.Value(rid, 0).Int() != 7 {

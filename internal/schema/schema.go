@@ -151,15 +151,6 @@ func (t *Table) ColTypes() []value.Type {
 	return types
 }
 
-// ColNames returns the column names in order.
-func (t *Table) ColNames() []string {
-	names := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // IsPrimaryKey reports whether column index i is part of the primary key.
 func (t *Table) IsPrimaryKey(i int) bool {
 	for _, k := range t.PrimaryKey {

@@ -92,17 +92,6 @@ func TestColIndex(t *testing.T) {
 	}
 }
 
-func TestColNames(t *testing.T) {
-	s := demo(t)
-	names := s.ColNames()
-	want := []string{"id", "customer", "total", "status", "placed"}
-	for i, n := range want {
-		if names[i] != n {
-			t.Errorf("ColNames[%d] = %q, want %q", i, names[i], n)
-		}
-	}
-}
-
 func TestIsPrimaryKey(t *testing.T) {
 	s := demo(t)
 	if !s.IsPrimaryKey(0) {
@@ -177,7 +166,7 @@ func TestProject(t *testing.T) {
 		t.Fatal(err)
 	}
 	if p.NumColumns() != 2 || p.Columns[1].Name != "status" {
-		t.Errorf("projection wrong: %v", p.ColNames())
+		t.Errorf("projection wrong: %v", p.Columns)
 	}
 	if len(p.PrimaryKey) != 1 || p.PrimaryKey[0] != 0 {
 		t.Errorf("PK not carried over: %v", p.PrimaryKey)

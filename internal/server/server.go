@@ -49,6 +49,14 @@ import (
 	"hybridstore/internal/wire"
 )
 
+const (
+	// stmtCacheSize caps the shared prepared-statement cache entries.
+	stmtCacheSize = 256
+	// drainTimeout bounds Shutdown's graceful phase when the caller's
+	// context has no deadline.
+	drainTimeout = 5 * time.Second
+)
+
 // Config tunes a server.
 type Config struct {
 	// MaxSessions caps concurrent sessions; further connections are
@@ -62,16 +70,10 @@ type Config struct {
 	// MaxFrame caps accepted request frames and emitted response
 	// frames. 0 = wire.DefaultMaxFrame.
 	MaxFrame int
-	// StmtCache caps the shared prepared-statement cache entries.
-	// 0 = 256.
-	StmtCache int
 	// MaxStmtTimeout caps the per-statement deadline a session may
 	// request in Hello; sessions asking for more (or for none) get
 	// this. 0 = no cap.
 	MaxStmtTimeout time.Duration
-	// DrainTimeout bounds Shutdown's graceful phase when the caller's
-	// context has no deadline. 0 = 5s.
-	DrainTimeout time.Duration
 	// Logf receives server diagnostics; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -82,12 +84,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = wire.DefaultMaxFrame
-	}
-	if c.StmtCache <= 0 {
-		c.StmtCache = 256
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -155,7 +151,7 @@ func Serve(db *engine.Database, addr string, cfg Config) (*Server, error) {
 		baseCtx:  ctx,
 		cancel:   cancel,
 		pool:     pool,
-		cache:    newStmtCache(cfg.StmtCache),
+		cache:    &stmtCache{stmts: make(map[string]*cachedStmt)},
 		sessions: make(map[uint64]*session),
 	}
 	s.registerGauges()
@@ -241,7 +237,7 @@ func (s *Server) Sessions() int {
 // durable state): the listener stops accepting, every session finishes
 // the request in progress and reads no more, and once every session has
 // exited the database is closed. If ctx
-// expires first (or, without a deadline, after Config.DrainTimeout),
+// expires first (or, without a deadline, after drainTimeout),
 // in-flight statements are hard-cancelled — they abort at the engine's
 // next batch boundary — and connections are torn down before the
 // engine closes.
@@ -252,7 +248,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.ln.Close()
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.DrainTimeout)
+		ctx, cancel = context.WithTimeout(ctx, drainTimeout)
 		defer cancel()
 	}
 	// Stop every session's reading: the request in progress finishes,
@@ -307,7 +303,6 @@ type cachedStmt struct {
 // the cap is a memory bound, not a tuning surface).
 type stmtCache struct {
 	mu    sync.Mutex
-	cap   int
 	stmts map[string]*cachedStmt
 	hits  atomic.Int64
 	miss  atomic.Int64
@@ -315,10 +310,6 @@ type stmtCache struct {
 	// those that (re)planned — the plan-cache effectiveness signal.
 	planHits atomic.Int64
 	planMiss atomic.Int64
-}
-
-func newStmtCache(cap int) *stmtCache {
-	return &stmtCache{cap: cap, stmts: make(map[string]*cachedStmt)}
 }
 
 // normalizeSQL canonicalizes a statement text for cache keying:
@@ -380,7 +371,7 @@ func (c *stmtCache) get(text string) (*cachedStmt, error) {
 		c.mu.Unlock()
 		return cs, nil
 	}
-	if len(c.stmts) >= c.cap {
+	if len(c.stmts) >= stmtCacheSize {
 		for k := range c.stmts {
 			delete(c.stmts, k)
 			break

@@ -234,14 +234,6 @@ func (t *Trace) Span(stage string) *Span {
 	return nil
 }
 
-// Duration returns wall time since the trace began.
-func (t *Trace) Duration() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Since(t.start)
-}
-
 // Add accumulates a trace-level named counter. The storage layers use
 // it for counters that cross span boundaries (blocks scanned vs.
 // zone-map-skipped, delta-vs-main rows) without needing a span handle.

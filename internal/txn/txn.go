@@ -142,13 +142,6 @@ func (m *Manager) Begin() *Txn {
 	return t
 }
 
-// ActiveCount reports the number of live transactions.
-func (m *Manager) ActiveCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.active)
-}
-
 // MinActiveTS returns the oldest live snapshot timestamp — the bound
 // below which versions can be garbage-collected. With no live
 // transaction it is the newest committed timestamp.

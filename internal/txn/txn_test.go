@@ -187,8 +187,8 @@ func TestMinActiveTS(t *testing.T) {
 	old.BeginTS = 0 // simulate an older live snapshot
 	_ = old
 	m.Abort(t2)
-	if m.ActiveCount() != 1 {
-		t.Fatalf("active = %d", m.ActiveCount())
+	if n := len(m.active); n != 1 {
+		t.Fatalf("active = %d", n)
 	}
 }
 

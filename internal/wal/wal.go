@@ -250,20 +250,6 @@ func (l *Log) NextSeq() uint64 {
 	return l.nextSeq
 }
 
-// Size returns the current file size in bytes.
-func (l *Log) Size() (int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return 0, fmt.Errorf("wal: log is closed")
-	}
-	st, err := l.f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
-}
-
 // Reset truncates the log file to empty after a checkpoint has made its
 // contents redundant. Sequence numbers keep increasing monotonically —
 // the checkpoint records the cut, so replay can skip stale frames if a
