@@ -275,11 +275,13 @@
 //     applies every conjunct to its blocks; word alignment keeps
 //     workers on disjoint bitset words). Every layout's block scan
 //     numbers its blocks in the order a serial scan visits them, and a
-//     SELECT's one collector — plain, ordered or top-K, over a table or
-//     a join — keeps block i's rows in slot i (top-K heaps stay per
+//     read's one collector — plain, ordered or top-K, over a table or a
+//     join — keeps block i's rows in slot i (top-K heaps stay per
 //     worker, ties broken by block number), so parallel row order
 //     equals serial row order on every layout. Only a bare LIMIT, which
-//     can stop early, runs its blocks in order on one worker.
+//     can stop early, runs its blocks in order on one worker. An
+//     ordered or limited aggregate hands its groups to the same
+//     collector as one block, after the reduction below.
 //   - Every aggregate is an ordered reduction (exec.Reduce): the scan is
 //     cut into fixed ranges of consecutive morsels, each range
 //     accumulates into a partial of its own — dense per-group
@@ -329,7 +331,14 @@
 // lowers into an explicit physical plan before execution — internal/plan
 // builds a tree of typed operators (Scan, Filter, Project, HashJoin,
 // Aggregate, Sort, TopK, Limit), each carrying a cardinality and cost
-// estimate, and the engine executes the tree. The planner is cost-based:
+// estimate, and the engine executes the tree. Every plan is one
+// pipeline, source → [aggregate] → [order/limit] → [project]: the source
+// is a scan of the statement's one table, or a hash join of its two with
+// a Filter of the conjuncts that span both, and one executor runs every
+// plan, a single-table read being its join-free case. It names its
+// result columns in one place (a join's qualified by table) and picks a
+// fused scan+aggregate kernel — the table's own, or the star join's —
+// in one place, only for a source with no overlay view. The planner is cost-based:
 // it prices alternatives with the calibrated store cost model
 // (internal/costmodel, the same model the advisor uses) fed by collected
 // table statistics, falling back to a textbook default selectivity for
@@ -375,6 +384,10 @@
 //     scheduler and merging order-independently. A row's sort key is
 //     compared with the heap's worst entry straight from the scan
 //     batch; the output row is built only when the key is admitted.
+//     An aggregate's ORDER BY (on group columns) and LIMIT plan the same
+//     TopK, Sort and Limit over the Aggregate node, and its groups go
+//     through the same collector. SQL refuses LIMIT 0 (sql.ErrLimitZero):
+//     a Limit of 0 means no limit.
 //   - Plans are parameter-independent: the executor consumes only the
 //     plan's structural decisions and re-derives predicates and columns
 //     from the bound statement, so one plan serves every binding of a
@@ -386,8 +399,10 @@
 //     without any registration machinery.
 //   - EXPLAIN <stmt> renders the chosen plan tree with per-node row and
 //     cost estimates as an ordinary result set; EXPLAIN ANALYZE tags its
-//     spans with plan-node ids ("scan#3", "hashjoin#5") so observed
-//     rows can be read against estimates. hs_plan_cache_{hits,misses}_total
+//     spans with plan-node ids ("scan#1", "aggregate#2", "topk#3"),
+//     found by walking the plan, so observed rows can be read against
+//     estimates; a join's statement span ("join") carries its probe
+//     kind and build and probe row counts. hs_plan_cache_{hits,misses}_total
 //     and hs_planning_seconds quantify cache effectiveness (the benchmark
 //     workloads report server.plan_cache_hit_ratio). The planner
 //     differential wall (internal/engine) checks planned execution

@@ -415,14 +415,36 @@ func (r *Result) Rows() [][]value.Value {
 	for _, g := range r.Groups {
 		row := make([]value.Value, 0, len(g.Key)+len(r.Specs))
 		row = append(row, g.Key...)
-		for i, s := range r.Specs {
-			if r.Types != nil {
-				row = append(row, g.Accs[i].FinalTyped(s.Func, r.Types[i]))
-			} else {
-				row = append(row, g.Accs[i].Final(s.Func))
-			}
+		for i := range r.Specs {
+			row = append(row, r.final(g, i))
 		}
 		out = append(out, row)
 	}
 	return out
+}
+
+// Columns materializes the result column-major, in Rows' order.
+func (r *Result) Columns() [][]value.Value {
+	nk := len(r.GroupCols)
+	cols := make([][]value.Value, nk+len(r.Specs))
+	for j := range cols {
+		cols[j] = make([]value.Value, len(r.Groups))
+	}
+	for k, g := range r.Groups {
+		for j, v := range g.Key {
+			cols[j][k] = v
+		}
+		for i := range r.Specs {
+			cols[nk+i][k] = r.final(g, i)
+		}
+	}
+	return cols
+}
+
+// final is group g's value of spec i, typed when Types is set.
+func (r *Result) final(g *Group, i int) value.Value {
+	if r.Types != nil {
+		return g.Accs[i].FinalTyped(r.Specs[i].Func, r.Types[i])
+	}
+	return g.Accs[i].Final(r.Specs[i].Func)
 }

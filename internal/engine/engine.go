@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hybridstore/internal/agg"
 	"hybridstore/internal/catalog"
 	"hybridstore/internal/colstore"
 	"hybridstore/internal/costmodel"
@@ -675,11 +674,4 @@ func (rt *tableRuntime) coerceRows(rows [][]value.Value) ([][]value.Value, error
 		out[i] = cr
 	}
 	return out, nil
-}
-
-func specName(sch *schema.Table, s agg.Spec) string {
-	if s.Col < 0 {
-		return s.Func.String() + "(*)"
-	}
-	return fmt.Sprintf("%s(%s)", s.Func, sch.Columns[s.Col].Name)
 }

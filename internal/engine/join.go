@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -13,23 +12,37 @@ import (
 	"hybridstore/internal/expr"
 	"hybridstore/internal/plan"
 	"hybridstore/internal/query"
+	"hybridstore/internal/schema"
 	"hybridstore/internal/trace"
 	"hybridstore/internal/value"
 )
 
-// execJoinPlan executes a planned equi-join (Select or Aggregate with a
-// Join clause) as a hash join. The plan contributes the structural
-// decisions — which side builds the hash table and whether single-side
-// conjuncts are pushed below the join — while the concrete predicate
-// fragments are re-derived from the bound query (the classification is
-// structural, so a cached generic plan and the bound statement always
-// agree). Column references in the query use combined indexing: left
-// columns first, then right columns.
-func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Plan, sh *readShape, snap stmtSnap) (*Result, error) {
-	left, err := db.runtime(q.Table)
-	if err != nil {
-		return nil, err
-	}
+// hashJoin is a read's equi-join source, in combined column indexing (the
+// left table's columns, then the right's): the build table's matching rows,
+// materialized once, and the probe table's scan matched against them. The
+// plan decides which table builds and whether single-side conjuncts are
+// pushed below the join; the concrete predicate fragments are re-derived
+// from the bound query (the classification is structural, so a cached
+// generic plan and the bound statement always agree).
+type hashJoin struct {
+	probe, build joinSide
+	right        *schema.Table
+	buildNeed    []int          // build columns materialized, the join key last
+	post         expr.Predicate // conjuncts evaluated on the joined row
+	width        int            // of the joined row
+
+	// Built by open: the build side as a hash table by join key, or, for
+	// an aggregate on the dense kernel, as a star join.
+	hash      map[uint64][]*buildRow
+	star      *starJoin
+	buildRows int64
+	probed    atomic.Int64 // probe rows seen
+}
+
+// newHashJoin sets up the join of q's two tables under plan p. left is
+// q.Table's runtime. A side whose version overlay contributes rows at the
+// statement's snapshot scans serially through the merged view.
+func (db *Database) newHashJoin(q *query.Query, p *plan.Plan, snap stmtSnap, left *tableRuntime) (*hashJoin, error) {
 	right, err := db.runtime(q.Join.Table)
 	if err != nil {
 		return nil, err
@@ -39,142 +52,74 @@ func (db *Database) execJoinPlan(ctx context.Context, q *query.Query, p *plan.Pl
 	if q.Join.LeftCol < 0 || q.Join.LeftCol >= nL || q.Join.RightCol < 0 || q.Join.RightCol >= nR {
 		return nil, fmt.Errorf("engine: join columns out of range")
 	}
-	ex := db.execCtx(ctx)
-
-	// Planner decision: predicate pushdown below the join.
-	var leftPred, rightPred, postPred expr.Predicate
+	var leftPred, rightPred, post expr.Predicate
 	if p.Pushdown {
-		leftPred, rightPred, postPred = plan.SplitJoinPred(q.Pred, nL, nR)
+		leftPred, rightPred, post = plan.SplitJoinPred(q.Pred, nL, nR)
 	} else {
-		postPred = q.Pred
+		post = q.Pred
 	}
-
-	// Columns each side must materialize.
 	needL, needR := plan.JoinNeededCols(q, nL, nR)
-
-	// Snapshot views: a side whose version overlay contributes rows at
-	// the statement's snapshot scans serially through the merged view; a
-	// nil view keeps that side's parallel scan and the star join.
 	ls := joinSide{rt: left, view: db.tableView(left, snap.ts, snap.tx),
 		pred: leftPred, need: needL, joinCol: q.Join.LeftCol, width: nL, offset: 0}
 	rs := joinSide{rt: right, view: db.tableView(right, snap.ts, snap.tx),
 		pred: rightPred, need: needR, joinCol: q.Join.RightCol, width: nR, offset: nL}
-	// Planner decision: the smaller estimated (post-pushdown) input builds.
-	build, probe := rs, ls
+	j := &hashJoin{probe: ls, build: rs, right: right.entry.Schema, post: post, width: nL + nR}
 	if p.BuildLeft {
-		build, probe = ls, rs
+		j.probe, j.build = rs, ls
 	}
-
 	// Join keys of two whole-number types compare by numeric value: the
 	// build key is brought to the probe column's type where it is read.
-	build.keyType = probe.rt.entry.Schema.Columns[probe.joinCol].Type
-	if bt := build.rt.entry.Schema.Columns[build.joinCol].Type; !value.JoinComparable(bt, build.keyType) {
-		return nil, fmt.Errorf("engine: cannot join columns of types %s and %s", bt, build.keyType)
+	j.build.keyType = j.probe.rt.entry.Schema.Columns[j.probe.joinCol].Type
+	if bt := j.build.rt.entry.Schema.Columns[j.build.joinCol].Type; !value.JoinComparable(bt, j.build.keyType) {
+		return nil, fmt.Errorf("engine: cannot join columns of types %s and %s", bt, j.build.keyType)
 	}
+	j.buildNeed = append(slices.Clip(j.build.need), j.build.joinCol)
+	return j, nil
+}
 
-	tr := trace.FromContext(ctx)
-	var bsp *trace.Span
-	if tr != nil {
-		bsp = tr.Start(nodeSpanName(sh.join.Build))
-	}
+// dense reports whether the aggregate q runs on the column store's dense
+// kernel as a star join: the probe table is a column-store table, no
+// conjunct spans both tables, and the shape is a star's (starJoinShape).
+func (j *hashJoin) dense(q *query.Query) bool {
+	_, col := j.probe.rt.store.(*colStorage)
+	return col && j.post == nil && starJoinShape(q, &j.probe, &j.build)
+}
 
-	var aggRes *agg.Result
-	res := &Result{}
-	if q.Kind == query.Aggregate {
-		aggRes = agg.NewResult(q.Aggs, q.GroupBy)
-		// Combined-row indexing: left column types first, then right.
-		aggRes.SetOutputTypes(append(left.entry.Schema.ColTypes(), right.entry.Schema.ColTypes()...))
+// open builds the build side: the star join's resolution into the probe
+// column's dictionary when star is set, else a hash table of the needed
+// columns of the matching build rows.
+func (j *hashJoin) open(q *query.Query, star bool, ex *exec.Ctx) {
+	if star {
+		j.star = newStarJoin(j.probe.rt.store.(*colStorage).t, q, &j.probe, &j.build, j.buildNeed, ex)
+		j.buildRows = j.star.buildRows
+		return
 	}
+	j.hash, j.buildRows = buildJoinHash(&j.build, j.buildNeed, ex)
+}
 
-	// Build phase. The star-join shape resolves the build side into the
-	// probe column's dictionary and needs no hash table; everything else
-	// materializes the needed columns of matching build rows.
-	buildNeed := append(append([]int{}, build.need...), build.joinCol)
-	var star *starJoin
-	var hash map[uint64][]*buildRow
-	var buildRows int64
-	if cs, ok := probe.rt.store.(*colStorage); ok && q.Kind == query.Aggregate && postPred == nil && starJoinShape(q, &probe, &build) {
-		star = newStarJoin(cs.t, q, &probe, &build, buildNeed, ex)
-		buildRows = star.buildRows
-	} else {
-		hash, buildRows = buildJoinHash(&build, buildNeed, ex)
-	}
-	bsp.AddRowsOut(buildRows)
-	bsp.End()
-	var psp *trace.Span
-	if tr != nil {
-		psp = tr.Start(nodeSpanName(sh.join.Probe))
-	}
+// aggregate runs the star join's probe through the dense kernel into a
+// result of q, whose joined rows have column types types.
+func (j *hashJoin) aggregate(q *query.Query, types []value.Type, ex *exec.Ctx) *agg.Result {
+	ar := agg.NewResult(q.Aggs, q.GroupBy)
+	ar.SetOutputTypes(types)
+	j.probed.Store(j.star.probe(ar, j.probe.pred, ex))
+	return ar
+}
 
-	// Probe phase.
-	outCols := q.Cols
-	if q.Kind == query.Select && outCols == nil {
-		outCols = plan.StarCols(left.entry.Schema, right.entry.Schema)
-	}
-	var probeRows atomic.Int64
-	var rc *rowCollector
-	probeCols := func(cols []int) exec.Blocks {
-		return probeJoin(&probe, &build, buildNeed, hash, postPred, nL+nR, cols, ex, &probeRows)
-	}
-	switch {
-	case star != nil:
-		probeRows.Store(star.probe(aggRes, probe.pred, ex))
-	case q.Kind == query.Aggregate:
-		aggRes.Fold(foldBlocks, probeCols)
-	default:
-		pos := append(slices.Clip(outCols), orderCols(q.OrderBy)...) // the output columns, then the sort keys
-		rc = collectRows(q, len(outCols), pos, sh.topk != nil, probeCols(pos))
-	}
+// tag reports the join's probe kind and row counts on the statement's
+// join span.
+func (j *hashJoin) tag(tr *trace.Trace) {
 	sp := tr.Span("join")
-	if star != nil {
+	if j.star != nil {
 		mJoinDense.Inc()
 		sp.Tag("probe", "dense")
-		sp.Add("build_keys_resolved", star.resolved)
+		sp.Add("build_keys_resolved", j.star.resolved)
 	} else {
 		mJoinGeneric.Inc()
 		sp.Tag("probe", "generic")
 	}
-	sp.Add("build_rows", buildRows)
-	sp.Add("probe_rows", probeRows.Load())
-
-	if err := ctx.Err(); err != nil {
-		psp.End()
-		return nil, err
-	}
-	if rc != nil { // grouped rows are assembled below
-		res.Rows = finishCollect(tr, sh, rc, psp)
-	}
-	psp.End()
-
-	// Assemble the result.
-	names := func(c int) string {
-		if c < nL {
-			return q.Table + "." + left.entry.Schema.Columns[c].Name
-		}
-		return q.Join.Table + "." + right.entry.Schema.Columns[c-nL].Name
-	}
-	if q.Kind == query.Aggregate {
-		res = &Result{Rows: aggRes.Rows()}
-		for _, g := range q.GroupBy {
-			res.Cols = append(res.Cols, names(g))
-		}
-		for _, s := range q.Aggs {
-			if s.Col < 0 {
-				res.Cols = append(res.Cols, "COUNT(*)")
-			} else {
-				res.Cols = append(res.Cols, fmt.Sprintf("%s(%s)", s.Func, names(s.Col)))
-			}
-		}
-		if err := sortAggRows(res.Rows, q); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, c := range outCols {
-			res.Cols = append(res.Cols, names(c))
-		}
-	}
-	res.Affected = len(res.Rows)
-	return res, nil
+	sp.Add("build_rows", j.buildRows)
+	sp.Add("probe_rows", j.probed.Load())
 }
 
 // joinSide describes one input of a hash join.
@@ -226,14 +171,13 @@ func buildJoinHash(build *joinSide, buildNeed []int, ex *exec.Ctx) (hash map[uin
 }
 
 // starJoinShape reports whether the aggregate join q, free of post-join
-// conjuncts, is one the dense kernel covers: the probe side is a plain
-// column-store table at its current version, the build side joins on its
+// conjuncts, is one the dense kernel covers: the build side joins on its
 // primary key — so a probe key meets at most one build row, the star-schema
 // shape — every group column lives on the build side, and MIN/MAX read
 // probe-side columns only (the kernel tracks extrema by dictionary code).
 func starJoinShape(q *query.Query, probe, build *joinSide) bool {
 	pk := build.rt.entry.Schema.PrimaryKey
-	if probe.view != nil || len(pk) != 1 || pk[0] != build.joinCol {
+	if len(pk) != 1 || pk[0] != build.joinCol {
 		return false
 	}
 	for _, g := range q.GroupBy {
@@ -379,36 +323,37 @@ func (sj *starJoin) probe(aggRes *agg.Result, pred expr.Predicate, ex *exec.Ctx)
 	return sj.probed.Load()
 }
 
-// probeJoin is the probe side run through the build side's hash table, as
-// a block source of combined-row columns cols: joined block i holds the
+// scan is the probe side run through the build side's hash table, as a
+// block source of combined-row columns cols: joined block i holds the
 // combined rows of probe block i's matches that pass the post-join
-// conjuncts. probed counts the probe rows seen.
-func probeJoin(probe, build *joinSide, buildNeed []int, hash map[uint64][]*buildRow, postPred expr.Predicate, combinedWidth int, cols []int, ex *exec.Ctx, probed *atomic.Int64) exec.Blocks {
-	probeNeed := append(append([]int{}, probe.need...), probe.joinCol)
+// conjuncts.
+func (j *hashJoin) scan(cols []int, ex *exec.Ctx) exec.Blocks {
+	probe, build := &j.probe, &j.build
+	probeNeed := append(slices.Clip(probe.need), probe.joinCol)
 	keyIdx := len(probeNeed) - 1
 	in := mergedScan(probe.rt, probe.view, probe.pred, probeNeed, ex)
-	return joinedBlocks(in, ex, combinedWidth, cols, func(colVals [][]value.Value, jw *joinWorker) {
-		probed.Add(int64(len(colVals[keyIdx])))
+	return joinedBlocks(in, ex, j.width, cols, func(colVals [][]value.Value, jw *joinWorker) {
+		j.probed.Add(int64(len(colVals[keyIdx])))
 		row := jw.row
 		for k, kv := range colVals[keyIdx] {
 			if kv.IsNull() {
 				continue
 			}
-			matches := hash[kv.Hash()]
+			matches := j.hash[kv.Hash()]
 			if len(matches) == 0 {
 				continue
 			}
-			for j, c := range probeNeed {
-				row[probe.offset+c] = colVals[j][k]
+			for i, c := range probeNeed {
+				row[probe.offset+c] = colVals[i][k]
 			}
 			for _, m := range matches {
 				if !value.Equal(m.key, kv) {
 					continue // hash collision
 				}
-				for _, c := range buildNeed {
+				for _, c := range j.buildNeed {
 					row[build.offset+c] = m.vals[c]
 				}
-				if postPred == nil || postPred.Matches(row) {
+				if j.post == nil || j.post.Matches(row) {
 					jw.put()
 				}
 			}

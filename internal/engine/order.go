@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"fmt"
 	"slices"
-	"sort"
 
 	"hybridstore/internal/exec"
 	"hybridstore/internal/query"
@@ -47,8 +45,9 @@ func compareKeys(a, b []value.Value, order []query.Order) int {
 	return 0
 }
 
-// rowCollector gathers a SELECT's output from a block scan — the one
-// collector of every layout and of joins. Blocks run on any worker, so the
+// rowCollector gathers a read's output from a block scan — the one
+// collector of every layout, of joins and of an ordered or limited
+// aggregate's groups. Blocks run on any worker, so the
 // output, ties of the ORDER BY included, follows their numbers and not
 // which worker took which block: block i's rows are kept in slot i. A
 // planned top-K keeps each worker's k best rows in a bounded heap —
@@ -160,40 +159,4 @@ func pick(dst []value.Value, colVals [][]value.Value, pos []int, k int) []value.
 		dst[i] = colVals[p][k]
 	}
 	return dst
-}
-
-// sortAggRows sorts an aggregate result's rows by its ORDER BY keys,
-// which must be group-by columns (result rows lead with the group key in
-// q.GroupBy order).
-func sortAggRows(rows [][]value.Value, q *query.Query) error {
-	if len(q.OrderBy) == 0 {
-		return nil
-	}
-	pos := make([]int, len(q.OrderBy))
-	for i, o := range q.OrderBy {
-		pos[i] = -1
-		for gi, g := range q.GroupBy {
-			if g == o.Col {
-				pos[i] = gi
-				break
-			}
-		}
-		if pos[i] < 0 {
-			return fmt.Errorf("engine: ORDER BY column %d of an aggregate must be grouped", o.Col)
-		}
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		for k, p := range pos {
-			c := value.Compare(rows[i][p], rows[j][p])
-			if c == 0 {
-				continue
-			}
-			if q.OrderBy[k].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	return nil
 }

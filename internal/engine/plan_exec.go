@@ -3,12 +3,14 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"hybridstore/internal/agg"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/plan"
 	"hybridstore/internal/query"
+	"hybridstore/internal/schema"
 	"hybridstore/internal/trace"
 	"hybridstore/internal/value"
 )
@@ -93,130 +95,193 @@ func (db *Database) ExecPlannedContext(ctx context.Context, q *query.Query, p *p
 	return db.execWithPlan(ctx, q, p)
 }
 
-// readShape is the executor's decomposition of a plan tree: the
-// decorator chain above the terminal Scan or HashJoin. The engine's
-// storage kernels fuse several of these operators (scan+filter,
-// scan+aggregate), so execution dispatches on the shape rather than
-// interpreting node-by-node.
-type readShape struct {
-	scan    *plan.Scan
-	join    *plan.HashJoin
-	filter  *plan.Filter
-	agg     *plan.Aggregate
-	sort    *plan.Sort
-	topk    *plan.TopK
-	limit   *plan.Limit
-	project *plan.Project
-}
-
-// shapeOf walks a plan root down to its terminal node.
-func shapeOf(p *plan.Plan) (readShape, error) {
-	var sh readShape
-	n := p.Root
-	for n != nil {
-		switch t := n.(type) {
-		case *plan.Project:
-			sh.project = t
-			n = t.Input
-		case *plan.TopK:
-			sh.topk = t
-			n = t.Input
-		case *plan.Sort:
-			sh.sort = t
-			n = t.Input
-		case *plan.Limit:
-			sh.limit = t
-			n = t.Input
-		case *plan.Aggregate:
-			sh.agg = t
-			n = t.Input
-		case *plan.Filter:
-			sh.filter = t
-			n = t.Input
-		case *plan.HashJoin:
-			sh.join = t
-			return sh, nil
-		case *plan.Scan:
-			sh.scan = t
-			return sh, nil
-		default:
-			return sh, fmt.Errorf("engine: unknown plan node %T", n)
-		}
+// startNode opens the span of plan node n on tr, named after it
+// ("scan#1") so EXPLAIN ANALYZE lines actuals up against EXPLAIN's
+// estimates; nil, without formatting the name, when tr is.
+func startNode(tr *trace.Trace, n plan.Node) *trace.Span {
+	if tr == nil {
+		return nil
 	}
-	return sh, fmt.Errorf("engine: plan has no scan node")
+	return tr.Start(fmt.Sprintf("%s#%d", n.Kind(), n.ID()))
 }
 
-// nodeSpanName tags a trace span with its plan node ("scan#1"), letting
-// EXPLAIN ANALYZE line actuals up against EXPLAIN's estimates. Callers
-// only pay the formatting when a trace is armed.
-func nodeSpanName(n plan.Node) string { return fmt.Sprintf("%s#%d", n.Kind(), n.ID()) }
-
-// execPlan executes a read statement through its plan. The concrete
-// predicates, projections and keys are re-derived from the bound query q
-// — plans are generic over parameter values — while the plan contributes
-// the structural decisions (build side, pushdown, top-K) and the node
-// ids for tracing. snap is the statement's MVCC snapshot; tables whose
-// version overlay contributes nothing at it (the common case) run the
-// unchanged fast paths. Caller holds db.mu.RLock.
+// execPlan executes every planned read as one pipeline: source →
+// [aggregate] → [order/limit] → [project].
+//   - The source is the table's merged scan, or a hash join: the build
+//     table materialized, then the probe table's scan matched against it.
+//   - An aggregate folds the source's blocks through the generic hash fold,
+//     or runs on a fused scan+aggregate kernel — the table's own, or the
+//     star join's dense kernel — when the source has no overlay view.
+//   - A select's rows, and an ordered or limited aggregate's groups, go
+//     through one rowCollector, which sorts, keeps the top K or stops at
+//     the limit.
+//
+// The concrete predicates, projections and keys are re-derived from the
+// bound query q — plans are generic over parameter values — while the plan
+// contributes the structural decisions (build side, pushdown, top-K) and
+// the nodes the trace's spans are named after. snap is the statement's
+// MVCC snapshot. Caller holds db.mu.RLock.
 func (db *Database) execPlan(ctx context.Context, q *query.Query, p *plan.Plan, snap stmtSnap) (*Result, error) {
-	sh, err := shapeOf(p)
-	if err != nil {
-		return nil, err
+	// The nodes the spans are named after: a join's build scan, the node
+	// the read runs in — the probe scan, a one-table select's scan, or a
+	// one-table aggregate, which fuses its scan — and the Sort or TopK.
+	var build, run, aggregate, order plan.Node
+	plan.Walk(p.Root, func(n plan.Node, _ int) {
+		switch n.(type) {
+		case *plan.Scan:
+			build, run = run, n // pre-order: a join's build scan comes first
+		case *plan.Aggregate:
+			aggregate = n
+		case *plan.Sort, *plan.TopK:
+			order = n
+		}
+	})
+	if q.Join == nil && aggregate != nil {
+		run = aggregate
 	}
-	if sh.join != nil {
-		return db.execJoinPlan(ctx, q, p, &sh, snap)
-	}
-	if q.Kind == query.Aggregate {
-		return db.execAggPlan(ctx, q, &sh, snap)
-	}
-	return db.execScanPlan(ctx, q, &sh, snap)
-}
+	_, topK := order.(*plan.TopK)
 
-// execScanPlan executes a planned single-table SELECT: the table's block
-// scan feeds a rowCollector.
-func (db *Database) execScanPlan(ctx context.Context, q *query.Query, sh *readShape, snap stmtSnap) (*Result, error) {
-	rt, err := db.runtime(q.Table)
+	left, err := db.runtime(q.Table)
 	if err != nil {
 		return nil, err
 	}
-	sch := rt.entry.Schema
-	cols := q.Cols
-	if cols == nil {
-		cols = plan.StarCols(sch, nil)
+	var j *hashJoin
+	var right *schema.Table
+	var view *overlayView // of the table the read scans: its one table, or the probe table
+	if q.Join == nil {
+		view = db.tableView(left, snap.ts, snap.tx)
+	} else {
+		if j, err = db.newHashJoin(q, p, snap, left); err != nil {
+			return nil, err
+		}
+		view, right = j.probe.view, j.right
 	}
-	res := &Result{Cols: make([]string, len(cols))}
-	for i, c := range cols {
-		res.Cols[i] = sch.Columns[c].Name
-	}
-	// The sort keys, which may not be projected, ride along per row.
-	scanCols := unionCols(cols, orderCols(q.OrderBy))
+	ex := db.execCtx(ctx)
+	// A fused kernel reads base storage only, which would miss or
+	// double-count the keys an overlay view versions.
+	fused := q.Kind == query.Aggregate && view == nil && (j == nil || j.dense(q))
 	tr := trace.FromContext(ctx)
-	var ssp *trace.Span
-	if tr != nil {
-		ssp = tr.Start(nodeSpanName(sh.scan))
+	if j != nil {
+		bsp := startNode(tr, build)
+		j.open(q, fused, ex)
+		bsp.AddRowsOut(j.buildRows)
+		bsp.End()
 	}
-	c := collectRows(q, len(cols), scanCols, sh.topk != nil, mergedScan(rt, db.tableView(rt, snap.ts, snap.tx), q.Pred, scanCols, db.execCtx(ctx)))
+	scan := func(cols []int) exec.Blocks {
+		if j != nil {
+			return j.scan(cols, ex)
+		}
+		return mergedScan(left, view, q.Pred, cols, ex)
+	}
+
+	cols := q.Cols // a select's output columns
+	if cols == nil && q.Kind == query.Select {
+		cols = plan.StarCols(left.entry.Schema, right)
+	}
+	sp := startNode(tr, run)
+	res := &Result{Cols: resultCols(q, left.entry.Schema, right, cols)}
+	var ar *agg.Result
+	var c *rowCollector
+	if q.Kind == query.Aggregate {
+		if fused && j == nil {
+			ar = left.store.Aggregate(q.Aggs, q.GroupBy, q.Pred, ex)
+		} else {
+			types := left.entry.Schema.ColTypes() // a joined row's: the left table's, then the right's
+			if right != nil {
+				types = append(types, right.ColTypes()...)
+			}
+			if fused {
+				ar = j.aggregate(q, types, ex)
+			} else {
+				ar = foldScan(types, q.Aggs, q.GroupBy, scan)
+			}
+		}
+	} else {
+		// The sort keys, which may not be projected, ride along per row.
+		pos := unionCols(cols, orderCols(q.OrderBy))
+		c = collectRows(q, len(cols), pos, topK, scan(pos))
+	}
+	if j != nil {
+		j.tag(tr)
+	}
 	if err := ctx.Err(); err != nil {
-		ssp.End()
+		sp.End()
 		return nil, err
 	}
-	res.Rows = finishCollect(tr, sh, c, ssp)
+	if ar != nil && (order != nil || q.Limit > 0) {
+		c = collectRows(q, len(res.Cols), aggCols(q), topK, aggBlocks(ar, ex))
+	}
+	if c != nil {
+		res.Rows = finishCollect(tr, order, c, sp)
+	} else {
+		res.Rows = ar.Rows() // an aggregate neither ordered nor limited
+		sp.AddRowsOut(int64(len(res.Rows)))
+		sp.End()
+	}
 	res.Affected = len(res.Rows)
 	return res, nil
 }
 
-// finishCollect ends the span of the scan or probe that fed c, which
-// reports the rows offered, and runs the collector's sort or top-K in a
-// span of its own.
-func finishCollect(tr *trace.Trace, sh *readShape, c *rowCollector, sp *trace.Span) [][]value.Value {
+// resultCols names a read's result columns, a joined read's qualified with
+// their table's name as the statement spells it: a select's output columns
+// cols, or an aggregate's group columns, then its aggregates.
+func resultCols(q *query.Query, left, right *schema.Table, cols []int) []string {
+	name := func(c int) string {
+		switch {
+		case right == nil:
+			return left.Columns[c].Name
+		case c < left.NumColumns():
+			return q.Table + "." + left.Columns[c].Name
+		}
+		return q.Join.Table + "." + right.Columns[c-left.NumColumns()].Name
+	}
+	if q.Kind == query.Aggregate {
+		out := make([]string, 0, len(q.GroupBy)+len(q.Aggs))
+		for _, g := range q.GroupBy {
+			out = append(out, name(g))
+		}
+		for _, s := range q.Aggs {
+			if s.Col < 0 {
+				out = append(out, s.Func.String()+"(*)")
+			} else {
+				out = append(out, fmt.Sprintf("%s(%s)", s.Func, name(s.Col)))
+			}
+		}
+		return out
+	}
+	out := make([]string, len(cols))
+	for i, c := range cols {
+		out[i] = name(c)
+	}
+	return out
+}
+
+// aggCols is what an aggregate's output block holds, by table column: its
+// group columns, then its aggregates, which are no table column (-1) — so
+// its ORDER BY keys, which are group columns, are found among them.
+func aggCols(q *query.Query) []int {
+	cols := slices.Clip(q.GroupBy)
+	for range q.Aggs {
+		cols = append(cols, -1)
+	}
+	return cols
+}
+
+// aggBlocks is an aggregate's output as one block: its group columns, then
+// its aggregates.
+func aggBlocks(ar *agg.Result, ex *exec.Ctx) exec.Blocks {
+	cols := ar.Columns()
+	return exec.Blocks{N: 1, Ctx: ex.Serial(), Block: func(int, int) [][]value.Value { return nonEmpty(cols) }}
+}
+
+// finishCollect ends the span of the scan, probe or aggregate that fed c,
+// which reports the rows offered, and runs the collector's sort or top-K
+// in the span of the plan's order node.
+func finishCollect(tr *trace.Trace, order plan.Node, c *rowCollector, sp *trace.Span) [][]value.Value {
 	sp.End()
 	var osp *trace.Span
-	if tr != nil && (sh.topk != nil || sh.sort != nil) {
-		var n plan.Node = sh.sort
-		if sh.topk != nil {
-			n = sh.topk
-		}
-		osp = tr.Start(nodeSpanName(n))
+	if order != nil {
+		osp = startNode(tr, order)
 	}
 	rows, offered := c.finish()
 	sp.AddRowsOut(offered)
@@ -224,49 +289,4 @@ func finishCollect(tr *trace.Trace, sh *readShape, c *rowCollector, sp *trace.Sp
 	osp.AddRowsOut(int64(len(rows)))
 	osp.End()
 	return rows
-}
-
-// execAggPlan executes a planned single-table aggregate through the
-// storage layer's fused scan+aggregate kernel — or, when the statement's
-// snapshot view overlays versioned rows, through the generic hash fold
-// over the merged scan (the kernels only see base storage, which would miss
-// or double-count versioned keys).
-func (db *Database) execAggPlan(ctx context.Context, q *query.Query, sh *readShape, snap stmtSnap) (*Result, error) {
-	rt, err := db.runtime(q.Table)
-	if err != nil {
-		return nil, err
-	}
-	sch := rt.entry.Schema
-	tr := trace.FromContext(ctx)
-	var asp *trace.Span
-	if tr != nil && sh.agg != nil {
-		asp = tr.Start(nodeSpanName(sh.agg))
-	}
-	ex := db.execCtx(ctx)
-	var ar *agg.Result
-	if view := db.tableView(rt, snap.ts, snap.tx); view != nil {
-		ar = foldScan(sch.ColTypes(), q.Aggs, q.GroupBy, func(cols []int) exec.Blocks { return mergedScan(rt, view, q.Pred, cols, ex) })
-	} else {
-		ar = rt.store.Aggregate(q.Aggs, q.GroupBy, q.Pred, ex)
-	}
-	if err := ctx.Err(); err != nil {
-		asp.End()
-		return nil, err
-	}
-	res := &Result{Rows: ar.Rows()}
-	if asp != nil {
-		asp.AddRowsOut(int64(len(res.Rows)))
-		asp.End()
-	}
-	for _, g := range q.GroupBy {
-		res.Cols = append(res.Cols, sch.Columns[g].Name)
-	}
-	for _, s := range q.Aggs {
-		res.Cols = append(res.Cols, specName(sch, s))
-	}
-	if err := sortAggRows(res.Rows, q); err != nil {
-		return nil, err
-	}
-	res.Affected = len(res.Rows)
-	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -91,31 +92,15 @@ func oracleExec(q *query.Query, left, right [][]value.Value, nL int) [][]value.V
 				}
 			}
 		}
-		return ar.Rows()
+		// A group's ORDER BY keys are its group columns.
+		order := make([]query.Order, len(q.OrderBy))
+		for i, o := range q.OrderBy {
+			order[i] = query.Order{Col: slices.Index(q.GroupBy, o.Col), Desc: o.Desc}
+		}
+		return oracleLimit(oracleOrder(ar.Rows(), order), q.Limit)
 	}
 	// Select: order on the full-width rows, then project, then limit.
-	if len(q.OrderBy) > 0 {
-		keys := make([][]value.Value, len(rows))
-		for i, row := range rows {
-			k := make([]value.Value, len(q.OrderBy))
-			for j, o := range q.OrderBy {
-				k[j] = row[o.Col]
-			}
-			keys[i] = k
-		}
-		idx := make([]int, len(rows))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(a, b int) bool {
-			return compareKeys(keys[idx[a]], keys[idx[b]], q.OrderBy) < 0
-		})
-		ordered := make([][]value.Value, len(rows))
-		for i, j := range idx {
-			ordered[i] = rows[j]
-		}
-		rows = ordered
-	}
+	rows = oracleOrder(rows, q.OrderBy)
 	cols := q.Cols
 	if cols == nil {
 		w := nL
@@ -132,10 +117,32 @@ func oracleExec(q *query.Query, left, right [][]value.Value, nL int) [][]value.V
 		}
 		projected[i] = out
 	}
-	if q.Limit > 0 && len(projected) > q.Limit {
-		projected = projected[:q.Limit]
+	return oracleLimit(projected, q.Limit)
+}
+
+// oracleOrder stably sorts rows by the keys at the positions order names.
+func oracleOrder(rows [][]value.Value, order []query.Order) [][]value.Value {
+	if len(order) == 0 {
+		return rows
 	}
-	return projected
+	ordered := slices.Clone(rows)
+	sort.SliceStable(ordered, func(a, b int) bool {
+		for _, o := range order {
+			if c := value.Compare(ordered[a][o.Col], ordered[b][o.Col]); c != 0 {
+				return c < 0 != o.Desc
+			}
+		}
+		return false
+	})
+	return ordered
+}
+
+// oracleLimit keeps the first limit rows (all of them when limit is 0).
+func oracleLimit(rows [][]value.Value, limit int) [][]value.Value {
+	if limit > 0 && len(rows) > limit {
+		return rows[:limit]
+	}
+	return rows
 }
 
 // plannerWallQueries covers every read shape the planner makes decisions
@@ -219,12 +226,44 @@ func plannerWallQueries() []*query.Query {
 			Aggs: []agg.Spec{{Func: agg.Sum, Col: 3}, {Func: agg.Count, Col: -1}}},
 		{Kind: query.Aggregate, Table: "par", GroupBy: []int{1}, Pred: idEq(100),
 			Aggs: []agg.Spec{{Func: agg.Max, Col: 4}, {Func: agg.Count, Col: -1}}},
+		// Aggregates ordered and limited through the select's collector:
+		// a grouped top-K (one key and two), a full sort, and a bare LIMIT;
+		// then the same through the join, on the star join's dense kernel
+		// (grouped by a dimension column) and the generic hash fold
+		// (grouped by a fact column).
+		{Kind: query.Aggregate, Table: "par", GroupBy: []int{2},
+			Aggs:    []agg.Spec{{Func: agg.Sum, Col: 3}, {Func: agg.Count, Col: -1}},
+			OrderBy: []query.Order{{Col: 2, Desc: true}}, Limit: 7},
+		{Kind: query.Aggregate, Table: "par", GroupBy: []int{1, 2},
+			Aggs:    []agg.Spec{{Func: agg.Min, Col: 4}},
+			OrderBy: []query.Order{{Col: 1}, {Col: 2, Desc: true}}, Limit: 12,
+			Pred: &expr.Comparison{Col: 0, Op: expr.Lt, Val: half}},
+		{Kind: query.Aggregate, Table: "par", GroupBy: []int{1},
+			Aggs:    []agg.Spec{{Func: agg.Avg, Col: 3}},
+			OrderBy: []query.Order{{Col: 1, Desc: true}}},
+		{Kind: query.Aggregate, Table: "par", GroupBy: []int{2},
+			Aggs:  []agg.Spec{{Func: agg.Max, Col: 4}, {Func: agg.Count, Col: -1}},
+			Limit: 5},
+		{Kind: query.Aggregate, Table: "par",
+			Join:    &query.Join{Table: "pardim", LeftCol: 2, RightCol: 0},
+			Aggs:    []agg.Spec{{Func: agg.Sum, Col: 4}, {Func: agg.Count, Col: -1}},
+			GroupBy: []int{8}, OrderBy: []query.Order{{Col: 8}}, Limit: 5},
+		{Kind: query.Aggregate, Table: "par",
+			Join:    &query.Join{Table: "pardim", LeftCol: 2, RightCol: 0},
+			Aggs:    []agg.Spec{{Func: agg.Max, Col: 3}},
+			GroupBy: []int{1}, OrderBy: []query.Order{{Col: 1, Desc: true}}, Limit: 3,
+			Pred: &expr.Comparison{Col: 7, Op: expr.Lt, Val: value.NewInt(3)}},
+		{Kind: query.Aggregate, Table: "par",
+			Join:    &query.Join{Table: "pardim", LeftCol: 2, RightCol: 0},
+			Aggs:    []agg.Spec{{Func: agg.Count, Col: -1}},
+			GroupBy: []int{7}, Limit: 2},
 	}
 }
 
 // assertPlannedMatchesOracle executes q through the planner and compares
-// with the naive oracle. Ordered results compare exactly (the planner's
-// top-K must reproduce the stable sort+limit prefix); unordered LIMIT
+// with the naive oracle. Ordered results compare in order (the planner's
+// top-K must reproduce the stable sort+limit prefix), exactly for a
+// select and up to rounding for an aggregate's groups; unordered LIMIT
 // results compare by cardinality and containment; everything else
 // compares as an order-insensitive multiset.
 func assertPlannedMatchesOracle(t *testing.T, db *Database, q *query.Query, left, right [][]value.Value, nL int, label string) {
@@ -240,7 +279,12 @@ func assertPlannedMatchesOracle(t *testing.T, db *Database, q *query.Query, left
 			t.Fatalf("%s: ordered result diverged\nplanned (%d rows): %.400v\noracle  (%d rows): %.400v",
 				label, len(got.Rows), got.Rows, len(want), want)
 		}
-	case q.Limit > 0 && q.Kind == query.Select:
+	case len(q.OrderBy) > 0: // ordered groups: in order, sums up to rounding
+		if !rowsEqualUpToRounding(got.Rows, want) {
+			t.Fatalf("%s: ordered groups diverged\nplanned (%d rows): %.400v\noracle  (%d rows): %.400v",
+				label, len(got.Rows), got.Rows, len(want), want)
+		}
+	case q.Limit > 0:
 		if len(got.Rows) != len(want) {
 			t.Fatalf("%s: limit cardinality: planned %d, oracle %d", label, len(got.Rows), len(want))
 		}
@@ -348,8 +392,11 @@ func TestPlannerPlansEveryWallQuery(t *testing.T) {
 		if q.Kind == query.Aggregate && !has("aggregate") {
 			t.Errorf("q%d: aggregate planned without aggregate node: %v", i, kinds)
 		}
-		if q.Kind == query.Select && len(q.OrderBy) > 0 && q.Limit > 0 && !has("topk") {
+		if len(q.OrderBy) > 0 && q.Limit > 0 && !has("topk") {
 			t.Errorf("q%d: order+limit planned without topk: %v", i, kinds)
+		}
+		if len(q.OrderBy) == 0 && q.Limit > 0 && !has("limit") {
+			t.Errorf("q%d: bare limit planned without limit: %v", i, kinds)
 		}
 		if !has("scan") {
 			t.Errorf("q%d: plan has no scan: %v", i, kinds)

@@ -1,10 +1,18 @@
 // Package plan defines the explicit physical plan IR for read
 // statements: typed operator nodes (Scan, Filter, Project, HashJoin,
 // Aggregate, Sort, TopK, Limit) that the planner lowers a query.Query
-// into and the engine executes. Each node carries the planner's cost and
-// cardinality estimate so EXPLAIN can render the chosen plan and EXPLAIN
-// ANALYZE can compare estimates to actuals (spans are tagged with the
-// node id).
+// into and the engine executes. Every read is one pipeline:
+//
+//	source → [aggregate] → [order/limit] → [project]
+//
+// The source is a Scan of the statement's one table, or a HashJoin of two
+// Scans with a Filter of the conjuncts that span both. An aggregate, with
+// or without a join, is ordered and limited by the same operators as a
+// select: TopK for ORDER BY + LIMIT, Sort for a bare ORDER BY, Limit for a
+// bare LIMIT. Only a select is projected. Each node carries the planner's
+// cost and cardinality estimate so EXPLAIN can render the chosen plan and
+// EXPLAIN ANALYZE can compare estimates to actuals (spans are tagged with
+// the node id).
 //
 // Plans are generic: the structural decisions (build side, predicate
 // pushdown, top-K vs. full sort) depend only on the statement's shape
@@ -39,8 +47,9 @@ type Node interface {
 	ID() int
 	// Kind names the operator ("scan", "hashjoin", ...).
 	Kind() string
-	// Children returns the node's inputs, build side first for joins.
-	Children() []Node
+	// Inputs returns the node's inputs, build side first for joins; nil
+	// where it has fewer than two.
+	Inputs() (Node, Node)
 	// Estimate returns the planner's cost/cardinality prediction.
 	Estimate() Estimate
 	// Detail renders operator-specific attributes for EXPLAIN.
@@ -67,8 +76,8 @@ type Scan struct {
 	Cols  []int          // table-local columns the scan materializes
 }
 
-func (*Scan) Kind() string       { return "scan" }
-func (s *Scan) Children() []Node { return nil }
+func (*Scan) Kind() string           { return "scan" }
+func (s *Scan) Inputs() (Node, Node) { return nil, nil }
 func (s *Scan) Detail() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s store=%s", s.Table, s.Store)
@@ -87,9 +96,9 @@ type Filter struct {
 	Pred  expr.Predicate
 }
 
-func (*Filter) Kind() string       { return "filter" }
-func (f *Filter) Children() []Node { return []Node{f.Input} }
-func (f *Filter) Detail() string   { return fmt.Sprintf("pred=%s", f.Pred) }
+func (*Filter) Kind() string           { return "filter" }
+func (f *Filter) Inputs() (Node, Node) { return f.Input, nil }
+func (f *Filter) Detail() string       { return fmt.Sprintf("pred=%s", f.Pred) }
 
 // Project narrows rows to the statement's output columns.
 type Project struct {
@@ -98,9 +107,9 @@ type Project struct {
 	Cols  []int
 }
 
-func (*Project) Kind() string       { return "project" }
-func (p *Project) Children() []Node { return []Node{p.Input} }
-func (p *Project) Detail() string   { return fmt.Sprintf("cols=%v", p.Cols) }
+func (*Project) Kind() string           { return "project" }
+func (p *Project) Inputs() (Node, Node) { return p.Input, nil }
+func (p *Project) Detail() string       { return fmt.Sprintf("cols=%v", p.Cols) }
 
 // HashJoin is an equi-join: Build is materialized into a hash table,
 // Probe streams against it. Column references above the join use
@@ -114,8 +123,8 @@ type HashJoin struct {
 	LeftCol, RightCol int
 }
 
-func (*HashJoin) Kind() string       { return "hashjoin" }
-func (j *HashJoin) Children() []Node { return []Node{j.Build, j.Probe} }
+func (*HashJoin) Kind() string           { return "hashjoin" }
+func (j *HashJoin) Inputs() (Node, Node) { return j.Build, j.Probe }
 func (j *HashJoin) Detail() string {
 	side := "right"
 	if j.BuildIsLeft {
@@ -132,8 +141,8 @@ type Aggregate struct {
 	GroupBy []int
 }
 
-func (*Aggregate) Kind() string       { return "aggregate" }
-func (a *Aggregate) Children() []Node { return []Node{a.Input} }
+func (*Aggregate) Kind() string           { return "aggregate" }
+func (a *Aggregate) Inputs() (Node, Node) { return a.Input, nil }
 func (a *Aggregate) Detail() string {
 	names := make([]string, len(a.Specs))
 	for i, s := range a.Specs {
@@ -156,9 +165,9 @@ type Sort struct {
 	Keys  []query.Order
 }
 
-func (*Sort) Kind() string       { return "sort" }
-func (s *Sort) Children() []Node { return []Node{s.Input} }
-func (s *Sort) Detail() string   { return orderDetail(s.Keys) }
+func (*Sort) Kind() string           { return "sort" }
+func (s *Sort) Inputs() (Node, Node) { return s.Input, nil }
+func (s *Sort) Detail() string       { return orderDetail(s.Keys) }
 
 // TopK replaces Sort+Limit: a bounded heap retains the K smallest rows
 // under (Keys, arrival order) in one pass with O(K) memory — the exact
@@ -170,9 +179,9 @@ type TopK struct {
 	K     int
 }
 
-func (*TopK) Kind() string       { return "topk" }
-func (t *TopK) Children() []Node { return []Node{t.Input} }
-func (t *TopK) Detail() string   { return fmt.Sprintf("%s k=%d", orderDetail(t.Keys), t.K) }
+func (*TopK) Kind() string           { return "topk" }
+func (t *TopK) Inputs() (Node, Node) { return t.Input, nil }
+func (t *TopK) Detail() string       { return fmt.Sprintf("%s k=%d", orderDetail(t.Keys), t.K) }
 
 // Limit truncates its input after N rows (unordered: the scan
 // short-circuits as soon as N rows matched).
@@ -182,9 +191,9 @@ type Limit struct {
 	N     int
 }
 
-func (*Limit) Kind() string       { return "limit" }
-func (l *Limit) Children() []Node { return []Node{l.Input} }
-func (l *Limit) Detail() string   { return fmt.Sprintf("n=%d", l.N) }
+func (*Limit) Kind() string           { return "limit" }
+func (l *Limit) Inputs() (Node, Node) { return l.Input, nil }
+func (l *Limit) Detail() string       { return fmt.Sprintf("n=%d", l.N) }
 
 func orderDetail(keys []query.Order) string {
 	parts := make([]string, len(keys))
@@ -235,9 +244,9 @@ func walk(n Node, depth int, fn func(Node, int)) {
 		return
 	}
 	fn(n, depth)
-	for _, c := range n.Children() {
-		walk(c, depth+1, fn)
-	}
+	a, b := n.Inputs()
+	walk(a, depth+1, fn)
+	walk(b, depth+1, fn)
 }
 
 // String renders the plan tree one node per line, indented by depth.

@@ -60,20 +60,12 @@ func BuildOptions(q *query.Query, env Env, opts Options) (*Plan, error) {
 		return nil, fmt.Errorf("plan: cannot plan %v statement", q.Kind)
 	}
 	b := &builder{q: q, env: env, opts: opts}
-	var (
-		root Node
-		err  error
-	)
-	if q.Join != nil {
-		root, err = b.join()
-	} else {
-		root, err = b.single()
-	}
+	src, err := b.source()
 	if err != nil {
 		return nil, err
 	}
 	return &Plan{
-		Root:           root,
+		Root:           b.tail(src),
 		BuildLeft:      b.buildLeft,
 		Pushdown:       !opts.DisablePushdown,
 		CatalogVersion: env.CatalogVersion,
@@ -87,6 +79,12 @@ type builder struct {
 
 	nextID    int
 	buildLeft bool
+
+	// The tables read: left is q.Table, right the joined table (zero
+	// without a join); columns from nL on are the right table's.
+	left, right TableMeta
+	nL          int
+	cols        []int // a select's output columns, in combined indexing
 }
 
 func (b *builder) id() int {
@@ -173,55 +171,68 @@ const (
 	filterRowNs = 5.0
 )
 
-// single plans a read over one table.
-func (b *builder) single() (Node, error) {
+// source plans where the read's rows come from: a scan of its one table,
+// or a hash join of its two tables.
+func (b *builder) source() (Node, error) {
 	q := b.q
 	m, err := b.meta(q.Table)
 	if err != nil {
 		return nil, err
 	}
-	n := m.Schema.NumColumns()
-	if err := validateCols(q, n, q.Table); err != nil {
+	b.left, b.nL = m, m.Schema.NumColumns()
+	if q.Join != nil {
+		if b.right, err = b.meta(q.Join.Table); err != nil {
+			return nil, err
+		}
+	}
+	if b.cols = q.Cols; b.cols == nil && q.Kind == query.Select {
+		b.cols = StarCols(b.left.Schema, b.right.Schema)
+	}
+	if q.Join != nil {
+		return b.join()
+	}
+	if err := validateCols(q, b.nL, q.Table); err != nil {
 		return nil, err
 	}
-
 	if q.Kind == query.Aggregate {
 		// The storage layer fuses scan+aggregate into one kernel; the
 		// plan keeps them as two nodes so the trace can attribute work.
-		scanCols := sortedUnique(aggInputCols(q, nil))
-		scan := b.scanNode(q.Table, m, q.Pred, scanCols, 0)
-		groups := b.groupCount(m, q.GroupBy, scan.est.Rows)
-		a := &Aggregate{Input: scan, Specs: q.Aggs, GroupBy: q.GroupBy}
-		a.base = b.node(Estimate{Rows: groups, CostNs: b.cost(q, m)})
-		return b.aggOrder(a, groups), nil
+		return b.scanNode(q.Table, m, q.Pred, sortedUnique(aggInputCols(q, nil)), 0), nil
 	}
+	cols, limit := b.cols, q.Limit
+	if len(q.OrderBy) > 0 {
+		// An ORDER BY must see every matching row, with its sort keys.
+		cols, limit = unionCols(cols, orderByCols(q.OrderBy)), 0
+	}
+	return b.scanNode(q.Table, m, q.Pred, cols, limit), nil
+}
 
-	cols := q.Cols
-	if cols == nil {
-		cols = StarCols(m.Schema, nil)
+// tail stacks what every read does with its source's rows: an aggregate
+// groups them, the ordering and limit follow, and a select is projected.
+func (b *builder) tail(cur Node) Node {
+	q := b.q
+	if q.Kind == query.Aggregate {
+		in := cur.Estimate()
+		cost := in.CostNs + in.Rows*float64(len(q.Aggs)+1)*filterRowNs
+		if q.Join == nil {
+			cost = b.cost(q, b.left) // the calibrated model prices a one-table aggregate whole
+		}
+		a := &Aggregate{Input: cur, Specs: q.Aggs, GroupBy: q.GroupBy}
+		a.base = b.node(Estimate{Rows: b.groupCount(in.Rows), CostNs: cost})
+		return b.orderLimit(a)
 	}
-	ordered := len(q.OrderBy) > 0
-	scanCols := cols
-	if ordered {
-		scanCols = unionCols(cols, orderByCols(q.OrderBy))
-	}
-	limit := q.Limit
-	if ordered {
-		limit = 0 // an ORDER BY must see every matching row
-	}
-	var cur Node = b.scanNode(q.Table, m, q.Pred, scanCols, limit)
-	cur = b.orderLimit(cur, q.OrderBy, q.Limit)
-	p := &Project{Input: cur, Cols: cols}
-	p.base = b.node(Estimate{Rows: cur.Estimate().Rows, CostNs: cur.Estimate().CostNs})
-	return p, nil
+	cur = b.orderLimit(cur)
+	p := &Project{Input: cur, Cols: b.cols}
+	p.base = b.node(cur.Estimate())
+	return p
 }
 
 // orderLimit stacks the ordering/limiting operators over cur: TopK for
 // ORDER BY + LIMIT (unless disabled), Sort for a bare ORDER BY, Limit
-// for a bare LIMIT. A bare unordered LIMIT is estimated at the scan
-// already (the scan short-circuits).
-func (b *builder) orderLimit(cur Node, keys []query.Order, limit int) Node {
-	in := cur.Estimate()
+// for a bare LIMIT. A bare unordered LIMIT over a scan is estimated at
+// the scan already (the scan short-circuits).
+func (b *builder) orderLimit(cur Node) Node {
+	keys, limit, in := b.q.OrderBy, b.q.Limit, cur.Estimate()
 	switch {
 	case len(keys) > 0 && limit > 0 && !b.opts.DisableTopK:
 		rows := math.Min(in.Rows, float64(limit))
@@ -250,25 +261,18 @@ func (b *builder) orderLimit(cur Node, keys []query.Order, limit int) Node {
 	}
 }
 
-// aggOrder appends the Sort over grouped output an aggregate ORDER BY
-// requires (Validate guarantees the keys are group-by columns).
-func (b *builder) aggOrder(a *Aggregate, groups float64) Node {
-	if len(b.q.OrderBy) == 0 {
-		return a
-	}
-	s := &Sort{Input: a, Keys: b.q.OrderBy}
-	s.base = b.node(Estimate{Rows: groups, CostNs: a.est.CostNs + groups*math.Log2(groups+2)*sortRowNs})
-	return s
-}
-
 // groupCount estimates the number of groups: the product of per-column
 // distinct counts (capped by input rows), 1 for a global aggregate.
-func (b *builder) groupCount(m TableMeta, groupBy []int, inRows float64) float64 {
-	if len(groupBy) == 0 {
+func (b *builder) groupCount(inRows float64) float64 {
+	if len(b.q.GroupBy) == 0 {
 		return 1
 	}
 	groups := 1.0
-	for _, c := range groupBy {
+	for _, c := range b.q.GroupBy {
+		m := b.left
+		if c >= b.nL {
+			m, c = b.right, c-b.nL
+		}
 		d := 0
 		if m.Stats != nil {
 			d = m.Stats.Distinct(c)
@@ -282,19 +286,11 @@ func (b *builder) groupCount(m TableMeta, groupBy []int, inRows float64) float64
 }
 
 // join plans a two-table hash join, choosing the build side by estimated
-// post-pushdown cardinality and pushing single-side conjuncts into the
-// scans.
+// post-pushdown cardinality, pushing single-side conjuncts into the
+// scans and filtering the joined rows by the conjuncts that span both.
 func (b *builder) join() (Node, error) {
 	q := b.q
-	mL, err := b.meta(q.Table)
-	if err != nil {
-		return nil, err
-	}
-	mR, err := b.meta(q.Join.Table)
-	if err != nil {
-		return nil, err
-	}
-	nL := mL.Schema.NumColumns()
+	mL, mR, nL := b.left, b.right, b.nL
 	nR := mR.Schema.NumColumns()
 	if q.Join.LeftCol < 0 || q.Join.LeftCol >= nL || q.Join.RightCol < 0 || q.Join.RightCol >= nR {
 		return nil, fmt.Errorf("plan: join columns out of range")
@@ -349,61 +345,16 @@ func (b *builder) join() (Node, error) {
 		CostNs: build.est.CostNs + probe.est.CostNs +
 			build.est.Rows*hashRowNs + probe.est.Rows*probeRowNs,
 	})
-
-	var cur Node = j
-	if postPred != nil {
-		// No cross-table statistics: assume the default selectivity.
-		f := &Filter{Input: j, Pred: postPred}
-		f.base = b.node(Estimate{
-			Rows:   joinRows * defaultSel,
-			CostNs: j.est.CostNs + joinRows*filterRowNs,
-		})
-		cur = f
+	if postPred == nil {
+		return j, nil
 	}
-
-	if q.Kind == query.Aggregate {
-		in := cur.Estimate()
-		groups := b.joinGroupCount(q.GroupBy, nL, mL, mR, in.Rows)
-		a := &Aggregate{Input: cur, Specs: q.Aggs, GroupBy: q.GroupBy}
-		a.base = b.node(Estimate{Rows: groups, CostNs: in.CostNs + in.Rows*float64(len(q.Aggs)+1)*filterRowNs})
-		return b.aggOrder(a, groups), nil
-	}
-
-	cur = b.orderLimit(cur, q.OrderBy, q.Limit)
-	outCols := q.Cols
-	if outCols == nil {
-		outCols = StarCols(mL.Schema, mR.Schema)
-	}
-	rows := cur.Estimate().Rows
-	if q.Limit > 0 && len(q.OrderBy) == 0 && float64(q.Limit) < rows {
-		rows = float64(q.Limit) // the probe short-circuits at the limit
-	}
-	p := &Project{Input: cur, Cols: outCols}
-	p.base = b.node(Estimate{Rows: rows, CostNs: cur.Estimate().CostNs})
-	return p, nil
-}
-
-// joinGroupCount estimates groups over combined-index group-by columns.
-func (b *builder) joinGroupCount(groupBy []int, nL int, mL, mR TableMeta, inRows float64) float64 {
-	if len(groupBy) == 0 {
-		return 1
-	}
-	groups := 1.0
-	for _, c := range groupBy {
-		d := 0
-		if c < nL {
-			if mL.Stats != nil {
-				d = mL.Stats.Distinct(c)
-			}
-		} else if mR.Stats != nil {
-			d = mR.Stats.Distinct(c - nL)
-		}
-		if d <= 0 {
-			d = 100
-		}
-		groups *= float64(d)
-	}
-	return math.Min(groups, math.Max(inRows, 1))
+	// No cross-table statistics: assume the default selectivity.
+	f := &Filter{Input: j, Pred: postPred}
+	f.base = b.node(Estimate{
+		Rows:   joinRows * defaultSel,
+		CostNs: j.est.CostNs + joinRows*filterRowNs,
+	})
+	return f, nil
 }
 
 // validateCols checks every column reference of q against width n

@@ -86,7 +86,10 @@ type Query struct {
 	GroupBy []int
 
 	// Selection (Kind == Select); nil Cols selects every column.
-	Cols  []int
+	Cols []int
+
+	// Limit keeps the first Limit result rows of a Select or Aggregate,
+	// after its ORDER BY; 0 means no limit.
 	Limit int
 
 	// OrderBy sorts the result rows (Select: any table columns;
@@ -148,6 +151,7 @@ func (q *Query) String() string {
 			}
 		}
 		writeOrderBy(&b, q.OrderBy)
+		writeLimit(&b, q.Limit)
 	case Select:
 		b.WriteString("SELECT ")
 		if q.Cols == nil {
@@ -168,9 +172,7 @@ func (q *Query) String() string {
 			fmt.Fprintf(&b, " WHERE %s", q.Pred)
 		}
 		writeOrderBy(&b, q.OrderBy)
-		if q.Limit > 0 {
-			fmt.Fprintf(&b, " LIMIT %d", q.Limit)
-		}
+		writeLimit(&b, q.Limit)
 	case Insert:
 		fmt.Fprintf(&b, "INSERT INTO %s (%d rows)", q.Table, len(q.Rows))
 	case Update:
@@ -195,6 +197,12 @@ func writeOrderBy(b *strings.Builder, order []Order) {
 			b.WriteString(", ")
 		}
 		b.WriteString(o.String())
+	}
+}
+
+func writeLimit(b *strings.Builder, limit int) {
+	if limit > 0 {
+		fmt.Fprintf(b, " LIMIT %d", limit)
 	}
 }
 

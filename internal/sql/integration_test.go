@@ -156,3 +156,40 @@ func TestSQLJoinKeyTypes(t *testing.T) {
 		t.Errorf("INTEGER = VARCHAR join: bind error %v, want a type error", err)
 	}
 }
+
+// TestSQLAggregateNeedsNumbers: SUM and AVG over a VARCHAR or DATE column
+// are rejected when the statement is bound — on a row table, a column
+// table and through a join — while MIN, MAX and COUNT of those columns
+// still run.
+func TestSQLAggregateNeedsNumbers(t *testing.T) {
+	db := engine.New()
+	for name, store := range map[string]catalog.StoreKind{"r": catalog.RowStore, "c": catalog.ColumnStore} {
+		st, err := Parse(`CREATE TABLE `+name+` (id BIGINT NOT NULL, s VARCHAR, d DATE, PRIMARY KEY (id))`, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CreateTable(st.CreateTable, store); err != nil {
+			t.Fatal(err)
+		}
+		execSQL(t, db, `INSERT INTO `+name+` VALUES (1, 'b', '2012-08-27'), (2, 'a', '2012-08-28')`)
+	}
+	resolver := func(name string) *schema.Table { return db.Catalog().Table(name).Schema }
+	for _, from := range []string{"r", "c", "r JOIN c ON r.id = c.id"} {
+		col := func(c string) string {
+			if strings.Contains(from, "JOIN") {
+				return "c." + c
+			}
+			return c
+		}
+		for _, bad := range []string{"SUM(" + col("s") + ")", "AVG(" + col("s") + ")", "SUM(" + col("d") + ")", "AVG(" + col("d") + ")"} {
+			stmt := "SELECT " + bad + " FROM " + from
+			if _, err := Parse(stmt, resolver); err == nil || !strings.Contains(err.Error(), "over a") {
+				t.Errorf("%s: bind error %v, want a type error", stmt, err)
+			}
+		}
+		res := execSQL(t, db, "SELECT MIN("+col("s")+"), MAX("+col("d")+"), COUNT("+col("s")+") FROM "+from)
+		if got := res.Rows[0]; got[0].Varchar() != "a" || got[1].String() != "2012-08-28" || got[2].Int() != 2 {
+			t.Errorf("FROM %s: MIN, MAX, COUNT = %v", from, got)
+		}
+	}
+}

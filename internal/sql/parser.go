@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -54,6 +55,10 @@ type Statement struct {
 	// WAL group-commit record, applied and made durable atomically.
 	Copy bool
 }
+
+// ErrLimitZero rejects LIMIT 0: a query.Query's Limit of 0 means no
+// limit, so the statement would return every row.
+var ErrLimitZero = errors.New("sql: LIMIT 0 is not supported (a LIMIT must be at least 1)")
 
 // Resolver looks up table schemas during parsing; the engine's catalog is
 // adapted to it.
@@ -798,6 +803,9 @@ func (p *parser) selectStmt() (*query.Query, error) {
 		if err != nil || n < 0 {
 			return nil, fmt.Errorf("sql: bad LIMIT %q", t.text)
 		}
+		if n == 0 {
+			return nil, ErrLimitZero
+		}
 		p.advance()
 		q.Limit = n
 	}
@@ -861,6 +869,9 @@ func (p *parser) selectList(end int) ([]agg.Spec, []int, bool, error) {
 				c, err := p.columnRef()
 				if err != nil {
 					return nil, nil, false, err
+				}
+				if typ := p.columnType(c); (fn == agg.Sum || fn == agg.Avg) && !typ.Numeric() {
+					return nil, nil, false, fmt.Errorf("sql: %s over a %s column", fn, typ)
 				}
 				aggs = append(aggs, agg.Spec{Func: fn, Col: c})
 			}

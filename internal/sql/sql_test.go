@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -136,6 +137,22 @@ func TestSelectColumnsAndLimit(t *testing.T) {
 	}
 	if q.Limit != 10 {
 		t.Errorf("limit: %d", q.Limit)
+	}
+}
+
+// TestLimitZeroRejected: a Query's Limit of 0 means no limit, so LIMIT 0
+// is refused with a typed error instead of returning every row.
+func TestLimitZeroRejected(t *testing.T) {
+	for _, in := range []string{
+		"SELECT id FROM sales LIMIT 0",
+		"SELECT region, SUM(amount) FROM sales GROUP BY region ORDER BY region LIMIT 0",
+	} {
+		if _, err := Parse(in, testResolver()); !errors.Is(err, ErrLimitZero) {
+			t.Errorf("%s: err = %v, want ErrLimitZero", in, err)
+		}
+	}
+	if q := mustParse(t, "SELECT id FROM sales LIMIT 1").Query; q.Limit != 1 {
+		t.Errorf("LIMIT 1: limit = %d", q.Limit)
 	}
 }
 

@@ -80,6 +80,19 @@ echo "$ea"
 echo "$ea" | grep -q '^scan'  || { echo "FAIL: EXPLAIN ANALYZE missing scan stage" >&2; exit 1; }
 echo "$ea" | grep -q '^total' || { echo "FAIL: EXPLAIN ANALYZE missing total row" >&2; exit 1; }
 
+echo "== grouped aggregate with ORDER BY ... LIMIT over the wire =="
+agg="$("$work/hsql" -connect "127.0.0.1:$port" <<'EOF'
+CREATE TABLE sales (id BIGINT NOT NULL, grp INTEGER, amount DOUBLE, PRIMARY KEY (id));
+INSERT INTO sales VALUES (1, 1, 10), (2, 2, 20), (3, 3, 30), (4, 1, 40), (5, 2, 50);
+SELECT grp, SUM(amount) FROM sales GROUP BY grp ORDER BY grp DESC LIMIT 2;
+EXPLAIN SELECT grp, SUM(amount) FROM sales GROUP BY grp ORDER BY grp DESC LIMIT 2;
+EOF
+)"
+echo "$agg"
+echo "$agg" | grep -q '(2 rows' || { echo "FAIL: ORDER BY ... LIMIT 2 on a grouped aggregate must return exactly 2 rows" >&2; exit 1; }
+{ echo "$agg" | grep -q '^3 | 30$' && echo "$agg" | grep -q '^2 | 70$'; } || { echo "FAIL: wrong top 2 groups" >&2; exit 1; }
+echo "$agg" | grep -q '| topk |' || { echo "FAIL: EXPLAIN of a grouped aggregate with ORDER BY ... LIMIT has no topk row" >&2; exit 1; }
+
 echo "== /metrics: valid Prometheus exposition =="
 metrics="$(curl -sf "http://127.0.0.1:$http_port/metrics")"
 echo "$metrics" | head -n 20
