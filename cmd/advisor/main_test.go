@@ -1,16 +1,18 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
-	"regexp"
 	"strings"
 	"testing"
 
+	"hybridstore/internal/catalog"
 	"hybridstore/internal/costmodel"
-	"hybridstore/internal/schema"
+	"hybridstore/internal/engine"
+	"hybridstore/internal/server"
 	"hybridstore/internal/sql"
 )
 
@@ -21,8 +23,8 @@ const (
 
 // TestRunPrintsRecommendation drives the offline advisor over a two-table
 // schema and workload: the report carries the four estimated runtimes and
-// one DDL line per table that names only tables and columns the schema
-// declares.
+// one ALTER TABLE statement per table, which parses back and, run on an
+// engine holding the schema, leaves each table in the layout it names.
 func TestRunPrintsRecommendation(t *testing.T) {
 	var out strings.Builder
 	if err := run(&out, schemaFile, workloadFile, "orders=200000,region=10", "", "", false, 100_000); err != nil {
@@ -44,38 +46,61 @@ func TestRunPrintsRecommendation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stmts, err := sql.ParseScript(string(src), nil)
+	db := engine.New()
+	schemaStmts, err := sql.ParseScript(string(src), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables := map[string]*schema.Table{}
-	for _, st := range stmts {
-		tables[st.CreateTable.Name] = st.CreateTable
+	for _, st := range schemaStmts {
+		if err := db.CreateTable(st.CreateTable, catalog.RowStore); err != nil {
+			t.Fatal(err)
+		}
 	}
-	colList := regexp.MustCompile(`\(([a-z_]+(?:, [a-z_]+)*)\)`)
-	seen := map[string]bool{}
+	var ddl []string
 	for _, line := range strings.Split(report, "\n") {
-		line = strings.TrimSpace(line)
-		if !strings.HasPrefix(line, "ALTER TABLE ") {
-			continue
-		}
-		name := strings.Fields(line)[2]
-		sch := tables[name]
-		if sch == nil || seen[name] || !strings.HasSuffix(line, ";") {
-			t.Errorf("DDL line for an unknown, repeated or unterminated table: %q", line)
-			continue
-		}
-		seen[name] = true
-		for _, m := range colList.FindAllStringSubmatch(line, -1) {
-			for _, col := range strings.Split(m[1], ", ") {
-				if sch.ColIndex(col) < 0 {
-					t.Errorf("DDL names column %q, which %s does not declare: %q", col, name, line)
-				}
-			}
+		if line = strings.TrimSpace(line); strings.HasPrefix(line, "ALTER TABLE ") {
+			ddl = append(ddl, line)
 		}
 	}
-	if len(seen) != len(tables) {
-		t.Errorf("DDL covers %d of %d tables:\n%s", len(seen), len(tables), report)
+	stmts, err := sql.ParseScript(strings.Join(ddl, "\n"), server.Resolver(db))
+	if err != nil {
+		t.Fatalf("%v\n%s", err, report)
+	}
+	seen := map[string]bool{}
+	for i, st := range stmts {
+		at := st.AlterTable
+		if at == nil || seen[at.Table] {
+			t.Fatalf("not one ALTER TABLE per table: %q", ddl[i])
+		}
+		seen[at.Table] = true
+		if _, err := server.Exec(context.Background(), db, st); err != nil {
+			t.Fatalf("%s: %v", ddl[i], err)
+		}
+		if e := db.Catalog().Table(at.Table); e.Store != at.Store || !e.Partitioning.Equal(at.Spec) {
+			t.Errorf("%s left %s in %s %s", ddl[i], at.Table, e.Store, e.Partitioning)
+		}
+	}
+	if len(seen) != len(schemaStmts) {
+		t.Errorf("DDL covers %d of %d tables:\n%s", len(seen), len(schemaStmts), report)
+	}
+}
+
+// TestRunRejectsDDLInWorkload: a workload script holds statements to
+// estimate, so CREATE TABLE and ALTER TABLE in it are refused.
+func TestRunRejectsDDLInWorkload(t *testing.T) {
+	for _, ddl := range []string{
+		"CREATE TABLE extra (id BIGINT, PRIMARY KEY (id));",
+		"ALTER TABLE region MOVE TO COLUMN STORE;",
+	} {
+		path := filepath.Join(t.TempDir(), "workload.sql")
+		if err := os.WriteFile(path, []byte("SELECT COUNT(*) FROM region;\n"+ddl+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		err := run(&out, schemaFile, path, "", "", "", false, 100_000)
+		if err == nil || !strings.Contains(err.Error(), "must not contain DDL") {
+			t.Errorf("%s: err = %v, want a DDL refusal", ddl, err)
+		}
 	}
 }
 

@@ -1,20 +1,22 @@
 // Command hsql is an interactive SQL shell for the hybrid-store engine.
 // It supports the engine's SQL dialect (CREATE TABLE, SELECT with
-// aggregates and joins, INSERT, UPDATE, DELETE, and COPY <table> FROM
+// aggregates and joins, INSERT, UPDATE, DELETE, COPY <table> FROM
 // VALUES ... — the bulk-ingest fast path: one atomic WAL record and
-// one group-commit wait for the whole batch) plus shell commands:
+// one group-commit wait for the whole batch — and ALTER TABLE, which
+// moves a table between stores or into a partitioned layout) plus shell
+// commands:
 //
-//	\store <table> row|column     move a table between stores (blocking)
 //	\stats                        show the live rolling workload window
 //	\stats <table>                collect and show table statistics
 //	\tables                       list tables with store and row count
 //	\advise                       recommend a layout for the observed workload
-//	\apply                        apply the last recommendation (blocking)
-//	\migrate                      apply it as a background migration
 //	\checkpoint                   snapshot durable state and truncate the WAL
 //	\metrics                      dump the process metrics registry (same as SHOW METRICS)
 //	\slowlog <dur>|off            arm the slow-query log at a threshold (JSON lines on stderr)
 //	\quit
+//
+// \advise prints the recommendation as ALTER TABLE statements; pasting
+// them applies it, and the migration blocks until the table has moved.
 //
 // EXPLAIN ANALYZE <statement> executes the statement with tracing armed
 // and prints one row per execution stage (wall time, rows in/out,
@@ -27,15 +29,17 @@
 // a write-ahead log before it is acknowledged, and restarting hsql with
 // the same -data recovers the database (tables, layouts, indexes, data).
 //
-// With -connect <host:port> hsql is a remote shell instead: statements
-// go to a running hsqld over the wire protocol and execute server-side
-// (only \quit and \ping work among the shell commands).
+// With -connect <host:port> hsql is a remote shell instead: statements,
+// ALTER TABLE included, go to a running hsqld over the wire protocol and
+// execute server-side (among the shell commands only \quit, \ping,
+// \metrics and \stats work). Both modes run every statement through the
+// same dispatcher, server.Exec.
 //
 // Every query prints its result and engine-measured execution time; the
-// session's statements feed the live workload monitor, so \advise and
-// \migrate reflect the workload actually executed. With -auto the
-// advisory loop runs in the background and migrates stores on its own
-// once the predicted improvement clears -hysteresis.
+// session's statements feed the live workload monitor, so \advise
+// reflects the workload actually executed. With -auto the advisory loop
+// runs in the background and migrates stores on its own once the
+// predicted improvement clears -hysteresis.
 package main
 
 import (
@@ -43,12 +47,12 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
 	"hybridstore/internal/advisor"
-	"hybridstore/internal/catalog"
 	"hybridstore/internal/client"
 	"hybridstore/internal/costmodel"
 	"hybridstore/internal/engine"
@@ -56,16 +60,15 @@ import (
 	"hybridstore/internal/metrics"
 	"hybridstore/internal/migrate"
 	"hybridstore/internal/monitor"
-	"hybridstore/internal/schema"
+	"hybridstore/internal/server"
 	"hybridstore/internal/sql"
 )
 
 // session bundles the engine with its online-advisory stack.
 type session struct {
-	db      *engine.Database
-	mon     *monitor.Monitor
-	mgr     *migrate.Manager
-	lastRec *advisor.Recommendation
+	db  *engine.Database
+	mon *monitor.Monitor
+	mgr *migrate.Manager
 }
 
 func main() {
@@ -83,7 +86,21 @@ func main() {
 	}
 
 	if *connect != "" {
-		remoteShell(*connect)
+		conn, err := client.Dial(*connect, client.Options{Name: "hsql"})
+		if err != nil {
+			fmt.Println("error:", err)
+			os.Exit(1)
+		}
+		defer conn.Close()
+		fmt.Printf("connected to %s — \\quit to exit, \\ping, \\stats, \\metrics\n", *connect)
+		run := func(text string) (*engine.Result, error) {
+			res, err := conn.Exec(context.Background(), text)
+			if err != nil {
+				return nil, err
+			}
+			return &engine.Result{Cols: res.Cols, Rows: res.Rows, Affected: res.Affected, Duration: res.Duration}, nil
+		}
+		repl(os.Stdin, run, func(fields []string) { remoteCommand(conn, run, fields) })
 		return
 	}
 
@@ -113,11 +130,7 @@ func main() {
 	if *compactMin != 0 {
 		mcfg.CompactMinInterval = *compactMin
 	}
-	s := &session{
-		db:  db,
-		mon: mon,
-		mgr: migrate.NewManager(db, adv, mon, mcfg),
-	}
+	s := &session{db: db, mon: mon, mgr: migrate.NewManager(db, adv, mon, mcfg)}
 	if *auto > 0 {
 		if err := s.mgr.AutoAdvise(*auto, *hysteresis); err != nil {
 			fmt.Println("error:", err)
@@ -127,15 +140,15 @@ func main() {
 		fmt.Printf("auto-advise every %v\n", *auto)
 	}
 
-	resolver := func(name string) *schema.Table {
-		if e := db.Catalog().Table(name); e != nil {
-			return e.Schema
-		}
-		return nil
-	}
+	fmt.Println("hybrid-store SQL shell — \\quit to exit, \\tables, \\stats, \\advise, \\metrics")
+	repl(os.Stdin, s.exec, s.command)
+}
 
-	fmt.Println("hybrid-store SQL shell — \\quit to exit, \\tables, \\stats, \\advise, \\migrate, \\store <t> row|column")
-	scanner := bufio.NewScanner(os.Stdin)
+// repl reads statements and backslash commands from in until \quit or
+// EOF, in either mode: run executes each statement and command each
+// backslash command but \quit and \metrics (SHOW METRICS, through run).
+func repl(in io.Reader, run func(text string) (*engine.Result, error), command func(fields []string)) {
+	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 1<<20), 1<<20)
 	var buf strings.Builder
 	prompt := func() {
@@ -145,199 +158,122 @@ func main() {
 			fmt.Print("  ... ")
 		}
 	}
-	prompt()
-	for scanner.Scan() {
-		line := scanner.Text()
-		trimmed := strings.TrimSpace(line)
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
-			if !s.command(trimmed) {
-				return
-			}
-			prompt()
-			continue
-		}
-		buf.WriteString(line)
-		buf.WriteString("\n")
-		if !strings.Contains(line, ";") {
-			prompt()
-			continue
-		}
-		for _, stmtText := range sql.SplitStatements(buf.String()) {
-			execute(db, resolver, stmtText)
-		}
-		buf.Reset()
-		prompt()
-	}
-}
-
-// remoteShell is the -connect mode: statements are sent verbatim to an
-// hsqld server over the Go driver (parsing, execution and the workload
-// monitor all run server-side), results print exactly like local mode.
-func remoteShell(addr string) {
-	conn, err := client.Dial(addr, client.Options{Name: "hsql"})
-	if err != nil {
-		fmt.Println("error:", err)
-		os.Exit(1)
-	}
-	defer conn.Close()
-	fmt.Printf("connected to %s — \\quit to exit, \\ping to probe\n", addr)
-	scanner := bufio.NewScanner(os.Stdin)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	var buf strings.Builder
-	prompt := func() {
-		if buf.Len() == 0 {
-			fmt.Print("hsql> ")
-		} else {
-			fmt.Print("  ... ")
-		}
-	}
-	prompt()
-	for scanner.Scan() {
-		line := scanner.Text()
-		trimmed := strings.TrimSpace(line)
-		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
-			switch strings.Fields(trimmed)[0] {
-			case "\\quit", "\\q":
-				return
-			case "\\ping":
-				start := time.Now()
-				if err := conn.Ping(context.Background()); err != nil {
-					fmt.Println("error:", err)
-				} else {
-					fmt.Printf("pong (%v)\n", time.Since(start))
-				}
-			case "\\metrics":
-				res, err := conn.Exec(context.Background(), "SHOW METRICS;")
-				if err != nil {
-					fmt.Println("error:", err)
-					break
-				}
-				printResult(&engine.Result{
-					Cols: res.Cols, Rows: res.Rows,
-					Affected: res.Affected, Duration: res.Duration,
-				})
-			case "\\stats":
-				res, err := conn.Exec(context.Background(), "SHOW METRICS;")
-				if err != nil {
-					fmt.Println("error:", err)
-					break
-				}
-				vals := map[string]float64{}
-				for _, row := range res.Rows {
-					if len(row) == 2 {
-						vals[row[0].String()] = row[1].Float()
-					}
-				}
-				hits, miss := vals["hs_plan_cache_hits_total"], vals["hs_plan_cache_misses_total"]
-				if total := hits + miss; total > 0 {
-					fmt.Printf("plan cache: %d entries, %.0f hits / %.0f misses (%.1f%% hit rate)\n",
-						int(vals["hs_plan_cache_size"]), hits, miss, 100*hits/total)
-				} else {
-					fmt.Println("plan cache: no planned reads yet")
-				}
-				fmt.Printf("stmt cache: %.0f hits / %.0f misses\n",
-					vals["hs_server_stmt_cache_hits"], vals["hs_server_stmt_cache_misses"])
-				fmt.Printf("txns: %.0f active, %.0f begun, %.0f committed, %.0f aborted, %.0f conflicts\n",
-					vals["hs_txn_active"], vals["hs_txn_begin_total"], vals["hs_txn_commit_total"],
-					vals["hs_txn_abort_total"], vals["hs_txn_conflict_total"])
-				fmt.Printf("row store arena: %.0f bytes; %.0f keys folded\n",
-					vals["hs_rowstore_arena_bytes"], vals["hs_txn_fold_keys_total"])
-				fmt.Printf("column store: %.0f bytes resident for %.0f bytes of payload\n",
-					vals["hs_colstore_resident_bytes"], vals["hs_colstore_payload_bytes"])
-				fmt.Printf("indexes: %.0f bytes\n", vals["hs_index_bytes"])
-			default:
-				fmt.Println("unknown remote command (only \\quit, \\ping, \\metrics and \\stats work over -connect):", trimmed)
-			}
-			prompt()
-			continue
-		}
-		buf.WriteString(line)
-		buf.WriteString("\n")
-		if !strings.Contains(line, ";") {
-			prompt()
-			continue
-		}
-		for _, stmtText := range sql.SplitStatements(buf.String()) {
-			res, err := conn.Exec(context.Background(), stmtText)
-			if err != nil {
-				fmt.Println("error:", err)
-				continue
-			}
-			printResult(&engine.Result{
-				Cols: res.Cols, Rows: res.Rows,
-				Affected: res.Affected, Duration: res.Duration,
-			})
-		}
-		buf.Reset()
-		prompt()
-	}
-}
-
-func execute(db *engine.Database, resolver sql.Resolver, stmtText string) {
-	st, err := sql.Parse(stmtText, resolver)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	if st.Txn != sql.TxnNone {
-		fmt.Println("error: BEGIN/COMMIT/ROLLBACK need a server session (connect with -connect)")
-		return
-	}
-	if st.CreateTable != nil {
-		if err := db.CreateTable(st.CreateTable, catalog.RowStore); err != nil {
+	show := func(text string) {
+		res, err := run(text)
+		if err != nil {
 			fmt.Println("error:", err)
 			return
 		}
-		fmt.Printf("created table %s (row store)\n", st.CreateTable.Name)
-		return
+		printResult(res)
 	}
-	var res *engine.Result
-	switch {
-	case st.ShowMetrics:
-		res = engine.MetricsResult()
-	case st.Explain:
-		res, err = db.ExplainContext(context.Background(), st.Query)
-	case st.ExplainAnalyze:
-		res, err = db.ExplainAnalyzeContext(context.Background(), st.Query)
+	prompt()
+	for scanner.Scan() {
+		line := scanner.Text()
+		if trimmed := strings.TrimSpace(line); buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
+			switch fields := strings.Fields(trimmed); fields[0] {
+			case "\\quit", "\\q":
+				return
+			case "\\metrics":
+				show("SHOW METRICS;")
+			default:
+				command(fields)
+			}
+			prompt()
+			continue
+		}
+		buf.WriteString(line)
+		buf.WriteString("\n")
+		if !strings.Contains(line, ";") {
+			prompt()
+			continue
+		}
+		for _, text := range sql.SplitStatements(buf.String()) {
+			show(text)
+		}
+		buf.Reset()
+		prompt()
+	}
+}
+
+// remoteCommand serves the backslash commands of -connect mode, where
+// statements execute server-side: \ping and \stats.
+func remoteCommand(conn *client.Conn, run func(string) (*engine.Result, error), fields []string) {
+	switch fields[0] {
+	case "\\ping":
+		start := time.Now()
+		if err := conn.Ping(context.Background()); err != nil {
+			fmt.Println("error:", err)
+		} else {
+			fmt.Printf("pong (%v)\n", time.Since(start))
+		}
+	case "\\stats":
+		printStats(run)
 	default:
-		res, err = db.Exec(st.Query)
+		fmt.Println("unknown remote command (only \\quit, \\ping, \\metrics and \\stats work over -connect):", fields[0])
 	}
+}
+
+// printStats prints the counters \stats shows in either mode, read from
+// SHOW METRICS through run; the caches' lines only where a server runs.
+func printStats(run func(string) (*engine.Result, error)) {
+	res, err := run("SHOW METRICS;")
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	printResult(res)
+	vals := map[string]float64{}
+	for _, row := range res.Rows {
+		vals[row[0].String()] = row[1].Float()
+	}
+	if _, ok := vals["hs_plan_cache_size"]; ok {
+		hits, miss := vals["hs_plan_cache_hits_total"], vals["hs_plan_cache_misses_total"]
+		if total := hits + miss; total > 0 {
+			fmt.Printf("plan cache: %d entries, %.0f hits / %.0f misses (%.1f%% hit rate)\n",
+				int(vals["hs_plan_cache_size"]), hits, miss, 100*hits/total)
+		} else {
+			fmt.Println("plan cache: no planned reads yet")
+		}
+		fmt.Printf("stmt cache: %.0f hits / %.0f misses\n",
+			vals["hs_server_stmt_cache_hits"], vals["hs_server_stmt_cache_misses"])
+	}
+	fmt.Printf("txns: %.0f active, %.0f begun, %.0f committed, %.0f aborted, %.0f conflicts\n",
+		vals["hs_txn_active"], vals["hs_txn_begin_total"], vals["hs_txn_commit_total"],
+		vals["hs_txn_abort_total"], vals["hs_txn_conflict_total"])
+	fmt.Printf("row store arena: %.0f bytes; %.0f keys folded\n",
+		vals["hs_rowstore_arena_bytes"], vals["hs_txn_fold_keys_total"])
+	fmt.Printf("column store: %.0f bytes resident for %.0f bytes of payload\n",
+		vals["hs_colstore_resident_bytes"], vals["hs_colstore_payload_bytes"])
+	fmt.Printf("indexes: %.0f bytes\n", vals["hs_index_bytes"])
+}
+
+// exec parses one statement against the catalog and runs it through the
+// server's statement dispatcher, as an hsqld session would.
+func (s *session) exec(text string) (*engine.Result, error) {
+	st, err := sql.Parse(text, server.Resolver(s.db))
+	if err != nil {
+		return nil, err
+	}
+	return server.Exec(context.Background(), s.db, st)
 }
 
 func printResult(res *engine.Result) {
 	if len(res.Cols) > 0 {
 		fmt.Println(strings.Join(res.Cols, " | "))
-		limit := len(res.Rows)
-		const maxShown = 25
-		if limit > maxShown {
-			limit = maxShown
-		}
-		for _, row := range res.Rows[:limit] {
+		for _, row := range res.Rows {
 			parts := make([]string, len(row))
 			for i, v := range row {
 				parts[i] = v.String()
 			}
 			fmt.Println(strings.Join(parts, " | "))
 		}
-		if len(res.Rows) > limit {
-			fmt.Printf("... (%d more rows)\n", len(res.Rows)-limit)
-		}
 	}
 	fmt.Printf("(%d rows, %v)\n", res.Affected, res.Duration)
 }
 
-// command handles backslash commands; it returns false on \quit.
-func (s *session) command(line string) bool {
+// command serves the embedded shell's backslash commands.
+func (s *session) command(fields []string) {
 	db := s.db
-	fields := strings.Fields(line)
 	switch fields[0] {
-	case "\\quit", "\\q":
-		return false
 	case "\\tables":
 		for _, name := range db.Catalog().Names() {
 			e := db.Catalog().Table(name)
@@ -351,30 +287,12 @@ func (s *session) command(line string) bool {
 			}
 			fmt.Println()
 		}
-	case "\\store":
-		var store catalog.StoreKind
-		switch {
-		case len(fields) == 3 && strings.EqualFold(fields[2], "row"):
-			store = catalog.RowStore
-		case len(fields) == 3 && strings.EqualFold(fields[2], "column"):
-			store = catalog.ColumnStore
-		default:
-			fmt.Println("usage: \\store <table> row|column")
-			return true
-		}
-		if err := db.MigrateLayout(fields[1], store, nil); err != nil {
-			fmt.Println("error:", err)
-			break
-		}
-		fmt.Printf("moved %s to the %s store\n", fields[1], store)
 	case "\\checkpoint":
 		if err := db.Checkpoint(); err != nil {
 			fmt.Println("error:", err)
 			break
 		}
 		fmt.Println("checkpoint written; WAL truncated")
-	case "\\metrics":
-		printResult(engine.MetricsResult())
 	case "\\slowlog":
 		if len(fields) != 2 {
 			fmt.Println("usage: \\slowlog <threshold, e.g. 100ms> | off")
@@ -401,13 +319,7 @@ func (s *session) command(line string) bool {
 			ps := s.db.Pool().Stats()
 			fmt.Printf("worker pool: %d slots (%d in use, %d queued; %d tasks done, peak queue %d)\n",
 				ps.Size, ps.InUse, ps.Queued, ps.Done, ps.PeakQueued)
-			ts := db.TxnStats()
-			fmt.Printf("txns: %d active, %d begun, %d committed, %d aborted, %d conflicts\n",
-				ts.Active, ts.Begins, ts.Commits, ts.Aborts, ts.Conflicts)
-			fp := db.Footprint()
-			fmt.Printf("row store arena: %d bytes; %d keys folded\n", fp.RowArena, ts.FoldKeys)
-			fmt.Printf("column store: %d bytes resident for %d bytes of payload\n", fp.ColResident, fp.ColPayload)
-			fmt.Printf("indexes: %d bytes\n", fp.Index)
+			printStats(s.exec)
 			snap := s.mon.Snapshot()
 			fmt.Printf("observed %d queries (%d in window)\n", snap.Seen, snap.WindowSeen)
 			ph := metrics.Default().Histogram("hs_planning_seconds",
@@ -444,43 +356,12 @@ func (s *session) command(line string) bool {
 			fmt.Println("error:", err)
 			break
 		}
-		s.lastRec = rec
 		fmt.Printf("estimated runtimes: RS-only %.2fms, CS-only %.2fms, table-level %.2fms, partitioned %.2fms\n",
 			rec.RowOnlyCost/1e6, rec.ColumnOnlyCost/1e6, rec.TableLevelCost/1e6, rec.PartitionedCost/1e6)
 		for _, ddl := range rec.DDL {
-			fmt.Println(" ", ddl)
+			fmt.Println(ddl)
 		}
-	case "\\apply":
-		if s.lastRec == nil {
-			fmt.Println("no recommendation yet — run \\advise first")
-			break
-		}
-		moved, err := s.mgr.Migrate(s.lastRec)
-		if err != nil {
-			fmt.Println("error:", err)
-			break
-		}
-		fmt.Printf("layout applied (%d tables moved)\n", len(moved))
-	case "\\migrate":
-		if s.lastRec == nil {
-			fmt.Println("no recommendation yet — run \\advise first")
-			break
-		}
-		rec := s.lastRec
-		go func() {
-			moved, err := s.mgr.Migrate(rec)
-			switch {
-			case err != nil:
-				fmt.Printf("\nmigration error: %v\nhsql> ", err)
-			case len(moved) > 0:
-				fmt.Printf("\nbackground migration done: %s\nhsql> ", strings.Join(moved, ", "))
-			default:
-				fmt.Print("\nbackground migration: layout already in place, nothing moved\nhsql> ")
-			}
-		}()
-		fmt.Println("background migration started — \\tables shows progress")
 	default:
 		fmt.Println("unknown command:", fields[0])
 	}
-	return true
 }

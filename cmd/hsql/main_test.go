@@ -1,38 +1,37 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"hybridstore/internal/catalog"
 	"hybridstore/internal/engine"
-	"hybridstore/internal/schema"
-	"hybridstore/internal/value"
 )
 
-// TestStoreCommandRejectsUnknownStore: \store moves a table only to a
-// store it names, row or column in any case; any other word prints the
-// usage line and leaves the table where it is.
-func TestStoreCommandRejectsUnknownStore(t *testing.T) {
+// TestEmbeddedShellDispatch drives the embedded shell's loop: statements
+// run through the server's dispatcher, so COPY takes the bulk-ingest path
+// (counted by IngestedRows) and ALTER TABLE moves the table, a statement
+// naming no store moves nothing, and \quit ends the session before the
+// lines after it.
+func TestEmbeddedShellDispatch(t *testing.T) {
 	db := engine.New()
-	sch := schema.MustNew("t", []schema.Column{{Name: "id", Type: value.Bigint}}, "id")
-	if err := db.CreateTable(sch, catalog.ColumnStore); err != nil {
-		t.Fatal(err)
-	}
 	s := &session{db: db}
-	for _, line := range []string{`\store t colum`, `\store t rows`, `\store t`, `\store t row column`} {
-		if !s.command(line) {
-			t.Fatalf("%q ended the session", line)
-		}
-		if got := db.Catalog().Table("t").Store; got != catalog.ColumnStore {
-			t.Fatalf("%q moved t to the %s store", line, got)
-		}
+	repl(strings.NewReader(`CREATE TABLE t (id BIGINT, v DOUBLE, PRIMARY KEY (id));
+COPY t FROM VALUES (1, 1.5), (2, 2.5),
+  (3, 3.5);
+ALTER TABLE t MOVE TO COLUMN STORE;
+ALTER TABLE t MOVE TO COLUM STORE;
+ALTER TABLE t MOVE TO ROWS STORE;
+\quit
+ALTER TABLE t MOVE TO ROW STORE;
+`), s.exec, s.command)
+	if got := db.IngestedRows(); got != 3 {
+		t.Errorf("COPY ingested %d rows through the bulk path, want 3", got)
 	}
-	s.command(`\store t ROW`)
-	if got := db.Catalog().Table("t").Store; got != catalog.RowStore {
-		t.Fatalf(`\store t ROW left t in the %s store`, got)
+	if n, _ := db.Rows("t"); n != 3 {
+		t.Errorf("t holds %d rows, want 3", n)
 	}
-	s.command(`\store t Column`)
 	if got := db.Catalog().Table("t").Store; got != catalog.ColumnStore {
-		t.Fatalf(`\store t Column left t in the %s store`, got)
+		t.Errorf("t is in the %s store, want COLUMN", got)
 	}
 }

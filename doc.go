@@ -25,10 +25,11 @@
 // Every table has a primary key. CREATE TABLE may omit PRIMARY KEY; the
 // table is then keyed, as SQLite's rowid keys it, by a hidden BIGINT
 // column schema.RowKey ("$rowid") that the engine fills from a per-table
-// counter (restarted past the largest key on Open). No statement can name
-// it — '$' cannot start an identifier — and it never shows in SELECT *,
-// in result columns, in the rendered DDL or in the INSERT and COPY arity,
-// so rows equal in every declared column are still distinct rows.
+// counter (restarted past the largest key on Open). '$' cannot start an
+// identifier, so only ALTER TABLE names it, as ROWID (the advisor's DDL
+// can split such a table on it); it never shows in SELECT *, in result
+// columns or in the INSERT and COPY arity, so rows equal in every
+// declared column are still distinct rows.
 //
 // # Execution model
 //
@@ -438,7 +439,7 @@
 //     Manager.AutoAdvise(interval, hysteresis) runs the whole loop
 //     unattended.
 //   - engine.MigrateLayout is the one way a table changes layout — the
-//     hsql \store command, the migration manager and WAL replay all use
+//     ALTER TABLE statement, the migration manager and WAL replay all use
 //     it — and moves without blocking queries: the target store is built
 //     off to the side from a consistent snapshot, DML executed meanwhile
 //     is buffered in a tail and replayed in order, and the storage handle
@@ -447,9 +448,9 @@
 //     partial state.
 //
 // The hsql shell surfaces the subsystem: \stats prints the live rolling
-// window, \advise recommends from it, \migrate applies the
-// recommendation as a background migration, and the -auto flag starts
-// the self-driving advisory loop.
+// window, \advise recommends from it as ALTER TABLE statements that run
+// as printed (embedded or over -connect), and the -auto flag starts the
+// self-driving advisory loop.
 //
 // # Durability & recovery
 //
@@ -538,7 +539,8 @@
 //     discards in-flight ones — a torn tail mid-record rolls the whole
 //     transaction back, never part of it (asserted per byte cut in the
 //     recovery tests).
-//   - DDL is auto-commit only. A table declared without a primary key is
+//   - DDL (CREATE and ALTER TABLE) is auto-commit only: a session refuses
+//     it inside BEGIN … COMMIT. A table declared without a primary key is
 //     keyed by its hidden row key, so it versions, commits and folds
 //     exactly like any other.
 //   - Committed versions are folded into base storage behind the commit

@@ -265,14 +265,18 @@ func TestPartitionCandidatesSkipsSmallTables(t *testing.T) {
 	}
 }
 
-func TestRecommendEndToEnd(t *testing.T) {
-	a := New(costmodel.DefaultModel())
-	spec := workload.StandardTable("exp")
-	w := workload.GenMixed(spec, workload.MixConfig{
+// endToEndRec is TestRecommendEndToEnd's recommendation: a mostly OLTP
+// mix with hot updates on a fabricated 100 000-row exp.
+func endToEndRec() *Recommendation {
+	w := workload.GenMixed(workload.StandardTable("exp"), workload.MixConfig{
 		Queries: 500, OLAPFraction: 0.05, TableRows: 100000,
 		HotDataFraction: 0.1, Seed: 17,
 	})
-	rec := a.Recommend(w, singleTableInfo(), nil, nil)
+	return New(costmodel.DefaultModel()).Recommend(w, singleTableInfo(), nil, nil)
+}
+
+func TestRecommendEndToEnd(t *testing.T) {
+	rec := endToEndRec()
 	if rec.TableLevelCost > rec.RowOnlyCost || rec.TableLevelCost > rec.ColumnOnlyCost {
 		t.Error("table-level cost should not exceed baselines")
 	}
@@ -293,8 +297,10 @@ func TestRecommendEndToEnd(t *testing.T) {
 	}
 }
 
-func TestRecommendOffline(t *testing.T) {
-	db := engine.New()
+// offlineRec is TestRecommendOffline's recommendation: a 20 % OLAP mix
+// on the 5 000 rows of exp it loads into db.
+func offlineRec(t *testing.T, db *engine.Database) *Recommendation {
+	t.Helper()
 	spec := workload.StandardTable("exp")
 	if err := spec.Load(db, catalog.RowStore, 5000, 1); err != nil {
 		t.Fatal(err)
@@ -302,11 +308,14 @@ func TestRecommendOffline(t *testing.T) {
 	if _, err := db.CollectStats("exp"); err != nil {
 		t.Fatal(err)
 	}
-	a := New(costmodel.DefaultModel())
 	w := workload.GenMixed(spec, workload.MixConfig{
 		Queries: 300, OLAPFraction: 0.2, TableRows: 5000, Seed: 19,
 	})
-	rec := a.Recommend(w, InfoFromCatalog(db.Catalog()), nil, nil)
+	return New(costmodel.DefaultModel()).Recommend(w, InfoFromCatalog(db.Catalog()), nil, nil)
+}
+
+func TestRecommendOffline(t *testing.T) {
+	rec := offlineRec(t, engine.New())
 	if rec.Layout.Stores.StoreOf("exp") != catalog.ColumnStore {
 		t.Errorf("20%% OLAP on 5k rows should go columnar: %+v", rec.Layout.Stores)
 	}
@@ -329,7 +338,17 @@ func TestMonitorReevaluateWithoutWorkload(t *testing.T) {
 	if _, err := a.RecommendSnapshot(nil, db.Catalog(), nil); err == nil {
 		t.Error("re-evaluation without a snapshot should fail")
 	}
-	w := workload.GenMixed(spec, workload.MixConfig{
+	rec := snapshotRec(t, db, mon)
+	if rec.Layout.Stores.StoreOf("exp") != catalog.ColumnStore {
+		t.Errorf("30%% OLAP should go columnar: %+v", rec.Layout.Stores)
+	}
+}
+
+// snapshotRec is TestMonitorReevaluateWithoutWorkload's recommendation:
+// a 30 % OLAP mix run on db's 2 000-row exp and observed by mon.
+func snapshotRec(t *testing.T, db *engine.Database, mon *monitor.Monitor) *Recommendation {
+	t.Helper()
+	w := workload.GenMixed(workload.StandardTable("exp"), workload.MixConfig{
 		Queries: 200, OLAPFraction: 0.3, TableRows: 2000, Seed: 23,
 	})
 	for _, q := range w.Queries {
@@ -340,13 +359,11 @@ func TestMonitorReevaluateWithoutWorkload(t *testing.T) {
 	if _, err := db.CollectStats("exp"); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := a.RecommendSnapshot(mon.Snapshot(), db.Catalog(), nil)
+	rec, err := New(costmodel.DefaultModel()).RecommendSnapshot(mon.Snapshot(), db.Catalog(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Layout.Stores.StoreOf("exp") != catalog.ColumnStore {
-		t.Errorf("30%% OLAP should go columnar: %+v", rec.Layout.Stores)
-	}
+	return rec
 }
 
 func TestEstimateLayoutPartitionedBeatsWorse(t *testing.T) {

@@ -7,11 +7,16 @@ import (
 
 	"hybridstore/internal/catalog"
 	"hybridstore/internal/costmodel"
+	"hybridstore/internal/schema"
+	"hybridstore/internal/value"
 )
 
 // renderDDL produces the statements that move data into the recommended
 // layout — the paper's "respective statements to move the data into the
-// recommended store" handed to the administrator (§4).
+// recommended store" handed to the administrator (§4). Each is an ALTER
+// TABLE statement of the engine's SQL dialect. A partitioned table the
+// info source has no schema for gets no statement: its columns cannot be
+// named.
 func (a *Advisor) renderDDL(rec *Recommendation, info costmodel.InfoSource) []string {
 	var out []string
 	tables := make([]string, 0, len(rec.Layout.Stores))
@@ -25,26 +30,25 @@ func (a *Advisor) renderDDL(rec *Recommendation, info costmodel.InfoSource) []st
 			out = append(out, fmt.Sprintf("ALTER TABLE %s MOVE TO %s STORE;", t, rec.Layout.Stores.StoreOf(t)))
 			continue
 		}
-		out = append(out, partitionDDL(t, spec, info))
+		if ti, ok := info(t); ok && ti.Schema != nil {
+			out = append(out, partitionDDL(t, spec, ti.Schema))
+		}
 	}
 	return out
 }
 
-func partitionDDL(table string, spec *catalog.PartitionSpec, info costmodel.InfoSource) string {
+func partitionDDL(table string, spec *catalog.PartitionSpec, sch *schema.Table) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ALTER TABLE %s PARTITION BY", table)
 	colName := func(c int) string {
-		if ti, ok := info(table); ok && ti.Schema != nil && c < ti.Schema.NumColumns() {
-			if c >= ti.Schema.Visible() {
-				return "ROWID" // the hidden row key, which no statement can name
-			}
-			return ti.Schema.Columns[c].Name
+		if c >= sch.Visible() {
+			return "ROWID" // the hidden row key, as ALTER TABLE names it
 		}
-		return fmt.Sprintf("col%d", c)
+		return sch.Columns[c].Name
 	}
 	if h := spec.Horizontal; h != nil {
 		fmt.Fprintf(&b, " RANGE (%s) (PARTITION hot VALUES >= %s STORE %s, PARTITION historic STORE %s",
-			colName(h.SplitCol), h.SplitVal, h.HotStore, h.ColdStore)
+			colName(h.SplitCol), literal(h.SplitVal), h.HotStore, h.ColdStore)
 		if spec.Vertical != nil {
 			b.WriteString(" ")
 			writeVertical(&b, spec.Vertical, colName)
@@ -56,6 +60,16 @@ func partitionDDL(table string, spec *catalog.PartitionSpec, info costmodel.Info
 	}
 	b.WriteString(";")
 	return b.String()
+}
+
+// literal renders v as the SQL lexer reads it back: a VARCHAR or DATE as
+// a quoted string (” for an embedded quote), a number in its shortest
+// exact form.
+func literal(v value.Value) string {
+	if t := v.Type(); t == value.Varchar || t == value.Date {
+		return "'" + strings.ReplaceAll(v.String(), "'", "''") + "'"
+	}
+	return v.String()
 }
 
 func writeVertical(b *strings.Builder, v *catalog.VerticalSpec, colName func(int) string) {

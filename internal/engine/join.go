@@ -39,24 +39,21 @@ type hashJoin struct {
 	probed    atomic.Int64 // probe rows seen
 }
 
-// newHashJoin sets up the join of q's two tables under plan p. left is
-// q.Table's runtime. A side whose version overlay contributes rows at the
-// statement's snapshot scans serially through the merged view.
-func (db *Database) newHashJoin(q *query.Query, p *plan.Plan, snap stmtSnap, left *tableRuntime) (*hashJoin, error) {
+// newHashJoin sets up the join of q's two tables as the plan's join hj
+// says; left is q.Table's runtime. A side whose version overlay contributes
+// rows at the statement's snapshot scans serially through the merged view.
+func (db *Database) newHashJoin(q *query.Query, hj *plan.HashJoin, snap stmtSnap, left *tableRuntime) (*hashJoin, error) {
 	right, err := db.runtime(q.Join.Table)
 	if err != nil {
 		return nil, err
 	}
-	nL := left.entry.Schema.NumColumns()
-	nR := right.entry.Schema.NumColumns()
+	nL, nR := left.entry.Schema.NumColumns(), right.entry.Schema.NumColumns()
 	if q.Join.LeftCol < 0 || q.Join.LeftCol >= nL || q.Join.RightCol < 0 || q.Join.RightCol >= nR {
 		return nil, fmt.Errorf("engine: join columns out of range")
 	}
-	var leftPred, rightPred, post expr.Predicate
-	if p.Pushdown {
+	var leftPred, rightPred, post expr.Predicate = nil, nil, q.Pred
+	if hj.Build.(*plan.Scan).Pred != nil || hj.Probe.(*plan.Scan).Pred != nil { // pushed down
 		leftPred, rightPred, post = plan.SplitJoinPred(q.Pred, nL, nR)
-	} else {
-		post = q.Pred
 	}
 	needL, needR := plan.JoinNeededCols(q, nL, nR)
 	ls := joinSide{rt: left, view: db.tableView(left, snap.ts, snap.tx),
@@ -64,7 +61,7 @@ func (db *Database) newHashJoin(q *query.Query, p *plan.Plan, snap stmtSnap, lef
 	rs := joinSide{rt: right, view: db.tableView(right, snap.ts, snap.tx),
 		pred: rightPred, need: needR, joinCol: q.Join.RightCol, width: nR, offset: nL}
 	j := &hashJoin{probe: ls, build: rs, right: right.entry.Schema, post: post, width: nL + nR}
-	if p.BuildLeft {
+	if hj.BuildIsLeft {
 		j.probe, j.build = rs, ls
 	}
 	// Join keys of two whole-number types compare by numeric value: the

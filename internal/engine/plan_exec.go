@@ -126,10 +126,13 @@ func (db *Database) execPlan(ctx context.Context, q *query.Query, p *plan.Plan, 
 	// the read runs in — the probe scan, a one-table select's scan, or a
 	// one-table aggregate, which fuses its scan — and the Sort or TopK.
 	var build, run, aggregate, order plan.Node
+	var hj *plan.HashJoin
 	plan.Walk(p.Root, func(n plan.Node, _ int) {
-		switch n.(type) {
+		switch n := n.(type) {
 		case *plan.Scan:
 			build, run = run, n // pre-order: a join's build scan comes first
+		case *plan.HashJoin:
+			hj = n
 		case *plan.Aggregate:
 			aggregate = n
 		case *plan.Sort, *plan.TopK:
@@ -151,7 +154,7 @@ func (db *Database) execPlan(ctx context.Context, q *query.Query, p *plan.Plan, 
 	if q.Join == nil {
 		view = db.tableView(left, snap.ts, snap.tx)
 	} else {
-		if j, err = db.newHashJoin(q, p, snap, left); err != nil {
+		if j, err = db.newHashJoin(q, hj, snap, left); err != nil {
 			return nil, err
 		}
 		view, right = j.probe.view, j.right

@@ -187,27 +187,19 @@ func (m *Manager) pendingMoves(rec *advisor.Recommendation) []string {
 	return out
 }
 
-// Migrate executes a recommendation's layout changes through the
-// engine's background migration path. It blocks until the moves complete
-// (callers wanting a fire-and-forget apply run it on a goroutine) and
-// returns the tables actually migrated. An explicit Migrate bypasses the
-// per-table cooldown — that throttle exists for the automatic loop, not
-// for an administrator applying a recommendation by hand.
-func (m *Manager) Migrate(rec *advisor.Recommendation) ([]string, error) {
-	return m.migrate(rec, false)
-}
-
-func (m *Manager) migrate(rec *advisor.Recommendation, honorCooldown bool) ([]string, error) {
-	if rec == nil {
-		return nil, fmt.Errorf("migrate: nil recommendation")
-	}
+// migrate executes a recommendation's layout changes through the
+// engine's background migration path, skipping a table moved within the
+// cooldown. It blocks until the moves complete and returns the tables
+// actually migrated. An administrator moves a table by hand with the ALTER
+// TABLE statements of the recommendation's DDL, which no cooldown holds.
+func (m *Manager) migrate(rec *advisor.Recommendation) ([]string, error) {
 	var moved []string
 	for _, t := range m.pendingMoves(rec) {
 		m.mu.Lock()
 		last, seen := m.lastMove[t]
 		now := m.now()
 		m.mu.Unlock()
-		if honorCooldown && seen && m.cfg.Cooldown > 0 && now.Sub(last) < m.cfg.Cooldown {
+		if seen && m.cfg.Cooldown > 0 && now.Sub(last) < m.cfg.Cooldown {
 			m.record(t, "skip", "cooldown")
 			continue
 		}
@@ -256,7 +248,7 @@ func (m *Manager) Evaluate(hysteresis float64) ([]string, error) {
 			(1-rec.PartitionedCost/stayCost)*100, hysteresis*100))
 		return nil, nil
 	}
-	return m.migrate(rec, true)
+	return m.migrate(rec)
 }
 
 // CompactCheck triggers Compact on every table whose delta fragments

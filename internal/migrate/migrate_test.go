@@ -14,6 +14,8 @@ import (
 	"hybridstore/internal/monitor"
 	"hybridstore/internal/query"
 	"hybridstore/internal/schema"
+	"hybridstore/internal/server"
+	"hybridstore/internal/sql"
 	"hybridstore/internal/value"
 	"hybridstore/internal/workload"
 )
@@ -237,18 +239,26 @@ func TestCooldownThrottlesRepeatMoves(t *testing.T) {
 	if len(moved) != 0 {
 		t.Fatalf("cooldown should block the second move, got %v", moved)
 	}
-	// An explicit (administrator) Migrate bypasses the automatic
-	// cooldown...
+	// An administrator running the advice's ALTER TABLE statements
+	// bypasses the automatic cooldown...
 	rec, err := mgr.Advise()
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved, err = mgr.Migrate(rec)
-	if err != nil {
-		t.Fatal(err)
+	if len(mgr.pendingMoves(rec)) != 1 {
+		t.Fatalf("the advice should move exp, got %v", rec.DDL)
 	}
-	if len(moved) != 1 {
-		t.Fatalf("manual Migrate should bypass the cooldown, got %v", moved)
+	for _, ddl := range rec.DDL {
+		st, err := sql.Parse(ddl, server.Resolver(db))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := server.Exec(context.Background(), db, st); err != nil {
+			t.Fatalf("%s: %v", ddl, err)
+		}
+	}
+	if pending := mgr.pendingMoves(rec); len(pending) != 0 {
+		t.Fatalf("the advice's DDL left %v where they were: %v", pending, rec.DDL)
 	}
 	// ...and moving back is again subject to it for the automatic path.
 	exec(t, db, oltpMix(700, 33))

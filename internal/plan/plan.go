@@ -207,18 +207,12 @@ func orderDetail(keys []query.Order) string {
 	return "by " + strings.Join(parts, ", ")
 }
 
-// Plan is one planned read statement: the operator tree plus the
-// structural decisions the executor consumes directly.
+// Plan is one planned read statement: the operator tree, which records
+// the structural decisions the executor reads — a HashJoin's build side,
+// and whether single-side conjuncts are pushed into its Scans (a Scan
+// carries a predicate only then).
 type Plan struct {
 	Root Node
-
-	// BuildLeft records the hash-join build side (meaningful only when
-	// the statement joins): true = the left table (q.Table) builds.
-	BuildLeft bool
-	// Pushdown records whether single-side conjuncts are pushed below
-	// the join into the scans; off, the whole predicate is evaluated
-	// post-join (used by the planner bench as a degraded baseline).
-	Pushdown bool
 
 	// CatalogVersion is the catalog.Catalog.Version the plan was built
 	// against; caches compare it to decide whether the plan is stale.

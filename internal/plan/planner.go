@@ -64,12 +64,7 @@ func BuildOptions(q *query.Query, env Env, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{
-		Root:           b.tail(src),
-		BuildLeft:      b.buildLeft,
-		Pushdown:       !opts.DisablePushdown,
-		CatalogVersion: env.CatalogVersion,
-	}, nil
+	return &Plan{Root: b.tail(src), CatalogVersion: env.CatalogVersion}, nil
 }
 
 type builder struct {
@@ -77,8 +72,7 @@ type builder struct {
 	env  Env
 	opts Options
 
-	nextID    int
-	buildLeft bool
+	nextID int
 
 	// The tables read: left is q.Table, right the joined table (zero
 	// without a join); columns from nL on are the right table's.
@@ -314,7 +308,6 @@ func (b *builder) join() (Node, error) {
 	if b.opts.ForceBuildLeft != nil {
 		buildLeft = *b.opts.ForceBuildLeft
 	}
-	b.buildLeft = buildLeft
 
 	scanL := b.scanNode(q.Table, mL, leftPred, withCol(needL, q.Join.LeftCol), 0)
 	scanR := b.scanNode(q.Join.Table, mR, rightPred, withCol(needR, q.Join.RightCol), 0)

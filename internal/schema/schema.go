@@ -28,8 +28,8 @@ type Table struct {
 
 // RowKey names the hidden key of a table declared without a primary key:
 // New appends a BIGINT column of this name and makes it the key, as
-// SQLite's rowid. '$' cannot start a SQL identifier, so no statement can
-// name it; the engine assigns its values.
+// SQLite's rowid. '$' cannot start a SQL identifier, so only ALTER TABLE
+// names it, as ROWID; the engine assigns its values.
 const RowKey = "$rowid"
 
 // New constructs a validated table schema. The primary-key columns are given

@@ -110,7 +110,8 @@ type Server struct {
 	// oversubscribing.
 	pool *exec.Pool
 
-	cache *stmtCache
+	cache   *stmtCache
+	resolve sql.Resolver
 
 	draining atomic.Bool
 
@@ -152,6 +153,7 @@ func Serve(db *engine.Database, addr string, cfg Config) (*Server, error) {
 		cancel:   cancel,
 		pool:     pool,
 		cache:    &stmtCache{stmts: make(map[string]*cachedStmt)},
+		resolve:  Resolver(db),
 		sessions: make(map[uint64]*session),
 	}
 	s.registerGauges()
@@ -218,12 +220,14 @@ func (s *Server) dropSession(sess *session) {
 	s.wg.Done()
 }
 
-// resolver adapts the engine catalog to the SQL parser.
-func (s *Server) resolver(name string) *schema.Table {
-	if e := s.db.Catalog().Table(name); e != nil {
-		return e.Schema
+// Resolver adapts db's catalog to the SQL parser.
+func Resolver(db *engine.Database) sql.Resolver {
+	return func(name string) *schema.Table {
+		if e := db.Catalog().Table(name); e != nil {
+			return e.Schema
+		}
+		return nil
 	}
-	return nil
 }
 
 // Sessions reports the number of live sessions.
@@ -426,34 +430,15 @@ func (s *Server) execCachedRead(ctx context.Context, cs *cachedStmt, q *query.Qu
 	return s.db.ExecPlannedContext(ctx, q, p)
 }
 
-// execStatement runs one bound statement against the engine under the
-// statement context. cs is the statement's shared cache entry (nil for
-// uncached paths); reads execute through its plan slot.
+// execStatement runs one bound statement under the statement context:
+// a read through its cache entry's plan slot, anything else through Exec.
 func (s *Server) execStatement(ctx context.Context, st *sql.Statement, cs *cachedStmt) (*wire.Response, error) {
-	if st.CreateTable != nil {
-		if err := s.db.CreateTable(st.CreateTable, catalog.RowStore); err != nil {
-			return nil, err
-		}
-		return &wire.Response{Type: wire.MsgOK}, nil
-	}
 	var res *engine.Result
 	var err error
-	switch {
-	case st.ShowMetrics:
-		res = engine.MetricsResult()
-	case st.Copy:
-		// Bulk-ingest fast path: one atomic WAL record for the whole
-		// batch. CopyRows itself rejects execution inside an explicit
-		// transaction with a typed unsupported error.
-		res, err = s.db.CopyRows(ctx, st.Query.Table, st.Query.Rows)
-	case st.Explain:
-		res, err = s.db.ExplainContext(ctx, st.Query)
-	case st.ExplainAnalyze:
-		res, err = s.db.ExplainAnalyzeContext(ctx, st.Query)
-	case cs != nil && (st.Query.Kind == query.Select || st.Query.Kind == query.Aggregate):
-		res, err = s.execCachedRead(ctx, cs, st.Query)
-	default:
-		res, err = s.db.ExecContext(ctx, st.Query)
+	if q := st.Query; q != nil && !st.Explain && !st.ExplainAnalyze && (q.Kind == query.Select || q.Kind == query.Aggregate) {
+		res, err = s.execCachedRead(ctx, cs, q)
+	} else {
+		res, err = Exec(ctx, s.db, st)
 	}
 	if err != nil {
 		return nil, err
@@ -465,4 +450,43 @@ func (s *Server) execStatement(ctx context.Context, st *sql.Statement, cs *cache
 		Type: wire.MsgRows, Affected: res.Affected, Duration: res.Duration,
 		Cols: res.Cols, Rows: res.Rows,
 	}, nil
+}
+
+// Exec runs one parsed statement against db: the one statement
+// dispatcher, behind the server's sessions and the embedded hsql shell.
+// BEGIN, COMMIT and ROLLBACK need a session and are refused; so is DDL
+// inside the explicit transaction ctx carries (engine.WithTxn). CREATE
+// TABLE puts the table in the row store, ALTER TABLE moves it with
+// MigrateLayout, and COPY takes the bulk-ingest path.
+func Exec(ctx context.Context, db *engine.Database, st *sql.Statement) (*engine.Result, error) {
+	if st.Txn != sql.TxnNone {
+		return nil, errors.New("server: BEGIN, COMMIT and ROLLBACK need a server session")
+	}
+	if st.CreateTable != nil || st.AlterTable != nil {
+		if engine.TxnFromContext(ctx) != nil {
+			return nil, errors.New("server: DDL is not allowed inside a transaction")
+		}
+		start := time.Now()
+		var err error
+		if a := st.AlterTable; a != nil {
+			err = db.MigrateLayout(a.Table, a.Store, a.Spec)
+		} else {
+			err = db.CreateTable(st.CreateTable, catalog.RowStore)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return &engine.Result{Duration: time.Since(start)}, nil
+	}
+	switch {
+	case st.ShowMetrics:
+		return engine.MetricsResult(), nil
+	case st.Copy:
+		return db.CopyRows(ctx, st.Query.Table, st.Query.Rows)
+	case st.Explain:
+		return db.ExplainContext(ctx, st.Query)
+	case st.ExplainAnalyze:
+		return db.ExplainAnalyzeContext(ctx, st.Query)
+	}
+	return db.ExecContext(ctx, st.Query)
 }

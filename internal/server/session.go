@@ -294,7 +294,7 @@ func (se *session) prepare(text string) (*cachedStmt, error) {
 	for i := range nulls {
 		nulls[i] = value.Null(value.Varchar)
 	}
-	if _, err := cs.pp.Bind(se.srv.resolver, nulls); err != nil {
+	if _, err := cs.pp.Bind(se.srv.resolve, nulls); err != nil {
 		return nil, err
 	}
 	return cs, nil
@@ -303,15 +303,12 @@ func (se *session) prepare(text string) (*cachedStmt, error) {
 // execPrepared binds and executes one statement under a fresh statement
 // context on a worker-pool slot (see begin).
 func (se *session) execPrepared(cs *cachedStmt, params []value.Value) *wire.Response {
-	st, err := cs.pp.Bind(se.srv.resolver, params)
+	st, err := cs.pp.Bind(se.srv.resolve, params)
 	if err != nil {
 		return sqlError(err)
 	}
 	if st.Txn != sql.TxnNone {
 		return se.execTxnCtl(st.Txn)
-	}
-	if se.tx != nil && st.CreateTable != nil {
-		return sqlError(errors.New("server: DDL is not allowed inside a transaction"))
 	}
 
 	ctx := engine.WithSession(se.ctx, se.label)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"hybridstore/internal/catalog"
 	"hybridstore/internal/client"
 	"hybridstore/internal/engine"
 	"hybridstore/internal/value"
@@ -137,7 +138,7 @@ func TestTxnEndToEnd(t *testing.T) {
 
 // TestTxnStatementRules pins the session-level transaction-control
 // contract: BEGIN nesting, COMMIT outside a transaction, bare ROLLBACK,
-// and DDL inside a transaction.
+// and DDL (CREATE and ALTER TABLE) inside a transaction.
 func TestTxnStatementRules(t *testing.T) {
 	srv := startServer(t, engine.New(), Config{})
 	defer shutdown(t, srv)
@@ -173,6 +174,14 @@ func TestTxnStatementRules(t *testing.T) {
 		t.Fatal("DDL inside a transaction accepted")
 	} else if !strings.Contains(err.Error(), "transaction") {
 		t.Fatalf("DDL rejection message: %v", err)
+	}
+	if _, err := tx.Exec(ctx, "ALTER TABLE kv MOVE TO COLUMN STORE"); err == nil {
+		t.Fatal("ALTER TABLE inside a transaction accepted")
+	} else if !strings.Contains(err.Error(), "transaction") {
+		t.Fatalf("ALTER TABLE rejection message: %v", err)
+	}
+	if store := srv.db.Catalog().Table("kv").Store; store != catalog.RowStore {
+		t.Fatalf("a refused ALTER TABLE moved kv to the %s store", store)
 	}
 	if _, err := tx.Exec(ctx, "INSERT INTO kv VALUES (1, 1)"); err != nil {
 		t.Fatalf("transaction unusable after rejected statements: %v", err)

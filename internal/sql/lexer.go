@@ -1,9 +1,10 @@
 // Package sql implements a small SQL dialect for the hybrid-store engine:
 // CREATE TABLE, SELECT (projections, aggregates, a single equi-join, WHERE
 // with AND/OR/NOT/BETWEEN/IN, GROUP BY, ORDER BY, LIMIT), INSERT ...
-// VALUES, UPDATE and DELETE. Literal positions accept '?' parameter
-// placeholders via Prepare/Bind — the network server's prepared
-// statements bind them per execution. The offline advisor consumes
+// VALUES, UPDATE and DELETE, and the ALTER TABLE statements that move a
+// table into the layout the storage advisor recommends. Literal
+// positions accept '?' parameter placeholders via Prepare/Bind — the
+// network server's prepared statements bind them per execution. The offline advisor consumes
 // workloads written in this dialect; the hsql shell speaks it
 // interactively.
 package sql

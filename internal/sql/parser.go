@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"hybridstore/internal/agg"
+	"hybridstore/internal/catalog"
 	"hybridstore/internal/expr"
 	"hybridstore/internal/query"
 	"hybridstore/internal/schema"
@@ -27,10 +28,11 @@ const (
 	TxnRollback
 )
 
-// Statement is a parsed SQL statement: either DDL (CreateTable), DML/DQL
-// (Query), or transaction control (Txn).
+// Statement is a parsed SQL statement: either DDL (CreateTable,
+// AlterTable), DML/DQL (Query), or transaction control (Txn).
 type Statement struct {
 	CreateTable *schema.Table
+	AlterTable  *AlterTable
 	Query       *query.Query
 
 	// Txn marks BEGIN/COMMIT/ROLLBACK. Parsing is context-free; whether
@@ -54,6 +56,15 @@ type Statement struct {
 	// through the engine's bulk-ingest fast path: the whole batch is one
 	// WAL group-commit record, applied and made durable atomically.
 	Copy bool
+}
+
+// AlterTable moves a table into one store (Spec nil) or into a
+// partitioned layout (Store is catalog.Partitioned): the statement the
+// storage advisor prints, and what engine.Database.MigrateLayout runs.
+type AlterTable struct {
+	Table string
+	Store catalog.StoreKind
+	Spec  *catalog.PartitionSpec
 }
 
 // ErrLimitZero rejects LIMIT 0: a query.Query's Limit of 0 means no
@@ -249,6 +260,12 @@ func (p *parser) statement() (*Statement, error) {
 			return nil, err
 		}
 		return &Statement{CreateTable: sch}, nil
+	case p.isKeyword("ALTER"):
+		at, err := p.alterTable()
+		if err != nil {
+			return nil, err
+		}
+		return &Statement{AlterTable: at}, nil
 	case p.isKeyword("SELECT"):
 		q, err := p.selectStmt()
 		if err != nil {
@@ -262,7 +279,7 @@ func (p *parser) statement() (*Statement, error) {
 		}
 		return &Statement{Query: q}, nil
 	case p.isKeyword("COPY"):
-		q, err := p.copyStmt()
+		q, err := p.insertStmt()
 		if err != nil {
 			return nil, err
 		}
@@ -386,6 +403,125 @@ func (p *parser) createTable() (*schema.Table, error) {
 		sch.Columns[k].Nullable = false
 	}
 	return sch, nil
+}
+
+// alterTable parses the statements the storage advisor prints:
+//
+//	ALTER TABLE t MOVE TO {ROW|COLUMN} STORE
+//	ALTER TABLE t PARTITION BY RANGE (c) (PARTITION hot VALUES >= lit STORE s,
+//	    PARTITION historic STORE s [VERTICAL (...)])
+//	ALTER TABLE t PARTITION BY VERTICAL ((cols) STORE ROW, (cols) STORE COLUMN)
+//
+// ROWID names the hidden key of a table declared without a primary key.
+func (p *parser) alterTable() (*AlterTable, error) {
+	p.advance() // ALTER
+	if err := p.expectKeyword("TABLE"); err != nil {
+		return nil, err
+	}
+	if err := p.target(); err != nil {
+		return nil, err
+	}
+	var err error
+	// Each step below is a no-op once err is set.
+	expect := func(items ...string) {
+		for _, s := range items {
+			switch {
+			case err != nil:
+			case isIdentStart(s[0]):
+				err = p.expectKeyword(s)
+			default:
+				err = p.expectPunct(s)
+			}
+		}
+	}
+	store := func() (k catalog.StoreKind) {
+		switch {
+		case err != nil, p.acceptKeyword("ROW"):
+		case p.acceptKeyword("COLUMN"):
+			k = catalog.ColumnStore
+		default:
+			err = fmt.Errorf("sql: expected ROW or COLUMN at position %d, got %q", p.peek().pos, p.peek().text)
+		}
+		return k
+	}
+	col := func() (c int) {
+		var name string
+		if err == nil {
+			name, err = p.ident()
+		}
+		if strings.EqualFold(name, "ROWID") && p.left.ColIndex(name) < 0 && p.left.ColIndex(schema.RowKey) >= 0 {
+			name = schema.RowKey
+		}
+		if err == nil {
+			c, err = p.resolveColumn("", name)
+		}
+		return c
+	}
+	cols := func() []int {
+		out := []int{col()}
+		for err == nil && p.acceptPunct(",") {
+			out = append(out, col())
+		}
+		return out
+	}
+	vertical := func() *catalog.VerticalSpec {
+		v := &catalog.VerticalSpec{}
+		expect("VERTICAL", "(", "(")
+		v.RowCols = cols()
+		expect(")", "STORE", "ROW", ",", "(")
+		v.ColCols = cols()
+		expect(")", "STORE", "COLUMN", ")")
+		return v
+	}
+
+	at := &AlterTable{Table: p.leftName}
+	if p.acceptKeyword("MOVE") {
+		expect("TO")
+		at.Store = store()
+		expect("STORE")
+		return at, err
+	}
+	expect("PARTITION", "BY")
+	at.Store, at.Spec = catalog.Partitioned, &catalog.PartitionSpec{}
+	if err == nil && !p.acceptKeyword("RANGE") {
+		at.Spec.Vertical = vertical()
+	} else {
+		h := &catalog.HorizontalSpec{}
+		expect("(")
+		h.SplitCol = col()
+		expect(")", "(", "PARTITION", "hot", "VALUES", ">=")
+		if err == nil {
+			h.SplitVal, err = p.typedLiteral(h.SplitCol)
+		}
+		expect("STORE")
+		h.HotStore = store()
+		expect(",", "PARTITION", "historic", "STORE")
+		h.ColdStore = store()
+		if err == nil && p.isKeyword("VERTICAL") {
+			at.Spec.Vertical = vertical()
+		}
+		expect(")")
+		at.Spec.Horizontal = h
+	}
+	if err == nil {
+		err = at.Spec.Validate(p.left)
+	}
+	return at, err
+}
+
+// target parses the name of the one table a statement writes or alters,
+// resolves it and makes its columns the ones in scope.
+func (p *parser) target() error {
+	name, err := p.ident()
+	if err != nil {
+		return err
+	}
+	sch, err := p.lookupTable(name)
+	if err != nil {
+		return err
+	}
+	p.left, p.leftName, p.right = sch, name, nil
+	return nil
 }
 
 // lookupTable resolves a schema.
@@ -895,65 +1031,40 @@ func (p *parser) selectList(end int) ([]agg.Spec, []int, bool, error) {
 	return aggs, cols, star, nil
 }
 
-// insertStmt parses INSERT INTO t VALUES (...), (...).
+// insertStmt parses INSERT INTO t VALUES (...), (...) and COPY t FROM
+// VALUES (...), (...), the bulk-ingest statement: one grammar, two
+// execution paths (COPY's whole batch is one atomic WAL record).
 func (p *parser) insertStmt() (*query.Query, error) {
-	p.advance() // INSERT
-	if err := p.expectKeyword("INTO"); err != nil {
+	bulk := p.isKeyword("COPY")
+	p.advance() // INSERT or COPY
+	if !bulk {
+		if err := p.expectKeyword("INTO"); err != nil {
+			return nil, err
+		}
+	}
+	if err := p.target(); err != nil {
 		return nil, err
 	}
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	sch, err := p.lookupTable(name)
-	if err != nil {
-		return nil, err
-	}
-	p.left, p.leftName = sch, name
-	p.right = nil
-	if err := p.expectKeyword("VALUES"); err != nil {
-		return nil, err
-	}
-	q := &query.Query{Kind: query.Insert, Table: name}
-	q.Rows, err = p.valuesRows(sch, name)
-	if err != nil {
-		return nil, err
-	}
-	return q, nil
-}
-
-// copyStmt parses COPY t FROM VALUES (...), (...) — the bulk-ingest
-// statement. The grammar matches INSERT's VALUES list; only the
-// execution path differs (whole batch as one atomic WAL record).
-func (p *parser) copyStmt() (*query.Query, error) {
-	p.advance() // COPY
-	name, err := p.ident()
-	if err != nil {
-		return nil, err
-	}
-	sch, err := p.lookupTable(name)
-	if err != nil {
-		return nil, err
-	}
-	p.left, p.leftName = sch, name
-	p.right = nil
-	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
+	if bulk {
+		if err := p.expectKeyword("FROM"); err != nil {
+			return nil, err
+		}
 	}
 	if err := p.expectKeyword("VALUES"); err != nil {
 		return nil, err
 	}
-	q := &query.Query{Kind: query.Insert, Table: name}
-	q.Rows, err = p.valuesRows(sch, name)
+	rows, err := p.valuesRows()
 	if err != nil {
 		return nil, err
 	}
-	return q, nil
+	return &query.Query{Kind: query.Insert, Table: p.leftName, Rows: rows}, nil
 }
 
 // valuesRows parses the (...), (...) literal-row list shared by INSERT
-// and COPY, enforcing the arity of the declared columns on every row.
-func (p *parser) valuesRows(sch *schema.Table, name string) ([][]value.Value, error) {
+// and COPY, enforcing the arity of the target's declared columns on every
+// row.
+func (p *parser) valuesRows() ([][]value.Value, error) {
+	sch, name := p.left, p.leftName
 	var rows [][]value.Value
 	for {
 		if err := p.expectPunct("("); err != nil {
@@ -990,20 +1101,13 @@ func (p *parser) valuesRows(sch *schema.Table, name string) ([][]value.Value, er
 // updateStmt parses UPDATE t SET col = lit, ... [WHERE ...].
 func (p *parser) updateStmt() (*query.Query, error) {
 	p.advance() // UPDATE
-	name, err := p.ident()
-	if err != nil {
+	if err := p.target(); err != nil {
 		return nil, err
 	}
-	sch, err := p.lookupTable(name)
-	if err != nil {
-		return nil, err
-	}
-	p.left, p.leftName = sch, name
-	p.right = nil
 	if err := p.expectKeyword("SET"); err != nil {
 		return nil, err
 	}
-	q := &query.Query{Kind: query.Update, Table: name, Set: map[int]value.Value{}}
+	q := &query.Query{Kind: query.Update, Table: p.leftName, Set: map[int]value.Value{}}
 	for {
 		c, err := p.columnRef()
 		if err != nil {
@@ -1037,17 +1141,10 @@ func (p *parser) deleteStmt() (*query.Query, error) {
 	if err := p.expectKeyword("FROM"); err != nil {
 		return nil, err
 	}
-	name, err := p.ident()
-	if err != nil {
+	if err := p.target(); err != nil {
 		return nil, err
 	}
-	sch, err := p.lookupTable(name)
-	if err != nil {
-		return nil, err
-	}
-	p.left, p.leftName = sch, name
-	p.right = nil
-	q := &query.Query{Kind: query.Delete, Table: name}
+	q := &query.Query{Kind: query.Delete, Table: p.leftName}
 	if p.acceptKeyword("WHERE") {
 		pred, err := p.wherePredicate()
 		if err != nil {

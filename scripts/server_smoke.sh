@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Server smoke: build hsqld + hsql, start the daemon against a temp data
-# directory, drive it through the remote-mode shell, kill -9 the daemon,
-# restart it on the same data directory, and verify every acknowledged
-# write survived. Exercises the full stack: wire protocol, sessions,
+# directory, drive it through the remote-mode shell (ALTER TABLE moves
+# included), kill -9 the daemon, restart it on the same data directory,
+# and verify every acknowledged write and layout survived. Exercises the full stack: wire protocol, sessions,
 # WAL durability and crash recovery. A second daemon with -auto then
 # checks the online advisor loop: workload monitor -> advisor ->
 # background layout migration, durable across kill -9.
@@ -37,6 +37,14 @@ wait_ready() {
   done
   echo "FAIL: hsqld never became ready on port $p" >&2
   return 1
+}
+
+store_of() { # table -> "STORE ROWS" from /status
+  curl -sf "http://127.0.0.1:$http_port/status" | python3 -c '
+import json, sys
+for t in json.load(sys.stdin)["tables"]:
+    if t["name"] == sys.argv[1]:
+        print(t["store"], t["rows"])' "$1"
 }
 
 echo "== start hsqld (durable, with debug HTTP) =="
@@ -118,6 +126,20 @@ echo "$status" | grep -q '"index_bytes"' || { echo "FAIL: /status missing index_
 echo "$status" | python3 -c 'import json,sys; json.load(sys.stdin)' 2>/dev/null \
   || { echo "FAIL: /status is not valid JSON" >&2; exit 1; }
 
+echo "== ALTER TABLE over the wire: the advisor's statements move tables =="
+alter="$("$work/hsql" -connect "127.0.0.1:$port" <<'EOF'
+ALTER TABLE sales MOVE TO COLUMN STORE;
+ALTER TABLE kv PARTITION BY RANGE (k) (PARTITION hot VALUES >= 3 STORE ROW, PARTITION historic STORE COLUMN);
+EOF
+)"
+echo "$alter"
+if echo "$alter" | grep -q 'error'; then
+  echo "FAIL: ALTER TABLE over -connect failed" >&2
+  exit 1
+fi
+[ "$(store_of sales)" = "COLUMN 5" ]    || { echo "FAIL: sales should be a 5-row COLUMN table, got: $(store_of sales)" >&2; exit 1; }
+[ "$(store_of kv)" = "PARTITIONED 3" ]  || { echo "FAIL: kv should be a 3-row PARTITIONED table, got: $(store_of kv)" >&2; exit 1; }
+
 echo "== kill -9 =="
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
@@ -125,9 +147,11 @@ pid=""
 
 echo "== restart on the same data dir =="
 port=$((port + 1))
-"$work/hsqld" -listen "127.0.0.1:$port" -data "$data" &
+"$work/hsqld" -listen "127.0.0.1:$port" -data "$data" -http "127.0.0.1:$http_port" &
 pid=$!
 wait_ready "$port"
+[ "$(store_of sales)" = "COLUMN 5" ]    || { echo "FAIL: after restart sales is $(store_of sales), want COLUMN 5" >&2; exit 1; }
+[ "$(store_of kv)" = "PARTITIONED 3" ]  || { echo "FAIL: after restart kv is $(store_of kv), want PARTITIONED 3" >&2; exit 1; }
 
 echo "== verify recovery =="
 out="$("$work/hsql" -connect "127.0.0.1:$port" <<'EOF'
@@ -173,13 +197,6 @@ pid=""
 # arriving over the wire, the background loop (-auto) recommends the
 # column store for it and moves the table with engine.MigrateLayout, and
 # the move survives kill -9.
-store_of() { # table -> "STORE ROWS" from /status
-  curl -sf "http://127.0.0.1:$http_port/status" | python3 -c '
-import json, sys
-for t in json.load(sys.stdin)["tables"]:
-    if t["name"] == sys.argv[1]:
-        print(t["store"], t["rows"])' "$1"
-}
 
 echo "== start hsqld -auto 200ms on a second data dir =="
 adata="$work/advise"
