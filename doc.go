@@ -99,34 +99,34 @@
 //     generic hash fold (agg.Result.Fold), which every other aggregate
 //     shares: it hashes each block row's key into one partial result
 //     per block range.
-//   - Horizontally partitioned tables compute partial aggregates for the
-//     hot and cold partitions concurrently on the shared worker pool and
-//     merge them (the paper's "union of both partitions"), falling back
-//     inline when the pool is saturated.
+//   - Horizontally partitioned tables compute the hot and cold partial
+//     aggregates as the two morsels of one loop and merge them (the
+//     paper's "union of both partitions"); the side done first frees its
+//     slot, which the other side's still running loop takes on.
 //   - Vertically partitioned tables push an aggregate into the one
 //     partition that holds all its columns. An aggregate that spans both
 //     is a column-driven PK join (the paper's "both partitions plus a PK
 //     join"): the conjuncts the column partition covers — key ranges
-//     included — run on its bitmap and zone-map kernels; each surviving
-//     row's key is probed in the row partition's PK index (guessing the
-//     slot after the last hit first — both partitions take rows in the
-//     same order) and the needed row-partition columns are read
-//     straight from the arena. When the column partition holds the
-//     group columns, every remaining conjunct fits the row partition
-//     and MIN/MAX read column-partition columns, this is the dense
-//     kernel over the column partition: groups and column-side
-//     keyfigures come from its code vectors, row-side keyfigures are
-//     fed as float vectors, a row failing a row-side conjunct is
-//     dropped — no joined row is built. Every other shape (a group
-//     column or a MIN/MAX column in the row partition, a disjunction
-//     across both) decodes the needed column-partition columns,
-//     assembles the joined row, tests the remaining conjuncts on it and
-//     hands the joined block to the generic hash fold. Nothing
-//     links the partitions but the key: the column store renumbers rows
-//     when it migrates and merges them, so a stored rid-to-rid link
-//     would be a second source of truth. A horizontal+vertical layout
-//     (hot rows whole in the row store, cold rows split) runs this for
-//     its cold side beside the hot side's aggregate.
+//     included — run on its bitmap and zone-map kernels; a batch of
+//     surviving rows' keys resolves at once, one word compare each
+//     against consecutive row-partition slots (both partitions take
+//     rows in the same order), misses through its PK index, and the
+//     row-partition columns are read from the arena. When the column
+//     partition holds the group columns, every remaining conjunct fits
+//     the row partition and MIN/MAX read column-partition columns, this
+//     is the dense kernel over the column partition: groups and
+//     column-side keyfigures come from its code vectors, row-side
+//     keyfigures are gathered as float vectors, a row failing a
+//     row-side conjunct is dropped — no joined row is built. Every
+//     other shape (a group column or a MIN/MAX column in the row
+//     partition, a disjunction across both) decodes the needed
+//     column-partition columns, assembles the joined row, tests the
+//     remaining conjuncts on it and hands the joined block to the
+//     generic hash fold. Nothing links the partitions but the key: the
+//     column store renumbers rows when it migrates and merges them, so
+//     a stored rid-to-rid link would be a second source of truth. A
+//     horizontal+vertical layout (hot rows whole in the row store, cold
+//     rows split) runs this for its cold side beside the hot side's.
 //   - Row-at-a-time accumulation (agg.Result.AddRow, which the generic
 //     hash fold runs for the row store, the fallbacks above, hash-join
 //     probes and MVCC-merged scans) tracks extrema only for MIN and
@@ -269,8 +269,9 @@
 // 1024-row blocks in the column store, slot ranges in the row store —
 // that workers claim dynamically, so a skewed block doesn't stall the
 // scan. The statement's own goroutine is always worker zero and helpers
-// are try-acquired, never awaited: with no idle slot a scan simply runs
-// serially, and results are identical either way.
+// are try-acquired, never awaited, before every claim: a loop started
+// with no idle slot runs serially and widens when a slot frees, and
+// results are identical either way.
 //
 //   - Column-store match bitmaps are built block-parallel (each worker
 //     applies every conjunct to its blocks; word alignment keeps

@@ -172,6 +172,7 @@ type DenseAgg struct {
 
 // DenseBatch is one scan batch on its way into the dense kernel.
 type DenseBatch struct {
+	W     int        // the worker staging it, an id below the scan context's Workers(NumBlocks())
 	Rids  []int32    // row ids, ascending
 	Codes [][]uint32 // Codes[j][k]: code of column Cols[j] at row Rids[k] (see CodeSpace)
 	Group []uint32   // dense group of row k
@@ -204,6 +205,25 @@ func (t *Table) CodeValue(col int, code uint32) value.Value {
 		return c.deltaDict.Value(code - mainLen)
 	}
 	return value.Null(c.typ)
+}
+
+// CodeWords sets dst[k] to the payload (Value.Bits) of the value behind
+// codes[k] of column col's code space; false, with dst untouched, for a
+// VARCHAR or nullable column, whose values a payload does not tell apart.
+func (t *Table) CodeWords(col int, codes []uint32, dst []uint64) bool {
+	c := &t.cols[col]
+	if c.typ == value.Varchar || t.sch.Columns[col].Nullable {
+		return false
+	}
+	mainLen := uint32(c.mainDict.Len())
+	for k, code := range codes {
+		if code < mainLen {
+			dst[k] = c.mainDict.Word(code)
+		} else {
+			dst[k] = c.deltaDict.Word(code - mainLen)
+		}
+	}
+	return true
 }
 
 // LookupCodes returns the codes under which v, a non-NULL value of the
@@ -370,7 +390,7 @@ func (da *denseGroupAgg) scratch(states []*denseScratch, w int) *denseScratch {
 			vals:   make([]float64, blockRows),
 			block:  make([]uint32, blockRows),
 			gidx:   make([]uint32, blockRows),
-			batch: DenseBatch{Drop: uint32(da.gTotal),
+			batch: DenseBatch{W: w, Drop: uint32(da.gTotal),
 				Codes: make([][]uint32, len(da.q.Cols)), Ext: make([]ExtVec, nExt)},
 		}
 		for i := range sc.codes {

@@ -43,6 +43,14 @@ func (s *store) Value(code uint32) value.Value {
 	}
 }
 
+// Word returns the fixed-width payload (Value.Bits) of a non-VARCHAR code.
+func (s *store) Word(code uint32) uint64 {
+	if s.typ == value.Double {
+		return math.Float64bits(s.floats[code])
+	}
+	return uint64(s.ints[code])
+}
+
 // Bytes returns the logical payload of the dictionary: the sum of its
 // values' Value.Bytes.
 func (s *store) Bytes() int {

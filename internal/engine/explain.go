@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"time"
 
@@ -82,17 +81,8 @@ func explainResult(tr *trace.Trace, res *Result) *Result {
 	if c := tr.CountersString(); c != "" {
 		out.Rows = append(out.Rows, explainRow("storage", 0, 0, 0, c))
 	}
-	if morsels, runs := tr.Morsels(); runs > 0 {
-		busy := tr.WorkerBusy()
-		var bparts []string
-		var total time.Duration
-		for _, wb := range busy {
-			bparts = append(bparts, fmt.Sprintf("w%d=%s", wb.Worker, wb.Busy.Round(time.Microsecond)))
-			total += wb.Busy
-		}
-		detail := fmt.Sprintf("morsels=%d runs=%d workers=%d busy[%s]",
-			morsels, runs, len(busy), strings.Join(bparts, " "))
-		out.Rows = append(out.Rows, explainRow("parallel", total, 0, 0, detail))
+	if detail, busy, ok := tr.Parallel(); ok {
+		out.Rows = append(out.Rows, explainRow("parallel", busy, 0, 0, detail))
 	}
 	out.Rows = append(out.Rows, explainRow("total", res.Duration, 0, int64(resultRows(res)), ""))
 	out.Affected = len(out.Rows)

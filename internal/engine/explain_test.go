@@ -225,7 +225,7 @@ func TestExplainAnalyzeSpanningAggregate(t *testing.T) {
 	if rowsOut != 7 {
 		t.Errorf("aggregate rows_out = %d, want 7 groups", rowsOut)
 	}
-	for _, want := range []string{"kernel=dense", "probe_rows=1000", "probe_misses=0", "blocks_zone_skipped=4"} {
+	for _, want := range []string{"kernel=dense", "probe_rows=1000", "probe_guessed=1000", "probe_misses=0", "blocks_zone_skipped=4"} {
 		if !strings.Contains(detail, want) {
 			t.Errorf("aggregate detail %q missing %q", detail, want)
 		}

@@ -156,13 +156,10 @@ func concatBlocks(a, b exec.Blocks) exec.Blocks {
 		}}
 }
 
-// Aggregate computes partial aggregates per relevant partition and merges
-// them. When both partitions participate, the partial aggregates fan out
-// on the shared worker pool via ex.Do — the partitions are independent
-// stores, and agg.Result merging is exactly the "union of both partitions"
-// the paper's rewrite produces, so the fan-out is transparent. Each
-// partition's aggregate gets the same ex, so a partition that lands on a
-// column store can still claim leftover pool slots for its own morsels.
+// Aggregate merges the partial aggregates of the relevant partitions, the
+// paper's "union of both partitions". Both sides' aggregates are the two
+// morsels of one loop on ex, concurrent when the pool has a slot to spare;
+// the side that finishes first frees its slot for the other's loop.
 func (h *horizontalStorage) Aggregate(specs []agg.Spec, groupBy []int, pred expr.Predicate, ex *exec.Ctx) *agg.Result {
 	useHot, useCold := h.sides(pred)
 	switch {
@@ -170,15 +167,17 @@ func (h *horizontalStorage) Aggregate(specs []agg.Spec, groupBy []int, pred expr
 		return h.hot.Aggregate(specs, groupBy, pred, ex)
 	case useCold && !useHot:
 		return h.cold.Aggregate(specs, groupBy, pred, ex)
-	default:
-		var coldRes, hotRes *agg.Result
-		ex.Do(
-			func() { coldRes = h.cold.Aggregate(specs, groupBy, pred, ex) },
-			func() { hotRes = h.hot.Aggregate(specs, groupBy, pred, ex) },
-		)
-		coldRes.Merge(hotRes)
-		return coldRes
 	}
+	sides, res := [2]storage{h.cold, h.hot}, [2]*agg.Result{}
+	ex.Morsels(2, func(_, m int) bool {
+		res[m] = sides[m].Aggregate(specs, groupBy, pred, ex)
+		return true
+	})
+	if res[0] == nil { // stopped before the cold side ran: the caller discards the result
+		return agg.NewResult(specs, groupBy)
+	}
+	res[0].Merge(res[1])
+	return res[0]
 }
 
 func (h *horizontalStorage) CreateIndex(col int) {

@@ -384,9 +384,10 @@ func joinedBlocks(in exec.Blocks, ex *exec.Ctx, width int, cols []int, match fun
 
 // joinWorker is one worker's buffers of a join's block source.
 type joinWorker struct {
-	row  []value.Value // the combined row
-	cols []int
-	out  [][]value.Value // the block's columns cols
+	row   []value.Value // the combined row
+	cols  []int
+	out   [][]value.Value // the block's columns cols
+	slots []int32         // a vertical split's row-partition slots of the block's rows
 }
 
 // put appends the combined row's columns to the block.

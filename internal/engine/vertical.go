@@ -263,6 +263,7 @@ func (v *verticalStorage) aggregateSpanning(specs []agg.Spec, groupBy []int, pre
 	if sp := tr.Span("aggregate"); sp != nil {
 		sp.Tag("kernel", kernel)
 		sp.Add("probe_rows", join.probed.Load())
+		sp.Add("probe_guessed", join.guessed.Load())
 		sp.Add("probe_misses", join.misses.Load())
 		sp.Add("blocks_zone_skipped", tr.Counter("blocks_zone_skipped")-zoneSkipped)
 	}
@@ -270,21 +271,17 @@ func (v *verticalStorage) aggregateSpanning(specs []agg.Spec, groupBy []int, pre
 }
 
 // spanJoin counts a spanning aggregate's PK join: keys probed in the row
-// partition, and those it did not hold (a partition inconsistency; such
-// rows are skipped defensively).
-type spanJoin struct{ probed, misses atomic.Int64 }
+// partition, those the positional guess resolved, and those it did not
+// hold (a partition inconsistency; such rows are skipped defensively).
+type spanJoin struct{ probed, guessed, misses atomic.Int64 }
 
-// rowOf returns the row partition's slot for key. next guesses it: both
-// partitions take rows in the same order, so within a batch the tuple
-// usually sits right after the last one found.
-func (v *verticalStorage) rowOf(key []value.Value, next *int, misses *int64) (int, bool) {
-	rrid, ok := v.rowPart.LookupPKNear(key, *next)
-	if !ok {
-		*misses++
-		return 0, false
-	}
-	*next = rrid + 1
-	return rrid, true
+// resolve sets slots[k] to the row partition's slot of a batch's key k,
+// -1 when the partition does not hold it (rowstore.ResolvePK).
+func (v *verticalStorage) resolve(words []uint64, key func(i, k int) value.Value, start int, slots []int32, join *spanJoin) {
+	guessed, missed := v.rowPart.ResolvePK(words, key, start, slots)
+	join.probed.Add(int64(len(slots)))
+	join.guessed.Add(int64(guessed))
+	join.misses.Add(int64(missed))
 }
 
 // spanningDense runs the spanning aggregate on the column partition's
@@ -316,37 +313,36 @@ func (v *verticalStorage) spanningDense(res *agg.Result, specs []agg.Spec, group
 		}
 	}
 	postCols := expr.ColumnSet(rowPost)
+	// A batch's keys (one-word keys as payload words) resolve at once from
+	// its first row's slot; row-side keyfigures are gathered as floats.
+	type spanWorker struct {
+		words []uint64
+		slots []int32
+		rrow  []value.Value // the conjuncts' columns of the row partition's tuple
+	}
+	workers := make([]spanWorker, ex.Workers(v.colPart.NumBlocks()))
 	dense.Fill = func(b *colstore.DenseBatch) {
-		key := make([]value.Value, len(dense.Cols))
-		var rrow []value.Value // the conjuncts' columns of the row partition's tuple
-		if rowPost != nil {
-			rrow = make([]value.Value, len(v.spec.RowCols))
+		sw, n := &workers[b.W], len(b.Rids)
+		sw.words, sw.slots = slices.Grow(sw.words[:0], n)[:n], slices.Grow(sw.slots[:0], n)[:n]
+		sw.rrow = slices.Grow(sw.rrow[:0], len(v.spec.RowCols))[:len(v.spec.RowCols)]
+		words, slots := sw.words, sw.slots
+		if len(dense.Cols) > 1 || !v.colPart.CodeWords(dense.Cols[0], b.Codes[0], words) {
+			words = nil
 		}
-		var next int
-		var misses int64
-		for k := range b.Rids {
-			for i, col := range dense.Cols {
-				key[i] = v.colPart.CodeValue(col, b.Codes[i][k])
-			}
-			rrid, ok := v.rowOf(key, &next, &misses)
-			if ok && rowPost != nil {
-				v.rowPart.Read(rrid, postCols, rrow)
-				ok = rowPost.Matches(rrow)
-			}
-			if !ok {
-				b.Group[k] = b.Drop
-				continue
-			}
-			for e, c := range extCols {
-				if x := v.rowPart.Value(rrid, c); x.IsNull() {
-					b.Ext[e].Null[k] = true
-				} else {
-					b.Ext[e].Vals[k] = x.Float()
+		v.resolve(words, func(i, k int) value.Value { return v.colPart.CodeValue(dense.Cols[i], b.Codes[i][k]) }, int(b.Rids[0]), slots, join)
+		for k, s := range slots {
+			if s >= 0 && rowPost != nil {
+				if v.rowPart.Read(int(s), postCols, sw.rrow); !rowPost.Matches(sw.rrow) {
+					slots[k] = -1
 				}
 			}
+			if slots[k] < 0 {
+				b.Group[k] = b.Drop
+			}
 		}
-		join.probed.Add(int64(len(b.Rids)))
-		join.misses.Add(misses)
+		for e, c := range extCols {
+			v.rowPart.Floats(c, slots, b.Ext[e].Vals, b.Ext[e].Null)
+		}
 	}
 	return v.colPart.AggregateDense(res, &dense, colPred, ex)
 }
@@ -362,7 +358,6 @@ func (v *verticalStorage) spanningGeneric(res *agg.Result, colPred, post expr.Pr
 		// where the joined row takes it from.
 		type joinedCol struct{ table, local int }
 		scanCols := append([]int{}, v.colPart.Schema().PrimaryKey...)
-		npk := len(scanCols)
 		var fromCol, fromRow []joinedCol // local: index into the block's columns / the row partition's tuple
 		seen := make(map[int]bool)
 		for _, c := range append(expr.ColumnSet(post), cols...) {
@@ -379,29 +374,22 @@ func (v *verticalStorage) spanningGeneric(res *agg.Result, colPred, post expr.Pr
 		}
 		in := v.colPart.Blocks(colPred, scanCols, ex)
 		return joinedBlocks(in, ex, v.sch.NumColumns(), cols, func(colVals [][]value.Value, jw *joinWorker) {
-			key := make([]value.Value, npk)
-			var next int
-			var misses int64
-			for k := range colVals[0] {
-				for i := range key {
-					key[i] = colVals[i][k]
-				}
-				rrid, ok := v.rowOf(key, &next, &misses)
-				if !ok {
+			jw.slots = slices.Grow(jw.slots[:0], len(colVals[0]))[:len(colVals[0])]
+			v.resolve(nil, func(i, k int) value.Value { return colVals[i][k] }, 0, jw.slots, join)
+			for k, s := range jw.slots {
+				if s < 0 {
 					continue
 				}
 				for _, c := range fromCol {
 					jw.row[c.table] = colVals[c.local][k]
 				}
 				for _, c := range fromRow {
-					jw.row[c.table] = v.rowPart.Value(rrid, c.local)
+					jw.row[c.table] = v.rowPart.Value(int(s), c.local)
 				}
 				if post == nil || post.Matches(jw.row) {
 					jw.put()
 				}
 			}
-			join.probed.Add(int64(len(colVals[0])))
-			join.misses.Add(misses)
 		})
 	})
 }

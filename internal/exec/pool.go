@@ -7,11 +7,12 @@
 // per executing statement) and intra-query helpers (a parallel scan
 // try-acquires extra slots for additional workers). Helpers never block —
 // when no slot is free the caller simply does the work on its own
-// goroutine — so sharing one pool between admission control and morsel
-// parallelism cannot deadlock, and the total number of goroutines doing
-// query work stays bounded by the pool size: a lone analytical query
-// fans out across every core, while a saturated server runs one statement
-// per slot with no oversubscription.
+// goroutine, and the loop takes a helper on when a slot is freed — so
+// sharing one pool between admission control and morsel parallelism
+// cannot deadlock, and the total number of goroutines doing query work
+// stays bounded by the pool size: a lone analytical query fans out across
+// every core, while a saturated server runs one statement per slot with
+// no oversubscription.
 package exec
 
 import (
@@ -190,121 +191,81 @@ func (c *Ctx) StopHook() func() bool {
 // Workers returns the maximum number of workers a Morsels(n, ...) loop
 // may use (including the caller); callers size per-worker state with it.
 func (c *Ctx) Workers(n int) int {
-	if c == nil || c.Pool == nil || n < 1 {
+	if c == nil || c.Pool == nil {
 		return 1
 	}
-	if s := c.Pool.Size(); s < n {
-		n = s
-	}
-	if n < 1 {
-		return 1
-	}
-	return n
+	return max(1, min(n, c.Pool.Size()))
 }
 
 // Morsels runs fn(worker, morsel) for every morsel in [0, n), claiming
-// morsels from a shared counter. The calling goroutine is always worker
-// 0; up to Workers(n)-1 helpers are try-acquired from the pool and get
-// worker ids 1..k, so per-worker state indexed by the worker id is never
-// shared. fn returning false — or Stop reporting cancellation, polled
-// before every claim — stops all workers after their current morsel.
-// fn must be safe for concurrent calls with distinct worker ids.
+// morsels from a shared counter. The caller is worker 0; before every claim
+// a worker recruits one more helper from the pool while ids below
+// Workers(n) and more morsels than the claim remain, so a loop started on a
+// full pool widens when a slot is freed (a statement blocked in Acquire
+// gets the slot first). Helper ids are handed out once each, so per-worker
+// state indexed by them is never shared. fn returning false — or Stop,
+// polled before every claim — stops all workers after their current
+// morsel. fn must be safe for concurrent calls with distinct worker ids.
 func (c *Ctx) Morsels(n int, fn func(worker, morsel int) bool) {
 	if n <= 0 {
 		return
 	}
-	workers := c.Workers(n)
-	var stop func() bool
-	var tr *trace.Trace
-	if c != nil {
-		stop = c.Stop
-		tr = c.Trace
-	}
-	if workers <= 1 {
-		start := time.Time{}
-		if tr != nil {
-			start = time.Now()
-		}
-		m := 0
-		for ; m < n; m++ {
-			if stop != nil && stop() {
-				break
-			}
-			if !fn(0, m) {
-				m++
-				break
-			}
-		}
-		if tr != nil {
-			tr.AddWorkerBusy(0, time.Since(start))
-			tr.AddMorselRun(int64(m), workers)
-		}
-		return
-	}
-	var (
-		next      atomic.Int64
-		stopped   atomic.Bool
-		processed atomic.Int64 // traced runs only: each worker adds its count once
-		wg        sync.WaitGroup
-	)
-	run := func(worker int) {
-		start := time.Time{}
-		if tr != nil {
-			start = time.Now()
-		}
-		done := int64(0)
-		for {
-			if stopped.Load() || (stop != nil && stop()) {
-				break
-			}
-			m := int(next.Add(1)) - 1
-			if m >= n {
-				break
-			}
-			done++
-			if !fn(worker, m) {
-				stopped.Store(true)
-				break
-			}
-		}
-		if tr != nil {
-			tr.AddWorkerBusy(worker, time.Since(start))
-			processed.Add(done)
-		}
-	}
-	for w := 1; w < workers; w++ {
-		if !c.Pool.TryAcquire() {
-			break // pool saturated: remaining morsels run on fewer workers
-		}
-		wg.Add(1)
-		go func(worker int) {
-			defer func() {
-				c.Pool.Release()
-				wg.Done()
-			}()
-			run(worker)
-		}(w)
-	}
-	run(0)
-	wg.Wait()
-	if tr != nil {
-		tr.AddMorselRun(processed.Load(), workers)
-	}
+	l := &morselLoop{c: c, n: n, workers: c.Workers(n), fn: fn}
+	l.run(0)
+	l.wg.Wait()
+	c.Tracer().AddMorselRun(min(l.next.Load(), int64(n)), min(int(l.helpers.Load())+1, l.workers), l.workers)
 }
 
-// Do runs the given independent functions, on helper workers where the
-// pool allows (overflow runs on the caller). It is the partition fan-out
-// primitive: each fn must touch disjoint state.
-func (c *Ctx) Do(fns ...func()) {
-	switch len(fns) {
-	case 0:
-		return
-	case 1:
-		fns[0]()
+// morselLoop is the state one Morsels call shares among its workers.
+type morselLoop struct {
+	c          *Ctx
+	n, workers int
+	fn         func(worker, morsel int) bool
+	next       atomic.Int64 // the next morsel to claim: claims so far
+	helpers    atomic.Int64 // helper ids handed out; may pass workers-1
+	stopped    atomic.Bool
+	wg         sync.WaitGroup
+}
+
+// recruit starts one more helper if an id is left, more than one morsel
+// remains and the pool has a free slot.
+func (l *morselLoop) recruit() {
+	if l.helpers.Load() >= int64(l.workers-1) || l.n-int(l.next.Load()) < 2 || !l.c.Pool.TryAcquire() {
 		return
 	}
-	c.Morsels(len(fns), func(_, m int) bool {
-		fns[m]()
-		return true
-	})
+	w := int(l.helpers.Add(1))
+	if w >= l.workers { // another worker took the last id first
+		l.c.Pool.Release()
+		return
+	}
+	l.wg.Add(1)
+	go func() {
+		defer l.wg.Done()
+		defer l.c.Pool.Release()
+		l.run(w)
+	}()
+}
+
+// run claims and runs morsels as worker until none is left or the loop
+// stops.
+func (l *morselLoop) run(worker int) {
+	tr, stop := l.c.Tracer(), l.c.StopHook()
+	start := time.Time{}
+	if tr != nil {
+		start = time.Now()
+	}
+	for !l.stopped.Load() && (stop == nil || !stop()) {
+		l.recruit()
+		m := int(l.next.Add(1)) - 1
+		if m >= l.n {
+			break
+		}
+		if !l.fn(worker, m) {
+			l.stopped.Store(true)
+			break
+		}
+	}
+	if tr != nil {
+		tr.AddWorkerBusy(worker, time.Since(start))
+	}
 }

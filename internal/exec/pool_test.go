@@ -2,7 +2,8 @@ package exec
 
 import (
 	"context"
-	"sync"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -104,41 +105,90 @@ func TestAcquireBlocksAndCtxCancels(t *testing.T) {
 	p.Release()
 }
 
-func TestDoRunsAll(t *testing.T) {
-	c := &Ctx{Pool: NewPool(4)}
-	var mu sync.Mutex
-	got := map[int]bool{}
-	mark := func(i int) func() {
-		return func() {
-			mu.Lock()
-			got[i] = true
-			mu.Unlock()
+// TestMorselsRecruitsFreedSlot starts a loop on a pool with every slot
+// held and frees one from inside the first morsel: a helper must join the
+// running loop and take morsels of its own.
+func TestMorselsRecruitsFreedSlot(t *testing.T) {
+	p := NewPool(2)
+	for range 2 {
+		if err := p.Acquire(context.Background()); err != nil {
+			t.Fatal(err)
 		}
 	}
-	c.Do(mark(0), mark(1), mark(2))
-	if len(got) != 3 {
-		t.Fatalf("Do ran %d of 3 fns", len(got))
-	}
-}
-
-func TestHelpersNeverExceedPool(t *testing.T) {
-	p := NewPool(3)
 	c := &Ctx{Pool: p}
-	var cur, peak atomic.Int32
-	c.Morsels(200, func(w, m int) bool {
-		n := cur.Add(1)
-		for {
-			pk := peak.Load()
-			if n <= pk || peak.CompareAndSwap(pk, n) {
-				break
+	var helped atomic.Bool
+	deadline := time.Now().Add(2 * time.Second)
+	c.Morsels(100, func(w, m int) bool {
+		switch {
+		case m == 0:
+			p.Release()
+		case w != 0:
+			helped.Store(true)
+		default: // give a helper the time to start
+			for !helped.Load() && time.Now().Before(deadline) {
+				time.Sleep(100 * time.Microsecond)
 			}
 		}
-		time.Sleep(20 * time.Microsecond)
-		cur.Add(-1)
 		return true
 	})
-	if peak.Load() > 3 {
-		t.Fatalf("peak concurrency %d exceeds pool size 3", peak.Load())
+	if !helped.Load() {
+		t.Fatal("worker 0 ran every morsel although a slot was freed after the first")
+	}
+	if n := p.Stats().InUse; n != 1 {
+		t.Fatalf("InUse = %d after the loop, want the 1 slot still held", n)
+	}
+	p.Release()
+}
+
+// TestHelpersNeverExceedPool runs loops on a free pool and on a full one
+// whose slots are freed one at a time mid-loop: helpers that join late
+// must still get distinct worker ids below Workers(n), and the loop must
+// never run more workers than that.
+func TestHelpersNeverExceedPool(t *testing.T) {
+	const n = 200
+	p := NewPool(3)
+	c := &Ctx{Pool: p}
+	for _, held := range []int{0, 3} {
+		for range held {
+			if err := p.Acquire(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var cur, peak, freed, badID atomic.Int32
+		badID.Store(-1)
+		active := make([]atomic.Bool, c.Workers(n))
+		c.Morsels(n, func(w, m int) bool {
+			if w >= len(active) || !active[w].CompareAndSwap(false, true) {
+				badID.Store(int32(w))
+				return false
+			}
+			k := cur.Add(1)
+			for {
+				pk := peak.Load()
+				if k <= pk || peak.CompareAndSwap(pk, k) {
+					break
+				}
+			}
+			if m%40 == 39 && freed.Add(1) <= int32(held) {
+				p.Release()
+			}
+			time.Sleep(20 * time.Microsecond)
+			cur.Add(-1)
+			active[w].Store(false)
+			return true
+		})
+		if w := badID.Load(); w >= 0 {
+			t.Fatalf("held=%d: worker id %d out of range or running twice", held, w)
+		}
+		if peak.Load() > int32(len(active)) {
+			t.Fatalf("held=%d: peak concurrency %d exceeds Workers(n) = %d", held, peak.Load(), len(active))
+		}
+		for f := min(int(freed.Load()), held); f < held; f++ {
+			p.Release()
+		}
+		if n := p.Stats().InUse; n != 0 {
+			t.Fatalf("held=%d: %d slots in use after the loop", held, n)
+		}
 	}
 }
 
@@ -222,17 +272,11 @@ func TestMorselsTraceCollection(t *testing.T) {
 		time.Sleep(10 * time.Microsecond)
 		return true
 	})
-	morsels, runs := tr.Morsels()
-	if morsels != n || runs != 1 {
-		t.Fatalf("trace morsels = %d runs = %d, want %d/1", morsels, runs, n)
+	detail, busy, ok := tr.Parallel()
+	if !ok || !strings.HasPrefix(detail, fmt.Sprintf("morsels=%d runs=1 ", n)) {
+		t.Fatalf("trace parallel = %q, want %d morsels in 1 run", detail, n)
 	}
-	busy := tr.WorkerBusy()
-	if len(busy) == 0 {
-		t.Fatal("no worker busy time recorded")
-	}
-	for _, wb := range busy {
-		if wb.Busy <= 0 {
-			t.Fatalf("worker %d busy = %v, want > 0", wb.Worker, wb.Busy)
-		}
+	if busy <= 0 {
+		t.Fatalf("busy = %v, want > 0", busy)
 	}
 }

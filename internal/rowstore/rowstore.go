@@ -219,15 +219,57 @@ func (t *Table) HasPK(key []value.Value) bool {
 	return ok
 }
 
-// LookupPKNear is LookupPK with a guess: when slot hint holds the key the
-// hash probe is skipped. Rows that arrive together land in consecutive
-// slots, so a caller resolving keys in arrival order guesses the slot
-// after its last hit.
-func (t *Table) LookupPKNear(key []value.Value, hint int) (int, bool) {
-	if hint >= 0 && hint < len(t.valid) && t.valid[hint] && len(key) == len(t.sch.PrimaryKey) && t.pkEqual(hint, key) {
-		return hint, true
+// ResolvePK sets slots[k] to the slot of the live row with key k (key(i, k)
+// is its key column i) or -1, counting the keys the positional guess
+// resolved and those missing. The guess is slot start, then the slot after
+// the previous key's: a table filled in the keys' order resolves them by
+// one compare each. words, if set, holds each key's payload (Value.Bits)
+// for a one-column NOT NULL, non-VARCHAR key, compared without boxing. A
+// key the guess misses is looked up in the PK index.
+func (t *Table) ResolvePK(words []uint64, key func(i, k int) value.Value, start int, slots []int32) (guessed, missed int) {
+	buf := make([]value.Value, len(t.sch.PrimaryKey))
+	for k := range slots {
+		ok := start >= 0 && start < len(t.valid) && t.valid[start]
+		if words != nil {
+			ok = ok && t.slots[t.base(start)+t.sch.PrimaryKey[0]] == words[k]
+		}
+		if !ok || words == nil { // box the key, for the compare or the index
+			for i := range buf {
+				buf[i] = key(i, k)
+			}
+			ok = ok && t.pkEqual(start, buf)
+		}
+		if ok {
+			guessed++
+		} else if rid, found := t.LookupPK(buf); found {
+			start = rid
+		} else {
+			slots[k] = -1
+			missed++
+			continue
+		}
+		slots[k] = int32(start)
+		start++
 	}
-	return t.LookupPK(key)
+	return guessed, missed
+}
+
+// Floats gathers attribute col of the rows at slots (-1: none) into vals as
+// Value.Float widens it, setting null[k] for a NULL.
+func (t *Table) Floats(col int, slots []int32, vals []float64, null []bool) {
+	for k, s := range slots {
+		switch base := t.base(int(s)); {
+		case s < 0:
+		case t.isNull(base, col):
+			null[k] = true
+		case t.types[col] == value.Double:
+			vals[k] = math.Float64frombits(t.slots[base+col])
+		case t.types[col] == value.Varchar:
+			vals[k] = 0
+		default:
+			vals[k] = float64(int64(t.slots[base+col]))
+		}
+	}
 }
 
 // Insert appends rows to the table. Each row is validated against the
@@ -343,34 +385,38 @@ func (t *Table) candidateRows(pred expr.Predicate, buf []int32) ([]int32, bool) 
 	return nil, false
 }
 
-// Scan calls fn for each live row matching pred, in physical order, until
-// fn returns false. Index-assisted candidate restriction is applied for
-// PK and secondary-index equality predicates and PK ranges. The row handed
-// to fn is one scratch row per scan; fn must not retain or mutate it.
+// Scan calls fn for each live row matching pred, in matching's order,
+// until fn returns false. The row handed to fn is one scratch row per
+// scan; fn must not retain or mutate it.
 func (t *Table) Scan(pred expr.Predicate, fn func(rid int, row []value.Value) bool) {
-	predCols := expr.ColumnSet(pred)
 	row := make([]value.Value, t.stride)
-	visit := func(rid int) bool {
-		if !t.valid[rid] || pred != nil && !t.matches(rid, pred, predCols, row) {
-			return true
-		}
-		t.Read(rid, t.all, row)
-		return fn(rid, row)
-	}
-	var buf [4]int32
-	if cand, ok := t.candidateRows(pred, buf[:0]); ok {
-		for _, rid := range cand {
-			if !visit(int(rid)) {
-				return
-			}
-		}
-		return
-	}
-	for rid := range t.valid {
-		if !visit(rid) {
+	for _, rid := range t.matching(pred) {
+		if t.Read(int(rid), t.all, row); !fn(int(rid), row) {
 			return
 		}
 	}
+}
+
+// matching returns the ids of the live rows matching pred: in physical
+// order or, when an index serves pred (PK and secondary-index equality, PK
+// ranges), in the index's.
+func (t *Table) matching(pred expr.Predicate) (rids []int32) {
+	cand, indexed := t.candidateRows(pred, nil)
+	n := len(t.valid)
+	if indexed {
+		n = len(cand)
+	}
+	predCols, row := expr.ColumnSet(pred), make([]value.Value, t.stride)
+	for i := 0; i < n; i++ {
+		rid := i
+		if indexed {
+			rid = int(cand[i])
+		}
+		if t.valid[rid] && (pred == nil || t.matches(rid, pred, predCols, row)) {
+			rids = append(rids, int32(rid))
+		}
+	}
+	return rids
 }
 
 // matches evaluates a non-nil pred on row rid, boxing the predicate's
@@ -450,16 +496,6 @@ type blockWorker struct {
 	row  []value.Value
 	flat []value.Value
 	cols [][]value.Value
-}
-
-// matching returns the ids of the live rows matching pred.
-func (t *Table) matching(pred expr.Predicate) []int32 {
-	var rids []int32
-	t.Scan(pred, func(rid int, _ []value.Value) bool {
-		rids = append(rids, int32(rid))
-		return true
-	})
-	return rids
 }
 
 // Update assigns set values to all live rows matching pred and returns the

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
 	"hybridstore/internal/wire"
+	"hybridstore/internal/workload"
 )
 
 // rawSession opens a session on the bare wire and returns its Welcome.
@@ -238,4 +240,53 @@ func BenchmarkPointRoundTrip(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkPartitionedAggregateRoundTrip is olap_scan's group_part class
+// through an in-process server: GROUP BY g1, SUM(k0), AVG(k3) over 30 000
+// rows of workload.StandardTable in the layout the benchmark advises —
+// the newest tenth whole in the row store, the rest split vertically with
+// k0 and k1 row-oriented. The session holds a pool slot while its
+// statement runs, so the statement's loops get only what the pool has
+// left, as on a server; an in-process aggregate, on a free pool, cannot
+// show a loop that runs short of workers.
+func BenchmarkPartitionedAggregateRoundTrip(b *testing.B) {
+	const rows = 30_000
+	spec := workload.StandardTable("tp")
+	rowCols, colCols := append([]int{0}, spec.OLTPAttrs...), []int{0}
+	for c := 1; c < spec.Schema.NumColumns(); c++ {
+		if !slices.Contains(spec.OLTPAttrs, c) {
+			colCols = append(colCols, c)
+		}
+	}
+	db := engine.New()
+	if err := spec.LoadLayout(db, catalog.Partitioned, &catalog.PartitionSpec{
+		Horizontal: &catalog.HorizontalSpec{SplitCol: 0, SplitVal: value.NewBigint(rows * 9 / 10),
+			HotStore: catalog.RowStore, ColdStore: catalog.ColumnStore},
+		Vertical: &catalog.VerticalSpec{RowCols: rowCols, ColCols: colCols},
+	}, rows, 2012); err != nil {
+		b.Fatal(err)
+	}
+	srv := startServer(b, db, Config{})
+	defer shutdown(b, srv)
+	c, err := client.Dial(srv.Addr().String(), client.Options{Name: "bench"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	st, err := c.Prepare(ctx, "SELECT g1, SUM(k0), AVG(k3) FROM tp GROUP BY g1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := st.Exec(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Rows) != 20 {
+			b.Fatalf("%d groups, want 20", len(res.Rows))
+		}
+	}
 }

@@ -17,7 +17,8 @@ package trace
 import (
 	"context"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -187,6 +188,8 @@ type Trace struct {
 	workerBusy map[int]time.Duration
 	morsels    int64
 	runs       int64
+	widest     int   // the most workers one loop ran on
+	starved    int64 // loops that could use more than one worker but ran on one
 }
 
 // New starts an empty trace.
@@ -286,17 +289,20 @@ func (t *Trace) CountersString() string {
 	return strings.Join(parts, " ")
 }
 
-// AddMorselRun records one parallel loop: n morsels processed across
-// the given number of workers.
-func (t *Trace) AddMorselRun(morsels int64, workers int) {
+// AddMorselRun records one parallel loop: n morsels processed on workers
+// workers, of the width it could have used.
+func (t *Trace) AddMorselRun(morsels int64, workers, width int) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	t.morsels += morsels
 	t.runs++
+	t.widest = max(t.widest, workers)
+	if workers == 1 && width > 1 {
+		t.starved++
+	}
 	t.mu.Unlock()
-	_ = workers
 }
 
 // AddWorkerBusy accumulates busy wall time for one worker id across the
@@ -313,39 +319,29 @@ func (t *Trace) AddWorkerBusy(worker int, d time.Duration) {
 	t.mu.Unlock()
 }
 
-// Morsels returns the total morsels processed and the number of
-// parallel loops that ran.
-func (t *Trace) Morsels() (morsels, runs int64) {
+// Parallel renders the statement's parallel loops as one detail line —
+// "morsels=12 runs=3 workers=2 starved=0 busy[w0=1ms w1=800µs]": workers
+// is the most one loop ran on, starved counts the loops that could have
+// used more than one worker but got no slot for a second, and busy lists
+// each worker id's busy time across the loops — and sums the busy time;
+// ok is false when no loop ran.
+func (t *Trace) Parallel() (detail string, busy time.Duration, ok bool) {
 	if t == nil {
-		return 0, 0
+		return "", 0, false
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.morsels, t.runs
-}
-
-// WorkerBusy returns per-worker busy time sorted by worker id.
-func (t *Trace) WorkerBusy() []struct {
-	Worker int
-	Busy   time.Duration
-} {
-	if t == nil {
-		return nil
+	if t.runs == 0 {
+		return "", 0, false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]struct {
-		Worker int
-		Busy   time.Duration
-	}, 0, len(t.workerBusy))
-	for w, d := range t.workerBusy {
-		out = append(out, struct {
-			Worker int
-			Busy   time.Duration
-		}{w, d})
+	workers := slices.Sorted(maps.Keys(t.workerBusy))
+	parts := make([]string, len(workers))
+	for i, w := range workers {
+		parts[i] = fmt.Sprintf("w%d=%s", w, t.workerBusy[w].Round(time.Microsecond))
+		busy += t.workerBusy[w]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Worker < out[j].Worker })
-	return out
+	return fmt.Sprintf("morsels=%d runs=%d workers=%d starved=%d busy[%s]",
+		t.morsels, t.runs, t.widest, t.starved, strings.Join(parts, " ")), busy, true
 }
 
 // Summary renders the whole trace as one compact line for the
@@ -372,14 +368,8 @@ func (t *Trace) Summary() string {
 	if c := t.CountersString(); c != "" {
 		parts = append(parts, "stage=storage "+c)
 	}
-	if m, runs := t.Morsels(); runs > 0 {
-		busy := t.WorkerBusy()
-		var bparts []string
-		for _, wb := range busy {
-			bparts = append(bparts, fmt.Sprintf("w%d=%s", wb.Worker, wb.Busy.Round(time.Microsecond)))
-		}
-		parts = append(parts, fmt.Sprintf("stage=parallel morsels=%d runs=%d workers=%d busy[%s]",
-			m, runs, len(busy), strings.Join(bparts, " ")))
+	if p, _, ok := t.Parallel(); ok {
+		parts = append(parts, "stage=parallel "+p)
 	}
 	return strings.Join(parts, "; ")
 }

@@ -21,9 +21,9 @@ func TestNilSafety(t *testing.T) {
 	if sp.Duration() != 0 || sp.RowsOut() != 0 || sp.Stage() != "" {
 		t.Fatal("nil span accessors must return zero values")
 	}
-	tr.AddMorselRun(10, 4)
+	tr.AddMorselRun(10, 4, 4)
 	tr.AddWorkerBusy(1, time.Millisecond)
-	if tr.Summary() != "" || tr.Spans() != nil {
+	if _, _, ok := tr.Parallel(); ok || tr.Summary() != "" || tr.Spans() != nil {
 		t.Fatal("nil trace accessors must return zero values")
 	}
 	if FromContext(context.Background()) != nil {
@@ -76,22 +76,35 @@ func TestWorkerBusyAndMorsels(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			tr.AddWorkerBusy(w, time.Duration(w+1)*time.Millisecond)
-			tr.AddMorselRun(10, 4)
+			tr.AddMorselRun(10, 4, 4)
 		}(w)
 	}
 	wg.Wait()
-	m, runs := tr.Morsels()
-	if m != 40 || runs != 4 {
-		t.Fatalf("morsels = %d runs = %d, want 40/4", m, runs)
+	detail, busy, ok := tr.Parallel()
+	if want := "morsels=40 runs=4 workers=4 starved=0 busy[w0=1ms w1=2ms w2=3ms w3=4ms]"; !ok || detail != want {
+		t.Fatalf("parallel = %q, %v; want %q (workers in id order)", detail, ok, want)
 	}
-	busy := tr.WorkerBusy()
-	if len(busy) != 4 {
-		t.Fatalf("workers = %d, want 4", len(busy))
+	if busy != 10*time.Millisecond {
+		t.Fatalf("busy = %v, want 10ms", busy)
 	}
-	for i := 1; i < len(busy); i++ {
-		if busy[i].Worker < busy[i-1].Worker {
-			t.Fatal("worker busy not sorted by id")
-		}
+}
+
+// TestParallelCountsStarvedLoops renders the parallel line of three
+// loops: one at its full width, one that could have used two workers but
+// ran on one, and one serial by design, which is not starved.
+func TestParallelCountsStarvedLoops(t *testing.T) {
+	tr := New()
+	tr.AddMorselRun(2, 2, 2)
+	tr.AddMorselRun(14, 1, 2)
+	tr.AddMorselRun(1, 1, 1)
+	tr.AddWorkerBusy(0, 3*time.Millisecond)
+	tr.AddWorkerBusy(1, time.Millisecond)
+	detail, busy, ok := tr.Parallel()
+	if want := "morsels=17 runs=3 workers=2 starved=1 busy[w0=3ms w1=1ms]"; !ok || detail != want {
+		t.Fatalf("parallel = %q, %v; want %q", detail, ok, want)
+	}
+	if busy != 4*time.Millisecond {
+		t.Fatalf("busy = %v, want 4ms", busy)
 	}
 }
 
@@ -101,7 +114,7 @@ func TestSummaryAndContext(t *testing.T) {
 	sp.AddRowsOut(7)
 	sp.Add("blocks_scanned", 1)
 	sp.End()
-	tr.AddMorselRun(5, 2)
+	tr.AddMorselRun(5, 2, 2)
 	tr.AddWorkerBusy(0, time.Millisecond)
 	sum := tr.Summary()
 	for _, want := range []string{"stage=scan", "rows_out=7", "blocks_scanned=1", "morsels=5"} {
