@@ -468,24 +468,30 @@
 //     are grouped: the first waiter becomes the flush leader and syncs
 //     every pending frame (up to Options.GroupCommit, default 256) in one
 //     batch, so concurrent writers share fsyncs.
-//   - snapshot — the catalog plus every table's storage payload,
-//     written by Checkpoint as snapshot.tmp → fsync → rename → directory
-//     fsync, then the WAL is truncated. Serialization is fragment-
-//     preserving: the column store records its main and delta fragments
-//     separately (reload rebuilds the sorted-dictionary main and leaves
-//     the delta unmerged, preserving merge debt), and partitioned
-//     layouts serialize each partition recursively. The snapshot is
-//     stamped with the WAL sequence it covers, so a crash between the
-//     rename and the truncate cannot double-apply the stale tail. Its
-//     format is version 2. A version-1 snapshot, written before every
-//     table had a key, still loads: the rows of a keyless table take
-//     hidden keys 1..n, and a logged insert of the declared width takes
-//     fresh ones on replay.
+//   - snapshot — the catalog plus every table's live rows, written by
+//     Checkpoint as snapshot.tmp → fsync → rename → directory fsync,
+//     then the WAL is truncated. Each table is one row section streamed
+//     from its scan, whatever its layout, so no layout carries an
+//     encoder of its own; a scan that disagrees with the table's row
+//     count fails the checkpoint. The snapshot is stamped with the WAL
+//     sequence it covers, so a crash between the rename and the truncate
+//     cannot double-apply the stale tail. Its format is version 3. Load
+//     writes each table's rows with one Upsert and then compacts it, so
+//     a recovered table starts read-optimized (a column store's delta
+//     is merged). Version 1 and 2 snapshots, which wrote each layout's
+//     own sections (one for a row store, main then delta for a column
+//     store, hot then cold for a horizontal split, the row partition
+//     then the column partition's two for a vertical split, joined back
+//     by key), still load through one legacy reader. In a version-1
+//     snapshot, written before every table had a key, the rows of a
+//     keyless table take hidden keys 1..n, and a logged insert of the
+//     declared width takes fresh ones on replay.
 //
 // Recovery invariants: Open restores the snapshot, replays intact WAL
-// frames in sequence order through the same replayOps machinery
-// migration tails use, stops cleanly at the first torn or corrupt frame
-// (a partial frame is by construction an unacknowledged statement), and
+// frames in sequence order through applyFold (the delete-then-upsert
+// by key that commits, COPY and migration tails use), stops cleanly at
+// the first torn or corrupt frame (a partial frame is by construction
+// an unacknowledged statement), and
 // truncates the file back to the last valid frame before appending.
 // Acknowledged statements are exactly the recovered ones. A background
 // MigrateLayout logs a single SET LAYOUT record only after its atomic
@@ -605,7 +611,11 @@
 // encoding with the server's fsync batches. Atomicity is per frame,
 // not per stream: on failure Close reports the first error together
 // with the rows already durable, and a frame that collides with an
-// existing primary key is rejected whole. COPY refuses to run inside
+// existing primary key is rejected whole. The engine checks a batch
+// once — every row against the schema, every key against the table,
+// the batch and the keys open transactions hold — and then writes it
+// with the same Upsert a committed transaction's fold uses; the workload
+// monitor sees it as one INSERT of its rows. COPY refuses to run inside
 // an open transaction (CodeUnsupported) — each batch is its own
 // atomic unit.
 //

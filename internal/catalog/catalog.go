@@ -91,6 +91,9 @@ func (p *PartitionSpec) Validate(sch *schema.Table) error {
 		if h.SplitVal.IsNull() {
 			return fmt.Errorf("catalog: horizontal split value must not be NULL")
 		}
+		if typ := sch.Columns[h.SplitCol].Type; h.SplitVal.Type() != typ {
+			return fmt.Errorf("catalog: horizontal split value %v is not of column %d's type %s", h.SplitVal, h.SplitCol, typ)
+		}
 		if h.HotStore == Partitioned || h.ColdStore == Partitioned {
 			return fmt.Errorf("catalog: partition stores must be ROW or COLUMN")
 		}

@@ -24,7 +24,6 @@
 package colstore
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -232,10 +231,8 @@ func (t *Table) tombstone(rid int, h uint64) {
 // delta — a committed transaction's final row images, applied at the cost
 // of the rows written. The batch is validated before anything changes.
 func (t *Table) Upsert(rows [][]value.Value) error {
-	for _, row := range rows {
-		if err := t.sch.ValidateRow(row); err != nil {
-			return err
-		}
+	if err := t.sch.ValidateRows(rows); err != nil {
+		return err
 	}
 	for _, row := range rows {
 		t.DeletePK(t.sch.PKValues(row))
@@ -357,41 +354,6 @@ func (t *Table) liveCodes(c *column, fn func(codes []uint32)) (refs []int) {
 		}
 	}
 	return refs
-}
-
-// FragmentRows streams every live row in row-id order, reporting for
-// each whether it lives in the read-optimized main fragment or the
-// write-optimized delta. Snapshotting uses it to serialize the table
-// fragment-by-fragment so a reload preserves the main/delta split. The
-// row slice is freshly allocated per call and may be retained.
-func (t *Table) FragmentRows(fn func(row []value.Value, inMain bool) bool) {
-	for rid := 0; rid < t.totalRows(); rid++ {
-		if !t.liveSet.Get(rid) {
-			continue
-		}
-		if !fn(t.Get(rid), rid < t.mainRows) {
-			return
-		}
-	}
-}
-
-// Load builds a table from snapshot fragments: main rows are bulk-loaded
-// and merged into a sorted-dictionary main fragment, delta rows are
-// appended unmerged — so a snapshot-restored table has the same
-// main/delta split (and therefore the same merge debt) as the table the
-// snapshot captured.
-func Load(sch *schema.Table, main, delta [][]value.Value) (*Table, error) {
-	t := New(sch)
-	t.AutoMerge = false
-	if err := t.Insert(main); err != nil {
-		return nil, fmt.Errorf("colstore: load main fragment: %w", err)
-	}
-	t.Merge()
-	if err := t.Insert(delta); err != nil {
-		return nil, fmt.Errorf("colstore: load delta fragment: %w", err)
-	}
-	t.AutoMerge = true
-	return t, nil
 }
 
 // payloadBytes is the compressed payload of the column: dictionary values

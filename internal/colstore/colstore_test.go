@@ -884,46 +884,6 @@ func TestUpdatePKDuplicateRejected(t *testing.T) {
 	}
 }
 
-func TestFragmentRowsAndLoad(t *testing.T) {
-	tb := loaded(t, 30)
-	tb.Merge()
-	if err := tb.Insert([][]value.Value{
-		mkRow(100, 1, 100, "d1"), mkRow(101, 2, 101, "d2"),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	tb.DeletePK([]value.Value{value.NewBigint(4)})
-
-	var main, delta [][]value.Value
-	tb.FragmentRows(func(row []value.Value, inMain bool) bool {
-		if inMain {
-			main = append(main, row)
-		} else {
-			delta = append(delta, row)
-		}
-		return true
-	})
-	if len(main) != 29 || len(delta) != 2 {
-		t.Fatalf("fragments: main %d delta %d, want 29/2", len(main), len(delta))
-	}
-
-	re, err := Load(testSchema(), main, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Rows() != 31 || re.DeltaRows() != 2 {
-		t.Fatalf("loaded rows=%d delta=%d, want 31/2", re.Rows(), re.DeltaRows())
-	}
-	for _, id := range []int64{0, 3, 5, 29, 100, 101} {
-		if _, ok := re.LookupPK([]value.Value{value.NewBigint(id)}); !ok {
-			t.Fatalf("key %d missing after load", id)
-		}
-	}
-	if _, ok := re.LookupPK([]value.Value{value.NewBigint(4)}); ok {
-		t.Fatal("deleted key resurrected by load")
-	}
-}
-
 func TestInsertBatchAtomic(t *testing.T) {
 	tb := loaded(t, 5)
 	err := tb.Insert([][]value.Value{mkRow(100, 0, 1, "x"), mkRow(3, 0, 1, "y")})

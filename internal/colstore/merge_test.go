@@ -272,8 +272,9 @@ func assertSameTable(t *testing.T, seed int64, got, want *Table, keys int64) {
 }
 
 // TestMergeSizesDictionariesExactly: a merged dictionary's storage is as
-// long as the dictionary, whatever the delta held — also after the table
-// went through FragmentRows and Load, the snapshot round trip.
+// long as the dictionary, whatever the delta held — also after the table's
+// live rows were reloaded the way a snapshot load does it: one Upsert, then
+// Merge.
 func TestMergeSizesDictionariesExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	sch := mergeSchema()
@@ -289,19 +290,17 @@ func TestMergeSizesDictionariesExactly(t *testing.T) {
 		tb.DeletePK([]value.Value{value.NewBigint(id)})
 	}
 	tb.Merge()
-	var main, delta [][]value.Value
-	tb.FragmentRows(func(row []value.Value, inMain bool) bool {
-		if inMain {
-			main = append(main, row)
-		} else {
-			delta = append(delta, row)
+	var live [][]value.Value
+	for rid := 0; rid < tb.totalRows(); rid++ {
+		if tb.liveSet.Get(rid) {
+			live = append(live, tb.Get(rid))
 		}
-		return true
-	})
-	re, err := Load(sch, main, delta)
-	if err != nil {
+	}
+	re := New(sch)
+	if err := re.Upsert(live); err != nil {
 		t.Fatal(err)
 	}
+	re.Merge()
 	for name, x := range map[string]*Table{"merged": tb, "reloaded": re} {
 		if x.Rows() != 5500 || x.DeltaRows() != 0 {
 			t.Fatalf("%s table: %d rows, %d in the delta", name, x.Rows(), x.DeltaRows())

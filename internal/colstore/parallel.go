@@ -266,8 +266,12 @@ func (t *Table) matchBlocks(match bitset.Bits, cols []int, ex *exec.Ctx) (b exec
 			},
 			Done: func() {
 				bw.report(run.Tracer())
+				// A scan without an execution context is a one-off copy of
+				// the table (a checkpoint's, a migration's): its buffers,
+				// one per column scanned, go to the collector instead of
+				// staying in the pool for the table's lifetime.
 				for _, g := range gather {
-					if g != nil {
+					if g != nil && ex != nil {
 						t.releaseScratch(g.s)
 					}
 				}

@@ -7,7 +7,6 @@ import (
 	"hybridstore/internal/expr"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
-	"hybridstore/internal/wal"
 )
 
 // horizontalStorage splits a table into a hot partition (rows with
@@ -40,28 +39,6 @@ func (h *horizontalStorage) isHot(row []value.Value) bool {
 	return value.Compare(v, h.spec.SplitVal) >= 0
 }
 
-func (h *horizontalStorage) Insert(rows [][]value.Value) error {
-	// Validate the whole batch before touching either partition —
-	// schema, duplicates within the batch (across both sides, which the
-	// per-partition stores cannot see), and each row's key against BOTH
-	// partitions (uniqueness is a table invariant, not a per-side one) —
-	// so a failing INSERT never leaves the hot side mutated while the
-	// cold side rejects, and no cross-partition duplicate can form.
-	if err := h.sch.ValidateInsert(rows, h.HasPK); err != nil {
-		return err
-	}
-	hotRows, coldRows := h.split(rows)
-	if len(hotRows) > 0 {
-		if err := h.hot.Insert(hotRows); err != nil {
-			return err
-		}
-	}
-	if len(coldRows) > 0 {
-		return h.cold.Insert(coldRows)
-	}
-	return nil
-}
-
 // split routes rows by the split column.
 func (h *horizontalStorage) split(rows [][]value.Value) (hotRows, coldRows [][]value.Value) {
 	for _, row := range rows {
@@ -86,8 +63,12 @@ func (h *horizontalStorage) DeletePK(key []value.Value) bool {
 }
 
 // Upsert stores each row in the partition its split value selects; the key
-// leaves the other partition, where its previous image may live.
+// leaves the other partition, where its previous image may live. The batch
+// is validated before either partition changes.
 func (h *horizontalStorage) Upsert(rows [][]value.Value) error {
+	if err := h.sch.ValidateRows(rows); err != nil {
+		return err
+	}
 	hotRows, coldRows := h.split(rows)
 	for _, row := range hotRows {
 		h.cold.DeletePK(h.sch.PKValues(row))
@@ -201,16 +182,4 @@ func (h *horizontalStorage) Compact() {
 func (h *horizontalStorage) footprint(f *Footprint) {
 	h.hot.footprint(f)
 	h.cold.footprint(f)
-}
-
-func (h *horizontalStorage) persist(enc *wal.Encoder) {
-	h.hot.persist(enc)
-	h.cold.persist(enc)
-}
-
-func (h *horizontalStorage) restore(dec *wal.Decoder) error {
-	if err := h.hot.restore(dec); err != nil {
-		return err
-	}
-	return h.cold.restore(dec)
 }

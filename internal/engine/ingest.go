@@ -2,8 +2,8 @@
 // as a single WAL record — one group-commit fsync amortized over the
 // whole frame instead of one per statement — while keeping exactly the
 // durability and atomicity contract of single-statement INSERTs: the
-// batch is applied all-or-nothing by the store's two-phase insert, and
-// after a crash recovery replays either the whole batch or none of it.
+// batch is checked whole before it is upserted, and after a crash
+// recovery replays either the whole batch or none of it.
 package engine
 
 import (
@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hybridstore/internal/metrics"
+	"hybridstore/internal/query"
 	"hybridstore/internal/value"
 	"hybridstore/internal/wal"
 )
@@ -42,11 +43,12 @@ var (
 )
 
 // CopyRows appends one bulk-ingest batch to a table. The batch is
-// atomic: every row is validated and the store's two-phase insert
-// applies all rows or none, one WAL record covers the whole batch (so
-// crash recovery can never surface a partial batch), and a single
-// group-commit fsync — shared with concurrent writers — makes it
-// durable before the call returns.
+// atomic: every row is validated and its key checked against the table
+// and the rest of the batch before one Upsert applies it, one WAL record
+// covers the whole batch (so crash recovery can never surface a partial
+// batch), and a single group-commit fsync — shared with concurrent
+// writers — makes it durable before the call returns. The workload
+// monitor sees the batch as one INSERT of its rows.
 //
 // COPY is an auto-commit operation; inside an explicit transaction it
 // fails with ErrUnsupported (buffering a bulk load in a version overlay
@@ -79,29 +81,30 @@ func (db *Database) CopyRows(ctx context.Context, table string, rows [][]value.V
 		return nil, err
 	}
 	// Fold first: with every committed version in base storage, the
-	// store's own primary-key check covers all committed reality and the
-	// overlay only holds uncommitted claims (checked below).
+	// store's primary-key check covers all committed reality and the
+	// overlay only holds uncommitted claims.
 	db.foldLocked()
 	sch := rt.entry.Schema
 	coerced, err := rt.coerceRows(rows)
+	if err == nil {
+		taken := rt.store.HasPK
+		if claimed := rt.ov.UncommittedKeys(); len(claimed) > 0 {
+			taken = func(key []value.Value) bool {
+				_, hit := claimed[value.TupleKey(key)]
+				return hit || rt.store.HasPK(key)
+			}
+		}
+		err = sch.ValidateInsert(coerced, taken)
+	}
+	op := dmlOp{rows: coerced}
+	if err == nil {
+		err = applyFold(rt.store, op)
+	}
 	if err != nil {
 		db.mu.Unlock()
 		return nil, err
 	}
-	if claimed := rt.ov.UncommittedKeys(); len(claimed) > 0 {
-		for _, cr := range coerced {
-			pk := sch.PKValues(cr)
-			if _, hit := claimed[value.TupleKey(pk)]; hit {
-				db.mu.Unlock()
-				return nil, fmt.Errorf("engine: duplicate primary key %v in table %q (claimed by a live transaction)", pk, table)
-			}
-		}
-	}
-	if err := rt.store.Insert(coerced); err != nil {
-		db.mu.Unlock()
-		return nil, err
-	}
-	rt.recordTail(dmlOp{rows: coerced})
+	rt.recordTail(op)
 	seq, err := db.enqueueDML(&wal.Record{
 		Kind: wal.RecCopy, Table: table,
 		Width: sch.NumColumns(), Rows: coerced,
@@ -121,6 +124,9 @@ func (db *Database) CopyRows(ctx context.Context, table string, rows [][]value.V
 	mIngestBatchRows.Observe(int64(len(coerced)))
 	mIngestSeconds.Observe(d.Nanoseconds())
 	db.ingested.Add(int64(len(coerced)))
+	if obs := db.observer(); obs != nil {
+		obs.Observe(&query.Query{Kind: query.Insert, Table: table, Rows: rows})
+	}
 	return &Result{Affected: len(coerced), Duration: d}, nil
 }
 

@@ -9,20 +9,20 @@ import (
 	"hybridstore/internal/wal"
 )
 
-// dmlOp is one write to base storage recorded while a background migration
-// is in flight: a COPY batch's rows to insert or, when fold is set, a
-// committed transaction's effect — keys to delete, then rows to upsert,
-// both by primary key (applyFold). Rows are deep-copied at record time so
-// later in-place mutations of store-internal buffers cannot alias the tail.
+// dmlOp is one write to base storage by primary key: keys to delete, then
+// rows to upsert (applyFold). A committed transaction's fold, a COPY batch
+// (rows only) and WAL replay all apply one; a migration in flight records
+// each in its tail, the rows deep-copied so later in-place mutations of
+// store-internal buffers cannot alias the tail.
 type dmlOp struct {
-	fold bool
 	keys [][]value.Value
 	rows [][]value.Value
 }
 
 // migrationTail buffers the writes applied to a table's live storage while
-// a migration builds the replacement storage off to the side. Appends
-// happen under the database write lock (the fold and COPY hold it); the
+// a migration builds the replacement storage off to the side, in the order
+// they were applied. Appends happen under the database write lock (the
+// fold and COPY hold it); the
 // migrator reads the slice under the read lock, so no separate mutex is
 // needed — a write cannot interleave with a reader holding db.mu.RLock.
 type migrationTail struct {
@@ -53,13 +53,7 @@ func (rt *tableRuntime) recordTail(op dmlOp) {
 // it originally saw — no idempotency tricks are needed.
 func replayOps(st storage, ops []dmlOp) error {
 	for _, op := range ops {
-		var err error
-		if op.fold {
-			err = applyFold(st, op)
-		} else {
-			err = st.Insert(op.rows)
-		}
-		if err != nil {
+		if err := applyFold(st, op); err != nil {
 			return err
 		}
 	}
@@ -73,7 +67,7 @@ func replayOps(st storage, ops []dmlOp) error {
 const (
 	migrateFinalDrainMax = 1024
 	migrateMaxCatchup    = 8
-	// layoutBatch is the row count of one insert into the target.
+	// layoutBatch is the row count of one Upsert into the target.
 	layoutBatch = 4096
 )
 
@@ -155,7 +149,7 @@ func (db *Database) MigrateLayout(name string, store catalog.StoreKind, spec *ca
 
 	// Phase 3: build the target off to the side.
 	for batch := range slices.Chunk(snapshot, layoutBatch) {
-		if err := target.Insert(batch); err != nil {
+		if err := target.Upsert(batch); err != nil {
 			return abort(fmt.Errorf("engine: migrating %q: %w", name, err))
 		}
 	}

@@ -386,7 +386,7 @@ func (db *Database) applyCommitLocked(pc *pendingCommit) error {
 // record into a migration tail if one is installed, so an in-flight layout
 // migration replays folded commits too.
 func applyTxnTable(rt *tableRuntime, tt *wal.TxnTable) error {
-	op := dmlOp{fold: true, keys: tt.DelPKs, rows: tt.Rows}
+	op := dmlOp{keys: tt.DelPKs, rows: tt.Rows}
 	if len(tt.DelPKs) > 0 && len(tt.Rows) > 0 {
 		sch := rt.entry.Schema
 		kept := make(map[string]struct{}, len(tt.Rows))

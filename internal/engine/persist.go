@@ -1,15 +1,14 @@
 // Durability: snapshot checkpoints plus write-ahead logging. A durable
 // database directory holds two files:
 //
-//   - snapshot — the catalog and every table's storage payload
-//     (fragment-preserving: the column store's main/delta split survives
-//     a round trip), stamped with the WAL sequence number the snapshot
-//     covers;
+//   - snapshot — the catalog and every table's live rows, one row section
+//     per table streamed from the table's scan whatever its layout,
+//     stamped with the WAL sequence number the snapshot covers;
 //   - wal.log — the ordered log of every DDL/DML statement (and every
 //     completed migration swap) acknowledged since that snapshot.
 //
-// Open loads the snapshot, replays the WAL tail through the same
-// replayOps machinery migrations use, then folds the tail into a fresh
+// Open loads the snapshot, replays the WAL tail through applyFold, the
+// write every commit and migration uses, then folds the tail into a fresh
 // snapshot and truncates the log. Checkpoints write snapshot.tmp,
 // fsync, rename, fsync the directory, and only then truncate the WAL;
 // because frames carry sequence numbers and the snapshot records its
@@ -26,6 +25,7 @@ import (
 	"time"
 
 	"hybridstore/internal/catalog"
+	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
 	"hybridstore/internal/wal"
 )
@@ -34,10 +34,10 @@ const (
 	snapshotFile  = "snapshot"
 	walFile       = "wal.log"
 	snapshotMagic = "HSSNAP"
-	// snapshotVersion 2 stores the hidden row key of a table declared
-	// without a primary key. Version 1, written before every table had a
-	// key, still loads (restoreKeyless).
-	snapshotVersion = 2
+	// snapshotVersion 3 stores each table as one row section of its scan.
+	// Versions 1 and 2 wrote each layout's own sections; they still load
+	// (legacyRows).
+	snapshotVersion = 3
 )
 
 // Options tunes a durable database.
@@ -141,7 +141,7 @@ func OpenOptions(dir string, opts Options) (*Database, error) {
 }
 
 // applyRecord replays one WAL record during recovery. DML goes through
-// the same replayOps machinery that migration tail replay uses; DDL
+// applyFold, the write a commit's fold and a migration's tail use; DDL
 // goes through the un-logged cores of the public methods, a layout
 // change through MigrateLayout (db.log is still nil: nothing is
 // re-logged). The caller is the only goroutine touching the database.
@@ -178,7 +178,7 @@ func (db *Database) applyRecord(rec *wal.Record) error {
 				return err
 			}
 		}
-		return replayOps(rt.store, []dmlOp{{rows: rows}})
+		return applyFold(rt.store, dmlOp{rows: rows})
 	case wal.RecTxnCommit:
 		// One committed transaction's atomic effect. Log order equals
 		// commit order, so the physical delete-then-insert images replay
@@ -265,8 +265,9 @@ func (db *Database) checkpointLocked() error {
 		enc.Byte(byte(e.Store))
 		enc.Spec(e.Partitioning)
 		enc.Ints(e.Indexes)
-		rt.store.persist(enc)
-		writeErr = flush()
+		if writeErr = encodeRows(enc, rt); writeErr == nil {
+			writeErr = flush()
+		}
 	}
 	if writeErr != nil {
 		f.Close()
@@ -322,15 +323,33 @@ func (db *Database) Crash() error {
 	return db.log.Abort()
 }
 
+// encodeRows writes a table's live rows as one count-prefixed row section,
+// streamed from its scan. A scan that disagrees with Rows fails the
+// checkpoint rather than write a section the count misframes.
+func encodeRows(enc *wal.Encoder, rt *tableRuntime) error {
+	want, width, n := rt.store.Rows(), rt.entry.Schema.NumColumns(), 0
+	enc.Uvarint(uint64(want))
+	eachRow(rt.store.Scan(nil, nil, nil), allCols(width), width, func(row []value.Value) {
+		enc.Row(row)
+		n++
+	})
+	if n != want {
+		return fmt.Errorf("table %q scanned %d rows of %d", rt.entry.Schema.Name, n, want)
+	}
+	return nil
+}
+
 // loadSnapshot restores database state from snapshot bytes and returns
-// the WAL sequence number the snapshot covers up to.
+// the WAL sequence number the snapshot covers up to. Each table's rows are
+// written with one Upsert and then compacted, so a recovered table starts
+// read-optimized.
 func (db *Database) loadSnapshot(data []byte) (uint64, error) {
 	dec := wal.NewDecoder(data)
 	if magic := dec.String(); magic != snapshotMagic {
 		return 0, fmt.Errorf("engine: bad snapshot magic %q", magic)
 	}
 	version := dec.Uvarint()
-	if dec.Err() == nil && version != 1 && version != snapshotVersion {
+	if dec.Err() == nil && (version < 1 || version > snapshotVersion) {
 		return 0, fmt.Errorf("engine: unsupported snapshot version %d", version)
 	}
 	startSeq := dec.Uvarint()
@@ -353,15 +372,29 @@ func (db *Database) loadSnapshot(data []byte) (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if version == 1 && sch.Visible() < sch.NumColumns() {
-			err = restoreKeyless(dec, rt, store, spec)
+		var rows [][]value.Value
+		if version == snapshotVersion {
+			rows = dec.Rows(sch.NumColumns())
 		} else {
-			err = rt.store.restore(dec)
+			rows, err = legacyRows(dec, rt, store, spec, version)
+		}
+		if err == nil {
+			err = dec.Err()
+		}
+		if err == nil {
+			err = rt.store.Upsert(rows)
+		}
+		if err == nil && rt.store.Rows() != len(rows) {
+			err = fmt.Errorf("%d rows under %d keys", len(rows), rt.store.Rows())
 		}
 		if err != nil {
 			return 0, fmt.Errorf("engine: restore table %q: %w", sch.Name, err)
 		}
+		rt.store.Compact()
 		for _, c := range indexes {
+			if c < 0 || c >= sch.NumColumns() {
+				return 0, fmt.Errorf("engine: restore table %q: index on column %d", sch.Name, c)
+			}
 			if rt.store.SupportsIndex(c) {
 				rt.store.CreateIndex(c)
 			}
@@ -371,37 +404,93 @@ func (db *Database) loadSnapshot(data []byte) (uint64, error) {
 	return startSeq, dec.Err()
 }
 
-// restoreKeyless loads a table declared without a primary key from a
-// version-1 snapshot, written before every table had a key. Its payload is
-// the layout's row sections — one for a row store, main then delta for a
-// column store, the hot side then the cold side for a horizontal split —
-// each of the declared columns only; version 1 could not split such a table
-// vertically. The rows take the hidden keys 1..n, and the key counter
-// resumes after them.
-func restoreKeyless(dec *wal.Decoder, rt *tableRuntime, store catalog.StoreKind, spec *catalog.PartitionSpec) error {
-	leaves := []catalog.StoreKind{store}
-	if spec != nil {
-		if spec.Horizontal == nil || spec.Vertical != nil {
-			return fmt.Errorf("version-1 snapshot holds a vertical split of a table without a primary key")
-		}
-		leaves = []catalog.StoreKind{spec.Horizontal.HotStore, spec.Horizontal.ColdStore}
+// legacyRows reads a table's rows from a version-1 or version-2 snapshot.
+// Both wrote each layout's own row sections: one for a row store, main
+// then delta for a column store, the hot side then the cold side for a
+// horizontal split, and for a vertical split its row partition's section
+// then its column partition's two, joined back here by key. A version-1
+// table declared without a primary key holds its declared columns only
+// (version 1 could not split it vertically); its rows take the hidden
+// keys 1..n, and the key counter resumes after them.
+func legacyRows(dec *wal.Decoder, rt *tableRuntime, store catalog.StoreKind, spec *catalog.PartitionSpec, version uint64) ([][]value.Value, error) {
+	sch := rt.entry.Schema
+	width := sch.NumColumns()
+	keyless := version == 1 && sch.Visible() < width
+	if keyless {
+		width = sch.Visible()
 	}
-	width := rt.entry.Schema.Visible()
+	section := func(kind catalog.StoreKind) [][]value.Value {
+		if kind == catalog.ColumnStore {
+			return append(dec.Rows(width), dec.Rows(width)...)
+		}
+		return dec.Rows(width)
+	}
 	var rows [][]value.Value
-	for _, leaf := range leaves {
-		rows = append(rows, dec.Rows(width)...)
-		if leaf == catalog.ColumnStore {
-			rows = append(rows, dec.Rows(width)...)
+	switch {
+	case spec == nil:
+		rows = section(store)
+	case spec.Horizontal != nil:
+		rows = section(spec.Horizontal.HotStore)
+		if spec.Vertical == nil {
+			rows = append(rows, section(spec.Horizontal.ColdStore)...)
 		}
 	}
+	if spec != nil && spec.Vertical != nil {
+		if keyless {
+			return nil, fmt.Errorf("version-1 snapshot holds a vertical split of a table without a primary key")
+		}
+		split, err := joinPartitions(dec, sch, spec.Vertical)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, split...)
+	}
+	if keyless {
+		for i, row := range rows {
+			rows[i] = append(row, value.NewBigint(int64(i+1)))
+		}
+		rt.rowKey.Store(int64(len(rows)))
+	}
+	return rows, dec.Err()
+}
+
+// joinPartitions reads a legacy vertical split, its row partition's
+// section and then its column partition's main and delta, and joins them
+// into full rows by key: the partitions may hold their rows in different
+// orders, but each must hold every key once.
+func joinPartitions(dec *wal.Decoder, sch *schema.Table, vs *catalog.VerticalSpec) ([][]value.Value, error) {
+	rowPart := dec.Rows(len(vs.RowCols))
+	colPart := append(dec.Rows(len(vs.ColCols)), dec.Rows(len(vs.ColCols))...)
 	if err := dec.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	for i, row := range rows {
-		rows[i] = append(row, value.NewBigint(int64(i+1)))
+	rows, at := make([][]value.Value, len(rowPart)), make(map[string]int, len(rowPart))
+	for i, r := range rowPart {
+		rows[i] = make([]value.Value, sch.NumColumns())
+		for j, c := range vs.RowCols {
+			rows[i][c] = r[j]
+		}
+		at[value.TupleKey(sch.PKValues(rows[i]))] = i
 	}
-	rt.rowKey.Store(int64(len(rows)))
-	return rt.store.Insert(rows)
+	scratch := make([]value.Value, sch.NumColumns())
+	for _, r := range colPart {
+		for j, c := range vs.ColCols {
+			scratch[c] = r[j]
+		}
+		key := value.TupleKey(sch.PKValues(scratch))
+		i, ok := at[key]
+		if !ok {
+			return nil, fmt.Errorf("the column partition holds key %v the row partition does not", sch.PKValues(scratch))
+		}
+		delete(at, key)
+		for j, c := range vs.ColCols {
+			rows[i][c] = r[j]
+		}
+	}
+	if len(at) > 0 {
+		return nil, fmt.Errorf("%d keys of the row partition are missing from the column partition", len(at))
+	}
+	return rows, nil
 }
 
 // syncDir fsyncs a directory so a just-renamed file inside it survives

@@ -715,9 +715,10 @@ func TestCheckpointStaleWALNotDoubleApplied(t *testing.T) {
 	}
 }
 
-// TestColumnStoreFragmentsSurviveSnapshot checks the snapshot preserves
-// the column store's main/delta split.
-func TestColumnStoreFragmentsSurviveSnapshot(t *testing.T) {
+// TestRecoveredColumnTableStartsCompacted closes a column table with rows in
+// its delta and reopens it: the snapshot holds the table's rows, not its
+// fragments, and the reopened table starts merged with every row.
+func TestRecoveredColumnTableStartsCompacted(t *testing.T) {
 	dir := t.TempDir()
 	db := openTestDB(t, dir)
 	if err := db.CreateTable(salesSchema(), catalog.ColumnStore); err != nil {
@@ -733,27 +734,20 @@ func TestColumnStoreFragmentsSurviveSnapshot(t *testing.T) {
 	}
 	mustExec(t, db, &query.Query{Kind: query.Insert, Table: "sales",
 		Rows: [][]value.Value{salesRow(500), salesRow(501), salesRow(502)}})
-	before, err := db.DeltaRows("sales")
-	if err != nil {
-		t.Fatal(err)
+	if before, err := db.DeltaRows("sales"); err != nil || before != 3 {
+		t.Fatalf("delta rows before close = %d (%v), want 3", before, err)
 	}
-	if before != 3 {
-		t.Fatalf("delta rows before close = %d, want 3", before)
-	}
+	want := visibleState(t, db, "sales")
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	re := openTestDB(t, dir)
 	defer re.Close()
-	after, err := re.DeltaRows("sales")
-	if err != nil {
-		t.Fatal(err)
+	if after, err := re.DeltaRows("sales"); err != nil || after != 0 {
+		t.Fatalf("delta rows after reopen = %d (%v), want 0", after, err)
 	}
-	if after != 3 {
-		t.Fatalf("delta rows after reopen = %d, want 3 (main/delta split not preserved)", after)
-	}
-	if n, _ := re.Rows("sales"); n != 203 {
-		t.Fatalf("rows = %d, want 203", n)
+	if got := visibleState(t, re, "sales"); !reflect.DeepEqual(got, want) || len(got) != 203 {
+		t.Fatalf("reopened table holds %d rows, closed one %d", len(got), len(want))
 	}
 }
 

@@ -6,9 +6,7 @@ import (
 	"hybridstore/internal/exec"
 	"hybridstore/internal/expr"
 	"hybridstore/internal/rowstore"
-	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
-	"hybridstore/internal/wal"
 )
 
 // storage is the uniform interface the engine executes against. All
@@ -17,13 +15,13 @@ import (
 // interchangeable — the transparency the paper requires of store-aware
 // partitioning ("the query rewriting must be realized automatically and
 // transparently to the user", §4). Every read is one block scan, and every
-// write names rows by primary key: Insert appends rows under keys no live
-// row holds (a COPY batch, a migration's copy, replay of an insert
-// record), and a committed transaction folds in through DeletePK and
-// Upsert.
+// write names rows by primary key through DeletePK and Upsert: a committed
+// transaction's fold, a COPY batch the engine has checked for duplicate
+// keys, a migration's copy, WAL replay and a snapshot load all go through
+// them. A snapshot is the table's scan, so no layout has an encoding of its
+// own.
 type storage interface {
 	Rows() int
-	Insert(rows [][]value.Value) error
 	// Scan returns the live rows matching pred as numbered blocks (see
 	// exec.Blocks): block(w, i) decodes block i's rows into worker w's
 	// buffers, colVals[j][k] being column cols[j] of the block's k-th row
@@ -65,24 +63,16 @@ type storage interface {
 	footprint(f *Footprint)
 	// HasPK reports whether a live row with the given primary-key values
 	// (in table PK order) exists. The engine checks transactional writes
-	// against it, and partitioned layouts pre-validate an insert across
-	// their partitions with it, so a batch fails atomically instead of
-	// mutating one partition before the other rejects.
+	// and COPY batches against it.
 	HasPK(key []value.Value) bool
 	// DeletePK removes the live row with the given primary key, reporting
 	// whether there was one, and Upsert stores full-width rows under their
 	// primary keys, replacing the row a key already has. Both resolve the
-	// key through the store's PK index: a committed transaction folds into
-	// base storage at the cost of the rows it wrote, not of the table.
+	// key through the store's PK index, so a write costs the rows it names,
+	// not the table. Upsert validates the whole batch against the schema
+	// before it changes anything; it does not reject a key the table holds.
 	DeletePK(key []value.Value) bool
 	Upsert(rows [][]value.Value) error
-	// persist serializes the storage payload into a snapshot encoder,
-	// fragment-preserving where the layout has fragments (the column
-	// store's main/delta split survives a round trip). restore loads a
-	// payload written by persist into this freshly built, empty storage
-	// of the same layout.
-	persist(enc *wal.Encoder)
-	restore(dec *wal.Decoder) error
 }
 
 // Footprint is the memory under a storage: the logical payload of its row
@@ -107,80 +97,12 @@ func (f *Footprint) addCol(t *colstore.Table) {
 	f.Index += t.IndexBytes()
 }
 
-// persistRowTable streams a row-store table as a count-prefixed row
-// section (tombstones are compacted away by construction of Scan).
-func persistRowTable(enc *wal.Encoder, t *rowstore.Table) {
-	enc.Uvarint(uint64(t.Rows()))
-	t.Scan(nil, func(rid int, row []value.Value) bool {
-		enc.Row(row)
-		return true
-	})
-}
-
-// restoreRowTable reads a section written by persistRowTable.
-func restoreRowTable(dec *wal.Decoder, sch *schema.Table) (*rowstore.Table, error) {
-	rows, err := decodeRowSection(dec, sch.NumColumns())
-	if err != nil {
-		return nil, err
-	}
-	return rowstore.Load(sch, rows)
-}
-
-func decodeRowSection(dec *wal.Decoder, width int) ([][]value.Value, error) {
-	n := dec.Uvarint()
-	if err := dec.Err(); err != nil {
-		return nil, err
-	}
-	rows := make([][]value.Value, 0, n)
-	for i := uint64(0); i < n; i++ {
-		row := dec.Row(width)
-		if row == nil {
-			break
-		}
-		rows = append(rows, row)
-	}
-	if err := dec.Err(); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// persistColTable writes a column-store table as two count-prefixed row
-// sections, main fragment first, so Load reconstructs the same
-// main/delta split.
-func persistColTable(enc *wal.Encoder, t *colstore.Table) {
-	var main, delta [][]value.Value
-	t.FragmentRows(func(row []value.Value, inMain bool) bool {
-		if inMain {
-			main = append(main, row)
-		} else {
-			delta = append(delta, row)
-		}
-		return true
-	})
-	enc.Rows(main)
-	enc.Rows(delta)
-}
-
-// restoreColTable reads a section pair written by persistColTable.
-func restoreColTable(dec *wal.Decoder, sch *schema.Table) (*colstore.Table, error) {
-	width := sch.NumColumns()
-	main := dec.Rows(width)
-	delta := dec.Rows(width)
-	if err := dec.Err(); err != nil {
-		return nil, err
-	}
-	return colstore.Load(sch, main, delta)
-}
-
 // rowStorage adapts rowstore.Table to the storage interface.
 type rowStorage struct {
 	t *rowstore.Table
 }
 
 func (s *rowStorage) Rows() int { return s.t.Rows() }
-
-func (s *rowStorage) Insert(rows [][]value.Value) error { return s.t.Insert(rows) }
 
 func (s *rowStorage) Scan(pred expr.Predicate, cols []int, ex *exec.Ctx) exec.Blocks {
 	return s.t.Blocks(pred, cols, ex)
@@ -221,17 +143,6 @@ func (s *rowStorage) DeletePK(key []value.Value) bool { return s.t.DeletePK(key)
 
 func (s *rowStorage) Upsert(rows [][]value.Value) error { return s.t.Upsert(rows) }
 
-func (s *rowStorage) persist(enc *wal.Encoder) { persistRowTable(enc, s.t) }
-
-func (s *rowStorage) restore(dec *wal.Decoder) error {
-	t, err := restoreRowTable(dec, s.t.Schema())
-	if err != nil {
-		return err
-	}
-	s.t = t
-	return nil
-}
-
 // orAll returns cols, or every column of a width-column table when cols
 // is nil or empty.
 func orAll(cols []int, width int) []int {
@@ -247,8 +158,6 @@ type colStorage struct {
 }
 
 func (s *colStorage) Rows() int { return s.t.Rows() }
-
-func (s *colStorage) Insert(rows [][]value.Value) error { return s.t.Insert(rows) }
 
 func (s *colStorage) Scan(pred expr.Predicate, cols []int, ex *exec.Ctx) exec.Blocks {
 	return s.t.Blocks(pred, orAll(cols, s.t.Schema().NumColumns()), ex)
@@ -277,14 +186,3 @@ func (s *colStorage) HasPK(key []value.Value) bool { return s.t.HasPK(key) }
 func (s *colStorage) DeletePK(key []value.Value) bool { return s.t.DeletePK(key) }
 
 func (s *colStorage) Upsert(rows [][]value.Value) error { return s.t.Upsert(rows) }
-
-func (s *colStorage) persist(enc *wal.Encoder) { persistColTable(enc, s.t) }
-
-func (s *colStorage) restore(dec *wal.Decoder) error {
-	t, err := restoreColTable(dec, s.t.Schema())
-	if err != nil {
-		return err
-	}
-	s.t = t
-	return nil
-}

@@ -12,7 +12,6 @@ import (
 	"hybridstore/internal/rowstore"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/value"
-	"hybridstore/internal/wal"
 )
 
 // verticalStorage splits a table's attributes into a row-store partition
@@ -62,30 +61,6 @@ func newVerticalStorage(sch *schema.Table, spec *catalog.VerticalSpec) (*vertica
 }
 
 func (v *verticalStorage) Rows() int { return v.rowPart.Rows() }
-
-func (v *verticalStorage) Insert(rows [][]value.Value) error {
-	// Validate the whole batch — schema, existing-key collisions (the
-	// row partition is authoritative for the PK) and duplicates within
-	// the batch — before touching either partition, so a failing INSERT
-	// is atomic.
-	if err := v.sch.ValidateInsert(rows, v.HasPK); err != nil {
-		return err
-	}
-	// Project the batch once per partition and insert each projection
-	// as one batch.
-	rrows := projectRows(rows, v.spec.RowCols)
-	if err := v.rowPart.Insert(rrows); err != nil {
-		return err
-	}
-	if err := v.colPart.Insert(projectRows(rows, v.spec.ColCols)); err != nil {
-		// Keep partitions consistent: roll the row partition back by key.
-		for _, row := range rows {
-			v.rowPart.DeletePK(v.sch.PKValues(row))
-		}
-		return err
-	}
-	return nil
-}
 
 // projectRows returns the given columns of every row, the projections
 // carved out of one backing array.
@@ -400,18 +375,27 @@ func (v *verticalStorage) spanningGeneric(res *agg.Result, colPred, post expr.Pr
 func (v *verticalStorage) HasPK(key []value.Value) bool { return v.rowPart.HasPK(key) }
 
 // DeletePK removes the key's row from both partitions, each resolving the
-// key through its PK index, and Upsert re-inserts each row into both
-// after deleting its key.
+// key through its PK index.
 func (v *verticalStorage) DeletePK(key []value.Value) bool {
 	v.colPart.DeletePK(key)
 	return v.rowPart.DeletePK(key)
 }
 
+// Upsert validates the whole batch, removes each row's key from both
+// partitions and then appends the projections to both, so the partitions
+// keep holding their rows in the same order (the guess
+// rowstore.ResolvePK starts from).
 func (v *verticalStorage) Upsert(rows [][]value.Value) error {
+	if err := v.sch.ValidateRows(rows); err != nil {
+		return err
+	}
 	for _, row := range rows {
 		v.DeletePK(v.sch.PKValues(row))
 	}
-	return v.Insert(rows)
+	if err := v.rowPart.Upsert(projectRows(rows, v.spec.RowCols)); err != nil {
+		return err
+	}
+	return v.colPart.Upsert(projectRows(rows, v.spec.ColCols))
 }
 
 // CreateIndex indexes the column in the row partition when it lives there.
@@ -440,24 +424,6 @@ func (v *verticalStorage) Compact() {
 func (v *verticalStorage) footprint(f *Footprint) {
 	f.addRow(v.rowPart)
 	f.addCol(v.colPart)
-}
-
-func (v *verticalStorage) persist(enc *wal.Encoder) {
-	persistRowTable(enc, v.rowPart)
-	persistColTable(enc, v.colPart)
-}
-
-func (v *verticalStorage) restore(dec *wal.Decoder) error {
-	rp, err := restoreRowTable(dec, v.rowPart.Schema())
-	if err != nil {
-		return err
-	}
-	cp, err := restoreColTable(dec, v.colPart.Schema())
-	if err != nil {
-		return err
-	}
-	v.rowPart, v.colPart = rp, cp
-	return nil
 }
 
 func allCols(n int) []int {

@@ -316,7 +316,7 @@ func TestVerticalSpanningAggregateStops(t *testing.T) {
 	for id := int64(0); id < n; id++ {
 		rows = append(rows, spanRow(rng, id))
 	}
-	if err := v.Insert(rows); err != nil {
+	if err := v.Upsert(rows); err != nil {
 		t.Fatal(err)
 	}
 	v.Compact()
@@ -475,7 +475,7 @@ func BenchmarkVerticalSpanningAggregate(b *testing.B) {
 	q := tpGroupPart()
 	ex := &exec.Ctx{Pool: exec.NewPool(0)}
 	for _, l := range layouts {
-		if err := l.store.Insert(rows); err != nil {
+		if err := l.store.Upsert(rows); err != nil {
 			b.Fatal(err)
 		}
 		l.store.Compact()

@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -77,6 +78,37 @@ func TestSnapshotFeatures(t *testing.T) {
 	}
 	if ts.Aggregations != 10 || ts.Selects != 30 {
 		t.Errorf("op mix: aggs=%d selects=%d", ts.Aggregations, ts.Selects)
+	}
+}
+
+// TestCopyIsObserved: each COPY batch reaches the window as one INSERT of
+// its rows, as a multi-row INSERT does, and a large batch is sampled with
+// its row count but without its values.
+func TestCopyIsObserved(t *testing.T) {
+	db := testDB(t, catalog.RowStore, 0)
+	m := New(db, Config{Epochs: 4, RotateEvery: 0, SampleCap: 64})
+	const batches, per = 3, 100
+	for b := 0; b < batches; b++ {
+		rows := make([][]value.Value, per)
+		for i := range rows {
+			id := int64(b*per + i)
+			rows[i] = []value.Value{value.NewBigint(id), value.NewInt(id % 7), value.NewDouble(float64(id))}
+		}
+		if _, err := db.CopyRows(context.Background(), "t", rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := m.Snapshot()
+	if ts := snap.Recorder.Table("t"); ts == nil || ts.Inserts != batches || ts.TotalQueries() != batches {
+		t.Fatalf("table statistics %+v, want %d inserts", ts, batches)
+	}
+	if snap.Queries.Len() != batches {
+		t.Fatalf("%d statements sampled, want %d", snap.Queries.Len(), batches)
+	}
+	for _, q := range snap.Queries.Queries {
+		if q.Kind != query.Insert || len(q.Rows) != per || q.Rows[0] != nil {
+			t.Fatalf("sampled %v of %d rows (first %v), want an INSERT of %d trimmed rows", q.Kind, len(q.Rows), q.Rows[0], per)
+		}
 	}
 }
 

@@ -69,8 +69,8 @@ func checkAgainst(t *testing.T, tb *Table, model map[int64][]value.Value, step s
 }
 
 // TestArenaRoundTrip stores every edge value and NULL of every type
-// through Insert, Update, Upsert and Compact, and through the Scan → Load
-// pair snapshots are written and restored with.
+// through Insert, Update, Upsert and Compact, and through the Scan →
+// Upsert pair snapshots are written and restored with.
 func TestArenaRoundTrip(t *testing.T) {
 	sch := arenaSchema()
 	tb := New(sch)
@@ -147,11 +147,11 @@ func TestArenaRoundTrip(t *testing.T) {
 		snap = append(snap, append([]value.Value{}, row...))
 		return true
 	})
-	re, err := Load(sch, snap)
-	if err != nil {
+	re := New(sch)
+	if err := re.Upsert(snap); err != nil {
 		t.Fatal(err)
 	}
-	checkAgainst(t, re, model, "load")
+	checkAgainst(t, re, model, "reload")
 	if re.ArenaBytes() != tb.ArenaBytes() {
 		t.Errorf("a reloaded table takes %d arena bytes, the compacted one %d", re.ArenaBytes(), tb.ArenaBytes())
 	}

@@ -17,7 +17,6 @@
 package rowstore
 
 import (
-	"fmt"
 	"math"
 
 	"hybridstore/internal/exec"
@@ -81,17 +80,6 @@ func New(sch *schema.Table) *Table {
 		t.pkOrdered = &orderedPK{}
 	}
 	return t
-}
-
-// Load builds a table from snapshotted rows, rebuilding the arena and
-// all primary-key index structures. Tombstones are not part of a
-// snapshot, so the loaded table starts compacted.
-func Load(sch *schema.Table, rows [][]value.Value) (*Table, error) {
-	t := New(sch)
-	if err := t.Insert(rows); err != nil {
-		return nil, fmt.Errorf("rowstore: load: %w", err)
-	}
-	return t, nil
 }
 
 // Schema returns the table schema.
@@ -312,10 +300,8 @@ func (t *Table) appendRow(row []value.Value) {
 // table, at the cost of the rows written. The batch is validated before
 // anything changes.
 func (t *Table) Upsert(rows [][]value.Value) error {
-	for _, row := range rows {
-		if err := t.sch.ValidateRow(row); err != nil {
-			return err
-		}
+	if err := t.sch.ValidateRows(rows); err != nil {
+		return err
 	}
 	key := make([]value.Value, len(t.sch.PrimaryKey))
 	for _, row := range rows {

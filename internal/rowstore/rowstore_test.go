@@ -426,30 +426,6 @@ func TestUpdatePKDuplicateRejected(t *testing.T) {
 	}
 }
 
-func TestLoadRoundTrip(t *testing.T) {
-	tb := loaded(t, 20)
-	deleteWhere(tb, &expr.Comparison{Col: 0, Op: expr.Lt, Val: value.NewBigint(5)})
-	var rows [][]value.Value
-	tb.Scan(nil, func(rid int, row []value.Value) bool {
-		cp := make([]value.Value, len(row))
-		copy(cp, row)
-		rows = append(rows, cp)
-		return true
-	})
-	re, err := Load(testSchema(t), rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.Rows() != 15 {
-		t.Fatalf("loaded %d rows, want 15", re.Rows())
-	}
-	for i := int64(5); i < 20; i++ {
-		if _, ok := re.LookupPK([]value.Value{value.NewBigint(i)}); !ok {
-			t.Fatalf("key %d missing after load", i)
-		}
-	}
-}
-
 func TestInsertBatchAtomic(t *testing.T) {
 	tb := loaded(t, 5)
 	// Batch whose last row collides with an existing key: nothing from

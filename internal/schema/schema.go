@@ -241,6 +241,16 @@ func (t *Table) ValidateKeyUpdate(set map[int]value.Value, keys [][]value.Value,
 	return nil
 }
 
+// ValidateRows checks every row of a batch against the schema (ValidateRow).
+func (t *Table) ValidateRows(rows [][]value.Value) error {
+	for _, row := range rows {
+		if err := t.ValidateRow(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ValidateInsert checks an insert batch before anything of it is stored:
 // every row against the schema (ValidateRow), and every row's key against
 // the keys taken reports as held and against the batch's other keys — so a
