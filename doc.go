@@ -64,13 +64,19 @@
 //     column-at-a-time (compress.Packed.UnpackBlock) into the buffers of
 //     the worker that asks for it. It is the column store's side of the
 //     engine's one read, numbered blocks (exec.Blocks) every layout
-//     returns: the row store's blocks are 256-slot ranges of its arena
-//     or runs of an index's candidates, a horizontal split numbers the
-//     hot side's blocks before the cold side's, and a vertical split
-//     returns the blocks of the one partition holding the statement's
-//     columns or joins the two on the key, one row-partition block at a
-//     time. A join's probe and an MVCC-merged scan are block sources
-//     too, built on the blocks of their input.
+//     returns. In the engine a table is a list of parts, each one row or
+//     column store holding the rows of one side of a hot/cold split (or
+//     all of them) and all of the table's columns or a vertical split's
+//     share; the catalog's PartitionSpec is the only description of a
+//     layout, and the parts are built from it. One router maps a read to
+//     the parts it touches: it prunes the sides by the predicate's range
+//     on the split column, numbers the hot side's blocks before the cold
+//     side's, and on each side returns the blocks of the one part holding
+//     the statement's columns, or joins the side's row and column parts
+//     on the key, one row-part block at a time. The row store's blocks
+//     are 256-slot ranges of its arena or runs of an index's candidates.
+//     A join's probe and an MVCC-merged scan are block sources too,
+//     built on the blocks of their input.
 //   - Column-store aggregation has one kernel (colstore.DenseAgg): dense
 //     per-(group, spec) scalar accumulators indexed by a dense group id
 //     and fed block-at-a-time. Per batch it decodes a value column's
@@ -87,25 +93,28 @@
 //     single-table aggregate, ungrouped or grouped on one column or on
 //     two with a small combined code space, numbers its groups by
 //     dictionary code. A star-join probe numbers them through an array
-//     indexed by the join key's code (see Query planning). The spanning aggregate of a
-//     vertical split (below) groups by the column partition's codes. The
-//     latter two use the kernel's two extension points: the caller may
-//     assign each batch row its group from the codes of columns it
-//     names — or drop the row — and an aggregate whose column is not in
-//     the scanned table is fed as a caller-filled float vector per
-//     batch (SUM, AVG and COUNT only: extrema are tracked as codes).
+//     indexed by the join key's code (see Query planning); only a table
+//     that is one full-width column part probes this way. The spanning
+//     aggregate of a vertical split (below) groups by its column part's
+//     codes. The latter two use the kernel's two extension points: the
+//     caller may assign each batch row its group from the codes of
+//     columns it names — or drop the row — and an aggregate whose
+//     column is not in the scanned table is fed as a caller-filled float
+//     vector per batch (SUM, AVG and COUNT only: extrema are tracked as
+//     codes).
 //     Group-bys the kernel cannot number densely — three or more
 //     columns, or two with more than 2^18 code combinations — go to the
 //     generic hash fold (agg.Result.Fold), which every other aggregate
 //     shares: it hashes each block row's key into one partial result
 //     per block range.
-//   - Horizontally partitioned tables compute the hot and cold partial
-//     aggregates as the two morsels of one loop and merge them (the
-//     paper's "union of both partitions"); the side done first frees its
-//     slot, which the other side's still running loop takes on.
-//   - Vertically partitioned tables push an aggregate into the one
-//     partition that holds all its columns. An aggregate that spans both
-//     is a column-driven PK join (the paper's "both partitions plus a PK
+//   - A table split hot/cold computes the two sides' partial aggregates
+//     as the two morsels of one loop and merges them (the paper's "union
+//     of both partitions"); the side done first frees its slot, which the
+//     other side's still running loop takes on.
+//   - On a vertically split side an aggregate runs in the one part that
+//     holds all its columns: the column store's kernel in a column part,
+//     the generic hash fold over a row part. An aggregate that spans both
+//     parts is a column-driven PK join (the paper's "both partitions plus a PK
 //     join"): the conjuncts the column partition covers — key ranges
 //     included — run on its bitmap and zone-map kernels; a batch of
 //     surviving rows' keys resolves at once, one word compare each
@@ -124,22 +133,24 @@
 //     remaining conjuncts on it and hands the joined block to the
 //     generic hash fold. Nothing links the partitions but the key: the
 //     column store renumbers rows when it migrates and merges them, so
-//     a stored rid-to-rid link would be a second source of truth. A
-//     horizontal+vertical layout (hot rows whole in the row store, cold
-//     rows split) runs this for its cold side beside the hot side's.
+//     a stored rid-to-rid link would be a second source of truth. Under
+//     a hot/cold split the vertical split is the cold side's pair of
+//     parts, and this runs there beside the hot side's full-width part.
 //   - Row-at-a-time accumulation (agg.Result.AddRow, which the generic
 //     hash fold runs for the row store, the fallbacks above, hash-join
 //     probes and MVCC-merged scans) tracks extrema only for MIN and
 //     MAX; SUM, AVG and COUNT cost an add and an increment.
 //   - A read or write whose predicate names the whole primary key takes
 //     one row, with no plan node or flag of its own: both stores resolve
-//     it through their PK index (see Column store), a horizontal split
-//     prunes to one side when it is split on the key, and a vertical split
-//     covered by one partition uses that partition's keyed path. The
-//     engine's keyed UPDATE and DELETE (matched through the scan) and the
-//     fold of a committed transaction (DeletePK, Upsert) inherit it. A
-//     statement that needs columns of both partitions of a vertical split
-//     still joins them in full, keyed or not.
+//     it through their PK index (see Column store), the router prunes a
+//     hot/cold split to one side when it is split on the key, and a read
+//     one part of a vertical split covers uses that part's keyed path; a
+//     single-store table's one full-width part takes the predicate and
+//     columns as they are. The engine's keyed UPDATE and DELETE (matched
+//     through the scan) and the fold of a committed transaction
+//     (DeletePK, Upsert) inherit it. A statement that needs columns of
+//     both parts of a vertical split still joins them in full, keyed or
+//     not.
 //
 // # Column store
 //
@@ -179,18 +190,20 @@
 // rows the merges left in main fragments.
 //
 // Statistics come from the same place. Database.CollectStats reads a
-// column-store table — and, on a vertical split, the columns only the
-// column partition holds, plus the key — through Table.ValueRuns: one
+// column part — all of a column-store table, the column part's columns
+// of a vertical split, the key included — through Table.ValueRuns: one
 // counting pass over the code vectors, then every distinct live value
 // with its row count straight from the dictionaries (a value both
 // dictionaries hold counted once, values only tombstoned rows hold not at
 // all). Row count, NDV, min/max and average VARCHAR length follow without
 // materializing a row, and NDV is exact at any cardinality. Every other
-// column — row-store tables, the row partition of a vertical split, both
-// sides of a horizontal split, whose NDV is not the sum of its sides' — is
-// scanned into the same catalog.StatsCollector, which remembers up to
+// column — a row-store table's, a vertical split's row part's — comes from
+// one scan of its side into the same catalog.StatsCollector, which
+// remembers up to
 // 65 536 distinct values per column (exact up to there, identical to the
-// dictionary read-out) and extrapolates linearly beyond. Compact publishes
+// dictionary read-out) and extrapolates linearly beyond. The two sides of a
+// hot/cold split feed collectors of their own, which merge (NDV is not the
+// sum of the sides'). Compact publishes
 // statistics after the merge, so load, Compact, CollectStats costs the
 // load and two counting passes on a column table, not three scans; Open
 // publishes them after recovery.
@@ -478,10 +491,9 @@
 //     cannot double-apply the stale tail. Its format is version 3. Load
 //     writes each table's rows with one Upsert and then compacts it, so
 //     a recovered table starts read-optimized (a column store's delta
-//     is merged). Version 1 and 2 snapshots, which wrote each layout's
-//     own sections (one for a row store, main then delta for a column
-//     store, hot then cold for a horizontal split, the row partition
-//     then the column partition's two for a vertical split, joined back
+//     is merged). Version 1 and 2 snapshots, which wrote sections part
+//     by part in the table's part order (one for a row part, main then
+//     delta for a column part; a vertical split's two parts joined back
 //     by key), still load through one legacy reader. In a version-1
 //     snapshot, written before every table had a key, the rows of a
 //     keyless table take hidden keys 1..n, and a logged insert of the
@@ -560,15 +572,18 @@
 //     (storage.DeletePK / Upsert). A key that keeps a final row image is
 //     replaced — the row store overwrites its slots in place, the column
 //     store clears the live bit LookupPK found and appends the image to
-//     the delta, a horizontal split routes by key to the hot then the
-//     cold partition — and a key left without one is deleted; no step
+//     the delta, a hot/cold split sends the row to its side's parts and
+//     drops the key from the other side's — and a key left without one is
+//     deleted; no step
 //     scans the table, so the write lock is held for microseconds per
 //     commit, and re-applying a fold is harmless. An in-flight migration
 //     replays folds onto its target in the same keyed form. Until a
 //     commit is folded, a scan shows the committed image of an updated
-//     row in its base row's place, so a key-range read keeps its order. A
-//     vertically split table deletes a key from each partition through
-//     its PK index and upserts as that delete plus an insert into both.
+//     row in its base row's place, so a key-range read keeps its order.
+//     The write is one loop over the parts, the batch validated once
+//     before any part changes: a vertical split's parts delete the key
+//     through their PK index and append the row's share, so both keep
+//     their rows in the same order.
 //
 // Failure handling in the driver: losing the connection inside a
 // transaction surfaces an error instead of transparently redialing —

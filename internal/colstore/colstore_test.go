@@ -321,6 +321,41 @@ func TestAggregateNullHandling(t *testing.T) {
 	check()
 }
 
+// TestPredicateOnAllNullDelta: a value predicate on a column whose delta
+// holds nothing but NULLs — an empty delta dictionary — matches none of
+// them, as the first conjunct tested and behind another one.
+func TestPredicateOnAllNullDelta(t *testing.T) {
+	sch := schema.MustNew("t", []schema.Column{
+		{Name: "id", Type: value.Bigint},
+		{Name: "v", Type: value.Integer, Nullable: true},
+	}, "id")
+	tb := New(sch)
+	row := func(id int64, v value.Value) []value.Value { return []value.Value{value.NewBigint(id), v} }
+	if err := tb.Upsert([][]value.Value{row(1, value.NewInt(7)), row(2, value.NewInt(8))}); err != nil {
+		t.Fatal(err)
+	}
+	tb.Merge()
+	if err := tb.Upsert([][]value.Value{row(3, value.Null(value.Integer)), row(4, value.Null(value.Integer))}); err != nil {
+		t.Fatal(err)
+	}
+	id := func(c int64) *expr.Comparison { return &expr.Comparison{Col: 0, Op: expr.Ge, Val: value.NewBigint(c)} }
+	v := func(op expr.CmpOp, c int64) *expr.Comparison {
+		return &expr.Comparison{Col: 1, Op: op, Val: value.NewInt(c)}
+	}
+	for _, c := range []struct {
+		pred expr.Predicate
+		want int64
+	}{
+		{v(expr.Eq, 7), 1},
+		{&expr.And{Preds: []expr.Predicate{id(2), v(expr.Le, 8)}}, 2},
+		{&expr.And{Preds: []expr.Predicate{id(1), v(expr.Eq, 7)}}, 1},
+	} {
+		if got := scanRows(tb, c.pred, []int{0}); len(got) != 1 || got[0].vals[0].Int() != c.want {
+			t.Errorf("%s: scanned %v, want the row of id %d", c.pred, got, c.want)
+		}
+	}
+}
+
 // upsertAmount stores key id with the given amount, as a transaction's fold
 // does, and checks the image a key lookup then finds and the live count.
 func upsertAmount(t *testing.T, tb *Table, id int64, amount float64) {

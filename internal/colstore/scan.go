@@ -330,7 +330,7 @@ func (t *Table) fillMatcherDelta(m *colMatcher, match bitset.Bits, first bool) {
 			match[w] = 0
 		}
 		for d, code := range c.deltaCodes {
-			if m.deltaMatch[code] && (c.deltaNulls == nil || !c.deltaNulls[d]) {
+			if (c.deltaNulls == nil || !c.deltaNulls[d]) && m.deltaMatch[code] {
 				match.Set(mainRows + d)
 			}
 		}
@@ -341,7 +341,7 @@ func (t *Table) fillMatcherDelta(m *colMatcher, match bitset.Bits, first bool) {
 		if !match.Get(rid) {
 			continue
 		}
-		if !m.deltaMatch[code] || (c.deltaNulls != nil && c.deltaNulls[d]) {
+		if (c.deltaNulls != nil && c.deltaNulls[d]) || !m.deltaMatch[code] {
 			match.Clear(rid)
 		}
 	}

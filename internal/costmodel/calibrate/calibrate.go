@@ -116,9 +116,13 @@ type calibrator struct {
 	rng *rand.Rand
 }
 
-// measure runs a query cfg.Reps times and returns the median runtime in
+// measure runs a query once untimed — a first execution pays costs no
+// later one does — then cfg.Reps times, and returns the median runtime in
 // nanoseconds.
 func (c *calibrator) measure(q *query.Query) (float64, error) {
+	if _, err := c.db.Exec(q); err != nil {
+		return 0, err
+	}
 	times := make([]float64, 0, c.cfg.Reps)
 	for i := 0; i < c.cfg.Reps; i++ {
 		res, err := c.db.Exec(q)

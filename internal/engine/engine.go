@@ -17,13 +17,11 @@ import (
 	"time"
 
 	"hybridstore/internal/catalog"
-	"hybridstore/internal/colstore"
 	"hybridstore/internal/costmodel"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/metrics"
 	"hybridstore/internal/plan"
 	"hybridstore/internal/query"
-	"hybridstore/internal/rowstore"
 	"hybridstore/internal/schema"
 	"hybridstore/internal/trace"
 	"hybridstore/internal/txn"
@@ -75,7 +73,7 @@ type Result struct {
 // atomic swap.
 type tableRuntime struct {
 	entry *catalog.TableEntry
-	store storage
+	store *storage
 	tail  *migrationTail
 
 	// ov is the table's MVCC version overlay. It is created with the table
@@ -215,45 +213,6 @@ func (db *Database) observer() Observer {
 
 func tableKey(name string) string { return strings.ToLower(name) }
 
-// buildStorage constructs the physical storage for a placement.
-func buildStorage(sch *schema.Table, store catalog.StoreKind, spec *catalog.PartitionSpec) (storage, error) {
-	single := func(kind catalog.StoreKind, s *schema.Table) (storage, error) {
-		switch kind {
-		case catalog.RowStore:
-			return &rowStorage{t: rowstore.New(s)}, nil
-		case catalog.ColumnStore:
-			return &colStorage{t: colstore.New(s)}, nil
-		default:
-			return nil, fmt.Errorf("engine: invalid leaf store %v", kind)
-		}
-	}
-	if spec == nil {
-		return single(store, sch)
-	}
-	if err := spec.Validate(sch); err != nil {
-		return nil, err
-	}
-	// Cold side: plain store or vertical split.
-	buildCold := func(kind catalog.StoreKind) (storage, error) {
-		if spec.Vertical != nil {
-			return newVerticalStorage(sch, spec.Vertical)
-		}
-		return single(kind, sch)
-	}
-	if h := spec.Horizontal; h != nil {
-		hot, err := single(h.HotStore, sch)
-		if err != nil {
-			return nil, err
-		}
-		cold, err := buildCold(h.ColdStore)
-		if err != nil {
-			return nil, err
-		}
-		return newHorizontalStorage(sch, h, hot, cold), nil
-	}
-	return newVerticalStorage(sch, spec.Vertical)
-}
-
 // CreateTable registers a new table in the given store.
 func (db *Database) CreateTable(sch *schema.Table, store catalog.StoreKind) error {
 	return db.CreateTableWithLayout(sch, store, nil)
@@ -283,7 +242,7 @@ func (db *Database) createTableLocked(sch *schema.Table, store catalog.StoreKind
 	if spec != nil {
 		store = catalog.Partitioned
 	}
-	st, err := buildStorage(sch, store, spec)
+	st, err := newStorage(sch, store, spec)
 	if err != nil {
 		return err
 	}
@@ -379,10 +338,7 @@ func (db *Database) createIndexLocked(name string, col int) error {
 	if col < 0 || col >= rt.entry.Schema.NumColumns() {
 		return fmt.Errorf("engine: index column %d out of range for %q", col, name)
 	}
-	supported := rt.store.SupportsIndex(col)
-	if supported {
-		rt.store.CreateIndex(col)
-	}
+	supported := rt.store.CreateIndex(col)
 	// The declaration is recorded through the catalog so the append
 	// synchronizes with concurrent catalog snapshot readers.
 	db.cat.AddIndex(name, col)
@@ -440,49 +396,10 @@ func (db *Database) CollectStats(name string) (*catalog.TableStats, error) {
 		return nil, err
 	}
 	sc := catalog.NewStatsCollector(rt.entry.Schema.ColTypes())
-	collectStats(sc, rt.store, rt.entry.Schema)
+	rt.store.collectStats(sc)
 	st := sc.Finish()
 	db.cat.SetStats(name, st)
 	return st, nil
-}
-
-// collectStats feeds sc a table's statistics. The columns a column-store
-// table holds — or the column partition of a vertical split, alone — are
-// read off its dictionaries with one counting pass over the code vectors
-// (colstore.ValueRuns: no row materialized, distinct counts exact at any
-// cardinality), and the partitions of a horizontal split each as their own
-// layout allows; every other column comes from one scan.
-func collectStats(sc *catalog.StatsCollector, st storage, sch *schema.Table) {
-	if h, ok := st.(*horizontalStorage); ok {
-		hot := sc.Part()
-		collectStats(sc, h.cold, sch)
-		collectStats(hot, h.hot, sch)
-		sc.Merge(hot)
-		return
-	}
-	scan := allCols(sch.NumColumns())
-	runs := func(t *colstore.Table, partCol, col int) {
-		t.ValueRuns(partCol, func(v value.Value, rows int) { sc.AddRun(col, v, rows) })
-	}
-	switch s := st.(type) {
-	case *colStorage:
-		for _, c := range scan {
-			runs(s.t, c, c)
-		}
-		scan = nil
-	case *verticalStorage:
-		scan = scan[:0]
-		for c := range sch.Columns {
-			if pc, ok := s.colFwd[c]; ok {
-				runs(s.colPart, pc, c)
-			} else {
-				scan = append(scan, c)
-			}
-		}
-	}
-	if len(scan) > 0 {
-		eachRow(st.Scan(nil, scan, nil), scan, sch.NumColumns(), sc.Add)
-	}
 }
 
 // MemoryBytes returns the estimated payload size of a table.

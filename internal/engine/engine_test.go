@@ -39,7 +39,7 @@ func salesRow(id int64) []value.Value {
 
 // storeRows returns a copy of every live row of st, a width-column table,
 // in serial scan order.
-func storeRows(st storage, width int) [][]value.Value {
+func storeRows(st *storage, width int) [][]value.Value {
 	return rowsOf(st.Scan(nil, nil, nil), width)
 }
 

@@ -203,10 +203,11 @@ func TestKeyedFoldRecoveryTruncatedWAL(t *testing.T) {
 }
 
 // BenchmarkFoldSingleRowUpdate is the auto-commit UPDATE of one row by key
-// on a 100k-row table, fold included: claim, commit, keyed apply.
+// on a 100k-row table in each layout, fold included: claim, commit,
+// keyed apply.
 func BenchmarkFoldSingleRowUpdate(b *testing.B) {
 	const n = 100_000
-	for _, lay := range dmlLayouts()[:2] {
+	for _, lay := range dmlLayouts() {
 		b.Run(lay.name, func(b *testing.B) {
 			db := New()
 			if err := db.CreateTableWithLayout(dmlSchema(), lay.store, lay.spec); err != nil {
@@ -281,7 +282,7 @@ func TestRowStoragePersistRoundTrip(t *testing.T) {
 	}
 }
 
-func footprintOf(st storage) (f Footprint) {
+func footprintOf(st *storage) (f Footprint) {
 	st.footprint(&f)
 	return f
 }

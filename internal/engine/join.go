@@ -75,11 +75,10 @@ func (db *Database) newHashJoin(q *query.Query, hj *plan.HashJoin, snap stmtSnap
 }
 
 // dense reports whether the aggregate q runs on the column store's dense
-// kernel as a star join: the probe table is a column-store table, no
+// kernel as a star join: the probe table is one full-width column part, no
 // conjunct spans both tables, and the shape is a star's (starJoinShape).
 func (j *hashJoin) dense(q *query.Query) bool {
-	_, col := j.probe.rt.store.(*colStorage)
-	return col && j.post == nil && starJoinShape(q, &j.probe, &j.build)
+	return j.probe.rt.store.column() != nil && j.post == nil && starJoinShape(q, &j.probe, &j.build)
 }
 
 // open builds the build side: the star join's resolution into the probe
@@ -87,7 +86,7 @@ func (j *hashJoin) dense(q *query.Query) bool {
 // columns of the matching build rows.
 func (j *hashJoin) open(q *query.Query, star bool, ex *exec.Ctx) {
 	if star {
-		j.star = newStarJoin(j.probe.rt.store.(*colStorage).t, q, &j.probe, &j.build, j.buildNeed, ex)
+		j.star = newStarJoin(j.probe.rt.store.column(), q, &j.probe, &j.build, j.buildNeed, ex)
 		j.buildRows = j.star.buildRows
 		return
 	}
@@ -387,7 +386,7 @@ type joinWorker struct {
 	row   []value.Value // the combined row
 	cols  []int
 	out   [][]value.Value // the block's columns cols
-	slots []int32         // a vertical split's row-partition slots of the block's rows
+	slots []int32         // a vertical split's row-part slots of the block's rows
 }
 
 // put appends the combined row's columns to the block.

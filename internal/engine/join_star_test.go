@@ -225,37 +225,64 @@ func runPlanned(t *testing.T, db *Database, q *query.Query, opts plan.Options) [
 	return res.Rows
 }
 
-// assertStarAgree runs the wall at one stage of the data's life.
-func assertStarAgree(t *testing.T, stage string, db *Database, data *starData) {
+// starLayouts are the layouts the wall loads the probe table sfact in:
+// only the plain column table may run the dense probe. The split keeps the
+// ids from 6000 on in the row store; the vertical split keeps qty and the
+// filter column f in the row part, so statements that name them join the
+// parts on the key.
+func starLayouts() []parLayout {
+	split := &catalog.HorizontalSpec{SplitCol: 0, SplitVal: value.NewBigint(6000), HotStore: catalog.RowStore, ColdStore: catalog.ColumnStore}
+	vert := &catalog.VerticalSpec{RowCols: []int{0, 4, 5}, ColCols: []int{0, 1, 2, 3}}
+	return []parLayout{
+		{"column", catalog.ColumnStore, nil},
+		{"hot/cold", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: split}},
+		{"vertical", catalog.Partitioned, &catalog.PartitionSpec{Vertical: vert}},
+		{"hot/cold+vertical", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: split, Vertical: vert}},
+	}
+}
+
+// assertStarAgree runs the wall at one stage of the data's life, on every
+// database — sfact in starLayouts()[i] in dbs[i] — and at every pool size
+// eachPoolSize tries, the degraded plans too. A fractional sum must also
+// be bit-identical at every pool size.
+func assertStarAgree(t *testing.T, stage string, dbs []*Database, data *starData) {
 	t.Helper()
+	layouts := starLayouts()
 	buildRight, buildLeft := false, true
 	for _, c := range starCases() {
 		want := starOracle(c.q, data.fact, data.dim)
-		dense, generic := mJoinDense.Value(), mJoinGeneric.Value()
-		if err := sameRows(runPlanned(t, db, c.q, plan.Options{ForceBuildLeft: &buildRight}), want, c.tol); err != nil {
-			t.Fatalf("%s, %s: diverged from the nested-loop oracle: %v", stage, c.name, err)
-		}
-		if d, g := mJoinDense.Value()-dense, mJoinGeneric.Value()-generic; (d == 1) != c.dense || d+g != 1 {
-			t.Fatalf("%s, %s: ran %d dense and %d generic probes, want dense=%v", stage, c.name, d, g, c.dense)
-		}
-		// The degraded plans must run degraded — the fact side builds, or
-		// every conjunct waits until after the join — and still agree.
-		generic = mJoinGeneric.Value()
-		if err := sameRows(runPlanned(t, db, c.q, plan.Options{ForceBuildLeft: &buildLeft}), want, c.tol); err != nil {
-			t.Fatalf("%s, %s, fact side builds: %v", stage, c.name, err)
-		}
-		if g := mJoinGeneric.Value() - generic; g != 1 {
-			t.Fatalf("%s, %s: a fact-side build ran %d generic probes, want 1", stage, c.name, g)
-		}
-		dense = mJoinDense.Value()
-		if err := sameRows(runPlanned(t, db, c.q, plan.Options{ForceBuildLeft: &buildRight, DisablePushdown: true}), want, c.tol); err != nil {
-			t.Fatalf("%s, %s, pushdown off: %v", stage, c.name, err)
-		}
-		if d := mJoinDense.Value() - dense; (d == 1) != (c.dense && c.q.Pred == nil) {
-			t.Fatalf("%s, %s, pushdown off: ran %d dense probes", stage, c.name, d)
-		}
-		if c.tol > 0 {
-			assertPoolSizeIndependent(t, db, c.q, stage+", "+c.name)
+		for i, db := range dbs {
+			dense := c.dense && layouts[i].spec == nil
+			label := fmt.Sprintf("%s, %s, %s", stage, layouts[i].name, c.name)
+			eachPoolSize(t, db, label, false, func(size int) [][]value.Value {
+				at := fmt.Sprintf("%s, %d-slot pool", label, size)
+				d0, g0 := mJoinDense.Value(), mJoinGeneric.Value()
+				got := runPlanned(t, db, c.q, plan.Options{ForceBuildLeft: &buildRight})
+				if err := sameRows(got, want, c.tol); err != nil {
+					t.Fatalf("%s: diverged from the nested-loop oracle: %v", at, err)
+				}
+				if d, g := mJoinDense.Value()-d0, mJoinGeneric.Value()-g0; (d == 1) != dense || d+g != 1 {
+					t.Fatalf("%s: ran %d dense and %d generic probes, want dense=%v", at, d, g, dense)
+				}
+				// The degraded plans must run degraded — the fact side
+				// builds, or every conjunct waits until after the join —
+				// and still agree.
+				g0 = mJoinGeneric.Value()
+				if err := sameRows(runPlanned(t, db, c.q, plan.Options{ForceBuildLeft: &buildLeft}), want, c.tol); err != nil {
+					t.Fatalf("%s, fact side builds: %v", at, err)
+				}
+				if g := mJoinGeneric.Value() - g0; g != 1 {
+					t.Fatalf("%s: a fact-side build ran %d generic probes, want 1", at, g)
+				}
+				d0 = mJoinDense.Value()
+				if err := sameRows(runPlanned(t, db, c.q, plan.Options{ForceBuildLeft: &buildRight, DisablePushdown: true}), want, c.tol); err != nil {
+					t.Fatalf("%s, pushdown off: %v", at, err)
+				}
+				if d := mJoinDense.Value() - d0; (d == 1) != (dense && c.q.Pred == nil) {
+					t.Fatalf("%s, pushdown off: ran %d dense probes", at, d)
+				}
+				return got
+			})
 		}
 	}
 
@@ -264,28 +291,47 @@ func assertStarAgree(t *testing.T, stage string, db *Database, data *starData) {
 		Join:    &query.Join{Table: "sdup", LeftCol: 1, RightCol: 1},
 		Aggs:    []agg.Spec{{Func: agg.Sum, Col: 2}, {Func: agg.Count, Col: -1}, {Func: agg.Min, Col: 4}},
 		GroupBy: []int{starNL + 2}}
-	generic := mJoinGeneric.Value()
-	if err := sameRows(runPlanned(t, db, dup, plan.Options{ForceBuildLeft: &buildRight}), starOracle(dup, data.fact, data.dup), 0); err != nil {
-		t.Fatalf("%s, repeated build keys: %v", stage, err)
-	}
-	if g := mJoinGeneric.Value() - generic; g != 1 {
-		t.Fatalf("%s, repeated build keys: ran %d generic probes, want 1", stage, g)
+	want := starOracle(dup, data.fact, data.dup)
+	for i, db := range dbs {
+		generic := mJoinGeneric.Value()
+		if err := sameRows(runPlanned(t, db, dup, plan.Options{ForceBuildLeft: &buildRight}), want, 0); err != nil {
+			t.Fatalf("%s, %s, repeated build keys: %v", stage, layouts[i].name, err)
+		}
+		if g := mJoinGeneric.Value() - generic; g != 1 {
+			t.Fatalf("%s, %s, repeated build keys: ran %d generic probes, want 1", stage, layouts[i].name, g)
+		}
 	}
 }
 
 func TestStarJoinWall(t *testing.T) {
-	db := New()
-	db.SetPool(exec.NewPool(4))
-	for _, sch := range []*schema.Table{starFactSchema(), starDimSchema(), starDupSchema()} {
-		if err := db.CreateTable(sch, catalog.ColumnStore); err != nil {
+	var dbs []*Database
+	for _, l := range starLayouts() {
+		db := New()
+		if err := db.CreateTableWithLayout(starFactSchema(), l.store, l.spec); err != nil {
 			t.Fatal(err)
 		}
+		for _, sch := range []*schema.Table{starDimSchema(), starDupSchema()} {
+			if err := db.CreateTable(sch, catalog.ColumnStore); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dbs = append(dbs, db)
 	}
 	data := &starData{}
 	exec1 := func(q *query.Query) {
 		t.Helper()
-		if _, err := db.Exec(q); err != nil {
-			t.Fatal(err)
+		for _, db := range dbs {
+			if _, err := db.Exec(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	compact := func(table string) {
+		t.Helper()
+		for _, db := range dbs {
+			if err := db.Compact(table); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	rng := rand.New(rand.NewSource(14))
@@ -298,13 +344,13 @@ func TestStarJoinWall(t *testing.T) {
 		exec1(&query.Query{Kind: query.Insert, Table: "sfact", Rows: rows})
 	}
 
-	assertStarAgree(t, "empty tables", db, data)
+	assertStarAgree(t, "empty tables", dbs, data)
 
 	for k := int64(0); k < 60; k++ {
 		data.dim = append(data.dim, starDimRow(k))
 	}
 	exec1(&query.Query{Kind: query.Insert, Table: "sdim", Rows: data.dim})
-	assertStarAgree(t, "empty probe side", db, data)
+	assertStarAgree(t, "empty probe side", dbs, data)
 
 	for s := int64(0); s < 90; s++ {
 		k := value.NewInt(s % 45)
@@ -316,15 +362,13 @@ func TestStarJoinWall(t *testing.T) {
 	}
 	exec1(&query.Query{Kind: query.Insert, Table: "sdup", Rows: data.dup})
 	insertFact(0, 9000)
-	if err := db.Compact("sfact"); err != nil {
-		t.Fatal(err)
-	}
-	assertStarAgree(t, "main only", db, data)
+	compact("sfact")
+	assertStarAgree(t, "main only", dbs, data)
 
 	// The delta dictionary repeats keys of the main dictionary and brings
 	// new ones.
 	insertFact(9000, 9700)
-	assertStarAgree(t, "probe rows in the delta", db, data)
+	assertStarAgree(t, "probe rows in the delta", dbs, data)
 
 	tomb := &expr.Between{Col: 0, Lo: value.NewBigint(2000), Hi: value.NewBigint(2600)}
 	exec1(&query.Query{Kind: query.Delete, Table: "sfact", Pred: tomb})
@@ -333,11 +377,11 @@ func TestStarJoinWall(t *testing.T) {
 	gone := &expr.Between{Col: 0, Lo: value.NewInt(20), Hi: value.NewInt(24)}
 	exec1(&query.Query{Kind: query.Delete, Table: "sdim", Pred: gone})
 	data.dim = deleteRows(data.dim, func(r []value.Value) bool { return gone.Matches(r) })
-	assertStarAgree(t, "tombstones", db, data)
+	assertStarAgree(t, "tombstones", dbs, data)
 
 	exec1(&query.Query{Kind: query.Delete, Table: "sdim"})
 	data.dim = nil
-	assertStarAgree(t, "empty build side", db, data)
+	assertStarAgree(t, "empty build side", dbs, data)
 }
 
 // TestStarJoinStops fires the Stop hook in the middle of the probe: the
@@ -381,7 +425,7 @@ func TestStarJoinStops(t *testing.T) {
 	pool := exec.NewPool(4)
 	var polls atomic.Int64
 	ex := &exec.Ctx{Pool: pool, Stop: func() bool { return polls.Add(1) > 6 }}
-	star := newStarJoin(fact.store.(*colStorage).t, q, &probe, &build, []int{1, 0}, nil)
+	star := newStarJoin(fact.store.column(), q, &probe, &build, []int{1, 0}, nil)
 	res := agg.NewResult(q.Aggs, q.GroupBy)
 	if seen := star.probe(res, nil, ex); seen >= n {
 		t.Errorf("stopped probe still saw all %d rows", seen)
@@ -395,7 +439,7 @@ func TestStarJoinStops(t *testing.T) {
 	if pool.Stats().InUse != 0 {
 		t.Errorf("%d pool slots still held after a stopped probe", pool.Stats().InUse)
 	}
-	star = newStarJoin(fact.store.(*colStorage).t, q, &probe, &build, []int{1, 0}, nil)
+	star = newStarJoin(fact.store.column(), q, &probe, &build, []int{1, 0}, nil)
 	if seen := star.probe(res, nil, &exec.Ctx{Pool: pool}); seen != n {
 		t.Errorf("probe after a stopped run saw %d rows, want %d", seen, n)
 	}
@@ -493,7 +537,10 @@ func TestJoinWholeNumberKeyTypes(t *testing.T) {
 // dimension attribute — beside the plain single-table GROUP BY over the
 // same fact rows, which is what the probe costs once the build side has
 // been resolved into the key column's dictionary. ns/row counts probed
-// rows.
+// rows. It runs once per layout of the fact table, the probe side: only
+// the plain column table probes on the dense kernel; the split keeps the
+// newest quarter in the row store, and the vertical split keeps the filter
+// column f0 in its row part.
 func BenchmarkStarJoinAggregate(b *testing.B) {
 	const factRows, dimRows = 40_000, 2000
 	fsch := schema.MustNew("fact", []schema.Column{
@@ -503,12 +550,6 @@ func BenchmarkStarJoinAggregate(b *testing.B) {
 	dsch := schema.MustNew("dim", []schema.Column{
 		{Name: "dkey", Type: value.Integer}, {Name: "d_g1", Type: value.Integer},
 	}, "dkey")
-	db := New()
-	for _, sch := range []*schema.Table{fsch, dsch} {
-		if err := db.CreateTable(sch, catalog.ColumnStore); err != nil {
-			b.Fatal(err)
-		}
-	}
 	rng := rand.New(rand.NewSource(2012))
 	frows := make([][]value.Value, 0, factRows)
 	for id := int64(0); id < factRows; id++ {
@@ -519,14 +560,6 @@ func BenchmarkStarJoinAggregate(b *testing.B) {
 	for k := int64(0); k < dimRows; k++ {
 		drows = append(drows, []value.Value{value.NewInt(k), value.NewInt(k % 25)})
 	}
-	for table, rows := range map[string][][]value.Value{"fact": frows, "dim": drows} {
-		if _, err := db.Exec(&query.Query{Kind: query.Insert, Table: table, Rows: rows}); err != nil {
-			b.Fatal(err)
-		}
-		if err := db.Compact(table); err != nil {
-			b.Fatal(err)
-		}
-	}
 	pred := &expr.Comparison{Col: 3, Op: expr.Lt, Val: value.NewInt(300)}
 	probed, keys := 0, map[int64]bool{}
 	for _, r := range frows {
@@ -535,27 +568,51 @@ func BenchmarkStarJoinAggregate(b *testing.B) {
 			keys[r[1].Int()] = true
 		}
 	}
-	for _, c := range []struct {
-		name   string
-		q      *query.Query
-		groups int
-	}{
-		{"join", &query.Query{Kind: query.Aggregate, Table: "fact", Join: &query.Join{Table: "dim", LeftCol: 1, RightCol: 0},
-			Aggs: []agg.Spec{{Func: agg.Sum, Col: 2}}, GroupBy: []int{4 + 1}, Pred: pred}, 25},
-		{"group-by", &query.Query{Kind: query.Aggregate, Table: "fact",
-			Aggs: []agg.Spec{{Func: agg.Sum, Col: 2}}, GroupBy: []int{1}, Pred: pred}, len(keys)},
+	split := &catalog.HorizontalSpec{SplitCol: 0, SplitVal: value.NewBigint(factRows * 3 / 4), HotStore: catalog.RowStore, ColdStore: catalog.ColumnStore}
+	vert := &catalog.VerticalSpec{RowCols: []int{0, 3}, ColCols: []int{0, 1, 2}}
+	for _, l := range []parLayout{
+		{"column", catalog.ColumnStore, nil},
+		{"hot-cold", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: split}},
+		{"vertical", catalog.Partitioned, &catalog.PartitionSpec{Vertical: vert}},
+		{"hot-cold+vertical", catalog.Partitioned, &catalog.PartitionSpec{Horizontal: split, Vertical: vert}},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := db.Exec(c.q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Rows) != c.groups {
-					b.Fatalf("%d groups, want %d", len(res.Rows), c.groups)
-				}
+		db := New()
+		if err := db.CreateTableWithLayout(fsch, l.store, l.spec); err != nil {
+			b.Fatal(err)
+		}
+		if err := db.CreateTable(dsch, catalog.ColumnStore); err != nil {
+			b.Fatal(err)
+		}
+		for table, rows := range map[string][][]value.Value{"fact": frows, "dim": drows} {
+			if _, err := db.Exec(&query.Query{Kind: query.Insert, Table: table, Rows: rows}); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(probed), "ns/row")
-		})
+			if err := db.Compact(table); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, c := range []struct {
+			name   string
+			q      *query.Query
+			groups int
+		}{
+			{"join", &query.Query{Kind: query.Aggregate, Table: "fact", Join: &query.Join{Table: "dim", LeftCol: 1, RightCol: 0},
+				Aggs: []agg.Spec{{Func: agg.Sum, Col: 2}}, GroupBy: []int{4 + 1}, Pred: pred}, 25},
+			{"group-by", &query.Query{Kind: query.Aggregate, Table: "fact",
+				Aggs: []agg.Spec{{Func: agg.Sum, Col: 2}}, GroupBy: []int{1}, Pred: pred}, len(keys)},
+		} {
+			b.Run(l.name+"/"+c.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					res, err := db.Exec(c.q)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if len(res.Rows) != c.groups {
+						b.Fatalf("%d groups, want %d", len(res.Rows), c.groups)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(probed), "ns/row")
+			})
+		}
 	}
 }

@@ -51,7 +51,7 @@ func (rt *tableRuntime) recordTail(op dmlOp) {
 // The target starts from the exact source state at the snapshot mark and
 // ops are replayed in sequence, so each op executes against the same state
 // it originally saw — no idempotency tricks are needed.
-func replayOps(st storage, ops []dmlOp) error {
+func replayOps(st *storage, ops []dmlOp) error {
 	for _, op := range ops {
 		if err := applyFold(st, op); err != nil {
 			return err
@@ -119,7 +119,7 @@ func (db *Database) MigrateLayout(name string, store catalog.StoreKind, spec *ca
 	if spec != nil {
 		store = catalog.Partitioned
 	}
-	target, err := buildStorage(rt.entry.Schema, store, spec)
+	target, err := newStorage(rt.entry.Schema, store, spec)
 	if err != nil {
 		db.mu.Unlock()
 		return err

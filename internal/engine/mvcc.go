@@ -409,7 +409,7 @@ func applyTxnTable(rt *tableRuntime, tt *wal.TxnTable) error {
 }
 
 // applyFold deletes op's keys and upserts its row images.
-func applyFold(st storage, op dmlOp) error {
+func applyFold(st *storage, op dmlOp) error {
 	for _, pk := range op.keys {
 		st.DeletePK(pk)
 	}

@@ -258,6 +258,21 @@ func (b byKey) Swap(i, j int) {
 // results: a SELECT's rows in the same order, an aggregate's groups in any.
 func assertPoolSizeIndependent(t *testing.T, db *Database, q *query.Query, label string) {
 	t.Helper()
+	eachPoolSize(t, db, label, q.Kind == query.Select, func(size int) [][]value.Value {
+		res, err := db.Exec(q)
+		if err != nil {
+			t.Fatalf("%s: %d-slot pool: %v", label, size, err)
+		}
+		return res.Rows
+	})
+}
+
+// eachPoolSize calls run with db on worker pools of 1, 2, 3 and 8 slots
+// (1 and 8 under the race detector) and requires every result
+// bit-identical to the 1-slot pool's: its rows in the same order when
+// ordered, else in any.
+func eachPoolSize(t *testing.T, db *Database, label string, ordered bool, run func(size int) [][]value.Value) {
+	t.Helper()
 	sizes := []int{1, 2, 3, 8}
 	if raceEnabled {
 		sizes = []int{1, 8}
@@ -265,12 +280,8 @@ func assertPoolSizeIndependent(t *testing.T, db *Database, q *query.Query, label
 	var serial [][]value.Value
 	for _, size := range sizes {
 		db.SetPool(exec.NewPool(size))
-		res, err := db.Exec(q)
-		if err != nil {
-			t.Fatalf("%s: %d-slot pool: %v", label, size, err)
-		}
-		rows := res.Rows
-		if q.Kind != query.Select {
+		rows := run(size)
+		if !ordered {
 			rows = sortedRows(rows)
 		}
 		if size == 1 {

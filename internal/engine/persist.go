@@ -395,9 +395,7 @@ func (db *Database) loadSnapshot(data []byte) (uint64, error) {
 			if c < 0 || c >= sch.NumColumns() {
 				return 0, fmt.Errorf("engine: restore table %q: index on column %d", sch.Name, c)
 			}
-			if rt.store.SupportsIndex(c) {
-				rt.store.CreateIndex(c)
-			}
+			rt.store.CreateIndex(c)
 			db.cat.AddIndex(sch.Name, c)
 		}
 	}

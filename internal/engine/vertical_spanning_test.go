@@ -13,7 +13,6 @@ import (
 
 	"hybridstore/internal/agg"
 	"hybridstore/internal/catalog"
-	"hybridstore/internal/colstore"
 	"hybridstore/internal/exec"
 	"hybridstore/internal/expr"
 	"hybridstore/internal/query"
@@ -306,7 +305,7 @@ func spanningWall(t *testing.T, l parLayout, order string, pools []int, plain bo
 // helper slots released, and the engine must surface the cancellation
 // instead of the partial result.
 func TestVerticalSpanningAggregateStops(t *testing.T) {
-	v, err := newVerticalStorage(spanSchema(), spanVertical())
+	v, err := newStorage(spanSchema(), catalog.Partitioned, &catalog.PartitionSpec{Vertical: spanVertical()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,27 +460,28 @@ func TestVerticalSpanningTPLayout(t *testing.T) {
 func BenchmarkVerticalSpanningAggregate(b *testing.B) {
 	const n = 27_000
 	sch, vert, rows := tpTable(n, 100)
-	vstore, err := newVerticalStorage(sch, vert)
-	if err != nil {
-		b.Fatal(err)
-	}
 	layouts := []struct {
 		name  string
-		store storage
+		store catalog.StoreKind
+		spec  *catalog.PartitionSpec
 	}{
-		{"vertical", vstore},
-		{"column", &colStorage{t: colstore.New(sch)}},
+		{"vertical", catalog.Partitioned, &catalog.PartitionSpec{Vertical: vert}},
+		{"column", catalog.ColumnStore, nil},
 	}
 	q := tpGroupPart()
 	ex := &exec.Ctx{Pool: exec.NewPool(0)}
-	for _, l := range layouts {
-		if err := l.store.Upsert(rows); err != nil {
+	for _, lay := range layouts {
+		l, err := newStorage(sch, lay.store, lay.spec)
+		if err != nil {
 			b.Fatal(err)
 		}
-		l.store.Compact()
-		b.Run(l.name, func(b *testing.B) {
+		if err := l.Upsert(rows); err != nil {
+			b.Fatal(err)
+		}
+		l.Compact()
+		b.Run(lay.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if got := len(l.store.Aggregate(q.Aggs, q.GroupBy, nil, ex).Groups); got != 20 {
+				if got := len(l.Aggregate(q.Aggs, q.GroupBy, nil, ex).Groups); got != 20 {
 					b.Fatalf("%d groups, want 20", got)
 				}
 			}

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Server smoke: build hsqld + hsql, start the daemon against a temp data
 # directory, drive it through the remote-mode shell (ALTER TABLE moves
-# included), kill -9 the daemon, restart it on the same data directory,
+# included, up to a hot/cold split with a vertically split cold side),
+# kill -9 the daemon, restart it on the same data directory,
 # and verify every acknowledged write and layout survived. Exercises the full stack: wire protocol, sessions,
 # WAL durability and crash recovery. A second daemon with -auto then
 # checks the online advisor loop: workload monitor -> advisor ->
@@ -140,6 +141,26 @@ fi
 [ "$(store_of sales)" = "COLUMN 5" ]    || { echo "FAIL: sales should be a 5-row COLUMN table, got: $(store_of sales)" >&2; exit 1; }
 [ "$(store_of kv)" = "PARTITIONED 3" ]  || { echo "FAIL: kv should be a 3-row PARTITIONED table, got: $(store_of kv)" >&2; exit 1; }
 
+echo "== ALTER TABLE over the wire: hot/cold + vertical, the advisor's richest layout =="
+rich="$("$work/hsql" -connect "127.0.0.1:$port" <<'EOF'
+CREATE TABLE ledger (id BIGINT NOT NULL, grp INTEGER, amount DOUBLE, PRIMARY KEY (id));
+INSERT INTO ledger VALUES (1, 1, 10), (2, 2, 20), (3, 3, 30), (4, 1, 40), (5, 2, 50);
+ALTER TABLE ledger PARTITION BY RANGE (id) (PARTITION hot VALUES >= 4 STORE ROW, PARTITION historic STORE COLUMN VERTICAL ((id, grp) STORE ROW, (id, amount) STORE COLUMN));
+EOF
+)"
+echo "$rich"
+if echo "$rich" | grep -q 'error'; then
+  echo "FAIL: ALTER TABLE to hot/cold + vertical over -connect failed" >&2
+  exit 1
+fi
+[ "$(store_of ledger)" = "PARTITIONED 5" ] || { echo "FAIL: ledger should be a 5-row PARTITIONED table, got: $(store_of ledger)" >&2; exit 1; }
+ledger_sums() { # the grouped sums' rows: grp in the cold side's row part, amount in its column part
+  printf '%s\n' 'SELECT grp, SUM(amount) FROM ledger GROUP BY grp ORDER BY grp;' | "$work/hsql" -connect "127.0.0.1:$port" | grep -E '^[0-9]+ \| [0-9]'
+}
+sums="$(ledger_sums)"
+echo "$sums"
+[ "$sums" = "$(printf '1 | 50\n2 | 70\n3 | 30')" ] || { echo "FAIL: wrong grouped sums on ledger" >&2; exit 1; }
+
 echo "== kill -9 =="
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
@@ -152,6 +173,8 @@ pid=$!
 wait_ready "$port"
 [ "$(store_of sales)" = "COLUMN 5" ]    || { echo "FAIL: after restart sales is $(store_of sales), want COLUMN 5" >&2; exit 1; }
 [ "$(store_of kv)" = "PARTITIONED 3" ]  || { echo "FAIL: after restart kv is $(store_of kv), want PARTITIONED 3" >&2; exit 1; }
+[ "$(store_of ledger)" = "PARTITIONED 5" ] || { echo "FAIL: after restart ledger is $(store_of ledger), want PARTITIONED 5" >&2; exit 1; }
+[ "$(ledger_sums)" = "$sums" ] || { echo "FAIL: after restart ledger's grouped sums are $(ledger_sums), want $sums" >&2; exit 1; }
 
 echo "== verify recovery =="
 out="$("$work/hsql" -connect "127.0.0.1:$port" <<'EOF'
